@@ -8,10 +8,9 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..config import MapMatchingConfig
-from ..exceptions import (DisconnectedRouteError, MapMatchingError)
+from ..exceptions import (DisconnectedRouteError, MapMatchingError,
+                          RoadNetworkError)
 from ..roadnet.graph import RoadNetwork
 from ..roadnet.shortest_path import dijkstra_route
 from ..roadnet.spatial import SpatialIndex
@@ -24,13 +23,15 @@ _NEG_INF = float("-inf")
 class SegmentPairDistanceCache:
     """A bounded LRU cache of network distances between segment pairs.
 
-    Same discipline as the stream engine's segment-feature cache: recently
-    used pairs stay, the least recently used pair is evicted once
-    ``max_size`` is reached, and ``hits`` / ``misses`` are surfaced for
-    observability. One instance is shared by every match of a matcher — and,
-    through :class:`~repro.mapmatching.online.OnlineMapMatcher`, by every
-    vehicle session of a streaming fleet — because consecutive GPS fixes of
-    different trips keep asking for the same arterial segment pairs.
+    Stored as rows, ``to_segment -> {from_segment: metres}``, because a
+    Viterbi column asks for every predecessor of one candidate at once.
+    Recency is per row; ``len(cache)``, ``max_size`` and ``hits`` /
+    ``misses`` count *pairs*: past ``max_size`` pairs the least recently
+    used rows are evicted whole (a lone row wider than the bound sheds its
+    own oldest pairs). One instance is shared by every match of a matcher —
+    and, through :class:`~repro.mapmatching.online.OnlineMapMatcher`, by
+    every vehicle session of a streaming fleet — because consecutive GPS
+    fixes of different trips keep asking for the same arterial segment pairs.
     """
 
     def __init__(self, max_size: int = 65536):
@@ -38,12 +39,13 @@ class SegmentPairDistanceCache:
             raise MapMatchingError(
                 "the segment-pair distance cache needs max_size >= 1")
         self._max_size = max_size
-        self._distances: "OrderedDict[Tuple[int, int], float]" = OrderedDict()
+        self._rows: "OrderedDict[int, Dict[int, float]]" = OrderedDict()
+        self._pairs = 0
         self.hits = 0
         self.misses = 0
 
     def __len__(self) -> int:
-        return len(self._distances)
+        return self._pairs
 
     @property
     def max_size(self) -> int:
@@ -54,45 +56,45 @@ class SegmentPairDistanceCache:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
-    def lookup(self, key: Tuple[int, int]) -> Optional[float]:
-        """The cached distance for ``key``, or ``None`` (counts hit/miss)."""
-        distance = self._distances.get(key)
-        if distance is not None:
-            self._distances.move_to_end(key)
-            self.hits += 1
-            return distance
-        self.misses += 1
-        return None
+    def row(self, to_segment: int) -> Dict[int, float]:
+        """The live row of ``to_segment``, marked most recently used. Reads
+        of it are uncounted: add pair ``hits`` / ``misses`` yourself, and
+        fill misses through :meth:`store`."""
+        row = self._rows.get(to_segment)
+        if row is None:
+            row = self._rows[to_segment] = {}
+        else:
+            self._rows.move_to_end(to_segment)
+        return row
 
-    def lookup_many(self, keys: Sequence[Tuple[int, int]]) -> List[Optional[float]]:
-        """Batched :meth:`lookup`: one list in, one list out (``None`` marks
-        a miss). One pass over locally-bound dict methods instead of a
-        method call per pair — the cache half of the vectorized Viterbi
-        column update (:meth:`HMMMapMatcher.viterbi_step`). Hit/miss
-        accounting and LRU recency updates are identical to calling
-        :meth:`lookup` per key, in order."""
-        distances = self._distances
-        get = distances.get
-        touch = distances.move_to_end
-        out: List[Optional[float]] = []
-        hits = 0
-        for key in keys:
-            distance = get(key)
-            if distance is not None:
-                touch(key)
-                hits += 1
-            out.append(distance)
-        self.hits += hits
-        self.misses += len(keys) - hits
-        return out
+    def lookup(self, key: Tuple[int, int]) -> Optional[float]:
+        """The cached ``(from_segment, to_segment)`` distance, or ``None``
+        (counts hit/miss)."""
+        distance = self.row(key[1]).get(key[0])
+        if distance is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+        return distance
 
     def store(self, key: Tuple[int, int], distance: float) -> None:
-        self._distances[key] = distance
-        if len(self._distances) > self._max_size:
-            self._distances.popitem(last=False)
+        from_segment, to_segment = key
+        row = self.row(to_segment)
+        if from_segment not in row:
+            self._pairs += 1
+        row[from_segment] = distance
+        while self._pairs > self._max_size:
+            oldest = next(iter(self._rows.values()))
+            if oldest is row:  # the only row left: shed its own oldest pair
+                del row[next(iter(row))]
+                self._pairs -= 1
+            else:
+                self._rows.popitem(last=False)
+                self._pairs -= len(oldest)
 
     def clear(self) -> None:
-        self._distances.clear()
+        self._rows.clear()
+        self._pairs = 0
 
 
 @dataclass
@@ -128,6 +130,9 @@ class HMMMapMatcher:
         self._index = SpatialIndex(network, cell_size_m=self._config.candidate_radius_m)
         self._distance_cache = SegmentPairDistanceCache(
             self._config.distance_cache_size)
+        #: segment -> ((successor, successor length_m), ...) in network
+        #: order, filled the first time the routing expands a segment.
+        self._successors: Dict[int, Tuple[Tuple[int, float], ...]] = {}
 
     @property
     def network(self) -> RoadNetwork:
@@ -184,22 +189,15 @@ class HMMMapMatcher:
         if not near:
             try:
                 near = [self._index.nearest_segment(x, y)]
-            except Exception:
+            except RoadNetworkError:  # nothing within nearest_segment's reach
                 near = []
         return near[: config.max_candidates]
 
     def network_distance(self, from_segment: int, to_segment: int) -> float:
         """Bounded network distance between two segments (metres), cached."""
-        key = (from_segment, to_segment)
-        cached = self._distance_cache.lookup(key)
-        if cached is not None:
-            return cached
-        if from_segment == to_segment:
-            distance = 0.0
-        else:
-            distance = self._bounded_dijkstra(from_segment, to_segment)
-        self._distance_cache.store(key, distance)
-        return distance
+        cached = self._distance_cache.lookup((from_segment, to_segment))
+        return (cached if cached is not None
+                else self._route_distance(from_segment, to_segment))
 
     def viterbi_step(
         self,
@@ -208,54 +206,45 @@ class HMMMapMatcher:
         candidates: Sequence[Tuple[int, float]],
         straight_m: float,
     ) -> Tuple[List[float], List[int]]:
-        """One vectorized Viterbi column update, bit-identical to the scalar
-        loop it replaces.
+        """One Viterbi column update: the inner step shared by the offline
+        :meth:`match` and :class:`~repro.mapmatching.online.OnlineMapMatcher`.
 
         Given the previous column (``previous_scores`` per ``from_segments``
         candidate) and the new fix's ``candidates`` (``(segment, distance)``
         pairs) at straight-line displacement ``straight_m``, returns the new
-        column's ``(scores, backpointers)``. The network distances of every
-        (from, to) pair are fetched in one batched pass through the
-        :class:`SegmentPairDistanceCache` (misses filled by the bounded
-        Dijkstra, in the same access order as the scalar loop, so hit/miss
-        accounting and LRU eviction are unchanged); emission + transition
-        scoring and the per-candidate argmax then run as one ``numpy``
-        matrix expression instead of a nested Python loop. Tie-breaks match
-        the scalar loop (first maximum), unreachable or pruned predecessors
-        surface as backpointer ``-1`` with a ``-inf`` score — this is the
-        shared inner step of both the offline :meth:`match` Viterbi and the
-        incremental :class:`~repro.mapmatching.online.OnlineMapMatcher`.
+        column's ``(scores, backpointers)``: per candidate the maximum over
+        predecessors of ``(previous + transition_log_prob) + emission``,
+        first maximum winning ties, ``-inf`` / ``-1`` when no predecessor
+        reaches it. Network distances come from one
+        :class:`SegmentPairDistanceCache` row per candidate, misses filled
+        by the bounded Dijkstra.
         """
         config = self._config
-        keys = [(from_segment, to_segment)
-                for to_segment, _ in candidates
-                for from_segment in from_segments]
-        distances = self._distance_cache.lookup_many(keys)
-        for index, value in enumerate(distances):
-            if value is None:
-                from_segment, to_segment = keys[index]
-                value = (0.0 if from_segment == to_segment
-                         else self._bounded_dijkstra(from_segment, to_segment))
-                self._distance_cache.store((from_segment, to_segment), value)
-                distances[index] = value
-        network = np.array(distances, dtype=np.float64).reshape(
-            len(candidates), len(from_segments))
-        emissions = np.array(
-            [gaussian_emission_log_prob(distance, config.gps_sigma_m)
-             for _, distance in candidates], dtype=np.float64)
-        # Same expression tree as the scalar transition_log_prob + total:
-        # (prev + (-|straight - network| / beta - log beta)) + emission,
-        # elementwise IEEE float64 throughout, so scores are bit-identical.
-        delta = np.abs(straight_m - network)
-        transitions = -delta / config.transition_beta \
-            - math.log(config.transition_beta)
-        previous = np.asarray(previous_scores, dtype=np.float64)
-        totals = (previous[None, :] + transitions) + emissions[:, None]
-        best = np.argmax(totals, axis=1)  # first maximum, like the `>` loop
-        scores = totals[np.arange(len(candidates)), best]
-        viable = scores != _NEG_INF
-        return (scores.tolist(),
-                np.where(viable, best, -1).tolist())
+        beta, sigma = config.transition_beta, config.gps_sigma_m
+        log_beta = math.log(beta)
+        cache = self._distance_cache
+        scores: List[float] = []
+        backpointers: List[int] = []
+        misses = 0
+        for to_segment, distance in candidates:
+            emission = gaussian_emission_log_prob(distance, sigma)
+            cached = cache.row(to_segment).get
+            best, best_index = _NEG_INF, -1
+            for index, from_segment in enumerate(from_segments):
+                network = cached(from_segment)
+                if network is None:
+                    network = self._route_distance(from_segment, to_segment)
+                    misses += 1
+                total = (previous_scores[index]
+                         + (-abs(straight_m - network) / beta - log_beta)
+                         ) + emission
+                if total > best:
+                    best, best_index = total, index
+            scores.append(best)
+            backpointers.append(best_index)
+        cache.misses += misses
+        cache.hits += len(candidates) * len(from_segments) - misses
+        return scores, backpointers
 
     # ------------------------------------------------------------ internals
     def _candidates(self, trajectory: RawTrajectory) -> List[List[Tuple[int, float]]]:
@@ -263,9 +252,16 @@ class HMMMapMatcher:
         return [self.candidates_near(point.x, point.y)
                 for point in trajectory.points]
 
+    def _route_distance(self, from_segment: int, to_segment: int) -> float:
+        """Cache-miss path: route one pair and store the result."""
+        distance = (0.0 if from_segment == to_segment
+                    else self._bounded_dijkstra(from_segment, to_segment))
+        self._distance_cache.store((from_segment, to_segment), distance)
+        return distance
+
     def _bounded_dijkstra(self, source: int, target: int) -> float:
         """Shortest network distance, giving up after ``routing_max_hops`` expansions."""
-        network = self._network
+        network, successors = self._network, self._successors
         max_hops = self._config.routing_max_hops
         best: Dict[int, float] = {source: 0.0}
         frontier: List[Tuple[float, int]] = [(0.0, source)]
@@ -279,10 +275,17 @@ class HMMMapMatcher:
             expansions += 1
             if current == target:
                 return cost
-            for successor in network.successor_segments(current):
+            edges = successors.get(current)
+            if edges is None:
+                edges = successors[current] = tuple(
+                    (successor, network.segment(successor).length_m)
+                    for successor in network.successor_segments(current))
+            # Push order is part of the result: heap ties decide which
+            # equal-cost segment is expanded before the cut-off.
+            for successor, length_m in edges:
                 if successor in visited:
                     continue
-                new_cost = cost + network.segment(successor).length_m
+                new_cost = cost + length_m
                 if new_cost < best.get(successor, float("inf")):
                     best[successor] = new_cost
                     heapq.heappush(frontier, (new_cost, successor))
@@ -317,8 +320,8 @@ class HMMMapMatcher:
                 scores[i - 1], from_segments, candidates_per_point[i], straight)
             scores.append(current_scores)
             backpointers.append(current_back)
-            if all(score == float("-inf") for score in current_scores):
-                return None, float("-inf")
+            if max(current_scores) == _NEG_INF:
+                return None, _NEG_INF
 
         # Backtrack.
         last = len(points) - 1

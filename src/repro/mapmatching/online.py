@@ -69,6 +69,14 @@ class _Column:
     candidates: List[Tuple[int, float]]  # (segment, distance) pairs
     backpointers: List[int]              # into the previous column
     arrival: int                         # session-local point index
+    segments: Tuple[int, ...] = field(init=False)  # of the candidates
+
+    def __post_init__(self):
+        self.segments = tuple([segment for segment, _ in self.candidates])
+
+    def rooted_on(self, choice: int) -> "_Column":
+        """A committed lattice root: this column cut down to one candidate."""
+        return _Column([self.candidates[choice]], [-1], self.arrival)
 
 
 @dataclass
@@ -224,11 +232,9 @@ class OnlineMapMatcher:
         previous_point = session.last_point
         straight = math.hypot(point.x - previous_point.x,
                               point.y - previous_point.y)
-        previous_column = session.columns[-1]
-        from_segments = [segment for segment, _ in previous_column.candidates]
         current_scores, current_back = self._matcher.viterbi_step(
-            session.scores, from_segments, candidates, straight)
-        if all(score == _NEG_INF for score in current_scores):
+            session.scores, session.columns[-1].segments, candidates, straight)
+        if max(current_scores) == _NEG_INF:
             raise MatchBreakError(
                 f"no candidate of GPS fix ({point.x:.1f}, {point.y:.1f}) is "
                 "reachable from the previous fix's candidates")
@@ -318,38 +324,36 @@ class OnlineMapMatcher:
                 f"no active matching session for {key!r}") from None
 
     def _converge(self, session: _Session) -> List[int]:
-        """Commit every prefix column all viable paths agree on."""
+        """Commit every prefix column all viable paths agree on: walk the
+        alive candidates back from the newest column until one is left
+        (every earlier column then has one too), then follow its chain."""
         columns = session.columns
+        start = 1 if session.anchored else 0
         alive = {i for i, score in enumerate(session.scores)
                  if score != _NEG_INF}
-        alive_sets: List[set] = [set()] * len(columns)
-        alive_sets[-1] = alive
-        for i in range(len(columns) - 1, 0, -1):
-            alive_sets[i - 1] = {columns[i].backpointers[j]
-                                 for j in alive_sets[i]}
-        start = 1 if session.anchored else 0
-        commit_to = start
-        while commit_to < len(columns) and len(alive_sets[commit_to]) == 1:
-            commit_to += 1
-        if commit_to == start:
+        root_index = len(columns) - 1
+        while len(alive) > 1 and root_index > start:
+            backpointers = columns[root_index].backpointers
+            alive = {backpointers[j] for j in alive}
+            root_index -= 1
+        if len(alive) != 1 or root_index < start:
             return []
-        chosen = [next(iter(alive_sets[i])) for i in range(start, commit_to)]
+        root_choice, = alive
+        chosen = [root_choice]
+        for i in range(root_index, start, -1):
+            chosen.append(columns[i].backpointers[chosen[-1]])
+        chosen.reverse()
         emitted = self._commit(
-            session, list(zip(columns[start:commit_to], chosen)))
+            session, list(zip(columns[start:root_index + 1], chosen)))
         # Re-root the lattice on the last committed column.
-        root_index = commit_to - 1
-        root_choice = chosen[-1]
-        root_column = columns[root_index]
-        new_root = _Column([root_column.candidates[root_choice]], [-1],
-                           root_column.arrival)
-        remainder = columns[commit_to:]
+        remainder = columns[root_index + 1:]
         if remainder:
             remainder[0].backpointers = [
                 0 if pointer == root_choice else -1
                 for pointer in remainder[0].backpointers]
         else:
             session.scores = [session.scores[root_choice]]
-        session.columns = [new_root] + remainder
+        session.columns = [columns[root_index].rooted_on(root_choice)] + remainder
         session.anchored = True
         return emitted
 
@@ -373,9 +377,7 @@ class OnlineMapMatcher:
         emitted = self._commit(
             session, [(columns[i], path[i])
                       for i in range(start, len(columns))])
-        last_column = columns[-1]
-        session.columns = [
-            _Column([last_column.candidates[best]], [-1], last_column.arrival)]
+        session.columns = [columns[-1].rooted_on(best)]
         session.scores = [session.scores[best]]
         session.anchored = True
         session.forced_commits += 1

@@ -1,12 +1,14 @@
 """Tests of the HMM map matcher and its emission/transition models."""
 
+import heapq
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import MapMatchingConfig
 from repro.datagen import sample_gps_trace, tiny_dataset
-from repro.exceptions import MapMatchingError
+from repro.exceptions import MapMatchingError, RoadNetworkError
 from repro.mapmatching import (
     HMMMapMatcher,
     gaussian_emission_log_prob,
@@ -105,3 +107,184 @@ def test_matcher_exposes_config(raw_dataset):
     matcher = HMMMapMatcher(raw_dataset.network, config)
     assert matcher.config.gps_sigma_m == 9.0
     assert matcher.network is raw_dataset.network
+
+
+def test_candidates_near_only_absorbs_nothing_within_reach(raw_dataset):
+    """Far from every road ``nearest_segment`` raises ``RoadNetworkError`` and
+    the fix has no candidates; any other failure of the index is a defect and
+    must surface, not turn into a silently dropped fix."""
+    matcher = HMMMapMatcher(raw_dataset.network)
+    assert matcher.candidates_near(1e7, 1e7) == []
+
+    def broken(x, y):
+        raise ZeroDivisionError("defect in the index")
+
+    matcher._index.nearest_segment = broken
+    with pytest.raises(ZeroDivisionError):
+        matcher.candidates_near(1e7, 1e7)
+
+    def nothing(x, y):
+        raise RoadNetworkError("no segment within reach")
+
+    matcher._index.nearest_segment = nothing
+    assert matcher.candidates_near(1e7, 1e7) == []
+
+
+# ------------------------------------------------------------- viterbi_step
+_NEG_INF = float("-inf")
+_INF = float("inf")
+
+
+def reference_viterbi_step(config, previous_scores, from_segments, candidates,
+                           straight_m, network_m):
+    """The column update as the model functions define it: a plain nested
+    loop over ``transition_log_prob`` + ``gaussian_emission_log_prob``,
+    first maximum wins, dead candidates score ``-inf`` / point at ``-1``."""
+    scores, backpointers = [], []
+    for to_segment, distance in candidates:
+        emission = gaussian_emission_log_prob(distance, config.gps_sigma_m)
+        best, best_index = _NEG_INF, -1
+        for index, from_segment in enumerate(from_segments):
+            transition = transition_log_prob(
+                straight_m, network_m[from_segment, to_segment],
+                config.transition_beta)
+            total = (previous_scores[index] + transition) + emission
+            if total > best:
+                best, best_index = total, index
+        scores.append(best)
+        backpointers.append(best_index)
+    return scores, backpointers
+
+
+# Small pools, so exact ties between predecessors are the common case.
+_previous = st.sampled_from([_NEG_INF, -1.0, -2.5, -2.5, -40.125])
+_network = st.sampled_from([0.0, 50.0, 50.0, 120.75, 1e4, _INF])
+_offset = st.sampled_from([0.0, 3.0, 3.0, 11.5, 49.0])
+
+
+def check_step_against_reference(network, beta, previous_scores, network_m,
+                                 candidates, straight_m):
+    matcher = HMMMapMatcher(network, MapMatchingConfig(transition_beta=beta))
+    for key, metres in network_m.items():  # so the step routes nothing
+        matcher.distance_cache.store(key, metres)
+    from_segments = list(range(len(previous_scores)))
+    scores, backpointers = matcher.viterbi_step(
+        previous_scores, from_segments, candidates, straight_m)
+    expected_scores, expected_back = reference_viterbi_step(
+        matcher.config, previous_scores, from_segments, candidates,
+        straight_m, network_m)
+    assert scores == expected_scores
+    assert backpointers == expected_back
+    assert all((score == _NEG_INF) == (pointer == -1)
+               for score, pointer in zip(scores, backpointers))
+    cache = matcher.distance_cache
+    assert (cache.hits, cache.misses) == (len(network_m), 0)
+    return scores, backpointers
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), from_width=st.integers(1, 8), to_width=st.integers(1, 8),
+       straight_m=st.sampled_from([0.0, 50.0, 85.25, 300.0]),
+       beta=st.sampled_from([1.0, 5.0, 30.0]))
+def test_viterbi_step_equals_the_nested_loop_reference(
+        raw_dataset, data, from_width, to_width, straight_m, beta):
+    """Scores by ``==`` on floats, backpointers exactly, over random columns
+    of width 1-8 with unreachable pairs (``inf`` network distance), pruned
+    predecessors (``-inf`` score) and exact ties."""
+    to_segments = range(4, 4 + to_width)  # overlaps the from column
+    previous_scores = data.draw(st.lists(
+        _previous, min_size=from_width, max_size=from_width))
+    network_m = {(f, t): data.draw(_network)
+                 for f in range(from_width) for t in to_segments}
+    candidates = [(t, data.draw(_offset)) for t in to_segments]
+    check_step_against_reference(raw_dataset.network, beta, previous_scores,
+                                 network_m, candidates, straight_m)
+
+
+def test_viterbi_step_dead_columns_and_ties(raw_dataset):
+    network = raw_dataset.network
+    # No predecessor alive, or none that reaches: the whole column is dead.
+    pairs = [(f, t) for f in range(3) for t in (7, 8)]
+    for previous_scores, metres in [([_NEG_INF] * 3, 50.0), ([-1.0] * 3, _INF)]:
+        scores, backpointers = check_step_against_reference(
+            network, 5.0, previous_scores, dict.fromkeys(pairs, metres),
+            [(7, 3.0), (8, 0.0)], 50.0)
+        assert scores == [_NEG_INF] * 2 and backpointers == [-1] * 2
+    # Every predecessor ties: the first one wins.
+    _, backpointers = check_step_against_reference(
+        network, 5.0, [-1.0] * 3, dict.fromkeys(pairs, 50.0),
+        [(7, 3.0), (8, 0.0)], 50.0)
+    assert backpointers == [0, 0]
+
+
+def test_viterbi_step_routes_and_counts_misses_per_pair(raw_dataset, matcher):
+    """On a cold cache every pair is one miss, filled with the same bounded
+    network distance ``network_distance`` reports; asked again, one hit."""
+    raw = raw_dataset.raw_trajectories[0]
+    cold = HMMMapMatcher(raw_dataset.network)
+    first, second = (cold.candidates_near(point.x, point.y)
+                     for point in raw.points[:2])
+    from_segments = [segment for segment, _ in first]
+    previous_scores = [0.0] * len(first)
+    straight_m = math.hypot(raw.points[1].x - raw.points[0].x,
+                            raw.points[1].y - raw.points[0].y)
+    pairs = len(first) * len(second)
+    step = cold.viterbi_step(previous_scores, from_segments, second, straight_m)
+    assert (cold.distance_cache.hits, cold.distance_cache.misses) == (0, pairs)
+    assert len(cold.distance_cache) == pairs
+    assert cold.viterbi_step(
+        previous_scores, from_segments, second, straight_m) == step
+    assert (cold.distance_cache.hits, cold.distance_cache.misses) == (pairs, pairs)
+    network_m = {(f, t): matcher.network_distance(f, t)
+                 for f in from_segments for t, _ in second}
+    assert step == reference_viterbi_step(
+        cold.config, previous_scores, from_segments, second, straight_m,
+        network_m)
+
+
+# ------------------------------------------------------------ cold routing
+def reference_bounded_dijkstra(network, max_hops, source, target):
+    """The routing as written against the ``RoadNetwork`` API (a successor
+    list and a ``segment()`` lookup per relaxation). The order successors
+    are pushed in is kept: heap ties decide which equal-cost segment is
+    expanded before the ``max_hops * 8`` cut-off."""
+    best = {source: 0.0}
+    frontier = [(0.0, source)]
+    visited = set()
+    expansions = 0
+    while frontier and expansions < max_hops * 8:
+        cost, current = heapq.heappop(frontier)
+        if current in visited:
+            continue
+        visited.add(current)
+        expansions += 1
+        if current == target:
+            return cost
+        for successor in network.successor_segments(current):
+            if successor in visited:
+                continue
+            new_cost = cost + network.segment(successor).length_m
+            if new_cost < best.get(successor, _INF):
+                best[successor] = new_cost
+                heapq.heappush(frontier, (new_cost, successor))
+    return _INF
+
+
+@pytest.mark.parametrize("max_hops", [1, 4, 60])
+def test_network_distance_equals_the_reference_routing(grid_network, max_hops):
+    """Same metres, bit for bit, with the cut-off biting (1, 4) and not (60);
+    the grid's equal-length blocks make equal-cost frontiers the norm."""
+    matcher = HMMMapMatcher(grid_network,
+                            MapMatchingConfig(routing_max_hops=max_hops))
+    rng = np.random.default_rng(max_hops)
+    segment_ids = grid_network.segment_ids()
+    unreachable = 0
+    for source, target in rng.choice(segment_ids, size=(300, 2)):
+        source, target = int(source), int(target)
+        expected = (0.0 if source == target else reference_bounded_dijkstra(
+            grid_network, max_hops, source, target))
+        assert matcher.network_distance(source, target) == expected
+        unreachable += expected == _INF
+    assert (unreachable > 0) == (max_hops < 60)
+    with pytest.raises(RoadNetworkError):  # SegmentNotFoundError
+        matcher.network_distance(10 ** 6, segment_ids[0])

@@ -231,7 +231,7 @@ def test_distance_cache_is_lru_bounded(matching_dataset):
     bounded = HMMMapMatcher(network, MapMatchingConfig(distance_cache_size=8))
     assert bounded.match(raw).succeeded
     cache = bounded.distance_cache
-    assert len(cache) <= 8
+    assert 0 < len(cache) <= 8  # bounded, and not by being always empty
     assert cache.max_size == 8
     assert cache.misses > 8  # evictions happened: more misses than capacity
 
@@ -242,6 +242,91 @@ def test_distance_cache_is_lru_bounded(matching_dataset):
     assert roomy.distance_cache.misses == warm_misses
     assert roomy.distance_cache.hits > 0
     assert 0.0 < roomy.distance_cache.hit_rate <= 1.0
+
+
+def noisy_traces(dataset, count, noise_m, seed):
+    rng = np.random.default_rng(seed)
+    return [sample_gps_trace(dataset.network, truth.segments,
+                             truth.start_time_s, rng, gps_noise_m=noise_m,
+                             trajectory_id=truth.trajectory_id)
+            for truth in dataset.trajectories[:count]]
+
+
+@pytest.mark.parametrize("size", [1, 8])
+def test_distance_cache_eviction_never_changes_an_answer(matching_dataset,
+                                                         size):
+    """Eviction may cost time, never an answer: a tightly bounded matcher and
+    a roomy one agree on route and score over 20 noisy traces, and the bound
+    holds after every match. At ``size=1`` every Viterbi column's row is
+    wider than the whole cache and has to shed its own oldest pairs."""
+    network = matching_dataset.network
+    bounded = HMMMapMatcher(network, MapMatchingConfig(distance_cache_size=size))
+    roomy = HMMMapMatcher(network)
+    matched = 0
+    for raw in noisy_traces(matching_dataset, 20, noise_m=6.0, seed=21):
+        tight, loose = bounded.match(raw), roomy.match(raw)
+        assert 0 < len(bounded.distance_cache) <= size
+        assert tight.succeeded == loose.succeeded
+        if loose.succeeded:
+            assert tight.matched.segments == loose.matched.segments
+            assert tight.log_likelihood == loose.log_likelihood
+            matched += 1
+    assert matched >= 15
+    assert bounded.distance_cache.misses > roomy.distance_cache.misses
+    # Pairs are looked up the same number of times either way.
+    assert (bounded.distance_cache.hits + bounded.distance_cache.misses
+            == roomy.distance_cache.hits + roomy.distance_cache.misses)
+
+
+def test_distance_cache_rows_evict_least_recently_used_first():
+    from repro.mapmatching import SegmentPairDistanceCache
+
+    cache = SegmentPairDistanceCache(max_size=4)
+    for from_segment in (1, 2):
+        cache.store((from_segment, 10), 1.0)
+        cache.store((from_segment, 20), 2.0)
+    assert len(cache) == 4
+    assert cache.lookup((1, 10)) == 1.0      # row 10 is now the most recent
+    cache.store((1, 30), 3.0)                # over the bound: row 20 goes, whole
+    assert len(cache) == 3
+    assert cache.lookup((1, 20)) is None and cache.lookup((2, 20)) is None
+    assert cache.lookup((2, 10)) == 1.0 and cache.lookup((1, 30)) == 3.0
+    assert (cache.hits, cache.misses) == (3, 2)
+    cache.store((1, 30), 3.5)                # overwriting is not a new pair
+    assert len(cache) == 3 and cache.lookup((1, 30)) == 3.5
+    cache.clear()
+    assert len(cache) == 0 and cache.lookup((2, 10)) is None
+
+
+def test_fleet_replay_cache_counters_equal_the_parents(matching_dataset):
+    """Hit/miss totals are pair-granular and unchanged by the row layout.
+
+    A fixed fleet replay — 40 traces at 2 m noise pushed round-robin, one fix
+    per vehicle per round, through one shared matcher, three laps — recorded
+    at the parent commit (45dda5c, tuple-keyed cache, ``lookup_many``):
+    7 662 pushes, 240 300 hits / 1 572 misses, 1 572 pairs held, 7 662
+    commits with lag sum 31 413, none forced. The roomy default cache never
+    evicts here, so every pair must be a hit or a miss exactly where it was
+    one before.
+    """
+    matcher = HMMMapMatcher(matching_dataset.network)
+    online = OnlineMapMatcher(matcher)
+    traces = [raw.points for raw in
+              noisy_traces(matching_dataset, 40, noise_m=2.0, seed=5)]
+    pushes = 0
+    for _ in range(3):
+        for index in range(max(map(len, traces)) + 1):
+            for vehicle, trace in enumerate(traces):
+                if index < len(trace):
+                    online.push(vehicle, trace[index])
+                    pushes += 1
+                elif index == len(trace):
+                    assert online.finish(vehicle).succeeded
+    cache = matcher.distance_cache
+    assert pushes == 7662
+    assert (cache.hits, cache.misses, len(cache)) == (240300, 1572, 1572)
+    assert (online.commits, online.forced_commits,
+            online.commit_lag_sum) == (7662, 0, 31413)
 
 
 def test_distance_cache_rejects_bad_size(matching_dataset):
