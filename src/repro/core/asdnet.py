@@ -118,9 +118,7 @@ class ASDNet(Module):
         return self.representation_dim + self._config.label_embedding_dim
 
     # --------------------------------------------------------------- states
-    def build_state(self, z: np.ndarray, previous_label: int
-                    ) -> Tuple[np.ndarray, dict]:
-        """Construct the MDP state ``[z_i ; v(e_{i-1}.l)]``."""
+    def _state(self, z: np.ndarray, previous_label: int) -> np.ndarray:
         if previous_label not in (0, 1):
             raise ModelError("previous_label must be 0 or 1")
         z = np.asarray(z, dtype=np.float64).ravel()
@@ -128,8 +126,14 @@ class ASDNet(Module):
             raise ModelError(
                 f"representation must have dim {self.representation_dim}, "
                 f"got {z.shape[0]}")
-        label_vector, label_cache = self.label_embedding([previous_label])
-        state = np.concatenate([z, label_vector[0]])
+        return np.concatenate([z, self.label_embedding.vector(previous_label)])
+
+    def build_state(self, z: np.ndarray, previous_label: int
+                    ) -> Tuple[np.ndarray, dict]:
+        """Construct the MDP state ``[z_i ; v(e_{i-1}.l)]`` (training form:
+        also returns the label embedding's backward cache)."""
+        state = self._state(z, previous_label)
+        _, label_cache = self.label_embedding([previous_label])
         return state, label_cache
 
     # --------------------------------------------------------------- actions
@@ -172,9 +176,9 @@ class ASDNet(Module):
         )
 
     def greedy_action(self, z: np.ndarray, previous_label: int) -> int:
-        """The most probable action (used at detection time)."""
-        state, _ = self.build_state(z, previous_label)
-        probabilities, _ = self.action_probabilities(state)
+        """The most probable action (used at detection time; no caches)."""
+        probabilities, _ = self.action_probabilities(
+            self._state(z, previous_label))
         return int(np.argmax(probabilities))
 
     def build_states_batch(self, z: np.ndarray,

@@ -13,6 +13,7 @@ from ..roadnet.graph import RoadNetwork
 from ..trajectory.models import MatchedTrajectory, Subtrajectory
 from ..trajectory.ops import split_by_labels, subtrajectory_spans
 from ..labeling.features import PreprocessingPipeline
+from ..labeling.normal_routes import normal_transitions
 from .asdnet import ASDNet
 from .rsrnet import RSRNet
 
@@ -180,30 +181,27 @@ class OnlineDetector:
         if n == 0:
             raise ModelError("cannot detect on an empty trajectory")
 
-        normal_routes = self._pipeline.normal_routes_for(trajectory)
-        vocabulary = self._pipeline.vocabulary
-        from ..labeling.normal_routes import normal_route_feature_step
+        # One membership set per trip keeps the NRF of each new point O(1).
+        allowed = normal_transitions(
+            self._pipeline.normal_routes_for(trajectory))
+        token_of = self._pipeline.vocabulary.token
 
         state = self._rsrnet.begin_sequence()
         labels: List[int] = []
         per_point: List[float] = []
-        previous_z: Optional[np.ndarray] = None
 
         for i, segment in enumerate(segments):
             started = time.perf_counter() if record_timing else 0.0
-            # The NRF of the newly generated segment only depends on the
-            # transition into it and the SD pair's normal routes.
-            nrf_value = normal_route_feature_step(
-                segments[i - 1] if i > 0 else segment,
-                segment,
-                normal_routes,
-                is_source=(i == 0),
-                is_destination=(i == n - 1),
-            )
-            token = vocabulary.token(segment)
-            z, state = self._rsrnet.step(state, token, nrf_value)
+            # Source and destination are normal by definition; in between the
+            # NRF only depends on the transition into the new segment.
+            endpoint = i == 0 or i == n - 1
+            if endpoint or (segments[i - 1], segment) in allowed:
+                nrf_value = 0
+            else:
+                nrf_value = 1
+            z, state = self._rsrnet.step(state, token_of(segment), nrf_value)
 
-            if i == 0 or i == n - 1:
+            if endpoint:
                 label = 0
             else:
                 label = None
@@ -217,7 +215,6 @@ class OnlineDetector:
                         label, _ = self._asdnet.sample_action(z, labels[-1],
                                                               rng=self._rng)
             labels.append(label)
-            previous_z = z
             if record_timing:
                 per_point.append(time.perf_counter() - started)
 

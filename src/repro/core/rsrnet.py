@@ -245,10 +245,9 @@ class RSRNet(Module):
         """
         if nrf not in (0, 1):
             raise ModelError("normal route feature must be 0 or 1")
-        embedded = self.segment_embedding.vector(token)
-        hidden, cell, _ = self.lstm.cell.forward(embedded, state.hidden, state.cell)
-        nrf_vector = self.nrf_embedding.vector(nrf)
-        z = np.concatenate([hidden, nrf_vector])
+        hidden, cell = self.lstm.cell.forward_batch(
+            self.input_projection(token), state.hidden, state.cell)
+        z = np.concatenate([hidden, self.nrf_embedding.vector(nrf)])
         return z, RSRNetStepState(hidden=hidden, cell=cell)
 
     def input_projection(self, token: int) -> np.ndarray:

@@ -399,23 +399,7 @@ class StreamEngine:
         self._cell_pool[slot] = 0.0
         return slot
 
-
     # ------------------------------------------------------------------ tick
-    def _eligible_index(self, stream: _StreamState) -> Optional[int]:
-        """Index of the next point this stream may label, or ``None``.
-
-        A point is eligible once a later point proves it is not the trip's
-        destination, or once the stream is finalizing (then the last point is
-        labeled *as* the destination).
-        """
-        if stream.finalizing:
-            return stream.processed if stream.processed < len(stream.segments) else None
-        if stream.deferred:
-            return None
-        if stream.processed < len(stream.segments) - 1:
-            return stream.processed
-        return None
-
     def _segment_record(self, segment_id: int) -> SegmentRecord:
         token = self._pipeline.vocabulary.token(segment_id)
         return SegmentRecord(
@@ -433,36 +417,48 @@ class StreamEngine:
         never depend on how the fleet's arrivals interleave.
         """
         started = time.perf_counter() if self._record_timing else 0.0
-        work: List[Tuple[_StreamState, int, SegmentRecord, int]] = []
+        cached_record = self._cache.get
+        work: List[Tuple[_StreamState, int, SegmentRecord]] = []
+        slots: List[int] = []
+        projections: List[np.ndarray] = []
+        nrf_values: List[int] = []
+        # The forced/RNEL label of each point, or ``None`` for the policy.
+        labels: List[Optional[int]] = []
         for stream in self._streams.values():
-            index = self._eligible_index(stream)
-            if index is None:
+            # A point is eligible once a later point proves it is not the
+            # trip's destination, or once the stream is finalizing (then the
+            # last point is labeled *as* the destination).
+            index = stream.processed
+            last = len(stream.segments) - 1
+            if index > last or (not stream.finalizing
+                                and (stream.deferred or index == last)):
                 continue
             segment = stream.segments[index]
-            record = self._cache.get(segment, self._segment_record)
-            nrf = self._normal_route_feature(stream, index, segment)
-            work.append((stream, index, record, nrf))
+            record = cached_record(segment, self._segment_record)
+            if index == 0 or index == last:
+                # Source and destination are normal by definition.
+                nrf_values.append(0)
+                labels.append(0)
+            else:
+                transition = (stream.segments[index - 1], segment)
+                nrf_values.append(
+                    0 if transition in stream.normal_transitions else 1)
+                labels.append(rnel_from_degrees(
+                    stream.previous_record.out_degree, record.in_degree,
+                    stream.labels[-1]) if self._use_rnel else None)
+            work.append((stream, index, record))
+            slots.append(stream.slot)
+            projections.append(record.input_projection)
         if not work:
             return 0
 
-        slots = [stream.slot for stream, _, _, _ in work]
-        input_projections = np.stack([record.input_projection
-                                      for _, _, record, _ in work])
-        nrf_values = [nrf for _, _, _, nrf in work]
         z, new_hidden, new_cell = self._rsrnet.step_batch(
             self._hidden_pool[slots], self._cell_pool[slots],
-            input_projections, nrf_values)
+            np.array(projections), nrf_values)
         self._hidden_pool[slots] = new_hidden
         self._cell_pool[slots] = new_cell
 
-        undecided: List[int] = []
-        labels: List[Optional[int]] = []
-        for row, (stream, index, record, _) in enumerate(work):
-            label = self._deterministic_label(stream, index, record)
-            labels.append(label)
-            if label is None:
-                undecided.append(row)
-
+        undecided = [row for row, label in enumerate(labels) if label is None]
         if undecided:
             logits = self._asdnet.policy_logits_batch(
                 z[undecided],
@@ -481,8 +477,8 @@ class StreamEngine:
 
         share = ((time.perf_counter() - started) / len(work)
                  if self._record_timing else 0.0)
-        for row, (stream, index, record, _) in enumerate(work):
-            stream.labels.append(labels[row])
+        for label, (stream, index, record) in zip(labels, work):
+            stream.labels.append(label)
             stream.processed = index + 1
             stream.previous_record = record
             if self._record_timing:
@@ -504,27 +500,6 @@ class StreamEngine:
             elif tracer is not None:
                 tracer.observe("engine_tick", trace, now)
         stream.traces = remaining or None
-
-    def _normal_route_feature(self, stream: _StreamState, index: int,
-                              segment: int) -> int:
-        if index == 0:
-            return 0
-        if stream.finalizing and index == len(stream.segments) - 1:
-            return 0  # The destination is normal by definition.
-        transition = (stream.segments[index - 1], segment)
-        return 0 if transition in stream.normal_transitions else 1
-
-    def _deterministic_label(self, stream: _StreamState, index: int,
-                             record: SegmentRecord) -> Optional[int]:
-        """The forced/RNEL label of a point, or ``None`` for the policy."""
-        if index == 0:
-            return 0
-        if stream.finalizing and index == len(stream.segments) - 1:
-            return 0
-        if self._use_rnel:
-            return rnel_from_degrees(stream.previous_record.out_degree,
-                                     record.in_degree, stream.labels[-1])
-        return None
 
     # -------------------------------------------------------------- finalize
     def finalize(self, vehicle_id: Hashable) -> DetectionResult:

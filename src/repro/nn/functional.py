@@ -2,22 +2,24 @@
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional
 
 import numpy as np
 
 from ..exceptions import ModelError
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic sigmoid."""
-    out = np.empty_like(x, dtype=np.float64)
-    positive = x >= 0
-    negative = ~positive
-    out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
-    exp_x = np.exp(x[negative])
-    out[negative] = exp_x / (1.0 + exp_x)
-    return out
+def sigmoid(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Numerically stable logistic sigmoid of any array-like, as float64.
+
+    Branch-free: with ``e = exp(-|x|)`` (never overflows) the result is
+    ``1 / (1 + e)`` where ``x >= 0`` and ``e / (1 + e)`` elsewhere. ``out``
+    may be ``x`` itself, which is how the recurrent cells activate their gate
+    buffers in place.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    e = np.exp(-np.abs(x))
+    return np.divide(np.where(x >= 0, 1.0, e), 1.0 + e, out=out)
 
 
 def tanh(x: np.ndarray) -> np.ndarray:

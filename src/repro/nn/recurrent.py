@@ -3,16 +3,19 @@
 Both cells implement explicit forward/backward passes so sequence models can
 backpropagate through time without an autograd engine.
 
-Each cell exposes three execution modes:
+The LSTM cell exposes three execution modes over one gate kernel
+(:meth:`LSTMCell._step`: pre-activations summed into a fresh gate buffer,
+activated in place):
 
 * **Sequential** (:meth:`LSTMCell.forward` / :meth:`LSTMCell.backward`) — one
-  step for one stream, building the cache needed for backpropagation through
-  time. Used by the per-trajectory training loop and by
-  :meth:`repro.core.rsrnet.RSRNet.step` in the online detector.
-* **Batched inference** (:meth:`LSTMCell.forward_batch`) — one step for a
-  batch of independent streams from *precomputed input projections*, with no
-  backward cache. Used by the fleet stream engine, where the projection of a
-  road segment's embedding is shared across every vehicle on that segment.
+  step for one stream, keeping the cache needed for backpropagation through
+  time. Used by the per-trajectory training loop.
+* **Inference** (:meth:`LSTMCell.forward_batch`) — one step from *precomputed
+  input projections*, for a batch of independent streams or one stream
+  without the batch axis, with no backward cache. Used by the fleet stream
+  engine (where the projection of a road segment's embedding is shared across
+  every vehicle on that segment) and by :meth:`repro.core.rsrnet.RSRNet.step`
+  in the online detector.
 * **Batched training** (:meth:`LSTMCell.forward_batch_cached` /
   :meth:`LSTMCell.backward_batch`, wrapped by :meth:`LSTM.forward_batch` /
   :meth:`LSTM.backward_batch`) — one step for a batch of sequences *with* the
@@ -60,29 +63,52 @@ class LSTMCell(Module):
         bias[hidden_dim:2 * hidden_dim] = 1.0
         self.bias = Parameter(bias, name="lstm.bias")
 
+    def _step(self, input_term: np.ndarray, h_prev: np.ndarray,
+              c_prev: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """The one gate kernel behind every forward mode.
+
+        ``input_term`` is ``x @ W_in`` with any leading batch dimensions.
+        The pre-activations are summed in a fresh gate buffer and activated
+        in place — one sigmoid over the contiguous ``[input | forget]``
+        block, ``tanh`` on the candidate, one sigmoid on the output gate.
+        Returns ``(h, c, tanh_c, gate_views)``; the training modes keep the
+        views of the gate buffer as their BPTT cache, inference drops them.
+        """
+        h_dim = self.hidden_dim
+        gates = h_prev @ self.weight_hidden.value
+        np.add(input_term, gates, out=gates)
+        gates += self.bias.value
+        input_forget = gates[..., :2 * h_dim]
+        candidate = gates[..., 2 * h_dim:3 * h_dim]
+        output_gate = gates[..., 3 * h_dim:]
+        sigmoid(input_forget, out=input_forget)
+        np.tanh(candidate, out=candidate)
+        sigmoid(output_gate, out=output_gate)
+        input_gate = input_forget[..., :h_dim]
+        forget_gate = input_forget[..., h_dim:]
+        c = forget_gate * c_prev
+        c += input_gate * candidate
+        tanh_c = np.tanh(c)
+        return (output_gate * tanh_c, c, tanh_c,
+                (input_gate, forget_gate, candidate, output_gate))
+
+    def _step_cached(self, x: np.ndarray, h_prev: np.ndarray,
+                     c_prev: np.ndarray) -> Tuple[np.ndarray, np.ndarray, dict]:
+        """:meth:`_step` from raw inputs, keeping what ``backward*`` reads."""
+        h, c, tanh_c, (input_gate, forget_gate, candidate, output_gate) = (
+            self._step(x @ self.weight_input.value, h_prev, c_prev))
+        return h, c, {
+            "x": x, "h_prev": h_prev, "c_prev": c_prev,
+            "input_gate": input_gate, "forget_gate": forget_gate,
+            "cell_candidate": candidate, "output_gate": output_gate,
+            "c": c, "tanh_c": tanh_c,
+        }
+
     def forward(
         self, x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, dict]:
-        """One step. Returns ``(h, c, cache)``."""
-        x = np.asarray(x, dtype=np.float64)
-        h_dim = self.hidden_dim
-        gates = (x @ self.weight_input.value
-                 + h_prev @ self.weight_hidden.value
-                 + self.bias.value)
-        input_gate = sigmoid(gates[:h_dim])
-        forget_gate = sigmoid(gates[h_dim:2 * h_dim])
-        cell_candidate = tanh(gates[2 * h_dim:3 * h_dim])
-        output_gate = sigmoid(gates[3 * h_dim:])
-        c = forget_gate * c_prev + input_gate * cell_candidate
-        tanh_c = tanh(c)
-        h = output_gate * tanh_c
-        cache = {
-            "x": x, "h_prev": h_prev, "c_prev": c_prev,
-            "input_gate": input_gate, "forget_gate": forget_gate,
-            "cell_candidate": cell_candidate, "output_gate": output_gate,
-            "c": c, "tanh_c": tanh_c,
-        }
-        return h, c, cache
+        """One step for one stream. Returns ``(h, c, cache)``."""
+        return self._step_cached(np.asarray(x, dtype=np.float64), h_prev, c_prev)
 
     def project_input(self, x: np.ndarray) -> np.ndarray:
         """The input's contribution ``x @ W_in`` to the gate pre-activations.
@@ -96,33 +122,27 @@ class LSTMCell(Module):
     def forward_batch(
         self, input_projections: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """One step for a batch of independent streams (inference only).
+        """One inference step from precomputed input projections.
 
         ``input_projections`` holds :meth:`project_input` of each stream's
         input, shape ``(B, 4 * hidden_dim)``; ``h_prev`` and ``c_prev`` have
-        shape ``(B, hidden_dim)``. Returns ``(h, c)``. No backward cache is
-        built — this path exists for batched online detection.
+        shape ``(B, hidden_dim)``. A single stream may drop the batch axis
+        (``(4 * hidden_dim,)`` and ``(hidden_dim,)``). Returns ``(h, c)``;
+        no backward cache is kept — this is the online detection path.
         """
         input_projections = np.asarray(input_projections, dtype=np.float64)
         h_prev = np.asarray(h_prev, dtype=np.float64)
         c_prev = np.asarray(c_prev, dtype=np.float64)
         h_dim = self.hidden_dim
-        if input_projections.ndim != 2 or input_projections.shape[1] != 4 * h_dim:
+        if (input_projections.ndim not in (1, 2)
+                or input_projections.shape[-1] != 4 * h_dim):
             raise ModelError(
                 f"input projections must have shape (B, {4 * h_dim}), "
                 f"got {input_projections.shape}")
-        if h_prev.shape != c_prev.shape or h_prev.shape != (len(input_projections), h_dim):
+        if (h_prev.shape != c_prev.shape
+                or h_prev.shape != input_projections.shape[:-1] + (h_dim,)):
             raise ModelError("hidden/cell states must have shape (B, hidden_dim)")
-        gates = (input_projections
-                 + h_prev @ self.weight_hidden.value
-                 + self.bias.value)
-        input_gate = sigmoid(gates[:, :h_dim])
-        forget_gate = sigmoid(gates[:, h_dim:2 * h_dim])
-        cell_candidate = tanh(gates[:, 2 * h_dim:3 * h_dim])
-        output_gate = sigmoid(gates[:, 3 * h_dim:])
-        c = forget_gate * c_prev + input_gate * cell_candidate
-        h = output_gate * tanh(c)
-        return h, c
+        return self._step(input_projections, h_prev, c_prev)[:2]
 
     def forward_batch_cached(
         self, x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray
@@ -139,24 +159,31 @@ class LSTMCell(Module):
         if x.ndim != 2 or x.shape[1] != self.input_dim:
             raise ModelError(
                 f"inputs must have shape (B, {self.input_dim}), got {x.shape}")
-        h_dim = self.hidden_dim
-        gates = (x @ self.weight_input.value
-                 + h_prev @ self.weight_hidden.value
-                 + self.bias.value)
-        input_gate = sigmoid(gates[:, :h_dim])
-        forget_gate = sigmoid(gates[:, h_dim:2 * h_dim])
-        cell_candidate = tanh(gates[:, 2 * h_dim:3 * h_dim])
-        output_gate = sigmoid(gates[:, 3 * h_dim:])
-        c = forget_gate * c_prev + input_gate * cell_candidate
-        tanh_c = tanh(c)
-        h = output_gate * tanh_c
-        cache = {
-            "x": x, "h_prev": h_prev, "c_prev": c_prev,
-            "input_gate": input_gate, "forget_gate": forget_gate,
-            "cell_candidate": cell_candidate, "output_gate": output_gate,
-            "c": c, "tanh_c": tanh_c,
-        }
-        return h, c, cache
+        return self._step_cached(x, h_prev, c_prev)
+
+    def _backward_gates(self, grad_h: np.ndarray, grad_c: np.ndarray,
+                        cache: dict) -> Tuple[np.ndarray, np.ndarray]:
+        """Gradients w.r.t. the gate pre-activations and ``c_prev``."""
+        input_gate = cache["input_gate"]
+        forget_gate = cache["forget_gate"]
+        cell_candidate = cache["cell_candidate"]
+        output_gate = cache["output_gate"]
+        tanh_c = cache["tanh_c"]
+
+        grad_output_gate = grad_h * tanh_c
+        grad_c_total = grad_c + grad_h * output_gate * (1.0 - tanh_c ** 2)
+        grad_input_gate = grad_c_total * cell_candidate
+        grad_forget_gate = grad_c_total * cache["c_prev"]
+        grad_cell_candidate = grad_c_total * input_gate
+
+        # Back through the gate nonlinearities.
+        d_gates = np.concatenate([
+            grad_input_gate * input_gate * (1.0 - input_gate),
+            grad_forget_gate * forget_gate * (1.0 - forget_gate),
+            grad_cell_candidate * (1.0 - cell_candidate ** 2),
+            grad_output_gate * output_gate * (1.0 - output_gate),
+        ], axis=-1)
+        return d_gates, grad_c_total * forget_gate
 
     def backward_batch(
         self, grad_h: np.ndarray, grad_c: np.ndarray, cache: dict
@@ -169,26 +196,7 @@ class LSTMCell(Module):
         are zero (padded positions of ragged batches) contribute nothing to
         the parameter gradients.
         """
-        input_gate = cache["input_gate"]
-        forget_gate = cache["forget_gate"]
-        cell_candidate = cache["cell_candidate"]
-        output_gate = cache["output_gate"]
-        tanh_c = cache["tanh_c"]
-
-        grad_output_gate = grad_h * tanh_c
-        grad_c_total = grad_c + grad_h * output_gate * (1.0 - tanh_c ** 2)
-        grad_input_gate = grad_c_total * cell_candidate
-        grad_forget_gate = grad_c_total * cache["c_prev"]
-        grad_cell_candidate = grad_c_total * input_gate
-        grad_c_prev = grad_c_total * forget_gate
-
-        d_gates = np.concatenate([
-            grad_input_gate * input_gate * (1.0 - input_gate),
-            grad_forget_gate * forget_gate * (1.0 - forget_gate),
-            grad_cell_candidate * (1.0 - cell_candidate ** 2),
-            grad_output_gate * output_gate * (1.0 - output_gate),
-        ], axis=1)
-
+        d_gates, grad_c_prev = self._backward_gates(grad_h, grad_c, cache)
         self.weight_input.grad += cache["x"].T @ d_gates
         self.weight_hidden.grad += cache["h_prev"].T @ d_gates
         self.bias.grad += d_gates.sum(axis=0)
@@ -201,27 +209,7 @@ class LSTMCell(Module):
         self, grad_h: np.ndarray, grad_c: np.ndarray, cache: dict
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """One backward step. Returns ``(grad_x, grad_h_prev, grad_c_prev)``."""
-        input_gate = cache["input_gate"]
-        forget_gate = cache["forget_gate"]
-        cell_candidate = cache["cell_candidate"]
-        output_gate = cache["output_gate"]
-        tanh_c = cache["tanh_c"]
-
-        grad_output_gate = grad_h * tanh_c
-        grad_c_total = grad_c + grad_h * output_gate * (1.0 - tanh_c ** 2)
-        grad_input_gate = grad_c_total * cell_candidate
-        grad_forget_gate = grad_c_total * cache["c_prev"]
-        grad_cell_candidate = grad_c_total * input_gate
-        grad_c_prev = grad_c_total * forget_gate
-
-        # Back through the gate nonlinearities.
-        d_gates = np.concatenate([
-            grad_input_gate * input_gate * (1.0 - input_gate),
-            grad_forget_gate * forget_gate * (1.0 - forget_gate),
-            grad_cell_candidate * (1.0 - cell_candidate ** 2),
-            grad_output_gate * output_gate * (1.0 - output_gate),
-        ])
-
+        d_gates, grad_c_prev = self._backward_gates(grad_h, grad_c, cache)
         self.weight_input.grad += np.outer(cache["x"], d_gates)
         self.weight_hidden.grad += np.outer(cache["h_prev"], d_gates)
         self.bias.grad += d_gates

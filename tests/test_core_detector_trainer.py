@@ -148,6 +148,37 @@ def test_detector_quality_on_test_set(trained_model, dataset_split):
     assert run.overall.f1 > 0.2
 
 
+def test_detector_builds_the_transition_set_once_per_trip(
+        trained_model, dataset_split, monkeypatch):
+    """The NRF of a new point is a set lookup, not a rebuild of the SD pair's
+    transition set: one ``normal_transitions`` call per ``detect``."""
+    from repro.core import detector as detector_module
+    from repro.labeling.normal_routes import (normal_route_feature_step,
+                                              normal_transitions)
+
+    _, _, test = dataset_split
+    trips = sorted(test, key=len)[-4:]
+    detector = trained_model.detector()
+    expected = [detector.detect(trip).labels for trip in trips]
+    calls = []
+
+    def counting(normal_routes):
+        calls.append(normal_routes)
+        return normal_transitions(normal_routes)
+
+    monkeypatch.setattr(detector_module, "normal_transitions", counting)
+    assert [detector.detect(trip).labels for trip in trips] == expected
+    assert len(calls) == len(trips)
+    assert min(len(trip) for trip in trips) > 3
+    # The per-step helper agrees with the per-trip set on every transition.
+    for trip, routes in zip(trips, calls):
+        allowed = normal_transitions(routes)
+        segments = trip.segments
+        for previous, current in zip(segments, segments[1:]):
+            assert normal_route_feature_step(previous, current, routes) == (
+                0 if (previous, current) in allowed else 1)
+
+
 def test_detector_per_point_latency_is_online(trained_model, dataset_split):
     _, _, test = dataset_split
     detector = trained_model.detector()

@@ -67,6 +67,23 @@ def test_rsrnet_step_matches_forward(rsrnet):
         assert np.allclose(z_step, z_full[i], atol=1e-9)
 
 
+def test_rsrnet_step_is_step_batch_at_batch_one(rsrnet):
+    """Detector and engine share one recurrent step: the per-point path is
+    bit-equal to a batch of one through the fleet path."""
+    tokens = [3, 7, 9, 2, 7]
+    nrf = [0, 1, 1, 0, 1]
+    state = rsrnet.begin_sequence()
+    hidden = np.zeros((1, rsrnet.config.hidden_dim))
+    cell = np.zeros((1, rsrnet.config.hidden_dim))
+    for token, feature in zip(tokens, nrf):
+        z_step, state = rsrnet.step(state, token, feature)
+        z_batch, hidden, cell = rsrnet.step_batch(
+            hidden, cell, rsrnet.input_projection(token)[None, :], [feature])
+        assert z_step.tobytes() == z_batch[0].tobytes()
+        assert state.hidden.tobytes() == hidden[0].tobytes()
+        assert state.cell.tobytes() == cell[0].tobytes()
+
+
 def test_rsrnet_step_validates_nrf(rsrnet):
     state = rsrnet.begin_sequence()
     with pytest.raises(ModelError):
@@ -115,6 +132,21 @@ def test_asdnet_validates_inputs(asdnet, rsrnet):
         asdnet.build_state(np.zeros(3), previous_label=0)
     with pytest.raises(ModelError):
         asdnet.evaluate_action(z, 0, action=2)
+
+
+def test_asdnet_greedy_action_is_the_cache_free_argmax(asdnet, rsrnet):
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        z = rng.normal(size=rsrnet.representation_dim)
+        for previous_label in (0, 1):
+            state, _ = asdnet.build_state(z, previous_label)
+            probabilities, _ = asdnet.action_probabilities(state)
+            assert asdnet.greedy_action(z, previous_label) == int(
+                np.argmax(probabilities))
+    with pytest.raises(ModelError):
+        asdnet.greedy_action(z, 2)
+    with pytest.raises(ModelError):
+        asdnet.greedy_action(np.zeros(3), 0)
 
 
 def test_asdnet_behaviour_cloning_learns_mapping(asdnet, rsrnet):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.exceptions import ModelError
 from repro.nn import (
@@ -21,6 +22,7 @@ from repro.nn import (
     softmax,
 )
 from repro.nn.module import Module, Parameter
+from repro.nn.recurrent import LSTMCell
 
 
 # ----------------------------------------------------------------- functional
@@ -29,6 +31,79 @@ def test_sigmoid_and_tanh_ranges():
     s = sigmoid(x)
     assert np.all((s >= 0) & (s <= 1))
     assert sigmoid(np.array([0.0]))[0] == pytest.approx(0.5)
+
+
+def assert_bit_equal(actual, expected):
+    """Same shape, float64, and the same bits (so -0.0 is not 0.0)."""
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.dtype == expected.dtype == np.float64
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+def reference_sigmoid(x):
+    """The masked two-branch sigmoid the library shipped before the
+    branch-free form; kept as the bit-level oracle for it."""
+    out = np.empty_like(x, dtype=np.float64)
+    positive = x >= 0
+    negative = ~positive
+    out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
+    exp_x = np.exp(x[negative])
+    out[negative] = exp_x / (1.0 + exp_x)
+    return out
+
+
+SIGMOID_EDGE_VALUES = [
+    0.0, -0.0, np.inf, -np.inf, 745.2, -745.2, 709.8, -709.8, 36.8, -36.8,
+    5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e-17, -1e-17, 1.0, -1.0,
+]
+
+
+def test_sigmoid_accepts_array_likes():
+    assert sigmoid(0.5) == pytest.approx(0.6224593312018546)
+    assert isinstance(sigmoid(0.5), np.float64)
+    assert_bit_equal(sigmoid([0.5, -1.0]), sigmoid(np.array([0.5, -1.0])))
+    assert_bit_equal(sigmoid([[1, -2], [0, 3]]),
+                     reference_sigmoid(np.array([[1, -2], [0, 3]])))
+    assert_bit_equal(sigmoid(np.array(-3)), reference_sigmoid(np.array(-3)))
+
+
+def test_sigmoid_bit_equal_to_masked_reference_on_edge_values():
+    edges = np.array(SIGMOID_EDGE_VALUES)
+    assert_bit_equal(sigmoid(edges), reference_sigmoid(edges))
+    for value in edges:  # 0-d inputs
+        assert_bit_equal(sigmoid(np.array(value)),
+                         reference_sigmoid(np.array(value)))
+    assert sigmoid(np.array([745.2, -745.2, np.inf, -np.inf])).tolist() == [
+        1.0, 0.0, 1.0, 0.0]
+    assert np.isnan(sigmoid(np.array([np.nan, 1.0]))).tolist() == [True, False]
+    rng = np.random.default_rng(0)
+    matrix = rng.normal(scale=20.0, size=(7, 12))
+    matrix[rng.integers(0, 7, len(edges)), rng.integers(0, 12, len(edges))] = edges
+    for view in (matrix, matrix[:, 3:9], matrix[:, 9:], matrix[::2, ::3],
+                 matrix.T, matrix[0], matrix[:, 5]):
+        assert_bit_equal(sigmoid(view), reference_sigmoid(view))
+    integers = np.arange(-40, 41)
+    assert_bit_equal(sigmoid(integers), reference_sigmoid(integers))
+
+
+def test_sigmoid_out_may_alias_its_input():
+    rng = np.random.default_rng(1)
+    gates = rng.normal(scale=5.0, size=(6, 16))
+    expected = gates.copy()
+    expected[:, :8] = reference_sigmoid(gates[:, :8])
+    block = gates[:, :8]
+    assert sigmoid(block, out=block) is block
+    assert_bit_equal(gates, expected)  # columns 8.. untouched
+
+
+@settings(max_examples=200)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64),
+                min_size=1, max_size=24))
+@example([5e-324, -5e-324, 745.2, -745.2, 0.0, -0.0])
+def test_sigmoid_bit_equal_to_masked_reference(values):
+    x = np.array(values, dtype=np.float64)
+    assert_bit_equal(sigmoid(x), reference_sigmoid(x))
 
 
 def test_softmax_sums_to_one():
@@ -194,6 +269,129 @@ def test_gru_gradient_check():
     gru.backward(grad_hidden, caches)
     numeric = numerical_gradient(loss_fn, gru.cell.weight_hidden)
     assert np.allclose(gru.cell.weight_hidden.grad, numeric, atol=1e-4)
+
+
+def reference_lstm_step(cell, input_term, h_prev, c_prev):
+    """The LSTM step as the three forward modes each spelled it out before
+    they shared one kernel: same expression tree, masked sigmoid, every gate
+    a fresh array. Returns everything a forward mode or its cache exposes."""
+    h_dim = cell.hidden_dim
+    gates = (input_term
+             + h_prev @ cell.weight_hidden.value
+             + cell.bias.value)
+    input_gate = reference_sigmoid(gates[..., :h_dim])
+    forget_gate = reference_sigmoid(gates[..., h_dim:2 * h_dim])
+    cell_candidate = np.tanh(gates[..., 2 * h_dim:3 * h_dim])
+    output_gate = reference_sigmoid(gates[..., 3 * h_dim:])
+    c = forget_gate * c_prev + input_gate * cell_candidate
+    tanh_c = np.tanh(c)
+    return {
+        "h": output_gate * tanh_c, "c": c, "tanh_c": tanh_c,
+        "input_gate": input_gate, "forget_gate": forget_gate,
+        "cell_candidate": cell_candidate, "output_gate": output_gate,
+    }
+
+
+CACHED_GATES = ("input_gate", "forget_gate", "cell_candidate", "output_gate",
+                "c", "tanh_c")
+
+
+def _lstm_case(batch, input_dim=5, hidden_dim=7, seed=11):
+    rng = np.random.default_rng(seed + batch)
+    cell = LSTMCell(input_dim, hidden_dim, rng)
+    # Large weights push pre-activations through both sigmoid branches and
+    # into saturation.
+    cell.weight_hidden.value *= 6.0
+    cell.bias.value += rng.normal(scale=2.0, size=4 * hidden_dim)
+    x = rng.normal(scale=3.0, size=(batch, input_dim))
+    h_prev = rng.normal(size=(batch, hidden_dim))
+    c_prev = rng.normal(scale=2.0, size=(batch, hidden_dim))
+    return cell, x, h_prev, c_prev
+
+
+@pytest.mark.parametrize("batch", [1, 2, 57, 64])
+def test_lstm_forward_batch_bit_equal_to_reference(batch):
+    cell, x, h_prev, c_prev = _lstm_case(batch)
+    projections = cell.project_input(x)
+    expected = reference_lstm_step(cell, projections, h_prev, c_prev)
+    h, c = cell.forward_batch(projections, h_prev, c_prev)
+    assert_bit_equal(h, expected["h"])
+    assert_bit_equal(c, expected["c"])
+
+
+@pytest.mark.parametrize("batch", [1, 2, 57, 64])
+def test_lstm_forward_batch_cached_bit_equal_to_reference(batch):
+    cell, x, h_prev, c_prev = _lstm_case(batch)
+    expected = reference_lstm_step(cell, x @ cell.weight_input.value,
+                                   h_prev, c_prev)
+    h, c, cache = cell.forward_batch_cached(x, h_prev, c_prev)
+    assert_bit_equal(h, expected["h"])
+    assert_bit_equal(c, expected["c"])
+    for name in CACHED_GATES:
+        assert_bit_equal(cache[name], expected[name])
+    assert cache["x"] is x and cache["h_prev"] is h_prev
+    assert cache["c_prev"] is c_prev
+
+    # backward_batch reads the cache's gate views exactly like fresh arrays.
+    grad_h = np.random.default_rng(batch).normal(size=h.shape)
+    grad_c = np.random.default_rng(batch + 1).normal(size=c.shape)
+    cell.zero_grad()
+    from_views = cell.backward_batch(grad_h, grad_c, cache)
+    grads_from_views = [p.grad.copy() for p in cell.parameters()]
+    copied = dict(cache, **{name: expected[name].copy()
+                            for name in CACHED_GATES})
+    cell.zero_grad()
+    from_copies = cell.backward_batch(grad_h, grad_c, copied)
+    for actual, wanted in zip(from_views, from_copies):
+        assert_bit_equal(actual, wanted)
+    for actual, parameter in zip(grads_from_views, cell.parameters()):
+        assert_bit_equal(actual, parameter.grad)
+
+
+def test_lstm_forward_single_stream_bit_equal_to_reference():
+    cell, x, h_prev, c_prev = _lstm_case(3)
+    for row in range(3):
+        expected = reference_lstm_step(
+            cell, x[row] @ cell.weight_input.value, h_prev[row], c_prev[row])
+        h, c, cache = cell.forward(x[row], h_prev[row], c_prev[row])
+        assert_bit_equal(h, expected["h"])
+        assert_bit_equal(c, expected["c"])
+        for name in CACHED_GATES:
+            assert_bit_equal(cache[name], expected[name])
+        # The inference mode without the batch axis is the same step, and it
+        # leaves its inputs untouched.
+        before = (h_prev[row].copy(), c_prev[row].copy())
+        h_only, c_only = cell.forward_batch(cell.project_input(x[row]),
+                                            h_prev[row], c_prev[row])
+        assert_bit_equal(h_only, h)
+        assert_bit_equal(c_only, c)
+        assert_bit_equal(h_prev[row], before[0])
+        assert_bit_equal(c_prev[row], before[1])
+
+        grad_h, grad_c = np.ones_like(h), np.full_like(c, 0.5)
+        cell.zero_grad()
+        from_views = cell.backward(grad_h, grad_c, cache)
+        copied = dict(cache, **{name: expected[name].copy()
+                                for name in CACHED_GATES})
+        grads_from_views = [p.grad.copy() for p in cell.parameters()]
+        cell.zero_grad()
+        from_copies = cell.backward(grad_h, grad_c, copied)
+        for actual, wanted in zip(from_views, from_copies):
+            assert_bit_equal(actual, wanted)
+        for actual, parameter in zip(grads_from_views, cell.parameters()):
+            assert_bit_equal(actual, parameter.grad)
+
+
+def test_lstm_forward_batch_rejects_wrong_shapes():
+    cell = LSTMCell(3, 4)
+    with pytest.raises(ModelError):
+        cell.forward_batch(np.zeros((2, 15)), np.zeros((2, 4)), np.zeros((2, 4)))
+    with pytest.raises(ModelError):
+        cell.forward_batch(np.zeros((2, 16)), np.zeros((3, 4)), np.zeros((3, 4)))
+    with pytest.raises(ModelError):
+        cell.forward_batch(np.zeros(16), np.zeros((1, 4)), np.zeros((1, 4)))
+    with pytest.raises(ModelError):
+        cell.forward_batch(np.zeros((2, 16)), np.zeros((2, 4)), np.zeros((2, 5)))
 
 
 def test_lstm_rejects_wrong_shapes():

@@ -66,7 +66,7 @@ PUBLIC_SURFACE = {
     ],
     "repro.nn": [
         "LSTM", "LSTMCell", "sequence_cross_entropy_from_logits",
-        "cosine_similarity_rows",
+        "cosine_similarity_rows", "sigmoid",
     ],
     "repro.experiments.common": ["prepare_city", "train_rl4oasd"],
     "repro.datagen": ["tiny_dataset"],
