@@ -13,7 +13,6 @@ from ..roadnet.graph import RoadNetwork
 from ..trajectory.models import MatchedTrajectory, Subtrajectory
 from ..trajectory.ops import split_by_labels, subtrajectory_spans
 from ..labeling.features import PreprocessingPipeline
-from ..labeling.normal_routes import normal_transitions
 from .asdnet import ASDNet
 from .rsrnet import RSRNet
 
@@ -181,9 +180,8 @@ class OnlineDetector:
         if n == 0:
             raise ModelError("cannot detect on an empty trajectory")
 
-        # One membership set per trip keeps the NRF of each new point O(1).
-        allowed = normal_transitions(
-            self._pipeline.normal_routes_for(trajectory))
+        # One membership set per SD pair keeps the NRF of each new point O(1).
+        allowed = self._pipeline.normal_transitions_for(trajectory)
         token_of = self._pipeline.vocabulary.token
 
         state = self._rsrnet.begin_sequence()

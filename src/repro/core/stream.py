@@ -17,6 +17,9 @@ RL4OASD model:
   RNEL and the policy's previous-label input), and the SD pair's normal-route
   transition set. Delayed labeling runs at :meth:`finalize`, identical to the
   single-stream detector.
+* **Work-proportional ticks.** The engine keeps the set of streams that have
+  a point to step; a tick walks only that set, so an idle tick costs O(1)
+  however many streams are open.
 * **Segment feature cache.** The per-road-segment quantities — vocabulary
   token, the LSTM input projection ``x_e @ W_in``, and the in/out degrees
   used by RNEL — depend only on the model weights and the road network, so
@@ -34,8 +37,15 @@ identical to :class:`OnlineDetector`. Two details make that possible:
    the stream opens (in ride hailing it is: the rider entered it). Streams
    whose SD pair has no history — where the reference detector falls back to
    treating the trajectory's own route as normal — degrade to *deferred*
-   mode: points buffer and are processed through the same batched tick at
-   :meth:`finalize`, when the full route is known.
+   mode, which splits the work where the model splits it. In
+   ``z_i = [h_i ; x^n_i]`` the LSTM state ``h_i`` depends only on the road
+   segments seen so far, so the *recurrence* of a deferred stream runs
+   eagerly: its points ride the same batched ticks as everyone else's (LSTM
+   step only) and each ``h_i`` is kept beside its buffered point. The
+   *labeling* waits for :meth:`finalize`, when the full route — hence the
+   normal routes, the NRFs and which point is the destination — is known,
+   and is then one vectorised pass over the stored states instead of one
+   tick per point.
 
 A stream whose destination is *not* declared up front always runs deferred.
 """
@@ -45,15 +55,14 @@ from __future__ import annotations
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import (Callable, Dict, Hashable, List, NamedTuple, Optional,
-                    Sequence, Set, Tuple, TYPE_CHECKING)
+from typing import (Callable, Dict, FrozenSet, Hashable, List, NamedTuple,
+                    Optional, Sequence, Tuple, TYPE_CHECKING)
 
 import numpy as np
 
 from ..exceptions import ModelError
 from ..history import HistorySnapshot
 from ..labeling.features import PreprocessingPipeline
-from ..labeling.normal_routes import normal_transitions
 from ..nn.losses import softmax
 from ..obs.trace import TraceContext, timestamp as obs_timestamp
 from ..trajectory.models import MatchedTrajectory
@@ -128,11 +137,18 @@ class _StreamState:
     history: Optional[HistorySnapshot] = None
     segments: List[int] = field(default_factory=list)
     labels: List[int] = field(default_factory=list)
-    processed: int = 0
-    normal_transitions: Optional[Set[Tuple[int, int]]] = None
+    # Points whose LSTM step has run. An online stream labels a point in the
+    # tick that steps it (``stepped == len(labels)``); a deferred stream
+    # steps ahead and has no labels until its finalize pass.
+    stepped: int = 0
+    normal_transitions: Optional[FrozenSet[Tuple[int, int]]] = None
     deferred: bool = False
     finalizing: bool = False
     previous_record: Optional[SegmentRecord] = None
+    # Deferred streams only: ``h_i`` and the segment record (RNEL degrees)
+    # of every stepped point, consumed by the finalize labeling pass.
+    hidden_states: List[np.ndarray] = field(default_factory=list)
+    records: List[SegmentRecord] = field(default_factory=list)
     per_point_seconds: List[float] = field(default_factory=list)
     rng: Optional[np.random.Generator] = None
     # Sampled trace contexts riding this stream: (segment index, context)
@@ -184,6 +200,14 @@ class StreamEngine:
         self._record_timing = record_timing
         self._cache = SegmentFeatureCache(cache_size)
         self._streams: "OrderedDict[Hashable, _StreamState]" = OrderedDict()
+        # The streams with a point to step right now, so a tick costs
+        # O(rows) and an idle tick O(1). A deferred stream steps every
+        # buffered point (the recurrence needs no label). An online stream
+        # labels a point in the tick that steps it, so its newest point
+        # waits for a successor proving it is not the trip's destination —
+        # or for the finalize that labels it *as* the destination. Kept by
+        # ingest, _begin_finalize, invalidate_cache and the end of a tick.
+        self._ready: Dict[Hashable, _StreamState] = {}
         self._next_trajectory_id = 0
         self._hidden_dim = rsrnet.config.hidden_dim
         # Recurrent state lives in slot-indexed pools so a tick gathers and
@@ -242,34 +266,51 @@ class StreamEngine:
     def pending_points(self, vehicle_id: Hashable) -> int:
         """Points ingested but not yet labeled for one stream."""
         stream = self._stream(vehicle_id)
-        return len(stream.segments) - stream.processed
+        return len(stream.segments) - len(stream.labels)
 
     def total_pending_points(self) -> int:
         """Points ingested but not yet labeled, across all active streams."""
-        return sum(len(stream.segments) - stream.processed
+        return sum(len(stream.segments) - len(stream.labels)
                    for stream in self._streams.values())
 
     def invalidate_cache(self) -> None:
-        """Drop cached segment features (call after fine-tuning the model)."""
+        """Drop everything derived from the weights (call after fine-tuning
+        the model in place): the cached segment features and the hidden
+        states deferred streams computed ahead of their labeling."""
         self._cache.clear()
+        # A deferred stream is labeled wholly by the weights serving at its
+        # finalize, so its recurrence starts over under the new ones.
+        for stream in self._streams.values():
+            if stream.deferred and stream.stepped:
+                stream.stepped = 0
+                stream.hidden_states.clear()
+                stream.records.clear()
+                stream.per_point_seconds.clear()
+                self._hidden_pool[stream.slot] = 0.0
+                self._cell_pool[stream.slot] = 0.0
+                self._ready[stream.vehicle_id] = stream
 
     def load_weights(self, rsrnet_state: Dict[str, np.ndarray],
                      asdnet_state: Dict[str, np.ndarray]) -> None:
         """Hot-swap the model weights under the engine's active streams.
 
         Loads ``state_dict`` snapshots into both networks and invalidates the
-        segment-feature cache (its records embed the old weights). Per-stream
-        recurrent state, emitted labels and buffered points are untouched, so
-        in-flight trips keep running: points labeled before the swap keep
-        their old-model labels, later points are labeled by the new model.
-        Both state dicts are validated before either is applied, so a
-        mismatched snapshot leaves the engine fully on the old weights.
+        segment-feature cache (its records embed the old weights). Online
+        streams keep their recurrent state, emitted labels and buffered
+        points, so in-flight trips keep running: points labeled before the
+        swap keep their old-model labels, later points are labeled by the
+        new model. Deferred streams have no labels yet; the hidden states
+        they computed ahead are dropped and their recurrence re-steps from
+        the first buffered point, so they are labeled wholly by the weights
+        serving at their finalize. Both state dicts are validated before
+        either is applied, so a mismatched snapshot leaves the engine fully
+        on the old weights.
         """
         self._rsrnet.validate_state_dict(rsrnet_state)
         self._asdnet.validate_state_dict(asdnet_state)
         self._rsrnet.load_state_dict(rsrnet_state)
         self._asdnet.load_state_dict(asdnet_state)
-        self._cache.clear()
+        self.invalidate_cache()
 
     def load_history(self, snapshot: HistorySnapshot) -> None:
         """Hot-refresh the normal-route history under active streams.
@@ -307,8 +348,9 @@ class StreamEngine:
         The first ingest for an unknown ``vehicle_id`` opens the stream;
         ``destination`` / ``start_time_s`` / ``trajectory_id`` are only read
         then. Declaring the destination lets the stream be labeled online,
-        point by point; without it the stream runs in deferred mode and is
-        labeled (still through the batched path) at :meth:`finalize`.
+        point by point; without it the stream runs in deferred mode: the
+        point's LSTM step still rides the next batched :meth:`tick`, its
+        label waits for the one-pass labeling at :meth:`finalize`.
 
         Unknown segments are rejected here (``LabelingError``) before they
         enter the stream, so one vehicle's bad fix never poisons a batched
@@ -329,7 +371,10 @@ class StreamEngine:
                 stream.traces = []
             stream.trace_id = trace.trace_id
             stream.traces.append((len(stream.segments), trace))
-        stream.segments.append(segment)
+        segments = stream.segments
+        segments.append(segment)
+        if stream.deferred or stream.stepped < len(segments) - 1:
+            self._ready[vehicle_id] = stream
 
     def _open(
         self,
@@ -369,9 +414,9 @@ class StreamEngine:
                                   else [first_segment, destination])
                 probe = MatchedTrajectory(trajectory_id, probe_segments,
                                           start_time_s=start_time_s)
-                routes = self._pipeline.normal_routes_for(
-                    probe, history=stream.history)
-                stream.normal_transitions = normal_transitions(routes)
+                stream.normal_transitions = (
+                    self._pipeline.normal_transitions_for(
+                        probe, history=stream.history))
             else:
                 # No history for this SD pair: the reference falls back to
                 # treating the trajectory's own route as normal, which is only
@@ -410,32 +455,35 @@ class StreamEngine:
         )
 
     def tick(self) -> int:
-        """Label the pending next point of every eligible stream, batched.
+        """Advance every stream that has a point to step, in one batch.
 
-        Returns the number of points processed (0 when nothing is eligible).
-        Each stream advances at most one point per tick, so a stream's labels
-        never depend on how the fleet's arrivals interleave.
+        Online streams label their pending next point; deferred streams only
+        run the LSTM step of theirs — same batch, no NRF, policy or label —
+        and keep the new hidden state for their finalize pass. Returns the
+        number of points *labeled* (0 when nothing is eligible; an idle tick
+        is O(1)). Each stream advances at most one point per tick, so a
+        stream's labels never depend on how the fleet's arrivals interleave.
         """
+        ready = self._ready
+        if not ready:
+            return 0
         started = time.perf_counter() if self._record_timing else 0.0
         cached_record = self._cache.get
         work: List[Tuple[_StreamState, int, SegmentRecord]] = []
+        stepping: List[Tuple[_StreamState, SegmentRecord]] = []
         slots: List[int] = []
         projections: List[np.ndarray] = []
         nrf_values: List[int] = []
         # The forced/RNEL label of each point, or ``None`` for the policy.
         labels: List[Optional[int]] = []
-        for stream in self._streams.values():
-            # A point is eligible once a later point proves it is not the
-            # trip's destination, or once the stream is finalizing (then the
-            # last point is labeled *as* the destination).
-            index = stream.processed
-            last = len(stream.segments) - 1
-            if index > last or (not stream.finalizing
-                                and (stream.deferred or index == last)):
-                continue
+        for stream in ready.values():
+            index = stream.stepped
             segment = stream.segments[index]
             record = cached_record(segment, self._segment_record)
-            if index == 0 or index == last:
+            if stream.deferred:
+                stepping.append((stream, record))
+                continue
+            if index == 0 or index == len(stream.segments) - 1:
                 # Source and destination are normal by definition.
                 nrf_values.append(0)
                 labels.append(0)
@@ -449,8 +497,12 @@ class StreamEngine:
             work.append((stream, index, record))
             slots.append(stream.slot)
             projections.append(record.input_projection)
-        if not work:
-            return 0
+        # Step-only rows go last, so row numbers of the labeled rows index
+        # ``z`` directly; their NRF is a placeholder nobody reads.
+        for stream, record in stepping:
+            slots.append(stream.slot)
+            projections.append(record.input_projection)
+            nrf_values.append(0)
 
         z, new_hidden, new_cell = self._rsrnet.step_batch(
             self._hidden_pool[slots], self._cell_pool[slots],
@@ -460,34 +512,57 @@ class StreamEngine:
 
         undecided = [row for row, label in enumerate(labels) if label is None]
         if undecided:
-            logits = self._asdnet.policy_logits_batch(
-                z[undecided],
-                [work[row][0].labels[-1] for row in undecided])
-            # Row-wise softmax then argmax mirrors the scalar detector's
-            # decision rule (argmax over probabilities, ties to label 0).
-            probabilities = softmax(logits, axis=1)
-            if self._greedy:
-                actions = np.argmax(probabilities, axis=1)
-                for position, row in enumerate(undecided):
-                    labels[row] = int(actions[position])
-            else:
-                for position, row in enumerate(undecided):
-                    labels[row] = int(work[row][0].rng.choice(
-                        ASDNet.NUM_ACTIONS, p=probabilities[position]))
+            choices = self._policy_choices(
+                z[undecided], [work[row][0].labels[-1] for row in undecided])
+            for row, choice in zip(undecided, choices):
+                labels[row] = self._choose(work[row][0], choice)
 
-        share = ((time.perf_counter() - started) / len(work)
+        share = ((time.perf_counter() - started) / len(slots)
                  if self._record_timing else 0.0)
         for label, (stream, index, record) in zip(labels, work):
             stream.labels.append(label)
-            stream.processed = index + 1
+            stream.stepped = index + 1
             stream.previous_record = record
             if self._record_timing:
                 stream.per_point_seconds.append(share)
             if stream.traces:
                 self._observe_tick(stream, index)
+            unlabeled = len(stream.segments) - index - 1
+            if unlabeled == 0 or (unlabeled == 1 and not stream.finalizing):
+                del ready[stream.vehicle_id]
+        for row, (stream, record) in enumerate(stepping, start=len(work)):
+            # A copy, not a row view: a view would pin the whole batch's
+            # array for as long as this one stream stays open.
+            stream.hidden_states.append(new_hidden[row].copy())
+            stream.records.append(record)
+            stream.stepped += 1
+            if self._record_timing:
+                stream.per_point_seconds.append(share)
+            if stream.stepped == len(stream.segments):
+                del ready[stream.vehicle_id]
         self.points_processed += len(work)
         self.ticks += 1
         return len(work)
+
+    def _policy_choices(self, z: np.ndarray, previous_labels: Sequence[int]):
+        """What decides the label of each MDP state ``[z ; previous label]``.
+
+        Row-wise softmax then argmax mirrors the scalar detector's decision
+        rule (argmax over probabilities, ties to label 0). With
+        ``greedy=False`` the rows are the action distributions themselves,
+        for :meth:`_choose` to sample from with the owning stream's rng.
+        """
+        probabilities = softmax(
+            self._asdnet.policy_logits_batch(z, previous_labels), axis=1)
+        if self._greedy:
+            return np.argmax(probabilities, axis=1).tolist()
+        return probabilities
+
+    def _choose(self, stream: _StreamState, choice) -> int:
+        """The label one row of :meth:`_policy_choices` gives ``stream``."""
+        if self._greedy:
+            return choice
+        return int(stream.rng.choice(ASDNet.NUM_ACTIONS, p=choice))
 
     def _observe_tick(self, stream: _StreamState, index: int) -> None:
         """Close the ``engine_tick`` span of a just-labeled traced point."""
@@ -508,7 +583,9 @@ class StreamEngine:
         Draining runs through :meth:`tick`, so other eligible streams keep
         advancing (and batching) alongside the one being closed. To close
         several trips that finish together, prefer :meth:`finalize_many`,
-        which drains them through shared (larger) batches.
+        which drains them through shared (larger) batches. A deferred
+        stream usually has nothing left to drain — its recurrence ran as
+        its points arrived — and is labeled here in one vectorised pass.
 
         Labels, spans and timing match :class:`OnlineDetector` exactly; the
         result's ``trajectory`` is reconstructed from the ingested points, so
@@ -532,9 +609,13 @@ class StreamEngine:
             self._check_finalizable(stream)
         for stream in streams:
             self._begin_finalize(stream)
-        while any(stream.processed < len(stream.segments) for stream in streams):
-            if self.tick() == 0:  # pragma: no cover - defensive
+        while any(stream.stepped < len(stream.segments) for stream in streams):
+            if not self._ready:  # pragma: no cover - defensive
                 raise ModelError("stream drain made no progress")
+            self.tick()
+        for stream in streams:
+            if stream.deferred:
+                self._label_deferred(stream)
         results = [self._complete(stream) for stream in streams]
         if traced:
             # The drain ticks are shared by every closing stream, so each
@@ -570,17 +651,65 @@ class StreamEngine:
 
     def _begin_finalize(self, stream: _StreamState) -> None:
         stream.finalizing = True
-        if stream.normal_transitions is None:
-            # Deferred stream: the full route is now known, so resolve normal
-            # routes exactly like the reference detector would (including the
-            # fall-back to the trajectory's own route when the SD pair has no
-            # history, and the pipeline-cache fill that goes with it).
+        if stream.deferred:
+            # The full route is now known, so resolve normal routes exactly
+            # like the reference detector would (including the fall-back to
+            # the trajectory's own route when the SD pair has no history, and
+            # the pipeline-cache fill that goes with it).
             trajectory = MatchedTrajectory(
                 stream.trajectory_id, list(stream.segments),
                 start_time_s=stream.start_time_s)
-            routes = self._pipeline.normal_routes_for(
+            stream.normal_transitions = self._pipeline.normal_transitions_for(
                 trajectory, history=stream.history)
-            stream.normal_transitions = normal_transitions(routes)
+        if stream.stepped < len(stream.segments):
+            self._ready[stream.vehicle_id] = stream
+
+    def _label_deferred(self, stream: _StreamState) -> None:
+        """Label a fully stepped deferred stream in one pass.
+
+        Only the previous label chains one point to the next, and it has two
+        values: the policy runs once over every interior point under both,
+        and a scalar scan then walks the route picking, per point, the
+        endpoint rule, the RNEL rule or the policy's choice for the label
+        that actually preceded it — the decisions :meth:`tick` would have
+        made one point at a time.
+        """
+        started = time.perf_counter() if self._record_timing else 0.0
+        segments = stream.segments
+        count = len(segments)
+        interior = count - 2
+        labels = stream.labels
+        labels.append(0)  # the source is normal by definition
+        if interior > 0:
+            allowed = stream.normal_transitions
+            nrf = [0 if transition in allowed else 1
+                   for transition in zip(segments, segments[1:-1])]
+            z = np.concatenate(
+                [np.array(stream.hidden_states[1:-1]),
+                 self._rsrnet.nrf_embedding.vectors(np.array(nrf))], axis=1)
+            # Row ``p * interior + i - 1``: point ``i`` after label ``p``.
+            choices = self._policy_choices(
+                np.concatenate([z, z]), [0] * interior + [1] * interior)
+            records = stream.records
+            previous = 0
+            for index in range(1, count - 1):
+                label = (rnel_from_degrees(
+                    records[index - 1].out_degree, records[index].in_degree,
+                    previous) if self._use_rnel else None)
+                if label is None:
+                    label = self._choose(
+                        stream, choices[previous * interior + index - 1])
+                labels.append(label)
+                previous = label
+        if count > 1:
+            labels.append(0)  # ... and so is the destination
+        if self._record_timing:
+            share = (time.perf_counter() - started) / count
+            stream.per_point_seconds = [
+                seconds + share for seconds in stream.per_point_seconds]
+        if stream.traces:
+            self._observe_tick(stream, count - 1)
+        self.points_processed += count
 
     def _complete(self, stream: _StreamState) -> DetectionResult:
         del self._streams[stream.vehicle_id]

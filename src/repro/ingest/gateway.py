@@ -28,8 +28,13 @@ road. The gateway turns the one into the other, per vehicle, online::
   needs a later fix to finish, and ``max_vehicles`` bounds the per-vehicle
   state (least-recently-active vehicles are evicted, counted in
   :class:`~repro.serve.metrics.GatewayStats`). Streams are deferred because a raw feed never declares the
-  rider's destination; the engine labels them wholly at finalize, exactly
-  like the reference detector on the completed trip.
+  rider's destination; the engine steps their LSTM as the committed
+  segments arrive (inside the service's ordinary batched ticks) and labels
+  them wholly at finalize, in one vectorised pass over the stored hidden
+  states — exactly like the reference detector on the completed trip. What
+  stays on the :meth:`end` latency path is the reorder-buffer flush, the
+  matcher's ``finish``, the steps of the segments that last commit
+  released, and that one labeling pass.
 * **Online matching.** Each session runs one
   :class:`~repro.mapmatching.online.OnlineMapMatcher` lattice; fixes with no
   road candidate are dropped (``unmatched_dropped``), a lattice break ends

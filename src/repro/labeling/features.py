@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple,
+                    Union)
 
 import numpy as np
 
@@ -14,7 +15,8 @@ from ..roadnet.graph import RoadNetwork
 from ..trajectory.models import MatchedTrajectory
 from ..trajectory.sdpairs import time_slot_of
 from .noisy import noisy_labels
-from .normal_routes import infer_normal_routes, normal_route_features
+from .normal_routes import (infer_normal_routes, normal_route_features,
+                            normal_transitions)
 from .transitions import TransitionStatistics
 
 
@@ -264,17 +266,41 @@ class PreprocessingPipeline:
             key, lambda: TransitionStatistics.from_group(group),
             fallback=fallback)
 
-    def normal_routes_for(self, trajectory: MatchedTrajectory,
-                          history: Optional[HistorySnapshot] = None
-                          ) -> List[Tuple[int, ...]]:
-        """Inferred normal routes of the trajectory's SD-pair group (cached)."""
+    def _normal_routes_entry(self, trajectory: MatchedTrajectory,
+                             history: Optional[HistorySnapshot]):
+        """The group's normal routes and where the snapshot memoizes them."""
         snapshot = history if history is not None else self._snapshot
         key = self._group_key(trajectory) + (
             self._config.min_slot_group_size, self._config.delta)
         group, fallback = self._resolved_group(trajectory, snapshot)
-        return snapshot.cached_routes(
+        routes = snapshot.cached_routes(
             key, lambda: infer_normal_routes(group, self._config.delta),
             fallback=fallback)
+        return routes, snapshot, key, fallback
+
+    def normal_routes_for(self, trajectory: MatchedTrajectory,
+                          history: Optional[HistorySnapshot] = None
+                          ) -> List[Tuple[int, ...]]:
+        """Inferred normal routes of the trajectory's SD-pair group (cached)."""
+        return self._normal_routes_entry(trajectory, history)[0]
+
+    def normal_transitions_for(self, trajectory: MatchedTrajectory,
+                               history: Optional[HistorySnapshot] = None
+                               ) -> FrozenSet[Tuple[int, int]]:
+        """The segment transitions on those normal routes (cached).
+
+        The membership set behind the normal route feature, built once per
+        SD pair and snapshot instead of once per trip, and immutable because
+        every detector and stream of the pair shares it. It is memoized
+        beside the routes it derives from — same cache, the routes' key plus
+        a tag — so it follows their ``fallback`` discipline and is dropped
+        by the same refresh.
+        """
+        routes, snapshot, key, fallback = self._normal_routes_entry(
+            trajectory, history)
+        return snapshot.cached_routes(
+            key + ("transitions",),
+            lambda: frozenset(normal_transitions(routes)), fallback=fallback)
 
     # ------------------------------------------------------------ public API
     def preprocess(self, trajectory: MatchedTrajectory,

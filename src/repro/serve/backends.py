@@ -73,9 +73,13 @@ deterministic and testable. (Points that only become labelable later — a
 stream's latest point awaiting its successor, or any point of a deferred
 stream, which is labeled wholly at finalize — get whatever weights are
 serving then, exactly like a single engine whose weights were swapped at
-the same quiescent boundary. History goes one step further: each *stream*
+the same quiescent boundary. A deferred stream's LSTM steps do run ahead of
+its labels, as its points arrive; ``load_weights`` therefore drops the
+hidden states it has stored and the stream re-steps from its first buffered
+point under the new weights. History goes one step further: each *stream*
 pins the snapshot it opened with, so even a deferred stream finalized after
-a history refresh is labeled by its pre-refresh history.)
+a history refresh is labeled by its pre-refresh history — hidden states
+never depend on history, so a refresh discards nothing.)
 """
 
 from __future__ import annotations
@@ -227,7 +231,9 @@ class ServiceBackend:
 
         Deferred streams (undeclared destinations) keep their buffered points
         — those are only labelable at finalize — so "drained" means *no shard
-        can make progress*, not "no state is pending".
+        can label anything more*, not "no state is pending". (Their LSTM
+        steps ride the ticks a drain runs, but a drain does not wait for
+        them: whatever is still un-stepped catches up at finalize.)
         """
         raise NotImplementedError
 

@@ -524,7 +524,10 @@ class DetectionService:
         """Block until every accepted point that *can* be labeled has been.
 
         Points of deferred streams (undeclared destination / no SD-pair
-        history) stay buffered — they are only labelable at finalize.
+        history) stay unlabeled — they are only labelable at finalize. Their
+        recurrence runs ahead in the same ticks (each buffered point keeps
+        its LSTM hidden state), so finalize is left with one vectorised
+        labeling pass; ``drain`` neither counts nor waits for those steps.
         """
         self._require_open_service()
         self._backend.drain()

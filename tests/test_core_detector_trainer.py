@@ -10,6 +10,7 @@ from repro.core.detector import (apply_delayed_labeling, apply_rnel,
                                  rnel_from_degrees)
 from repro.eval import evaluate_detector
 from repro.exceptions import ModelError, NotFittedError
+from repro.history import clone_snapshot
 from repro.roadnet import RoadNetwork
 
 
@@ -148,31 +149,48 @@ def test_detector_quality_on_test_set(trained_model, dataset_split):
     assert run.overall.f1 > 0.2
 
 
-def test_detector_builds_the_transition_set_once_per_trip(
+def test_detector_builds_the_transition_set_once_per_sd_pair(
         trained_model, dataset_split, monkeypatch):
     """The NRF of a new point is a set lookup, not a rebuild of the SD pair's
-    transition set: one ``normal_transitions`` call per ``detect``."""
-    from repro.core import detector as detector_module
+    transition set: ``detect`` takes the set the snapshot memoizes, so
+    ``normal_transitions`` runs at most once per SD-pair group — never per
+    point, and not per trip either."""
+    from repro.labeling import features as features_module
     from repro.labeling.normal_routes import (normal_route_feature_step,
                                               normal_transitions)
 
     _, _, test = dataset_split
     trips = sorted(test, key=len)[-4:]
-    detector = trained_model.detector()
-    expected = [detector.detect(trip).labels for trip in trips]
+    assert min(len(trip) for trip in trips) > 3
+    # A clone carries the data but none of the memoized derived values.
+    pipeline = trained_model.pipeline.with_history(
+        clone_snapshot(trained_model.pipeline.history))
+    config = trained_model.training_config
+    detector = OnlineDetector(
+        trained_model.rsrnet, trained_model.asdnet, pipeline,
+        use_rnel=config.use_rnel,
+        use_delayed_labeling=config.use_delayed_labeling,
+        delay_window=config.delayed_labeling_window)
+    expected = [trained_model.detector().detect(trip).labels
+                for trip in trips]
     calls = []
 
     def counting(normal_routes):
         calls.append(normal_routes)
         return normal_transitions(normal_routes)
 
-    monkeypatch.setattr(detector_module, "normal_transitions", counting)
+    monkeypatch.setattr(features_module, "normal_transitions", counting)
     assert [detector.detect(trip).labels for trip in trips] == expected
-    assert len(calls) == len(trips)
-    assert min(len(trip) for trip in trips) > 3
-    # The per-step helper agrees with the per-trip set on every transition.
-    for trip, routes in zip(trips, calls):
-        allowed = normal_transitions(routes)
+    groups = {(trip.source, trip.destination,
+               pipeline._slot_of(trip.start_time_s)) for trip in trips}
+    assert len(calls) == len(groups)
+    assert [detector.detect(trip).labels for trip in trips] == expected
+    assert len(calls) == len(groups)  # warm: no rebuild at all
+    # The per-step helper agrees with the memoized set on every transition.
+    for trip in trips:
+        routes = pipeline.normal_routes_for(trip)
+        allowed = pipeline.normal_transitions_for(trip)
+        assert allowed == frozenset(normal_transitions(routes))
         segments = trip.segments
         for previous, current in zip(segments, segments[1:]):
             assert normal_route_feature_step(previous, current, routes) == (
