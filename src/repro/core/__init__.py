@@ -11,9 +11,12 @@
   (RSRNet-loss) rewards.
 * :class:`~repro.core.rl4oasd.RL4OASDTrainer` — pre-training on noisy labels
   followed by iterative joint training of the two networks.
-* :class:`~repro.core.detector.OnlineDetector` — Algorithm 1, with the
-  road-network-enhanced labeling (RNEL) and delayed labeling (DL)
-  enhancements.
+* :mod:`~repro.core.decision` — the labeling decision of Algorithm 1 (RNEL
+  rules, the policy choice) per point and, as
+  :func:`~repro.core.decision.label_route`, for a whole route in one pass.
+* :class:`~repro.core.detector.OnlineDetector` — Algorithm 1 over one
+  completed trip, with the road-network-enhanced labeling (RNEL) and
+  delayed labeling (DL) enhancements: a one-stream view of the route pass.
 * :class:`~repro.core.online.OnlineLearner` — the online learning strategy
   used to handle concept drift (RL4OASD-FT in the paper).
 * :class:`~repro.core.stream.StreamEngine` — fleet-scale batched streaming

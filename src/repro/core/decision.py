@@ -1,0 +1,147 @@
+"""The labeling decision of Algorithm 1, per point and per route.
+
+A point's label is decided by the first rule that applies: source and
+destination are normal by definition; Road Network Enhanced Labeling (RNEL)
+fixes the label where the road network leaves no choice; otherwise ASDNet's
+policy chooses, greedily or by sampling, given ``z_i`` and the previous
+label. :class:`~repro.core.stream.StreamEngine` takes the decision one point
+per stream and tick (:func:`rnel_from_degrees`, :func:`policy_choices`,
+:func:`choose`); :func:`label_route` takes it for a whole route at once and
+serves :class:`~repro.core.detector.OnlineDetector` and the engine's
+deferred streams. There is no other softmax, argmax or sampling rule in
+detection.
+"""
+
+from __future__ import annotations
+
+from typing import FrozenSet, List, Optional, Sequence, Tuple
+
+import numpy as np
+
+from ..nn.losses import softmax
+from ..roadnet.graph import RoadNetwork
+from .asdnet import ASDNet
+from .rsrnet import RSRNet
+
+
+def rnel_from_degrees(out_degree: int, in_degree: int,
+                      previous_label: int) -> Optional[int]:
+    """The RNEL rules given precomputed degrees (see :func:`apply_rnel`).
+
+    Split out so callers that cache road-segment degrees (the fleet stream
+    engine) can apply the same rules without re-querying the road network.
+    """
+    if out_degree == 1 and in_degree == 1:
+        return previous_label
+    if out_degree == 1 and in_degree > 1 and previous_label == 0:
+        return 0
+    if out_degree > 1 and in_degree == 1 and previous_label == 1:
+        return 1
+    return None
+
+
+def rnel_from_degrees_batch(out_degrees: np.ndarray, in_degrees: np.ndarray,
+                            previous_labels: np.ndarray) -> np.ndarray:
+    """Vectorized :func:`rnel_from_degrees` over aligned arrays.
+
+    Returns an int array with the deterministic label where one of the three
+    rules applies and ``-1`` where the policy must decide. Used by the batched
+    training engine, which resolves the RNEL rules for a whole batch of
+    streams in one shot.
+    """
+    out_degrees = np.asarray(out_degrees, dtype=np.int64)
+    in_degrees = np.asarray(in_degrees, dtype=np.int64)
+    previous_labels = np.asarray(previous_labels, dtype=np.int64)
+    decided = np.full(out_degrees.shape, -1, dtype=np.int64)
+    single_out = out_degrees == 1
+    single_in = in_degrees == 1
+    copy_rule = single_out & single_in
+    decided[copy_rule] = previous_labels[copy_rule]
+    decided[single_out & (in_degrees > 1) & (previous_labels == 0)] = 0
+    decided[(out_degrees > 1) & single_in & (previous_labels == 1)] = 1
+    return decided
+
+
+def apply_rnel(network: RoadNetwork, previous_segment: int, current_segment: int,
+               previous_label: int) -> Optional[int]:
+    """Road Network Enhanced Labeling: deterministic label when a rule applies.
+
+    Returns the deterministic label, or ``None`` when the RL policy must
+    decide. The three rules follow the paper:
+
+    1. ``e_{i-1}.out == 1`` and ``e_i.in == 1`` → copy the previous label;
+    2. ``e_{i-1}.out == 1``, ``e_i.in > 1`` and previous label 0 → label 0;
+    3. ``e_{i-1}.out > 1``, ``e_i.in == 1`` and previous label 1 → label 1.
+    """
+    return rnel_from_degrees(network.out_degree(previous_segment),
+                             network.in_degree(current_segment),
+                             previous_label)
+
+
+def policy_choices(asdnet: ASDNet, z: np.ndarray,
+                   previous_labels: Sequence[int], greedy: bool):
+    """What decides the label of each MDP state ``[z ; previous label]``.
+
+    The one policy decision rule of detection: row-wise softmax, then — with
+    ``greedy`` — argmax over the probabilities (ties to label 0). Otherwise
+    the rows are the action distributions themselves, for :func:`choose` to
+    sample from with the generator of the stream that owns the row.
+    """
+    probabilities = softmax(asdnet.policy_logits_batch(z, previous_labels),
+                            axis=1)
+    if greedy:
+        return np.argmax(probabilities, axis=1).tolist()
+    return probabilities
+
+
+def choose(choice, rng: Optional[np.random.Generator]) -> int:
+    """The label one row of :func:`policy_choices` yields (``rng`` is
+    ``None`` exactly when the rows were computed greedy)."""
+    if rng is None:
+        return choice
+    return int(rng.choice(ASDNet.NUM_ACTIONS, p=choice))
+
+
+def label_route(
+    segments: Sequence[int],
+    hidden: Sequence[np.ndarray],
+    allowed: FrozenSet[Tuple[int, int]],
+    degrees: Optional[Sequence[Tuple[int, int]]],
+    rsrnet: RSRNet,
+    asdnet: ASDNet,
+    rng: Optional[np.random.Generator] = None,
+) -> List[int]:
+    """Algorithm 1's labels of one complete route, in one pass.
+
+    ``hidden[i]`` is RSRNet's ``h_i`` (rows ``1 … n-2`` are read: the
+    endpoints are normal by definition, so nobody needs the destination's),
+    ``allowed`` the SD pair's normal transitions and ``degrees[i-1]`` the
+    RNEL input ``(e_{i-1}.out, e_i.in)`` of interior point ``i`` (``None``
+    turns RNEL off). Only the previous label chains one point to the next,
+    and it has two values: the policy runs once over every interior point
+    under both, and a scalar scan then walks the route picking, per point,
+    the RNEL rule or the policy's choice for the label that actually
+    preceded it — greedy, or sampled from ``rng`` in point order.
+    """
+    count = len(segments)
+    interior = count - 2
+    if interior < 1:
+        return [0] * count
+    nrf = [0 if transition in allowed else 1
+           for transition in zip(segments, segments[1:-1])]
+    z = np.concatenate([np.asarray(hidden[1:count - 1]),
+                        rsrnet.nrf_embedding.vectors(nrf)], axis=1)
+    # Row ``p * interior + i - 1``: point ``i`` after label ``p``.
+    choices = policy_choices(asdnet, np.concatenate([z, z]),
+                             [0] * interior + [1] * interior, rng is None)
+    labels = [0]
+    previous = 0
+    for index in range(interior):
+        label = (None if degrees is None
+                 else rnel_from_degrees(*degrees[index], previous))
+        if label is None:
+            label = choose(choices[previous * interior + index], rng)
+        labels.append(label)
+        previous = label
+    labels.append(0)
+    return labels

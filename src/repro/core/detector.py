@@ -1,4 +1,11 @@
-"""The online detection algorithm (Algorithm 1) with RNEL and DL enhancements."""
+"""The online detection algorithm (Algorithm 1) with RNEL and DL enhancements.
+
+:class:`OnlineDetector` replays one completed trip: the RSRNet recurrence
+over every point but the destination, one :func:`~repro.core.decision.label_route`
+pass, delayed labeling. The labeling decision itself lives in
+:mod:`repro.core.decision` (its names are re-exported here); the per-point
+online form of the same algorithm is :class:`~repro.core.stream.StreamEngine`.
+"""
 
 from __future__ import annotations
 
@@ -9,12 +16,17 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..exceptions import ModelError
-from ..roadnet.graph import RoadNetwork
 from ..trajectory.models import MatchedTrajectory, Subtrajectory
 from ..trajectory.ops import split_by_labels, subtrajectory_spans
 from ..labeling.features import PreprocessingPipeline
 from .asdnet import ASDNet
+from .decision import (apply_rnel, label_route, rnel_from_degrees,
+                       rnel_from_degrees_batch)
 from .rsrnet import RSRNet
+
+__all__ = ["DetectionResult", "OnlineDetector", "apply_delayed_labeling",
+           "apply_rnel", "finish_labels", "rnel_from_degrees",
+           "rnel_from_degrees_batch"]
 
 
 @dataclass
@@ -44,60 +56,6 @@ class DetectionResult:
     @property
     def total_seconds(self) -> float:
         return float(sum(self.per_point_seconds))
-
-
-def rnel_from_degrees(out_degree: int, in_degree: int,
-                      previous_label: int) -> Optional[int]:
-    """The RNEL rules given precomputed degrees (see :func:`apply_rnel`).
-
-    Split out so callers that cache road-segment degrees (the fleet stream
-    engine) can apply the same rules without re-querying the road network.
-    """
-    if out_degree == 1 and in_degree == 1:
-        return previous_label
-    if out_degree == 1 and in_degree > 1 and previous_label == 0:
-        return 0
-    if out_degree > 1 and in_degree == 1 and previous_label == 1:
-        return 1
-    return None
-
-
-def rnel_from_degrees_batch(out_degrees: np.ndarray, in_degrees: np.ndarray,
-                            previous_labels: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`rnel_from_degrees` over aligned arrays.
-
-    Returns an int array with the deterministic label where one of the three
-    rules applies and ``-1`` where the policy must decide. Used by the batched
-    training engine, which resolves the RNEL rules for a whole batch of
-    streams in one shot.
-    """
-    out_degrees = np.asarray(out_degrees, dtype=np.int64)
-    in_degrees = np.asarray(in_degrees, dtype=np.int64)
-    previous_labels = np.asarray(previous_labels, dtype=np.int64)
-    decided = np.full(out_degrees.shape, -1, dtype=np.int64)
-    single_out = out_degrees == 1
-    single_in = in_degrees == 1
-    copy_rule = single_out & single_in
-    decided[copy_rule] = previous_labels[copy_rule]
-    decided[single_out & (in_degrees > 1) & (previous_labels == 0)] = 0
-    decided[(out_degrees > 1) & single_in & (previous_labels == 1)] = 1
-    return decided
-
-
-def apply_rnel(network: RoadNetwork, previous_segment: int, current_segment: int,
-               previous_label: int) -> Optional[int]:
-    """Road Network Enhanced Labeling: deterministic label when a rule applies.
-
-    Returns the deterministic label, or ``None`` when the RL policy must
-    decide. The three rules follow the paper:
-
-    1. ``e_{i-1}.out == 1`` and ``e_i.in == 1`` → copy the previous label;
-    2. ``e_{i-1}.out == 1``, ``e_i.in > 1`` and previous label 0 → label 0;
-    3. ``e_{i-1}.out > 1``, ``e_i.in == 1`` and previous label 1 → label 1.
-    """
-    return rnel_from_degrees(network.out_degree(previous_segment),
-                             network.in_degree(current_segment),
-                             previous_label)
 
 
 def apply_delayed_labeling(labels: Sequence[int], window: int) -> List[int]:
@@ -139,15 +97,27 @@ def apply_delayed_labeling(labels: Sequence[int], window: int) -> List[int]:
     return labels
 
 
-class OnlineDetector:
-    """Detects anomalous subtrajectories of an ongoing trajectory (Algorithm 1).
+def finish_labels(labels: List[int], delay_window: Optional[int]) -> List[int]:
+    """Delayed labeling over a finished route (``None`` turns it off)."""
+    if delay_window is None:
+        return labels
+    labels = apply_delayed_labeling(labels, delay_window)
+    # The source and destination stay normal by definition.
+    labels[0] = 0
+    labels[-1] = 0
+    return labels
 
-    The detector consumes road segments one at a time: for each new segment it
-    advances RSRNet's recurrent state to obtain ``z_i``, applies the RNEL rules
-    where they are deterministic and otherwise queries ASDNet's policy, and
-    maintains the anomalous subtrajectory currently being formed. Delayed
-    labeling is applied as a post-processing step over a small look-ahead
-    window.
+
+class OnlineDetector:
+    """Algorithm 1 over one completed trip: a one-stream view of the route pass.
+
+    ``z_i = [h_i ; x^n_i]``, so the LSTM recurrence needs only the segment
+    sequence: :meth:`detect` runs it over points ``0 … n-2`` from one input
+    projection for the whole route, labels the route with one
+    :func:`label_route` (RNEL where it is deterministic, ASDNet's policy
+    otherwise) and applies delayed labeling. The per-point online form of
+    the same decisions is :meth:`StreamEngine.tick
+    <repro.core.stream.StreamEngine.tick>`.
     """
 
     def __init__(
@@ -166,68 +136,53 @@ class OnlineDetector:
         self._pipeline = pipeline
         self._network = pipeline.network
         self._use_rnel = use_rnel
-        self._use_delayed_labeling = use_delayed_labeling
-        self._delay_window = delay_window
-        self._greedy = greedy
-        self._rng = np.random.default_rng(seed)
+        self._delay_window = delay_window if use_delayed_labeling else None
+        self._rng = None if greedy else np.random.default_rng(seed)
 
     # ------------------------------------------------------------ detection
     def detect(self, trajectory: MatchedTrajectory,
                record_timing: bool = False) -> DetectionResult:
-        """Label every segment of ``trajectory``, processing it online."""
+        """Label every segment of ``trajectory``.
+
+        With ``record_timing`` the result carries one entry per point that
+        sum to the call's measured time: an equal share of the recurrence
+        for each point it stepped (all but the destination) plus an equal
+        share of everything else.
+        """
+        started = time.perf_counter()
         segments = trajectory.segments
         n = len(segments)
         if n == 0:
             raise ModelError("cannot detect on an empty trajectory")
-
-        # One membership set per SD pair keeps the NRF of each new point O(1).
         allowed = self._pipeline.normal_transitions_for(trajectory)
-        token_of = self._pipeline.vocabulary.token
-
-        state = self._rsrnet.begin_sequence()
-        labels: List[int] = []
-        per_point: List[float] = []
-
-        for i, segment in enumerate(segments):
-            started = time.perf_counter() if record_timing else 0.0
-            # Source and destination are normal by definition; in between the
-            # NRF only depends on the transition into the new segment.
-            endpoint = i == 0 or i == n - 1
-            if endpoint or (segments[i - 1], segment) in allowed:
-                nrf_value = 0
-            else:
-                nrf_value = 1
-            z, state = self._rsrnet.step(state, token_of(segment), nrf_value)
-
-            if endpoint:
-                label = 0
-            else:
-                label = None
-                if self._use_rnel:
-                    label = apply_rnel(self._network, segments[i - 1], segment,
-                                       labels[-1])
-                if label is None:
-                    if self._greedy:
-                        label = self._asdnet.greedy_action(z, labels[-1])
-                    else:
-                        label, _ = self._asdnet.sample_action(z, labels[-1],
-                                                              rng=self._rng)
-            labels.append(label)
-            if record_timing:
-                per_point.append(time.perf_counter() - started)
-
-        if self._use_delayed_labeling:
-            labels = apply_delayed_labeling(labels, self._delay_window)
-            # The source and destination stay normal by definition.
-            labels[0] = 0
-            labels[-1] = 0
-
-        return DetectionResult(
+        tokens = self._pipeline.vocabulary.tokens(segments)
+        hidden, stepped = (), 0.0
+        if n > 2:
+            # Nothing reads the destination's hidden state (nor, on a route
+            # without interior points, anyone's).
+            stepping = time.perf_counter()
+            hidden = self._rsrnet.hidden_states(tokens[:-1])
+            stepped = time.perf_counter() - stepping
+        degrees = None
+        if self._use_rnel:
+            out_degree, in_degree = (self._network.out_degree,
+                                     self._network.in_degree)
+            degrees = [(out_degree(before), in_degree(segment))
+                       for before, segment in zip(segments, segments[1:-1])]
+        labels = finish_labels(
+            label_route(segments, hidden, allowed, degrees, self._rsrnet,
+                        self._asdnet, self._rng),
+            self._delay_window)
+        result = DetectionResult(
             trajectory=trajectory,
             labels=labels,
             subtrajectories=split_by_labels(trajectory, labels),
-            per_point_seconds=per_point,
         )
+        if record_timing:
+            share = (time.perf_counter() - started - stepped) / n
+            step = stepped / max(n - 1, 1)
+            result.per_point_seconds = [share + step] * (n - 1) + [share]
+        return result
 
     def detect_many(self, trajectories: Sequence[MatchedTrajectory],
                     record_timing: bool = False) -> List[DetectionResult]:

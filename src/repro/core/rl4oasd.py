@@ -58,7 +58,8 @@ from ..nn.functional import cosine_similarity_rows
 from ..roadnet.graph import RoadNetwork
 from ..trajectory.models import MatchedTrajectory
 from .asdnet import ASDNet, BatchedEpisode, Episode
-from .detector import OnlineDetector, apply_rnel, rnel_from_degrees_batch
+from .decision import apply_rnel, rnel_from_degrees_batch
+from .detector import OnlineDetector
 from .rewards import episode_return, global_reward, local_reward
 from .rsrnet import RSRNet
 

@@ -241,7 +241,9 @@ class RSRNet(Module):
              ) -> Tuple[np.ndarray, RSRNetStepState]:
         """Process one newly generated road segment; returns ``(z_i, new_state)``.
 
-        This is the O(1)-per-point path used by the online detector.
+        The scalar O(1)-per-point form of Algorithm 1's representation step;
+        the tests keep it as the independent reference of the route-level
+        (:meth:`hidden_states`) and batched (:meth:`step_batch`) forms.
         """
         if nrf not in (0, 1):
             raise ModelError("normal route feature must be 0 or 1")
@@ -249,6 +251,17 @@ class RSRNet(Module):
             self.input_projection(token), state.hidden, state.cell)
         z = np.concatenate([hidden, self.nrf_embedding.vector(nrf)])
         return z, RSRNetStepState(hidden=hidden, cell=cell)
+
+    def hidden_states(self, tokens: Sequence[int]) -> np.ndarray:
+        """``h_i`` of every segment of one route, shape ``(len(tokens), H)``.
+
+        One embedding gather and one input-projection matmul for the whole
+        route, then the LSTM recurrence from the zero state
+        (:meth:`~repro.nn.recurrent.LSTM.infer`). ``h_i`` depends only on the
+        segments up to ``i``, so a caller passes exactly the prefix it needs.
+        """
+        return self.lstm.infer(self.lstm.cell.project_input(
+            self.segment_embedding.vectors(tokens)))
 
     def input_projection(self, token: int) -> np.ndarray:
         """The LSTM input projection of one segment token, shape ``(4 * H,)``.

@@ -1,10 +1,10 @@
 """Fleet-scale batched streaming detection.
 
-:class:`OnlineDetector` serves one trajectory at a time, one point per step —
-fine for replaying a single trip, hopeless for the paper's motivating
-scenario of a ride-hailing platform watching an entire fleet at once.
-:class:`StreamEngine` multiplexes N concurrent vehicle streams over one
-RL4OASD model:
+:class:`OnlineDetector` replays one completed trip at a time — no use for
+the paper's motivating scenario of a ride-hailing platform watching an
+entire fleet while it drives. :class:`StreamEngine` is the online form of
+Algorithm 1: it multiplexes N concurrent vehicle streams over one RL4OASD
+model, one point per stream and tick:
 
 * **Batching tick.** Every stream buffers its newest GPS-matched segment;
   :meth:`StreamEngine.tick` gathers the pending next point of every active
@@ -15,8 +15,8 @@ RL4OASD model:
 * **Per-stream state.** Each stream keeps exactly what Algorithm 1 needs
   incrementally: the LSTM hidden/cell state, the labels emitted so far (for
   RNEL and the policy's previous-label input), and the SD pair's normal-route
-  transition set. Delayed labeling runs at :meth:`finalize`, identical to the
-  single-stream detector.
+  transition set. Delayed labeling runs at :meth:`finalize`, through the
+  detector's own :func:`~repro.core.detector.finish_labels`.
 * **Work-proportional ticks.** The engine keeps the set of streams that have
   a point to step; a tick walks only that set, so an idle tick costs O(1)
   however many streams are open.
@@ -28,11 +28,14 @@ RL4OASD model:
   hits the cache almost always.
 
 **Label equivalence.** The engine is differential-tested to produce labels
-identical to :class:`OnlineDetector`. Two details make that possible:
+identical to :class:`OnlineDetector`; both take every decision through
+:mod:`repro.core.decision`. Two details make that possible:
 
-1. A point is labeled only once the *next* point of its stream has arrived
-   (or the stream is finalized), so the engine knows whether the point is the
-   trip's destination — exactly the information Algorithm 1 consumes.
+1. A point is stepped and labeled only once the *next* point of its stream
+   has arrived, which proves it is not the trip's destination — exactly the
+   information Algorithm 1 consumes. The destination itself is never
+   stepped: the endpoint rule forces its label and nothing reads its hidden
+   state, so :meth:`finalize` labels it without a tick.
 2. Normal routes are per SD pair, so the destination must be declared when
    the stream opens (in ride hailing it is: the rider entered it). Streams
    whose SD pair has no history — where the reference detector falls back to
@@ -44,8 +47,9 @@ identical to :class:`OnlineDetector`. Two details make that possible:
    step only) and each ``h_i`` is kept beside its buffered point. The
    *labeling* waits for :meth:`finalize`, when the full route — hence the
    normal routes, the NRFs and which point is the destination — is known,
-   and is then one vectorised pass over the stored states instead of one
-   tick per point.
+   and is then one :func:`~repro.core.decision.label_route` over the stored
+   states (the pass :class:`OnlineDetector` runs) instead of one tick per
+   point.
 
 A stream whose destination is *not* declared up front always runs deferred.
 """
@@ -63,12 +67,12 @@ import numpy as np
 from ..exceptions import ModelError
 from ..history import HistorySnapshot
 from ..labeling.features import PreprocessingPipeline
-from ..nn.losses import softmax
 from ..obs.trace import TraceContext, timestamp as obs_timestamp
 from ..trajectory.models import MatchedTrajectory
 from ..trajectory.ops import split_by_labels
 from .asdnet import ASDNet
-from .detector import DetectionResult, apply_delayed_labeling, rnel_from_degrees
+from .decision import choose, label_route, policy_choices, rnel_from_degrees
+from .detector import DetectionResult, finish_labels
 from .rsrnet import RSRNet
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -166,7 +170,7 @@ class StreamEngine:
     Feed points with :meth:`ingest`, advance the fleet with :meth:`tick`
     (one batched forward pass labeling the pending point of every eligible
     stream), and close a trip with :meth:`finalize`, which returns the same
-    :class:`DetectionResult` the single-stream :class:`OnlineDetector` would.
+    :class:`DetectionResult` :class:`OnlineDetector` would for the whole trip.
     """
 
     def __init__(
@@ -193,20 +197,21 @@ class StreamEngine:
         self._pipeline = pipeline
         self._network = pipeline.network
         self._use_rnel = use_rnel
-        self._use_delayed_labeling = use_delayed_labeling
-        self._delay_window = delay_window
+        self._delay_window = delay_window if use_delayed_labeling else None
         self._greedy = greedy
         self._seed = seed
         self._record_timing = record_timing
         self._cache = SegmentFeatureCache(cache_size)
         self._streams: "OrderedDict[Hashable, _StreamState]" = OrderedDict()
         # The streams with a point to step right now, so a tick costs
-        # O(rows) and an idle tick O(1). A deferred stream steps every
-        # buffered point (the recurrence needs no label). An online stream
-        # labels a point in the tick that steps it, so its newest point
-        # waits for a successor proving it is not the trip's destination —
-        # or for the finalize that labels it *as* the destination. Kept by
-        # ingest, _begin_finalize, invalidate_cache and the end of a tick.
+        # O(rows) and an idle tick O(1). Nobody steps a destination: the
+        # endpoint rule forces its label and nothing reads its hidden state.
+        # An online stream labels a point in the tick that steps it, so its
+        # newest point waits for a successor proving it is not the
+        # destination. A deferred stream cannot tell yet and steps every
+        # buffered point (the recurrence needs no label); once finalizing,
+        # it too leaves its last point alone. Kept by ingest,
+        # _begin_finalize, invalidate_cache and the end of a tick.
         self._ready: Dict[Hashable, _StreamState] = {}
         self._next_trajectory_id = 0
         self._hidden_dim = rsrnet.config.hidden_dim
@@ -463,6 +468,7 @@ class StreamEngine:
         number of points *labeled* (0 when nothing is eligible; an idle tick
         is O(1)). Each stream advances at most one point per tick, so a
         stream's labels never depend on how the fleet's arrivals interleave.
+        A trip's destination never rides a tick: :meth:`finalize` labels it.
         """
         ready = self._ready
         if not ready:
@@ -483,8 +489,9 @@ class StreamEngine:
             if stream.deferred:
                 stepping.append((stream, record))
                 continue
-            if index == 0 or index == len(stream.segments) - 1:
-                # Source and destination are normal by definition.
+            if index == 0:
+                # The source is normal by definition (and the destination
+                # never gets here: the finalize pass labels it).
                 nrf_values.append(0)
                 labels.append(0)
             else:
@@ -512,10 +519,11 @@ class StreamEngine:
 
         undecided = [row for row, label in enumerate(labels) if label is None]
         if undecided:
-            choices = self._policy_choices(
-                z[undecided], [work[row][0].labels[-1] for row in undecided])
+            choices = policy_choices(
+                self._asdnet, z[undecided],
+                [work[row][0].labels[-1] for row in undecided], self._greedy)
             for row, choice in zip(undecided, choices):
-                labels[row] = self._choose(work[row][0], choice)
+                labels[row] = choose(choice, work[row][0].rng)
 
         share = ((time.perf_counter() - started) / len(slots)
                  if self._record_timing else 0.0)
@@ -527,8 +535,7 @@ class StreamEngine:
                 stream.per_point_seconds.append(share)
             if stream.traces:
                 self._observe_tick(stream, index)
-            unlabeled = len(stream.segments) - index - 1
-            if unlabeled == 0 or (unlabeled == 1 and not stream.finalizing):
+            if index + 2 >= len(stream.segments):
                 del ready[stream.vehicle_id]
         for row, (stream, record) in enumerate(stepping, start=len(work)):
             # A copy, not a row view: a view would pin the whole batch's
@@ -538,31 +545,12 @@ class StreamEngine:
             stream.stepped += 1
             if self._record_timing:
                 stream.per_point_seconds.append(share)
-            if stream.stepped == len(stream.segments):
+            waiting = len(stream.segments) - stream.stepped
+            if waiting == 0 or (waiting == 1 and stream.finalizing):
                 del ready[stream.vehicle_id]
         self.points_processed += len(work)
         self.ticks += 1
         return len(work)
-
-    def _policy_choices(self, z: np.ndarray, previous_labels: Sequence[int]):
-        """What decides the label of each MDP state ``[z ; previous label]``.
-
-        Row-wise softmax then argmax mirrors the scalar detector's decision
-        rule (argmax over probabilities, ties to label 0). With
-        ``greedy=False`` the rows are the action distributions themselves,
-        for :meth:`_choose` to sample from with the owning stream's rng.
-        """
-        probabilities = softmax(
-            self._asdnet.policy_logits_batch(z, previous_labels), axis=1)
-        if self._greedy:
-            return np.argmax(probabilities, axis=1).tolist()
-        return probabilities
-
-    def _choose(self, stream: _StreamState, choice) -> int:
-        """The label one row of :meth:`_policy_choices` gives ``stream``."""
-        if self._greedy:
-            return choice
-        return int(stream.rng.choice(ASDNet.NUM_ACTIONS, p=choice))
 
     def _observe_tick(self, stream: _StreamState, index: int) -> None:
         """Close the ``engine_tick`` span of a just-labeled traced point."""
@@ -583,9 +571,11 @@ class StreamEngine:
         Draining runs through :meth:`tick`, so other eligible streams keep
         advancing (and batching) alongside the one being closed. To close
         several trips that finish together, prefer :meth:`finalize_many`,
-        which drains them through shared (larger) batches. A deferred
-        stream usually has nothing left to drain — its recurrence ran as
-        its points arrived — and is labeled here in one vectorised pass.
+        which drains them through shared (larger) batches. The destination
+        needs no step, so a stream whose earlier points have all ticked —
+        the usual case, online or deferred — closes with zero ticks: the
+        online stream gets its forced last label, the deferred one its
+        whole route in one vectorised pass.
 
         Labels, spans and timing match :class:`OnlineDetector` exactly; the
         result's ``trajectory`` is reconstructed from the ingested points, so
@@ -609,13 +599,13 @@ class StreamEngine:
             self._check_finalizable(stream)
         for stream in streams:
             self._begin_finalize(stream)
-        while any(stream.stepped < len(stream.segments) for stream in streams):
+        while any(stream.stepped < len(stream.segments) - 1
+                  for stream in streams):
             if not self._ready:  # pragma: no cover - defensive
                 raise ModelError("stream drain made no progress")
             self.tick()
         for stream in streams:
-            if stream.deferred:
-                self._label_deferred(stream)
+            self._label_rest(stream)
         results = [self._complete(stream) for stream in streams]
         if traced:
             # The drain ticks are shared by every closing stream, so each
@@ -661,66 +651,49 @@ class StreamEngine:
                 start_time_s=stream.start_time_s)
             stream.normal_transitions = self._pipeline.normal_transitions_for(
                 trajectory, history=stream.history)
-        if stream.stepped < len(stream.segments):
-            self._ready[stream.vehicle_id] = stream
+        if stream.stepped >= len(stream.segments) - 1:
+            # Only the destination is left, and nobody steps a destination.
+            self._ready.pop(stream.vehicle_id, None)
 
-    def _label_deferred(self, stream: _StreamState) -> None:
-        """Label a fully stepped deferred stream in one pass.
+    def _label_rest(self, stream: _StreamState) -> None:
+        """The finalize pass: label what no tick labeled.
 
-        Only the previous label chains one point to the next, and it has two
-        values: the policy runs once over every interior point under both,
-        and a scalar scan then walks the route picking, per point, the
-        endpoint rule, the RNEL rule or the policy's choice for the label
-        that actually preceded it — the decisions :meth:`tick` would have
-        made one point at a time.
+        For an online stream that is its destination, normal by definition.
+        A deferred stream has no labels yet; its whole route is one
+        :func:`label_route` over the hidden states its ticks stored — the
+        decisions :meth:`tick` would have made one point at a time.
         """
         started = time.perf_counter() if self._record_timing else 0.0
-        segments = stream.segments
-        count = len(segments)
-        interior = count - 2
-        labels = stream.labels
-        labels.append(0)  # the source is normal by definition
-        if interior > 0:
-            allowed = stream.normal_transitions
-            nrf = [0 if transition in allowed else 1
-                   for transition in zip(segments, segments[1:-1])]
-            z = np.concatenate(
-                [np.array(stream.hidden_states[1:-1]),
-                 self._rsrnet.nrf_embedding.vectors(np.array(nrf))], axis=1)
-            # Row ``p * interior + i - 1``: point ``i`` after label ``p``.
-            choices = self._policy_choices(
-                np.concatenate([z, z]), [0] * interior + [1] * interior)
-            records = stream.records
-            previous = 0
-            for index in range(1, count - 1):
-                label = (rnel_from_degrees(
-                    records[index - 1].out_degree, records[index].in_degree,
-                    previous) if self._use_rnel else None)
-                if label is None:
-                    label = self._choose(
-                        stream, choices[previous * interior + index - 1])
-                labels.append(label)
-                previous = label
-        if count > 1:
-            labels.append(0)  # ... and so is the destination
+        count = len(stream.segments)
+        labeled = len(stream.labels)
+        if stream.deferred:
+            degrees = None
+            if self._use_rnel:
+                records = stream.records
+                degrees = [(before.out_degree, record.in_degree)
+                           for before, record
+                           in zip(records, records[1:count - 1])]
+            stream.labels = label_route(
+                stream.segments, stream.hidden_states,
+                stream.normal_transitions, degrees, self._rsrnet,
+                self._asdnet, stream.rng)
+        else:
+            stream.labels.append(0)
         if self._record_timing:
-            share = (time.perf_counter() - started) / count
-            stream.per_point_seconds = [
-                seconds + share for seconds in stream.per_point_seconds]
+            seconds = stream.per_point_seconds
+            # A destination was never stepped: it has no entry yet.
+            seconds += [0.0] * (count - len(seconds))
+            share = (time.perf_counter() - started) / (count - labeled)
+            seconds[labeled:] = [value + share for value in seconds[labeled:]]
         if stream.traces:
             self._observe_tick(stream, count - 1)
-        self.points_processed += count
+        self.points_processed += count - labeled
 
     def _complete(self, stream: _StreamState) -> DetectionResult:
         del self._streams[stream.vehicle_id]
         self._free_slots.append(stream.slot)
         self.streams_finalized += 1
-        labels = stream.labels
-        if self._use_delayed_labeling:
-            labels = apply_delayed_labeling(labels, self._delay_window)
-            # The source and destination stay normal by definition.
-            labels[0] = 0
-            labels[-1] = 0
+        labels = finish_labels(stream.labels, self._delay_window)
         trajectory = MatchedTrajectory(
             stream.trajectory_id, list(stream.segments),
             start_time_s=stream.start_time_s)

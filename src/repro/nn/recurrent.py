@@ -14,8 +14,8 @@ activated in place):
   input projections*, for a batch of independent streams or one stream
   without the batch axis, with no backward cache. Used by the fleet stream
   engine (where the projection of a road segment's embedding is shared across
-  every vehicle on that segment) and by :meth:`repro.core.rsrnet.RSRNet.step`
-  in the online detector.
+  every vehicle on that segment); :meth:`LSTM.infer` runs it over one whole
+  sequence for :class:`~repro.core.detector.OnlineDetector`.
 * **Batched training** (:meth:`LSTMCell.forward_batch_cached` /
   :meth:`LSTMCell.backward_batch`, wrapped by :meth:`LSTM.forward_batch` /
   :meth:`LSTM.backward_batch`) — one step for a batch of sequences *with* the
@@ -253,6 +253,29 @@ class LSTM(Module):
             hidden_states[t] = h
             caches.append(cache)
         return hidden_states, caches
+
+    def infer(self, input_projections: np.ndarray) -> np.ndarray:
+        """Hidden states of one sequence from its precomputed input projections.
+
+        ``input_projections`` is :meth:`LSTMCell.project_input` of the whole
+        sequence, shape ``(T, 4 * hidden_dim)`` — checked once here, then
+        ``T`` cache-free gate kernels from the zero state. Returns the hidden
+        states ``(T, hidden_dim)``; the inference counterpart of
+        :meth:`forward`.
+        """
+        input_projections = np.asarray(input_projections, dtype=np.float64)
+        if (input_projections.ndim != 2
+                or input_projections.shape[1] != 4 * self.hidden_dim):
+            raise ModelError(
+                f"input projections must have shape (T, {4 * self.hidden_dim}), "
+                f"got {input_projections.shape}")
+        step = self.cell._step
+        h = c = np.zeros(self.hidden_dim)
+        hidden_states = np.empty((len(input_projections), self.hidden_dim))
+        for t, projection in enumerate(input_projections):
+            h, c = step(projection, h, c)[:2]
+            hidden_states[t] = h
+        return hidden_states
 
     def backward(self, grad_hidden: np.ndarray, caches: List[dict]) -> np.ndarray:
         """Backpropagate gradients of every hidden state through time.

@@ -1,0 +1,57 @@
+"""Algorithm 1 as a scalar per-point loop — the tests' independent reference.
+
+This is the detector as it ran before the route pass: one ``RSRNet.step``,
+one ``apply_rnel`` and one ``ASDNet.greedy_action`` / ``sample_action`` per
+point (the destination included), nothing batched, nothing shared with
+:mod:`repro.core.decision`. ``OnlineDetector`` and the engine's deferred
+finalize now run the same :func:`~repro.core.decision.label_route`, so
+comparing them with each other proves nothing; this loop and the engine's
+per-point ``tick`` path are the two anchors they are pinned against.
+"""
+
+from __future__ import annotations
+
+from typing import List, Optional
+
+import numpy as np
+
+from repro.core.detector import apply_delayed_labeling, apply_rnel
+from repro.trajectory.models import MatchedTrajectory
+
+
+def reference_labels(
+    model,
+    trajectory: MatchedTrajectory,
+    use_rnel: bool = True,
+    delay_window: Optional[int] = 8,
+    rng: Optional[np.random.Generator] = None,
+) -> List[int]:
+    """Labels of ``trajectory`` under ``model`` (greedy unless ``rng``)."""
+    rsrnet, asdnet, pipeline = model.rsrnet, model.asdnet, model.pipeline
+    segments = trajectory.segments
+    n = len(segments)
+    allowed = pipeline.normal_transitions_for(trajectory)
+    state = rsrnet.begin_sequence()
+    labels: List[int] = []
+    for i, segment in enumerate(segments):
+        endpoint = i == 0 or i == n - 1
+        nrf = 0 if endpoint or (segments[i - 1], segment) in allowed else 1
+        z, state = rsrnet.step(state, pipeline.vocabulary.token(segment), nrf)
+        if endpoint:
+            label = 0
+        else:
+            label = None
+            if use_rnel:
+                label = apply_rnel(pipeline.network, segments[i - 1], segment,
+                                   labels[-1])
+            if label is None:
+                if rng is None:
+                    label = asdnet.greedy_action(z, labels[-1])
+                else:
+                    label, _ = asdnet.sample_action(z, labels[-1], rng=rng)
+        labels.append(label)
+    if delay_window is not None:
+        labels = apply_delayed_labeling(labels, delay_window)
+        labels[0] = 0
+        labels[-1] = 0
+    return labels

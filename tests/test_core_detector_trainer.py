@@ -8,7 +8,7 @@ from repro.config import ASDNetConfig, LabelingConfig, RSRNetConfig, TrainingCon
 from repro.core import OnlineDetector, OnlineLearner, RL4OASDTrainer
 from repro.core.detector import (apply_delayed_labeling, apply_rnel,
                                  rnel_from_degrees)
-from repro.eval import evaluate_detector
+from repro.eval import evaluate_detector, measure_detector
 from repro.exceptions import ModelError, NotFittedError
 from repro.history import clone_snapshot
 from repro.roadnet import RoadNetwork
@@ -198,11 +198,13 @@ def test_detector_builds_the_transition_set_once_per_sd_pair(
 
 
 def test_detector_per_point_latency_is_online(trained_model, dataset_split):
+    """The paper's Fig. 3 claim is < 0.1 ms per point (trip time / n); about
+    0.02 ms is measured, so 1 ms leaves a noisy runner >= 30x headroom."""
     _, _, test = dataset_split
     detector = trained_model.detector()
-    result = detector.detect(max(test, key=len), record_timing=True)
-    mean_ms = 1000.0 * np.mean(result.per_point_seconds)
-    assert mean_ms < 50.0
+    detector.detect(test[0])  # normal-route caches filled, as in steady state
+    report = measure_detector(detector, test)
+    assert report.mean_per_point_ms < 1.0
 
 
 # ------------------------------------------------------------------- trainer

@@ -132,8 +132,9 @@ def test_cache_eviction_does_not_change_labels(trained_model, dataset_split):
     for trajectory, result in zip(test[:10], results):
         assert_results_match(detector.detect(trajectory), result)
     assert len(engine.cache) <= 2
-    points = sum(len(t) for t in test[:10])
-    assert engine.cache.hits + engine.cache.misses == points
+    # One lookup per LSTM row: every point but each trip's destination.
+    rows = sum(len(t) - 1 for t in test[:10])
+    assert engine.cache.hits + engine.cache.misses == rows
 
 
 def test_cache_is_shared_across_the_fleet(trained_model, dataset_split):

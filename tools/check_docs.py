@@ -37,7 +37,10 @@ PUBLIC_SURFACE = {
     "repro.core.rsrnet": ["RSRNet"],
     "repro.core.stream": ["StreamEngine", "SegmentFeatureCache"],
     "repro.core.online": ["OnlineLearner", "FineTuneRecord"],
-    "repro.core.detector": ["OnlineDetector", "rnel_from_degrees_batch"],
+    "repro.core.detector": ["OnlineDetector", "rnel_from_degrees_batch",
+                            "finish_labels"],
+    "repro.core.decision": ["label_route", "policy_choices", "choose",
+                            "rnel_from_degrees", "apply_rnel"],
     "repro.serve": [
         "DetectionService", "IngestStatus", "serve_fleet", "shard_of",
         "ServiceMetrics", "ShardStats", "save_model", "load_model",
