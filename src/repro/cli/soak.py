@@ -39,6 +39,11 @@ __all__ = ["SoakOptions", "SoakHarness", "register", "run"]
 
 #: ``--smoke`` preset: the CI-sized soak (~50k fixes, process backend).
 SMOKE_FIXES = 50_000
+#: A run whose fix budget is spent before the recorder holds the scrapes
+#: its rules need keeps admitting load until it does — a verdict needs a
+#: series, however fast the stack has become — but for no longer than this
+#: many times what those scrapes nominally take.
+EXTENSION_CEILING = 10.0
 
 
 @dataclass
@@ -105,6 +110,17 @@ class SoakHarness:
             rss_growth=self.options.rss_growth,
             min_samples=self.options.min_samples,
         )
+
+    def _scrapes_needed(self) -> int:
+        """Scrapes a recording must hold before its verdict means anything.
+
+        The ``samples`` rule's minimum, and two scrape intervals for each
+        of the windows the throughput and quantile rules cut the series
+        into: a scrape serves a snapshot up to half an interval old, so a
+        window of a single interval reports that staleness as much as it
+        reports a rate.
+        """
+        return max(self.options.min_samples, 2 * self.options.windows + 1)
 
     def _say(self, message: str) -> None:
         if not self.options.quiet:
@@ -203,7 +219,11 @@ class SoakHarness:
         Memory discipline: per-vehicle state is only the trips currently
         in flight (<= concurrency), session results are counted and
         dropped, and admission is budgeted by *committed* fixes so the
-        run lands on the target without an unbounded tail.
+        run lands on the target without an unbounded tail. The budget is
+        a floor, not the run length: admission goes on past it until the
+        recorder holds the scrapes the verdict needs (``_scrapes_needed``,
+        under ``EXTENSION_CEILING``), so the run is long enough to judge
+        by construction.
         """
         options = self.options
         active: Dict[int, Tuple[RawTrajectory, int]] = {}
@@ -221,10 +241,18 @@ class SoakHarness:
         next_refresh = 0.0
         next_progress = 0
 
+        scrapes_needed = self._scrapes_needed()
+        extension_ends = time.monotonic() + (
+            EXTENSION_CEILING * scrapes_needed * options.scrape_interval_s)
+
         def admitting() -> bool:
-            if deadline is not None and time.monotonic() >= deadline:
+            now = time.monotonic()
+            if deadline is not None and now >= deadline:
                 return False
-            return target is None or committed < target
+            if target is None or committed < target:
+                return True
+            return (len(self.recorder.store) < scrapes_needed
+                    and now < extension_ends)
 
         while True:
             while len(active) < options.concurrency and admitting():

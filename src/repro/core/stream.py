@@ -59,8 +59,8 @@ from __future__ import annotations
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import (Callable, Dict, FrozenSet, Hashable, List, NamedTuple,
-                    Optional, Sequence, Tuple, TYPE_CHECKING)
+from typing import (Callable, Dict, FrozenSet, Hashable, Iterable, List,
+                    NamedTuple, Optional, Sequence, Tuple, TYPE_CHECKING)
 
 import numpy as np
 
@@ -277,6 +277,19 @@ class StreamEngine:
         """Points ingested but not yet labeled, across all active streams."""
         return sum(len(stream.segments) - len(stream.labels)
                    for stream in self._streams.values())
+
+    def step_waiting(
+            self, vehicle_ids: Optional[Iterable[Hashable]] = None) -> bool:
+        """Whether the next :meth:`tick` has a point to step.
+
+        With ``vehicle_ids``, whether it has one for any of *those* streams
+        (ids without a stream count as not waiting). Read-only: a scheduler
+        asks this before it buffers a stream's next point, so that it can
+        tick first and never stack a second point on an un-stepped one.
+        """
+        if vehicle_ids is None:
+            return bool(self._ready)
+        return not self._ready.keys().isdisjoint(vehicle_ids)
 
     def invalidate_cache(self) -> None:
         """Drop everything derived from the weights (call after fine-tuning

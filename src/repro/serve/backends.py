@@ -12,10 +12,10 @@ the engine runs:
   batch job.
 * :class:`ProcessBackend` — one OS process per shard, fed through bounded
   ``multiprocessing`` queues from a pickled model blob
-  (:func:`~repro.serve.checkpoint.model_to_bytes`). Workers drain their
-  queue and tick continuously, so shard compute overlaps with the caller's
-  ingest loop and with every other shard — this is where multi-core
-  throughput comes from.
+  (:func:`~repro.serve.checkpoint.model_to_bytes`). Workers take one
+  command at a time and tick on their own clock, so shard compute overlaps
+  with the caller's ingest loop and with every other shard — this is where
+  multi-core throughput comes from.
 
 Label equivalence holds for both: a stream's labels never depend on how
 ticks interleave with arrivals (each stream advances at most one point per
@@ -29,7 +29,28 @@ carrying many points — the IPC-amortized path behind
 ``finalize`` / ``stats`` / ``swap`` / ``obs`` / ``stop`` each produce
 exactly one reply ``(kind, payload)`` on the result queue (``obs`` ships the
 shard's cumulative metrics registry home by pickle and drains its trace
-spans — the observability plane of :mod:`repro.obs`).
+spans — the observability plane of :mod:`repro.obs`). An ``ingest_batch``
+travels as columns, ``("ingest_batch", vehicle_ids, segments, extras,
+sent_at)``: two flat lists plus a sparse ``{index: (destination,
+start_time_s, trajectory_id, trace)}`` for the few events that open a
+stream or carry a trace (:func:`_pack_events`). :class:`IngestEvent` stays
+the type callers hand in, and the single ``ingest`` command carries one.
+
+**Scheduling: a round at a time.** The worker (:class:`_ShardWorker`) takes
+one command at a time and never stacks a stream's next point on one that
+has not been stepped. Before it applies an ``ingest`` / ``ingest_batch``
+touching a stream with a step waiting (:meth:`StreamEngine.step_waiting`)
+it ticks until that is no longer so — one fleet-wide tick for a lockstep
+round, whether the round came as one batch or as one ``ingest`` per vehicle
+— and an opaque ``plane`` / ``plane_batch`` command counts as touching
+every stream (one tick if anything waits). On an empty queue it ticks if
+anything waits and blocks otherwise. What a command publishes to the
+results bus (``finalize_async``, a publishing plane command) leaves for the
+facade before the next command is taken. So the points a shard holds
+un-ticked are at most one steppable point per stream, the command in hand
+and ``queue_depth`` queued commands: a producer that outruns the engine
+fills the *queue*, and sees ``RETRY_LATER``, instead of growing the
+engine's per-stream buffers.
 
 **Results bus.** On top of the request/reply protocol both backends run a
 push-based result plane (:mod:`repro.serve.resultbus`): a ``finalize_async``
@@ -37,17 +58,24 @@ command is fire-and-forget — the shard finalizes the streams on its own
 clock and *publishes* each :class:`~repro.core.detector.DetectionResult`
 (or, on failure, one error envelope) to its :class:`~repro.serve.resultbus.
 ShardResultBus`. The process backend ships published envelopes over a
-dedicated per-shard bus queue, one message per batch (never the reply
-queue, whose one-reply-per-request pairing must stay undisturbed); the
-in-process backend hands them over directly at ``take_results``. Envelopes
-stay in the shard's unacked window until the facade acknowledges its
-watermark (``bus_ack``, fire-and-forget); ``bus_replay`` / ``bus_stats``
-are replied. Planes participate too: a plane exposing a ``bind_bus(publish)``
-method is handed the shard bus's ``publish`` at install time, which is how
-gateway sessions complete through the bus (:class:`~repro.ingest.shardmatch.
-MatchFinishAsync`). Because ``finalize_async`` rides the same FIFO as
-ingest, every point queued before it is applied before the finalize — the
-exact boundary the synchronous ``finalize`` observes.
+dedicated per-shard one-way pipe, one message per batch (never the reply
+queue, whose one-reply-per-request pairing must stay undisturbed), which
+the worker writes synchronously from its only thread — a queue's feeder
+thread would share the worker's core and interpreter lock with the engine.
+A full pipe (64 KiB) therefore blocks the worker, and only the facade can
+unblock it: it reads the pipe into a per-shard buffer wherever it waits on
+a worker — ``take_results``, ``pump`` (which every retry loop of the
+service calls), the put-and-wait loops of replied commands and ``swap``,
+and ``close``. The in-process backend hands envelopes over directly at
+``take_results``. Envelopes stay in the shard's unacked window until the
+facade acknowledges its watermark (``bus_ack``, fire-and-forget);
+``bus_replay`` / ``bus_stats`` are replied. Planes participate too: a
+plane exposing a ``bind_bus(publish)`` method is handed the shard bus's
+``publish`` at install time, which is how gateway sessions complete through
+the bus (:class:`~repro.ingest.shardmatch.MatchFinishAsync`). Because
+``finalize_async`` rides the same FIFO as ingest, every point queued before
+it is applied before the finalize — the exact boundary the synchronous
+``finalize`` observes.
 
 **Work planes.** Either backend can additionally host one *plane* per
 shard: an opaque work object built next to the shard's engine by a
@@ -102,10 +130,16 @@ from .checkpoint import WeightsSnapshot, model_from_bytes
 from .metrics import BusStats, ShardStats
 from .resultbus import ResultEnvelope, ShardResultBus
 
-#: Seconds a worker sleeps on its command queue when fully idle.
-_IDLE_WAIT_S = 0.05
 #: Seconds the service waits for a worker reply before declaring it dead.
 _REQUEST_TIMEOUT_S = 120.0
+#: Seconds between two looks at a worker the facade is waiting on (its
+#: command queue is full, or its reply is still to come); at each look the
+#: facade reads the shard's bus pipe and checks the worker is alive.
+_WAIT_SLICE_S = 0.002
+#: ``close``: seconds to get ``stop`` into a full queue, then to see the
+#: worker exit, before it is terminated.
+_STOP_TIMEOUT_S = 1.0
+_JOIN_TIMEOUT_S = 5.0
 
 
 class IngestEvent(NamedTuple):
@@ -221,8 +255,10 @@ class ServiceBackend:
     def pump(self) -> int:
         """Advance queued work opportunistically; returns points labeled.
 
-        The process backend's workers advance themselves, so its ``pump`` is
-        a no-op returning 0.
+        The process backend's workers advance themselves, so its ``pump``
+        returns 0; what it does is read the shards' bus pipes, so that a
+        caller waiting out backpressure never leaves a worker blocked on a
+        full one.
         """
         raise NotImplementedError
 
@@ -261,8 +297,8 @@ class ServiceBackend:
 
         At-least-once: a replay can hand the caller envelopes it has seen
         before, so consumers dedup through a :class:`~repro.serve.resultbus.
-        BusCollector`. ``max_items`` is a soft bound (whole batches are
-        taken).
+        BusCollector`. At most ``max_items`` are handed out; the rest wait
+        for the next call.
         """
         raise NotImplementedError
 
@@ -639,229 +675,286 @@ class InProcessBackend(ServiceBackend):
 
 
 # ------------------------------------------------------------ multi-process
-def _shard_worker(shard_id: int, blob: bytes, engine_overrides: dict,
-                  commands, results, bus_queue,
-                  obs_options: Optional[dict] = None) -> None:
-    """Worker main loop: rebuild the model from its pickled snapshot, then
-    serve commands forever (see the module docstring for the protocol)."""
-    model = model_from_bytes(blob)
-    engine = model.stream_engine(**engine_overrides)
-    bus = ShardResultBus(shard_id)
-    # Unflushed bus batches must never block this process's exit (the
-    # facade stops reading at close; whatever is still buffered then is as
-    # lost as any other in-flight work).
-    bus_queue.cancel_join_thread()
-    busy_seconds = 0.0
-    swaps = 0
-    plane = None
-    pending_error: Optional[BaseException] = None
-    tracer = _shard_tracer(shard_id, obs_options)
-    engine.tracer = tracer
-    bus.tracer = tracer
-    queue_wait = _queue_wait_reservoir(obs_options)
+#: What a mid-stream point leaves of an event after ``(vehicle_id,
+#: segment)``; only events that differ ride ``ingest_batch``'s sparse map.
+_PLAIN_EVENT = (None, 0.0, None, None)
 
-    def flush_bus() -> None:
-        """Ship the outbox toward the facade: one message per batch."""
-        if bus.depth:
-            bus_queue.put(bus.take())
 
-    def timed_tick() -> int:
-        nonlocal busy_seconds
-        started = time.perf_counter()
-        advanced = engine.tick()
-        busy_seconds += time.perf_counter() - started
-        return advanced
+def _pack_events(events: Sequence[IngestEvent]) -> tuple:
+    """``events`` as the columns of one ``ingest_batch`` command.
 
-    def quiesce() -> None:
-        while timed_tick() > 0:
-            pass
+    ``(vehicle_ids, segments, extras)``: two flat lists pickle an order of
+    magnitude smaller and faster than a list of namedtuples, and nearly
+    every event of a running fleet is a bare ``(vehicle, segment)``. The
+    few that open a stream or carry a trace keep their other fields in
+    ``extras``, ``{index: (destination, start_time_s, trajectory_id,
+    trace)}``.
+    """
+    return ([event[0] for event in events], [event[1] for event in events],
+            {index: event[2:] for index, event in enumerate(events)
+             if event[2:] != _PLAIN_EVENT})
 
-    def reply(kind: str, payload=None) -> None:
-        results.put((kind, payload))
 
-    def answer(command) -> bool:
-        """Handle one command; returns False when the worker must stop.
+class _ShardWorker:
+    """The command interpreter of one process shard, beside its engine.
 
-        An error stashed by an earlier fire-and-forget ``ingest`` preempts
-        the reply of the next replied command, so failures surface at the
-        caller instead of silently desynchronizing the shard.
-        """
-        nonlocal busy_seconds, swaps, plane, pending_error
-        kind = command[0]
-        if kind == "stop":
-            flush_bus()
-            reply("stopped")
-            return False
-        if kind == "finalize_async":
-            started = time.perf_counter()
-            try:
-                value = engine.finalize_many(command[1])
-            except BaseException as error:
-                bus.publish("error", tuple(command[1]), error)
-            else:
-                traced = engine.pop_finalize_traced()
-                if not traced:
-                    for vehicle_id, result in zip(command[1], value):
-                        bus.publish("result", vehicle_id, result)
-                else:
-                    now = obs_timestamp()
-                    for vehicle_id, result in zip(command[1], value):
-                        trace_id = traced.get(vehicle_id)
-                        bus.publish(
-                            "result", vehicle_id, result,
-                            None if trace_id is None
-                            else TraceContext(trace_id, now))
-            busy_seconds += time.perf_counter() - started
-            return True
-        if kind == "bus_ack":
-            bus.ack(command[1])
-            return True
-        if kind == "ingest":
-            started = time.perf_counter()
-            if len(command) > 2:  # enqueue timestamp (same monotonic clock)
-                queue_wait.add(started - command[2])
-            try:
-                event = command[1]
-                if event.trace is not None:
-                    event = event._replace(trace=tracer.observe(
-                        "shard_queue", event.trace, started))
-                apply_event(engine, event)
-            except BaseException as error:  # surfaced at the next request
-                pending_error = error
-            busy_seconds += time.perf_counter() - started
-            return True
-        if kind == "ingest_batch":
-            started = time.perf_counter()
-            if len(command) > 2:
-                queue_wait.add(started - command[2])
-            try:
-                for event in command[1]:
-                    if event.trace is not None:
-                        event = event._replace(trace=tracer.observe(
-                            "shard_queue", event.trace, started))
-                    apply_event(engine, event)
-            except BaseException as error:  # surfaced at the next request
-                pending_error = error
-            busy_seconds += time.perf_counter() - started
-            return True
-        if kind == "plane":
-            started = time.perf_counter()
-            try:
-                if plane is None:
-                    raise ServiceError("no plane installed on this shard")
-                plane.handle(command[1])
-            except BaseException as error:  # surfaced at the next request
-                pending_error = error
-            busy_seconds += time.perf_counter() - started
-            return True
-        if kind == "plane_batch":
-            started = time.perf_counter()
-            try:
-                if plane is None:
-                    raise ServiceError("no plane installed on this shard")
-                for item in command[1]:
-                    plane.handle(item)
-            except BaseException as error:  # surfaced at the next request
-                pending_error = error
-            busy_seconds += time.perf_counter() - started
-            return True
-        if pending_error is not None:
-            error, pending_error = pending_error, None
-            reply("error", error)
-            return True
-        try:
-            if kind == "sync":
-                quiesce()
-                reply("synced")
-            elif kind == "finalize":
-                started = time.perf_counter()
-                value = engine.finalize_many(command[1])
-                busy_seconds += time.perf_counter() - started
-                engine.pop_finalize_traced()  # sync results skip the bus
-                reply("finalized", value)
-            elif kind == "swap":
-                quiesce()
-                update = command[1]
-                if isinstance(update, bytes):
-                    # The facade pre-pickled the update once for the whole
-                    # broadcast (a delta or a full snapshot alike); each
-                    # worker unpickles its own copy, which doubles as the
-                    # per-shard isolation the in-process backend gets from
-                    # clone_snapshot/clone_delta.
-                    update = pickle.loads(update)
-                apply_update(engine, update)
-                if update.weights is not None:
-                    swaps += 1
-                reply("swapped")
-            elif kind == "install_plane":
-                plane = command[1](shard_id, engine)
-                if hasattr(plane, "bind_bus"):
-                    plane.bind_bus(bus.publish)
-                reply("plane_installed")
-            elif kind == "bus_replay":
-                reply("bus_replayed", bus.replay())
-            elif kind == "bus_stats":
-                reply("bus_stats", bus.stats())
-            elif kind == "obs":
-                # Registry rides home by pickle (cumulative — the facade
-                # merges into a fresh registry per call); spans drain.
-                reply("obs", (tracer.registry, tracer.take_spans()))
-            elif kind == "plane_request":
-                if plane is None:
-                    raise ServiceError("no plane installed on this shard")
-                started = time.perf_counter()
-                value = plane.request(command[1])
-                busy_seconds += time.perf_counter() - started
-                reply("plane_reply", value)
-            elif kind == "plane_stats":
-                if plane is None:
-                    raise ServiceError("no plane installed on this shard")
-                reply("plane_stats", plane.stats())
-            elif kind == "stats":
-                reply("stats", ShardStats(
-                    shard_id=shard_id,
-                    backend="process",
-                    points_processed=engine.points_processed,
-                    ticks=engine.ticks,
-                    busy_seconds=busy_seconds,
-                    queue_depth=_safe_qsize(commands),
-                    pending_points=engine.total_pending_points(),
-                    streams_open=len(engine.active_vehicles),
-                    streams_finalized=engine.streams_finalized,
-                    cache_hits=engine.cache.hits,
-                    cache_misses=engine.cache.misses,
-                    swaps=swaps,
-                    history_version=engine.history_version,
-                    history_refreshes=engine.history_refreshes,
-                    queue_wait_samples=list(queue_wait.samples),
-                ))
-            else:
-                reply("error", ServiceError(f"unknown command {kind!r}"))
-        except BaseException as error:
-            reply("error", error)
-        return True
+    ``run`` is the worker's main loop; ``handle`` and ``idle`` are its two
+    moves (a command was taken / the queue is empty), which is all a test
+    needs to drive the scheduling rule of the module docstring without a
+    process. ``reply`` and ``send_bus`` are the two ways out: the reply
+    queue's ``put`` and the bus pipe's ``send``, the latter called from
+    this one thread and therefore allowed to block on a full pipe.
+    """
 
-    running = True
-    while running:
-        handled = 0
-        while running:
+    def __init__(self, shard_id: int, engine: StreamEngine, commands,
+                 reply, send_bus, obs_options: Optional[dict] = None):
+        self.shard_id = shard_id
+        self.engine = engine
+        self.bus = ShardResultBus(shard_id)
+        self._commands = commands
+        self._reply = reply
+        self._send_bus = send_bus
+        self._busy_seconds = 0.0
+        self._swaps = 0
+        self._plane = None
+        self._pending_error: Optional[BaseException] = None
+        self._tracer = _shard_tracer(shard_id, obs_options)
+        engine.tracer = self._tracer
+        self.bus.tracer = self._tracer
+        self._queue_wait = _queue_wait_reservoir(obs_options)
+        self._fire_and_forget = {"ingest": self._ingest,
+                                 "ingest_batch": self._ingest_batch,
+                                 "plane": self._plane_commands,
+                                 "plane_batch": self._plane_commands}
+
+    # ------------------------------------------------------------ scheduling
+    def run(self) -> None:
+        """Serve commands until ``stop``, one at a time."""
+        commands = self._commands
+        while True:
             try:
                 command = commands.get_nowait()
             except queue_module.Empty:
-                break
-            handled += 1
-            running = answer(command)
-        if not running:
-            break
-        advanced = timed_tick()
-        flush_bus()
-        if handled == 0 and advanced == 0:
-            # Fully idle: block (briefly) instead of spinning.
+                if self.idle():
+                    continue
+                command = commands.get()
+            if not self.handle(command):
+                return
+
+    def idle(self) -> bool:
+        """The queue is empty: step the waiting round, if there is one.
+
+        ``False`` means nothing is waiting either, and the caller may block
+        on the queue.
+        """
+        if not self.engine.step_waiting():
+            return False
+        self._tick()
+        return True
+
+    def handle(self, command: tuple) -> bool:
+        """Apply one command; ``False`` once the worker must stop.
+
+        Whatever the command published is on its way to the facade before
+        the next command is taken: a result never waits for the queue to
+        run dry.
+        """
+        running = self._answer(command)
+        if self.bus.depth:
+            self._send_bus(self.bus.take())
+        return running
+
+    def _tick(self) -> int:
+        started = time.perf_counter()
+        advanced = self.engine.tick()
+        self._busy_seconds += time.perf_counter() - started
+        return advanced
+
+    def _quiesce(self) -> None:
+        while self._tick() > 0:
+            pass
+
+    # ------------------------------------------------------- fire and forget
+    def _ingest(self, command: tuple, received: float) -> None:
+        _, event, sent = command
+        self._queue_wait.add(received - sent)
+        self._step_out((event.vehicle_id,))
+        self._apply(event, received)
+
+    def _ingest_batch(self, command: tuple, received: float) -> None:
+        _, vehicle_ids, segments, extras, sent = command
+        self._queue_wait.add(received - sent)
+        self._step_out(vehicle_ids)
+        ingest = self.engine.ingest
+        if not extras:
+            for vehicle_id, segment in zip(vehicle_ids, segments):
+                ingest(vehicle_id, segment)
+            return
+        for index, vehicle_id in enumerate(vehicle_ids):
+            extra = extras.get(index)
+            if extra is None:
+                ingest(vehicle_id, segments[index])
+            else:
+                self._apply(IngestEvent(vehicle_id, segments[index], *extra),
+                            received)
+
+    def _step_out(self, vehicle_ids) -> None:
+        """Tick until none of these streams has a step waiting, so that the
+        points about to be buffered stack on nothing un-stepped."""
+        engine = self.engine
+        while engine.step_waiting(vehicle_ids):
+            engine.tick()
+
+    def _apply(self, event: IngestEvent, received: float) -> None:
+        if event.trace is not None:
+            event = event._replace(trace=self._tracer.observe(
+                "shard_queue", event.trace, received))
+        apply_event(self.engine, event)
+
+    def _plane_commands(self, command: tuple, received: float) -> None:
+        if self._plane is None:
+            raise ServiceError("no plane installed on this shard")
+        # Opaque to the backend, so it counts as touching every stream.
+        if self.engine.step_waiting():
+            self.engine.tick()
+        kind, payload = command
+        for item in (payload if kind == "plane_batch" else (payload,)):
+            self._plane.handle(item)
+
+    def _finalize_async(self, vehicle_ids: Sequence[Hashable]) -> None:
+        """Close streams on the shard's clock; publish results or the error."""
+        started = time.perf_counter()
+        engine, bus = self.engine, self.bus
+        try:
+            results = engine.finalize_many(vehicle_ids)
+        except BaseException as error:
+            bus.publish("error", tuple(vehicle_ids), error)
+        else:
+            traced = engine.pop_finalize_traced()
+            now = obs_timestamp() if traced else 0.0
+            for vehicle_id, result in zip(vehicle_ids, results):
+                trace_id = traced.get(vehicle_id)
+                bus.publish("result", vehicle_id, result,
+                            None if trace_id is None
+                            else TraceContext(trace_id, now))
+        self._busy_seconds += time.perf_counter() - started
+
+    # --------------------------------------------------------------- replied
+    def _answer(self, command: tuple) -> bool:
+        """Interpret one command; returns False when the worker must stop.
+
+        An error stashed by an earlier fire-and-forget command preempts the
+        reply of the next replied command, so failures surface at the
+        caller instead of silently desynchronizing the shard.
+        """
+        kind = command[0]
+        apply = self._fire_and_forget.get(kind)
+        if apply is not None:
+            # The clock starts at receipt and covers the ticks the command
+            # had to wait for (they run on engine.tick, not _tick).
+            received = time.perf_counter()
             try:
-                command = commands.get(timeout=_IDLE_WAIT_S)
-            except queue_module.Empty:
-                continue
-            running = answer(command)
+                apply(command, received)
+            except BaseException as error:  # surfaced at the next request
+                self._pending_error = error
+            self._busy_seconds += time.perf_counter() - received
+            return True
+        if kind == "finalize_async":
+            self._finalize_async(command[1])
+            return True
+        if kind == "bus_ack":
+            self.bus.ack(command[1])
+            return True
+        if kind == "stop":
+            self._reply(("stopped", None))
+            return False
+        if self._pending_error is not None:
+            error, self._pending_error = self._pending_error, None
+            self._reply(("error", error))
+            return True
+        try:
+            self._reply(self._replied(kind, command))
+        except BaseException as error:
+            self._reply(("error", error))
+        return True
+
+    def _replied(self, kind: str, command: tuple) -> tuple:
+        """The ``(kind, payload)`` reply of one replied command."""
+        engine = self.engine
+        if kind == "sync":
+            self._quiesce()
+            return "synced", None
+        if kind == "finalize":
+            started = time.perf_counter()
+            value = engine.finalize_many(command[1])
+            self._busy_seconds += time.perf_counter() - started
+            engine.pop_finalize_traced()  # sync results skip the bus
+            return "finalized", value
+        if kind == "swap":
+            self._quiesce()
+            update = command[1]
+            if isinstance(update, bytes):
+                # The facade pre-pickled the update once for the whole
+                # broadcast (a delta or a full snapshot alike); each worker
+                # unpickles its own copy, which doubles as the per-shard
+                # isolation the in-process backend gets from
+                # clone_snapshot/clone_delta.
+                update = pickle.loads(update)
+            apply_update(engine, update)
+            if update.weights is not None:
+                self._swaps += 1
+            return "swapped", None
+        if kind == "install_plane":
+            self._plane = command[1](self.shard_id, engine)
+            if hasattr(self._plane, "bind_bus"):
+                self._plane.bind_bus(self.bus.publish)
+            return "plane_installed", None
+        if kind == "bus_replay":
+            return "bus_replayed", self.bus.replay()
+        if kind == "bus_stats":
+            return "bus_stats", self.bus.stats()
+        if kind == "obs":
+            # Registry rides home by pickle (cumulative — the facade merges
+            # into a fresh registry per call); spans drain.
+            return "obs", (self._tracer.registry, self._tracer.take_spans())
+        if kind in ("plane_request", "plane_stats"):
+            if self._plane is None:
+                raise ServiceError("no plane installed on this shard")
+            if kind == "plane_stats":
+                return "plane_stats", self._plane.stats()
+            started = time.perf_counter()
+            value = self._plane.request(command[1])
+            self._busy_seconds += time.perf_counter() - started
+            return "plane_reply", value
+        if kind == "stats":
+            return "stats", ShardStats(
+                shard_id=self.shard_id,
+                backend="process",
+                points_processed=engine.points_processed,
+                ticks=engine.ticks,
+                busy_seconds=self._busy_seconds,
+                queue_depth=_safe_qsize(self._commands),
+                pending_points=engine.total_pending_points(),
+                streams_open=len(engine.active_vehicles),
+                streams_finalized=engine.streams_finalized,
+                cache_hits=engine.cache.hits,
+                cache_misses=engine.cache.misses,
+                swaps=self._swaps,
+                history_version=engine.history_version,
+                history_refreshes=engine.history_refreshes,
+                queue_wait_samples=list(self._queue_wait.samples),
+            )
+        return "error", ServiceError(f"unknown command {kind!r}")
+
+
+def _shard_worker(shard_id: int, blob: bytes, engine_overrides: dict,
+                  commands, results, bus_writer,
+                  obs_options: Optional[dict] = None) -> None:
+    """Worker process main: rebuild the model from its pickled snapshot and
+    serve commands until ``stop`` (see the module docstring)."""
+    engine = model_from_bytes(blob).stream_engine(**engine_overrides)
+    _ShardWorker(shard_id, engine, commands, results.put, bus_writer.send,
+                 obs_options).run()
 
 
 def _safe_qsize(q) -> int:
@@ -872,26 +965,46 @@ def _safe_qsize(q) -> int:
 
 
 class _ProcessShard:
+    """The facade's end of one shard worker: its process and channels."""
+
     def __init__(self, shard_id: int, context, blob: bytes,
                  engine_overrides: dict, queue_depth: int,
                  obs_options: Optional[dict] = None):
         self.shard_id = shard_id
         self.commands = context.Queue(maxsize=queue_depth)
         self.results = context.Queue()
-        # The results *bus* channel: worker-published envelope batches, one
-        # message each. Deliberately separate from `results`, whose strict
-        # one-reply-per-request pairing pushed publications would desync.
-        self.bus = context.Queue()
+        # The results *bus* channel: a one-way pipe the worker writes
+        # envelope batches into from its only thread. Deliberately separate
+        # from `results`, whose strict one-reply-per-request pairing pushed
+        # publications would desync. `arrived` holds what has been read off
+        # the pipe and not yet handed out.
+        self.bus, bus_writer = context.Pipe(duplex=False)
+        self.arrived: Deque[ResultEnvelope] = deque()
         self.pending_ack = 0   # highest watermark the facade wants acked
         self.sent_ack = 0      # highest watermark actually sent to the worker
         self.process = context.Process(
             target=_shard_worker,
             args=(shard_id, blob, engine_overrides, self.commands,
-                  self.results, self.bus, obs_options),
+                  self.results, bus_writer, obs_options),
             daemon=True,
             name=f"repro-serve-shard-{shard_id}",
         )
         self.process.start()
+        # The worker now holds the only write end: its death reads as EOF.
+        bus_writer.close()
+
+    def read_bus(self) -> None:
+        """Move every batch the worker has written into ``arrived``.
+
+        Never waits on an empty pipe. The pipe holds 64 KiB and the worker
+        blocks on a full one, so every loop that waits on the worker calls
+        this between attempts.
+        """
+        try:
+            while self.bus.poll():
+                self.arrived.extend(self.bus.recv())
+        except (EOFError, OSError):
+            pass  # worker gone or pipe closed: the liveness checks say so
 
 
 class ProcessBackend(ServiceBackend):
@@ -919,21 +1032,58 @@ class ProcessBackend(ServiceBackend):
     def num_shards(self) -> int:
         return len(self._shards)
 
-    def _request(self, shard: "_ProcessShard", command: tuple, expect: str):
-        """Send one replied command and wait for its (only) reply."""
-        if self._closed:
-            raise ServiceError("the detection service is closed")
+    # ------------------------------------------------- waiting on a worker
+    def _require_alive(self, shard: "_ProcessShard") -> None:
         if not shard.process.is_alive():
             raise ServiceError(
                 f"shard {shard.shard_id} worker died; the service must be "
                 "rebuilt (in-flight streams of that shard are lost)")
-        shard.commands.put(command)
-        try:
-            kind, payload = shard.results.get(timeout=self._request_timeout_s)
-        except queue_module.Empty:
-            raise ServiceError(
-                f"shard {shard.shard_id} did not answer a {command[0]!r} "
-                f"request within {self._request_timeout_s:.0f}s") from None
+
+    def _attend(self, shard: "_ProcessShard", deadline: float,
+                what: str) -> None:
+        """One turn of a loop that waits on a worker.
+
+        Reads the shard's bus pipe — a worker blocked writing results into
+        it would never get to what the loop waits for — then fails fast on
+        a dead worker or a passed deadline.
+        """
+        shard.read_bus()
+        self._require_alive(shard)
+        if time.monotonic() > deadline:
+            raise ServiceError(f"shard {shard.shard_id} did not {what}")
+
+    def _put(self, shard: "_ProcessShard", command: tuple,
+             timeout_s: float) -> None:
+        """Queue one command that must not be refused, riding out a full
+        queue (never a blocking ``put``: see :meth:`_attend`)."""
+        deadline = time.monotonic() + timeout_s
+        while True:
+            try:
+                shard.commands.put_nowait(command)
+                return
+            except queue_module.Full:
+                self._attend(shard, deadline,
+                             f"take a {command[0]!r} command within "
+                             f"{timeout_s:.0f}s")
+            time.sleep(_WAIT_SLICE_S)
+
+    def _reply(self, shard: "_ProcessShard", what: str) -> tuple:
+        """Wait for a shard's next ``(kind, payload)`` reply."""
+        deadline = time.monotonic() + self._request_timeout_s
+        while True:
+            try:
+                return shard.results.get(timeout=_WAIT_SLICE_S)
+            except queue_module.Empty:
+                self._attend(shard, deadline,
+                             f"{what} within {self._request_timeout_s:.0f}s")
+
+    def _request(self, shard: "_ProcessShard", command: tuple, expect: str):
+        """Send one replied command and wait for its (only) reply."""
+        if self._closed:
+            raise ServiceError("the detection service is closed")
+        self._put(shard, command, self._request_timeout_s)
+        kind, payload = self._reply(shard,
+                                    f"answer a {command[0]!r} request")
         if kind == "error":
             raise payload
         if kind != expect:  # pragma: no cover - protocol bug guard
@@ -941,27 +1091,37 @@ class ProcessBackend(ServiceBackend):
                 f"shard {shard.shard_id} answered {kind!r} to {command[0]!r}")
         return payload
 
+    def _offer(self, shard: int, command: tuple) -> bool:
+        """Queue one fire-and-forget command unless the queue is full.
+
+        A refusal from a dead worker's queue is an error, not backpressure:
+        nothing will ever drain it.
+        """
+        state = self._shards[shard]
+        try:
+            state.commands.put_nowait(command)
+        except queue_module.Full:
+            self._require_alive(state)
+            return False
+        return True
+
+    # -------------------------------------------------------------- ingest
     def ingest(self, shard: int, event: IngestEvent) -> bool:
         # The trailing timestamp is the queue-wait mark: perf_counter is
         # CLOCK_MONOTONIC on Linux, comparable across this process and the
         # worker, which subtracts it at receipt.
-        try:
-            self._shards[shard].commands.put_nowait(
-                ("ingest", event, obs_timestamp()))
-        except queue_module.Full:
-            return False
-        return True
+        return self._offer(shard, ("ingest", event, obs_timestamp()))
 
     def ingest_batch(self, shard: int, events: Sequence[IngestEvent]) -> bool:
-        try:
-            self._shards[shard].commands.put_nowait(
-                ("ingest_batch", list(events), obs_timestamp()))
-        except queue_module.Full:
-            return False
-        return True
+        return self._offer(shard, ("ingest_batch", *_pack_events(events),
+                                   obs_timestamp()))
 
     def pump(self) -> int:
-        return 0  # workers drain and tick themselves
+        # Workers tick themselves; what a waiting caller owes them is an
+        # emptied bus pipe.
+        for shard in self._shards:
+            shard.read_bus()
+        return 0
 
     def drain(self) -> None:
         for shard in self._shards:
@@ -975,23 +1135,21 @@ class ProcessBackend(ServiceBackend):
     # ------------------------------------------------------------ results bus
     def finalize_async(self, shard: int,
                        vehicle_ids: Sequence[Hashable]) -> bool:
-        try:
-            self._shards[shard].commands.put_nowait(
-                ("finalize_async", list(vehicle_ids)))
-        except queue_module.Full:
-            return False
-        return True
+        return self._offer(shard, ("finalize_async", list(vehicle_ids)))
 
     def take_results(self,
                      max_items: Optional[int] = None) -> List[ResultEnvelope]:
         envelopes: List[ResultEnvelope] = []
         for shard in self._shards:
             self._send_ack(shard)  # retry an ack an earlier full queue refused
-            while max_items is None or len(envelopes) < max_items:
-                try:
-                    envelopes.extend(shard.bus.get_nowait())
-                except queue_module.Empty:
-                    break
+            shard.read_bus()
+            arrived = shard.arrived
+            if max_items is None:
+                envelopes.extend(arrived)
+                arrived.clear()
+            else:
+                while arrived and len(envelopes) < max_items:
+                    envelopes.append(arrived.popleft())
         return envelopes
 
     def ack_results(self, shard: int, up_to_seq: int) -> None:
@@ -1029,17 +1187,21 @@ class ProcessBackend(ServiceBackend):
         # cost that made full-snapshot history refreshes collapse at four
         # process shards (benchmarks/results/history_refresh.txt).
         blob = pickle.dumps(update, protocol=pickle.HIGHEST_PROTOCOL)
-        for shard in self._shards:
-            shard.commands.put(("swap", blob))
         first_error: Optional[BaseException] = None
+        sent = []
         for shard in self._shards:
             try:
-                kind, payload = shard.results.get(
-                    timeout=self._request_timeout_s)
-            except queue_module.Empty:
-                first_error = first_error or ServiceError(
-                    f"shard {shard.shard_id} did not acknowledge a weight "
-                    f"swap within {self._request_timeout_s:.0f}s")
+                self._put(shard, ("swap", blob), self._request_timeout_s)
+            except ServiceError as error:  # dead or wedged: nothing to await
+                first_error = first_error or error
+            else:
+                sent.append(shard)
+        for shard in sent:
+            try:
+                kind, payload = self._reply(shard,
+                                            "acknowledge a weight swap")
+            except ServiceError as error:
+                first_error = first_error or error
                 continue
             if kind == "error":
                 first_error = first_error or payload
@@ -1067,19 +1229,10 @@ class ProcessBackend(ServiceBackend):
             self._request(shard, ("install_plane", factory), "plane_installed")
 
     def plane_send(self, shard: int, command) -> bool:
-        try:
-            self._shards[shard].commands.put_nowait(("plane", command))
-        except queue_module.Full:
-            return False
-        return True
+        return self._offer(shard, ("plane", command))
 
     def plane_send_batch(self, shard: int, commands: Sequence) -> bool:
-        try:
-            self._shards[shard].commands.put_nowait(
-                ("plane_batch", list(commands)))
-        except queue_module.Full:
-            return False
-        return True
+        return self._offer(shard, ("plane_batch", list(commands)))
 
     def plane_request(self, shard: int, command):
         return self._request(self._shards[shard],
@@ -1094,23 +1247,20 @@ class ProcessBackend(ServiceBackend):
             return
         self._closed = True
         for shard in self._shards:
-            if shard.process.is_alive():
-                try:
-                    shard.commands.put(("stop",), timeout=1.0)
-                except queue_module.Full:  # pragma: no cover - wedged worker
-                    pass
+            try:
+                self._put(shard, ("stop",), _STOP_TIMEOUT_S)
+            except ServiceError:  # dead or wedged: terminated below
+                pass
         for shard in self._shards:
-            # Drain straggler bus batches so the worker's queue feeder
-            # thread cannot wedge its exit on an unread pipe.
-            while True:
-                try:
-                    shard.bus.get_nowait()
-                except (queue_module.Empty, OSError, ValueError):
-                    break
-            shard.process.join(timeout=5.0)
+            # The worker's last flush must find room in the pipe, so keep
+            # reading it until the process is gone.
+            deadline = time.monotonic() + _JOIN_TIMEOUT_S
+            while shard.process.is_alive() and time.monotonic() < deadline:
+                shard.read_bus()
+                shard.process.join(timeout=_WAIT_SLICE_S)
             if shard.process.is_alive():  # pragma: no cover - wedged worker
                 shard.process.terminate()
-                shard.process.join(timeout=5.0)
+                shard.process.join(timeout=_JOIN_TIMEOUT_S)
             shard.commands.close()
             shard.results.close()
             shard.bus.close()

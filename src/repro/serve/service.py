@@ -15,7 +15,9 @@ single ingest facade:
   :meth:`DetectionService.ingest` never blocks and never drops — a full
   queue returns :attr:`IngestStatus.RETRY_LATER` and the caller retries
   after :meth:`pump` (or a moment later, for the process backend whose
-  workers drain continuously). :meth:`ingest_blocking` wraps that loop.
+  workers run on their own clock — there the queue is also all the lead a
+  producer can build: a worker steps a round before it buffers the next).
+  :meth:`ingest_blocking` wraps that loop.
 * **Snapshot isolation + hot-swap.** The service serves a *snapshot* of the
   model taken at construction (a deep clone in process memory, or a pickled
   blob shipped to worker processes). Callers keep fine-tuning their own
@@ -515,7 +517,9 @@ class DetectionService:
         """Advance queued work opportunistically; returns points labeled.
 
         In-process shards only make progress inside ``pump`` (or during a
-        finalize); process shards run continuously and report 0 here.
+        finalize); process shards run continuously and report 0 here — for
+        them a pump reads the result pipes, so that a caller riding out
+        backpressure never leaves a worker blocked on a full one.
         """
         self._require_open_service()
         return self._backend.pump()
@@ -633,8 +637,10 @@ class DetectionService:
         ``"error"`` envelopes carry a shard-side exception (the caller
         decides whether to raise); ``"session"`` envelopes belong to a
         gateway (:meth:`GpsGateway.poll_sessions`) and pass through
-        untouched. In-process shards only publish while pumped — call
-        :meth:`pump` (or let the driver) before polling.
+        untouched. At most ``max_items`` envelopes are handed out; the
+        rest keep, in order, for the next call. In-process shards only
+        publish while pumped — call :meth:`pump` (or let the driver)
+        before polling.
         """
         self._require_open_service()
         accepted = self._collector.offer(self._backend.take_results(max_items))

@@ -85,6 +85,24 @@ class TestSoakHarness:
         assert "raw fixes" in output
 
 
+def test_soak_outlasts_a_budget_too_small_to_judge():
+    """500 fixes are gone long before six scrapes at 50 ms: the harness
+    keeps the load on until the recorder holds the scrapes its rules need
+    (``min_samples``, and two intervals per throughput window), so the
+    ``samples`` rule is met by construction, not by a tuned budget."""
+    options = SoakOptions(
+        fixes=500, smoke=True, shards=1, backend="inprocess",
+        concurrency=16, drift_parts=1, scrape_interval_s=0.05,
+        min_samples=6, flatness=0.1, quiet=True)
+    harness = SoakHarness(options)
+    report = harness.run()
+    assert report.passed, report.format()
+    assert len(harness.recorder.store) >= max(options.min_samples,
+                                              2 * options.windows + 1)
+    assert harness.fixes_pushed > options.fixes
+    assert harness.recorder.errors == 0
+
+
 class TestBench:
     def test_append_trajectory_grows(self, tmp_path):
         path = tmp_path / "BENCH_x.json"
