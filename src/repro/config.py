@@ -190,18 +190,11 @@ class TrainingConfig:
 
     ``batch_size`` selects how many trajectories share one vectorized
     training step (episodes run time-step-synchronously across the batch and
-    each network takes one optimizer step per batch). The default of 1 keeps
-    the original sequential per-trajectory loop. ``batched`` overrides the
-    engine choice explicitly: ``True`` forces the batched engine even at
-    batch size 1 (used by the differential tests that pin the two engines
-    equal), ``False`` forces the sequential loop, and ``None`` picks the
-    batched engine whenever ``batch_size > 1``.
-
-    ``bucket_by_length`` assembles batches from length-sorted trajectories so
-    ragged batches waste less padding (a batch's cost is ``B * max(n_b)``).
-    It only takes effect at ``batch_size > 1``: with a single trajectory per
-    batch there is no padding to save, and keeping the original order
-    preserves the batch-size-1 equivalence with the sequential loop.
+    each network takes one optimizer step per batch). The default of 1 is
+    Algorithm 2 as the paper reads: one episode and one update of each
+    network per trajectory, in sample order. Above 1, batches are assembled
+    from length-sorted trajectories so ragged batches waste less padding (a
+    batch's cost is ``B * max(n_b)``).
     """
 
     pretrain_trajectories: int = 200
@@ -209,8 +202,6 @@ class TrainingConfig:
     joint_trajectories: int = 10000
     joint_epochs: int = 5
     batch_size: int = 1
-    batched: Optional[bool] = None
-    bucket_by_length: bool = True
     validation_interval: int = 100
     validation_sample: int = 100
     delayed_labeling_window: int = 8

@@ -48,26 +48,29 @@ class Episode:
 class BatchedEpisode:
     """Policy decisions of a whole *batch* of episodes, stored columnar.
 
-    The batched trainer runs B episodes time-step-synchronously; at each step
-    it appends one record covering every episode that made a stochastic (or
-    forced) decision at that step. Instead of one :class:`EpisodeStep` object
-    per decision, the bookkeeping is flat numpy arrays, so the REINFORCE
-    update can process the entire batch with a handful of matmuls.
+    The trainer runs B episodes time-step-synchronously; at each step it
+    appends one record covering every episode that made a stochastic (or
+    forced) decision at that step: the representation ``z`` and previous
+    label the decision was taken from, the action distribution and the
+    action. Instead of one :class:`EpisodeStep` object per decision, the
+    bookkeeping is flat numpy arrays, so the REINFORCE update can process
+    the entire batch with a handful of matmuls.
     """
 
     num_episodes: int
     episode_indices: List[np.ndarray] = field(default_factory=list)
-    states: List[np.ndarray] = field(default_factory=list)
+    representations: List[np.ndarray] = field(default_factory=list)
     actions: List[np.ndarray] = field(default_factory=list)
     probabilities: List[np.ndarray] = field(default_factory=list)
     previous_labels: List[np.ndarray] = field(default_factory=list)
 
-    def append(self, episode_indices: np.ndarray, states: np.ndarray,
+    def append(self, episode_indices: np.ndarray, representations: np.ndarray,
                actions: np.ndarray, probabilities: np.ndarray,
                previous_labels: np.ndarray) -> None:
         """Record the decisions of one time step across the batch."""
         self.episode_indices.append(np.asarray(episode_indices, dtype=np.int64))
-        self.states.append(np.asarray(states, dtype=np.float64))
+        self.representations.append(
+            np.asarray(representations, dtype=np.float64))
         self.actions.append(np.asarray(actions, dtype=np.int64))
         self.probabilities.append(np.asarray(probabilities, dtype=np.float64))
         self.previous_labels.append(np.asarray(previous_labels, dtype=np.int64))
@@ -77,12 +80,12 @@ class BatchedEpisode:
 
     def flattened(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
                                  np.ndarray, np.ndarray]:
-        """All decisions concatenated: (episode_idx, states, actions, probs,
-        previous_labels)."""
+        """All decisions concatenated: (episode_idx, representations,
+        actions, probs, previous_labels)."""
         if not self.episode_indices:
             raise ModelError("the batched episode recorded no decisions")
         return (np.concatenate(self.episode_indices),
-                np.concatenate(self.states, axis=0),
+                np.concatenate(self.representations, axis=0),
                 np.concatenate(self.actions),
                 np.concatenate(self.probabilities, axis=0),
                 np.concatenate(self.previous_labels))
@@ -187,10 +190,9 @@ class ASDNet(Module):
 
         ``z`` holds one RSRNet representation per row (``(B, repr_dim)``) and
         ``previous_labels`` the label of each row's previous segment. The
-        shared state constructor of both batched paths (inference-time
-        :meth:`policy_logits_batch` and training-time
-        :meth:`states_and_probabilities_batch`), so their state layouts can
-        never diverge.
+        one state constructor of the batch forms — :meth:`policy_logits_batch`
+        when a label is decided, :meth:`reinforce_update_batch` when the
+        decision is learned from — so their state layouts can never diverge.
         """
         z = np.asarray(z, dtype=np.float64)
         if z.ndim != 2 or z.shape[1] != self.representation_dim:
@@ -208,26 +210,12 @@ class ASDNet(Module):
                             previous_labels: Sequence[int]) -> np.ndarray:
         """Policy logits for a batch of MDP states, shape ``(B, 2)``.
 
-        The inference-only batched counterpart of :meth:`greedy_action` used
-        by the fleet stream engine; no backward caches are built.
+        The batched counterpart of :meth:`greedy_action`, read through
+        :func:`repro.core.decision.policy_choices` by detection and by the
+        training episode alike; no backward caches are built.
         """
         logits, _ = self.policy(self.build_states_batch(z, previous_labels))
         return logits
-
-    def states_and_probabilities_batch(
-        self, z: np.ndarray, previous_labels: Sequence[int]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """MDP states and action distributions for a batch of decisions.
-
-        Returns ``(states, probabilities)`` of shapes ``(k, state_dim)`` and
-        ``(k, 2)``. This is the training-time batched counterpart of
-        :meth:`sample_action` — the caller samples (or forces) the actions and
-        records everything in a :class:`BatchedEpisode` for
-        :meth:`reinforce_update_batch`.
-        """
-        states = self.build_states_batch(z, previous_labels)
-        logits, _ = self.policy(states)
-        return states, softmax(logits, axis=1)
 
     def action_probability(self, z: np.ndarray, previous_label: int) -> np.ndarray:
         """Action distribution for one state (used by tests and diagnostics)."""
@@ -295,7 +283,7 @@ class ASDNet(Module):
 
         ``episode_returns`` holds ``R_n`` of each episode in the batch. The
         moving-average baseline is advanced once per non-empty episode in
-        batch order — the same sequence of baseline states the sequential
+        batch order — the same sequence of baseline states the scalar
         :meth:`reinforce_update` would traverse — but the gradients of all
         episodes are accumulated into a *single* clipped Adam step, scaled
         by the *mean* over the batch's non-empty episodes so the gradient
@@ -303,10 +291,12 @@ class ASDNet(Module):
         batch-size-invariant, mirroring how
         :meth:`~repro.core.rsrnet.RSRNet.train_step_batch` averages its
         per-sequence losses. At batch size 1 the mean is over one episode
-        and the update is numerically the sequential one; at larger batch
+        and the update is numerically the scalar one; at larger batch
         sizes it is the standard minibatch variant (one optimizer step per
-        batch instead of per episode). Returns the mean log-probability of
-        the taken actions.
+        batch instead of per episode). The MDP states ``[z ; v(previous
+        label)]`` are rebuilt here from what the episode recorded — the
+        label embedding has not moved since the decisions were taken.
+        Returns the mean log-probability of the taken actions.
         """
         if len(episode) == 0:
             return 0.0
@@ -315,8 +305,9 @@ class ASDNet(Module):
         episode_returns = np.asarray(episode_returns, dtype=np.float64)
         if episode_returns.shape != (episode.num_episodes,):
             raise ModelError("need one return per episode in the batch")
-        episode_idx, states, actions, probabilities, previous_labels = \
-            episode.flattened()
+        episode_idx, representations, actions, probabilities, \
+            previous_labels = episode.flattened()
+        states = self.build_states_batch(representations, previous_labels)
         counts = np.bincount(episode_idx, minlength=episode.num_episodes)
 
         advantages = np.zeros(episode.num_episodes)

@@ -8,8 +8,11 @@ label. :class:`~repro.core.stream.StreamEngine` takes the decision one point
 per stream and tick (:func:`rnel_from_degrees`, :func:`policy_choices`,
 :func:`choose`); :func:`label_route` takes it for a whole route at once and
 serves :class:`~repro.core.detector.OnlineDetector` and the engine's
-deferred streams. There is no other softmax, argmax or sampling rule in
-detection.
+deferred streams; the training episode of
+:class:`~repro.core.rl4oasd.RL4OASDTrainer` takes it one time step per batch
+of trajectories (:func:`rnel_from_degrees_batch`, :func:`policy_choices`,
+:func:`sample_labels`). There is no other softmax, argmax or sampling rule
+in detection or training.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..exceptions import ModelError
 from ..nn.losses import softmax
 from ..roadnet.graph import RoadNetwork
 from .asdnet import ASDNet
@@ -45,9 +49,9 @@ def rnel_from_degrees_batch(out_degrees: np.ndarray, in_degrees: np.ndarray,
     """Vectorized :func:`rnel_from_degrees` over aligned arrays.
 
     Returns an int array with the deterministic label where one of the three
-    rules applies and ``-1`` where the policy must decide. Used by the batched
-    training engine, which resolves the RNEL rules for a whole batch of
-    streams in one shot.
+    rules applies and ``-1`` where the policy must decide. Used by the
+    training episode, which resolves the RNEL rules for a whole batch of
+    trajectories in one shot.
     """
     out_degrees = np.asarray(out_degrees, dtype=np.int64)
     in_degrees = np.asarray(in_degrees, dtype=np.int64)
@@ -84,8 +88,9 @@ def policy_choices(asdnet: ASDNet, z: np.ndarray,
 
     The one policy decision rule of detection: row-wise softmax, then — with
     ``greedy`` — argmax over the probabilities (ties to label 0). Otherwise
-    the rows are the action distributions themselves, for :func:`choose` to
-    sample from with the generator of the stream that owns the row.
+    the rows are the action distributions themselves, for
+    :func:`sample_labels` (or :func:`choose`, one row at a time with the
+    generator of the stream that owns the row) to sample from.
     """
     probabilities = softmax(asdnet.policy_logits_batch(z, previous_labels),
                             axis=1)
@@ -94,12 +99,29 @@ def policy_choices(asdnet: ASDNet, z: np.ndarray,
     return probabilities
 
 
+def sample_labels(probabilities: np.ndarray,
+                  rng: np.random.Generator) -> np.ndarray:
+    """Labels sampled from the action distributions in ``probabilities``.
+
+    The one sampling rule of detection and training: one uniform per row
+    (``(k, 2)``, as :func:`policy_choices` returns them), drawn in row order,
+    and the row's label is 1 exactly when its uniform reaches ``p[0]``. A row
+    that is not finite raises :class:`~repro.exceptions.ModelError` before
+    anything is drawn — a diverged policy must not pass as a label.
+    """
+    probabilities = np.asarray(probabilities, dtype=np.float64)
+    if not np.isfinite(probabilities).all():
+        raise ModelError("action probabilities must be finite")
+    return (rng.random(len(probabilities))
+            >= probabilities[:, 0]).astype(np.int64)
+
+
 def choose(choice, rng: Optional[np.random.Generator]) -> int:
     """The label one row of :func:`policy_choices` yields (``rng`` is
     ``None`` exactly when the rows were computed greedy)."""
     if rng is None:
         return choice
-    return int(rng.choice(ASDNet.NUM_ACTIONS, p=choice))
+    return int(sample_labels(choice[None, :], rng)[0])
 
 
 def label_route(

@@ -11,8 +11,8 @@ The paper compares two regimes:
 :class:`OnlineLearner` wraps a trainer and implements the FT regime; the P1
 regime is simply "never call :meth:`observe_part`". Fine-tuning cost is
 tracked per part (:meth:`OnlineLearner.training_time_by_part`, Figure 6d),
-and a ``batch_size`` above 1 routes every fine-tuning round through the
-trainer's batched engine so the learner keeps pace with fleet-scale ingest.
+and a ``batch_size`` above 1 fine-tunes every round in batches of that many
+trajectories so the learner keeps pace with fleet-scale ingest.
 """
 
 from __future__ import annotations
@@ -43,10 +43,10 @@ class OnlineLearner:
     """Keeps an RL4OASD model up to date as new trajectory data arrives.
 
     ``batch_size`` (optional) overrides the trainer's training batch size for
-    the fine-tuning rounds only: with a value above 1 each round runs through
-    the batched training engine — one vectorized episode and gradient step
-    per batch of new trajectories — which cuts the per-part fine-tuning cost
-    without changing how the initial model is trained.
+    the fine-tuning rounds only: with a value above 1 each round takes one
+    vectorized episode and gradient step per batch of new trajectories,
+    which cuts the per-part fine-tuning cost without changing how the
+    initial model is trained. ``None`` keeps the trainer's configured size.
     """
 
     def __init__(self, trainer: RL4OASDTrainer, fine_tune_epochs: int = 1,
@@ -110,11 +110,8 @@ class OnlineLearner:
         if self._model is None:
             raise ModelError("call initial_fit() before observe_part()")
         started = time.perf_counter()
-        if self._batch_size is None:
-            self._trainer.fine_tune(trajectories, epochs=self._fine_tune_epochs)
-        else:
-            self._trainer.fine_tune(trajectories, epochs=self._fine_tune_epochs,
-                                    batch_size=self._batch_size)
+        self._trainer.fine_tune(trajectories, epochs=self._fine_tune_epochs,
+                                batch_size=self._batch_size)
         record = FineTuneRecord(
             part=part,
             num_trajectories=len(trajectories),

@@ -13,25 +13,22 @@ that whole loop:
 * :class:`TrainingReport` — losses, episode returns, validation F1 and wall
   clock collected along the way.
 
-Two training engines produce the same models:
-
-* **Sequential** (``batch_size=1``, the default) — the faithful
-  per-trajectory loop: one episode, one REINFORCE update and one RSRNet
-  gradient step per trajectory, exactly as Algorithm 2 reads.
-* **Batched** (``batch_size>1``, or ``batched=True``) — episodes for a whole
-  batch of trajectories run *time-step-synchronously*: one padded
-  :meth:`~repro.core.rsrnet.RSRNet.forward_batch_train` per batch, one
-  vectorized policy evaluation per time step across every trajectory still
-  active at that step (ragged batches are tail-padded and masked), one
-  batch-accumulated REINFORCE update
-  (:meth:`~repro.core.asdnet.ASDNet.reinforce_update_batch`) and one RSRNet
-  step (:meth:`~repro.core.rsrnet.RSRNet.train_step_batch`) per batch. The
-  batched engine also reuses the single forward pass for the episode
-  representations, the global reward *and* the supervised gradient step,
-  where the sequential loop runs three forwards. At ``batch_size=1`` the two
-  engines are numerically equivalent (pinned by differential tests); at
-  larger batch sizes the batched engine is the standard minibatch variant
-  and several times faster — see ``benchmarks/bench_train_throughput.py``.
+Algorithm 2 runs through one engine at every ``batch_size``: episodes for a
+batch of trajectories run *time-step-synchronously* — one padded
+:meth:`~repro.core.rsrnet.RSRNet.forward_batch_train` per batch (reused for
+the episode representations, the global reward *and* the supervised gradient
+step, because ASDNet's update between them leaves RSRNet untouched), one
+labeling decision per time step across every trajectory still active at that
+step (:mod:`repro.core.decision`; ragged batches are tail-padded and
+masked), one batch-accumulated REINFORCE update
+(:meth:`~repro.core.asdnet.ASDNet.reinforce_update_batch`) and one RSRNet
+step (:meth:`~repro.core.rsrnet.RSRNet.train_step_batch`) per batch. At
+``batch_size=1`` (the default) that *is* the paper's loop — one episode, one
+REINFORCE update and one RSRNet gradient step per trajectory, in sample
+order — and ``tests/reference_trainer.py``, which spells Algorithm 2 out over
+the scalar forms of both networks, pins it there; larger batch sizes are the
+standard minibatch variant and several times faster — see
+``benchmarks/bench_train_throughput.py``.
 """
 
 from __future__ import annotations
@@ -57,10 +54,9 @@ from ..labeling.features import PreprocessedTrajectory, PreprocessingPipeline
 from ..nn.functional import cosine_similarity_rows
 from ..roadnet.graph import RoadNetwork
 from ..trajectory.models import MatchedTrajectory
-from .asdnet import ASDNet, BatchedEpisode, Episode
-from .decision import apply_rnel, rnel_from_degrees_batch
+from .asdnet import ASDNet, BatchedEpisode
+from .decision import policy_choices, rnel_from_degrees_batch, sample_labels
 from .detector import OnlineDetector
-from .rewards import episode_return, global_reward, local_reward
 from .rsrnet import RSRNet
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -75,7 +71,7 @@ def _chunks(items: Sequence, size: int) -> Iterator[Sequence]:
 
 @dataclass
 class _EpisodeBatch:
-    """Padded arrays for one batch of trajectories (batched engine input).
+    """Padded arrays for one batch of trajectories (the episode's input).
 
     ``tokens`` / ``nrf`` are tail-padded ``(B, T)`` index arrays, ``lengths``
     the true lengths, and ``out_degrees`` / ``in_degrees`` hold, at middle
@@ -281,9 +277,6 @@ class RL4OASDTrainer:
         )
         self._trained = False
         self._report = TrainingReport()
-        # Road-segment degrees are static, so the batched engine caches them
-        # rather than re-querying the network at every RNEL decision.
-        self._degree_cache: Dict[int, Tuple[int, int]] = {}
 
     # ------------------------------------------------------------ properties
     @property
@@ -301,19 +294,6 @@ class RL4OASDTrainer:
     @property
     def training_config(self) -> TrainingConfig:
         return self._training_config
-
-    @property
-    def uses_batched_training(self) -> bool:
-        """Whether training runs through the batched engine.
-
-        Decided by :class:`~repro.config.TrainingConfig`: an explicit
-        ``batched`` flag wins; otherwise any ``batch_size > 1`` selects the
-        batched engine and ``batch_size == 1`` keeps the sequential loop.
-        """
-        config = self._training_config
-        if config.batched is not None:
-            return config.batched
-        return config.batch_size > 1
 
     # ------------------------------------------------------------- sampling
     def _sample_trajectories(self, count: int) -> List[MatchedTrajectory]:
@@ -346,33 +326,11 @@ class RL4OASDTrainer:
         )
 
     def _pretrain(self) -> None:
-        """Warm-start both networks using the noisy labels."""
+        """Warm-start both networks using the noisy labels: per epoch, one
+        gradient step per batch, then one forced-label episode per batch."""
         config = self._training_config
         started = time.perf_counter()
         sample = self._sample_trajectories(config.pretrain_trajectories)
-        if self.uses_batched_training:
-            self._pretrain_batched(sample)
-        else:
-            for _ in range(config.pretrain_epochs):
-                for trajectory in sample:
-                    preprocessed = self._pipeline.preprocess(trajectory)
-                    labels = self._training_labels(preprocessed)
-                    loss = self._rsrnet.train_step(
-                        preprocessed.tokens, preprocessed.normal_route_features,
-                        labels)
-                    self._report.pretrain_losses.append(loss)
-                if config.use_asdnet:
-                    for trajectory in sample:
-                        preprocessed = self._pipeline.preprocess(trajectory)
-                        labels = self._training_labels(preprocessed)
-                        self._run_episode(preprocessed, forced_labels=labels)
-        self._report.pretrain_seconds = time.perf_counter() - started
-
-    def _pretrain_batched(self, sample: Sequence[MatchedTrajectory]) -> None:
-        """Batched warm start: same schedule as the sequential loop, one
-        vectorized gradient step (and one forced-label episode batch) per
-        ``batch_size`` trajectories."""
-        config = self._training_config
         preprocessed = [self._pipeline.preprocess(t) for t in sample]
         for _ in range(config.pretrain_epochs):
             for chunk in self._training_chunks(preprocessed,
@@ -386,10 +344,11 @@ class RL4OASDTrainer:
                 self._report.pretrain_losses.extend(float(l) for l in losses)
             if config.use_asdnet:
                 for chunk in self._training_chunks(preprocessed,
-                                               config.batch_size):
+                                                   config.batch_size):
                     prep = self._prepare_batch(chunk, with_degrees=False)
                     forced = [self._training_labels(p) for p in chunk]
                     self._run_episode_batch(prep, forced_labels=forced)
+        self._report.pretrain_seconds = time.perf_counter() - started
 
     def _joint_training(self) -> None:
         """Iteratively refine labels with ASDNet and retrain RSRNet on them.
@@ -410,46 +369,26 @@ class RL4OASDTrainer:
         best_state = (self._rsrnet.state_dict(), self._asdnet.state_dict())
         self._report.validation_f1.append(best_f1)
 
-        if self.uses_batched_training:
-            processed = 0
-            for chunk in self._training_chunks(sample, config.batch_size):
-                preprocessed = [self._pipeline.preprocess(t) for t in chunk]
-                prep = self._prepare_batch(preprocessed,
-                                           with_degrees=config.use_rnel)
-                for _ in range(config.joint_epochs):
-                    labels, returns, cache = self._run_episode_batch(prep)
-                    losses = self._rsrnet.train_step_batch(labels, cache)
-                    self._report.joint_losses.extend(float(l) for l in losses)
-                    self._report.episode_returns.extend(float(r) for r in returns)
-                before, processed = processed, processed + len(chunk)
-                crossed = (processed // config.validation_interval
-                           > before // config.validation_interval)
-                if crossed or processed == len(sample):
-                    score = self._validation_f1()
-                    self._report.validation_f1.append(score)
-                    if score >= best_f1:
-                        best_f1 = score
-                        best_state = (self._rsrnet.state_dict(),
-                                      self._asdnet.state_dict())
-        else:
-            for index, trajectory in enumerate(sample, start=1):
-                preprocessed = self._pipeline.preprocess(trajectory)
-                for _ in range(config.joint_epochs):
-                    refined_labels, episode_value = self._run_episode(preprocessed)
-                    loss = self._rsrnet.train_step(
-                        preprocessed.tokens,
-                        preprocessed.normal_route_features,
-                        refined_labels,
-                    )
-                    self._report.joint_losses.append(loss)
-                    self._report.episode_returns.append(episode_value)
-                if index % config.validation_interval == 0 or index == len(sample):
-                    score = self._validation_f1()
-                    self._report.validation_f1.append(score)
-                    if score >= best_f1:
-                        best_f1 = score
-                        best_state = (self._rsrnet.state_dict(),
-                                      self._asdnet.state_dict())
+        processed = 0
+        for chunk in self._training_chunks(sample, config.batch_size):
+            preprocessed = [self._pipeline.preprocess(t) for t in chunk]
+            prep = self._prepare_batch(preprocessed,
+                                       with_degrees=config.use_rnel)
+            for _ in range(config.joint_epochs):
+                labels, returns, cache = self._run_episode_batch(prep)
+                losses = self._rsrnet.train_step_batch(labels, cache)
+                self._report.joint_losses.extend(float(l) for l in losses)
+                self._report.episode_returns.extend(float(r) for r in returns)
+            before, processed = processed, processed + len(chunk)
+            crossed = (processed // config.validation_interval
+                       > before // config.validation_interval)
+            if crossed or processed == len(sample):
+                score = self._validation_f1()
+                self._report.validation_f1.append(score)
+                if score >= best_f1:
+                    best_f1 = score
+                    best_state = (self._rsrnet.state_dict(),
+                                  self._asdnet.state_dict())
 
         self._rsrnet.load_state_dict(best_state[0])
         self._asdnet.load_state_dict(best_state[1])
@@ -500,93 +439,20 @@ class RL4OASDTrainer:
         report = evaluate_labelings(truths, predictions)
         return report.f1
 
-    def _run_episode(
-        self,
-        preprocessed: PreprocessedTrajectory,
-        forced_labels: Optional[Sequence[int]] = None,
-    ) -> Tuple[List[int], float]:
-        """Label one trajectory with the current policy and update ASDNet.
-
-        When ``forced_labels`` is given, the policy is updated as if it had
-        chosen those labels (the pre-training warm start). Returns the refined
-        labels and the episode return.
-        """
-        config = self._training_config
-        tokens = preprocessed.tokens
-        nrf = preprocessed.normal_route_features
-        segments = preprocessed.trajectory.segments
-        n = len(tokens)
-
-        z, _, _ = self._rsrnet.forward(tokens, nrf)
-        labels: List[int] = [0]
-        episode = Episode()
-        for i in range(1, n):
-            if i == n - 1:
-                labels.append(0)
-                continue
-            if forced_labels is not None:
-                action = int(forced_labels[i])
-                episode.steps.append(
-                    self._asdnet.evaluate_action(z[i], labels[-1], action))
-                labels.append(action)
-                continue
-            deterministic = None
-            if config.use_rnel:
-                deterministic = apply_rnel(self._network, segments[i - 1],
-                                           segments[i], labels[-1])
-            if deterministic is not None:
-                labels.append(deterministic)
-                continue
-            action, step = self._asdnet.sample_action(z[i], labels[-1],
-                                                      rng=self._rng)
-            episode.steps.append(step)
-            labels.append(action)
-
-        local_rewards: List[float] = []
-        if config.use_local_reward:
-            local_rewards = [
-                local_reward(z[i - 1], z[i], labels[i - 1], labels[i])
-                for i in range(1, n)
-            ]
-        if config.use_global_reward:
-            refined_loss = self._rsrnet.loss(tokens, nrf, labels)
-            global_value = global_reward(refined_loss)
-        else:
-            global_value = 0.0
-        episode_value = episode_return(local_rewards, global_value)
-        # Forced-label episodes are the warm start: they behave like weighted
-        # behaviour cloning, so the variance-reducing baseline is not applied.
-        self._asdnet.reinforce_update(
-            episode, episode_value,
-            use_baseline=None if forced_labels is None else False,
-        )
-        return labels, episode_value
-
-    # ------------------------------------------------------ batched engine
+    # ----------------------------------------------------------- episodes
     def _training_chunks(self, items: Sequence, size: int) -> Iterator[Sequence]:
-        """Assemble training batches, length-bucketed when that cuts padding.
+        """Assemble training batches, length-sorted when that cuts padding.
 
         A padded batch costs ``B * max_b(n_b)`` whatever the individual
         lengths, so mixing a 60-segment trip with 10-segment trips wastes
-        most of the batch on masked positions. With
-        :attr:`TrainingConfig.bucket_by_length` (the default) and a real
-        batch size, items are stably sorted by trajectory length first, so
-        each batch spans near-uniform lengths. At ``batch_size == 1`` the
-        original order is always kept — there is no padding to save, and the
-        sequential-loop equivalence pins that ordering.
+        most of the batch on masked positions. Above batch size 1, items are
+        stably sorted by trajectory length first, so each batch spans
+        near-uniform lengths. At size 1 the sample order is kept — there is
+        no padding to save, and it is the order Algorithm 2 visits them in.
         """
-        if size > 1 and self._training_config.bucket_by_length:
+        if size > 1:
             items = sorted(items, key=len)  # stable: ties keep sample order
         return _chunks(items, size)
-
-    def _segment_degrees(self, segment: int) -> Tuple[int, int]:
-        """Cached ``(out_degree, in_degree)`` of one road segment."""
-        degrees = self._degree_cache.get(segment)
-        if degrees is None:
-            degrees = (self._network.out_degree(segment),
-                       self._network.in_degree(segment))
-            self._degree_cache[segment] = degrees
-        return degrees
 
     def _prepare_batch(self, preprocessed: Sequence[PreprocessedTrajectory],
                        with_degrees: bool) -> _EpisodeBatch:
@@ -603,9 +469,10 @@ class RL4OASDTrainer:
             nrf[b, :n] = item.normal_route_features
             if with_degrees:
                 segments = item.trajectory.segments
-                for i in range(1, n - 1):
-                    out_degrees[b, i] = self._segment_degrees(segments[i - 1])[0]
-                    in_degrees[b, i] = self._segment_degrees(segments[i])[1]
+                out_degrees[b, 1:n - 1] = [self._network.out_degree(segment)
+                                           for segment in segments[:n - 2]]
+                in_degrees[b, 1:n - 1] = [self._network.in_degree(segment)
+                                          for segment in segments[1:n - 1]]
         return _EpisodeBatch(preprocessed=list(preprocessed), tokens=tokens,
                              nrf=nrf, lengths=lengths,
                              out_degrees=out_degrees, in_degrees=in_degrees)
@@ -623,19 +490,22 @@ class RL4OASDTrainer:
         prep: _EpisodeBatch,
         forced_labels: Optional[Sequence[Sequence[int]]] = None,
     ) -> Tuple[np.ndarray, np.ndarray, dict]:
-        """Label a batch of trajectories with the current policy, batched.
+        """Label a batch of trajectories with the current policy; update ASDNet.
 
-        The batched counterpart of :meth:`_run_episode`: episodes run
-        time-step-synchronously — at step ``t`` every trajectory whose
-        position ``t`` is a middle segment resolves its label (RNEL rule or
-        one vectorized policy evaluation), sources/destinations stay normal,
-        and padded positions are skipped. Rewards are computed vectorized and
-        ASDNet takes one batch-accumulated REINFORCE update. Returns
-        ``(labels, returns, cache)`` where ``labels`` is the padded ``(B, T)``
-        label matrix, ``returns`` the per-episode returns, and ``cache`` the
-        RSRNet forward cache, reusable by
-        :meth:`~repro.core.rsrnet.RSRNet.train_step_batch` because ASDNet's
-        update leaves RSRNet's weights untouched.
+        Episodes run time-step-synchronously — at step ``t`` every trajectory
+        whose position ``t`` is a middle segment resolves its label by the
+        rules of :mod:`repro.core.decision` (RNEL where the road network
+        leaves no choice, otherwise one policy evaluation over the remaining
+        rows and one sampled label each, drawn in row order from the
+        trainer's generator), sources/destinations stay normal, and padded
+        positions are skipped. With ``forced_labels`` (the pre-training warm
+        start) the policy is updated as if it had chosen those labels.
+        Rewards are computed vectorized and ASDNet takes one
+        batch-accumulated REINFORCE update. Returns ``(labels, returns,
+        cache)`` where ``labels`` is the padded ``(B, T)`` label matrix,
+        ``returns`` the per-episode returns, and ``cache`` the RSRNet forward
+        cache, reusable by :meth:`~repro.core.rsrnet.RSRNet.train_step_batch`
+        because ASDNet's update leaves RSRNet's weights untouched.
         """
         config = self._training_config
         lengths = prep.lengths
@@ -647,42 +517,26 @@ class RL4OASDTrainer:
         forced = (self._pad_labels(forced_labels, horizon)
                   if forced_labels is not None else None)
 
-        for t in range(1, horizon):
-            middle = np.nonzero(t < lengths - 1)[0]
-            if middle.size == 0:
-                continue
-            previous = labels[middle, t - 1]
-            if forced is not None:
-                actions = forced[middle, t]
-                states, probabilities = \
-                    self._asdnet.states_and_probabilities_batch(
-                        z[middle, t], previous)
-                episode.append(middle, states, actions, probabilities, previous)
-                labels[middle, t] = actions
-                continue
-            rows = middle
-            if config.use_rnel:
+        destinations = lengths - 1
+        for t in range(1, horizon - 1):
+            rows = np.nonzero(t < destinations)[0]
+            previous = labels[rows, t - 1]
+            if forced is None and config.use_rnel:
                 decided = rnel_from_degrees_batch(
-                    prep.out_degrees[middle, t], prep.in_degrees[middle, t],
+                    prep.out_degrees[rows, t], prep.in_degrees[rows, t],
                     previous)
                 fixed = decided >= 0
-                labels[middle[fixed], t] = decided[fixed]
-                rows = middle[~fixed]
-                previous = previous[~fixed]
-            if rows.size == 0:
-                continue
-            states, probabilities = self._asdnet.states_and_probabilities_batch(
-                z[rows, t], previous)
-            if rows.size == 1:
-                # Single stochastic decision: draw through the same
-                # rng.choice call as the sequential loop, which keeps the
-                # batch-size-1 engine on the identical random stream.
-                actions = np.array([int(self._rng.choice(
-                    ASDNet.NUM_ACTIONS, p=probabilities[0]))], dtype=np.int64)
-            else:
-                draws = self._rng.random(rows.size)
-                actions = (draws >= probabilities[:, 0]).astype(np.int64)
-            episode.append(rows, states, actions, probabilities, previous)
+                labels[rows[fixed], t] = decided[fixed]
+                rows, previous = rows[~fixed], previous[~fixed]
+                if rows.size == 0:
+                    continue
+            representations = z[rows, t]
+            probabilities = policy_choices(self._asdnet, representations,
+                                           previous, greedy=False)
+            actions = (forced[rows, t] if forced is not None
+                       else sample_labels(probabilities, self._rng))
+            episode.append(rows, representations, actions, probabilities,
+                           previous)
             labels[rows, t] = actions
 
         if config.use_global_reward:
@@ -726,64 +580,40 @@ class RL4OASDTrainer:
         on them. Publish the refreshed history to running services via
         :meth:`DetectionService.swap_history` (or attach the service to an
         :class:`~repro.core.online.OnlineLearner`, which pushes weights and
-        history together after every fine-tuning round). An explicit ``batch_size``
-        overrides the training configuration for this call only — including
-        its ``batched`` engine choice (a value above 1 always runs the
-        batched engine, 1 always runs the sequential loop). This is the knob
-        :class:`~repro.core.online.OnlineLearner` uses to keep per-part
-        fine-tuning fast without touching how the model was trained
-        initially.
+        history together after every fine-tuning round). ``batch_size``
+        overrides the configured batch size for this call only (``None``
+        keeps it) — the knob :class:`~repro.core.online.OnlineLearner` uses
+        to keep per-part fine-tuning fast without touching how the model
+        was trained initially.
         """
+        config = self._training_config
+        if batch_size is None:
+            batch_size = config.batch_size
+        elif batch_size < 1:
+            raise ModelError("batch_size must be >= 1")
         if not new_trajectories:
             return
         self._historical.extend(new_trajectories)
         self._pipeline.extend_history(new_trajectories)
-        config = self._training_config
-        if batch_size is None:
-            effective_batch = config.batch_size
-            batched = self.uses_batched_training
-        else:
-            # An explicit per-call batch size expresses the caller's intent
-            # directly, so it overrides the configured engine choice too.
-            if batch_size < 1:
-                raise ModelError("batch_size must be >= 1")
-            effective_batch = int(batch_size)
-            batched = effective_batch > 1
-        if batched:
-            items = list(new_trajectories)
-            for _ in range(max(1, epochs)):
-                for chunk in self._training_chunks(items, effective_batch):
-                    preprocessed = [self._pipeline.preprocess(t) for t in chunk]
-                    prep = self._prepare_batch(
-                        preprocessed,
-                        with_degrees=config.use_asdnet and config.use_rnel)
-                    if config.use_asdnet:
-                        labels, returns, cache = self._run_episode_batch(prep)
-                        self._report.episode_returns.extend(
-                            float(r) for r in returns)
-                    else:
-                        labels = self._pad_labels(
-                            [self._training_labels(p) for p in preprocessed],
-                            prep.horizon)
-                        _, _, cache = self._rsrnet.forward_batch_train(
-                            prep.tokens, prep.nrf, prep.lengths)
-                    losses = self._rsrnet.train_step_batch(labels, cache)
-                    self._report.joint_losses.extend(float(l) for l in losses)
-            return
+        items = list(new_trajectories)
         for _ in range(max(1, epochs)):
-            for trajectory in new_trajectories:
-                preprocessed = self._pipeline.preprocess(trajectory)
+            for chunk in self._training_chunks(items, batch_size):
+                preprocessed = [self._pipeline.preprocess(t) for t in chunk]
+                prep = self._prepare_batch(
+                    preprocessed,
+                    with_degrees=config.use_asdnet and config.use_rnel)
                 if config.use_asdnet:
-                    refined_labels, episode_value = self._run_episode(preprocessed)
-                    self._report.episode_returns.append(episode_value)
+                    labels, returns, cache = self._run_episode_batch(prep)
+                    self._report.episode_returns.extend(
+                        float(r) for r in returns)
                 else:
-                    refined_labels = self._training_labels(preprocessed)
-                loss = self._rsrnet.train_step(
-                    preprocessed.tokens,
-                    preprocessed.normal_route_features,
-                    refined_labels,
-                )
-                self._report.joint_losses.append(loss)
+                    labels = self._pad_labels(
+                        [self._training_labels(p) for p in preprocessed],
+                        prep.horizon)
+                    _, _, cache = self._rsrnet.forward_batch_train(
+                        prep.tokens, prep.nrf, prep.lengths)
+                losses = self._rsrnet.train_step_batch(labels, cache)
+                self._report.joint_losses.extend(float(l) for l in losses)
 
     # ----------------------------------------------------------------- misc
     @property

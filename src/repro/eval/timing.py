@@ -1,7 +1,7 @@
 """Timing harnesses for the efficiency experiments (Figures 3 and 4), the
 fleet-throughput comparison between the single-stream detector and the batched
-stream engine, and the training-throughput comparison between the sequential
-per-trajectory training loop and the batched training engine."""
+stream engine, and the training-throughput comparison of the training engine
+across batch sizes (one trajectory per step against whole batches)."""
 
 from __future__ import annotations
 
@@ -277,8 +277,8 @@ class TrainingThroughputReport:
     (every segment passes through RSRNet's recurrent step and, in the middle
     of a trajectory, through ASDNet's policy) and whole trajectories (each is
     one episode plus one supervised gradient step per epoch). Used to compare
-    the sequential per-trajectory loop against the batched training engine at
-    different batch sizes.
+    the training engine at different batch sizes, batch size 1 — one
+    trajectory per step — being the baseline.
     """
 
     name: str

@@ -46,13 +46,13 @@ class ExperimentSettings:
 
     ``batch_size`` defaults to 4: the experiment harnesses train whole
     grids of models (one per city, ablation row or parameter setting), so
-    they run through the batched training engine by default — the numerics
-    are the standard minibatch variant, several times faster at identical
+    they train four trajectories per step by default — the numerics are the
+    standard minibatch variant, several times faster at identical
     architecture. Larger batches take fewer optimizer steps over the same
     scaled-down schedules; 4 is the value at which every reproduced quality
     floor (table 3, figure 6, the ablations and parameter studies) still
-    holds. Set ``batch_size=1`` to reproduce the paper-faithful sequential
-    loop instead.
+    holds. Set ``batch_size=1`` for Algorithm 2 as the paper reads, one
+    trajectory per step.
     """
 
     scale: float = 0.35

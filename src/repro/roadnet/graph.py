@@ -175,11 +175,11 @@ class RoadNetwork:
 
     def out_degree(self, segment_id: int) -> int:
         """Number of segments reachable right after ``segment_id`` (``e.out``)."""
-        return len(self.successor_segments(segment_id))
+        return len(self._out_segments[self.segment(segment_id).end_node])
 
     def in_degree(self, segment_id: int) -> int:
         """Number of segments that can directly lead into ``segment_id`` (``e.in``)."""
-        return len(self.predecessor_segments(segment_id))
+        return len(self._in_segments[self.segment(segment_id).start_node])
 
     def node_out_segments(self, node_id: int) -> List[int]:
         if node_id not in self._nodes:

@@ -1,11 +1,13 @@
-"""Tests of the batched training engine.
+"""Tests of the training engine.
 
-The central contract: with ``batch_size=1`` the batched engine is numerically
-equivalent to the sequential per-trajectory loop (same random stream, same
-gradient steps, same final model), and with larger batch sizes it is a
-well-behaved minibatch variant over ragged (padded + masked) trajectory
-batches. The differential tests here mirror ``tests/test_stream_engine.py``,
-which pins the batched *inference* engine the same way.
+The central contract: with ``batch_size=1`` the trainer is numerically
+equivalent to Algorithm 2 spelled out as a scalar per-trajectory loop
+(``tests/reference_trainer.py``: same random stream, same gradient steps,
+same final model) — under the defaults and with each Table IV switch turned
+off — and with larger batch sizes it is a well-behaved minibatch variant over
+ragged (padded + masked) trajectory batches. The differential tests here
+mirror ``tests/test_stream_engine.py``, which pins the batched *inference*
+engine the same way.
 """
 
 import numpy as np
@@ -14,11 +16,17 @@ import pytest
 from repro.config import (ASDNetConfig, LabelingConfig, RSRNetConfig,
                           TrainingConfig)
 from repro.core import OnlineLearner, RL4OASDTrainer, TrainingReport
-from repro.core.detector import rnel_from_degrees, rnel_from_degrees_batch
+from repro.core.decision import choose, sample_labels
+from repro.core.detector import (apply_rnel, rnel_from_degrees,
+                                 rnel_from_degrees_batch)
 from repro.exceptions import ConfigurationError, ModelError
 from repro.nn import (LSTM, cosine_similarity, cosine_similarity_rows,
                       cross_entropy_from_logits,
                       sequence_cross_entropy_from_logits)
+from repro.trajectory.models import MatchedTrajectory
+
+from reference_detector import reference_labels
+from reference_trainer import ReferenceTrainer
 
 
 # ------------------------------------------------------------ nn primitives
@@ -103,81 +111,235 @@ def test_rnel_from_degrees_batch_matches_scalar():
 
 
 # ------------------------------------------------- differential equivalence
-def _make_trainer(dataset, train, development, **training_overrides):
+def _trainer_arguments(dataset, train, development, pretrained_embeddings=None,
+                       **training_overrides):
     overrides = dict(pretrain_trajectories=40, pretrain_epochs=2,
                      joint_trajectories=30, joint_epochs=1,
                      validation_interval=10, seed=7)
     overrides.update(training_overrides)
-    return RL4OASDTrainer(
-        dataset.network, train,
+    return dict(
+        network=dataset.network, historical=train,
         labeling_config=LabelingConfig(alpha=0.35, delta=0.25),
         rsrnet_config=RSRNetConfig(embedding_dim=12, hidden_dim=12, nrf_dim=6,
                                    seed=5),
         asdnet_config=ASDNetConfig(label_embedding_dim=6, seed=6),
         training_config=TrainingConfig(**overrides),
+        pretrained_embeddings=pretrained_embeddings,
         development_set=development[:10],
     )
 
 
+def _make_trainer(dataset, train, development, **overrides):
+    return RL4OASDTrainer(
+        **_trainer_arguments(dataset, train, development, **overrides))
+
+
+def _make_reference(dataset, train, development, **overrides):
+    return ReferenceTrainer(
+        **_trainer_arguments(dataset, train, development, **overrides))
+
+
+#: Batch 1 against the scalar reference, absolute, on every compared
+#: quantity. Measured: 3.4e-16 on the schedules below, 5.1e-15 on one three
+#: times as long. This bound may only shrink.
+REFERENCE_ATOL = 1e-10
+
+
+def _assert_matches_reference(trainer, reference):
+    """Weights, losses, returns, validation F1 within ``REFERENCE_ATOL``;
+    the generator's end state exactly."""
+    for name, value in reference.rsrnet.state_dict().items():
+        np.testing.assert_allclose(trainer.rsrnet.state_dict()[name], value,
+                                   rtol=0, atol=REFERENCE_ATOL)
+    for name, value in reference.asdnet.state_dict().items():
+        np.testing.assert_allclose(trainer.asdnet.state_dict()[name], value,
+                                   rtol=0, atol=REFERENCE_ATOL)
+    for series in ("pretrain_losses", "joint_losses", "episode_returns",
+                   "validation_f1"):
+        np.testing.assert_allclose(getattr(trainer.report, series),
+                                   getattr(reference.report, series),
+                                   rtol=0, atol=REFERENCE_ATOL)
+    assert (trainer._rng.bit_generator.state
+            == reference.rng.bit_generator.state)
+
+
 def test_batched_engine_is_equivalent_at_batch_size_1(dataset, dataset_split):
-    """The tentpole differential test: full training through the batched
-    engine at batch size 1 yields the same model as the sequential loop."""
+    """The tentpole differential test: full training at batch size 1 yields
+    the same model as the scalar per-trajectory reference loop."""
     train, development, test = dataset_split
-    sequential = _make_trainer(dataset, train, development)
-    sequential_model = sequential.train()
-    batched = _make_trainer(dataset, train, development, batched=True)
-    assert batched.uses_batched_training
-    batched_model = batched.train()
+    reference = _make_reference(dataset, train, development)
+    reference.train()
+    trainer = _make_trainer(dataset, train, development)
+    model = trainer.train()
 
-    for name, value in sequential_model.rsrnet.state_dict().items():
-        np.testing.assert_allclose(batched_model.rsrnet.state_dict()[name],
-                                   value, atol=1e-8)
-    for name, value in sequential_model.asdnet.state_dict().items():
-        np.testing.assert_allclose(batched_model.asdnet.state_dict()[name],
-                                   value, atol=1e-8)
-
-    np.testing.assert_allclose(batched.report.pretrain_losses,
-                               sequential.report.pretrain_losses, atol=1e-8)
-    np.testing.assert_allclose(batched.report.joint_losses,
-                               sequential.report.joint_losses, atol=1e-8)
-    np.testing.assert_allclose(batched.report.episode_returns,
-                               sequential.report.episode_returns, atol=1e-8)
-    np.testing.assert_allclose(batched.report.validation_f1,
-                               sequential.report.validation_f1, atol=1e-8)
-
+    _assert_matches_reference(trainer, reference)
+    assert (trainer.report.best_validation_f1
+            == pytest.approx(reference.report.best_validation_f1,
+                             abs=REFERENCE_ATOL))
     for trajectory in test[:20]:
-        assert (batched_model.detector().detect(trajectory).labels
-                == sequential_model.detector().detect(trajectory).labels)
+        assert (model.detector().detect(trajectory).labels
+                == reference_labels(reference, trajectory))
 
 
 def test_batched_fine_tune_is_equivalent_at_batch_size_1(dataset, dataset_split):
     train, development, _ = dataset_split
-    sequential = _make_trainer(dataset, train[:120], development)
-    sequential.train()
-    batched = _make_trainer(dataset, train[:120], development, batched=True)
-    batched.train()
+    reference = _make_reference(dataset, train[:120], development)
+    reference.train()
+    trainer = _make_trainer(dataset, train[:120], development)
+    trainer.train()
 
-    sequential.fine_tune(train[120:140], epochs=2)
-    batched.fine_tune(train[120:140], epochs=2)
-    for name, value in sequential.rsrnet.state_dict().items():
-        np.testing.assert_allclose(batched.rsrnet.state_dict()[name], value,
-                                   atol=1e-8)
-    for name, value in sequential.asdnet.state_dict().items():
-        np.testing.assert_allclose(batched.asdnet.state_dict()[name], value,
-                                   atol=1e-8)
-    np.testing.assert_allclose(batched.report.joint_losses,
-                               sequential.report.joint_losses, atol=1e-8)
+    reference.fine_tune(train[120:140], epochs=2)
+    trainer.fine_tune(train[120:140], epochs=2)
+    _assert_matches_reference(trainer, reference)
+
+
+TABLE_IV_SWITCHES = ["use_rnel", "use_asdnet", "use_noisy_labels",
+                     "use_local_reward", "use_global_reward",
+                     "use_delayed_labeling", "use_pretrained_embeddings"]
+
+
+@pytest.mark.parametrize("flag", TABLE_IV_SWITCHES)
+def test_batch_size_1_matches_reference_under_each_ablation(
+        dataset, dataset_split, pipeline, flag):
+    """Every Table 4 row trains through the one engine: training and two
+    fine-tuning epochs equal the reference with each switch turned off."""
+    train, development, _ = dataset_split
+    embeddings = np.random.default_rng(3).normal(
+        scale=0.1, size=(len(pipeline.vocabulary), 12))
+    overrides = dict(pretrained_embeddings=embeddings,
+                     joint_trajectories=24, validation_interval=8,
+                     **{flag: False})
+    reference = _make_reference(dataset, train[:120], development, **overrides)
+    reference.train()
+    trainer = _make_trainer(dataset, train[:120], development, **overrides)
+    trainer.train()
+    _assert_matches_reference(trainer, reference)
+
+    reference.fine_tune(train[120:132], epochs=2)
+    trainer.fine_tune(train[120:132], epochs=2)
+    _assert_matches_reference(trainer, reference)
+
+
+def test_batch_size_1_matches_reference_where_rnel_fires(line_network):
+    """The tiny grid city has no degree-1 junction, so RNEL never fixes a
+    label there; on the line network with its bypass it fixes most of them."""
+    routes = [[0, 1, 2]] * 3 + [[0, 3, 4, 2]]
+    trips = [MatchedTrajectory(trajectory_id=i, segments=routes[i % 4],
+                               start_time_s=600.0 * i) for i in range(28)]
+    assert apply_rnel(line_network, 3, 4, 1) == 1      # copy rule
+    assert apply_rnel(line_network, 4, 2, 0) == 0      # merge rule
+    assert apply_rnel(line_network, 0, 3, 0) is None   # the policy decides
+    arguments = dict(
+        network=line_network, historical=trips[:20],
+        labeling_config=LabelingConfig(alpha=0.35, delta=0.25),
+        rsrnet_config=RSRNetConfig(embedding_dim=6, hidden_dim=6, nrf_dim=3,
+                                   seed=5),
+        asdnet_config=ASDNetConfig(label_embedding_dim=3, learning_rate=0.05,
+                                   seed=6),
+        training_config=TrainingConfig(
+            pretrain_trajectories=12, pretrain_epochs=2, joint_trajectories=16,
+            joint_epochs=2, validation_interval=4, seed=7))
+    reference = ReferenceTrainer(**arguments)
+    reference.train()
+    trainer = RL4OASDTrainer(**arguments)
+    trainer.train()
+    _assert_matches_reference(trainer, reference)
+    reference.fine_tune(trips[20:], epochs=2)
+    trainer.fine_tune(trips[20:], epochs=2)
+    _assert_matches_reference(trainer, reference)
+
+
+# ------------------------------------------------------ the sampling rule
+class _CountingGenerator:
+    """A numpy ``Generator`` that counts the uniforms drawn via ``random``."""
+
+    def __init__(self, seed):
+        self._generator = np.random.default_rng(seed)
+        self.uniforms = 0
+
+    def random(self, size=None):
+        self.uniforms += 1 if size is None else int(np.prod(size))
+        return self._generator.random(size)
+
+    def __getattr__(self, name):
+        return getattr(self._generator, name)
+
+
+def test_sample_labels_contract(rng):
+    probabilities = rng.dirichlet([1.0, 1.0], size=9)
+    counting = _CountingGenerator(4)
+    labels = sample_labels(probabilities, counting)
+    assert counting.uniforms == 9  # one per row, drawn in row order
+    uniforms = np.random.default_rng(4).random(9)
+    assert labels.tolist() == (uniforms >= probabilities[:, 0]).tolist()
+
+    # ``choose`` is the sampler's one-row form: same labels, same stream.
+    single = _CountingGenerator(4)
+    assert [choose(row, single) for row in probabilities] == labels.tolist()
+    assert single.uniforms == 9
+    assert single.bit_generator.state == counting.bit_generator.state
+    assert choose(1, None) == 1  # greedy rows are the labels themselves
+
+    # A diverged policy raises instead of passing as a label, undrawn.
+    for bad in (np.nan, np.inf):
+        broken = probabilities.copy()
+        broken[5, 1] = bad
+        untouched = _CountingGenerator(4)
+        with pytest.raises(ModelError):
+            sample_labels(broken, untouched)
+        with pytest.raises(ModelError):
+            choose(broken[5], untouched)
+        assert untouched.uniforms == 0
+
+
+def test_episode_draws_one_uniform_per_policy_decided_point(
+        dataset, dataset_split):
+    """One uniform per point the policy decides; none for RNEL-fixed points,
+    endpoints or the forced labels of the warm start."""
+    train, development, _ = dataset_split
+    trainer = _make_trainer(dataset, train[:60], development,
+                            pretrain_trajectories=10, joint_trajectories=4)
+    trainer.train()
+    preprocessed = [trainer.pipeline.preprocess(t) for t in train[60:66]]
+    prep = trainer._prepare_batch(preprocessed, with_degrees=True)
+    # The tiny grid city has no degree-1 junctions; plant some, so each of
+    # the three RNEL rules gets to fix points of this batch.
+    prep.out_degrees[:, 2::3] = 1
+    prep.in_degrees[:, 3::3] = 1
+
+    counting = trainer._rng = _CountingGenerator(9)
+    labels, _, _ = trainer._run_episode_batch(prep)
+    decided = 0
+    for b, item in enumerate(preprocessed):
+        assert labels[b, 0] == 0 and labels[b, len(item) - 1] == 0
+        for i in range(1, len(item) - 1):
+            fixed = rnel_from_degrees(prep.out_degrees[b, i],
+                                      prep.in_degrees[b, i], labels[b, i - 1])
+            if fixed is None:
+                decided += 1
+            else:
+                assert labels[b, i] == fixed
+    assert 0 < decided < sum(len(item) - 2 for item in preprocessed)
+    assert counting.uniforms == decided
+    # ... and nothing else was drawn from the generator.
+    expected = np.random.default_rng(9)
+    expected.random(decided)
+    assert counting.bit_generator.state == expected.bit_generator.state
+
+    forced = [list(item.noisy_labels) for item in preprocessed]
+    trainer._run_episode_batch(prep, forced_labels=forced)
+    assert counting.uniforms == decided
+    assert counting.bit_generator.state == expected.bit_generator.state
 
 
 # ---------------------------------------------------------- larger batches
 def test_batched_training_with_ragged_batches(dataset, dataset_split):
     """Batch size 8 over trajectories of different lengths yields a usable
-    model and the same report structure as the sequential engine."""
+    model and the same report structure as batch size 1."""
     train, development, test = dataset_split
     lengths = {len(t) for t in train[:32]}
     assert len(lengths) > 1  # the batches really are ragged
     trainer = _make_trainer(dataset, train, development, batch_size=8)
-    assert trainer.uses_batched_training
     model = trainer.train()
     report = trainer.report
     assert len(report.pretrain_losses) == 40 * 2
@@ -204,46 +366,40 @@ def test_batched_training_ablations_run(dataset, dataset_split, flag):
     assert len(result.labels) == len(test[0])
 
 
-def test_sequential_config_keeps_sequential_engine(dataset, dataset_split):
-    train, development, _ = dataset_split
-    trainer = _make_trainer(dataset, train, development)
-    assert not trainer.uses_batched_training
-    forced_off = _make_trainer(dataset, train, development, batch_size=8,
-                               batched=False)
-    assert not forced_off.uses_batched_training
-
-
 def test_training_config_validates_batch_size():
     with pytest.raises(ConfigurationError):
         TrainingConfig(batch_size=0).validate()
 
 
-def test_explicit_fine_tune_batch_size_overrides_engine_choice(
+def test_explicit_fine_tune_batch_size_overrides_configured_size(
         dataset, dataset_split, monkeypatch):
-    """Regression: fine_tune(batch_size=N>1) must use the batched engine even
-    when the configuration forced the sequential loop (batched=False)."""
+    """fine_tune(batch_size=8) on a batch_size=1 trainer: 16 trips are
+    exactly two episode batches of eight."""
     train, development, _ = dataset_split
     trainer = _make_trainer(dataset, train[:60], development,
-                            pretrain_trajectories=10, joint_trajectories=4,
-                            batched=False)
+                            pretrain_trajectories=10, joint_trajectories=4)
     trainer.train()
-    calls = []
+    batches = []
     original = RL4OASDTrainer._run_episode_batch
 
-    def spy(self, *args, **kwargs):
-        calls.append(True)
-        return original(self, *args, **kwargs)
+    def spy(self, prep, *args, **kwargs):
+        batches.append(len(prep))
+        return original(self, prep, *args, **kwargs)
 
     monkeypatch.setattr(RL4OASDTrainer, "_run_episode_batch", spy)
     trainer.fine_tune(train[60:76], batch_size=8)
-    assert calls  # the batched engine really ran
+    assert batches == [8, 8]
 
 
 def test_fine_tune_rejects_invalid_batch_size(dataset, dataset_split):
     train, development, _ = dataset_split
     trainer = _make_trainer(dataset, train[:60], development)
+    history = trainer.pipeline.history
     with pytest.raises(ModelError):
         trainer.fine_tune(train[60:70], batch_size=0)
+    # Rejected before anything moved: a retry must not double the history.
+    assert trainer.pipeline.history.version == history.version
+    assert len(trainer.pipeline.sd_index) == len(history) == 60
 
 
 # ----------------------------------------------------- reporting paths
@@ -300,27 +456,6 @@ def test_online_learner_training_time_by_part():
     assert trainer.calls == [(5, 2, 16), (3, 2, 16)]
 
 
-def test_online_learner_default_keeps_trainer_signature():
-    """Without a batch size the learner must not pass the keyword at all, so
-    trainers with the pre-batching fine_tune signature keep working."""
-
-    class LegacyTrainer:
-        def __init__(self):
-            self.calls = []
-
-        def train(self):
-            return object()
-
-        def fine_tune(self, trajectories, epochs=1):  # no batch_size kwarg
-            self.calls.append((len(trajectories), epochs))
-
-    trainer = LegacyTrainer()
-    learner = OnlineLearner(trainer)
-    learner.initial_fit()
-    learner.observe_part(1, [object()] * 4)
-    assert trainer.calls == [(4, 1)]
-
-
 def test_online_learner_validates_batch_size(dataset, dataset_split):
     train, _, _ = dataset_split
     trainer = RL4OASDTrainer(dataset.network, train[:40])
@@ -329,7 +464,7 @@ def test_online_learner_validates_batch_size(dataset, dataset_split):
 
 
 def test_online_learner_batched_fine_tuning_workflow(dataset, dataset_split):
-    """End to end: a learner fine-tuning through the batched engine."""
+    """End to end: a learner fine-tuning in batches of 16."""
     train, development, test = dataset_split
     trainer = _make_trainer(dataset, train[:120], development,
                             pretrain_trajectories=20, joint_trajectories=8)
@@ -362,7 +497,7 @@ def test_validation_pass_matches_detector_scoring(dataset, dataset_split):
 
 def test_training_chunks_bucket_by_length(dataset, dataset_split):
     """Bucketed assembly sorts batches by length (stably) and cuts padding;
-    batch size 1 and the opt-out keep the sample order untouched."""
+    batch size 1 keeps the sample order untouched."""
     train, development, _ = dataset_split
     sample = list(train[:17])
 
@@ -381,11 +516,7 @@ def test_training_chunks_bucket_by_length(dataset, dataset_split):
         indices = [positions[id(t)] for t in group]
         assert indices == sorted(indices)
 
-    unbucketed = _make_trainer(dataset, train, development, batch_size=4,
-                               bucket_by_length=False)
-    assert [t for chunk in unbucketed._training_chunks(sample, 4)
-            for t in chunk] == sample
-    at_one = _make_trainer(dataset, train, development, batched=True)
+    at_one = _make_trainer(dataset, train, development)
     assert [t for chunk in at_one._training_chunks(sample, 1)
             for t in chunk] == sample
 

@@ -1,6 +1,6 @@
 """Documentation checks run by the CI docs job.
 
-Three checks, no third-party dependencies beyond the library's own:
+Four checks, no third-party dependencies beyond the library's own:
 
 1. **Internal links** — every relative markdown link in ``docs/*.md`` (and
    the README) must point at a file or directory that exists.
@@ -8,6 +8,9 @@ Three checks, no third-party dependencies beyond the library's own:
    valid Python (compiled, not executed: the examples train models).
 3. **Import smoke** — every documented public module imports, and the names
    the docs present as the public API exist where they say they do.
+4. **Config keywords** — every keyword a fenced example passes to a
+   ``repro.config`` dataclass constructor is a field of that dataclass, so an
+   example naming a deleted option fails although it still compiles.
 
 Run locally with::
 
@@ -16,6 +19,8 @@ Run locally with::
 
 from __future__ import annotations
 
+import ast
+import dataclasses
 import re
 import sys
 from pathlib import Path
@@ -40,7 +45,8 @@ PUBLIC_SURFACE = {
     "repro.core.detector": ["OnlineDetector", "rnel_from_degrees_batch",
                             "finish_labels"],
     "repro.core.decision": ["label_route", "policy_choices", "choose",
-                            "rnel_from_degrees", "apply_rnel"],
+                            "sample_labels", "rnel_from_degrees",
+                            "apply_rnel"],
     "repro.serve": [
         "DetectionService", "IngestStatus", "serve_fleet", "shard_of",
         "ServiceMetrics", "ShardStats", "save_model", "load_model",
@@ -115,17 +121,49 @@ def check_links() -> list:
     return errors
 
 
-def check_python_fences() -> list:
-    errors = []
+def python_fences():
+    """``(doc, index, source)`` of every fenced ``python`` block."""
     for doc in DOC_FILES:
         text = doc.read_text(encoding="utf-8")
         for index, match in enumerate(FENCE_PATTERN.finditer(text), start=1):
-            source = match.group(1)
-            try:
-                compile(source, f"{doc.name}:fence{index}", "exec")
-            except SyntaxError as error:
-                errors.append(f"{doc.relative_to(REPO)}: python fence "
-                              f"#{index} does not compile: {error}")
+            yield doc, index, match.group(1)
+
+
+def check_python_fences() -> list:
+    errors = []
+    for doc, index, source in python_fences():
+        try:
+            compile(source, f"{doc.name}:fence{index}", "exec")
+        except SyntaxError as error:
+            errors.append(f"{doc.relative_to(REPO)}: python fence "
+                          f"#{index} does not compile: {error}")
+    return errors
+
+
+def check_config_keywords() -> list:
+    import repro.config
+
+    fields = {name: {field.name for field in dataclasses.fields(cls)}
+              for name, cls in vars(repro.config).items()
+              if isinstance(cls, type) and dataclasses.is_dataclass(cls)}
+    errors = []
+    for doc, index, source in python_fences():
+        try:
+            tree = ast.parse(source)
+        except SyntaxError:
+            continue  # check_python_fences reports it
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name not in fields:
+                continue
+            for keyword in node.keywords:  # arg is None for **kwargs
+                if keyword.arg is not None and keyword.arg not in fields[name]:
+                    errors.append(
+                        f"{doc.relative_to(REPO)}: python fence #{index} "
+                        f"passes {keyword.arg}= to {name}, which has no "
+                        f"such field")
     return errors
 
 
@@ -147,15 +185,16 @@ def check_imports() -> list:
 
 
 def main() -> int:
-    errors = check_links() + check_python_fences() + check_imports()
+    errors = (check_links() + check_python_fences() + check_imports()
+              + check_config_keywords())
     for error in errors:
         print(f"ERROR: {error}")
     checked = ", ".join(str(d.relative_to(REPO)) for d in DOC_FILES)
     if errors:
         print(f"\n{len(errors)} documentation problem(s) in: {checked}")
         return 1
-    print(f"docs OK: links, python fences and public imports verified "
-          f"({checked})")
+    print(f"docs OK: links, python fences, public imports and config "
+          f"keywords verified ({checked})")
     return 0
 
 
