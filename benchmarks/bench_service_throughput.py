@@ -5,8 +5,8 @@ Replays the same fleet workload several ways — one batched ``StreamEngine``
 wrapper and through the raw asyncio driver (``serve_fleet_async``; facade
 overhead, no IPC), and a multi-process service at 1/2/4 shards — verifies
 every path produces identical labels, reports points/sec for each, and
-exercises the backpressure path (a deliberately tiny queue fills, the
-driver retries, no stream is lost).
+exercises the backpressure path (a one-command queue fills, the driver
+retries, no stream is lost).
 
 Sharding pays through parallelism, so what the numbers show depends on the
 machine: on a single core the process backend only adds IPC cost, while on a
@@ -108,10 +108,12 @@ def _measure_service_async(model, workload, total_points, *, num_shards,
 
 
 def _exercise_backpressure(model, workload):
-    """A queue of depth 2 must fill; retries must still deliver everything."""
+    """A queue of depth 1 must fill (the bound counts commands: a round's
+    ingest batch leaves no room for the finalize that follows it); retries
+    must still deliver everything."""
     fleet = workload[:32]
     with model.detection_service(num_shards=1, backend="inprocess",
-                                 queue_depth=2) as service:
+                                 queue_depth=1) as service:
         results = serve_fleet(service, fleet, concurrency=16)
         metrics = service.metrics()
     complete = (len(results) == len(fleet)

@@ -299,9 +299,9 @@ class GatewayConfig:
     backpointer convergence has not committed a point after that many
     successors, emission is forced. ``ingest_batch`` groups gateway→shard
     traffic into per-shard batched puts (matched segments on the facade
-    placement, raw match commands on the shard placement; 1 keeps the
-    per-point path); ``max_retries`` / ``retry_wait_s`` configure the
-    backpressure retry loop.
+    placement, raw match commands on the shard placement; 1 flushes every
+    one as a batch of one); ``max_retries`` / ``retry_wait_s`` configure
+    the backpressure retry loop.
 
     ``matcher_placement`` selects where online map matching runs:
 

@@ -42,8 +42,8 @@ road. The gateway turns the one into the other, per vehicle, online::
   breaking fix, and committed segments flow straight into the service.
 * **Batched service ingest.** Committed segments are buffered and flushed as
   per-shard batches through :meth:`DetectionService.ingest_many`
-  (``ingest_batch`` per flush; 1 selects the per-point path), amortizing the
-  per-point IPC that otherwise caps multi-shard scaling.
+  (``ingest_batch`` per flush; 1 flushes every segment as a batch of one),
+  amortizing the per-point IPC that otherwise caps multi-shard scaling.
 
 :func:`serve_raw_fleet` replays whole raw-trajectory workloads through a
 gateway the way :func:`~repro.serve.service.serve_fleet` replays matched
@@ -679,21 +679,11 @@ class GpsGateway:
                                 trace)
         else:
             event = IngestEvent(session.key, segment, None, 0.0, None, trace)
-        if self._config.ingest_batch == 1:
-            self._service.ingest_blocking(
-                event.vehicle_id, event.segment,
-                max_retries=self._config.max_retries,
-                retry_wait_s=self._config.retry_wait_s,
-                destination=event.destination,
-                start_time_s=event.start_time_s,
-                trajectory_id=event.trajectory_id,
-                trace=event.trace)
-        else:
-            shard = self._service.shard_for(event.vehicle_id)
-            self._pending.setdefault(shard, []).append(event)
-            self._pending_count += 1
-            if self._pending_count >= self._config.ingest_batch:
-                self.flush()
+        shard = self._service.shard_for(event.vehicle_id)
+        self._pending.setdefault(shard, []).append(event)
+        self._pending_count += 1
+        if self._pending_count >= self._config.ingest_batch:
+            self.flush()
         session.opened = True
         session.segments_forwarded += 1
         self._stats.segments_emitted += 1

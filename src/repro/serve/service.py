@@ -11,13 +11,14 @@ single ingest facade:
   reach the same engine, in order. Labels are identical to one big engine
   (and therefore to :class:`~repro.core.detector.OnlineDetector`) no matter
   the shard count or backend — pinned by ``tests/test_serve.py``.
-* **Backpressure-aware ingest.** Each shard's queue is bounded;
-  :meth:`DetectionService.ingest` never blocks and never drops — a full
+* **Backpressure-aware ingest.** Each shard's queue is bounded, in
+  commands; :meth:`DetectionService.ingest` (one point: a batch of one, the
+  command :meth:`ingest_many` sends) never blocks and never drops — a full
   queue returns :attr:`IngestStatus.RETRY_LATER` and the caller retries
   after :meth:`pump` (or a moment later, for the process backend whose
-  workers run on their own clock — there the queue is also all the lead a
-  producer can build: a worker steps a round before it buffers the next).
-  :meth:`ingest_blocking` wraps that loop.
+  workers run on their own clock). On either backend the queue is all the
+  lead a producer can build: a shard steps a round before it buffers the
+  next. :meth:`ingest_blocking` wraps that loop.
 * **Snapshot isolation + hot-swap.** The service serves a *snapshot* of the
   model taken at construction (a deep clone in process memory, or a pickled
   blob shipped to worker processes). Callers keep fine-tuning their own
@@ -73,7 +74,8 @@ from ..obs.trace import (STAGES, STAGE_LATENCY_METRIC, Span, Tracer,
                          timestamp as obs_timestamp, write_spans_jsonl)
 from ..trajectory.models import MatchedTrajectory
 from .backends import (ControlUpdate, IngestEvent, InProcessBackend,
-                       ProcessBackend, ServiceBackend)
+                       ProcessBackend, ServiceBackend, _pack_events,
+                       append_event)
 from .checkpoint import (WeightsSnapshot, clone_model, model_to_bytes,
                          weights_snapshot)
 from .metrics import BusStats, ServiceMetrics, metrics_to_registry
@@ -257,7 +259,7 @@ class DetectionService:
             IngestEvent(vehicle_id, segment, destination, start_time_s,
                         trajectory_id, trace), ())
         shard = self.shard_for(vehicle_id)
-        if not self._backend.ingest(shard, event):
+        if not self._backend.ingest_batch(shard, _pack_events((event,))):
             self._rejected += 1
             return IngestStatus.RETRY_LATER
         self._accepted += 1
@@ -316,15 +318,10 @@ class DetectionService:
         if not requests:
             return 0
         by_shard, openers = self._plan_ingest(requests)
-        batches = self._deliver_batches(
+        return self._deliver_blocking(
             by_shard, self._backend.ingest_batch,
-            self._ingest_delivered(openers), max_retries, "a batched ingest")
-        total_retries = 0
-        for _ in batches:
-            total_retries += 1
-            if self.pump() == 0:
-                time.sleep(retry_wait_s)
-        return total_retries
+            self._ingest_delivered(openers), max_retries, retry_wait_s,
+            "a batched ingest")
 
     async def ingest_many_async(
         self,
@@ -355,10 +352,15 @@ class DetectionService:
 
     def _plan_ingest(
         self, requests: Sequence[IngestEvent]
-    ) -> Tuple[Dict[int, List[IngestEvent]], Dict[int, List[Hashable]]]:
-        """Validate a batch and group it per shard, preserving stream order."""
+    ) -> Tuple[Dict[int, tuple], Dict[int, List[Hashable]]]:
+        """Validate a batch and group it per shard, preserving stream order.
+
+        Each shard's group is built directly as the columns of its
+        ``ingest_batch`` command (:func:`~repro.serve.backends.
+        append_event`), in the one pass that validates the events.
+        """
         opening: Dict[Hashable, int] = {}
-        by_shard: Dict[int, List[IngestEvent]] = {}
+        by_shard: Dict[int, tuple] = {}
         openers: Dict[int, List[Hashable]] = {}
         for request in requests:
             if request.__class__ is not IngestEvent:
@@ -368,16 +370,15 @@ class DetectionService:
             if opens:
                 opening[event.vehicle_id] = shard
                 openers.setdefault(shard, []).append(event.vehicle_id)
-            bucket = by_shard.get(shard)
-            if bucket is None:
-                by_shard[shard] = [event]
-            else:
-                bucket.append(event)
+            columns = by_shard.get(shard)
+            if columns is None:
+                columns = by_shard[shard] = ([], [], {})
+            append_event(columns, event)
         return by_shard, openers
 
     def _ingest_delivered(self, openers: Dict[int, List[Hashable]]):
-        def delivered(shard: int, events: List[IngestEvent]) -> None:
-            self._accepted += len(events)
+        def delivered(shard: int, columns: tuple) -> None:
+            self._accepted += len(columns[0])
             self._batched_ingests += 1
             # Track this shard's new streams immediately, so a failure on a
             # *later* shard cannot leave delivered streams untracked.
@@ -407,6 +408,20 @@ class DetectionService:
                         f"{max_retries} retries of {what}")
                 yield
             delivered(shard, batch)
+
+    def _deliver_blocking(self, by_shard: Dict[int, List], send, delivered,
+                          max_retries: int, retry_wait_s: float,
+                          what: str) -> int:
+        """:meth:`_deliver_batches` for a caller that may block: after each
+        refusal pump, and sleep when pumping made no progress (the process
+        backend drains on its own clock). Returns retries used."""
+        retries = 0
+        for _ in self._deliver_batches(by_shard, send, delivered,
+                                       max_retries, what):
+            retries += 1
+            if self.pump() == 0:
+                time.sleep(retry_wait_s)
+        return retries
 
     def _admit(self, request: IngestEvent, opening) -> Tuple[IngestEvent, bool]:
         """Validate one point and normalize it to its queued event.
@@ -476,20 +491,14 @@ class DetectionService:
         self._require_plane()
         if not commands:
             return 0
-        commands = list(commands)
-        retries = 0
-        while not self._backend.plane_send_batch(shard, commands):
-            self._rejected += 1
-            retries += 1
-            if retries > max_retries:
-                raise ServiceError(
-                    f"shard {shard} queue stayed full after {max_retries} "
-                    f"retries of a batched plane send")
-            if self.pump() == 0:
-                time.sleep(retry_wait_s)
-        self._accepted += len(commands)
-        self._batched_ingests += 1
-        return retries
+
+        def delivered(shard: int, batch: List) -> None:
+            self._accepted += len(batch)
+            self._batched_ingests += 1
+
+        return self._deliver_blocking(
+            {shard: list(commands)}, self._backend.plane_send_batch,
+            delivered, max_retries, retry_wait_s, "a batched plane send")
 
     def plane_request(self, shard: int, command):
         """Send one replied command to a shard's plane; returns its answer.
@@ -516,10 +525,11 @@ class DetectionService:
     def pump(self) -> int:
         """Advance queued work opportunistically; returns points labeled.
 
-        In-process shards only make progress inside ``pump`` (or during a
-        finalize); process shards run continuously and report 0 here — for
-        them a pump reads the result pipes, so that a caller riding out
-        backpressure never leaves a worker blocked on a full one.
+        In-process shards only make progress inside ``pump`` (or ahead of
+        a replied call — ``finalize``, ``drain``, ``swap`` — never inside
+        :meth:`metrics`); process shards run continuously and report 0 here
+        — for them a pump reads the result pipes, so that a caller riding
+        out backpressure never leaves a worker blocked on a full one.
         """
         self._require_open_service()
         return self._backend.pump()
@@ -609,15 +619,9 @@ class DetectionService:
                 del self._open[vehicle_id]
                 self._pending_results[vehicle_id] = shard
 
-        batches = self._deliver_batches(
+        return self._deliver_blocking(
             by_shard, self._backend.finalize_async, delivered,
-            max_retries, "an async finalize")
-        total_retries = 0
-        for _ in batches:
-            total_retries += 1
-            if self.pump() == 0:
-                time.sleep(retry_wait_s)
-        return total_retries
+            max_retries, retry_wait_s, "an async finalize")
 
     @property
     def results_pending(self) -> int:

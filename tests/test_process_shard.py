@@ -10,7 +10,11 @@ identity (which ``test_serve.py`` and ``test_result_bus.py`` pin):
 * the results bus is a pipe the worker writes synchronously, so a facade
   that does not poll must still never wedge it;
 * ``ingest_batch`` travels as columns and applies exactly like the events;
-* a dead worker surfaces at the data plane at once.
+* a dead worker surfaces at the data plane at once;
+* both transports carry the same commands to the same ``ShardCore``: one
+  scripted sequence yields the same envelopes and the same ``ShardStats``
+  through either, a stashed failure surfaces once through either, and the
+  in-process queue is the FIFO (and the bound) the process queue is.
 """
 
 from __future__ import annotations
@@ -22,12 +26,24 @@ import pytest
 
 from repro.exceptions import LabelingError, ServiceError
 from repro.obs.trace import TraceContext
-from repro.serve import IngestEvent, clone_model, weights_snapshot
-from repro.serve.backends import _ShardWorker, _pack_events, apply_event
+from repro.serve import (ControlUpdate, IngestEvent, InProcessBackend,
+                         ProcessBackend, clone_model, model_to_bytes,
+                         weights_snapshot)
+from repro.serve.backends import ShardCore, _pack_events
 
 from test_result_bus import StallPlaneFactory
+from test_serve import perturbed_snapshot
 
 UNKNOWN_SEGMENT = 10 ** 9
+
+
+def apply_event(engine, event):
+    """Feed one event into an engine: the reference the columns are held to."""
+    engine.ingest(event.vehicle_id, event.segment,
+                  destination=event.destination,
+                  start_time_s=event.start_time_s,
+                  trajectory_id=event.trajectory_id,
+                  trace=event.trace)
 
 
 def trip_events(vehicle, trajectory, trace_at=None):
@@ -62,7 +78,7 @@ def online_trips(trained_model, dataset_split):
 
 
 class Harness:
-    """A ``_ShardWorker`` on a private model, with every tick's batch width
+    """A ``ShardCore`` on a private model, with every tick's batch width
     and everything it sends or replies recorded."""
 
     def __init__(self, model):
@@ -77,8 +93,8 @@ class Harness:
 
         model.rsrnet.step_batch = recording_step
         self.sent, self.replies = [], []
-        self.worker = _ShardWorker(0, self.engine, queue.Queue(),
-                                   self.replies.append, self.sent.append)
+        self.worker = ShardCore(0, self.engine, "harness", queue.Queue().qsize,
+                                self.replies.append, self.sent.append)
 
     def handle(self, *command):
         """Handle one command; returns the batch widths of its ticks."""
@@ -158,8 +174,7 @@ def test_single_ingest_commands_still_tick_fleet_wide(trained_model,
     for round_index in range(5):
         ticks.append([
             width for own in events
-            for width in harness.handle("ingest", own[round_index],
-                                        time.perf_counter())])
+            for width in harness.ingest_batch([own[round_index]])])
     # 64 commands a round, one tick a round, at batch 64.
     assert ticks == [[], [], [fleet], [fleet], [fleet]]
 
@@ -192,7 +207,7 @@ def test_stacked_points_are_stepped_out_before_the_streams_next_command(
     # next point is buffered: newest-before plus the new one stay pending.
     assert harness.ingest_batch(own[4:5]) == [2, 1, 1]
     assert harness.engine.pending_points("a") == 2
-    assert harness.handle("ingest", own[5], time.perf_counter()) == [1]
+    assert harness.ingest_batch([own[5]]) == [1]
     assert harness.engine.pending_points("a") == 2
 
 
@@ -245,13 +260,13 @@ def test_plane_commands_count_as_touching_every_stream(trained_model,
     events = trip_events(0, online_trips[0])
     harness.ingest_batch(events[:3])
     # Opaque to the backend: one tick if anything waits, none otherwise.
-    assert harness.handle("plane", "first") == [1]
+    assert harness.handle("plane_batch", ["first"]) == [1]
     assert harness.handle("plane_batch", ["second", "third"]) == [1]
-    assert harness.handle("plane", "fourth") == []
+    assert harness.handle("plane_batch", ["fourth"]) == []
     assert plane.seen == [("first", 1), ("second", 2), ("third", 2),
                           ("fourth", 2)]
     # A publishing plane command is flushed like a finalize.
-    harness.handle("plane", "publish")
+    harness.handle("plane_batch", ["publish"])
     assert [(e.kind, e.key) for e in harness.sent.pop()] == [
         ("session", "key")]
 
@@ -463,3 +478,133 @@ def test_dead_worker_surfaces_at_the_data_plane_at_once(
         assert f"shard {shard} worker died" in str(failure.value)
         with pytest.raises(ServiceError, match="worker died"):
             service.metrics()
+
+
+# ------------------------------------------- one interpreter, two transports
+TRANSPORTS = ["inprocess", "process"]
+
+
+def one_shard_backend(transport, model, queue_depth):
+    if transport == "inprocess":
+        return InProcessBackend(clone_model(model), 1, queue_depth)
+    return ProcessBackend(model_to_bytes(model), 1, queue_depth)
+
+
+def run_script(transport, model, trips):
+    """One fixed command sequence against one shard, below the facade:
+    what came over the bus, and the shard's counters at three boundaries."""
+    events = [trip_events(vehicle, trip, trace_at=2 if vehicle == 1 else None)
+              for vehicle, trip in enumerate(trips)]
+    rounds = [[own[index] for own in events if index < len(own)]
+              for index in range(max(len(own) for own in events))]
+    vehicles = list(range(len(trips)))
+    backend = one_shard_backend(transport, model, queue_depth=64)
+    snapshots = []
+
+    def snapshot():
+        backend.drain()
+        (shard,), (bus,) = backend.stats(), backend.bus_stats()
+        counters = shard.as_dict()
+        assert counters.pop("backend") == transport
+        del counters["busy_seconds"]  # the one timing among them
+        snapshots.append((counters, bus))
+
+    def take():
+        return [(e.kind, e.key, e.seq, tuple(e.payload.labels))
+                for e in backend.take_results()]
+
+    try:
+        for batch in rounds[:4]:  # the openers, then mid-stream rounds
+            assert backend.ingest_batch(0, _pack_events(batch))
+        snapshot()
+        backend.swap(ControlUpdate(weights=perturbed_snapshot(model)))
+        for batch in rounds[4:]:
+            assert backend.ingest_batch(0, _pack_events(batch))
+        assert backend.finalize_async(0, vehicles[1:])
+        labels = backend.finalize(0, vehicles[:1])[0].labels
+        snapshot()
+        first = take()
+        assert backend.replay_results() == len(first)  # nothing acked yet
+        backend.drain()
+        again = take()
+        backend.ack_results(0, again[-1][2])
+        snapshot()
+        _, spans = backend.obs_snapshot()[0]
+    finally:
+        backend.close()
+    stages = sorted(span.stage for span in spans if span.trace_id == 1001)
+    return first, again, labels, snapshots, stages
+
+
+@pytest.mark.fleet
+def test_one_script_reads_the_same_through_either_transport(trained_model,
+                                                            online_trips):
+    trips = sorted(online_trips[:6], key=len)
+    assert len(trips[0]) > 4
+    inproc, process = (run_script(transport, trained_model, trips)
+                       for transport in TRANSPORTS)
+    assert inproc == process
+    first, again, _, snapshots, stages = inproc
+    assert [(kind, key, seq) for kind, key, seq, _ in first] == [
+        ("result", vehicle, vehicle) for vehicle in range(1, len(trips))]
+    assert again == first  # the replay redelivers the unacked window
+    (_, _), (closed, _), (_, bus) = snapshots
+    assert closed["queue_depth"] == 0 and closed["swaps"] == 1
+    assert closed["streams_finalized"] == len(trips)
+    assert (bus.redelivered, bus.acked_seq, bus.lag) == (
+        len(first), len(first), 0)
+    # The traced point's stages, shard side (published once per delivery).
+    assert stages == ["bus_publish", "bus_publish", "engine_tick", "finalize",
+                      "shard_queue"]
+
+
+@pytest.mark.parametrize("transport", TRANSPORTS)
+def test_failure_below_the_facade_surfaces_once_at_the_next_replied_command(
+        trained_model, dataset_split, transport):
+    """The core-level stash test, lifted to the transports: the facade's
+    vocabulary check is what normally keeps this from happening."""
+    _, _, test = dataset_split
+    events = trip_events(0, test[0])[:3] + trip_events(1, test[1])[:3]
+    events[4] = events[4]._replace(segment=UNKNOWN_SEGMENT)
+    backend = one_shard_backend(transport, trained_model, queue_depth=4)
+    try:
+        assert backend.ingest_batch(0, _pack_events(events))
+        with pytest.raises(LabelingError):
+            backend.drain()
+        backend.drain()  # once
+        (shard,) = backend.stats()
+    finally:
+        backend.close()
+    # The batch's prefix is applied: three points of 0, the opener of 1.
+    assert shard.streams_open == 2
+    assert shard.points_processed + shard.pending_points == 4
+
+
+def test_inprocess_queue_is_one_fifo_for_ingest_and_plane_commands(
+        trained_model, online_trips):
+    backend = InProcessBackend(clone_model(trained_model), 1, queue_depth=2)
+    planes = []
+
+    def factory(shard_id, engine):
+        planes.append(RecordingPlane(engine))
+        return planes[-1]
+
+    backend.install_plane(factory)
+    (plane,) = planes
+    events = trip_events(0, online_trips[0])
+    assert backend.ingest_batch(0, _pack_events(events[:2]))
+    assert backend.plane_send_batch(0, ["after"])
+    # The bound counts commands, whatever their kind, and refuses the third.
+    assert not backend.plane_send_batch(0, ["refused"])
+    assert not backend.ingest_batch(0, _pack_events(events[2:3]))
+    (shard,) = backend.stats()
+    assert (shard.queue_depth, shard.streams_open) == (2, 0)
+    assert plane.seen == []
+    backend.pump()
+    # Handled behind the batch queued before it: the tick a plane command
+    # waits for had the stream's first point to step.
+    assert plane.seen == [("after", 1)]
+    assert backend.plane_send_batch(0, ["accepted"])
+    (shard,) = backend.stats()
+    assert (shard.queue_depth, shard.streams_open) == (1, 1)
+    backend.close()

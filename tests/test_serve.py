@@ -16,9 +16,9 @@ import pytest
 from repro.config import ServeConfig
 from repro.exceptions import (ConfigurationError, LabelingError, ModelError,
                               ServiceError)
-from repro.serve import (DetectionService, IngestStatus, clone_model,
-                         serve_fleet, serve_fleet_async, shard_of,
-                         weights_snapshot)
+from repro.serve import (DetectionService, IngestEvent, IngestStatus,
+                         clone_model, serve_fleet, serve_fleet_async,
+                         shard_of, weights_snapshot)
 from repro.trajectory.ops import interleave_streams
 
 
@@ -212,6 +212,31 @@ def test_backpressure_bounded_queue_retry_loses_nothing(trained_model,
     assert metrics.rejected_ingests == rejected
     assert metrics.accepted_ingests == len(trajectory)
     assert_results_match(detector.detect(trajectory), result)
+
+
+def test_queue_depth_counts_commands_and_a_scrape_is_read_only(trained_model,
+                                                                dataset_split):
+    """``queue_depth`` bounds and reports *commands* — a batch is one — and
+    reading the dashboard never advances an in-process shard."""
+    _, _, test = dataset_split
+    trajectory = max(test, key=len)
+    events = [IngestEvent(trajectory.trajectory_id, segment,
+                          trajectory.destination if position == 0 else None,
+                          trajectory.start_time_s, None)
+              for position, segment in enumerate(trajectory.segments[:10])]
+    assert len(events) == 10
+    with trained_model.detection_service(
+            num_shards=1, backend="inprocess", queue_depth=4) as service:
+        service.ingest_many(events)
+        for scrape in (service.metrics, service.metrics, service.metrics_text,
+                       service.metrics):
+            scrape()
+            shard = service.metrics().shards[0]
+            assert (shard.queue_depth, shard.pending_points) == (1, 0)
+        service.pump()
+        shard = service.metrics().shards[0]
+        assert shard.queue_depth == 0
+        assert shard.pending_points + shard.points_processed == 10
 
 
 def test_ingest_status_truthiness():
