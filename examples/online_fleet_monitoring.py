@@ -61,8 +61,8 @@ def main() -> None:
     print(f"{alerts} trips triggered alerts, "
           f"{sum(1 for t in split.test if t.is_anomalous)} truly contained "
           "detours")
-    print(f"segment-feature cache: {engine.cache.hits} hits / "
-          f"{engine.cache.misses} misses "
+    print(f"segment-projection table: {len(engine.cache)} rows computed once "
+          f"and shared, {engine.cache.hits} lookups served from them "
           f"({engine.cache.hit_rate:.1%} hit rate)\n")
 
     print("replaying the same trips one stream at a time ...")

@@ -134,7 +134,6 @@ class OnlineDetector:
         self._rsrnet = rsrnet
         self._asdnet = asdnet
         self._pipeline = pipeline
-        self._network = pipeline.network
         self._use_rnel = use_rnel
         self._delay_window = delay_window if use_delayed_labeling else None
         self._rng = None if greedy else np.random.default_rng(seed)
@@ -163,12 +162,8 @@ class OnlineDetector:
             stepping = time.perf_counter()
             hidden = self._rsrnet.hidden_states(tokens[:-1])
             stepped = time.perf_counter() - stepping
-        degrees = None
-        if self._use_rnel:
-            out_degree, in_degree = (self._network.out_degree,
-                                     self._network.in_degree)
-            degrees = [(out_degree(before), in_degree(segment))
-                       for before, segment in zip(segments, segments[1:-1])]
+        degrees = (self._pipeline.rnel_degrees(tokens)
+                   if self._use_rnel else None)
         labels = finish_labels(
             label_route(segments, hidden, allowed, degrees, self._rsrnet,
                         self._asdnet, self._rng),

@@ -252,7 +252,6 @@ class RL4OASDTrainer:
     ):
         if not historical:
             raise ModelError("training requires at least one historical trajectory")
-        self._network = network
         self._development_set = list(development_set) if development_set else []
         self._labeling_config = (labeling_config or LabelingConfig()).validate()
         self._rsrnet_config = (rsrnet_config or RSRNetConfig()).validate()
@@ -467,12 +466,9 @@ class RL4OASDTrainer:
             n = len(item)
             tokens[b, :n] = item.tokens
             nrf[b, :n] = item.normal_route_features
-            if with_degrees:
-                segments = item.trajectory.segments
-                out_degrees[b, 1:n - 1] = [self._network.out_degree(segment)
-                                           for segment in segments[:n - 2]]
-                in_degrees[b, 1:n - 1] = [self._network.in_degree(segment)
-                                          for segment in segments[1:n - 1]]
+            if with_degrees and n > 2:
+                out_degrees[b, 1:n - 1], in_degrees[b, 1:n - 1] = zip(
+                    *self._pipeline.rnel_degrees(item.tokens))
         return _EpisodeBatch(preprocessed=list(preprocessed), tokens=tokens,
                              nrf=nrf, lengths=lengths,
                              out_degrees=out_degrees, in_degrees=in_degrees)

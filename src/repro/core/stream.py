@@ -20,12 +20,14 @@ model, one point per stream and tick:
 * **Work-proportional ticks.** The engine keeps the set of streams that have
   a point to step; a tick walks only that set, so an idle tick costs O(1)
   however many streams are open.
-* **Segment feature cache.** The per-road-segment quantities — vocabulary
-  token, the LSTM input projection ``x_e @ W_in``, and the in/out degrees
-  used by RNEL — depend only on the model weights and the road network, so
-  they are computed once and shared across the fleet through an LRU cache
-  (:class:`SegmentFeatureCache`). A fleet revisiting the same arterial roads
-  hits the cache almost always.
+* **Segment features by token.** A segment id is translated to its
+  vocabulary token once, at ingest — the translation *is* the check that
+  rejects an unknown segment — and kept beside the segment. Everything per
+  road segment after that is a table row by token: the LSTM input projection
+  ``x_e @ W_in``, a function of the weights only, in a dense matrix sized by
+  the vocabulary whose rows are computed on first touch and shared across
+  the fleet (:class:`SegmentFeatureCache`; a tick gathers its batch with one
+  fancy index), RNEL's in/out degrees in the pipeline's per-token lists.
 
 **Label equivalence.** The engine is differential-tested to produce labels
 identical to :class:`OnlineDetector`; both take every decision through
@@ -60,7 +62,7 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import (Callable, Dict, FrozenSet, Hashable, Iterable, List,
-                    NamedTuple, Optional, Sequence, Tuple, TYPE_CHECKING)
+                    Mapping, Optional, Sequence, Set, Tuple, TYPE_CHECKING)
 
 import numpy as np
 
@@ -70,6 +72,7 @@ from ..labeling.features import PreprocessingPipeline
 from ..obs.trace import TraceContext, timestamp as obs_timestamp
 from ..trajectory.models import MatchedTrajectory
 from ..trajectory.ops import split_by_labels
+from ..trajectory.sdpairs import check_start_time
 from .asdnet import ASDNet
 from .decision import choose, label_route, policy_choices, rnel_from_degrees
 from .detector import DetectionResult, finish_labels
@@ -79,54 +82,56 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .rl4oasd import RL4OASDModel
 
 
-class SegmentRecord(NamedTuple):
-    """Per-road-segment features shared by every stream that crosses it."""
-
-    token: int
-    input_projection: np.ndarray
-    in_degree: int
-    out_degree: int
-
-
 class SegmentFeatureCache:
-    """A small LRU cache of :class:`SegmentRecord` keyed by segment id."""
+    """The LSTM input projection of every road segment, one row per token.
 
-    def __init__(self, max_size: int = 4096):
-        if max_size < 1:
-            raise ModelError("the segment feature cache needs max_size >= 1")
-        self._max_size = max_size
-        self._records: "OrderedDict[int, SegmentRecord]" = OrderedDict()
+    A dense ``(len(vocabulary), 4H)`` matrix — :attr:`nbytes` whatever the
+    traffic, allocated zeroed so that a row no stream has crossed is never
+    resident — filled on first touch: a row is computed the first time a
+    tick steps its token and serves every stream until :meth:`clear` (the
+    weights changed). ``hits`` and ``misses`` count one lookup per LSTM row
+    stepped, a miss being a row computed; ``len()`` is the rows filled.
+    """
+
+    def __init__(self, tokens: int, width: int):
+        self._projections = np.zeros((tokens, width))
+        self._filled: Set[int] = set()
         self.hits = 0
         self.misses = 0
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._filled)
 
     @property
-    def max_size(self) -> int:
-        return self._max_size
+    def nbytes(self) -> int:
+        return self._projections.nbytes
 
     @property
     def hit_rate(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
-    def get(self, segment_id: int,
-            compute: Callable[[int], SegmentRecord]) -> SegmentRecord:
-        record = self._records.get(segment_id)
-        if record is not None:
-            self._records.move_to_end(segment_id)
-            self.hits += 1
-            return record
-        self.misses += 1
-        record = compute(segment_id)
-        self._records[segment_id] = record
-        if len(self._records) > self._max_size:
-            self._records.popitem(last=False)
-        return record
+    def gather(self, tokens: List[int],
+               project: Callable[[int], np.ndarray]) -> np.ndarray:
+        """The rows of ``tokens`` as one ``(len(tokens), 4H)`` matrix,
+        ``project(token)`` filling those not computed yet."""
+        filled = self._filled
+        missing = (() if filled.issuperset(tokens)  # the common case
+                   else set(tokens).difference(filled))
+        for token in missing:
+            self._projections[token] = project(token)
+        filled.update(missing)
+        self.misses += len(missing)
+        self.hits += len(tokens) - len(missing)
+        return self._projections[tokens]
 
     def clear(self) -> None:
-        self._records.clear()
+        self._filled.clear()
+
+
+#: ``(destination, start_time_s, trajectory_id, trace)`` of a plain row of
+#: :meth:`StreamEngine.ingest_many` — only rows that differ ride ``extras``.
+PLAIN_ROW = (None, 0.0, None, None)
 
 
 @dataclass
@@ -140,6 +145,8 @@ class _StreamState:
     slot: int
     history: Optional[HistorySnapshot] = None
     segments: List[int] = field(default_factory=list)
+    # The vocabulary token of each segment, translated once at ingest.
+    tokens: List[int] = field(default_factory=list)
     labels: List[int] = field(default_factory=list)
     # Points whose LSTM step has run. An online stream labels a point in the
     # tick that steps it (``stepped == len(labels)``); a deferred stream
@@ -148,11 +155,9 @@ class _StreamState:
     normal_transitions: Optional[FrozenSet[Tuple[int, int]]] = None
     deferred: bool = False
     finalizing: bool = False
-    previous_record: Optional[SegmentRecord] = None
-    # Deferred streams only: ``h_i`` and the segment record (RNEL degrees)
-    # of every stepped point, consumed by the finalize labeling pass.
+    # Deferred streams only: ``h_i`` of every stepped point, consumed by
+    # the finalize labeling pass.
     hidden_states: List[np.ndarray] = field(default_factory=list)
-    records: List[SegmentRecord] = field(default_factory=list)
     per_point_seconds: List[float] = field(default_factory=list)
     rng: Optional[np.random.Generator] = None
     # Sampled trace contexts riding this stream: (segment index, context)
@@ -183,7 +188,6 @@ class StreamEngine:
         delay_window: int = 8,
         greedy: bool = True,
         seed: int = 0,
-        cache_size: int = 4096,
         record_timing: bool = False,
     ):
         # With greedy=False every stream gets its own Generator seeded with
@@ -195,13 +199,14 @@ class StreamEngine:
         self._rsrnet = rsrnet
         self._asdnet = asdnet
         self._pipeline = pipeline
-        self._network = pipeline.network
+        self._token_of = pipeline.vocabulary.token
         self._use_rnel = use_rnel
         self._delay_window = delay_window if use_delayed_labeling else None
         self._greedy = greedy
         self._seed = seed
         self._record_timing = record_timing
-        self._cache = SegmentFeatureCache(cache_size)
+        self._cache = SegmentFeatureCache(len(pipeline.vocabulary),
+                                          4 * rsrnet.config.hidden_dim)
         self._streams: "OrderedDict[Hashable, _StreamState]" = OrderedDict()
         # The streams with a point to step right now, so a tick costs
         # O(rows) and an idle tick O(1). Nobody steps a destination: the
@@ -293,8 +298,8 @@ class StreamEngine:
 
     def invalidate_cache(self) -> None:
         """Drop everything derived from the weights (call after fine-tuning
-        the model in place): the cached segment features and the hidden
-        states deferred streams computed ahead of their labeling."""
+        the model in place): the filled rows of the projection table and the
+        hidden states deferred streams computed ahead of their labeling."""
         self._cache.clear()
         # A deferred stream is labeled wholly by the weights serving at its
         # finalize, so its recurrence starts over under the new ones.
@@ -302,7 +307,6 @@ class StreamEngine:
             if stream.deferred and stream.stepped:
                 stream.stepped = 0
                 stream.hidden_states.clear()
-                stream.records.clear()
                 stream.per_point_seconds.clear()
                 self._hidden_pool[stream.slot] = 0.0
                 self._cell_pool[stream.slot] = 0.0
@@ -313,7 +317,7 @@ class StreamEngine:
         """Hot-swap the model weights under the engine's active streams.
 
         Loads ``state_dict`` snapshots into both networks and invalidates the
-        segment-feature cache (its records embed the old weights). Online
+        projection table (its filled rows embed the old weights). Online
         streams keep their recurrent state, emitted labels and buffered
         points, so in-flight trips keep running: points labeled before the
         swap keep their old-model labels, later points are labeled by the
@@ -341,9 +345,8 @@ class StreamEngine:
         labels are exactly what the pre-refresh engine would have produced.
         The normal-route and statistics caches travel with the snapshot
         (keyed by history version by construction), so nothing stale
-        survives; the segment-feature LRU is *not* cleared — its records
-        (token, input projection, degrees) depend only on weights and road
-        network, never on history.
+        survives; the projection table is *not* cleared — its rows depend
+        only on the weights, never on history.
         """
         if not isinstance(snapshot, HistorySnapshot):
             raise ModelError(
@@ -372,27 +375,56 @@ class StreamEngine:
 
         Unknown segments are rejected here (``LabelingError``) before they
         enter the stream, so one vehicle's bad fix never poisons a batched
-        tick for the rest of the fleet.
+        tick for the rest of the fleet; so is an opening ``start_time_s``
+        that is not a finite real number (``TrajectoryError``). This is
+        :meth:`ingest_many` for a batch of one.
         """
-        self._validate_segment(segment)
-        stream = self._streams.get(vehicle_id)
-        if stream is None:
-            if destination is not None:
-                self._validate_segment(destination)
-            stream = self._open(vehicle_id, segment, destination,
-                                start_time_s, trajectory_id)
-        elif stream.finalizing:
-            raise ModelError(
-                f"stream {vehicle_id!r} is finalized; open a new stream")
-        if trace is not None:
-            if stream.traces is None:
-                stream.traces = []
-            stream.trace_id = trace.trace_id
-            stream.traces.append((len(stream.segments), trace))
-        segments = stream.segments
-        segments.append(segment)
-        if stream.deferred or stream.stepped < len(segments) - 1:
-            self._ready[vehicle_id] = stream
+        self.ingest_many(
+            (vehicle_id,), (segment,),
+            {0: (destination, start_time_s, trajectory_id, trace)})
+
+    def ingest_many(
+        self,
+        vehicle_ids: Sequence[Hashable],
+        segments: Sequence[int],
+        extras: Optional[Mapping[int, tuple]] = None,
+    ) -> None:
+        """:meth:`ingest` over the columns of a batch, rows in order.
+
+        ``vehicle_ids[row]`` reported ``segments[row]``; the sparse
+        ``extras`` holds ``{row: (destination, start_time_s, trajectory_id,
+        trace)}`` for the few rows that open a stream or carry a trace (the
+        columns of the serving layer's ``ingest_batch`` command). A row that
+        raises leaves the rows before it buffered and the rows from it on
+        untouched.
+        """
+        token_of = self._token_of
+        streams = self._streams
+        ready = self._ready
+        extra_of = (extras or {}).get
+        for row, vehicle_id in enumerate(vehicle_ids):
+            segment = segments[row]
+            # The one translation of this segment: every later per-segment
+            # lookup goes by token. Unknown segments raise here, at the door
+            # (inside tick() one vehicle's bad fix would stall the fleet).
+            token = token_of(segment)
+            stream = streams.get(vehicle_id)
+            extra = extra_of(row, PLAIN_ROW)
+            if stream is None:
+                stream = self._open(vehicle_id, segment, *extra[:3])
+            elif stream.finalizing:
+                raise ModelError(
+                    f"stream {vehicle_id!r} is finalized; open a new stream")
+            trace = extra[3]
+            if trace is not None:
+                if stream.traces is None:
+                    stream.traces = []
+                stream.trace_id = trace.trace_id
+                stream.traces.append((len(stream.segments), trace))
+            stream.segments.append(segment)
+            stream.tokens.append(token)
+            if stream.deferred or stream.stepped < len(stream.segments) - 1:
+                ready[vehicle_id] = stream
 
     def _open(
         self,
@@ -402,6 +434,24 @@ class StreamEngine:
         start_time_s: float,
         trajectory_id: Optional[int],
     ) -> _StreamState:
+        # The opening fields are outside input: everything that can reject
+        # them runs before the stream takes a slot of the state pool.
+        check_start_time(start_time_s)
+        # Pin the history at open: a hot refresh (load_history) must not
+        # change this trip's labels mid-stream, so every later resolution
+        # for this stream goes against the pinned snapshot.
+        history = self._pipeline.history
+        normal_transitions = None
+        if destination is not None:
+            self._token_of(destination)
+            if history.has_pair(first_segment, destination):
+                # Resolving through the pipeline keeps the snapshot's
+                # normal-route cache in exactly the state a reference
+                # detection would leave it.
+                normal_transitions = self._pipeline.normal_transitions_for(
+                    MatchedTrajectory(-1, [first_segment, destination],
+                                      start_time_s=start_time_s),
+                    history=history)
         if trajectory_id is None:
             trajectory_id = self._next_trajectory_id
         self._next_trajectory_id += 1
@@ -411,42 +461,18 @@ class StreamEngine:
             start_time_s=start_time_s,
             destination=destination,
             slot=self._allocate_slot(),
-            # Pin the history at open: a hot refresh (load_history) must not
-            # change this trip's labels mid-stream, so every later resolution
-            # for this stream goes against the pinned snapshot.
-            history=self._pipeline.history,
+            history=history,
+            normal_transitions=normal_transitions,
+            # Without a declared destination, or without history for the SD
+            # pair — where the reference falls back to treating the
+            # trajectory's own route as normal, only known at finalize — the
+            # stream runs deferred.
+            deferred=normal_transitions is None,
         )
         if not self._greedy:
             stream.rng = np.random.default_rng(self._seed)
-        if destination is None:
-            stream.deferred = True
-        else:
-            group = self._pipeline.sd_group(first_segment, destination,
-                                            start_time_s,
-                                            history=stream.history)
-            if group:
-                # Resolving through the pipeline keeps the snapshot's
-                # normal-route cache in exactly the state a reference
-                # detection would leave it.
-                probe_segments = ([first_segment] if first_segment == destination
-                                  else [first_segment, destination])
-                probe = MatchedTrajectory(trajectory_id, probe_segments,
-                                          start_time_s=start_time_s)
-                stream.normal_transitions = (
-                    self._pipeline.normal_transitions_for(
-                        probe, history=stream.history))
-            else:
-                # No history for this SD pair: the reference falls back to
-                # treating the trajectory's own route as normal, which is only
-                # known at finalize — run deferred.
-                stream.deferred = True
         self._streams[vehicle_id] = stream
         return stream
-
-    def _validate_segment(self, segment: int) -> None:
-        # Reject unknown segments at the door: surfacing this inside tick()
-        # would stall every stream in the fleet on one vehicle's bad fix.
-        self._pipeline.vocabulary.token(segment)
 
     def _allocate_slot(self) -> int:
         if not self._free_slots:
@@ -463,15 +489,6 @@ class StreamEngine:
         return slot
 
     # ------------------------------------------------------------------ tick
-    def _segment_record(self, segment_id: int) -> SegmentRecord:
-        token = self._pipeline.vocabulary.token(segment_id)
-        return SegmentRecord(
-            token=token,
-            input_projection=self._rsrnet.input_projection(token),
-            in_degree=self._network.in_degree(segment_id),
-            out_degree=self._network.out_degree(segment_id),
-        )
-
     def tick(self) -> int:
         """Advance every stream that has a point to step, in one batch.
 
@@ -487,46 +504,48 @@ class StreamEngine:
         if not ready:
             return 0
         started = time.perf_counter() if self._record_timing else 0.0
-        cached_record = self._cache.get
-        work: List[Tuple[_StreamState, int, SegmentRecord]] = []
-        stepping: List[Tuple[_StreamState, SegmentRecord]] = []
+        in_degrees, out_degrees = self._pipeline.token_degrees()
+        work: List[Tuple[_StreamState, int]] = []
+        stepping: List[_StreamState] = []
         slots: List[int] = []
-        projections: List[np.ndarray] = []
+        # The token of each row's segment: its row of the projection table.
+        rows: List[int] = []
         nrf_values: List[int] = []
         # The forced/RNEL label of each point, or ``None`` for the policy.
         labels: List[Optional[int]] = []
         for stream in ready.values():
-            index = stream.stepped
-            segment = stream.segments[index]
-            record = cached_record(segment, self._segment_record)
             if stream.deferred:
-                stepping.append((stream, record))
+                stepping.append(stream)
                 continue
+            index = stream.stepped
+            tokens = stream.tokens
             if index == 0:
                 # The source is normal by definition (and the destination
                 # never gets here: the finalize pass labels it).
                 nrf_values.append(0)
                 labels.append(0)
             else:
-                transition = (stream.segments[index - 1], segment)
+                segments = stream.segments
+                transition = (segments[index - 1], segments[index])
                 nrf_values.append(
                     0 if transition in stream.normal_transitions else 1)
                 labels.append(rnel_from_degrees(
-                    stream.previous_record.out_degree, record.in_degree,
+                    out_degrees[tokens[index - 1]], in_degrees[tokens[index]],
                     stream.labels[-1]) if self._use_rnel else None)
-            work.append((stream, index, record))
+            work.append((stream, index))
             slots.append(stream.slot)
-            projections.append(record.input_projection)
+            rows.append(tokens[index])
         # Step-only rows go last, so row numbers of the labeled rows index
         # ``z`` directly; their NRF is a placeholder nobody reads.
-        for stream, record in stepping:
+        for stream in stepping:
             slots.append(stream.slot)
-            projections.append(record.input_projection)
+            rows.append(stream.tokens[stream.stepped])
             nrf_values.append(0)
 
         z, new_hidden, new_cell = self._rsrnet.step_batch(
             self._hidden_pool[slots], self._cell_pool[slots],
-            np.array(projections), nrf_values)
+            self._cache.gather(rows, self._rsrnet.input_projection),
+            nrf_values)
         self._hidden_pool[slots] = new_hidden
         self._cell_pool[slots] = new_cell
 
@@ -540,21 +559,19 @@ class StreamEngine:
 
         share = ((time.perf_counter() - started) / len(slots)
                  if self._record_timing else 0.0)
-        for label, (stream, index, record) in zip(labels, work):
+        for label, (stream, index) in zip(labels, work):
             stream.labels.append(label)
             stream.stepped = index + 1
-            stream.previous_record = record
             if self._record_timing:
                 stream.per_point_seconds.append(share)
             if stream.traces:
                 self._observe_tick(stream, index)
             if index + 2 >= len(stream.segments):
                 del ready[stream.vehicle_id]
-        for row, (stream, record) in enumerate(stepping, start=len(work)):
+        for row, stream in enumerate(stepping, start=len(work)):
             # A copy, not a row view: a view would pin the whole batch's
             # array for as long as this one stream stays open.
             stream.hidden_states.append(new_hidden[row].copy())
-            stream.records.append(record)
             stream.stepped += 1
             if self._record_timing:
                 stream.per_point_seconds.append(share)
@@ -680,16 +697,12 @@ class StreamEngine:
         count = len(stream.segments)
         labeled = len(stream.labels)
         if stream.deferred:
-            degrees = None
-            if self._use_rnel:
-                records = stream.records
-                degrees = [(before.out_degree, record.in_degree)
-                           for before, record
-                           in zip(records, records[1:count - 1])]
             stream.labels = label_route(
                 stream.segments, stream.hidden_states,
-                stream.normal_transitions, degrees, self._rsrnet,
-                self._asdnet, stream.rng)
+                stream.normal_transitions,
+                (self._pipeline.rnel_degrees(stream.tokens)
+                 if self._use_rnel else None),
+                self._rsrnet, self._asdnet, stream.rng)
         else:
             stream.labels.append(0)
         if self._record_timing:

@@ -302,6 +302,11 @@ class HistorySnapshot:
                      time_slot=time_slot)
         return list(self._groups.get(key, ()))
 
+    def has_pair(self, source: int, destination: int) -> bool:
+        """Whether the SD pair has any trajectory in any slot: one lookup,
+        no group copied."""
+        return bool(self._by_pair.get((source, destination)))
+
     def group_for(self, trajectory: MatchedTrajectory) -> List[MatchedTrajectory]:
         """The historical group a trajectory belongs to.
 

@@ -88,6 +88,10 @@ class PreprocessingPipeline:
     an existing snapshot/store via ``history=``.
     """
 
+    #: :meth:`token_degrees`, built on first use. Derived from the network,
+    #: so never serialized: a copy looks its own up.
+    _degrees: Optional[Tuple[List[int], List[int]]] = None
+
     def __init__(
         self,
         network: RoadNetwork,
@@ -98,26 +102,28 @@ class PreprocessingPipeline:
         self._config = (config or LabelingConfig()).validate()
         self._network = network
         self._vocabulary = SegmentVocabulary.from_network(network)
-        if history is not None:
-            if historical:
-                raise LabelingError(
-                    "pass either historical trajectories or history=, not both")
-            if isinstance(history, RouteHistoryStore):
-                self._store = history
-            elif isinstance(history, HistorySnapshot):
-                self._store = RouteHistoryStore.from_snapshot(history)
-            else:
-                raise LabelingError(
-                    "history must be a HistorySnapshot or a RouteHistoryStore,"
-                    f" got {type(history).__name__}")
-            if self._store.slots_per_day != self._config.time_slots_per_day:
-                raise LabelingError(
-                    f"the history uses {self._store.slots_per_day} time slots "
-                    f"per day but the labeling config expects "
-                    f"{self._config.time_slots_per_day}")
-        else:
-            self._store = RouteHistoryStore(
+        if history is None:
+            history = RouteHistoryStore(
                 historical or (), self._config.time_slots_per_day)
+        elif historical:
+            raise LabelingError(
+                "pass either historical trajectories or history=, not both")
+        self._pin(history)
+
+    def _pin(self, history: Union[HistorySnapshot, RouteHistoryStore]) -> None:
+        if isinstance(history, RouteHistoryStore):
+            self._store = history
+        elif isinstance(history, HistorySnapshot):
+            self._store = RouteHistoryStore.from_snapshot(history)
+        else:
+            raise LabelingError(
+                "history must be a HistorySnapshot or a RouteHistoryStore, "
+                f"got {type(history).__name__}")
+        if self._store.slots_per_day != self._config.time_slots_per_day:
+            raise LabelingError(
+                f"the history uses {self._store.slots_per_day} time slots per "
+                f"day but the labeling config expects "
+                f"{self._config.time_slots_per_day}")
         self._snapshot = self._store.current()
 
     # ---------------------------------------------------------------- access
@@ -132,6 +138,31 @@ class PreprocessingPipeline:
     @property
     def network(self) -> RoadNetwork:
         return self._network
+
+    def token_degrees(self) -> Tuple[List[int], List[int]]:
+        """``(in_degrees, out_degrees)`` of every road segment, by token.
+
+        RNEL's inputs, looked up here — where vocabulary and network meet —
+        once per pipeline, so no consumer asks the network per point.
+        """
+        if self._degrees is None:
+            ordered = self._vocabulary.ordered_segments()
+            self._degrees = (
+                [self._network.in_degree(segment) for segment in ordered],
+                [self._network.out_degree(segment) for segment in ordered])
+        return self._degrees
+
+    def rnel_degrees(self, tokens: Sequence[int]) -> List[Tuple[int, int]]:
+        """RNEL's input ``(e_{i-1}.out, e_i.in)`` of every interior point of
+        a route given by its tokens (what ``label_route`` takes)."""
+        in_degrees, out_degrees = self.token_degrees()
+        return [(out_degrees[before], in_degrees[token])
+                for before, token in zip(tokens, tokens[1:-1])]
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_degrees", None)
+        return state
 
     @property
     def history(self) -> HistorySnapshot:
@@ -193,29 +224,13 @@ class PreprocessingPipeline:
         view._config = self._config
         view._network = self._network
         view._vocabulary = self._vocabulary
-        if isinstance(history, RouteHistoryStore):
-            view._store = history
-        elif isinstance(history, HistorySnapshot):
-            view._store = RouteHistoryStore.from_snapshot(history)
-        else:
-            raise LabelingError(
-                "history must be a HistorySnapshot or a RouteHistoryStore, "
-                f"got {type(history).__name__}")
-        if view._store.slots_per_day != self._config.time_slots_per_day:
-            raise LabelingError(
-                f"the history uses {view._store.slots_per_day} time slots per "
-                f"day but the labeling config expects "
-                f"{self._config.time_slots_per_day}")
-        view._snapshot = view._store.current()
+        view._degrees = self._degrees
+        view._pin(history)
         return view
 
     # ------------------------------------------------------------- internals
     def _slot_of(self, start_time_s: float) -> int:
         return time_slot_of(start_time_s, self._config.time_slots_per_day)
-
-    def _group_key(self, trajectory: MatchedTrajectory) -> Tuple[int, int, int]:
-        return (trajectory.source, trajectory.destination,
-                self._slot_of(trajectory.start_time_s))
 
     def sd_group(self, source: int, destination: int,
                  start_time_s: float = 0.0,
@@ -224,9 +239,10 @@ class PreprocessingPipeline:
         """The historical group of an SD pair (possibly empty).
 
         Applies the same sparse-slot fallback as preprocessing, but *not* the
-        final fallback to the query trajectory itself — callers that only know
-        the SD pair (e.g. a stream engine opening a new vehicle stream) use an
-        empty result to detect that the pair has no history at all. Pass
+        final fallback to the query trajectory itself: an empty result means
+        the pair has no history at all (a caller that only wants *that*, like
+        a stream engine opening a vehicle stream, asks
+        :meth:`HistorySnapshot.has_pair` and copies no group). Pass
         ``history`` to resolve against a pinned snapshot instead of the
         pipeline's current one.
         """
@@ -240,49 +256,53 @@ class PreprocessingPipeline:
         return group
 
     def _resolved_group(self, trajectory: MatchedTrajectory,
-                        snapshot: HistorySnapshot
-                        ) -> Tuple[List[MatchedTrajectory], bool]:
-        """The trajectory's historical group, and whether it is a fallback.
+                        snapshot: HistorySnapshot) -> List[MatchedTrajectory]:
+        """The trajectory's historical group: the memo-miss path.
 
         An SD pair with no history at all falls back to the trajectory
         itself so statistics are still defined (everything looks normal,
-        which is the conservative choice); that fallback is query-derived,
-        so the snapshot memoizes it separately and drops it on refresh.
+        which is the conservative choice).
         """
-        group = self.sd_group(trajectory.source, trajectory.destination,
-                              trajectory.start_time_s, history=snapshot)
-        if group:
-            return group, False
-        return [trajectory], True
+        return self.sd_group(trajectory.source, trajectory.destination,
+                             trajectory.start_time_s,
+                             history=snapshot) or [trajectory]
+
+    def _memo_entry(self, trajectory: MatchedTrajectory,
+                    history: Optional[HistorySnapshot]):
+        """Where the trajectory's derived values are memoized: the snapshot,
+        the group's key and whether the group is the no-history fallback.
+
+        The fallback is query-derived, so the snapshot memoizes it apart and
+        drops it on refresh. Telling which it is takes one lookup and no
+        group (``min_slot_group_size >= 1``: the resolved group is empty
+        exactly when the pair has no trajectory in any slot).
+        """
+        snapshot = history if history is not None else self._snapshot
+        source, destination = trajectory.source, trajectory.destination
+        key = (source, destination, self._slot_of(trajectory.start_time_s),
+               self._config.min_slot_group_size)
+        return snapshot, key, not snapshot.has_pair(source, destination)
 
     def statistics_for(self, trajectory: MatchedTrajectory,
                        history: Optional[HistorySnapshot] = None
                        ) -> TransitionStatistics:
         """Transition statistics of the trajectory's SD-pair group (cached)."""
-        snapshot = history if history is not None else self._snapshot
-        key = self._group_key(trajectory) + (self._config.min_slot_group_size,)
-        group, fallback = self._resolved_group(trajectory, snapshot)
+        snapshot, key, fallback = self._memo_entry(trajectory, history)
         return snapshot.cached_statistics(
-            key, lambda: TransitionStatistics.from_group(group),
+            key, lambda: TransitionStatistics.from_group(
+                self._resolved_group(trajectory, snapshot)),
             fallback=fallback)
-
-    def _normal_routes_entry(self, trajectory: MatchedTrajectory,
-                             history: Optional[HistorySnapshot]):
-        """The group's normal routes and where the snapshot memoizes them."""
-        snapshot = history if history is not None else self._snapshot
-        key = self._group_key(trajectory) + (
-            self._config.min_slot_group_size, self._config.delta)
-        group, fallback = self._resolved_group(trajectory, snapshot)
-        routes = snapshot.cached_routes(
-            key, lambda: infer_normal_routes(group, self._config.delta),
-            fallback=fallback)
-        return routes, snapshot, key, fallback
 
     def normal_routes_for(self, trajectory: MatchedTrajectory,
                           history: Optional[HistorySnapshot] = None
                           ) -> List[Tuple[int, ...]]:
         """Inferred normal routes of the trajectory's SD-pair group (cached)."""
-        return self._normal_routes_entry(trajectory, history)[0]
+        snapshot, key, fallback = self._memo_entry(trajectory, history)
+        delta = self._config.delta
+        return snapshot.cached_routes(
+            key + (delta,), lambda: infer_normal_routes(
+                self._resolved_group(trajectory, snapshot), delta),
+            fallback=fallback)
 
     def normal_transitions_for(self, trajectory: MatchedTrajectory,
                                history: Optional[HistorySnapshot] = None
@@ -296,11 +316,12 @@ class PreprocessingPipeline:
         a tag — so it follows their ``fallback`` discipline and is dropped
         by the same refresh.
         """
-        routes, snapshot, key, fallback = self._normal_routes_entry(
-            trajectory, history)
+        snapshot, key, fallback = self._memo_entry(trajectory, history)
         return snapshot.cached_routes(
-            key + ("transitions",),
-            lambda: frozenset(normal_transitions(routes)), fallback=fallback)
+            key + (self._config.delta, "transitions"),
+            lambda: frozenset(normal_transitions(
+                self.normal_routes_for(trajectory, snapshot))),
+            fallback=fallback)
 
     # ------------------------------------------------------------ public API
     def preprocess(self, trajectory: MatchedTrajectory,

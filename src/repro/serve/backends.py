@@ -166,7 +166,7 @@ from collections import deque
 from typing import Deque, Hashable, List, NamedTuple, Optional, Sequence
 
 from ..core.detector import DetectionResult
-from ..core.stream import StreamEngine
+from ..core.stream import PLAIN_ROW, StreamEngine
 from ..exceptions import ServiceError
 from ..history import (HistoryDelta, HistorySnapshot,
                        apply_delta as apply_history_delta, clone_delta,
@@ -451,11 +451,6 @@ class ServiceBackend:
 
 
 # --------------------------------------------------------------- the core
-#: What a mid-stream point leaves of an event after ``(vehicle_id,
-#: segment)``; only events that differ ride ``ingest_batch``'s sparse map.
-_PLAIN_EVENT = (None, 0.0, None, None)
-
-
 def append_event(columns: tuple, event: IngestEvent) -> None:
     """Add one event to the columns of an ``ingest_batch`` command.
 
@@ -464,10 +459,11 @@ def append_event(columns: tuple, event: IngestEvent) -> None:
     and faster than a list of namedtuples, and nearly every event of a
     running fleet is a bare ``(vehicle, segment)``. The few that open a
     stream or carry a trace keep their other fields in ``extras``,
-    ``{index: (destination, start_time_s, trajectory_id, trace)}``.
+    ``{index: (destination, start_time_s, trajectory_id, trace)}`` — the
+    columns :meth:`StreamEngine.ingest_many` takes.
     """
     vehicle_ids, segments, extras = columns
-    if event[2:] != _PLAIN_EVENT:
+    if event[2:] != PLAIN_ROW:
         extras[len(segments)] = event[2:]
     vehicle_ids.append(event[0])
     segments.append(event[1])
@@ -566,22 +562,15 @@ class ShardCore:
         engine = self.engine
         while engine.step_waiting(vehicle_ids):
             engine.tick()
-        ingest = engine.ingest
-        if not extras:
-            for vehicle_id, segment in zip(vehicle_ids, segments):
-                ingest(vehicle_id, segment)
-            return
-        for index, vehicle_id in enumerate(vehicle_ids):
-            extra = extras.get(index)
-            if extra is None:
-                ingest(vehicle_id, segments[index])
-                continue
-            destination, start_time_s, trajectory_id, trace = extra
-            if trace is not None:
-                trace = self._tracer.observe("shard_queue", trace, received)
-            ingest(vehicle_id, segments[index], destination=destination,
-                   start_time_s=start_time_s, trajectory_id=trajectory_id,
-                   trace=trace)
+        if extras:
+            # Traced rows go on re-stamped at their dequeue; everything else
+            # reaches the engine as the columns the facade planned.
+            observe = self._tracer.observe
+            extras = {
+                row: extra if extra[3] is None else
+                (*extra[:3], observe("shard_queue", extra[3], received))
+                for row, extra in extras.items()}
+        engine.ingest_many(vehicle_ids, segments, extras)
 
     def _plane_batch(self, command: tuple, received: float) -> None:
         if self._plane is None:

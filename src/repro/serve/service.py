@@ -73,6 +73,7 @@ from ..obs.registry import MetricsRegistry
 from ..obs.trace import (STAGES, STAGE_LATENCY_METRIC, Span, Tracer,
                          timestamp as obs_timestamp, write_spans_jsonl)
 from ..trajectory.models import MatchedTrajectory
+from ..trajectory.sdpairs import check_start_time
 from .backends import (ControlUpdate, IngestEvent, InProcessBackend,
                        ProcessBackend, ServiceBackend, _pack_events,
                        append_event)
@@ -248,11 +249,12 @@ class DetectionService:
 
         Semantics mirror :meth:`StreamEngine.ingest ` (first ingest opens the
         stream; ``destination`` etc. are only read then), with two serving
-        twists: unknown segments are rejected *here*, synchronously, before
-        anything is queued (``LabelingError``), and a full shard queue
-        returns :attr:`IngestStatus.RETRY_LATER` — the caller must retry the
-        *same* point before sending any later point of that vehicle, or the
-        stream would be observed out of order.
+        twists: unknown segments — and an opening ``start_time_s`` that is
+        not a finite real number — are rejected *here*, synchronously, before
+        anything is queued (``LabelingError`` / ``TrajectoryError``), and a
+        full shard queue returns :attr:`IngestStatus.RETRY_LATER` — the
+        caller must retry the *same* point before sending any later point of
+        that vehicle, or the stream would be observed out of order.
         """
         self._require_open_service()
         event, opening = self._admit(
@@ -301,12 +303,12 @@ class DetectionService:
         as with :meth:`ingest`, the opening fields are only read by the first
         event of a new vehicle stream (later events of the same vehicle —
         even inside the same call — have them ignored). Events are validated
-        up front (``LabelingError`` before anything is queued), grouped by
-        shard *preserving per-vehicle order*, and each shard's group is
-        queued as **one** batched command — on the process backend that is
-        one IPC put per shard instead of one per point, which is what lets
-        multi-shard ingest keep up with a fast producer (the raw-GPS
-        gateway). A full shard queue is retried with the
+        up front (``LabelingError`` / ``TrajectoryError`` before anything is
+        queued), grouped by shard *preserving per-vehicle order*, and each
+        shard's group is queued as **one** batched command — on the process
+        backend that is one IPC put per shard instead of one per point, which
+        is what lets multi-shard ingest keep up with a fast producer (the
+        raw-GPS gateway). A full shard queue is retried with the
         :meth:`ingest_blocking` discipline, each shard getting its own
         ``max_retries`` budget; a shard's batch is all-or-nothing, so no
         partial delivery can reorder a stream. If a shard exhausts its
@@ -447,6 +449,7 @@ class DetectionService:
                                None, 0.0, None, trace), False
         if request.destination is not None:
             self._vocabulary.token(request.destination)
+        check_start_time(request.start_time_s)  # TrajectoryError, likewise
         if trace is not request.trace:
             request = request._replace(trace=trace)
         return request, True

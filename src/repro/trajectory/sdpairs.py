@@ -2,13 +2,27 @@
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
+from numbers import Real
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from ..exceptions import TrajectoryError
 from .models import MatchedTrajectory, SDPair
 
 SECONDS_PER_DAY = 24 * 3600
+
+
+def check_start_time(start_time_s) -> None:
+    """Reject a start time from outside (a stream's opening point) that is
+    not a finite real number; :func:`time_slot_of` would fail on it untyped."""
+    # The builtin check first: the ABC one costs ten times as much, and this
+    # runs for every trip a fleet opens.
+    if not ((isinstance(start_time_s, (float, int))
+             or isinstance(start_time_s, Real))
+            and math.isfinite(start_time_s)):
+        raise TrajectoryError(
+            f"start_time_s must be a finite real number, got {start_time_s!r}")
 
 
 def time_slot_of(start_time_s: float, slots_per_day: int = 24) -> int:

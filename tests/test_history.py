@@ -19,6 +19,7 @@ from repro.exceptions import LabelingError
 from repro.history import (HistorySnapshot, RouteHistoryStore, clone_snapshot,
                            snapshot_from_bytes, snapshot_to_bytes)
 from repro.labeling import PreprocessingPipeline
+from repro.serve import clone_model
 from repro.trajectory import MatchedTrajectory
 
 
@@ -277,3 +278,95 @@ def test_extend_drops_query_derived_fallback_entries(dataset, dataset_split):
     still_untouched = {(t.source, t.destination) for t in train[110:112]}
     if (untouched.source, untouched.destination) not in still_untouched:
         assert pipeline.statistics_for(untouched) is cached
+
+
+# ------------------------------------------------------ memo before resolve
+MEMOS = ("_statistics_cache", "_routes_cache",
+         "_fallback_statistics", "_fallback_routes")
+
+
+def memo_keys(snapshot):
+    return {name: set(getattr(snapshot, name)) for name in MEMOS}
+
+
+def resolve(pipeline, queries):
+    return [(pipeline.statistics_for(query), pipeline.normal_routes_for(query),
+             pipeline.normal_transitions_for(query)) for query in queries]
+
+
+def test_resolvers_equal_a_fresh_pipeline_across_a_refresh(dataset,
+                                                           dataset_split):
+    """The resolvers consult the memo before they materialise a group, so
+    what they return — and which memo holds it — must not depend on what
+    was asked earlier: after a refresh touching pair P, not touching Q,
+    with a history-less pair R asked before and after, everything equals a
+    pipeline built fresh on the same snapshot."""
+    train, _, test = dataset_split
+    config = LabelingConfig(alpha=0.35, delta=0.25)
+    pipeline = PreprocessingPipeline(dataset.network, train[:100], config)
+    known = [t for t in test if pipeline.history.has_pair(t.source,
+                                                          t.destination)]
+    p = known[0]
+    q = next(t for t in known if t.sd_pair != p.sd_pair)
+    r = make(9001, [p.segments[1], p.segments[0]])
+    assert not pipeline.history.has_pair(r.source, r.destination)
+    queries = [p, q, r]
+    before = resolve(pipeline, queries)
+    assert all(again is first
+               for warm, cold in zip(resolve(pipeline, queries), before)
+               for again, first in zip(warm, cold))
+    pipeline.extend_history([make(9100, list(p.segments), p.start_time_s)])
+    after = resolve(pipeline, queries)
+    fresh = PreprocessingPipeline(dataset.network, config=config,
+                                  history=clone_snapshot(pipeline.history))
+    assert after == resolve(fresh, queries)
+    assert memo_keys(pipeline.history) == memo_keys(fresh.history)
+    keys = memo_keys(pipeline.history)
+    assert ({key[:2] for key in keys["_statistics_cache"]}
+            == {key[:2] for key in keys["_routes_cache"]}
+            == {p.sd_pair, q.sd_pair})
+    assert ({key[:2] for key in keys["_fallback_statistics"]}
+            == {key[:2] for key in keys["_fallback_routes"]} == {r.sd_pair})
+    # Q's values were carried, P's and the fallback's derived again.
+    assert all(new is old for new, old in zip(after[1], before[1]))
+    assert all(new is not old for index in (0, 2)
+               for new, old in zip(after[index], before[index]))
+    assert after[0][0].group_size == before[0][0].group_size + 1
+
+
+def test_warm_resolution_copies_no_group(trained_model, dataset_split,
+                                         monkeypatch):
+    """The second open, ``detect`` and ``preprocess`` of an SD pair find
+    everything in the memo: ``HistorySnapshot.group`` is not called."""
+    _, _, test = dataset_split
+    model = clone_model(trained_model)  # its own, cold, memo
+    history = model.pipeline.history
+    known = next(t for t in test
+                 if history.has_pair(t.source, t.destination))
+    lonely = make(9001, [known.segments[1], known.segments[0]])
+    assert not history.has_pair(lonely.source, lonely.destination)
+    calls = []
+    group = HistorySnapshot.group
+
+    def counting_group(self, *args):
+        calls.append(args)
+        return group(self, *args)
+
+    monkeypatch.setattr(HistorySnapshot, "group", counting_group)
+    engine, detector = model.stream_engine(), model.detector()
+
+    def visit(trajectory):
+        engine.ingest("cab", trajectory.segments[0],
+                      destination=trajectory.destination,
+                      start_time_s=trajectory.start_time_s)
+        for segment in trajectory.segments[1:]:
+            engine.ingest("cab", segment)
+        return (engine.finalize("cab").labels,
+                detector.detect(trajectory).labels,
+                model.pipeline.preprocess(trajectory).noisy_labels)
+
+    cold = [visit(known), visit(lonely)]
+    assert calls
+    del calls[:]
+    assert [visit(known), visit(lonely)] == cold
+    assert calls == []

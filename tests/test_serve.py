@@ -15,7 +15,7 @@ import pytest
 
 from repro.config import ServeConfig
 from repro.exceptions import (ConfigurationError, LabelingError, ModelError,
-                              ServiceError)
+                              ServiceError, TrajectoryError)
 from repro.serve import (DetectionService, IngestEvent, IngestStatus,
                          clone_model, serve_fleet, serve_fleet_async,
                          shard_of, weights_snapshot)
@@ -269,6 +269,41 @@ def test_unknown_segment_rejected_synchronously(trained_model, dataset_split,
         for segment in trajectory.segments[1:]:
             service.ingest_blocking("good", segment)
         result = service.finalize("good")
+    assert result.labels == trained_model.detector().detect(trajectory).labels
+
+
+@pytest.mark.parametrize("start_time_s",
+                         [float("nan"), float("inf"), "noon", None])
+def test_bad_start_time_rejected_before_queuing(trained_model, dataset_split,
+                                                start_time_s):
+    """An opening ``start_time_s`` that is not a finite real number is
+    refused at the facade, typed and before anything is queued — it used to
+    fail shard-side on an untyped error, with the vehicle tracked as open."""
+    _, _, test = dataset_split
+    trajectory = test[0]
+    with trained_model.detection_service(num_shards=1) as service:
+        with pytest.raises(TrajectoryError):
+            service.ingest_many([
+                IngestEvent("other", trajectory.segments[0], None, 0.0, None),
+                IngestEvent("cab", trajectory.segments[0],
+                            trajectory.destination, start_time_s, None)])
+        with pytest.raises(TrajectoryError):
+            service.ingest("cab", trajectory.segments[0],
+                           destination=trajectory.destination,
+                           start_time_s=start_time_s)
+        assert service.active_vehicles == []
+        shard = service.metrics().shards[0]
+        assert (shard.queue_depth, shard.streams_open,
+                shard.pending_points) == (0, 0, 0)
+        assert service.metrics().accepted_ingests == 0
+        # The same vehicle id opens normally afterwards.
+        service.ingest_many(
+            [IngestEvent("cab", trajectory.segments[0],
+                         trajectory.destination, trajectory.start_time_s,
+                         None)]
+            + [IngestEvent("cab", segment, None, 0.0, None)
+               for segment in trajectory.segments[1:]])
+        result = service.finalize("cab")
     assert result.labels == trained_model.detector().detect(trajectory).labels
 
 

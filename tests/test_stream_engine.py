@@ -12,8 +12,11 @@ import numpy as np
 import pytest
 
 from repro.core import StreamEngine, replay_fleet
-from repro.core.stream import SegmentFeatureCache, SegmentRecord
-from repro.exceptions import ModelError
+from test_deferred_streams import (feed, open_stream, perturbed_model,
+                                   perturbed_weights)
+
+from repro.exceptions import LabelingError, ModelError, TrajectoryError
+from repro.serve import clone_model
 from repro.trajectory.ops import interleave_streams
 
 
@@ -124,14 +127,14 @@ def test_sampling_mode_matches_fresh_detector(trained_model, dataset_split):
 
 
 def test_cache_eviction_does_not_change_labels(trained_model, dataset_split):
-    """A pathologically small LRU still yields identical labels."""
+    """Projections read from the shared table yield identical labels (the
+    table evicts nothing: a row is computed once and kept)."""
     _, _, test = dataset_split
     detector = trained_model.detector()
-    engine = trained_model.stream_engine(cache_size=2)
+    engine = trained_model.stream_engine()
     results = replay_fleet(engine, test[:10], concurrency=5)
     for trajectory, result in zip(test[:10], results):
         assert_results_match(detector.detect(trajectory), result)
-    assert len(engine.cache) <= 2
     # One lookup per LSTM row: every point but each trip's destination.
     rows = sum(len(t) - 1 for t in test[:10])
     assert engine.cache.hits + engine.cache.misses == rows
@@ -308,21 +311,105 @@ def test_slot_pool_grows_beyond_initial_capacity(trained_model, dataset_split):
         assert_results_match(detector.detect(trajectory), result)
 
 
+@pytest.mark.parametrize("start_time_s",
+                         [float("nan"), float("inf"), "noon", None])
+def test_rejected_open_takes_no_slot(trained_model, dataset_split,
+                                     start_time_s):
+    """Opening fields are outside input: a start time that is not a finite
+    real number is refused with a typed error, and a refused open — for
+    this or an unknown destination — leaves no stream and leaks no slot of
+    the state pool."""
+    _, _, test = dataset_split
+    trajectory = test[0]
+    engine = trained_model.stream_engine()
+    free = len(engine._free_slots)
+    for _ in range(3):
+        with pytest.raises(TrajectoryError):
+            engine.ingest("cab", trajectory.segments[0],
+                          destination=trajectory.destination,
+                          start_time_s=start_time_s)
+        with pytest.raises(TrajectoryError):
+            engine.ingest("cab", trajectory.segments[0],
+                          start_time_s=start_time_s)
+        with pytest.raises(LabelingError):
+            engine.ingest("cab", trajectory.segments[0], destination=10 ** 9)
+        assert engine.active_vehicles == []
+        assert len(engine._free_slots) == free
+    # The same vehicle id opens normally afterwards.
+    results = replay_fleet(engine, [trajectory], concurrency=1)
+    assert_results_match(trained_model.detector().detect(trajectory),
+                         results[0])
+    assert len(engine._free_slots) == free
+
+
 # ------------------------------------------------------- small unit pieces
-def test_segment_feature_cache_lru_eviction():
-    cache = SegmentFeatureCache(max_size=2)
-    make = lambda segment: SegmentRecord(segment, np.zeros(1), 1, 1)
-    cache.get(1, make)
-    cache.get(2, make)
-    cache.get(1, make)  # refresh 1 so 2 is the eviction candidate
-    cache.get(3, make)  # evicts 2
-    assert cache.get(1, make).token == 1
-    assert cache.hits == 2
-    cache.get(2, make)  # recompute after eviction
-    assert cache.misses == 4
-    assert len(cache) == 2
-    with pytest.raises(ModelError):
-        SegmentFeatureCache(max_size=0)
+def stepped_segments(trajectories):
+    """Every segment that gets an LSTM step: all but the destinations."""
+    return {segment for t in trajectories for segment in t.segments[:-1]}
+
+
+def test_table_rows_fill_once_per_token_per_weight_version(trained_model,
+                                                           dataset_split):
+    _, _, test = dataset_split
+    engine = trained_model.stream_engine()
+    vocabulary = trained_model.pipeline.vocabulary
+    hidden_dim = trained_model.rsrnet.config.hidden_dim
+    table_bytes = len(vocabulary) * 4 * hidden_dim * 8
+    assert engine.cache.nbytes == table_bytes
+    assert len(engine.cache) == 0
+    replay_fleet(engine, test[:10], concurrency=5)
+    distinct = len(stepped_segments(test[:10]))
+    assert engine.cache.misses == len(engine.cache) == distinct
+    replay_fleet(engine, test[:10], concurrency=3)  # all hits
+    assert engine.cache.misses == len(engine.cache) == distinct
+    # A new weight version empties the table; the same traffic fills the
+    # same rows again, once each.
+    engine.load_weights(trained_model.rsrnet.state_dict(),
+                        trained_model.asdnet.state_dict())
+    assert len(engine.cache) == 0
+    replay_fleet(engine, test[:10], concurrency=5)
+    assert len(engine.cache) == distinct
+    assert engine.cache.misses == 2 * distinct
+    rows = 3 * sum(len(t) - 1 for t in test[:10])
+    assert engine.cache.hits + engine.cache.misses == rows
+    # Fixed-size whatever the traffic.
+    assert engine.cache.nbytes == table_bytes
+
+
+def test_load_weights_refills_rows_of_buffered_points(trained_model,
+                                                      dataset_split):
+    """Points buffered but not yet stepped when the weights change are
+    stepped from rows computed under the new weights, not the filled ones:
+    labels equal a fresh engine that only ever saw the new weights."""
+    _, _, test = dataset_split
+    fleet = sorted(test, key=len)[-6:]
+    snapshot = perturbed_weights(trained_model, seed=9)
+    fresh_model = perturbed_model(trained_model, seed=9)
+
+    def buffer_fleet(engine):
+        for index, trajectory in enumerate(fleet):
+            open_stream(engine, index, trajectory, declare=True)
+            feed(engine, index, trajectory, 1, None)
+
+    # Without RNEL the policy decides every interior point, so stale rows
+    # would visibly change labels.
+    fresh = fresh_model.stream_engine(use_rnel=False)
+    buffer_fleet(fresh)
+    expected = fresh.finalize_many(list(range(len(fleet))))
+    old = trained_model.stream_engine(use_rnel=False)
+    buffer_fleet(old)
+    stale = old.finalize_many(list(range(len(fleet))))
+    assert [r.labels for r in stale] != [r.labels for r in expected], \
+        "the perturbed weights must visibly change the labels"
+
+    engine = clone_model(trained_model).stream_engine(use_rnel=False)
+    replay_fleet(engine, fleet, concurrency=3)  # fill the rows, old weights
+    assert len(engine.cache) == len(stepped_segments(fleet))
+    buffer_fleet(engine)
+    engine.load_weights(snapshot["rsrnet"], snapshot["asdnet"])
+    results = engine.finalize_many(list(range(len(fleet))))
+    assert [r.labels for r in results] == [r.labels for r in expected]
+    assert len(engine.cache) == len(stepped_segments(fleet))
 
 
 def test_interleave_streams_round_robin_order(dataset_split):

@@ -9,8 +9,12 @@ Four checks, no third-party dependencies beyond the library's own:
 3. **Import smoke** — every documented public module imports, and the names
    the docs present as the public API exist where they say they do.
 4. **Config keywords** — every keyword a fenced example passes to a
-   ``repro.config`` dataclass constructor is a field of that dataclass, so an
-   example naming a deleted option fails although it still compiles.
+   ``repro.config`` dataclass constructor is a field of that dataclass, and
+   every keyword it passes to ``StreamEngine(...)``,
+   ``StreamEngine.from_model(...)``, ``model.stream_engine(...)`` or — as an
+   engine override — to ``detection_service(...)`` / ``DetectionService(...)``
+   is a parameter of ``StreamEngine.__init__``, so an example naming a
+   deleted option fails although it still compiles.
 
 Run locally with::
 
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import inspect
 import re
 import sys
 from pathlib import Path
@@ -140,12 +145,29 @@ def check_python_fences() -> list:
     return errors
 
 
+def _parameters(function) -> set:
+    return {name for name, parameter
+            in inspect.signature(function).parameters.items()
+            if parameter.kind is not parameter.VAR_KEYWORD}
+
+
 def check_config_keywords() -> list:
     import repro.config
+    from repro.core import RL4OASDModel, StreamEngine
+    from repro.serve import DetectionService
 
     fields = {name: {field.name for field in dataclasses.fields(cls)}
               for name, cls in vars(repro.config).items()
               if isinstance(cls, type) and dataclasses.is_dataclass(cls)}
+    # Callables that forward **overrides to StreamEngine.__init__ accept
+    # their own parameters plus the engine's.
+    engine = _parameters(StreamEngine.__init__)
+    fields["StreamEngine"] = engine
+    for function in (StreamEngine.from_model, RL4OASDModel.stream_engine,
+                     RL4OASDModel.detection_service):
+        fields[function.__name__] = _parameters(function) | engine
+    fields["DetectionService"] = _parameters(DetectionService.__init__) | engine
+    fields["detection_service"] |= fields["DetectionService"]
     errors = []
     for doc, index, source in python_fences():
         try:
@@ -163,7 +185,7 @@ def check_config_keywords() -> list:
                     errors.append(
                         f"{doc.relative_to(REPO)}: python fence #{index} "
                         f"passes {keyword.arg}= to {name}, which has no "
-                        f"such field")
+                        f"such field or parameter")
     return errors
 
 
@@ -193,8 +215,8 @@ def main() -> int:
     if errors:
         print(f"\n{len(errors)} documentation problem(s) in: {checked}")
         return 1
-    print(f"docs OK: links, python fences, public imports and config "
-          f"keywords verified ({checked})")
+    print(f"docs OK: links, python fences, public imports and config / "
+          f"engine keywords verified ({checked})")
     return 0
 
 
