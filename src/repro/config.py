@@ -57,6 +57,13 @@ class MapMatchingConfig:
     a streaming fleet); consecutive GPS points of many trajectories repeat
     the same segment pairs, so the cache is hot but must not grow without
     bound on a long-running gateway.
+
+    ``routing_max_hops`` bounds the Dijkstra that fills a cache miss: the
+    search answers ``inf`` once ``8 * routing_max_hops`` segments have been
+    popped off its frontier without reaching the target. The factor is part
+    of the result — it decides which candidate pairs count as unreachable —
+    so it is documented here rather than "corrected"; values below 1 would
+    make every pair unreachable and are rejected.
     """
 
     gps_sigma_m: float = 12.0
@@ -71,6 +78,7 @@ class MapMatchingConfig:
         _require(self.transition_beta > 0, "transition_beta must be positive")
         _require(self.candidate_radius_m > 0, "candidate_radius_m must be positive")
         _require(self.max_candidates >= 1, "max_candidates must be >= 1")
+        _require(self.routing_max_hops >= 1, "routing_max_hops must be >= 1")
         _require(self.distance_cache_size >= 1,
                  "distance_cache_size must be >= 1")
         return self

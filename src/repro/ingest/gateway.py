@@ -244,26 +244,33 @@ class GpsGateway:
                 time_origin=start_time_s if start_time_s is not None else 0.0)
             self._vehicles[vehicle_id] = state
         # Repair bounded out-of-order arrival; drop what cannot be repaired.
-        if point.t < state.last_released_t:
+        # Buffered fixes are strictly newer than the release frontier, so a
+        # fix newer than the newest of them (or than the frontier itself,
+        # when nothing is buffered) is in order: no search, not a duplicate.
+        buffer, t = state.buffer, point.t
+        if t > (buffer[-1].t if buffer else state.last_released_t):
+            buffer.append(point)
+        elif t < state.last_released_t:
             self._stats.late_dropped += 1
             return []
-        position = bisect.bisect_left(state.buffer, point.t,
-                                      key=lambda buffered: buffered.t)
-        if (point.t == state.last_released_t
-                or (position < len(state.buffer)
-                    and state.buffer[position].t == point.t)):
-            self._stats.duplicates_dropped += 1
-            return []
-        state.buffer.insert(position, point)
+        else:
+            position = bisect.bisect_left(buffer, t,
+                                          key=lambda buffered: buffered.t)
+            if (t == state.last_released_t
+                    or (position < len(buffer) and buffer[position].t == t)):
+                self._stats.duplicates_dropped += 1
+                return []
+            buffer.insert(position, point)
         if self._tracer is not None:
             trace = self._tracer.sample(obs_timestamp())
             if trace is not None:
                 if state.traces is None:
                     state.traces = {}
                 state.traces[point.t] = trace
-        results: List[SessionResult] = list(evicted)
-        while len(state.buffer) > self._config.reorder_window:
-            released = state.buffer.pop(0)
+        results = evicted
+        window = self._config.reorder_window
+        while len(buffer) > window:
+            released = buffer.pop(0)
             state.last_released_t = released.t
             results.extend(self._deliver(vehicle_id, state, released))
         return results
@@ -501,6 +508,10 @@ class GpsGateway:
                 lag_sum += plane.commit_lag_sum
                 stats.max_commit_lag = max(stats.max_commit_lag,
                                            plane.max_commit_lag)
+                stats.distance_cache_pairs += plane.distance_cache_pairs
+                stats.distance_cache_hits += plane.distance_cache_hits
+                stats.distance_cache_misses += plane.distance_cache_misses
+                stats.distance_cache_evictions += plane.distance_cache_evictions
             stats.commits = commits
             stats.forced_commits = forced
             stats.mean_commit_lag = lag_sum / commits if commits else 0.0
@@ -510,6 +521,11 @@ class GpsGateway:
             stats.forced_commits = matcher.forced_commits
             stats.max_commit_lag = matcher.max_commit_lag
             stats.mean_commit_lag = matcher.mean_commit_lag
+            cache = matcher.matcher.distance_cache
+            stats.distance_cache_pairs = len(cache)
+            stats.distance_cache_hits = cache.hits
+            stats.distance_cache_misses = cache.misses
+            stats.distance_cache_evictions = cache.evictions
         stats.reorder_buffered = sum(len(state.buffer)
                                      for state in self._vehicles.values())
         return stats

@@ -181,6 +181,7 @@ class ShardMatcherPlane:
     def stats(self) -> MatcherShardStats:
         stats = self._stats
         matcher = self._matcher
+        cache = matcher.matcher.distance_cache
         return MatcherShardStats(
             shard_id=self._shard_id,
             live_sessions=len(self._sessions),
@@ -196,6 +197,10 @@ class ShardMatcherPlane:
             max_commit_lag=matcher.max_commit_lag,
             commit_lag_sum=matcher.commit_lag_sum,
             commit_lag_samples=list(matcher.commit_lag_samples),
+            distance_cache_pairs=len(cache),
+            distance_cache_hits=cache.hits,
+            distance_cache_misses=cache.misses,
+            distance_cache_evictions=cache.evictions,
         )
 
     # -------------------------------------------------------------- matching

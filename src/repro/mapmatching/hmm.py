@@ -15,7 +15,7 @@ from ..roadnet.graph import RoadNetwork
 from ..roadnet.shortest_path import dijkstra_route
 from ..roadnet.spatial import SpatialIndex
 from ..trajectory.models import MatchedTrajectory, RawTrajectory
-from .emission import gaussian_emission_log_prob
+from .emission import _LOG_SQRT_2PI, gaussian_emission_log_prob
 
 _NEG_INF = float("-inf")
 
@@ -25,13 +25,24 @@ class SegmentPairDistanceCache:
 
     Stored as rows, ``to_segment -> {from_segment: metres}``, because a
     Viterbi column asks for every predecessor of one candidate at once.
-    Recency is per row; ``len(cache)``, ``max_size`` and ``hits`` /
-    ``misses`` count *pairs*: past ``max_size`` pairs the least recently
-    used rows are evicted whole (a lone row wider than the bound sheds its
-    own oldest pairs). One instance is shared by every match of a matcher —
-    and, through :class:`~repro.mapmatching.online.OnlineMapMatcher`, by
-    every vehicle session of a streaming fleet — because consecutive GPS
-    fixes of different trips keep asking for the same arterial segment pairs.
+    Recency is per row; ``len(cache)``, ``max_size``, ``hits`` / ``misses``
+    and ``evictions`` count *pairs*: past ``max_size`` pairs the least
+    recently used rows are evicted whole (a lone row wider than the bound
+    sheds its own oldest pairs). One instance is shared by every match of a
+    matcher — and, through
+    :class:`~repro.mapmatching.online.OnlineMapMatcher`, by every vehicle
+    session of a streaming fleet — because consecutive GPS fixes of
+    different trips keep asking for the same arterial segment pairs.
+
+    **Recency contract — an approximate LRU.** A read marks its row most
+    recently used only while the cache holds at least half of ``max_size``;
+    below that a hit mutates nothing, so rows sit in creation order.
+    Eviction needs more than ``max_size`` pairs, so every row read since the
+    half-way mark outlives every row that was not — but rows *untouched
+    since the mark* are evicted in creation order, not last-read order, so
+    victims (and hence hit / miss counts) can differ from a full LRU's on a
+    cache that reaches its bound. A fleet whose working set never nears the
+    bound never pays for an order nobody will consult.
     """
 
     def __init__(self, max_size: int = 65536):
@@ -43,6 +54,7 @@ class SegmentPairDistanceCache:
         self._pairs = 0
         self.hits = 0
         self.misses = 0
+        self.evictions = 0
 
     def __len__(self) -> int:
         return self._pairs
@@ -57,13 +69,14 @@ class SegmentPairDistanceCache:
         return self.hits / total if total else 0.0
 
     def row(self, to_segment: int) -> Dict[int, float]:
-        """The live row of ``to_segment``, marked most recently used. Reads
-        of it are uncounted: add pair ``hits`` / ``misses`` yourself, and
-        fill misses through :meth:`store`."""
+        """The live row of ``to_segment`` (created empty when absent), marked
+        most recently used under the recency contract. Reads of it are
+        uncounted: add pair ``hits`` / ``misses`` yourself, and fill misses
+        through :meth:`store`."""
         row = self._rows.get(to_segment)
         if row is None:
             row = self._rows[to_segment] = {}
-        else:
+        elif 2 * self._pairs >= self._max_size:
             self._rows.move_to_end(to_segment)
         return row
 
@@ -87,10 +100,12 @@ class SegmentPairDistanceCache:
             oldest = next(iter(self._rows.values()))
             if oldest is row:  # the only row left: shed its own oldest pair
                 del row[next(iter(row))]
-                self._pairs -= 1
+                shed = 1
             else:
                 self._rows.popitem(last=False)
-                self._pairs -= len(oldest)
+                shed = len(oldest)
+            self._pairs -= shed
+            self.evictions += shed
 
     def clear(self) -> None:
         self._rows.clear()
@@ -130,6 +145,9 @@ class HMMMapMatcher:
         self._index = SpatialIndex(network, cell_size_m=self._config.candidate_radius_m)
         self._distance_cache = SegmentPairDistanceCache(
             self._config.distance_cache_size)
+        # The column update's per-model constants (the config is frozen).
+        self._log_beta = math.log(self._config.transition_beta)
+        self._log_sigma = math.log(self._config.gps_sigma_m)
         #: segment -> ((successor, successor length_m), ...) in network
         #: order, filled the first time the routing expands a segment.
         self._successors: Dict[int, Tuple[Tuple[int, float], ...]] = {}
@@ -216,23 +234,31 @@ class HMMMapMatcher:
         predecessors of ``(previous + transition_log_prob) + emission``,
         first maximum winning ties, ``-inf`` / ``-1`` when no predecessor
         reaches it. Network distances come from one
-        :class:`SegmentPairDistanceCache` row per candidate, misses filled
-        by the bounded Dijkstra.
+        :class:`SegmentPairDistanceCache` row per candidate (read under the
+        cache's recency contract: a hit on a cache under half its bound
+        mutates nothing), misses filled by the bounded Dijkstra. The
+        emission is :func:`gaussian_emission_log_prob`'s expression on
+        hoisted constants — same operations in the same order, so scores
+        are bit-identical to the model functions'; ``candidates`` come from
+        :meth:`candidates_near`, whose distances are never negative.
         """
         config = self._config
         beta, sigma = config.transition_beta, config.gps_sigma_m
-        log_beta = math.log(beta)
+        log_beta, log_sigma = self._log_beta, self._log_sigma
         cache = self._distance_cache
+        row_of = cache.row
         scores: List[float] = []
         backpointers: List[int] = []
         misses = 0
         for to_segment, distance in candidates:
-            emission = gaussian_emission_log_prob(distance, sigma)
-            cached = cache.row(to_segment).get
+            z = distance / sigma
+            emission = -0.5 * z * z - log_sigma - _LOG_SQRT_2PI
+            row = row_of(to_segment)
             best, best_index = _NEG_INF, -1
             for index, from_segment in enumerate(from_segments):
-                network = cached(from_segment)
-                if network is None:
+                try:
+                    network = row[from_segment]
+                except KeyError:
                     network = self._route_distance(from_segment, to_segment)
                     misses += 1
                 total = (previous_scores[index]
@@ -260,7 +286,11 @@ class HMMMapMatcher:
         return distance
 
     def _bounded_dijkstra(self, source: int, target: int) -> float:
-        """Shortest network distance, giving up after ``routing_max_hops`` expansions."""
+        """Shortest network distance, ``inf`` once ``8 * routing_max_hops``
+        segments have been popped off the frontier without reaching
+        ``target``. The factor 8 is part of the result (it decides which
+        pairs are unreachable, hence which lattices break) — do not "fix"
+        it to match the field's name."""
         network, successors = self._network, self._successors
         max_hops = self._config.routing_max_hops
         best: Dict[int, float] = {source: 0.0}

@@ -42,7 +42,7 @@ stream-side caller (the ingest gateway) can drop the fix or split the trip.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Tuple
 
 from ..obs.registry import Reservoir
@@ -62,38 +62,42 @@ _NEG_INF = float("-inf")
 _MAX_LAG_SAMPLES = 100_000
 
 
-@dataclass
 class _Column:
     """One GPS fix's slice of a session's candidate lattice."""
 
-    candidates: List[Tuple[int, float]]  # (segment, distance) pairs
-    backpointers: List[int]              # into the previous column
-    arrival: int                         # session-local point index
-    segments: Tuple[int, ...] = field(init=False)  # of the candidates
+    __slots__ = ("candidates", "backpointers", "arrival", "segments")
 
-    def __post_init__(self):
-        self.segments = tuple([segment for segment, _ in self.candidates])
+    def __init__(self, candidates: List[Tuple[int, float]],
+                 backpointers: List[int], arrival: int):
+        self.candidates = candidates      # (segment, distance) pairs
+        self.backpointers = backpointers  # into the previous column
+        self.arrival = arrival            # session-local point index
+        self.segments = [segment for segment, _ in candidates]
 
     def rooted_on(self, choice: int) -> "_Column":
         """A committed lattice root: this column cut down to one candidate."""
         return _Column([self.candidates[choice]], [-1], self.arrival)
 
 
-@dataclass
 class _Session:
     """The live lattice of one vehicle's trip."""
 
-    columns: List[_Column] = field(default_factory=list)
-    scores: List[float] = field(default_factory=list)  # newest column only
-    last_point: Optional[GPSPoint] = None
-    anchored: bool = False      # columns[0] is already committed
-    route: List[int] = field(default_factory=list)   # connected, committed
-    route_tail: Optional[int] = None
-    points_matched: int = 0
-    forced_commits: int = 0
-    max_commit_lag: int = 0
-    committed_points: int = 0
-    squared_distance_sum: float = 0.0  # of committed fixes, for confidence
+    __slots__ = ("columns", "scores", "last_point", "anchored", "route",
+                 "route_tail", "points_matched", "forced_commits",
+                 "max_commit_lag", "committed_points", "squared_distance_sum")
+
+    def __init__(self):
+        self.columns: List[_Column] = []
+        self.scores: List[float] = []  # newest column only
+        self.last_point: Optional[GPSPoint] = None
+        self.anchored = False      # columns[0] is already committed
+        self.route: List[int] = []  # connected, committed
+        self.route_tail: Optional[int] = None
+        self.points_matched = 0
+        self.forced_commits = 0
+        self.max_commit_lag = 0
+        self.committed_points = 0
+        self.squared_distance_sum = 0.0  # of committed fixes, for confidence
 
     @property
     def uncommitted(self) -> int:
@@ -215,16 +219,14 @@ class OnlineMapMatcher:
                 "segment anywhere near it")
         session = self._sessions.get(key)
         if session is None:
-            session = _Session()
-            self._sessions[key] = session
-        config = self._config
+            session = self._sessions[key] = _Session()
+        columns = session.columns
 
-        if not session.columns:
-            scores = [gaussian_emission_log_prob(distance, config.gps_sigma_m)
-                      for _, distance in candidates]
-            session.columns.append(
-                _Column(candidates, [-1] * len(candidates), 0))
-            session.scores = scores
+        if not columns:
+            sigma = self._config.gps_sigma_m
+            session.scores = [gaussian_emission_log_prob(distance, sigma)
+                              for _, distance in candidates]
+            columns.append(_Column(candidates, [-1] * len(candidates), 0))
             session.last_point = point
             session.points_matched = 1
             return self._converge(session)
@@ -233,13 +235,13 @@ class OnlineMapMatcher:
         straight = math.hypot(point.x - previous_point.x,
                               point.y - previous_point.y)
         current_scores, current_back = self._matcher.viterbi_step(
-            session.scores, session.columns[-1].segments, candidates, straight)
+            session.scores, columns[-1].segments, candidates, straight)
         if max(current_scores) == _NEG_INF:
             raise MatchBreakError(
                 f"no candidate of GPS fix ({point.x:.1f}, {point.y:.1f}) is "
                 "reachable from the previous fix's candidates")
 
-        session.columns.append(
+        columns.append(
             _Column(candidates, current_back, session.points_matched))
         session.scores = current_scores
         session.last_point = point
@@ -384,17 +386,6 @@ class OnlineMapMatcher:
         self.forced_commits += 1
         return emitted
 
-    def _sample_lag(self, lag: int) -> None:
-        """Reservoir-sample one commit lag (Algorithm R).
-
-        Delegates to the shared :class:`repro.obs.Reservoir` (one ``add``
-        per commit, so the reservoir's population counter tracks
-        ``self.commits`` exactly and the retained sample stays a uniform
-        sample of every commit ever made — a soak run's latency report
-        reflects the whole run, not just its startup window).
-        """
-        self._lag_reservoir.add(lag)
-
     def _commit(self, session: _Session,
                 choices: List[Tuple[_Column, int]]) -> List[int]:
         """Emit chosen candidates through the incremental route connector.
@@ -425,20 +416,33 @@ class OnlineMapMatcher:
             if emitted:
                 tail = emitted[-1]
         # Point of no return: apply route, lag and confidence accounting.
+        # One reservoir add per committed column, in column order: its
+        # population counter tracks ``self.commits`` exactly, so the retained
+        # sample stays a uniform sample of every commit ever made.
         newest_arrival = session.points_matched - 1
+        squared_sum = session.squared_distance_sum
+        max_lag = session.max_commit_lag
+        lag_sum = 0
+        sample_lag = self._lag_reservoir.add
         for column, choice in choices:
             distance = column.candidates[choice][1]
-            session.squared_distance_sum += distance * distance
-            session.committed_points += 1
+            squared_sum += distance * distance
             lag = newest_arrival - column.arrival
-            session.max_commit_lag = max(session.max_commit_lag, lag)
-            self.max_commit_lag = max(self.max_commit_lag, lag)
-            self.commit_lag_sum += lag
-            self.commits += 1
-            self._sample_lag(lag)
+            if lag > max_lag:
+                max_lag = lag
+            lag_sum += lag
+            sample_lag(lag)
+        session.squared_distance_sum = squared_sum
+        session.committed_points += len(choices)
+        session.max_commit_lag = max_lag
+        if max_lag > self.max_commit_lag:
+            self.max_commit_lag = max_lag
+        self.commit_lag_sum += lag_sum
+        self.commits += len(choices)
         session.route.extend(emitted)
         if emitted:
             session.route_tail = emitted[-1]
         elif choices and session.route_tail is None:  # pragma: no cover
             raise MapMatchingError("commit produced no route prefix")
         return emitted
+

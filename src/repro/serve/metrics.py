@@ -132,7 +132,9 @@ class MatcherShardStats:
     generations restarted after a lattice break (the shard-side twin of the
     facade's post-break ``sessions_opened``); ``commit_lag_samples`` is the
     matcher's reservoir, shipped whole so latency percentiles can be
-    computed fleet-wide.
+    computed fleet-wide. The ``distance_cache_*`` fields are the shard's own
+    :class:`~repro.mapmatching.hmm.SegmentPairDistanceCache` (pairs held and
+    lifetime pair hits / misses / evictions); the gateway sums them.
     """
 
     shard_id: int
@@ -149,6 +151,10 @@ class MatcherShardStats:
     max_commit_lag: int = 0
     commit_lag_sum: int = 0
     commit_lag_samples: List[int] = field(default_factory=list)
+    distance_cache_pairs: int = 0
+    distance_cache_hits: int = 0
+    distance_cache_misses: int = 0
+    distance_cache_evictions: int = 0
 
     @property
     def mean_commit_lag(self) -> float:
@@ -186,6 +192,14 @@ class GatewayStats:
     behaviour (convergence vs. window-forced commits, commit lag measured in
     follow-up points). Produced by :meth:`repro.ingest.GpsGateway.metrics`,
     which attaches it to the service's :class:`ServiceMetrics`.
+
+    The ``distance_cache_*`` fields are the matcher's segment-pair distance
+    cache read at snapshot time (nothing is counted per fix for them): pairs
+    held now against ``MapMatchingConfig.distance_cache_size``, and lifetime
+    pair hits, misses and evictions — summed over the shard matchers under
+    shard placement. A cache that never evicts and sits under half its
+    bound also never reorders its rows on a hit (the cache's recency
+    contract); these four numbers are how an operator checks that.
     """
 
     raw_points: int = 0
@@ -207,6 +221,10 @@ class GatewayStats:
     mean_commit_lag: float = 0.0
     batched_flushes: int = 0
     reorder_buffered: int = 0
+    distance_cache_pairs: int = 0
+    distance_cache_hits: int = 0
+    distance_cache_misses: int = 0
+    distance_cache_evictions: int = 0
 
     @property
     def dropped_points(self) -> int:
@@ -245,6 +263,10 @@ class GatewayStats:
             "mean_commit_lag": self.mean_commit_lag,
             "batched_flushes": self.batched_flushes,
             "reorder_buffered": self.reorder_buffered,
+            "distance_cache_pairs": self.distance_cache_pairs,
+            "distance_cache_hits": self.distance_cache_hits,
+            "distance_cache_misses": self.distance_cache_misses,
+            "distance_cache_evictions": self.distance_cache_evictions,
         }
 
     def format(self) -> str:
@@ -561,4 +583,16 @@ def metrics_to_registry(metrics: ServiceMetrics, registry=None):
         registry.gauge("repro_gateway_reorder_buffered",
                        help="Fixes held in reorder buffers").set(
             gateway.reorder_buffered)
+        registry.gauge("repro_gateway_distance_cache_pairs",
+                       help="Segment pairs held by the matcher's distance "
+                            "cache").set(gateway.distance_cache_pairs)
+        for name, count, what in (
+                ("hits", gateway.distance_cache_hits, "served from"),
+                ("misses", gateway.distance_cache_misses, "routed into"),
+                ("evictions", gateway.distance_cache_evictions,
+                 "evicted from")):
+            registry.counter(
+                f"repro_gateway_distance_cache_{name}_total",
+                help=f"Segment pairs {what} the matcher's distance cache"
+            ).inc(count)
     return registry

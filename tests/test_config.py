@@ -61,10 +61,28 @@ def test_road_network_config_rejects_bad_values(kwargs):
     {"transition_beta": -1},
     {"candidate_radius_m": 0},
     {"max_candidates": 0},
+    {"routing_max_hops": 0},
+    {"routing_max_hops": -5},
 ])
 def test_map_matching_config_rejects_bad_values(kwargs):
     with pytest.raises(ConfigurationError):
         MapMatchingConfig(**kwargs).validate()
+
+
+def test_matcher_refuses_a_routing_budget_that_reaches_nothing(grid_network):
+    """``routing_max_hops <= 0`` used to validate: the bounded Dijkstra then
+    pops nothing, every network distance is ``inf`` and every session ends
+    in ``MatchBreakError`` on its second fix. 1 is the smallest budget that
+    reaches anything (8 pops: a segment's successors)."""
+    from repro.mapmatching import HMMMapMatcher
+
+    with pytest.raises(ConfigurationError):
+        HMMMapMatcher(grid_network, MapMatchingConfig(routing_max_hops=0))
+    matcher = HMMMapMatcher(grid_network, MapMatchingConfig(routing_max_hops=1))
+    segment = grid_network.segment_ids()[0]
+    successor = grid_network.successor_segments(segment)[0]
+    assert matcher.network_distance(segment, successor) == \
+        grid_network.segment(successor).length_m
 
 
 @pytest.mark.parametrize("kwargs", [

@@ -1,0 +1,285 @@
+"""The gateway's reorder / duplicate / late-drop / session machine, stateful.
+
+A hypothesis ``RuleBasedStateMachine`` drives :class:`GpsGateway` with
+arbitrary interleavings of in-order fixes, fixes swapped inside and outside
+the reorder window, exact duplicates (of a buffered fix, of the release
+frontier with fixes buffered and with none), session-gap jumps, ``end`` and
+``advance_clock`` over a few vehicles, and checks it after every step against
+a **sort-then-replay model**: per vehicle, a sorted list of the accepted
+fixes not yet released and the release frontier; a fix is late below the
+frontier, a duplicate on it or on a held timestamp, and otherwise held until
+more than ``reorder_window`` are — released oldest first, a gap of more than
+``session_gap_s`` between released fixes starting a new session.
+
+Only the gateway's own machine is under test, so what sits on either side of
+it is a recorder: a matcher that logs the ``(session key, t)`` of every fix
+released to it, and a service that finalizes a session to its key. Asserted
+after every rule: the release log (order and session boundaries), the
+sessions each call returned, and the ``raw_points`` / ``late_dropped`` /
+``duplicates_dropped`` / ``gap_splits`` / ``session_timeouts`` /
+``sessions_closed`` / ``reorder_buffered`` counters.
+
+Seeded mutant it kills (applied to ``push_point``, seen to fail, restored):
+the in-order fast path taken whenever the buffer is empty — ``if not buffer
+or t > buffer[-1].t: append`` — which *inserts* a fix equal to
+``last_released_t`` instead of counting it a duplicate. It needs an empty
+buffer with a frontier behind it, i.e. ``reorder_window=0``, which is why the
+window is part of the machine's state and not a constant. (The neighbouring
+mutant ``t >=`` for ``t >`` dies on the buffered-duplicate rule.)
+"""
+
+from __future__ import annotations
+
+import bisect
+
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant,
+                                 precondition, rule)
+
+from repro.config import GatewayConfig
+from repro.ingest import GpsGateway
+from repro.mapmatching import (HMMMapMatcher, OnlineMapMatcher,
+                               OnlineMatchResult)
+from repro.roadnet import RoadNetwork
+
+SESSION_GAP_S = 10.0
+VEHICLES = ("a", "b", "c")
+_NEVER = float("-inf")
+
+
+def two_node_network() -> RoadNetwork:
+    network = RoadNetwork()
+    network.add_intersection(0, 0.0, 0.0)
+    network.add_intersection(1, 100.0, 0.0)
+    network.add_segment(0, 0, 1)
+    return network
+
+
+class RecordingMatcher(OnlineMapMatcher):
+    """Logs every released fix; each session's route is the one segment."""
+
+    def __init__(self):
+        super().__init__(HMMMapMatcher(two_node_network()))
+        self.released = []  # (session key, t), in release order
+        self.open = set()
+
+    def push(self, key, point):
+        self.released.append((key, point.t))
+        first = key not in self.open
+        self.open.add(key)
+        return [0] if first else []
+
+    def has_session(self, key):
+        return key in self.open
+
+    def finish(self, key):
+        self.open.remove(key)
+        return OnlineMatchResult(route=[0], log_likelihood=0.0,
+                                 points_matched=1, forced_commits=0,
+                                 max_commit_lag=0)
+
+
+class RecordingService:
+    """The slice of ``DetectionService`` a facade-placed gateway calls."""
+
+    tracer = None
+
+    def shard_for(self, key):
+        return 0
+
+    def ingest_many(self, events, max_retries, retry_wait_s):
+        pass
+
+    def finalize(self, key):
+        return key
+
+
+class ModelVehicle:
+    """Sort-then-replay: what one vehicle's fixes should turn into."""
+
+    def __init__(self):
+        self.held = []            # accepted, unreleased timestamps, sorted
+        self.frontier = _NEVER    # newest released timestamp
+        self.session = None       # [key, last released t] of the open session
+        self.next_session = 0
+
+    def newest(self) -> float:
+        return self.held[-1] if self.held else self.frontier
+
+
+class GatewayMachine(RuleBasedStateMachine):
+    def __init__(self):
+        super().__init__()
+        self.gateway = None
+
+    @initialize(window=st.sampled_from([0, 1, 3]))
+    def build(self, window):
+        self.window = window
+        self.matcher = RecordingMatcher()
+        self.gateway = GpsGateway(
+            RecordingService(), self.matcher,
+            GatewayConfig(reorder_window=window, session_gap_s=SESSION_GAP_S))
+        self.vehicles = {}          # id -> ModelVehicle, registration order
+        self.expected_released = []
+        self.counts = dict.fromkeys(
+            ("raw_points", "late_dropped", "duplicates_dropped", "gap_splits",
+             "session_timeouts", "sessions_closed"), 0)
+
+    # ------------------------------------------------------------- the model
+    def model_release(self, vehicle_id, vehicle, t, closed):
+        if (vehicle.session is not None
+                and t - vehicle.session[1] > SESSION_GAP_S):
+            self.counts["gap_splits"] += 1
+            self.model_close(vehicle, closed)
+        if vehicle.session is None:
+            vehicle.session = [(vehicle_id, vehicle.next_session), t]
+            vehicle.next_session += 1
+        vehicle.session[1] = t
+        vehicle.frontier = t
+        self.expected_released.append((vehicle.session[0], t))
+
+    def model_close(self, vehicle, closed):
+        closed.append(vehicle.session[0])
+        vehicle.session = None
+        self.counts["sessions_closed"] += 1
+
+    def model_push(self, vehicle_id, t):
+        """Returns the session keys this fix should complete."""
+        self.counts["raw_points"] += 1
+        vehicle = self.vehicles.setdefault(vehicle_id, ModelVehicle())
+        closed = []
+        if t < vehicle.frontier:
+            self.counts["late_dropped"] += 1
+        elif t == vehicle.frontier or t in vehicle.held:
+            self.counts["duplicates_dropped"] += 1
+        else:
+            bisect.insort(vehicle.held, t)
+            while len(vehicle.held) > self.window:
+                self.model_release(vehicle_id, vehicle, vehicle.held.pop(0),
+                                   closed)
+        return closed
+
+    def model_end(self, vehicle_id):
+        vehicle = self.vehicles.pop(vehicle_id)
+        closed = []
+        for t in vehicle.held:
+            self.model_release(vehicle_id, vehicle, t, closed)
+        if vehicle.session is not None:
+            self.model_close(vehicle, closed)
+        return closed
+
+    # ----------------------------------------------------------------- rules
+    def push(self, vehicle_id, t):
+        expected = self.model_push(vehicle_id, t)
+        results = self.gateway.push(vehicle_id, 50.0, 0.0, t)
+        assert [result.session_key for result in results] == expected
+
+    def known(self, pick):
+        """A vehicle the model knows, chosen by an arbitrary integer."""
+        names = list(self.vehicles)
+        return names[pick % len(names)]
+
+    @rule(vehicle_id=st.sampled_from(VEHICLES),
+          step=st.sampled_from([1.0, 2.0, SESSION_GAP_S]))
+    def in_order_fix(self, vehicle_id, step):
+        vehicle = self.vehicles.get(vehicle_id)
+        newest = vehicle.newest() if vehicle is not None else _NEVER
+        self.push(vehicle_id, 0.0 if newest == _NEVER else newest + step)
+
+    @rule(vehicle_id=st.sampled_from(VEHICLES))
+    def gap_split(self, vehicle_id):
+        vehicle = self.vehicles.get(vehicle_id)
+        newest = vehicle.newest() if vehicle is not None else _NEVER
+        self.push(vehicle_id, 0.0 if newest == _NEVER
+                  else newest + SESSION_GAP_S + 1.0)
+
+    @precondition(lambda self: any(v.held for v in self.vehicles.values()))
+    @rule(pick=st.integers(0, 99))
+    def swapped_inside_the_window(self, pick):
+        """Older than the newest held fix, newer than the frontier."""
+        holding = [name for name, vehicle in self.vehicles.items()
+                   if vehicle.held]
+        vehicle_id = holding[pick % len(holding)]
+        vehicle = self.vehicles[vehicle_id]
+        upper = vehicle.held[pick % len(vehicle.held)]
+        self.push(vehicle_id, upper - 0.25 if vehicle.frontier == _NEVER
+                  else (upper + vehicle.frontier) / 2.0)
+
+    @precondition(lambda self: any(v.frontier != _NEVER
+                                   for v in self.vehicles.values()))
+    @rule(pick=st.integers(0, 99), behind=st.sampled_from([0.5, 3.0, 40.0]))
+    def swapped_outside_the_window(self, pick, behind):
+        released = [name for name, vehicle in self.vehicles.items()
+                    if vehicle.frontier != _NEVER]
+        vehicle_id = released[pick % len(released)]
+        self.push(vehicle_id, self.vehicles[vehicle_id].frontier - behind)
+
+    @precondition(lambda self: any(v.held for v in self.vehicles.values()))
+    @rule(pick=st.integers(0, 99))
+    def duplicate_of_a_buffered_fix(self, pick):
+        holding = [name for name, vehicle in self.vehicles.items()
+                   if vehicle.held]
+        vehicle_id = holding[pick % len(holding)]
+        held = self.vehicles[vehicle_id].held
+        self.push(vehicle_id, held[pick % len(held)])
+
+    @precondition(lambda self: any(v.frontier != _NEVER
+                                   for v in self.vehicles.values()))
+    @rule(pick=st.integers(0, 99))
+    def duplicate_of_the_frontier(self, pick):
+        """With fixes buffered (window > 0) and with none (window 0)."""
+        released = [name for name, vehicle in self.vehicles.items()
+                    if vehicle.frontier != _NEVER]
+        vehicle_id = released[pick % len(released)]
+        self.push(vehicle_id, self.vehicles[vehicle_id].frontier)
+
+    @precondition(lambda self: self.vehicles)
+    @rule(pick=st.integers(0, 99))
+    def end(self, pick):
+        vehicle_id = self.known(pick)
+        expected = self.model_end(vehicle_id)
+        results = self.gateway.end(vehicle_id)
+        assert [result.session_key for result in results] == expected
+
+    @precondition(lambda self: self.vehicles)
+    @rule(pick=st.integers(0, 99),
+          ahead=st.sampled_from([0.0, SESSION_GAP_S, SESSION_GAP_S + 0.5,
+                                 3 * SESSION_GAP_S]))
+    def advance_clock(self, pick, ahead):
+        now = self.vehicles[self.known(pick)].newest() + ahead
+        expected = []
+        for vehicle_id in list(self.vehicles):
+            vehicle = self.vehicles[vehicle_id]
+            if now - vehicle.newest() > SESSION_GAP_S:
+                if vehicle.session is not None or vehicle.held:
+                    self.counts["session_timeouts"] += 1
+                expected.extend(self.model_end(vehicle_id))
+        results = self.gateway.advance_clock(now)
+        assert [result.session_key for result in results] == expected
+
+    # ------------------------------------------------------------ invariants
+    @invariant()
+    def released_in_sorted_order_with_the_models_sessions(self):
+        if self.gateway is None:
+            return
+        assert self.matcher.released == self.expected_released
+
+    @invariant()
+    def counters_agree_with_the_model(self):
+        if self.gateway is None:
+            return
+        stats = self.gateway.stats()
+        assert {name: getattr(stats, name)
+                for name in self.counts} == self.counts
+        assert stats.reorder_buffered == sum(
+            len(vehicle.held) for vehicle in self.vehicles.values())
+        assert sorted(self.gateway.active_vehicles) == sorted(self.vehicles)
+        assert stats.sessions_opened == (
+            stats.sessions_closed
+            + sum(vehicle.session is not None
+                  for vehicle in self.vehicles.values()))
+
+
+GatewayMachine.TestCase.settings = settings(
+    max_examples=150, stateful_step_count=40, deadline=None)
+TestGatewayMachine = GatewayMachine.TestCase

@@ -440,6 +440,25 @@ def assert_exposition_agrees_with_dashboards(text, service, gateway=None):
                         (("event", "closed"),))] == stats.sessions_closed
         assert samples[("repro_gateway_dropped_points_total",
                         (("reason", "late"),))] == stats.late_dropped
+        # The matcher's distance cache: scraped == dashboard == the cache(s)
+        # themselves — the facade's one, or the shard matchers' summed.
+        fields = ("pairs", "hits", "misses", "evictions")
+        scraped = [samples[("repro_gateway_distance_cache_" + field
+                            + ("" if field == "pairs" else "_total"), ())]
+                   for field in fields]
+        assert scraped == [getattr(stats, "distance_cache_" + field)
+                           for field in fields]
+        planes = gateway.metrics().matchers
+        if planes:
+            assert scraped == [sum(getattr(plane, "distance_cache_" + field)
+                                   for plane in planes) for field in fields]
+        else:
+            cache = gateway.matcher.matcher.distance_cache
+            assert scraped == [len(cache), cache.hits, cache.misses,
+                               cache.evictions]
+        assert 0 < stats.distance_cache_pairs <= stats.distance_cache_misses
+        assert stats.distance_cache_hits > 0
+        assert stats.distance_cache_evictions == 0
 
 
 @pytest.mark.fleet

@@ -164,7 +164,7 @@ def test_commit_lag_reservoir_samples_the_whole_run(offline_matcher):
     total = 20_000
     for lag in range(total):
         online.commits += 1
-        online._sample_lag(lag)
+        online._lag_reservoir.add(lag)
     samples = online.commit_lag_samples
     assert len(samples) == 64
     assert all(0 <= lag < total for lag in samples)
