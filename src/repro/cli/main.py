@@ -1,11 +1,10 @@
 """The ``repro`` command line — ``python -m repro <subcommand>``.
 
-Five subcommands cover the ops surface of the reproduced system:
+Four subcommands cover the ops surface of the reproduced system:
 
 * ``serve``  — run the online stack with live /metrics, /healthz, /ready;
 * ``replay`` — one synthetic fleet replay with printed detections;
 * ``soak``   — sustained-load run judged by scraping its own endpoint;
-* ``bench``  — run benchmarks and grow BENCH_<name>.json trajectories;
 * ``report`` — dashboard + SLO verdict from a recorded scrape series.
 
 Every subcommand module exposes ``register(subparsers)`` and sets a
@@ -19,7 +18,7 @@ import sys
 from typing import List, Optional
 
 from .. import __version__
-from . import bench, replay, report, serve_cmd, soak
+from . import replay, report, serve_cmd, soak
 
 __all__ = ["build_parser", "main"]
 
@@ -32,7 +31,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"repro {__version__}")
     subparsers = parser.add_subparsers(dest="command", metavar="command")
-    for module in (serve_cmd, replay, soak, bench, report):
+    for module in (serve_cmd, replay, soak, report):
         module.register(subparsers)
     return parser
 

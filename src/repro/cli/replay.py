@@ -44,7 +44,7 @@ def run(args) -> int:
                                  queue_depth=1024) as service:
         gateway = GpsGateway(
             service, HMMMapMatcher(split.dataset.network),
-            GatewayConfig(matcher_placement="shard", async_sessions=True))
+            GatewayConfig(async_sessions=True))
         results = serve_raw_fleet(gateway, raws,
                                   concurrency=args.concurrency)
         stats = gateway.stats()

@@ -1,7 +1,7 @@
 """``repro soak`` — sustained-load harness judged by its own scrape surface.
 
 Drives millions of synthetic raw GPS fixes through the full online stack
-(gateway with shard-placed matching → sharded ``DetectionService`` →
+(gateway with online matching → sharded ``DetectionService`` →
 ``OnlineLearner`` fine-tuning across concept-drift part boundaries) while
 a :class:`~repro.obs.ScrapeRecorder` polls the harness's *own*
 ``/metrics`` endpoint over HTTP. The verdict — flat throughput, bounded
@@ -163,7 +163,7 @@ class SoakHarness:
                          if options.roll_archive else ""))
         gateway = GpsGateway(
             service, HMMMapMatcher(fleet.network),
-            GatewayConfig(matcher_placement="shard", async_sessions=True,
+            GatewayConfig(async_sessions=True,
                           ingest_batch=options.ingest_batch))
         cache = RenderCache(gateway.metrics_text)
         cache.refresh()  # seed on the driver thread before serving starts

@@ -305,28 +305,10 @@ class GatewayConfig:
     detection service). ``max_pending_points`` bounds the online matcher's
     uncommitted lattice — the per-point commit-latency bound: when
     backpointer convergence has not committed a point after that many
-    successors, emission is forced. ``ingest_batch`` groups gateway→shard
-    traffic into per-shard batched puts (matched segments on the facade
-    placement, raw match commands on the shard placement; 1 flushes every
-    one as a batch of one); ``max_retries`` / ``retry_wait_s`` configure
-    the backpressure retry loop.
-
-    ``matcher_placement`` selects where online map matching runs:
-
-    * ``"facade"`` — one :class:`~repro.mapmatching.online.OnlineMapMatcher`
-      inside the gateway, on the caller's thread (the original serial path:
-      deterministic, but the sharded service idles while the facade
-      matches);
-    * ``"shard"`` — one matcher per detection-service shard, colocated with
-      the shard's engine (the parallel plane: raw fixes are routed to the
-      session's shard by the existing stable vehicle→shard hashing,
-      candidate generation / lattice advance / commit run on the shard
-      workers — concurrently across cores on the process backend — and
-      committed segments flow shard-locally into ingest instead of
-      round-tripping through the facade).
-
-    Both placements are label-identical on the same input
-    (``tests/test_parallel_matching.py``).
+    successors, emission is forced. ``ingest_batch`` groups the matched
+    segments the gateway forwards into per-shard batched puts (1 flushes
+    every one as a batch of one); ``max_retries`` / ``retry_wait_s``
+    configure the backpressure retry loop.
 
     ``session_timeout_s`` is the wall-clock idle bound consulted by
     :meth:`GpsGateway.advance_clock`: a vehicle whose newest known fix is
@@ -353,7 +335,6 @@ class GatewayConfig:
     max_vehicles: int = 0
     max_pending_points: int = 64
     ingest_batch: int = 32
-    matcher_placement: str = "facade"
     async_sessions: bool = False
     max_retries: int = 10000
     retry_wait_s: float = 0.0005
@@ -369,8 +350,6 @@ class GatewayConfig:
         _require(self.max_pending_points >= 2,
                  "max_pending_points must be >= 2")
         _require(self.ingest_batch >= 1, "ingest_batch must be >= 1")
-        _require(self.matcher_placement in ("facade", "shard"),
-                 "matcher_placement must be 'facade' or 'shard'")
         _require(self.max_retries >= 1, "max_retries must be >= 1")
         _require(self.retry_wait_s >= 0, "retry_wait_s must be >= 0")
         return self

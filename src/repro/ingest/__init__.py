@@ -16,28 +16,19 @@ incremental map matching
 * :class:`SessionResult` — one finished trip session (detection result plus
   matching summary and a map-matching confidence score).
 * :func:`serve_raw_fleet` — replay raw-trajectory workloads through a
-  gateway (the differential-test and benchmark driver).
-* :class:`ShardMatcherPlane` / :class:`MatcherPlaneFactory` — the parallel
-  matcher plane behind ``GatewayConfig(matcher_placement="shard")``: one
-  online matcher per detection-service shard, fed through the shard's own
-  FIFO (:class:`MatchPush` / :class:`MatchFinish` / :class:`SessionClose`),
-  so matching scales with shards instead of capping them at the facade.
+  gateway (the differential-test and replay driver).
+
+Every fix is matched in one place, the gateway's own
+:class:`~repro.mapmatching.online.OnlineMapMatcher`; the shards see only
+committed segments (``docs/architecture.md``, "why there is one placement").
 """
 
 from .gateway import (GpsGateway, SessionResult, serve_raw_fleet,
                       serve_raw_fleet_async)
-from .shardmatch import (MatcherPlaneFactory, MatchFinish, MatchFinishAsync,
-                         MatchPush, SessionClose, ShardMatcherPlane)
 
 __all__ = [
     "GpsGateway",
     "SessionResult",
     "serve_raw_fleet",
     "serve_raw_fleet_async",
-    "MatchPush",
-    "MatchFinish",
-    "MatchFinishAsync",
-    "SessionClose",
-    "ShardMatcherPlane",
-    "MatcherPlaneFactory",
 ]

@@ -47,8 +47,8 @@ road. The gateway turns the one into the other, per vehicle, online::
 
 :func:`serve_raw_fleet` replays whole raw-trajectory workloads through a
 gateway the way :func:`~repro.serve.service.serve_fleet` replays matched
-workloads through a service — it is what the differential tests and the
-gateway throughput benchmark drive.
+workloads through a service — it is what the differential tests and
+``repro replay`` drive.
 """
 
 from __future__ import annotations
@@ -74,8 +74,6 @@ from ..serve.backends import IngestEvent
 from ..serve.metrics import GatewayStats, ServiceMetrics, metrics_to_registry
 from ..serve.service import DetectionService
 from ..trajectory.models import GPSPoint, RawTrajectory
-from .shardmatch import (MatcherPlaneFactory, MatchFinish, MatchFinishAsync,
-                         MatchPush)
 
 
 class SessionResult(NamedTuple):
@@ -99,6 +97,13 @@ class SessionResult(NamedTuple):
     confidence: float = 0.0
 
 
+def _session_result(key: Tuple[Hashable, int], result: DetectionResult,
+                    match: Optional[OnlineMatchResult]) -> SessionResult:
+    return SessionResult(
+        vehicle_id=key[0], session_key=key, result=result, match=match,
+        confidence=match.confidence if match is not None else 0.0)
+
+
 @dataclass
 class _SessionState:
     """The gateway's bookkeeping for one in-flight trip session."""
@@ -108,7 +113,6 @@ class _SessionState:
     last_point_t: float
     opened: bool = False            # the service stream exists
     segments_forwarded: int = 0
-    pushes: int = 0                 # fixes sent to a shard matcher plane
     trajectory_id: Optional[int] = None
 
 
@@ -151,38 +155,27 @@ class GpsGateway:
                 "matcher must be an OnlineMapMatcher or an HMMMapMatcher, "
                 f"got {type(matcher).__name__}")
         self._vehicles: Dict[Hashable, _VehicleState] = {}
-        # Buffered batched ingest events (facade placement) or MatchPush
-        # commands (shard placement), grouped by shard: each shard's group
-        # is delivered atomically and dropped once delivered, so a flush
-        # interrupted by an exhausted retry budget can be retried without
-        # ever re-sending (duplicating) a delivered batch.
-        self._pending: Dict[int, List] = {}
+        # Buffered batched ingest events, grouped by shard: each shard's
+        # group is delivered atomically and dropped once delivered, so a
+        # flush interrupted by an exhausted retry budget can be retried
+        # without ever re-sending (duplicating) a delivered batch.
+        self._pending: Dict[int, List[IngestEvent]] = {}
         self._pending_count = 0
         self._async = self._config.async_sessions
         # Sessions closed through the bus whose results have not arrived:
-        # session key -> FIFO of (match,) under facade placement (the facade
-        # holds the match summary, the shard only the detection result), of
-        # None under shard placement (the SessionClose envelopes carry it
-        # all). A FIFO, not a single slot: an evicted vehicle that reappears
-        # restarts its session numbering, so a key can be in flight twice —
-        # and because a key always routes to one shard, the bus delivers
-        # same-key results in close order.
-        self._pending_sessions: Dict[Tuple[Hashable, int],
-                                     Deque[Optional[Tuple]]] = {}
+        # session key -> FIFO of match summaries (``None`` for a session a
+        # lattice break ended), which wait here because the shard holds
+        # only the detection result. A FIFO, not a single slot: an evicted
+        # vehicle that reappears restarts its session numbering, so a key
+        # can be in flight twice — and because a key always routes to one
+        # shard, the bus delivers same-key results in close order.
+        self._pending_sessions: Dict[
+            Tuple[Hashable, int], Deque[Optional[OnlineMatchResult]]] = {}
         self._next_trajectory_id = 0
         self._stats = GatewayStats()
         # The *service's* tracer: one sampling decision at the gateway's
         # front door covers the fix's whole journey down the pipeline.
         self._tracer = service.tracer
-        self._placement = self._config.matcher_placement
-        if self._placement == "shard":
-            # One OnlineMapMatcher per shard worker, installed as the
-            # service's work plane; the facade-side matcher built above is
-            # kept only as the template (network, config, window) the
-            # factory replicates — it never matches a fix itself.
-            service.install_plane(MatcherPlaneFactory(
-                self._matcher.matcher,
-                max_pending=self._matcher.max_pending))
 
     # ------------------------------------------------------------ properties
     @property
@@ -191,14 +184,7 @@ class GpsGateway:
 
     @property
     def matcher(self) -> OnlineMapMatcher:
-        """The facade-side online matcher.
-
-        With ``matcher_placement="facade"`` (the default) this is the
-        matcher every fix runs through. With ``"shard"`` placement it is
-        only the template the per-shard matchers were built from — live
-        lattices and commit statistics then live shard-side (see
-        :meth:`stats` / :meth:`commit_latency`, which merge them).
-        """
+        """The online matcher every fix of every session runs through."""
         return self._matcher
 
     @property
@@ -346,29 +332,18 @@ class GpsGateway:
         return self._service.pump()
 
     def flush(self) -> None:
-        """Push any buffered work into the service now.
-
-        Facade placement flushes batched ingest events; shard placement
-        flushes buffered :class:`~repro.ingest.shardmatch.MatchPush`
-        commands to their shard matchers. Either way each shard's group is
-        one all-or-nothing batch.
-        """
+        """Push the buffered ingest events into the service now, each
+        shard's group as one all-or-nothing batch."""
         if not self._pending:
             return
         for shard in list(self._pending):
             batch = self._pending.pop(shard)
             self._pending_count -= len(batch)
             try:
-                if self._placement == "shard":
-                    self._service.plane_send_many(
-                        shard, batch,
-                        max_retries=self._config.max_retries,
-                        retry_wait_s=self._config.retry_wait_s)
-                else:
-                    self._service.ingest_many(
-                        batch,
-                        max_retries=self._config.max_retries,
-                        retry_wait_s=self._config.retry_wait_s)
+                self._service.ingest_many(
+                    batch,
+                    max_retries=self._config.max_retries,
+                    retry_wait_s=self._config.retry_wait_s)
             except BaseException:
                 # Nothing of this single-shard batch was queued: put it
                 # back so a retried flush re-sends exactly the undelivered
@@ -389,17 +364,6 @@ class GpsGateway:
         """
         return sum(len(queue) for queue in self._pending_sessions.values())
 
-    def _pop_pending(self, key: Tuple[Hashable, int]):
-        """Pop the oldest in-flight close of one session key (FIFO), or
-        ``False`` when the key has nothing pending."""
-        queue = self._pending_sessions.get(key)
-        if not queue:
-            return False
-        entry = queue.popleft()
-        if not queue:
-            del self._pending_sessions[key]
-        return entry
-
     def poll_sessions(self,
                       max_items: Optional[int] = None) -> List[SessionResult]:
         """Collect finished sessions off the results bus, without blocking.
@@ -408,46 +372,27 @@ class GpsGateway:
         lists the synchronous close paths return: drains the service's
         results bus once (:meth:`DetectionService.poll_results` — dedup,
         acks and all) and converts what belongs to this gateway. Sessions
-        arrive in each shard's completion order, not close order; a
-        multi-generation (lattice-broken) session still yields its
-        generations together, in order. In-process backends only publish
-        while pumped — call :meth:`pump` first (the drivers do).
+        arrive in each shard's completion order, not close order.
+        In-process backends only publish while pumped — call :meth:`pump`
+        first (the drivers do).
         """
         completed: List[SessionResult] = []
         for envelope in self._service.poll_results(max_items):
             if envelope.kind == "error":
                 raise envelope.payload
-            if envelope.kind == "session":
-                # Shard placement: the envelope carries the SessionClose
-                # list of every generation, empty when nothing matched.
-                if self._pop_pending(envelope.key) is False:
-                    raise GatewayError(
-                        f"bus close for unknown session {envelope.key!r}")
-                for close in envelope.payload:
-                    completed.append(SessionResult(
-                        vehicle_id=close.key[0],
-                        session_key=close.key,
-                        result=close.result,
-                        match=close.match,
-                        confidence=(close.match.confidence
-                                    if close.match is not None else 0.0)))
-            else:
-                # Facade placement: one detection result per finalized
-                # stream; the match summary waited facade-side.
-                pending = self._pop_pending(envelope.key)
-                if pending is False:
-                    raise GatewayError(
-                        f"bus result for unknown session {envelope.key!r} "
-                        "(is something else finalizing through this "
-                        "gateway's service?)")
-                (match,) = pending
-                completed.append(SessionResult(
-                    vehicle_id=envelope.key[0],
-                    session_key=envelope.key,
-                    result=envelope.payload,
-                    match=match,
-                    confidence=(match.confidence
-                                if match is not None else 0.0)))
+            # One detection result per finalized stream; the oldest pending
+            # close of its key holds the match summary that waited here.
+            queue = self._pending_sessions.get(envelope.key)
+            if not queue:
+                raise GatewayError(
+                    f"bus result for unknown session {envelope.key!r} "
+                    "(is something else finalizing through this "
+                    "gateway's service?)")
+            match = queue.popleft()
+            if not queue:
+                del self._pending_sessions[envelope.key]
+            completed.append(_session_result(envelope.key, envelope.payload,
+                                             match))
         return completed
 
     def drain_sessions(self, timeout_s: float = 120.0,
@@ -477,14 +422,7 @@ class GpsGateway:
 
     # -------------------------------------------------------------- metrics
     def stats(self) -> GatewayStats:
-        """A point-in-time snapshot of the gateway's input funnel.
-
-        With shard placement the match-driven half of the funnel (matched
-        points, unmatchable drops, emitted segments, session closes,
-        commit statistics) lives on the shard matchers; it is folded into
-        the facade's counters here so the dashboard reads the same either
-        way.
-        """
+        """A point-in-time snapshot of the gateway's input funnel."""
         stats = GatewayStats(**{
             name: getattr(self._stats, name)
             for name in ("raw_points", "matched_points", "segments_emitted",
@@ -493,39 +431,16 @@ class GpsGateway:
                          "sessions_closed", "sessions_dropped",
                          "sessions_broken", "gap_splits", "session_timeouts",
                          "vehicles_evicted", "batched_flushes")})
-        if self._placement == "shard":
-            commits = forced = lag_sum = 0
-            for plane in self._service.plane_stats():
-                stats.matched_points += plane.matched_points
-                stats.unmatched_dropped += plane.unmatched_dropped
-                stats.segments_emitted += plane.segments_emitted
-                stats.sessions_opened += plane.sessions_reopened
-                stats.sessions_closed += plane.sessions_closed
-                stats.sessions_dropped += plane.sessions_dropped
-                stats.sessions_broken += plane.sessions_broken
-                commits += plane.commits
-                forced += plane.forced_commits
-                lag_sum += plane.commit_lag_sum
-                stats.max_commit_lag = max(stats.max_commit_lag,
-                                           plane.max_commit_lag)
-                stats.distance_cache_pairs += plane.distance_cache_pairs
-                stats.distance_cache_hits += plane.distance_cache_hits
-                stats.distance_cache_misses += plane.distance_cache_misses
-                stats.distance_cache_evictions += plane.distance_cache_evictions
-            stats.commits = commits
-            stats.forced_commits = forced
-            stats.mean_commit_lag = lag_sum / commits if commits else 0.0
-        else:
-            matcher = self._matcher
-            stats.commits = matcher.commits
-            stats.forced_commits = matcher.forced_commits
-            stats.max_commit_lag = matcher.max_commit_lag
-            stats.mean_commit_lag = matcher.mean_commit_lag
-            cache = matcher.matcher.distance_cache
-            stats.distance_cache_pairs = len(cache)
-            stats.distance_cache_hits = cache.hits
-            stats.distance_cache_misses = cache.misses
-            stats.distance_cache_evictions = cache.evictions
+        matcher = self._matcher
+        stats.commits = matcher.commits
+        stats.forced_commits = matcher.forced_commits
+        stats.max_commit_lag = matcher.max_commit_lag
+        stats.mean_commit_lag = matcher.mean_commit_lag
+        cache = matcher.matcher.distance_cache
+        stats.distance_cache_pairs = len(cache)
+        stats.distance_cache_hits = cache.hits
+        stats.distance_cache_misses = cache.misses
+        stats.distance_cache_evictions = cache.evictions
         stats.reorder_buffered = sum(len(state.buffer)
                                      for state in self._vehicles.values())
         return stats
@@ -534,17 +449,10 @@ class GpsGateway:
         """The service's fleet dashboard with this gateway's funnel attached."""
         metrics = self._service.metrics()
         metrics.gateway = self.stats()
-        if self._placement == "shard":
-            metrics.matchers = self._service.plane_stats()
         return metrics
 
     def commit_latency(self) -> LatencyReport:
         """Distribution of per-fix commit lag (in follow-up points)."""
-        if self._placement == "shard":
-            samples: List[int] = []
-            for plane in self._service.plane_stats():
-                samples.extend(plane.commit_lag_samples)
-            return LatencyReport(name="GpsGateway", samples=samples)
         return LatencyReport(name="GpsGateway",
                              samples=list(self._matcher.commit_lag_samples))
 
@@ -554,8 +462,7 @@ class GpsGateway:
         The service's stage-latency histograms plus a registry view of
         :meth:`metrics` — the same counters as the service's own
         :meth:`~repro.serve.service.DetectionService.metrics_text`, with
-        the gateway funnel (and, under shard placement, the per-shard
-        matcher counters) attached.
+        the gateway funnel attached.
         """
         registry = self._service.obs_registry()
         metrics_to_registry(self.metrics(), registry)
@@ -636,12 +543,6 @@ class GpsGateway:
                 # Arrival → release from the reorder buffer.
                 trace = self._tracer.observe("gateway_ingest", trace,
                                              obs_timestamp())
-        if self._placement == "shard":
-            # Everything match-driven happens on the session's shard; the
-            # facade only batches the fix over (lattice breaks split the
-            # trip plane-side — see repro.ingest.shardmatch).
-            self._push_match(state, session, point, trace)
-            return results
         try:
             emitted = self._matcher.push(session.key, point)
         except UnmatchablePointError:
@@ -663,26 +564,6 @@ class GpsGateway:
             self._forward(session, segment, trace)
             trace = None
         return results
-
-    def _push_match(self, state: _VehicleState, session: _SessionState,
-                    point: GPSPoint,
-                    trace: Optional[TraceContext] = None) -> None:
-        """Batch one released fix to the session's shard matcher."""
-        if session.pushes == 0:
-            # The session-opening push carries the facade-only metadata the
-            # plane needs to stamp the streams it opens.
-            session.trajectory_id = self._next_trajectory_id
-            self._next_trajectory_id += 1
-            push = MatchPush(session.key, point, state.time_origin,
-                             session.trajectory_id, trace)
-        else:
-            push = MatchPush(session.key, point, trace=trace)
-        session.pushes += 1
-        shard = self._service.shard_for(session.key)
-        self._pending.setdefault(shard, []).append(push)
-        self._pending_count += 1
-        if self._pending_count >= self._config.ingest_batch:
-            self.flush()
 
     def _forward(self, session: _SessionState, segment: int,
                  trace: Optional[TraceContext] = None) -> None:
@@ -706,46 +587,11 @@ class GpsGateway:
 
     def _close_session(self, state: _VehicleState,
                        broken: bool = False) -> List[SessionResult]:
-        """Finish the vehicle's current session.
-
-        Facade placement yields at most one result (empty when not a single
-        fix could be matched); shard placement can yield several — one per
-        generation the shard matcher split the session into at lattice
-        breaks the facade never saw.
-        """
+        """Finish the vehicle's current session: at most one result (none
+        when not a single fix could be matched, or with ``async_sessions``,
+        where it arrives over the bus)."""
         session = state.session
         state.session = None
-        if self._placement == "shard":
-            if session.pushes == 0:  # pragma: no cover - defensive
-                self._stats.sessions_dropped += 1
-                return []
-            # Flush so every buffered fix of this session reaches its shard
-            # before the (FIFO-ordered) finish command.
-            self.flush()
-            shard = self._service.shard_for(session.key)
-            if self._async:
-                # Fire-and-forget: the shard closes the session on its own
-                # clock and publishes the SessionClose list over the bus;
-                # poll_sessions turns the envelope into SessionResults.
-                self._service.plane_send_many(
-                    shard, [MatchFinishAsync(session.key)],
-                    max_retries=self._config.max_retries,
-                    retry_wait_s=self._config.retry_wait_s)
-                self._pending_sessions.setdefault(
-                    session.key, deque()).append(None)
-                return []
-            closes = self._service.plane_request(
-                shard, MatchFinish(session.key))
-            return [
-                SessionResult(
-                    vehicle_id=session.key[0],
-                    session_key=session.key,
-                    result=close.result,
-                    match=close.match,
-                    confidence=(close.match.confidence
-                                if close.match is not None else 0.0))
-                for close in closes
-            ]
         match: Optional[OnlineMatchResult] = None
         if self._matcher.has_session(session.key):
             if broken:
@@ -766,22 +612,18 @@ class GpsGateway:
         if self._async:
             # FIFO per shard: the stream's events were flushed above, so
             # the queued finalize marker sees the complete session. The
-            # facade-side match summary waits here for the bus result.
+            # match summary waits here for the bus result.
             self._service.finalize_async(
                 [session.key],
                 max_retries=self._config.max_retries,
                 retry_wait_s=self._config.retry_wait_s)
             self._pending_sessions.setdefault(
-                session.key, deque()).append((match,))
+                session.key, deque()).append(match)
             self._stats.sessions_closed += 1
             return []
         result = self._service.finalize(session.key)
         self._stats.sessions_closed += 1
-        return [SessionResult(vehicle_id=session.key[0],
-                              session_key=session.key,
-                              result=result, match=match,
-                              confidence=(match.confidence
-                                          if match is not None else 0.0))]
+        return [_session_result(session.key, result, match)]
 
 
 async def serve_raw_fleet_async(
@@ -861,9 +703,7 @@ async def serve_raw_fleet_async(
             route(gateway.poll_sessions())
         for sessions in sessions_of:
             # Bus completion order is per-shard, not per-vehicle; session
-            # numbers restore close order. The sort is stable, so the
-            # generations of one (lattice-broken) session keep the order
-            # their shard published them in.
+            # numbers restore close order.
             sessions.sort(key=lambda session: session.session_key[1])
     return [[session.result for session in sessions]
             for sessions in sessions_of]

@@ -3,7 +3,7 @@
 A :class:`TraceContext` is two numbers — a trace id and a monotonic
 timestamp — that ride a sampled GPS fix through every pipeline hop as an
 optional trailing field of the existing command tuples (``IngestEvent``,
-``MatchPush``, ``ResultEnvelope``). At each stage boundary the receiving
+``ResultEnvelope``). At each stage boundary the receiving
 side *observes* the context: the elapsed time since the context was last
 stamped lands in that stage's latency histogram, a :class:`Span` is
 optionally kept for JSONL export, and the context is re-stamped for the
@@ -15,9 +15,8 @@ Stage semantics (``STAGES``, in pipeline order):
     raw fix pushed into :class:`~repro.ingest.GpsGateway` → released from
     the per-vehicle reorder buffer.
 ``match_commit``
-    the online map matcher's ``push`` call for the sampled fix (facade
-    placement: on the caller's thread; shard placement: inside the
-    :class:`~repro.ingest.ShardMatcherPlane`).
+    the online map matcher's ``push`` call for the sampled fix, on the
+    gateway caller's thread.
 ``shard_queue``
     ingest event created at the facade → dequeued by the shard worker
     (includes the gateway's batching wait — deliberately: that is the

@@ -1,8 +1,8 @@
 """Shard execution backends of the detection service: one core, two transports.
 
 A shard is a :class:`ShardCore` — one
-:class:`~repro.core.stream.StreamEngine`, its results bus, its optional work
-plane, an observe-only tracer and the counters behind
+:class:`~repro.core.stream.StreamEngine`, its results bus, an observe-only
+tracer and the counters behind
 :class:`~repro.serve.metrics.ShardStats` — and the core is the *only* place
 a shard command is interpreted: ``handle(command)`` applies one command,
 ``idle()`` is the move for an empty queue. A backend
@@ -39,7 +39,6 @@ the order they were queued::
     kind            carries                                     reply
     --------------  ------------------------------------------  ---------------
     ingest_batch    vehicle_ids, segments, extras, sent_at      -
-    plane_batch     a list of opaque plane commands             -
     finalize_async  vehicle ids                                 - (results bus)
     bus_ack         a sequence watermark                        -
     sync                                                        synced
@@ -49,18 +48,15 @@ the order they were queued::
     bus_stats                                                   bus_stats
     bus_replay                                                  bus_replayed
     obs                                                         obs
-    install_plane   a plane factory                             plane_installed
-    plane_request   one plane command                           plane_reply
-    plane_stats                                                 plane_stats
     stop                                                        stopped
 
-The first four are fire-and-forget; every other command produces exactly one
+The first three are fire-and-forget; every other command produces exactly one
 reply ``(kind, payload)``, and the single-caller service never pipelines two
 replied commands, so replies cannot interleave. A fire-and-forget command
-cannot answer, so when an ``ingest_batch`` or ``plane_batch`` fails the core
-stashes the exception (the batch's prefix stays applied) and answers the
-*next* replied command ``("error", exception)`` instead, once — failures
-surface at the caller instead of silently desynchronizing the shard. (The
+cannot answer, so when an ``ingest_batch`` fails the core stashes the
+exception (the batch's prefix stays applied) and answers the *next* replied
+command ``("error", exception)`` instead, once — failures surface at the
+caller instead of silently desynchronizing the shard. (The
 facade validates segments against the vocabulary before it queues anything,
 so no engine-side ingest failure is reachable through it.) ``obs`` ships the
 shard's cumulative metrics registry home and drains its trace spans — the
@@ -77,13 +73,12 @@ never stacks a stream's next point on one that has not been stepped. Before
 it applies an ``ingest_batch`` touching a stream with a step waiting
 (:meth:`StreamEngine.step_waiting`) it ticks until that is no longer so —
 one fleet-wide tick for a lockstep round, whether the round came as one
-batch or as one batch per vehicle — and an opaque ``plane_batch`` counts as
-touching every stream (one tick if anything waits). On an empty queue
+batch or as one batch per vehicle. On an empty queue
 (:meth:`ShardCore.idle`) it ticks if anything waits; a worker process then
-blocks on its queue, an in-process ``pump`` returns. What a command
-publishes to the results bus (``finalize_async``, a publishing plane
-command) leaves for the facade before the next command is taken. So the
-points a shard holds un-ticked are at most one steppable point per stream,
+blocks on its queue, an in-process ``pump`` returns. What a
+``finalize_async`` publishes to the results bus leaves for the facade
+before the next command is taken. So the points a shard holds un-ticked
+are at most one steppable point per stream,
 the command in hand and ``queue_depth`` queued commands: a producer that
 outruns the engine fills the *queue*, and sees ``RETRY_LATER``, instead of
 growing the engine's per-stream buffers. The rule paces both transports, so
@@ -108,26 +103,9 @@ unblock it: it reads the pipe into ``arrived`` wherever it waits on a
 worker — ``take_results``, ``pump`` (which every retry loop of the service
 calls), the put-and-wait loops of replied commands and ``swap``, and
 ``close``. Envelopes stay in the shard's unacked window until the facade
-acknowledges its watermark (``bus_ack``). Planes participate too: a plane
-exposing a ``bind_bus(publish)`` method is handed the shard bus's
-``publish`` at install time, which is how gateway sessions complete through
-the bus (:class:`~repro.ingest.shardmatch.MatchFinishAsync`). Because
-``finalize_async`` rides the same FIFO as ingest, every point queued before
-it is applied before the finalize — the exact boundary the synchronous
-``finalize`` observes.
-
-**Work planes.** A backend can additionally host one *plane* per shard: an
-opaque work object built next to the shard's engine by a caller-supplied
-picklable factory (``factory(shard_id, engine) -> plane``) and driven
-through the same per-shard FIFO as ingest — a plane batch waits its turn
-behind the ingest queued before it and is refused, like ingest, when the
-queue is full. The core knows nothing about what a plane does — it only
-routes commands to the plane's ``handle(command)`` (``plane_batch``),
-``request(command)`` (``plane_request``) and ``stats()`` duck-typed
-methods. This is how the raw-GPS gateway pushes online map matching into
-the shards (:class:`~repro.ingest.shardmatch.ShardMatcherPlane`): matching
-runs on the shard's core and its committed segments flow straight into the
-colocated engine, instead of round-tripping through the facade.
+acknowledges its watermark (``bus_ack``). Because ``finalize_async`` rides
+the same FIFO as ingest, every point queued before it is applied before
+the finalize — the exact boundary the synchronous ``finalize`` observes.
 
 **Hot swap.** Because the queue is FIFO, every point that is *eligible for
 labeling* by the time a ``swap`` command (a :class:`ControlUpdate` carrying
@@ -422,30 +400,6 @@ class ServiceBackend:
         """
         return self._broadcast(("obs",), "obs")
 
-    # ----------------------------------------------------------- work planes
-    def install_plane(self, factory) -> None:
-        """Build one plane per shard: ``factory(shard_id, engine) -> plane``.
-
-        The factory must be picklable for the process backend (each worker
-        calls it beside its own engine). Replied per shard, so the caller
-        knows every shard built its plane (and a factory that cannot be
-        rebuilt worker-side fails loudly here, not at the first routed
-        command). See the module docstring for the plane contract.
-        """
-        self._broadcast(("install_plane", factory), "plane_installed")
-
-    def plane_send_batch(self, shard: int, commands: Sequence) -> bool:
-        """Several plane commands as one queued command, all-or-nothing."""
-        return self._offer(shard, ("plane_batch", list(commands)))
-
-    def plane_request(self, shard: int, command):
-        """Send one replied command to a shard's plane, return its answer."""
-        return self._request(shard, ("plane_request", command), "plane_reply")
-
-    def plane_stats(self) -> List:
-        """Every shard plane's ``stats()`` snapshot, in shard order."""
-        return self._broadcast(("plane_stats",), "plane_stats")
-
     def close(self) -> None:
         raise NotImplementedError
 
@@ -478,7 +432,7 @@ def _pack_events(events: Sequence[IngestEvent]) -> tuple:
 
 
 class ShardCore:
-    """One shard — engine, bus, plane, tracer, counters — and the only
+    """One shard — engine, bus, tracer, counters — and the only
     interpreter of shard commands.
 
     ``handle`` and ``idle`` are its two moves (a command was taken / the
@@ -502,7 +456,6 @@ class ShardCore:
         self._send_bus = send_bus
         self._busy_seconds = 0.0
         self._swaps = 0
-        self._plane = None
         self._pending_error: Optional[BaseException] = None
         options = obs_options or {}
         # Rate 0 — shards never *originate* traces, they only observe
@@ -516,8 +469,6 @@ class ShardCore:
         self.bus.tracer = self._tracer
         # The seeded enqueue→dequeue wait sampler of the shard's queue.
         self._queue_wait = Reservoir(options.get("queue_wait_cap", 4096))
-        self._fire_and_forget = {"ingest_batch": self._ingest_batch,
-                                 "plane_batch": self._plane_batch}
 
     # ------------------------------------------------------------ scheduling
     def idle(self) -> bool:
@@ -572,15 +523,6 @@ class ShardCore:
                 for row, extra in extras.items()}
         engine.ingest_many(vehicle_ids, segments, extras)
 
-    def _plane_batch(self, command: tuple, received: float) -> None:
-        if self._plane is None:
-            raise ServiceError("no plane installed on this shard")
-        # Opaque to the core, so it counts as touching every stream.
-        if self.engine.step_waiting():
-            self.engine.tick()
-        for item in command[1]:
-            self._plane.handle(item)
-
     def _finalize_async(self, vehicle_ids: Sequence[Hashable]) -> None:
         """Close streams on the shard's clock; publish results or the error."""
         started = time.perf_counter()
@@ -608,13 +550,12 @@ class ShardCore:
         caller instead of silently desynchronizing the shard.
         """
         kind = command[0]
-        apply = self._fire_and_forget.get(kind)
-        if apply is not None:
+        if kind == "ingest_batch":
             # The clock starts at receipt and covers the ticks the command
             # had to wait for (they run on engine.tick, not _tick).
             received = time.perf_counter()
             try:
-                apply(command, received)
+                self._ingest_batch(command, received)
             except BaseException as error:  # surfaced at the next request
                 self._pending_error = error
             self._busy_seconds += time.perf_counter() - received
@@ -667,11 +608,6 @@ class ShardCore:
             if update.weights is not None:
                 self._swaps += 1
             return "swapped", None
-        if kind == "install_plane":
-            self._plane = command[1](self.shard_id, engine)
-            if hasattr(self._plane, "bind_bus"):
-                self._plane.bind_bus(self.bus.publish)
-            return "plane_installed", None
         if kind == "bus_replay":
             return "bus_replayed", self.bus.replay()
         if kind == "bus_stats":
@@ -680,15 +616,6 @@ class ShardCore:
             # Cumulative registry (the facade merges into a fresh registry
             # per call; a worker's rides home by pickle); spans drain.
             return "obs", (self._tracer.registry, self._tracer.take_spans())
-        if kind in ("plane_request", "plane_stats"):
-            if self._plane is None:
-                raise ServiceError("no plane installed on this shard")
-            if kind == "plane_stats":
-                return "plane_stats", self._plane.stats()
-            started = time.perf_counter()
-            value = self._plane.request(command[1])
-            self._busy_seconds += time.perf_counter() - started
-            return "plane_reply", value
         if kind == "stats":
             return "stats", ShardStats(
                 shard_id=self.shard_id,

@@ -121,69 +121,6 @@ class BusStats:
 
 
 @dataclass
-class MatcherShardStats:
-    """A point-in-time snapshot of one shard's colocated online matcher.
-
-    Produced by the :class:`~repro.ingest.shardmatch.ShardMatcherPlane`
-    (``matcher_placement="shard"``) and surfaced through
-    :meth:`DetectionService.plane_stats`; the gateway folds these into its
-    fleet-wide :class:`GatewayStats` funnel so the dashboard reads the same
-    no matter where matching ran. ``sessions_reopened`` counts the
-    generations restarted after a lattice break (the shard-side twin of the
-    facade's post-break ``sessions_opened``); ``commit_lag_samples`` is the
-    matcher's reservoir, shipped whole so latency percentiles can be
-    computed fleet-wide. The ``distance_cache_*`` fields are the shard's own
-    :class:`~repro.mapmatching.hmm.SegmentPairDistanceCache` (pairs held and
-    lifetime pair hits / misses / evictions); the gateway sums them.
-    """
-
-    shard_id: int
-    live_sessions: int = 0
-    matched_points: int = 0
-    unmatched_dropped: int = 0
-    segments_emitted: int = 0
-    sessions_reopened: int = 0
-    sessions_closed: int = 0
-    sessions_dropped: int = 0
-    sessions_broken: int = 0
-    commits: int = 0
-    forced_commits: int = 0
-    max_commit_lag: int = 0
-    commit_lag_sum: int = 0
-    commit_lag_samples: List[int] = field(default_factory=list)
-    distance_cache_pairs: int = 0
-    distance_cache_hits: int = 0
-    distance_cache_misses: int = 0
-    distance_cache_evictions: int = 0
-
-    @property
-    def mean_commit_lag(self) -> float:
-        return self.commit_lag_sum / self.commits if self.commits else 0.0
-
-    @property
-    def forced_commit_rate(self) -> float:
-        return self.forced_commits / self.commits if self.commits else 0.0
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "shard_id": self.shard_id,
-            "live_sessions": self.live_sessions,
-            "matched_points": self.matched_points,
-            "unmatched_dropped": self.unmatched_dropped,
-            "segments_emitted": self.segments_emitted,
-            "sessions_reopened": self.sessions_reopened,
-            "sessions_closed": self.sessions_closed,
-            "sessions_dropped": self.sessions_dropped,
-            "sessions_broken": self.sessions_broken,
-            "commits": self.commits,
-            "forced_commits": self.forced_commits,
-            "forced_commit_rate": self.forced_commit_rate,
-            "max_commit_lag": self.max_commit_lag,
-            "mean_commit_lag": self.mean_commit_lag,
-        }
-
-
-@dataclass
 class GatewayStats:
     """A point-in-time snapshot of a raw-GPS ingest gateway.
 
@@ -196,10 +133,9 @@ class GatewayStats:
     The ``distance_cache_*`` fields are the matcher's segment-pair distance
     cache read at snapshot time (nothing is counted per fix for them): pairs
     held now against ``MapMatchingConfig.distance_cache_size``, and lifetime
-    pair hits, misses and evictions — summed over the shard matchers under
-    shard placement. A cache that never evicts and sits under half its
-    bound also never reorders its rows on a hit (the cache's recency
-    contract); these four numbers are how an operator checks that.
+    pair hits, misses and evictions. A cache that never evicts and sits
+    under half its bound also never reorders its rows on a hit (the cache's
+    recency contract); these four numbers are how an operator checks that.
     """
 
     raw_points: int = 0
@@ -308,7 +244,6 @@ class ServiceMetrics:
     full_swaps: int = 0
     swap_payload_bytes: int = 0
     gateway: Optional[GatewayStats] = None
-    matchers: List[MatcherShardStats] = field(default_factory=list)
     bus: List[BusStats] = field(default_factory=list)
     results_delivered: int = 0
     results_duplicates: int = 0
@@ -402,17 +337,6 @@ class ServiceMetrics:
                 f"{self.bus_redelivered} redelivered), "
                 f"lag {self.bus_lag}, pending {self.results_pending}, "
                 f"{self.async_finalizes} async finalizes")
-        for matcher in self.matchers:
-            lines.append(
-                f"  matcher[{matcher.shard_id}]: "
-                f"{matcher.matched_points} pts matched -> "
-                f"{matcher.segments_emitted} segments, "
-                f"{matcher.live_sessions} live sessions, "
-                f"{matcher.sessions_closed} closed "
-                f"({matcher.sessions_broken} broken), "
-                f"commit lag mean {matcher.mean_commit_lag:.1f} / "
-                f"max {matcher.max_commit_lag} "
-                f"({matcher.forced_commit_rate:.1%} forced)")
         if self.gateway is not None:
             lines.append(f"  {self.gateway.format()}")
         return "\n".join(lines)
@@ -525,26 +449,6 @@ def metrics_to_registry(metrics: ServiceMetrics, registry=None):
                        help="Published, not yet taken").set(bus.depth)
         registry.gauge("repro_bus_unacked", labels,
                        help="Taken, not yet acknowledged").set(bus.unacked)
-
-    for matcher in metrics.matchers:
-        labels = {"shard": str(matcher.shard_id)}
-        registry.counter("repro_matcher_matched_points_total", labels,
-                         help="Fixes matched by the shard plane").inc(
-            matcher.matched_points)
-        registry.counter("repro_matcher_segments_emitted_total", labels,
-                         help="Segments committed into the engine").inc(
-            matcher.segments_emitted)
-        registry.counter("repro_matcher_commits_total", labels,
-                         help="Match commits").inc(matcher.commits)
-        registry.counter("repro_matcher_forced_commits_total", labels,
-                         help="Window-forced commits").inc(
-            matcher.forced_commits)
-        registry.counter("repro_matcher_sessions_closed_total", labels,
-                         help="Matcher sessions finished").inc(
-            matcher.sessions_closed)
-        registry.gauge("repro_matcher_live_sessions", labels,
-                       help="Matcher sessions in flight").set(
-            matcher.live_sessions)
 
     gateway = metrics.gateway
     if gateway is not None:

@@ -1,7 +1,7 @@
 """The at-least-once results bus between shard workers and the facade.
 
-Synchronous ``finalize`` / ``plane_request`` calls pay one blocking
-command/reply round trip per result — fine for a batch job, fatal for a
+A synchronous ``finalize`` call pays one blocking command/reply round trip
+per result — fine for a batch job, fatal for a
 driver multiplexing thousands of sessions. The results bus inverts the
 flow: shards *push* finished work and the facade drains it in batches::
 
@@ -28,14 +28,10 @@ recovered subscriber-side: sequence numbers are per-shard monotone, so the
 because one vehicle's results always come from one shard — per-vehicle
 result order is monotone too.
 
-Three envelope kinds flow over the bus:
+Two envelope kinds flow over the bus:
 
 * ``"result"`` — one finalized stream; ``key`` is the vehicle id, the
   payload its :class:`~repro.core.detector.DetectionResult`.
-* ``"session"`` — one closed gateway session (shard matcher placement);
-  ``key`` is the session key, the payload its list of
-  :class:`~repro.ingest.shardmatch.SessionClose` (one per generation —
-  possibly empty, when not a single fix of the session matched).
 * ``"error"`` — an async finalize that failed shard-side; ``key`` is the
   tuple of vehicle ids of the failed batch, the payload the exception. The
   facade raises it at the caller's next poll instead of silently losing
@@ -56,8 +52,8 @@ class ResultEnvelope(NamedTuple):
 
     shard_id: int
     seq: int
-    kind: str       # "result" | "session" | "error"
-    key: object     # vehicle id | session key | tuple of vehicle ids
+    kind: str       # "result" | "error"
+    key: object     # vehicle id | tuple of vehicle ids
     payload: object
     #: Sampled trace context of the stream this envelope closes (``None``
     #: almost always). Stamped at publish, re-stamped at take, observed as

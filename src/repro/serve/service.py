@@ -145,7 +145,6 @@ class DetectionService:
         self._full_swaps = 0
         self._swap_payload_bytes = 0
         self._validated_segments: set = set()
-        self._plane_installed = False
         self._closed = False
         # Observability is strictly opt-in: with no ObsConfig the facade
         # has no tracer and the ingest hot path pays a single `is None`
@@ -454,76 +453,6 @@ class DetectionService:
             request = request._replace(trace=trace)
         return request, True
 
-    # ---------------------------------------------------------- work planes
-    @property
-    def plane_installed(self) -> bool:
-        return self._plane_installed
-
-    def install_plane(self, factory) -> None:
-        """Attach one colocated work plane to every shard, once.
-
-        ``factory(shard_id, engine) -> plane`` runs next to each shard's
-        engine (in the worker process, for the process backend — the factory
-        must be picklable there) and the returned object serves that shard's
-        plane commands for the service's lifetime; see the
-        :mod:`~repro.serve.backends` docstring for the plane contract. The
-        raw-GPS gateway uses this to run one
-        :class:`~repro.mapmatching.online.OnlineMapMatcher` per shard
-        (``matcher_placement="shard"``), so installing twice — two gateways
-        fighting over the same shards — is refused.
-        """
-        self._require_open_service()
-        if self._plane_installed:
-            raise ServiceError(
-                "a work plane is already installed on this service")
-        self._backend.install_plane(factory)
-        self._plane_installed = True
-
-    def plane_send_many(self, shard: int, commands: Sequence,
-                        max_retries: int = 10000,
-                        retry_wait_s: float = 0.0005) -> int:
-        """Queue plane commands to one shard as a single batched command.
-
-        The plane twin of :meth:`ingest_many` for a single shard: the batch
-        occupies one slot of the shard's bounded queue, is delivered
-        all-or-nothing, and a full queue is ridden out with the same
-        pump-then-sleep retry discipline (each refusal counted as a
-        rejection). Returns retries used.
-        """
-        self._require_open_service()
-        self._require_plane()
-        if not commands:
-            return 0
-
-        def delivered(shard: int, batch: List) -> None:
-            self._accepted += len(batch)
-            self._batched_ingests += 1
-
-        return self._deliver_blocking(
-            {shard: list(commands)}, self._backend.plane_send_batch,
-            delivered, max_retries, retry_wait_s, "a batched plane send")
-
-    def plane_request(self, shard: int, command):
-        """Send one replied command to a shard's plane; returns its answer.
-
-        FIFO with everything already queued to that shard, so by the time
-        the answer arrives every earlier plane command has been applied.
-        """
-        self._require_open_service()
-        self._require_plane()
-        return self._backend.plane_request(shard, command)
-
-    def plane_stats(self) -> List:
-        """Every shard plane's ``stats()`` snapshot, in shard order."""
-        self._require_open_service()
-        self._require_plane()
-        return self._backend.plane_stats()
-
-    def _require_plane(self) -> None:
-        if not self._plane_installed:
-            raise ServiceError(
-                "no work plane installed; call install_plane first")
-
     # ------------------------------------------------------------- progress
     def pump(self) -> int:
         """Advance queued work opportunistically; returns points labeled.
@@ -642,12 +571,10 @@ class DetectionService:
         what is genuinely in flight. ``"result"`` envelopes carry one
         :class:`~repro.core.detector.DetectionResult` keyed by vehicle id;
         ``"error"`` envelopes carry a shard-side exception (the caller
-        decides whether to raise); ``"session"`` envelopes belong to a
-        gateway (:meth:`GpsGateway.poll_sessions`) and pass through
-        untouched. At most ``max_items`` envelopes are handed out; the
-        rest keep, in order, for the next call. In-process shards only
-        publish while pumped — call :meth:`pump` (or let the driver)
-        before polling.
+        decides whether to raise). At most ``max_items`` envelopes are
+        handed out; the rest keep, in order, for the next call. In-process
+        shards only publish while pumped — call :meth:`pump` (or let the
+        driver) before polling.
         """
         self._require_open_service()
         accepted = self._collector.offer(self._backend.take_results(max_items))
@@ -674,10 +601,9 @@ class DetectionService:
                       poll_wait_s: float = 0.0005) -> List[ResultEnvelope]:
         """Pump and poll until every pending async finalize has reported.
 
-        Returns every envelope accepted along the way (``"session"``
-        envelopes included — they are a gateway's to interpret, but they
-        must not be lost). Raises :class:`ServiceError` if results stop
-        arriving before ``timeout_s`` of no progress.
+        Returns every envelope accepted along the way. Raises
+        :class:`ServiceError` if results stop arriving before ``timeout_s``
+        of no progress.
         """
         self._require_open_service()
         collected = list(self.poll_results())
@@ -1128,10 +1054,6 @@ async def serve_fleet_async(
         for envelope in arrived:
             if envelope.kind == "error":
                 raise envelope.payload
-            if envelope.kind != "result":  # pragma: no cover - foreign plane
-                raise ServiceError(
-                    f"unexpected {envelope.kind!r} envelope in serve_fleet "
-                    f"(is a gateway sharing this service?)")
             index = owner.pop(envelope.key)
             result: DetectionResult = envelope.payload
             result.trajectory = trajectories[index]

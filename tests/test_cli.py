@@ -1,11 +1,8 @@
-"""The ``repro`` CLI: parsing, the soak harness end to end, bench files."""
-
-import json
+"""The ``repro`` CLI: parsing and the soak harness end to end."""
 
 import pytest
 
 from repro import __version__
-from repro.cli.bench import KNOWN_BENCHES, append_trajectory
 from repro.cli.main import build_parser, main
 from repro.cli.soak import SoakHarness, SoakOptions
 from repro.obs.timeseries import load_series
@@ -25,7 +22,7 @@ class TestParser:
     def test_every_subcommand_registers(self):
         parser = build_parser()
         text = parser.format_help()
-        for command in ("serve", "replay", "soak", "bench", "report"):
+        for command in ("serve", "replay", "soak", "report"):
             assert command in text
 
     def test_soak_accepts_a_million_fixes(self):
@@ -101,47 +98,3 @@ def test_soak_outlasts_a_budget_too_small_to_judge():
                                               2 * options.windows + 1)
     assert harness.fixes_pushed > options.fixes
     assert harness.recorder.errors == 0
-
-
-class TestBench:
-    def test_append_trajectory_grows(self, tmp_path):
-        path = tmp_path / "BENCH_x.json"
-        assert append_trajectory(path, {"n": 1}) == 1
-        assert append_trajectory(path, {"n": 2}) == 2
-        entries = json.loads(path.read_text(encoding="utf-8"))
-        assert [entry["n"] for entry in entries] == [1, 2]
-
-    def test_append_recovers_from_corrupt_file(self, tmp_path):
-        path = tmp_path / "BENCH_x.json"
-        path.write_text("not json", encoding="utf-8")
-        assert append_trajectory(path, {"n": 1}) == 1
-
-    def test_bench_subcommand_aggregates_stub_runs(self, tmp_path, capsys):
-        stub_dir = tmp_path / "benchmarks"
-        stub_dir.mkdir()
-        (stub_dir / KNOWN_BENCHES["stream_throughput"]).write_text(
-            "import json, sys\n"
-            "path = sys.argv[sys.argv.index('--json') + 1]\n"
-            "smoke = '--smoke' in sys.argv\n"
-            "json.dump({'points_per_second': 123, 'smoke': smoke},"
-            " open(path, 'w'))\n",
-            encoding="utf-8")
-        out_dir = tmp_path / "out"  # not created: bench must mkdir it
-        argv = ["bench", "stream_throughput", "--smoke",
-                "--benchmarks-dir", str(stub_dir),
-                "--out-dir", str(out_dir)]
-        assert main(argv) == 0
-        assert main(argv) == 0
-        trajectory = out_dir / "BENCH_stream_throughput.json"
-        entries = json.loads(trajectory.read_text(encoding="utf-8"))
-        assert len(entries) == 2
-        for entry in entries:
-            assert entry["payload"]["points_per_second"] == 123
-            assert entry["payload"]["smoke"] is True
-            assert entry["smoke"] is True
-            assert entry["recorded_at"]
-            assert entry["host"]["cores"] >= 1
-
-    def test_unknown_bench_name_rejected(self, capsys):
-        assert main(["bench", "no_such_bench"]) == 2
-        assert "unknown benchmark" in capsys.readouterr().err

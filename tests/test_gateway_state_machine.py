@@ -9,23 +9,38 @@ a **sort-then-replay model**: per vehicle, a sorted list of the accepted
 fixes not yet released and the release frontier; a fix is late below the
 frontier, a duplicate on it or on a held timestamp, and otherwise held until
 more than ``reorder_window`` are — released oldest first, a gap of more than
-``session_gap_s`` between released fixes starting a new session.
+``session_gap_s`` between released fixes starting a new session. A new
+vehicle beyond ``max_vehicles`` first ends the least recently active one
+(ties: the earliest registered), whose sessions surface from that push.
+With ``async_sessions`` no call returns a session: each close joins a FIFO
+the ``poll`` rule must see come back in close order, match summary and all
+— an ended or evicted vehicle that returns restarts its session numbers, so
+one key can be in that FIFO twice.
 
 Only the gateway's own machine is under test, so what sits on either side of
 it is a recorder: a matcher that logs the ``(session key, t)`` of every fix
-released to it, and a service that finalizes a session to its key. Asserted
-after every rule: the release log (order and session boundaries), the
-sessions each call returned, and the ``raw_points`` / ``late_dropped`` /
+released to it, and a service that finalizes a session to its key (at once,
+or as a bus envelope at the next poll). Asserted after every rule: the
+release log (order and session boundaries), the sessions each call
+returned, and the ``raw_points`` / ``late_dropped`` /
 ``duplicates_dropped`` / ``gap_splits`` / ``session_timeouts`` /
-``sessions_closed`` / ``reorder_buffered`` counters.
+``sessions_closed`` / ``vehicles_evicted`` / ``reorder_buffered`` counters
+and ``pending_sessions``.
 
-Seeded mutant it kills (applied to ``push_point``, seen to fail, restored):
-the in-order fast path taken whenever the buffer is empty — ``if not buffer
-or t > buffer[-1].t: append`` — which *inserts* a fix equal to
-``last_released_t`` instead of counting it a duplicate. It needs an empty
+Seeded mutants it kills (each applied, seen to fail, restored). In
+``push_point``: the in-order fast path taken whenever the buffer is empty —
+``if not buffer or t > buffer[-1].t: append`` — which *inserts* a fix equal
+to ``last_released_t`` instead of counting it a duplicate. It needs an empty
 buffer with a frontier behind it, i.e. ``reorder_window=0``, which is why the
 window is part of the machine's state and not a constant. (The neighbouring
-mutant ``t >=`` for ``t >`` dies on the buffered-duplicate rule.)
+mutant ``t >=`` for ``t >`` dies on the buffered-duplicate rule.) In
+``_evict_for_capacity``: ``max`` for ``min`` (the most recently active
+vehicle evicted), and the evictee's ``self.end(victim)`` results dropped
+instead of returned. In the pending-session FIFO: one slot per key (a close
+overwrites the key's entry instead of queueing behind it), and
+``queue.pop()`` for ``queue.popleft()`` in ``poll_sessions`` — two in-flight
+closes of one key come back with each other's match summary, which is why
+the recording matcher's summary counts the session's fixes.
 """
 
 from __future__ import annotations
@@ -41,6 +56,7 @@ from repro.ingest import GpsGateway
 from repro.mapmatching import (HMMMapMatcher, OnlineMapMatcher,
                                OnlineMatchResult)
 from repro.roadnet import RoadNetwork
+from repro.serve import ResultEnvelope
 
 SESSION_GAP_S = 10.0
 VEHICLES = ("a", "b", "c")
@@ -61,28 +77,30 @@ class RecordingMatcher(OnlineMapMatcher):
     def __init__(self):
         super().__init__(HMMMapMatcher(two_node_network()))
         self.released = []  # (session key, t), in release order
-        self.open = set()
+        self.open = {}      # session key -> fixes released to it
 
     def push(self, key, point):
         self.released.append((key, point.t))
         first = key not in self.open
-        self.open.add(key)
+        self.open[key] = self.open.get(key, 0) + 1
         return [0] if first else []
 
     def has_session(self, key):
         return key in self.open
 
     def finish(self, key):
-        self.open.remove(key)
         return OnlineMatchResult(route=[0], log_likelihood=0.0,
-                                 points_matched=1, forced_commits=0,
-                                 max_commit_lag=0)
+                                 points_matched=self.open.pop(key),
+                                 forced_commits=0, max_commit_lag=0)
 
 
 class RecordingService:
-    """The slice of ``DetectionService`` a facade-placed gateway calls."""
+    """The slice of ``DetectionService`` a gateway calls."""
 
     tracer = None
+
+    def __init__(self):
+        self.published = []  # envelopes of async finalizes not yet polled
 
     def shard_for(self, key):
         return 0
@@ -93,6 +111,15 @@ class RecordingService:
     def finalize(self, key):
         return key
 
+    def finalize_async(self, keys, max_retries, retry_wait_s):
+        for key in keys:
+            self.published.append(
+                ResultEnvelope(0, len(self.published) + 1, "result", key, key))
+
+    def poll_results(self, max_items=None):
+        published, self.published = self.published, []
+        return published
+
 
 class ModelVehicle:
     """Sort-then-replay: what one vehicle's fixes should turn into."""
@@ -100,7 +127,8 @@ class ModelVehicle:
     def __init__(self):
         self.held = []            # accepted, unreleased timestamps, sorted
         self.frontier = _NEVER    # newest released timestamp
-        self.session = None       # [key, last released t] of the open session
+        # [key, last released t, fixes released] of the open session
+        self.session = None
         self.next_session = 0
 
     def newest(self) -> float:
@@ -112,18 +140,25 @@ class GatewayMachine(RuleBasedStateMachine):
         super().__init__()
         self.gateway = None
 
-    @initialize(window=st.sampled_from([0, 1, 3]))
-    def build(self, window):
+    @initialize(window=st.sampled_from([0, 1, 3]),
+                max_vehicles=st.sampled_from([0, 2]),
+                async_sessions=st.booleans())
+    def build(self, window, max_vehicles, async_sessions):
         self.window = window
+        self.max_vehicles = max_vehicles
+        self.async_sessions = async_sessions
         self.matcher = RecordingMatcher()
         self.gateway = GpsGateway(
             RecordingService(), self.matcher,
-            GatewayConfig(reorder_window=window, session_gap_s=SESSION_GAP_S))
+            GatewayConfig(reorder_window=window, session_gap_s=SESSION_GAP_S,
+                          max_vehicles=max_vehicles,
+                          async_sessions=async_sessions))
         self.vehicles = {}          # id -> ModelVehicle, registration order
         self.expected_released = []
+        self.in_flight = []         # async closes not yet polled, in order
         self.counts = dict.fromkeys(
             ("raw_points", "late_dropped", "duplicates_dropped", "gap_splits",
-             "session_timeouts", "sessions_closed"), 0)
+             "session_timeouts", "sessions_closed", "vehicles_evicted"), 0)
 
     # ------------------------------------------------------------- the model
     def model_release(self, vehicle_id, vehicle, t, closed):
@@ -132,22 +167,31 @@ class GatewayMachine(RuleBasedStateMachine):
             self.counts["gap_splits"] += 1
             self.model_close(vehicle, closed)
         if vehicle.session is None:
-            vehicle.session = [(vehicle_id, vehicle.next_session), t]
+            vehicle.session = [(vehicle_id, vehicle.next_session), t, 0]
             vehicle.next_session += 1
         vehicle.session[1] = t
+        vehicle.session[2] += 1
         vehicle.frontier = t
         self.expected_released.append((vehicle.session[0], t))
 
     def model_close(self, vehicle, closed):
-        closed.append(vehicle.session[0])
+        closed.append((vehicle.session[0], vehicle.session[2]))
         vehicle.session = None
         self.counts["sessions_closed"] += 1
 
     def model_push(self, vehicle_id, t):
-        """Returns the session keys this fix should complete."""
+        """Returns the sessions this fix should complete, as ``(key, fixes
+        released to it)``: an evicted vehicle's first."""
         self.counts["raw_points"] += 1
-        vehicle = self.vehicles.setdefault(vehicle_id, ModelVehicle())
         closed = []
+        if (vehicle_id not in self.vehicles
+                and len(self.vehicles) >= self.max_vehicles > 0):
+            # min() keeps the first of equals: registration order.
+            victim = min(self.vehicles,
+                         key=lambda name: self.vehicles[name].newest())
+            self.counts["vehicles_evicted"] += 1
+            closed.extend(self.model_end(victim))
+        vehicle = self.vehicles.setdefault(vehicle_id, ModelVehicle())
         if t < vehicle.frontier:
             self.counts["late_dropped"] += 1
         elif t == vehicle.frontier or t in vehicle.held:
@@ -169,10 +213,22 @@ class GatewayMachine(RuleBasedStateMachine):
         return closed
 
     # ----------------------------------------------------------------- rules
+    @staticmethod
+    def sessions_of(results):
+        return [(result.session_key, result.match.points_matched)
+                for result in results]
+
+    def check_closed(self, results, expected):
+        """What a closing call returned: the sessions, or nothing yet."""
+        if self.async_sessions:
+            self.in_flight.extend(expected)
+            expected = []
+        assert self.sessions_of(results) == expected
+
     def push(self, vehicle_id, t):
         expected = self.model_push(vehicle_id, t)
-        results = self.gateway.push(vehicle_id, 50.0, 0.0, t)
-        assert [result.session_key for result in results] == expected
+        self.check_closed(self.gateway.push(vehicle_id, 50.0, 0.0, t),
+                          expected)
 
     def known(self, pick):
         """A vehicle the model knows, chosen by an arbitrary integer."""
@@ -238,8 +294,7 @@ class GatewayMachine(RuleBasedStateMachine):
     def end(self, pick):
         vehicle_id = self.known(pick)
         expected = self.model_end(vehicle_id)
-        results = self.gateway.end(vehicle_id)
-        assert [result.session_key for result in results] == expected
+        self.check_closed(self.gateway.end(vehicle_id), expected)
 
     @precondition(lambda self: self.vehicles)
     @rule(pick=st.integers(0, 99),
@@ -254,8 +309,13 @@ class GatewayMachine(RuleBasedStateMachine):
                 if vehicle.session is not None or vehicle.held:
                     self.counts["session_timeouts"] += 1
                 expected.extend(self.model_end(vehicle_id))
-        results = self.gateway.advance_clock(now)
-        assert [result.session_key for result in results] == expected
+        self.check_closed(self.gateway.advance_clock(now), expected)
+
+    @precondition(lambda self: self.async_sessions)
+    @rule()
+    def poll(self):
+        expected, self.in_flight = self.in_flight, []
+        assert self.sessions_of(self.gateway.poll_sessions()) == expected
 
     # ------------------------------------------------------------ invariants
     @invariant()
@@ -274,6 +334,7 @@ class GatewayMachine(RuleBasedStateMachine):
         assert stats.reorder_buffered == sum(
             len(vehicle.held) for vehicle in self.vehicles.values())
         assert sorted(self.gateway.active_vehicles) == sorted(self.vehicles)
+        assert self.gateway.pending_sessions == len(self.in_flight)
         assert stats.sessions_opened == (
             stats.sessions_closed
             + sum(vehicle.session is not None

@@ -308,8 +308,6 @@ def test_gateway_validates_inputs(trained_model, dataset, offline_matcher):
     # session_gap_s (`or` treats 0.0 as unset); now it is rejected outright.
     with pytest.raises(ConfigurationError):
         GatewayConfig(session_timeout_s=0.0).validate()
-    with pytest.raises(ConfigurationError):
-        GatewayConfig(matcher_placement="cloud").validate()
 
 
 def test_gateway_latency_report(trained_model, dataset, dataset_split,
@@ -611,6 +609,49 @@ def test_confidence_is_normalized_against_the_perfect_decode(
 
 
 # ------------------------------------------------------------ async sessions
+FUNNEL = ("raw_points", "matched_points", "segments_emitted",
+          "late_dropped", "duplicates_dropped", "unmatched_dropped",
+          "sessions_opened", "sessions_closed", "sessions_dropped",
+          "sessions_broken", "gap_splits", "commits", "forced_commits",
+          "max_commit_lag")
+
+
+@pytest.mark.fleet
+@pytest.mark.parametrize("num_shards,backend", [(1, "inprocess"),
+                                                (2, "process")])
+def test_async_sessions_label_and_funnel_identical(
+        trained_model, dataset, dataset_split, offline_matcher,
+        num_shards, backend):
+    """``GatewayConfig(async_sessions=True)`` — session closes through the
+    results bus instead of a blocking finalize round trip — is label- and
+    funnel-identical to the synchronous close path, across shard counts
+    and backends."""
+    _, development, test = dataset_split
+    fleet = (list(test) + list(development))[:8]
+    raws = clean_raws(dataset, fleet, seed=num_shards + 80)
+
+    def run(**config):
+        with trained_model.detection_service(
+                num_shards=num_shards, backend=backend) as service:
+            gateway = GpsGateway(service, offline_matcher,
+                                 GatewayConfig(ingest_batch=8, **config))
+            outputs = serve_raw_fleet(gateway, raws, concurrency=8)
+            return outputs, gateway.stats(), gateway.metrics()
+
+    sync_out, sync_stats, _ = run()
+    async_out, async_stats, async_metrics = run(async_sessions=True)
+    assert ([[result.labels for result in sessions] for sessions in async_out]
+            == [[result.labels for result in sessions]
+                for sessions in sync_out])
+    for name in FUNNEL:
+        assert getattr(sync_stats, name) == getattr(async_stats, name), name
+    assert sync_stats.mean_commit_lag == \
+        pytest.approx(async_stats.mean_commit_lag)
+    assert async_stats.sessions_closed == len(fleet)
+    assert async_metrics.results_pending == 0
+    assert async_metrics.results_duplicates == 0
+
+
 def test_async_sessions_poll_and_drain_explicitly(trained_model, dataset,
                                                   dataset_split,
                                                   offline_matcher):

@@ -9,7 +9,7 @@ Three layers:
 * **Exposition** — ``render_prometheus`` golden output, the
   ``parse_prometheus`` inverse, and the stdlib scrape endpoint.
 * **Pipeline wiring** — a traced gateway→service→bus run covers all seven
-  ``STAGES`` on both backends and both matcher placements, spans keep
+  ``STAGES`` on both backends, spans keep
   pipeline order per trace, rate 0 records nothing and allocates nothing
   on the hot path, and the text exposition always agrees with the
   ``ServiceMetrics``/``GatewayStats`` dashboards.
@@ -440,22 +440,17 @@ def assert_exposition_agrees_with_dashboards(text, service, gateway=None):
                         (("event", "closed"),))] == stats.sessions_closed
         assert samples[("repro_gateway_dropped_points_total",
                         (("reason", "late"),))] == stats.late_dropped
-        # The matcher's distance cache: scraped == dashboard == the cache(s)
-        # themselves — the facade's one, or the shard matchers' summed.
+        # The matcher's distance cache: scraped == dashboard == the cache
+        # itself.
         fields = ("pairs", "hits", "misses", "evictions")
         scraped = [samples[("repro_gateway_distance_cache_" + field
                             + ("" if field == "pairs" else "_total"), ())]
                    for field in fields]
         assert scraped == [getattr(stats, "distance_cache_" + field)
                            for field in fields]
-        planes = gateway.metrics().matchers
-        if planes:
-            assert scraped == [sum(getattr(plane, "distance_cache_" + field)
-                                   for plane in planes) for field in fields]
-        else:
-            cache = gateway.matcher.matcher.distance_cache
-            assert scraped == [len(cache), cache.hits, cache.misses,
-                               cache.evictions]
+        cache = gateway.matcher.matcher.distance_cache
+        assert scraped == [len(cache), cache.hits, cache.misses,
+                           cache.evictions]
         assert 0 < stats.distance_cache_pairs <= stats.distance_cache_misses
         assert stats.distance_cache_hits > 0
         assert stats.distance_cache_evictions == 0
@@ -499,27 +494,6 @@ def test_traced_gateway_run_covers_all_seven_stages(trained_model, dataset,
             gateway.metrics_text(), service, gateway)
         with pytest.raises(ServiceError):
             service.stage_latency("no_such_stage")
-
-
-@pytest.mark.fleet
-def test_traced_shard_placement_covers_all_seven_stages(trained_model,
-                                                        dataset,
-                                                        dataset_split):
-    """With matching colocated on the shards the same seven histograms
-    fill — the trace rides the raw MatchPush instead of a segment."""
-    _, development, _ = dataset_split
-    raws = clean_raws(dataset, development[:6], seed=31)
-    matcher = HMMMapMatcher(dataset.network)
-    with trained_model.detection_service(
-            num_shards=2, obs=ObsConfig(trace_sample_rate=1.0)) as service:
-        gateway = GpsGateway(
-            service, matcher,
-            GatewayConfig(matcher_placement="shard", async_sessions=True))
-        outputs = serve_raw_fleet(gateway, raws, concurrency=4)
-        assert sum(len(sessions) for sessions in outputs) == len(raws)
-        assert_stage_coverage(service)
-        assert_exposition_agrees_with_dashboards(
-            gateway.metrics_text(), service, gateway)
 
 
 @pytest.mark.fleet

@@ -31,7 +31,7 @@ from repro.serve import (ControlUpdate, IngestEvent, InProcessBackend,
                          weights_snapshot)
 from repro.serve.backends import ShardCore, _pack_events
 
-from test_result_bus import StallPlaneFactory
+from test_result_bus import stall_worker
 from test_serve import perturbed_snapshot
 
 UNKNOWN_SEGMENT = 10 ** 9
@@ -230,47 +230,6 @@ def test_finalize_async_of_caught_up_streams_ticks_nothing_and_flushes(
         assert envelope.payload.labels == detector.detect(trip).labels
 
 
-class RecordingPlane:
-    def __init__(self, engine):
-        self.engine = engine
-        self.seen = []
-        self.publish = None
-
-    def bind_bus(self, publish):
-        self.publish = publish
-
-    def handle(self, command):
-        self.seen.append((command, self.engine.ticks))
-        if command == "publish":
-            self.publish("session", "key", [])
-
-
-def test_plane_commands_count_as_touching_every_stream(trained_model,
-                                                       online_trips):
-    harness = Harness(trained_model)
-    planes = []
-
-    def factory(shard_id, engine):
-        planes.append(RecordingPlane(engine))
-        return planes[-1]
-
-    assert harness.request("install_plane", factory) == (
-        "plane_installed", None)
-    (plane,) = planes
-    events = trip_events(0, online_trips[0])
-    harness.ingest_batch(events[:3])
-    # Opaque to the backend: one tick if anything waits, none otherwise.
-    assert harness.handle("plane_batch", ["first"]) == [1]
-    assert harness.handle("plane_batch", ["second", "third"]) == [1]
-    assert harness.handle("plane_batch", ["fourth"]) == []
-    assert plane.seen == [("first", 1), ("second", 2), ("third", 2),
-                          ("fourth", 2)]
-    # A publishing plane command is flushed like a finalize.
-    harness.handle("plane_batch", ["publish"])
-    assert [(e.kind, e.key) for e in harness.sent.pop()] == [
-        ("session", "key")]
-
-
 # ------------------------------------------------------------ the wire shape
 def test_columns_apply_exactly_like_the_events(trained_model, dataset_split):
     _, development, test = dataset_split
@@ -367,7 +326,7 @@ def lockstep_rounds(trips, fleet):
 def test_a_full_queue_is_where_a_fast_producer_waits(trained_model,
                                                      online_trips):
     """A producer that runs ahead of the shard (here: while the worker
-    naps) is refused at ``queue_depth=4``, and what it did get queued is
+    is stopped) is refused at ``queue_depth=4``, and what it did get queued is
     stepped round by round: whenever a ``stats`` request is answered, an
     online stream holds at most its newest point (awaiting its successor)
     and one waiting step. (The rule's third term, the command in hand, is
@@ -377,18 +336,17 @@ def test_a_full_queue_is_where_a_fast_producer_waits(trained_model,
     rounds = lockstep_rounds(trips, fleet)
     with trained_model.detection_service(
             num_shards=1, backend="process", queue_depth=4) as service:
-        service.install_plane(StallPlaneFactory())
         busiest = refused = 0
         for index, (batch, closing) in enumerate(rounds):
             if index % 10 in (2, 5):
-                service.plane_send_many(0, [0.1])  # the worker naps
+                stall_worker(service, 0, 0.1)
                 refused_before = refused
             if batch:
                 refused += service.ingest_many(batch)
             if closing:
                 refused += service.finalize_async(closing)
             if index % 10 == 4:
-                # Three rounds and this request queued up behind the nap.
+                # Three rounds and this request queued up during the stall.
                 # The worker wakes to all of them, and still steps each
                 # round before it buffers the next.
                 shard = service.metrics().shards[0]
@@ -580,31 +538,27 @@ def test_failure_below_the_facade_surfaces_once_at_the_next_replied_command(
     assert shard.points_processed + shard.pending_points == 4
 
 
-def test_inprocess_queue_is_one_fifo_for_ingest_and_plane_commands(
+def test_inprocess_queue_is_one_fifo_for_ingest_and_finalize_commands(
         trained_model, online_trips):
     backend = InProcessBackend(clone_model(trained_model), 1, queue_depth=2)
-    planes = []
-
-    def factory(shard_id, engine):
-        planes.append(RecordingPlane(engine))
-        return planes[-1]
-
-    backend.install_plane(factory)
-    (plane,) = planes
-    events = trip_events(0, online_trips[0])
-    assert backend.ingest_batch(0, _pack_events(events[:2]))
-    assert backend.plane_send_batch(0, ["after"])
+    whole_trip = _pack_events(trip_events(0, online_trips[0]))
+    opener = _pack_events(trip_events(1, online_trips[1])[:1])
+    assert backend.ingest_batch(0, whole_trip)
+    assert backend.finalize_async(0, [0])
     # The bound counts commands, whatever their kind, and refuses the third.
-    assert not backend.plane_send_batch(0, ["refused"])
-    assert not backend.ingest_batch(0, _pack_events(events[2:3]))
+    assert not backend.finalize_async(0, [0])
+    assert not backend.ingest_batch(0, opener)
     (shard,) = backend.stats()
     assert (shard.queue_depth, shard.streams_open) == (2, 0)
-    assert plane.seen == []
+    assert backend.take_results() == []
     backend.pump()
-    # Handled behind the batch queued before it: the tick a plane command
-    # waits for had the stream's first point to step.
-    assert plane.seen == [("after", 1)]
-    assert backend.plane_send_batch(0, ["accepted"])
+    # Handled behind the batch queued before it: the finalize closed the
+    # whole trip.
+    (envelope,) = backend.take_results()
+    assert (envelope.kind, envelope.key) == ("result", 0)
+    assert (envelope.payload.labels
+            == trained_model.detector().detect(online_trips[0]).labels)
+    assert backend.ingest_batch(0, opener)
     (shard,) = backend.stats()
-    assert (shard.queue_depth, shard.streams_open) == (1, 1)
+    assert (shard.queue_depth, shard.streams_open) == (1, 0)
     backend.close()

@@ -17,6 +17,9 @@ soak that pins queue depth, bus lag and per-vehicle state as bounded.
 
 from __future__ import annotations
 
+import os
+import signal
+import threading
 import time
 
 import numpy as np
@@ -417,27 +420,11 @@ def test_inprocess_retry_sleeps_when_pump_makes_no_progress(
         assert_results_match(expected, result)
 
 
-class _StallPlane:
-    """A worker plane whose only job is to nap on command."""
-
-    def __init__(self, shard_id, engine):
-        self.shard_id = shard_id
-
-    def handle(self, command):
-        time.sleep(command)
-
-    def request(self, command):
-        return None
-
-    def stats(self):
-        return None
-
-
-class StallPlaneFactory:
-    """Picklable factory shipping :class:`_StallPlane` into shard workers."""
-
-    def __call__(self, shard_id, engine):
-        return _StallPlane(shard_id, engine)
+def stall_worker(service, shard, seconds):
+    """Stop one process shard's worker now; a timer continues it."""
+    pid = service._backend._shards[shard].process.pid
+    os.kill(pid, signal.SIGSTOP)
+    threading.Timer(seconds, os.kill, (pid, signal.SIGCONT)).start()
 
 
 @pytest.mark.fleet
@@ -451,12 +438,11 @@ def test_process_backend_rides_out_retry_later_storm(trained_model,
     reference = trained_model.detector().detect(trajectory)
     with trained_model.detection_service(
             num_shards=1, backend="process", queue_depth=4) as service:
-        service.install_plane(StallPlaneFactory())
         service.ingest_blocking("cab", trajectory.segments[0],
                                 destination=trajectory.destination,
                                 start_time_s=trajectory.start_time_s)
         service.drain()
-        service.plane_send_many(0, [1.0])  # the worker naps for a second
+        stall_worker(service, 0, 1.0)
         storm = 0
         for segment in trajectory.segments[1:]:
             storm += service.ingest_blocking("cab", segment,

@@ -105,7 +105,6 @@ PUBLIC_SURFACE = {
     ],
     "repro.cli": ["build_parser", "main"],
     "repro.cli.soak": ["SoakHarness", "SoakOptions"],
-    "repro.cli.bench": ["KNOWN_BENCHES", "append_trajectory"],
 }
 
 
