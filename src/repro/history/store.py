@@ -254,14 +254,8 @@ class HistorySnapshot:
                                []).extend(group)
         self._by_pair = {pair: tuple(group) for pair, group in by_pair.items()}
         # Memoized derived values; see cached_statistics / cached_routes.
-        # The fallback caches hold values derived from *query* trajectories
-        # (SD pairs with no history at all) rather than from the snapshot's
-        # own data — they are memoized for within-version determinism but
-        # never carried into a refreshed snapshot (see ``extended``).
         self._statistics_cache: Dict[Hashable, object] = {}
         self._routes_cache: Dict[Hashable, object] = {}
-        self._fallback_statistics: Dict[Hashable, object] = {}
-        self._fallback_routes: Dict[Hashable, object] = {}
         self._segments: Optional[FrozenSet[int]] = None
         # Producer-side provenance: the delta that minted this snapshot
         # from its predecessor (set by ``extended``). Like the memo caches
@@ -346,35 +340,30 @@ class HistorySnapshot:
         return self._segments
 
     # ------------------------------------------------------- derived caching
-    def cached_statistics(self, key: Hashable, compute: Callable[[], object],
-                          fallback: bool = False):
+    def cached_statistics(self, key: Hashable, compute: Callable[[], object]):
         """Memoize one derived transition-statistics value.
 
         ``key`` must start with ``(source, destination, ...)`` — the
         copy-on-write refresh drops exactly the entries whose leading pair
         was touched. Values must be pure functions of the snapshot (plus
         whatever config values the caller bakes into the key), so sharing
-        the memo between every reader of this snapshot is safe. Values that
-        are *not* pure — the no-history fallback, derived from the query
-        trajectory itself — go in with ``fallback=True``: still memoized
-        (within one version, the first query defines the group, exactly as
-        before), but dropped by every refresh instead of carried forward.
+        the memo between every reader of this snapshot is safe. A value that
+        is *not* pure — the no-history fallback, derived from the query
+        trajectory itself — does not belong here: its caller computes it
+        from the query every time.
         """
-        cache = self._fallback_statistics if fallback else self._statistics_cache
-        value = cache.get(key)
+        value = self._statistics_cache.get(key)
         if value is None:
             value = compute()
-            cache[key] = value
+            self._statistics_cache[key] = value
         return value
 
-    def cached_routes(self, key: Hashable, compute: Callable[[], object],
-                      fallback: bool = False):
+    def cached_routes(self, key: Hashable, compute: Callable[[], object]):
         """Memoize one derived normal-routes value (same contract as above)."""
-        cache = self._fallback_routes if fallback else self._routes_cache
-        value = cache.get(key)
+        value = self._routes_cache.get(key)
         if value is None:
             value = compute()
-            cache[key] = value
+            self._routes_cache[key] = value
         return value
 
     # -------------------------------------------------------------- refresh
@@ -388,9 +377,7 @@ class HistorySnapshot:
         refresh that adds one pair's trajectories re-derives one pair's
         statistics, not the whole city's). *All* slots of a touched pair are
         invalidated, because the sparse-slot fallback makes a slot's derived
-        values depend on the pair's full cross-slot history. Query-derived
-        fallback entries (no-history pairs) are never carried — a refresh
-        resets them wholesale, as the pre-refresh cache clearing always did.
+        values depend on the pair's full cross-slot history.
 
         The reallocated groups double as the refresh's
         :class:`HistoryDelta` (:attr:`origin_delta` on the result), and a
@@ -424,9 +411,8 @@ class HistorySnapshot:
 
     # -------------------------------------------------------- serialization
     def __getstate__(self) -> dict:
-        # The memo caches are recomputable (and may hold query-derived
-        # fallback entries a receiver should build from its own queries), so
-        # a serialized snapshot is just the versioned group data.
+        # The memo caches are recomputable, so a serialized snapshot is just
+        # the versioned group data.
         return {
             "version": self._version,
             "slots_per_day": self._slots_per_day,

@@ -257,52 +257,56 @@ class PreprocessingPipeline:
 
     def _resolved_group(self, trajectory: MatchedTrajectory,
                         snapshot: HistorySnapshot) -> List[MatchedTrajectory]:
-        """The trajectory's historical group: the memo-miss path.
-
-        An SD pair with no history at all falls back to the trajectory
-        itself so statistics are still defined (everything looks normal,
-        which is the conservative choice).
-        """
+        """The trajectory's historical group: the memo-miss path of a pair
+        that has history."""
         return self.sd_group(trajectory.source, trajectory.destination,
-                             trajectory.start_time_s,
-                             history=snapshot) or [trajectory]
+                             trajectory.start_time_s, history=snapshot)
 
     def _memo_entry(self, trajectory: MatchedTrajectory,
                     history: Optional[HistorySnapshot]):
-        """Where the trajectory's derived values are memoized: the snapshot,
-        the group's key and whether the group is the no-history fallback.
+        """Where the trajectory's derived values are memoized: the snapshot
+        and the group's key — ``None`` when the group is the no-history
+        fallback.
 
-        The fallback is query-derived, so the snapshot memoizes it apart and
-        drops it on refresh. Telling which it is takes one lookup and no
-        group (``min_slot_group_size >= 1``: the resolved group is empty
-        exactly when the pair has no trajectory in any slot).
+        An SD pair with no history at all falls back to the trajectory
+        itself so statistics are still defined (everything looks normal,
+        which is the conservative choice). What derives from that group is
+        computed on every call and never stored: a stored value would judge
+        the pair's next trip against this trip's route. Telling which it is
+        takes one lookup and no group (``min_slot_group_size >= 1``:
+        the resolved group is empty exactly when the pair has no trajectory
+        in any slot).
         """
         snapshot = history if history is not None else self._snapshot
         source, destination = trajectory.source, trajectory.destination
-        key = (source, destination, self._slot_of(trajectory.start_time_s),
-               self._config.min_slot_group_size)
-        return snapshot, key, not snapshot.has_pair(source, destination)
+        if not snapshot.has_pair(source, destination):
+            return snapshot, None
+        return snapshot, (source, destination,
+                          self._slot_of(trajectory.start_time_s),
+                          self._config.min_slot_group_size)
 
     def statistics_for(self, trajectory: MatchedTrajectory,
                        history: Optional[HistorySnapshot] = None
                        ) -> TransitionStatistics:
         """Transition statistics of the trajectory's SD-pair group (cached)."""
-        snapshot, key, fallback = self._memo_entry(trajectory, history)
+        snapshot, key = self._memo_entry(trajectory, history)
+        if key is None:
+            return TransitionStatistics.from_group([trajectory])
         return snapshot.cached_statistics(
             key, lambda: TransitionStatistics.from_group(
-                self._resolved_group(trajectory, snapshot)),
-            fallback=fallback)
+                self._resolved_group(trajectory, snapshot)))
 
     def normal_routes_for(self, trajectory: MatchedTrajectory,
                           history: Optional[HistorySnapshot] = None
                           ) -> List[Tuple[int, ...]]:
         """Inferred normal routes of the trajectory's SD-pair group (cached)."""
-        snapshot, key, fallback = self._memo_entry(trajectory, history)
+        snapshot, key = self._memo_entry(trajectory, history)
+        if key is None:
+            return [trajectory.route_key()]  # its own route is the normal one
         delta = self._config.delta
         return snapshot.cached_routes(
             key + (delta,), lambda: infer_normal_routes(
-                self._resolved_group(trajectory, snapshot), delta),
-            fallback=fallback)
+                self._resolved_group(trajectory, snapshot), delta))
 
     def normal_transitions_for(self, trajectory: MatchedTrajectory,
                                history: Optional[HistorySnapshot] = None
@@ -313,15 +317,15 @@ class PreprocessingPipeline:
         SD pair and snapshot instead of once per trip, and immutable because
         every detector and stream of the pair shares it. It is memoized
         beside the routes it derives from — same cache, the routes' key plus
-        a tag — so it follows their ``fallback`` discipline and is dropped
-        by the same refresh.
+        a tag — so it is dropped by the same refresh.
         """
-        snapshot, key, fallback = self._memo_entry(trajectory, history)
+        snapshot, key = self._memo_entry(trajectory, history)
+        if key is None:
+            return frozenset(normal_transitions([trajectory.route_key()]))
         return snapshot.cached_routes(
             key + (self._config.delta, "transitions"),
             lambda: frozenset(normal_transitions(
-                self.normal_routes_for(trajectory, snapshot))),
-            fallback=fallback)
+                self.normal_routes_for(trajectory, snapshot))))
 
     # ------------------------------------------------------------ public API
     def preprocess(self, trajectory: MatchedTrajectory,

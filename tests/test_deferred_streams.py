@@ -21,7 +21,8 @@ from repro.core import RL4OASDTrainer
 from repro.history import clone_snapshot
 from repro.labeling.normal_routes import normal_transitions
 from repro.obs.trace import TraceContext, Tracer
-from repro.serve import clone_model, weights_snapshot
+from repro.roadnet.shortest_path import k_shortest_routes
+from repro.serve import clone_model, serve_fleet, weights_snapshot
 from repro.trajectory import MatchedTrajectory
 from repro.trajectory.ops import interleave_streams
 
@@ -459,13 +460,16 @@ def test_normal_transitions_for_is_memoised_beside_the_routes(
     assert isinstance(allowed, frozenset)
     assert allowed == normal_transitions(pipeline.normal_routes_for(known))
     assert pipeline.normal_transitions_for(known) is allowed
-    # A no-history pair falls back to the query's own route ...
+    # A no-history pair falls back to the query's own route, computed
+    # from the query and stored nowhere ...
     lonely = MatchedTrajectory(7, [known.segments[1], known.segments[0]])
     assert not pipeline.sd_group(lonely.source, lonely.destination)
+    cached = dict(pipeline.history._routes_cache)
     fallback = pipeline.normal_transitions_for(lonely)
     assert fallback == normal_transitions([lonely.segments])
-    # ... and a refresh drops that entry and every touched pair's, while
-    # untouched pairs keep theirs (same discipline as the routes).
+    assert pipeline.history._routes_cache == cached
+    # ... and a refresh drops every touched pair's entry, while untouched
+    # pairs keep theirs (same discipline as the routes).
     other = next(t for t in train
                  if (t.source, t.destination)
                  != (known.source, known.destination))
@@ -477,6 +481,65 @@ def test_normal_transitions_for_is_memoised_beside_the_routes(
     assert pipeline.normal_transitions_for(
         known, history=successor) is not allowed
     assert pipeline.normal_transitions_for(
-        lonely, history=successor) is not fallback
+        lonely, history=successor) == fallback
     # Pinned readers of the old snapshot are unaffected.
     assert pipeline.normal_transitions_for(known, history=snapshot) is allowed
+
+
+# ------------------------------------- a pair with no history has no memory
+def lonely_pairs(trained_model, dataset, dataset_split, count=6):
+    """``count`` SD pairs with no history, each as two trips over the pair's
+    two cheapest routes: ``[a0, b0, a1, b1, ...]``."""
+    _, development, test = dataset_split
+    history = trained_model.pipeline.history
+    trips, seen = [], set()
+    for trip in list(test) + list(development):
+        pair = (trip.segments[1], trip.segments[-2])
+        if pair in seen or history.has_pair(*pair):
+            continue
+        seen.add(pair)
+        routes = k_shortest_routes(dataset.network, *pair, k=2)
+        if len(routes) == 2:
+            trips.extend(MatchedTrajectory(len(trips) + offset, route,
+                                           start_time_s=trip.start_time_s)
+                         for offset, route in enumerate(routes))
+        if len(trips) == 2 * count:
+            return trips
+    raise AssertionError("the dataset ran out of history-less pairs")
+
+
+def through_detector(model, trips):
+    detector = model.detector()
+    return [detector.detect(trip).labels for trip in trips]
+
+
+def through_engine(model, trips, declare):
+    engine = model.stream_engine()
+    labels = []
+    for vehicle, trip in enumerate(trips):
+        open_stream(engine, vehicle, trip, declare)
+        feed(engine, vehicle, trip, 1, None)
+        labels.append(engine.finalize(vehicle).labels)
+    return labels
+
+
+def through_service(model, trips):
+    with model.detection_service(num_shards=2) as service:
+        return [result.labels for result in serve_fleet(service, trips)]
+
+
+@pytest.mark.parametrize("path", [
+    through_detector,
+    lambda model, trips: through_engine(model, trips, declare=True),
+    lambda model, trips: through_engine(model, trips, declare=False),
+    through_service,
+], ids=["detector", "engine-declared", "engine-undeclared", "service"])
+def test_a_history_less_trip_is_labelled_as_it_is_alone(
+        trained_model, dataset, dataset_split, path):
+    """Its own route is the normal route of a trip whose SD pair has no
+    history — whichever trip of the pair was labelled before it."""
+    trips = lonely_pairs(trained_model, dataset, dataset_split)
+    alone = [through_detector(clone_model(trained_model), [trip])[0]
+             for trip in trips]
+    assert path(clone_model(trained_model), trips) == alone
+    assert path(clone_model(trained_model), trips[::-1]) == alone[::-1]

@@ -19,6 +19,7 @@ from repro.exceptions import LabelingError
 from repro.history import (HistorySnapshot, RouteHistoryStore, clone_snapshot,
                            snapshot_from_bytes, snapshot_to_bytes)
 from repro.labeling import PreprocessingPipeline
+from repro.labeling.normal_routes import normal_transitions
 from repro.serve import clone_model
 from repro.trajectory import MatchedTrajectory
 
@@ -246,28 +247,39 @@ def test_pipeline_rejects_conflicting_history_arguments(dataset,
         pipeline.with_history(42)
 
 
-def test_extend_drops_query_derived_fallback_entries(dataset, dataset_split):
-    """A no-history SD pair's statistics are derived from the query
-    trajectory and memoized for within-version determinism — but a refresh
-    must reset them (the pre-refresh pipeline cleared its caches wholesale),
-    or the first query ever seen would define that pair's 'normal route'
-    forever."""
-    from repro.trajectory import MatchedTrajectory
-
+def test_fallback_values_are_the_query_s_own_and_never_stored(dataset,
+                                                             dataset_split):
+    """A no-history SD pair's statistics and routes are derived from the
+    query trajectory, so each trip of the pair gets its own — whichever was
+    asked first, before or after a refresh — and the snapshot's memo never
+    sees the pair."""
     train, _, test = dataset_split
     pipeline = PreprocessingPipeline(dataset.network, train[:100],
                                      LabelingConfig(alpha=0.35, delta=0.25))
     segments = test[0].segments
-    ghost = MatchedTrajectory(9001, [segments[0], segments[1]],
-                              start_time_s=0.0)
+    ghost = make(9001, [segments[0], segments[1]])
+    longer = make(9002, [segments[0], segments[2], segments[1]])
     assert pipeline.sd_group(ghost.source, ghost.destination) == []
-    first = pipeline.statistics_for(ghost)
-    assert pipeline.statistics_for(ghost) is first  # memoized within version
+
+    def resolved():
+        return [(pipeline.statistics_for(trip),
+                 pipeline.normal_routes_for(trip),
+                 pipeline.normal_transitions_for(trip))
+                for trip in (ghost, longer)]
+
+    first = resolved()
+    for (statistics, routes, transitions), trip in zip(first,
+                                                       (ghost, longer)):
+        assert statistics.group_size == 1
+        assert routes == [tuple(trip.segments)]
+        assert transitions == normal_transitions([trip.segments])
+    assert resolved() == first
+    assert not (memo_keys(pipeline.history)["_statistics_cache"]
+                | memo_keys(pipeline.history)["_routes_cache"])
     pipeline.extend_history(train[100:110])  # unrelated pairs
-    after = pipeline.statistics_for(ghost)
-    assert after is not first  # the refresh reset the fallback entry
-    # Pure (non-fallback) entries of untouched pairs still carry forward —
-    # that is the structural-sharing win the fallback rule must not break.
+    assert resolved() == first
+    # Entries of untouched pairs with history carry forward across a
+    # refresh — the structural-sharing win.
     touched = {(t.source, t.destination) for t in train[100:110]}
     untouched = next(t for t in test
                      if (t.source, t.destination) not in touched
@@ -281,8 +293,7 @@ def test_extend_drops_query_derived_fallback_entries(dataset, dataset_split):
 
 
 # ------------------------------------------------------ memo before resolve
-MEMOS = ("_statistics_cache", "_routes_cache",
-         "_fallback_statistics", "_fallback_routes")
+MEMOS = ("_statistics_cache", "_routes_cache")
 
 
 def memo_keys(snapshot):
@@ -297,7 +308,7 @@ def resolve(pipeline, queries):
 def test_resolvers_equal_a_fresh_pipeline_across_a_refresh(dataset,
                                                            dataset_split):
     """The resolvers consult the memo before they materialise a group, so
-    what they return — and which memo holds it — must not depend on what
+    what they return — and what the memo holds — must not depend on what
     was asked earlier: after a refresh touching pair P, not touching Q,
     with a history-less pair R asked before and after, everything equals a
     pipeline built fresh on the same snapshot."""
@@ -312,9 +323,11 @@ def test_resolvers_equal_a_fresh_pipeline_across_a_refresh(dataset,
     assert not pipeline.history.has_pair(r.source, r.destination)
     queries = [p, q, r]
     before = resolve(pipeline, queries)
-    assert all(again is first
-               for warm, cold in zip(resolve(pipeline, queries), before)
-               for again, first in zip(warm, cold))
+    warm = resolve(pipeline, queries)
+    assert warm == before
+    assert all(again is first  # P and Q from the memo, R computed again
+               for index in (0, 1)
+               for again, first in zip(warm[index], before[index]))
     pipeline.extend_history([make(9100, list(p.segments), p.start_time_s)])
     after = resolve(pipeline, queries)
     fresh = PreprocessingPipeline(dataset.network, config=config,
@@ -325,12 +338,10 @@ def test_resolvers_equal_a_fresh_pipeline_across_a_refresh(dataset,
     assert ({key[:2] for key in keys["_statistics_cache"]}
             == {key[:2] for key in keys["_routes_cache"]}
             == {p.sd_pair, q.sd_pair})
-    assert ({key[:2] for key in keys["_fallback_statistics"]}
-            == {key[:2] for key in keys["_fallback_routes"]} == {r.sd_pair})
-    # Q's values were carried, P's and the fallback's derived again.
+    # Q's values were carried, P's derived again, R's are R's own.
     assert all(new is old for new, old in zip(after[1], before[1]))
-    assert all(new is not old for index in (0, 2)
-               for new, old in zip(after[index], before[index]))
+    assert all(new is not old for new, old in zip(after[0], before[0]))
+    assert after[2] == before[2]
     assert after[0][0].group_size == before[0][0].group_size + 1
 
 
