@@ -141,7 +141,7 @@ class OnlineLearner:
             try:
                 # The *pipeline* (not its bare snapshot) is what lets the
                 # facade reach the store's delta log and broadcast only the
-                # touched SD-pair groups when every shard holds the base.
+                # appended trajectories when every shard holds the base.
                 service.swap(weights=self._model,
                              history=self._model.pipeline)
             except Exception as error:

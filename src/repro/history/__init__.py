@@ -5,17 +5,17 @@ trajectory history every RL4OASD label is anchored in:
 
 * :class:`HistorySnapshot` — an immutable, monotonically-versioned view
   (copy-on-write SD-pair maps with structural sharing, memoized derived
-  statistics/normal-route caches).
+  statistics/route-tally caches that a refresh extends instead of drops).
 * :class:`RouteHistoryStore` — mints snapshots: ``extend`` appends new
   trajectories copy-on-write, ``rebuild`` replaces the window wholesale.
 * :class:`HistoryDelta` / :func:`apply_delta` / :func:`merge_deltas` — the
   delta control plane: each copy-on-write refresh doubles as a
-  version-keyed delta of only the reallocated groups, the store keeps a
+  version-keyed delta of only the appended trajectories, the store keeps a
   bounded chain of them (:meth:`RouteHistoryStore.delta_chain`), and a
   receiver at the base version reproduces the successor snapshot
   bit-identically without ever shipping the corpus.
 * :func:`snapshot_to_bytes` / :func:`snapshot_from_bytes` /
-  :func:`clone_snapshot` (and their ``delta_*`` twins) — the serialization
+  :func:`clone_snapshot` (and the ``delta_*`` twins of the first two) — the serialization
   the serving layer's ``swap_history`` broadcast rides on.
 * :class:`HistoryArchive` — durable content-addressed persistence:
   per-group blobs shared across versions plus one provenance-stamped
@@ -33,8 +33,8 @@ with until they finalize, so labels stay deterministic mid-stream.
 from .persistence import HistoryArchive
 from .rollforward import RollForwardDriver, RollForwardStats
 from .store import (HistoryDelta, HistorySnapshot, RouteHistoryStore,
-                    apply_delta, clone_delta, clone_snapshot,
-                    delta_from_bytes, delta_to_bytes, merge_deltas,
+                    apply_delta, clone_snapshot, delta_from_bytes,
+                    delta_to_bytes, merge_deltas,
                     snapshot_from_bytes, snapshot_to_bytes)
 
 __all__ = [
@@ -48,7 +48,6 @@ __all__ = [
     "clone_snapshot",
     "delta_to_bytes",
     "delta_from_bytes",
-    "clone_delta",
     "HistoryArchive",
     "RollForwardDriver",
     "RollForwardStats",

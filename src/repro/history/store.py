@@ -11,33 +11,34 @@ frozen state buried inside a preprocessing pipeline:
   A snapshot exposes the same read API as
   :class:`~repro.trajectory.sdpairs.SDPairIndex` (``group`` / ``group_for``
   / ``groups`` / ``pair_sizes`` / ``__len__``) plus memoized derived-value
-  caches (transition statistics, normal routes) that are pure functions of
-  the snapshot and therefore safe to share between every reader pinned to
-  the same version. Serializing a snapshot strips those caches — a receiver
-  recomputes identical values lazily.
+  caches (transition statistics, route tallies) keyed by the group they
+  summarise, pure functions of the snapshot and therefore safe to share
+  between every reader pinned to the same version. Serializing a snapshot
+  strips those caches — a receiver recomputes identical values lazily.
 * :class:`RouteHistoryStore` — the producer side: holds the *current*
   snapshot and mints new ones with monotonically increasing versions.
   :meth:`RouteHistoryStore.extend` is copy-on-write with structural
-  sharing: only the SD pairs touched by the new trajectories are
-  reallocated (and only their cached derived values dropped); every other
-  group tuple — and its memoized statistics — is carried into the new
+  sharing and costs what it appends: only the slot groups the new
+  trajectories land in are reallocated, and what was derived from a group
+  that grew is *extended* by the trajectories it grew by, never dropped;
+  every other group tuple — and memo entry — is carried into the new
   snapshot by reference. :meth:`RouteHistoryStore.rebuild` replaces the
   history wholesale (still minting a fresh version), for daily roll-forward
   jobs that recompute the window from scratch.
 * :class:`HistoryDelta` — the wire form of one copy-on-write refresh:
-  only the groups ``extended`` reallocated, keyed ``base_version →
+  the trajectories it appended, per slot group, keyed ``base_version →
   new_version``. :func:`apply_delta` reproduces the successor snapshot
   bit-identically on a receiver holding ``base_version`` (same group map,
-  same iteration order, same carried caches), so a fleet-wide history
-  refresh can ship kilobytes of touched pairs instead of the whole city.
-  The store keeps a bounded log of recent deltas
+  same iteration order, the receiver's own memo carried the same way), so
+  a fleet-wide history refresh ships the new trips instead of the whole
+  city. The store keeps a bounded log of recent deltas
   (:meth:`RouteHistoryStore.delta_chain`) and :func:`merge_deltas`
-  collapses a contiguous chain into one delta for receivers several
+  concatenates a contiguous chain into one delta for receivers several
   versions behind.
 
 Readers *pin* a snapshot by simply holding a reference: snapshots are never
 mutated after construction (the memo caches only ever gain entries, and
-only values that are pure functions of the snapshot), so a detector or
+only values that are pure functions of the snapshot's groups), so a detector or
 stream engine that resolved features against version N keeps producing
 version-N labels no matter how many refreshes the store mints afterwards.
 """
@@ -72,23 +73,24 @@ def _group_trajectories(
 class HistoryDelta:
     """The serialized difference between two consecutive history versions.
 
-    Carries the *full new value* of every group the refresh reallocated —
-    nothing else — so applying it is a plain map update and a chain of
-    deltas composes by overwrite (:func:`merge_deltas`). ``slots_per_day``
-    rides along for validation: a delta is only meaningful against a
-    snapshot with the same slotting. Instances are immutable and picklable;
-    this is the payload a delta-aware ``swap_history`` broadcasts instead
-    of the whole snapshot.
+    Carries *what was appended*: per slot group the refresh touched, the
+    trajectories added at its end — nothing else — so its size, applying
+    it and checking it cost the new trips, whatever the size of the groups
+    they joined, and a chain of deltas composes by concatenation
+    (:func:`merge_deltas`). ``slots_per_day`` rides along for validation:
+    a delta is only meaningful against a snapshot with the same slotting.
+    Instances are immutable and picklable; this is the payload a
+    delta-aware ``swap_history`` broadcasts instead of the whole snapshot.
     """
 
-    __slots__ = ("base_version", "new_version", "slots_per_day", "groups")
+    __slots__ = ("base_version", "new_version", "slots_per_day", "appended")
 
     def __init__(
         self,
         base_version: int,
         new_version: int,
         slots_per_day: int,
-        groups: Dict[SDPair, Tuple[MatchedTrajectory, ...]],
+        appended: Dict[SDPair, Tuple[MatchedTrajectory, ...]],
     ):
         if base_version < 1:
             raise LabelingError("a delta's base_version must be >= 1")
@@ -98,21 +100,24 @@ class HistoryDelta:
                 f"{new_version})")
         if slots_per_day < 1:
             raise LabelingError("slots_per_day must be at least 1")
+        if not all(appended.values()):
+            raise LabelingError("a delta appends at least one trajectory to "
+                                "every group it names")
         self.base_version = base_version
         self.new_version = new_version
         self.slots_per_day = slots_per_day
-        self.groups = groups
+        self.appended = appended
 
     def segment_universe(self) -> FrozenSet[int]:
-        """Every road segment the delta's groups travel.
+        """Every road segment the appended trajectories travel.
 
         The only segments a receiver gains over its base snapshot — which
         is why validating a delta-path refresh is O(delta), not O(corpus).
         """
         return frozenset(
             segment
-            for group in self.groups.values()
-            for trajectory in group
+            for trajectories in self.appended.values()
+            for trajectory in trajectories
             for segment in trajectory.segments)
 
     def __getstate__(self) -> dict:
@@ -120,27 +125,27 @@ class HistoryDelta:
             "base_version": self.base_version,
             "new_version": self.new_version,
             "slots_per_day": self.slots_per_day,
-            "groups": self.groups,
+            "appended": self.appended,
         }
 
     def __setstate__(self, state: dict) -> None:
         self.base_version = state["base_version"]
         self.new_version = state["new_version"]
         self.slots_per_day = state["slots_per_day"]
-        self.groups = state["groups"]
+        self.appended = state["appended"]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"HistoryDelta(v{self.base_version} -> v{self.new_version}, "
-                f"{len(self.groups)} group(s))")
+                f"{len(self.appended)} group(s))")
 
 
 def merge_deltas(deltas: Sequence["HistoryDelta"]) -> "HistoryDelta":
     """Collapse a contiguous delta chain into one delta.
 
-    Each delta's groups carry the full post-refresh value of the pairs it
-    touched, so a later delta's entry supersedes an earlier one's — the
-    merge is a plain overwrite. A gapped or out-of-order chain (delta *i+1*
-    not based on delta *i*'s ``new_version``) is rejected.
+    Each delta carries what it appended, so the chain appends, per group,
+    the concatenation in chain order (a group first named by a later delta
+    keeps its later place in the group map). A gapped or out-of-order chain
+    (delta *i+1* not based on delta *i*'s ``new_version``) is rejected.
     """
     chain = list(deltas)
     if not chain:
@@ -151,7 +156,7 @@ def merge_deltas(deltas: Sequence["HistoryDelta"]) -> "HistoryDelta":
                 f"expected a HistoryDelta, got {type(delta).__name__}")
     if len(chain) == 1:
         return chain[0]
-    groups = dict(chain[0].groups)
+    appended = dict(chain[0].appended)
     previous = chain[0]
     for delta in chain[1:]:
         if delta.slots_per_day != previous.slots_per_day:
@@ -161,10 +166,11 @@ def merge_deltas(deltas: Sequence["HistoryDelta"]) -> "HistoryDelta":
             raise LabelingError(
                 f"delta chain is not contiguous: v{previous.new_version} is "
                 f"followed by a delta based on v{delta.base_version}")
-        groups.update(delta.groups)
+        for key, trajectories in delta.appended.items():
+            appended[key] = appended.get(key, ()) + trajectories
         previous = delta
     return HistoryDelta(chain[0].base_version, previous.new_version,
-                        chain[0].slots_per_day, groups)
+                        chain[0].slots_per_day, appended)
 
 
 def apply_delta(snapshot: "HistorySnapshot",
@@ -175,10 +181,11 @@ def apply_delta(snapshot: "HistorySnapshot",
     at ``delta.base_version``, returns a snapshot identical to the one the
     producer's :meth:`HistorySnapshot.extended` minted — same group map
     (content *and* iteration order: surviving keys keep their position,
-    new pairs append in delta order, exactly as ``extended`` built them),
-    same carried-forward derived caches for untouched pairs. A snapshot at
-    any other version is rejected (the caller falls back to a full-snapshot
-    swap), as is a slotting mismatch.
+    new groups append in delta order, exactly as ``extended`` built them),
+    with the receiver's own memo carried across the same way (entries of
+    groups that grew extended by what the delta appends, every other by
+    reference). A snapshot at any other version is rejected (the caller
+    falls back to a full-snapshot swap), as is a slotting mismatch.
     """
     if not isinstance(snapshot, HistorySnapshot):
         raise LabelingError(
@@ -194,20 +201,7 @@ def apply_delta(snapshot: "HistorySnapshot",
         raise LabelingError(
             f"delta applies to history version {delta.base_version} but the "
             f"snapshot is at version {snapshot.version}")
-    groups = dict(snapshot._groups)
-    groups.update(delta.groups)
-    successor = HistorySnapshot(groups, snapshot.slots_per_day,
-                                delta.new_version)
-    touched = {(key.source, key.destination) for key in delta.groups}
-    successor._statistics_cache = {
-        key: value for key, value in snapshot._statistics_cache.items()
-        if (key[0], key[1]) not in touched}
-    successor._routes_cache = {
-        key: value for key, value in snapshot._routes_cache.items()
-        if (key[0], key[1]) not in touched}
-    if snapshot._segments is not None:
-        successor._segments = snapshot._segments | delta.segment_universe()
-    return successor
+    return snapshot._appended(delta.appended, delta.new_version)
 
 
 class HistorySnapshot:
@@ -215,10 +209,10 @@ class HistorySnapshot:
 
     Construction is cheap for the structural-sharing path
     (:meth:`extended`): group tuples are carried by reference and the
-    by-pair index is the only thing rebuilt. The memoized derived-value
-    caches are *not* part of the snapshot's identity — they hold pure
-    functions of the snapshot's data (plus the caller's config values baked
-    into the cache key) and are dropped on serialization.
+    by-pair index gains only the slot groups that are new. The memoized
+    derived-value caches are *not* part of the snapshot's identity — they
+    hold pure functions of the snapshot's groups, keyed by the group
+    (:meth:`resolved_key`), and are dropped on serialization.
     """
 
     def __init__(
@@ -231,6 +225,9 @@ class HistorySnapshot:
             raise LabelingError("slots_per_day must be at least 1")
         if version < 1:
             raise LabelingError("a history snapshot's version must be >= 1")
+        if not all(groups.values()):
+            raise LabelingError("a history group holds at least one "
+                                "trajectory")
         self._groups = groups
         self._slots_per_day = slots_per_day
         self._version = version
@@ -248,14 +245,18 @@ class HistorySnapshot:
                    slots_per_day, version)
 
     def _rebuild_indexes(self) -> None:
-        by_pair: Dict[Tuple[int, int], List[MatchedTrajectory]] = {}
-        for key, group in self._groups.items():
-            by_pair.setdefault((key.source, key.destination),
-                               []).extend(group)
-        self._by_pair = {pair: tuple(group) for pair, group in by_pair.items()}
+        # The slot groups of every SD pair, in group-map order: the order
+        # the pair's history across all slots is read in.
+        pair_slots: Dict[Tuple[int, int], Tuple[SDPair, ...]] = {}
+        for key in self._groups:
+            pair = (key.source, key.destination)
+            pair_slots[pair] = pair_slots.get(pair, ()) + (key,)
+        self._pair_slots = pair_slots
         # Memoized derived values; see cached_statistics / cached_routes.
         self._statistics_cache: Dict[Hashable, object] = {}
         self._routes_cache: Dict[Hashable, object] = {}
+        # [computed, extended] memo values, shared with every successor.
+        self._derived = [0, 0]
         self._segments: Optional[FrozenSet[int]] = None
         # Producer-side provenance: the delta that minted this snapshot
         # from its predecessor (set by ``extended``). Like the memo caches
@@ -290,16 +291,16 @@ class HistorySnapshot:
     def group(self, source: int, destination: int,
               time_slot: Optional[int] = None) -> List[MatchedTrajectory]:
         """Trajectories of an SD pair, optionally restricted to one slot."""
-        if time_slot is None:
-            return list(self._by_pair.get((source, destination), ()))
-        key = SDPair(source=source, destination=destination,
-                     time_slot=time_slot)
-        return list(self._groups.get(key, ()))
+        if time_slot is not None:
+            return list(self._groups.get((source, destination, time_slot), ()))
+        return [trajectory
+                for key in self._pair_slots.get((source, destination), ())
+                for trajectory in self._groups[key]]
 
     def has_pair(self, source: int, destination: int) -> bool:
         """Whether the SD pair has any trajectory in any slot: one lookup,
         no group copied."""
-        return bool(self._by_pair.get((source, destination)))
+        return (source, destination) in self._pair_slots
 
     def group_for(self, trajectory: MatchedTrajectory) -> List[MatchedTrajectory]:
         """The historical group a trajectory belongs to.
@@ -316,10 +317,11 @@ class HistorySnapshot:
 
     def sd_pairs(self) -> List[Tuple[int, int]]:
         """All distinct (source, destination) pairs, ignoring time slots."""
-        return sorted(self._by_pair)
+        return sorted(self._pair_slots)
 
     def pair_sizes(self) -> Dict[Tuple[int, int], int]:
-        return {pair: len(group) for pair, group in self._by_pair.items()}
+        return {pair: sum(len(self._groups[key]) for key in slots)
+                for pair, slots in self._pair_slots.items()}
 
     def trajectories(self) -> Iterator[MatchedTrajectory]:
         """Every historical trajectory (group iteration order)."""
@@ -327,7 +329,7 @@ class HistorySnapshot:
             yield from group
 
     def __len__(self) -> int:
-        return sum(len(group) for group in self._by_pair.values())
+        return sum(len(group) for group in self._groups.values())
 
     def segment_universe(self) -> FrozenSet[int]:
         """Every road segment any historical trajectory travels (lazy)."""
@@ -340,30 +342,83 @@ class HistorySnapshot:
         return self._segments
 
     # ------------------------------------------------------- derived caching
+    def resolved_key(self, source: int, destination: int, time_slot: int,
+                     min_slot_group_size: int
+                     ) -> Tuple[int, int, Optional[int]]:
+        """The name of the group a trip of ``(source, destination)`` starting
+        in ``time_slot`` is judged against — the memo key of what is derived
+        from it.
+
+        ``(source, destination, time_slot)`` when that slot holds at least
+        ``min_slot_group_size`` trajectories; otherwise the per-hour
+        statistics would be meaningless (a single historical trip would
+        define "the" normal route) and it is ``(source, destination, None)``:
+        the pair's history across all slots, one entry for all of its
+        sparse slots. A key names a group and nothing else, so an append
+        never makes the entry under it wrong — :meth:`extended` brings it up
+        to date — and a slot that grows past the threshold simply resolves
+        to its own key from then on. :meth:`runs` is empty for a pair with
+        no history at all.
+        """
+        key = (source, destination, time_slot)
+        if len(self._groups.get(key, ())) < min_slot_group_size:
+            key = (source, destination, None)
+        return key
+
+    def runs(self, key: Tuple[int, int, Optional[int]]
+             ) -> List[Tuple[int, int, Tuple[MatchedTrajectory, ...]]]:
+        """The group ``key`` names as ``(slot_position, 0, trajectories)``
+        runs: one slot group, or — slot ``None`` — every slot group of the
+        pair in group-map order. Concatenated they are the group; a
+        trajectory's ``(slot_position, index)`` is its place in it, which
+        an append to any slot leaves as it was."""
+        source, destination, time_slot = key
+        return [(position, 0, self._groups[slot_key])
+                for position, slot_key in enumerate(
+                    self._pair_slots.get((source, destination), ()))
+                if time_slot is None or slot_key.time_slot == time_slot]
+
+    @property
+    def derivations(self) -> Dict[str, int]:
+        """How the memo values of this snapshot's lineage (it, its
+        predecessors and successors by :meth:`extended` /
+        :func:`apply_delta`) came to be: ``computed`` from a whole group on
+        a miss, or ``extended`` across a refresh by what it appended. Memo
+        hits count nothing."""
+        return {"computed": self._derived[0], "extended": self._derived[1]}
+
     def cached_statistics(self, key: Hashable, compute: Callable[[], object]):
         """Memoize one derived transition-statistics value.
 
-        ``key`` must start with ``(source, destination, ...)`` — the
-        copy-on-write refresh drops exactly the entries whose leading pair
-        was touched. Values must be pure functions of the snapshot (plus
-        whatever config values the caller bakes into the key), so sharing
-        the memo between every reader of this snapshot is safe. A value that
-        is *not* pure — the no-history fallback, derived from the query
-        trajectory itself — does not belong here: its caller computes it
-        from the query every time.
+        ``key`` is the :meth:`resolved_key` of the group the value
+        summarises, and the value a pure function of that group with an
+        ``extended(added_trajectories)`` — what the copy-on-write refresh
+        calls, instead of dropping the entry, when the group grows. Sharing
+        the memo between every reader of this snapshot is therefore safe.
+        ``compute`` returns ``None`` when there is nothing to store: a
+        value that is *not* pure — the no-history fallback, derived from
+        the query trajectory itself — does not belong here, its caller
+        computes it from the query every time.
         """
         value = self._statistics_cache.get(key)
         if value is None:
-            value = compute()
-            self._statistics_cache[key] = value
+            value = self._computed(self._statistics_cache, key, compute)
         return value
 
     def cached_routes(self, key: Hashable, compute: Callable[[], object]):
-        """Memoize one derived normal-routes value (same contract as above)."""
+        """Memoize one derived route-tally value (same contract as above,
+        except that the refresh calls ``extended(added_runs)``)."""
         value = self._routes_cache.get(key)
         if value is None:
-            value = compute()
-            self._routes_cache[key] = value
+            value = self._computed(self._routes_cache, key, compute)
+        return value
+
+    def _computed(self, cache: Dict[Hashable, object], key: Hashable,
+                  compute: Callable[[], object]):
+        value = compute()
+        if value is not None:
+            cache[key] = value
+            self._derived[0] += 1
         return value
 
     # -------------------------------------------------------------- refresh
@@ -371,42 +426,70 @@ class HistorySnapshot:
                  version: int) -> "HistorySnapshot":
         """A new snapshot with ``new_trajectories`` appended, copy-on-write.
 
-        Only the SD pairs the new trajectories touch are reallocated; every
-        other group tuple is shared by reference with this snapshot, and the
-        memoized derived values of untouched pairs are carried forward (a
-        refresh that adds one pair's trajectories re-derives one pair's
-        statistics, not the whole city's). *All* slots of a touched pair are
-        invalidated, because the sparse-slot fallback makes a slot's derived
-        values depend on the pair's full cross-slot history.
+        Costs what it appends. Only the slot groups the new trajectories
+        land in are reallocated; every other group tuple is shared by
+        reference with this snapshot. Every memoized derived value is
+        carried forward: by reference when its group is unchanged, extended
+        by the appended trajectories when it grew (a slot's own group, and
+        the pair's across all slots) — nothing is derived again.
 
-        The reallocated groups double as the refresh's
-        :class:`HistoryDelta` (:attr:`origin_delta` on the result), and a
-        computed segment universe extends incrementally instead of being
-        recomputed from the whole corpus.
+        What was appended doubles as the refresh's :class:`HistoryDelta`
+        (:attr:`origin_delta` on the result), and a computed segment
+        universe extends incrementally instead of being recomputed from
+        the whole corpus.
         """
-        additions = _group_trajectories(new_trajectories, self._slots_per_day)
+        appended = _group_trajectories(new_trajectories, self._slots_per_day)
+        snapshot = self._appended(appended, version)
+        if version > self._version:
+            snapshot._origin_delta = HistoryDelta(
+                self._version, version, self._slots_per_day, appended)
+        return snapshot
+
+    def _appended(self, appended: Mapping[SDPair, Tuple[MatchedTrajectory, ...]],
+                  version: int) -> "HistorySnapshot":
+        """The successor both :meth:`extended` and :func:`apply_delta`
+        mint: ``appended`` at the end of the slot groups it names."""
         groups = dict(self._groups)
-        delta_groups: Dict[SDPair, Tuple[MatchedTrajectory, ...]] = {}
-        for key, group in additions.items():
-            merged = groups.get(key, ()) + group
-            groups[key] = merged
-            delta_groups[key] = merged
-        snapshot = HistorySnapshot(groups, self._slots_per_day, version)
-        touched = {(key.source, key.destination) for key in additions}
-        snapshot._statistics_cache = {
-            key: value for key, value in self._statistics_cache.items()
-            if (key[0], key[1]) not in touched}
-        snapshot._routes_cache = {
-            key: value for key, value in self._routes_cache.items()
-            if (key[0], key[1]) not in touched}
+        pair_slots = dict(self._pair_slots)
+        # Memo key of every group that grew -> the runs it grew by.
+        grown: Dict[Hashable, list] = {}
+        for key, trajectories in appended.items():
+            pair = (key.source, key.destination)
+            before = groups.get(key)
+            if before is None:
+                before = ()
+                pair_slots[pair] = pair_slots.get(pair, ()) + (key,)
+            groups[key] = before + trajectories
+            run = (pair_slots[pair].index(key), len(before), trajectories)
+            grown[key] = [run]
+            grown.setdefault(pair + (None,), []).append(run)
+        snapshot = HistorySnapshot.__new__(HistorySnapshot)
+        snapshot._groups = groups
+        snapshot._slots_per_day = self._slots_per_day
+        snapshot._version = version
+        snapshot._pair_slots = pair_slots
+        snapshot._statistics_cache = dict(self._statistics_cache)
+        snapshot._routes_cache = dict(self._routes_cache)
+        snapshot._derived = self._derived
+        for key, runs in grown.items():
+            statistics = self._statistics_cache.get(key)
+            if statistics is not None:
+                snapshot._statistics_cache[key] = statistics.extended(
+                    trajectory for _, _, trajectories in runs
+                    for trajectory in trajectories)
+                self._derived[1] += 1
+            tally = self._routes_cache.get(key)
+            if tally is not None:
+                snapshot._routes_cache[key] = tally.extended(runs)
+                self._derived[1] += 1
+        snapshot._segments = None
         if self._segments is not None:
             snapshot._segments = self._segments | frozenset(
                 segment
-                for trajectory in new_trajectories
+                for trajectories in appended.values()
+                for trajectory in trajectories
                 for segment in trajectory.segments)
-        if version > self._version:
-            snapshot._origin_delta = HistoryDelta(
-                self._version, version, self._slots_per_day, delta_groups)
+        snapshot._origin_delta = None
         return snapshot
 
     # -------------------------------------------------------- serialization
@@ -427,7 +510,7 @@ class HistorySnapshot:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"HistorySnapshot(version={self._version}, "
-                f"pairs={len(self._by_pair)}, trajectories={len(self)})")
+                f"pairs={len(self._pair_slots)}, trajectories={len(self)})")
 
 
 class RouteHistoryStore:
@@ -483,8 +566,9 @@ class RouteHistoryStore:
                ) -> HistorySnapshot:
         """Mint the next version with ``new_trajectories`` appended.
 
-        Copy-on-write: untouched SD pairs share structure (and derived
-        caches) with the previous snapshot. An empty extension is a no-op
+        Copy-on-write: unchanged groups share structure with the previous
+        snapshot, and what was derived from a group that grew is extended,
+        not derived again. An empty extension is a no-op
         returning the current snapshot unchanged — no version is burned.
         """
         if not new_trajectories:
@@ -600,7 +684,7 @@ def clone_snapshot(snapshot: HistorySnapshot) -> HistorySnapshot:
 def delta_to_bytes(delta: HistoryDelta) -> bytes:
     """Serialize a delta to the byte blob a delta-path swap broadcasts.
 
-    Proportional to the touched groups, not the corpus — the whole point
+    Proportional to the appended trajectories, not the corpus — the whole point
     of the delta control plane.
     """
     return pickle.dumps(delta, protocol=pickle.HIGHEST_PROTOCOL)
@@ -612,13 +696,3 @@ def delta_from_bytes(blob: bytes) -> HistoryDelta:
     if not isinstance(delta, HistoryDelta):
         raise LabelingError("the blob does not contain a HistoryDelta")
     return delta
-
-
-def clone_delta(delta: HistoryDelta) -> HistoryDelta:
-    """A deep, independent copy of a delta (serialize round trip).
-
-    The in-process backend's isolation primitive for the delta path: the
-    caller's trajectory objects riding in the delta never alias serving
-    state, mirroring what :func:`clone_snapshot` does for full swaps.
-    """
-    return delta_from_bytes(delta_to_bytes(delta))

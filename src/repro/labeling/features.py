@@ -14,8 +14,8 @@ from ..history import HistorySnapshot, RouteHistoryStore
 from ..roadnet.graph import RoadNetwork
 from ..trajectory.models import MatchedTrajectory
 from ..trajectory.sdpairs import time_slot_of
-from .noisy import noisy_labels
-from .normal_routes import (infer_normal_routes, normal_route_features,
+from .noisy import labels_from_fractions
+from .normal_routes import (RouteTally, normal_route_features,
                             normal_transitions)
 from .transitions import TransitionStatistics
 
@@ -203,8 +203,9 @@ class PreprocessingPipeline:
 
         Used by the online-learning strategy: when new data arrives, the
         normal-route statistics shift with it (concept drift). The refresh
-        is copy-on-write — only the SD pairs the new trajectories touch are
-        re-derived; everything else is shared with the previous snapshot.
+        is copy-on-write and costs what it appends — what was derived from
+        a group the new trajectories join is extended by them; everything
+        else is shared with the previous snapshot.
         Returns the new snapshot (publish it to running services with
         :meth:`DetectionService.swap_history`).
         """
@@ -255,58 +256,55 @@ class PreprocessingPipeline:
             group = snapshot.group(source, destination)
         return group
 
-    def _resolved_group(self, trajectory: MatchedTrajectory,
-                        snapshot: HistorySnapshot) -> List[MatchedTrajectory]:
-        """The trajectory's historical group: the memo-miss path of a pair
-        that has history."""
-        return self.sd_group(trajectory.source, trajectory.destination,
-                             trajectory.start_time_s, history=snapshot)
-
     def _memo_entry(self, trajectory: MatchedTrajectory,
                     history: Optional[HistorySnapshot]):
         """Where the trajectory's derived values are memoized: the snapshot
-        and the group's key — ``None`` when the group is the no-history
-        fallback.
+        and the key of its historical group
+        (:meth:`HistorySnapshot.resolved_key`, the sparse-slot fallback of
+        :meth:`sd_group`) — found without materialising the group."""
+        snapshot = history if history is not None else self._snapshot
+        return snapshot, snapshot.resolved_key(
+            trajectory.source, trajectory.destination,
+            self._slot_of(trajectory.start_time_s),
+            self._config.min_slot_group_size)
+
+    def _route_tally(self, trajectory: MatchedTrajectory,
+                     history: Optional[HistorySnapshot]
+                     ) -> Optional[RouteTally]:
+        """The route tally of the trajectory's group (cached); ``None`` for
+        an SD pair with no history at all (see :meth:`statistics_for`)."""
+        snapshot, key = self._memo_entry(trajectory, history)
+        return snapshot.cached_routes(
+            key, lambda: (RouteTally(snapshot.runs(key))
+                          if snapshot.has_pair(key[0], key[1]) else None))
+
+    def statistics_for(self, trajectory: MatchedTrajectory,
+                       history: Optional[HistorySnapshot] = None
+                       ) -> TransitionStatistics:
+        """Transition statistics of the trajectory's SD-pair group (cached).
 
         An SD pair with no history at all falls back to the trajectory
         itself so statistics are still defined (everything looks normal,
         which is the conservative choice). What derives from that group is
         computed on every call and never stored: a stored value would judge
-        the pair's next trip against this trip's route. Telling which it is
-        takes one lookup and no group (``min_slot_group_size >= 1``:
-        the resolved group is empty exactly when the pair has no trajectory
-        in any slot).
+        the pair's next trip against this trip's route.
         """
-        snapshot = history if history is not None else self._snapshot
-        source, destination = trajectory.source, trajectory.destination
-        if not snapshot.has_pair(source, destination):
-            return snapshot, None
-        return snapshot, (source, destination,
-                          self._slot_of(trajectory.start_time_s),
-                          self._config.min_slot_group_size)
-
-    def statistics_for(self, trajectory: MatchedTrajectory,
-                       history: Optional[HistorySnapshot] = None
-                       ) -> TransitionStatistics:
-        """Transition statistics of the trajectory's SD-pair group (cached)."""
         snapshot, key = self._memo_entry(trajectory, history)
-        if key is None:
+        statistics = snapshot.cached_statistics(
+            key, lambda: (TransitionStatistics.from_group(snapshot.group(*key))
+                          if snapshot.has_pair(key[0], key[1]) else None))
+        if statistics is None:
             return TransitionStatistics.from_group([trajectory])
-        return snapshot.cached_statistics(
-            key, lambda: TransitionStatistics.from_group(
-                self._resolved_group(trajectory, snapshot)))
+        return statistics
 
     def normal_routes_for(self, trajectory: MatchedTrajectory,
                           history: Optional[HistorySnapshot] = None
                           ) -> List[Tuple[int, ...]]:
         """Inferred normal routes of the trajectory's SD-pair group (cached)."""
-        snapshot, key = self._memo_entry(trajectory, history)
-        if key is None:
+        tally = self._route_tally(trajectory, history)
+        if tally is None:
             return [trajectory.route_key()]  # its own route is the normal one
-        delta = self._config.delta
-        return snapshot.cached_routes(
-            key + (delta,), lambda: infer_normal_routes(
-                self._resolved_group(trajectory, snapshot), delta))
+        return tally.normal_routes(self._config.delta)
 
     def normal_transitions_for(self, trajectory: MatchedTrajectory,
                                history: Optional[HistorySnapshot] = None
@@ -314,18 +312,15 @@ class PreprocessingPipeline:
         """The segment transitions on those normal routes (cached).
 
         The membership set behind the normal route feature, built once per
-        SD pair and snapshot instead of once per trip, and immutable because
-        every detector and stream of the pair shares it. It is memoized
-        beside the routes it derives from — same cache, the routes' key plus
-        a tag — so it is dropped by the same refresh.
+        group and snapshot instead of once per trip, and immutable because
+        every detector and stream of the group shares it. It is read from
+        the tally the routes are read from, so the same refresh brings both
+        up to date.
         """
-        snapshot, key = self._memo_entry(trajectory, history)
-        if key is None:
+        tally = self._route_tally(trajectory, history)
+        if tally is None:
             return frozenset(normal_transitions([trajectory.route_key()]))
-        return snapshot.cached_routes(
-            key + (self._config.delta, "transitions"),
-            lambda: frozenset(normal_transitions(
-                self.normal_routes_for(trajectory, snapshot))))
+        return tally.normal_transitions(self._config.delta)
 
     # ------------------------------------------------------------ public API
     def preprocess(self, trajectory: MatchedTrajectory,
@@ -334,14 +329,14 @@ class PreprocessingPipeline:
         """Tokens, noisy labels, NRFs and fractions of one trajectory."""
         statistics = self.statistics_for(trajectory, history)
         normal_routes = self.normal_routes_for(trajectory, history)
+        fractions = statistics.fraction_sequence(trajectory.segments)
         return PreprocessedTrajectory(
             trajectory=trajectory,
             tokens=self._vocabulary.tokens(trajectory.segments),
-            noisy_labels=noisy_labels(trajectory.segments, statistics,
-                                      self._config.alpha),
+            noisy_labels=labels_from_fractions(fractions, self._config.alpha),
             normal_route_features=normal_route_features(
                 trajectory.segments, normal_routes),
-            transition_fractions=statistics.fraction_sequence(trajectory.segments),
+            transition_fractions=fractions,
         )
 
     def preprocess_many(

@@ -22,11 +22,18 @@ def noisy_labels(
     alpha: float = 0.5,
 ) -> List[int]:
     """Per-segment noisy labels of a route under the group's transition statistics."""
-    if not (0.0 < alpha < 1.0):
-        raise LabelingError("alpha must be in (0, 1)")
     if not segments:
         raise LabelingError("segments must not be empty")
-    fractions = statistics.fraction_sequence(segments)
+    return labels_from_fractions(statistics.fraction_sequence(segments), alpha)
+
+
+def labels_from_fractions(fractions: Sequence[float],
+                          alpha: float = 0.5) -> List[int]:
+    """The noisy labels of a route given its transition fractions
+    (:meth:`TransitionStatistics.fraction_sequence`), for a caller that
+    keeps the fractions too."""
+    if not (0.0 < alpha < 1.0):
+        raise LabelingError("alpha must be in (0, 1)")
     labels = [0 if fraction > alpha else 1 for fraction in fractions]
     labels[0] = 0
     labels[-1] = 0

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
@@ -32,16 +31,27 @@ class TransitionStatistics:
         """Build statistics from the trajectories of one SD-pair group."""
         if not group:
             raise LabelingError("cannot build transition statistics of an empty group")
-        source = group[0].source
-        destination = group[0].destination
-        counts: Counter = Counter()
-        for trajectory in group:
+        return cls(group_size=0, counts={}, source=group[0].source,
+                   destination=group[0].destination).extended(group)
+
+    def extended(self, added: Iterable[MatchedTrajectory]) -> "TransitionStatistics":
+        """The statistics of this group with ``added`` appended to it.
+
+        Costs the added trajectories plus one copy of the counts — these
+        statistics are left as they were, so whoever still reads them (a
+        history snapshot's memo) keeps its answer.
+        """
+        counts = dict(self.counts)
+        group_size = self.group_size
+        for trajectory in added:
+            group_size += 1
             # Count each transition once per trajectory (set semantics), so the
             # fraction is "share of trajectories using this transition".
             for transition in set(transitions_of(trajectory.segments)):
-                counts[transition] += 1
-        return cls(group_size=len(group), counts=dict(counts),
-                   source=source, destination=destination)
+                counts[transition] = counts.get(transition, 0) + 1
+        return TransitionStatistics(group_size=group_size, counts=counts,
+                                    source=self.source,
+                                    destination=self.destination)
 
     def fraction(self, transition: Tuple[int, int]) -> float:
         """Fraction of group trajectories containing ``transition``."""

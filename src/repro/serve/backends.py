@@ -147,7 +147,7 @@ from ..core.detector import DetectionResult
 from ..core.stream import PLAIN_ROW, StreamEngine
 from ..exceptions import ServiceError
 from ..history import (HistoryDelta, HistorySnapshot,
-                       apply_delta as apply_history_delta, clone_delta,
+                       apply_delta as apply_history_delta,
                        clone_snapshot)
 from ..obs.registry import MetricsRegistry, Reservoir
 from ..obs.trace import TraceContext, Tracer, timestamp as obs_timestamp
@@ -186,7 +186,7 @@ class ControlUpdate(NamedTuple):
 
     Carries new network weights, a new history — as a full snapshot *or*
     as a version-keyed :class:`~repro.history.HistoryDelta` of only the
-    touched groups — or both weights and history; everything is applied at
+    appended trajectories — or both weights and history; everything is applied at
     a single quiescent boundary per shard, so "new model + new history"
     can never be observed half-applied. At most one of ``history`` /
     ``history_delta`` is set: the facade (:meth:`DetectionService.swap`)
@@ -602,7 +602,7 @@ class ShardCore:
                 # whole broadcast (a delta or a full snapshot alike); each
                 # worker unpickles its own copy, which doubles as the
                 # per-shard isolation the in-process backend gets from
-                # clone_snapshot/clone_delta.
+                # clone_snapshot.
                 update = pickle.loads(update)
             apply_update(engine, update)
             if update.weights is not None:
@@ -617,6 +617,7 @@ class ShardCore:
             # per call; a worker's rides home by pickle); spans drain.
             return "obs", (self._tracer.registry, self._tracer.take_spans())
         if kind == "stats":
+            derivations = engine.history_snapshot.derivations
             return "stats", ShardStats(
                 shard_id=self.shard_id,
                 backend=self._backend,
@@ -632,6 +633,8 @@ class ShardCore:
                 swaps=self._swaps,
                 history_version=engine.history_version,
                 history_refreshes=engine.history_refreshes,
+                history_computed=derivations["computed"],
+                history_extended=derivations["extended"],
                 queue_wait_samples=list(self._queue_wait.samples),
             )
         return "error", ServiceError(f"unknown command {kind!r}")
@@ -708,27 +711,25 @@ class InProcessBackend(ServiceBackend):
         # backend from the caller's live snapshot (whose memo caches would
         # otherwise leak into serving, and vice versa) and keeps every
         # shard on the same object, exactly like at construction.
-        # A delta-form update gets the same isolation per shard: each shard
-        # applies its own clone of the delta to the snapshot it currently
-        # serves (they all read it *before* anyone repins, since the shared
-        # pipeline means the first repin changes every engine's current
-        # snapshot) — so the caller's trajectory objects riding in the
-        # delta never alias serving state, and a base-version mismatch is
-        # rejected before any engine has repinned.
+        # A delta-form update is applied once, to the snapshot that one
+        # pipeline serves, for the same reason; a base-version mismatch is
+        # rejected before any engine has repinned. The successor's maps and
+        # memo are the backend's own; the appended trajectories are the
+        # caller's objects, shared the way successive versions of the
+        # caller's history share them — a snapshot never mutates a
+        # trajectory, and a second copy of each would be the only thing a
+        # clone of the delta bought.
         self.drain()
         if update.history is not None:
             update = update._replace(history=clone_snapshot(update.history))
-        successors: Optional[List[HistorySnapshot]] = None
-        if update.history_delta is not None:
-            successors = [
-                apply_history_delta(core.engine.history_snapshot,
-                                    clone_delta(update.history_delta))
-                for core in self._cores]
-            update = update._replace(history_delta=None)
+        elif update.history_delta is not None:
+            update = update._replace(
+                history=apply_history_delta(
+                    self._cores[0].engine.history_snapshot,
+                    update.history_delta),
+                history_delta=None)
         for shard in range(self.num_shards):
-            shard_update = (update if successors is None
-                            else update._replace(history=successors[shard]))
-            self._request(shard, ("swap", shard_update), "swapped")
+            self._request(shard, ("swap", update), "swapped")
 
     def close(self) -> None:
         self._cores = []

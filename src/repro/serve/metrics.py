@@ -34,6 +34,12 @@ class ShardStats:
     swaps: int = 0
     history_version: int = 0
     history_refreshes: int = 0
+    #: Memo values of the history lineage this shard serves (it restarts
+    #: with a full-snapshot swap): derived from a whole SD-pair group on a
+    #: miss, or extended across a refresh by what the refresh appended. A
+    #: delta swap into a warm shard should add only to the second.
+    history_computed: int = 0
+    history_extended: int = 0
     #: Reservoir sample of shard queue-wait seconds (facade enqueue →
     #: worker dequeue, one sample per delivered ingest command) — the
     #: number that explains the 1-shard service-vs-engine overhead gap.
@@ -76,6 +82,8 @@ class ShardStats:
             "swaps": self.swaps,
             "history_version": self.history_version,
             "history_refreshes": self.history_refreshes,
+            "history_computed": self.history_computed,
+            "history_extended": self.history_extended,
             "queue_wait_samples": len(self.queue_wait_samples),
         }
 
@@ -237,7 +245,7 @@ class ServiceMetrics:
     history_version: int = 0
     history_refreshes: int = 0
     #: History refreshes that rode the delta control plane (only the
-    #: touched SD-pair groups on the wire) vs. full-snapshot broadcasts,
+    #: appended trajectories on the wire) vs. full-snapshot broadcasts,
     #: plus the serialized history payload bytes across both forms — the
     #: numbers that certify delta swaps are actually cheap.
     delta_swaps: int = 0
@@ -430,6 +438,13 @@ def metrics_to_registry(metrics: ServiceMetrics, registry=None):
         registry.gauge("repro_shard_history_version", labels,
                        help="History snapshot version this shard serves").set(
             shard.history_version)
+        for how, count in (("computed", shard.history_computed),
+                           ("extended", shard.history_extended)):
+            registry.counter("repro_history_derived_total",
+                             {**labels, "how": how},
+                             help="Per-group statistics and route tallies "
+                                  "computed from a whole group, or extended "
+                                  "by what a refresh appended").inc(count)
 
     for bus in metrics.bus:
         labels = {"shard": str(bus.shard_id)}

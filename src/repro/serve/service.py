@@ -673,7 +673,7 @@ class DetectionService:
         producer's store (pass the store / pipeline / model, not a bare
         snapshot) still holds a contiguous delta chain from that base, the
         history rides as a :class:`~repro.history.HistoryDelta` of only the
-        touched SD-pair groups instead of the full corpus. Any gap
+        appended trajectories instead of the full corpus. Any gap
         (restarted producer, rebuilt history, a shard that missed a swap,
         an earlier failed broadcast) silently falls back to the
         full-snapshot form — the delta plane is an optimization, never a
@@ -829,7 +829,7 @@ class DetectionService:
         worker would only trip over them lazily, at some later stream's
         normal-route resolution — long after a partial broadcast. Validated
         segments are cached (the vocabulary never changes), so a delta swap
-        checks only the segments its touched groups introduce instead of
+        checks only the segments of the trajectories it appends instead of
         walking the whole corpus — the O(corpus) scan that used to dominate
         small refreshes.
         """

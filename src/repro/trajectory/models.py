@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..exceptions import EmptyTrajectoryError, TrajectoryError
 
@@ -160,13 +160,17 @@ class Subtrajectory:
         return frozenset(self.segments)
 
 
-@dataclass(frozen=True)
-class SDPair:
-    """A (source segment, destination segment) pair plus an optional time slot."""
+class SDPair(NamedTuple):
+    """A (source segment, destination segment) pair plus an optional time slot.
+
+    A tuple, so a map keyed by ``SDPair`` answers the plain
+    ``(source, destination, time_slot)`` a per-trip lookup already holds —
+    no key object is built to ask for a group.
+    """
 
     source: int
     destination: int
     time_slot: int = 0
 
     def as_tuple(self) -> Tuple[int, int, int]:
-        return self.source, self.destination, self.time_slot
+        return tuple(self)

@@ -153,9 +153,10 @@ def test_detector_builds_the_transition_set_once_per_sd_pair(
         trained_model, dataset_split, monkeypatch):
     """The NRF of a new point is a set lookup, not a rebuild of the SD pair's
     transition set: ``detect`` takes the set the snapshot memoizes, so
-    ``normal_transitions`` runs at most once per SD-pair group — never per
-    point, and not per trip either."""
-    from repro.labeling import features as features_module
+    ``normal_transitions`` runs once per resolved group — the sparse time
+    slots of a pair share the pair's — never per point, and not per trip
+    either."""
+    from repro.labeling import normal_routes as routes_module
     from repro.labeling.normal_routes import (normal_route_feature_step,
                                               normal_transitions)
 
@@ -179,10 +180,13 @@ def test_detector_builds_the_transition_set_once_per_sd_pair(
         calls.append(normal_routes)
         return normal_transitions(normal_routes)
 
-    monkeypatch.setattr(features_module, "normal_transitions", counting)
+    monkeypatch.setattr(routes_module, "normal_transitions", counting)
     assert [detector.detect(trip).labels for trip in trips] == expected
-    groups = {(trip.source, trip.destination,
-               pipeline._slot_of(trip.start_time_s)) for trip in trips}
+    groups = {pipeline.history.resolved_key(
+        trip.source, trip.destination, pipeline._slot_of(trip.start_time_s),
+        pipeline.config.min_slot_group_size) for trip in trips}
+    assert len(groups) < len({(trip.sd_pair, pipeline._slot_of(
+        trip.start_time_s)) for trip in trips})
     assert len(calls) == len(groups)
     assert [detector.detect(trip).labels for trip in trips] == expected
     assert len(calls) == len(groups)  # warm: no rebuild at all

@@ -468,8 +468,8 @@ def test_normal_transitions_for_is_memoised_beside_the_routes(
     fallback = pipeline.normal_transitions_for(lonely)
     assert fallback == normal_transitions([lonely.segments])
     assert pipeline.history._routes_cache == cached
-    # ... and a refresh drops every touched pair's entry, while untouched
-    # pairs keep theirs (same discipline as the routes).
+    # ... and a refresh extends every touched pair's entry, while untouched
+    # pairs keep theirs (one tally is behind the routes and the set).
     other = next(t for t in train
                  if (t.source, t.destination)
                  != (known.source, known.destination))

@@ -3,7 +3,8 @@
 The contracts pinned here: snapshots are immutable and monotonically
 versioned; ``extend`` is copy-on-write with structural sharing (untouched SD
 pairs keep their group tuples *and* their memoized derived values by
-identity); serialization strips the memo caches but preserves the data and
+identity, touched ones have theirs extended to what a fresh derive gives);
+serialization strips the memo caches but preserves the data and
 the version; and the preprocessing pipeline is a thin, swappable view whose
 feature resolution can be pinned to any snapshot.
 """
@@ -11,6 +12,7 @@ feature resolution can be pinned to any snapshot.
 from __future__ import annotations
 
 import pickle
+from collections import Counter
 
 import pytest
 
@@ -18,10 +20,22 @@ from repro.config import LabelingConfig
 from repro.exceptions import LabelingError
 from repro.history import (HistorySnapshot, RouteHistoryStore, clone_snapshot,
                            snapshot_from_bytes, snapshot_to_bytes)
-from repro.labeling import PreprocessingPipeline
-from repro.labeling.normal_routes import normal_transitions
+from repro.labeling import PreprocessingPipeline, TransitionStatistics
+from repro.labeling.normal_routes import RouteTally, normal_transitions
 from repro.serve import clone_model
 from repro.trajectory import MatchedTrajectory
+
+
+def reference_normal_routes(group, delta):
+    """Normal-route inference as one count over the whole group, the way it
+    was done before it was read from a :class:`RouteTally`: what the
+    tallies — fresh, extended, carried — are checked against."""
+    counts = Counter(trajectory.route_key() for trajectory in group)
+    normal = [route for route, count in counts.items()
+              if count / len(group) > delta]
+    if not normal:
+        normal = [counts.most_common(1)[0][0]]
+    return sorted(normal, key=lambda route: -counts[route])
 
 
 def make(tid, segments, start=0.0):
@@ -103,32 +117,58 @@ def test_extend_shares_untouched_pairs(seed_trajectories):
 def test_extend_carries_derived_caches_of_untouched_pairs(seed_trajectories):
     store = RouteHistoryStore(seed_trajectories)
     snapshot = store.current()
-    sentinel_b = object()
-    sentinel_a = object()
-    key_b = (20, 30, 0, "cfg")
-    key_a = (1, 10, 0, "cfg")
-    assert snapshot.cached_statistics(key_b, lambda: sentinel_b) is sentinel_b
-    assert snapshot.cached_statistics(key_a, lambda: sentinel_a) is sentinel_a
+    key_a, key_b = (1, 10, None), (20, 30, None)  # each pair across all slots
+    stats_a = snapshot.cached_statistics(
+        key_a, lambda: TransitionStatistics.from_group(snapshot.group(1, 10)))
+    stats_b = snapshot.cached_statistics(
+        key_b, lambda: TransitionStatistics.from_group(snapshot.group(20, 30)))
+    tally_b = snapshot.cached_routes(
+        key_b, lambda: RouteTally(snapshot.runs(key_b)))
     extended = store.extend([make(100, [1, 2, 4, 10])])  # touches (1, 10)
-    # Untouched pair's memo survives; the touched pair's entry was dropped.
-    assert extended.cached_statistics(
-        key_b, lambda: pytest.fail("should be cached")) is sentinel_b
-    fresh = object()
-    assert extended.cached_statistics(key_a, lambda: fresh) is fresh
+    cached = lambda: pytest.fail("should be cached")
+    # The untouched pair's entries are carried by reference ...
+    assert extended.cached_statistics(key_b, cached) is stats_b
+    assert extended.cached_routes(key_b, cached) is tally_b
+    # ... the touched pair's is extended to what a fresh derive gives,
+    # without one; a reader pinned to the old snapshot keeps the old value.
+    assert extended.cached_statistics(key_a, cached) == (
+        TransitionStatistics.from_group(extended.group(1, 10)))
+    assert snapshot.cached_statistics(key_a, cached) is stats_a
+    assert stats_a.group_size == 7
+    assert extended.derivations == {"computed": 3, "extended": 1}
 
 
-def test_extend_invalidates_all_slots_of_a_touched_pair(seed_trajectories):
-    """The sparse-slot fallback makes every slot of a pair depend on the
-    pair's full history, so a refresh must drop them all."""
+def test_extend_brings_every_entry_of_a_touched_pair_up_to_date(
+        seed_trajectories):
+    """A key names a group: the pair across all slots grows with every
+    append to the pair, a slot's own group only with appends to that slot,
+    and a group first asked for after the refresh is derived then."""
     store = RouteHistoryStore(seed_trajectories)
     snapshot = store.current()
-    sentinel = object()
-    other_slot_key = (1, 10, 13, "cfg")
-    snapshot.cached_routes(other_slot_key, lambda: sentinel)
-    # The new trajectory lands in slot 0, but slot 13's entry must go too.
-    extended = store.extend([make(100, [1, 2, 4, 10], start=0.0)])
-    fresh = object()
-    assert extended.cached_routes(other_slot_key, lambda: fresh) is fresh
+    keys = [(1, 10, None), (1, 10, 0)]
+    for key in keys:
+        snapshot.cached_statistics(
+            key, lambda: TransitionStatistics.from_group(snapshot.group(*key)))
+        snapshot.cached_routes(key, lambda: RouteTally(snapshot.runs(key)))
+    slot_tally = snapshot.cached_routes((1, 10, 0), None)
+    # One trip lands in a new slot, 13; slot 0 does not change.
+    late = store.extend([make(100, [1, 2, 4, 10], start=13 * 3600.0)])
+    cached = lambda: pytest.fail("should be cached")
+    assert late.cached_routes((1, 10, 0), cached) is slot_tally
+    assert late.cached_statistics((1, 10, None), cached).group_size == 8
+    assert (1, 10, 13) not in late._routes_cache
+    # Then slot 0 grows too, by a route that ties the runner-up.
+    both = store.extend([make(101, [1, 5, 10]),
+                         make(102, [1, 5, 10], start=13 * 3600.0)])
+    for key in keys:
+        group = both.group(*key)
+        assert both.cached_statistics(key, cached) == (
+            TransitionStatistics.from_group(group))
+        tally = both.cached_routes(key, cached)
+        for delta in (0.05, 0.2, 0.4, 0.9):
+            assert tally.normal_routes(delta) == reference_normal_routes(
+                group, delta)
+    assert both.derivations == {"computed": 4, "extended": 2 + 4}
 
 
 # ------------------------------------------------------------ serialization
@@ -338,7 +378,9 @@ def test_resolvers_equal_a_fresh_pipeline_across_a_refresh(dataset,
     assert ({key[:2] for key in keys["_statistics_cache"]}
             == {key[:2] for key in keys["_routes_cache"]}
             == {p.sd_pair, q.sd_pair})
-    # Q's values were carried, P's derived again, R's are R's own.
+    # Q's values were carried, P's extended by the one new trip (nothing
+    # was computed from a group after the first round), R's are R's own.
+    assert pipeline.history.derivations == {"computed": 4, "extended": 2}
     assert all(new is old for new, old in zip(after[1], before[1]))
     assert all(new is not old for new, old in zip(after[0], before[0]))
     assert after[2] == before[2]

@@ -25,7 +25,7 @@ from repro.core import OnlineLearner, RL4OASDTrainer
 from repro.exceptions import ArchiveError, CheckpointError, LabelingError
 from repro.history import (HistoryArchive, HistoryDelta, HistorySnapshot,
                            RollForwardDriver, RouteHistoryStore, apply_delta,
-                           clone_delta, clone_snapshot, delta_from_bytes,
+                           clone_snapshot, delta_from_bytes,
                            delta_to_bytes, merge_deltas)
 from repro.serve import (CHECKPOINT_VERSION, DetectionService, clone_model,
                          load_model, save_model, serve_fleet)
@@ -57,11 +57,12 @@ def test_extended_records_origin_delta(trained_model, extension_parts):
     assert delta.base_version == base.version
     assert delta.new_version == successor.version
     assert delta.slots_per_day == base.slots_per_day
-    # Only the touched groups ride the delta — strictly fewer than the
-    # corpus (the tiny dataset has far more SD pairs than six trips touch).
-    assert 0 < len(delta.groups) < len(base.groups())
-    for key, group in delta.groups.items():
-        assert successor.groups()[key] == group
+    # Only what was appended rides the delta: the six trips, under the slot
+    # groups they joined, whatever those groups held before.
+    assert sorted(t.trajectory_id for trips in delta.appended.values()
+                  for t in trips) == sorted(t.trajectory_id for t in first)
+    for key, trips in delta.appended.items():
+        assert successor.groups()[key] == base.groups().get(key, ()) + trips
 
 
 def test_apply_delta_reproduces_successor_bit_identically(
@@ -114,19 +115,6 @@ def test_merge_deltas_contiguity(trained_model, extension_parts):
         merge_deltas([v3.origin_delta, v2.origin_delta])
     with pytest.raises(LabelingError):
         merge_deltas([])
-
-
-def test_clone_delta_is_independent(trained_model, extension_parts):
-    base = trained_model.pipeline.history
-    first, _, _ = extension_parts
-    delta = base.extended(first, version=base.version + 1).origin_delta
-    twin = clone_delta(delta)
-    assert twin is not delta
-    assert twin.base_version == delta.base_version
-    assert twin.new_version == delta.new_version
-    assert twin.groups == delta.groups
-    assert all(twin.groups[k] is not delta.groups[k] or twin.groups[k] == ()
-               for k in twin.groups)
 
 
 def test_store_delta_chain_retention_and_rebuild(
@@ -350,7 +338,7 @@ def test_archive_shares_blobs_and_gc_reclaims(tmp_path, trained_model,
     blobs_after_base = len(list((tmp_path / "hist" / "blobs").glob("*.pkl")))
     archive.save(refreshed)
     blobs_after_both = len(list((tmp_path / "hist" / "blobs").glob("*.pkl")))
-    touched = len(refreshed.origin_delta.groups)
+    touched = len(refreshed.origin_delta.appended)
     # Copy-on-write sharing on disk: version N+1 adds at most one blob per
     # touched group, not one per group in the corpus.
     assert blobs_after_both - blobs_after_base <= touched

@@ -62,7 +62,7 @@ PUBLIC_SURFACE = {
     "repro.history": [
         "HistorySnapshot", "RouteHistoryStore", "HistoryDelta", "apply_delta",
         "merge_deltas", "snapshot_to_bytes", "snapshot_from_bytes",
-        "clone_snapshot", "delta_to_bytes", "delta_from_bytes", "clone_delta",
+        "clone_snapshot", "delta_to_bytes", "delta_from_bytes",
         "HistoryArchive", "RollForwardDriver", "RollForwardStats",
     ],
     "repro.serve.backends": ["InProcessBackend", "ProcessBackend", "IngestEvent"],
