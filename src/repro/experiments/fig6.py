@@ -36,14 +36,21 @@ class Fig6Result:
     training_time_by_xi: Dict[int, float]
     parts: List[DriftPartResult]
     xi_for_parts: int
+    #: ``xi -> why`` for every requested ``xi`` that was not run.
+    skipped: Dict[int, str] = field(default_factory=dict)
 
     def format(self) -> str:
-        xi_rows = [["Average F1 (FT)"] + [self.f1_by_xi[x] for x in self.f1_by_xi]]
+        columns = sorted(set(self.f1_by_xi) | set(self.skipped))
+        xi_rows = [["Average F1 (FT)"]
+                   + [self.f1_by_xi.get(x, "skipped") for x in columns]]
         time_rows = [["Avg fine-tune time (s)"]
-                     + [self.training_time_by_xi[x] for x in self.training_time_by_xi]]
-        headers = ["xi"] + [str(x) for x in self.f1_by_xi]
+                     + [self.training_time_by_xi.get(x, "skipped")
+                        for x in columns]]
+        headers = ["xi"] + [str(x) for x in columns]
         block_a = format_table(headers, xi_rows,
                                title="Figure 6a — F1 varying xi")
+        for xi, reason in sorted(self.skipped.items()):
+            block_a += f"\nxi={xi} skipped: {reason}"
         block_b = format_table(headers, time_rows,
                                title="Figure 6b — training time varying xi")
         part_rows = [[f"Part {p.part + 1}", p.f1_p1, p.f1_ft, p.fine_tune_seconds]
@@ -101,13 +108,21 @@ def run_fig6(
     f1_by_xi: Dict[int, float] = {}
     time_by_xi: Dict[int, float] = {}
     parts_result: List[DriftPartResult] = []
+    skipped: Dict[int, str] = {}
 
     for xi in xi_values:
         drift = DriftSchedule(n_parts=max(2, xi), rotation_per_part=1,
                               drifting_pair_fraction=0.6)
         split = prepare_city(city, settings, drift=drift)
         train_parts, test_parts = _split_by_part(split, xi)
-        if any(len(part) == 0 for part in train_parts):
+        empty = [part + 1 for part, trips in enumerate(train_parts)
+                 if not trips]
+        if empty:
+            # Nothing to fine-tune on in those parts: say so in the table
+            # instead of dropping the column.
+            skipped[xi] = (f"no training trajectory starts in part(s) "
+                           f"{', '.join(map(str, empty))} of {xi} "
+                           f"({len(split.train)} training trajectories)")
             continue
         trainer = _train_on_part(split, train_parts[0], settings)
         learner = OnlineLearner(trainer, fine_tune_epochs=fine_tune_epochs)
@@ -151,7 +166,8 @@ def run_fig6(
                     fine_tune_seconds=seconds))
 
     return Fig6Result(f1_by_xi=f1_by_xi, training_time_by_xi=time_by_xi,
-                      parts=parts_result, xi_for_parts=xi_for_parts)
+                      parts=parts_result, xi_for_parts=xi_for_parts,
+                      skipped=skipped)
 
 
 if __name__ == "__main__":

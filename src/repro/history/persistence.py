@@ -15,9 +15,9 @@ time_slot) -> blob digest`` in snapshot iteration order, plus provenance
 metadata (who archived it, when, from what). Because copy-on-write
 refreshes leave untouched group tuples bit-identical, their pickles hash to
 the same digest — consecutive versions *share* blobs, so archiving version
-N+1 after version N writes only the touched groups, exactly like the wire
-delta. :meth:`HistoryArchive.gc` reclaims blobs no surviving manifest
-references.
+N+1 after version N writes only the groups that grew (the wire delta is
+smaller still: what was appended to them). :meth:`HistoryArchive.gc`
+reclaims blobs no surviving manifest references.
 
 A loaded snapshot is label-exact: same groups in the same order, same
 version, same slotting — the memo caches rebuild lazily, as after any

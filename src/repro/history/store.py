@@ -70,6 +70,15 @@ def _group_trajectories(
     return {key: tuple(group) for key, group in groups.items()}
 
 
+def _segments_of(groups: Mapping[SDPair, Tuple[MatchedTrajectory, ...]]
+                 ) -> FrozenSet[int]:
+    """Every road segment the trajectories of ``groups`` travel."""
+    return frozenset(segment
+                     for group in groups.values()
+                     for trajectory in group
+                     for segment in trajectory.segments)
+
+
 class HistoryDelta:
     """The serialized difference between two consecutive history versions.
 
@@ -114,11 +123,7 @@ class HistoryDelta:
         The only segments a receiver gains over its base snapshot — which
         is why validating a delta-path refresh is O(delta), not O(corpus).
         """
-        return frozenset(
-            segment
-            for trajectories in self.appended.values()
-            for trajectory in trajectories
-            for segment in trajectory.segments)
+        return _segments_of(self.appended)
 
     def __getstate__(self) -> dict:
         return {
@@ -334,11 +339,7 @@ class HistorySnapshot:
     def segment_universe(self) -> FrozenSet[int]:
         """Every road segment any historical trajectory travels (lazy)."""
         if self._segments is None:
-            self._segments = frozenset(
-                segment
-                for group in self._groups.values()
-                for trajectory in group
-                for segment in trajectory.segments)
+            self._segments = _segments_of(self._groups)
         return self._segments
 
     # ------------------------------------------------------- derived caching
@@ -482,13 +483,8 @@ class HistorySnapshot:
             if tally is not None:
                 snapshot._routes_cache[key] = tally.extended(runs)
                 self._derived[1] += 1
-        snapshot._segments = None
-        if self._segments is not None:
-            snapshot._segments = self._segments | frozenset(
-                segment
-                for trajectories in appended.values()
-                for trajectory in trajectories
-                for segment in trajectory.segments)
+        snapshot._segments = (None if self._segments is None
+                              else self._segments | _segments_of(appended))
         snapshot._origin_delta = None
         return snapshot
 

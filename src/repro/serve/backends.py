@@ -907,7 +907,7 @@ class ProcessBackend(ServiceBackend):
         # and shipped as bytes: mp.Queue would otherwise re-pickle the
         # whole payload per shard, which is exactly the O(shards × corpus)
         # cost that made full-snapshot history refreshes collapse at four
-        # process shards (benchmarks/results/history_refresh.txt).
+        # process shards.
         blob = pickle.dumps(update, protocol=pickle.HIGHEST_PROTOCOL)
         first_error: Optional[BaseException] = None
         sent = []

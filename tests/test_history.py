@@ -12,7 +12,6 @@ feature resolution can be pinned to any snapshot.
 from __future__ import annotations
 
 import pickle
-from collections import Counter
 
 import pytest
 
@@ -25,17 +24,7 @@ from repro.labeling.normal_routes import RouteTally, normal_transitions
 from repro.serve import clone_model
 from repro.trajectory import MatchedTrajectory
 
-
-def reference_normal_routes(group, delta):
-    """Normal-route inference as one count over the whole group, the way it
-    was done before it was read from a :class:`RouteTally`: what the
-    tallies — fresh, extended, carried — are checked against."""
-    counts = Counter(trajectory.route_key() for trajectory in group)
-    normal = [route for route, count in counts.items()
-              if count / len(group) > delta]
-    if not normal:
-        normal = [counts.most_common(1)[0][0]]
-    return sorted(normal, key=lambda route: -counts[route])
+from reference_labeling import reference_normal_routes
 
 
 def make(tid, segments, start=0.0):
@@ -169,6 +158,33 @@ def test_extend_brings_every_entry_of_a_touched_pair_up_to_date(
             assert tally.normal_routes(delta) == reference_normal_routes(
                 group, delta)
     assert both.derivations == {"computed": 4, "extended": 2 + 4}
+
+
+def test_a_route_s_rank_is_its_place_in_the_group_not_its_arrival():
+    """Equally travelled routes come in the order the group has them, and
+    the pair across all slots is its slot groups one after another: a route
+    whose later trip lands in an *earlier* slot group moves ahead of equals
+    first seen in later ones — on the carried tally as on a count from
+    scratch, at a ``delta`` some routes clear and at one none does."""
+    a, b, c = (1, 2, 10), (1, 3, 10), (1, 4, 10)
+    noon = 12 * 3600.0
+    store = RouteHistoryStore([make(0, list(a)), make(1, list(b), noon),
+                               make(2, list(c), noon)])
+    snapshot = store.current()
+    key = (1, 10, None)
+    tally = snapshot.cached_routes(key, lambda: RouteTally(snapshot.runs(key)))
+    assert tally.normal_routes(0.2) == [a, b, c]
+    extended = store.extend([make(3, list(c)), make(4, list(b), noon)])
+    group = extended.group(1, 10)
+    assert [trip.trajectory_id for trip in group] == [0, 3, 1, 2, 4]
+    carried = extended.cached_routes(
+        key, lambda: pytest.fail("should be cached"))
+    assert carried.normal_routes(0.2) == [c, b]  # 2 : 2, c is seen first
+    assert carried.normal_routes(0.9) == [c]
+    for delta in (0.2, 0.9):
+        assert carried.normal_routes(delta) == reference_normal_routes(
+            group, delta)
+    assert tally.normal_routes(0.2) == [a, b, c]  # the old version's, as it was
 
 
 # ------------------------------------------------------------ serialization

@@ -1,7 +1,7 @@
 """Differential tests of the delta history control plane.
 
 The contract under test: a history refresh broadcast as a version-keyed
-:class:`~repro.history.HistoryDelta` (only the touched SD-pair groups on
+:class:`~repro.history.HistoryDelta` (only the appended trajectories on
 the wire) is **label-identical** to the same refresh broadcast as a full
 snapshot — across shard counts and both backends, with streams in flight —
 and any base-version disagreement falls back to the full-snapshot form
@@ -10,7 +10,9 @@ chain retention, gapped/out-of-order rejection), the durable
 content-addressed :class:`~repro.history.HistoryArchive` (save → load →
 serve parameter- and label-exact, blob sharing, gc, integrity), checkpoint
 format v3 (archived history + v2 payloads through the v3 reader), the
-learner publishing deltas, and the scheduled roll-forward driver.
+learner publishing deltas, the scheduled roll-forward driver, and — by the
+``derivations`` counters — what a refresh does *not* do: derive again, on a
+warm shard or a warm trainer, anything it already held.
 """
 
 from __future__ import annotations
@@ -267,6 +269,96 @@ def test_swap_via_store_with_evicted_chain_uses_full_form(
         assert metrics.full_swaps == 1 and metrics.delta_swaps == 0
     finally:
         svc.close()
+
+
+def resolved_keys(pipeline, snapshot, trips):
+    return {snapshot.resolved_key(
+        trip.source, trip.destination, pipeline._slot_of(trip.start_time_s),
+        pipeline.config.min_slot_group_size) for trip in trips}
+
+
+def grown_keys(pipeline, trips):
+    """The memo keys of the groups ``trips`` join: each trip's own slot
+    group, and its pair across all slots."""
+    return ({(trip.source, trip.destination, None) for trip in trips}
+            | {(trip.source, trip.destination,
+                pipeline._slot_of(trip.start_time_s)) for trip in trips})
+
+
+@pytest.mark.parametrize("backend", ["inprocess", "process"])
+def test_delta_swap_into_a_warm_shard_derives_nothing_again(
+        trained_model, backend):
+    """Where the history layer's time went, counted: a delta that touches
+    every SD pair extends every entry the shard holds and computes none; a
+    group is derived from scratch only when nobody asked for it before."""
+    model = clone_model(trained_model)
+    pipeline = model.pipeline
+    base = pipeline.history
+    first_of_pair = {}
+    for trip in base.trajectories():
+        first_of_pair.setdefault(trip.sd_pair, trip)
+    fleet = list(first_of_pair.values())  # one stream per SD pair
+    held = resolved_keys(pipeline, base, fleet)
+    with DetectionService(model, num_shards=1, backend=backend) as service:
+        serve_fleet(service, fleet)
+        warm = service.metrics().shards[0]
+        assert (warm.history_computed, warm.history_extended) == (len(held), 0)
+        # One new trip per pair, in the slot of the pair's stream: every
+        # group the shard holds an entry for grows.
+        refreshed = pipeline.extend_history([
+            MatchedTrajectory(90_000 + index, list(trip.segments),
+                              start_time_s=trip.start_time_s)
+            for index, trip in enumerate(fleet)])
+        service.swap(history=pipeline)
+        assert service.metrics().delta_swaps == 1
+        swapped = service.metrics().shards[0]
+        assert swapped.history_computed == warm.history_computed
+        assert swapped.history_extended == len(held)
+        serve_fleet(service, fleet)
+        # Only a slot that crossed min_slot_group_size asks for a new key.
+        crossed = resolved_keys(pipeline, refreshed, fleet) - held
+        after = service.metrics().shards[0]
+        assert after.history_computed == warm.history_computed + len(crossed)
+        assert after.history_extended == len(held)
+        assert (f'repro_history_derived_total{{how="extended",shard="0"}} '
+                f'{len(held)}') in service.metrics_text()
+
+
+def test_fine_tune_on_a_warm_trainer_derives_only_what_it_never_held(
+        dataset, dataset_split):
+    train, development, _ = dataset_split
+    trainer = RL4OASDTrainer(
+        dataset.network, train[:120],
+        labeling_config=LabelingConfig(alpha=0.35, delta=0.25,
+                                       min_slot_group_size=3),
+        rsrnet_config=RSRNetConfig(embedding_dim=12, hidden_dim=12, nrf_dim=6),
+        asdnet_config=ASDNetConfig(label_embedding_dim=6),
+        training_config=TrainingConfig(
+            pretrain_trajectories=40, pretrain_epochs=1,
+            joint_trajectories=20, joint_epochs=1, validation_interval=20),
+        development_set=development[:10],
+    )
+    trainer.train()
+    pipeline = trainer.pipeline
+    trainer.fine_tune(train[120:150], batch_size=8)
+    before = pipeline.history
+    held = set(before._routes_cache)
+    assert held == set(before._statistics_cache)
+    counts = before.derivations
+    new = train[150:180]
+    trainer.fine_tune(new, batch_size=8)
+    after = pipeline.history
+    assert after.version == before.version + 1
+    # Statistics and route tally, each: extended for every held group the
+    # new trips joined, computed for the groups asked for the first time
+    # (a pair or a dense slot nobody preprocessed, a slot that just crossed
+    # min_slot_group_size) — and for nothing else.
+    fresh = resolved_keys(pipeline, after, new) - held
+    assert after.derivations == {
+        "computed": counts["computed"] + 2 * len(fresh),
+        "extended": counts["extended"]
+        + 2 * len(held & grown_keys(pipeline, new))}
+    assert fresh and held & grown_keys(pipeline, new)
 
 
 def test_learner_publishes_delta_swaps(dataset, dataset_split):

@@ -90,3 +90,27 @@ def test_unknown_city_rejected():
 
     with pytest.raises(ReproError):
         prepare_city("atlantis")
+
+
+def test_fig6_reports_a_partition_it_cannot_run(dataset, dataset_split,
+                                                monkeypatch):
+    """A xi whose partition of the day leaves a training part empty stays in
+    the Fig. 6 tables, marked skipped with the reason — it used to vanish."""
+    from repro.experiments import fig6
+    from repro.experiments.common import CitySplit, ExperimentSettings
+
+    train, development, test = dataset_split
+    morning = [t for t in train if t.start_time_s % 86400 < 43200]
+    assert morning
+    monkeypatch.setattr(
+        fig6, "prepare_city", lambda *args, **kwargs: CitySplit(
+            dataset=dataset, train=morning, development=development,
+            test=test))
+    result = fig6.run_fig6(ExperimentSettings(), xi_values=(2,),
+                           xi_for_parts=2)
+    assert result.f1_by_xi == {} and result.parts == []
+    assert list(result.skipped) == [2]
+    assert "part(s) 2 of 2" in result.skipped[2]
+    table = result.format()
+    assert "skipped" in table.splitlines()[3]  # the xi=2 cell of Fig. 6a
+    assert f"xi=2 skipped: {result.skipped[2]}" in table
