@@ -15,8 +15,8 @@ trajectory history every RL4OASD label is anchored in:
   receiver at the base version reproduces the successor snapshot
   bit-identically without ever shipping the corpus.
 * :func:`snapshot_to_bytes` / :func:`snapshot_from_bytes` /
-  :func:`clone_snapshot` (and the ``delta_*`` twins of the first two) — the serialization
-  the serving layer's ``swap_history`` broadcast rides on.
+  :func:`clone_snapshot` (and the ``delta_*`` twins of the first two) —
+  the serialization the serving layer's ``swap_history`` broadcast rides on.
 * :class:`HistoryArchive` — durable content-addressed persistence:
   per-group blobs shared across versions plus one provenance-stamped
   manifest per version (``save`` / ``load`` / ``gc``).

@@ -446,8 +446,10 @@ class HistorySnapshot:
                 self._version, version, self._slots_per_day, appended)
         return snapshot
 
-    def _appended(self, appended: Mapping[SDPair, Tuple[MatchedTrajectory, ...]],
-                  version: int) -> "HistorySnapshot":
+    def _appended(
+        self, appended: Mapping[SDPair, Tuple[MatchedTrajectory, ...]],
+        version: int,
+    ) -> "HistorySnapshot":
         """The successor both :meth:`extended` and :func:`apply_delta`
         mint: ``appended`` at the end of the slot groups it names."""
         groups = dict(self._groups)
@@ -680,8 +682,8 @@ def clone_snapshot(snapshot: HistorySnapshot) -> HistorySnapshot:
 def delta_to_bytes(delta: HistoryDelta) -> bytes:
     """Serialize a delta to the byte blob a delta-path swap broadcasts.
 
-    Proportional to the appended trajectories, not the corpus — the whole point
-    of the delta control plane.
+    Proportional to the appended trajectories, not the corpus — the whole
+    point of the delta control plane.
     """
     return pickle.dumps(delta, protocol=pickle.HIGHEST_PROTOCOL)
 

@@ -34,7 +34,8 @@ class TransitionStatistics:
         return cls(group_size=0, counts={}, source=group[0].source,
                    destination=group[0].destination).extended(group)
 
-    def extended(self, added: Iterable[MatchedTrajectory]) -> "TransitionStatistics":
+    def extended(self, added: Iterable[MatchedTrajectory]
+                 ) -> "TransitionStatistics":
         """The statistics of this group with ``added`` appended to it.
 
         Costs the added trajectories plus one copy of the counts — these

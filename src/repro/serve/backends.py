@@ -186,9 +186,9 @@ class ControlUpdate(NamedTuple):
 
     Carries new network weights, a new history — as a full snapshot *or*
     as a version-keyed :class:`~repro.history.HistoryDelta` of only the
-    appended trajectories — or both weights and history; everything is applied at
-    a single quiescent boundary per shard, so "new model + new history"
-    can never be observed half-applied. At most one of ``history`` /
+    appended trajectories — or both weights and history; everything is
+    applied at a single quiescent boundary per shard, so "new model + new
+    history" can never be observed half-applied. At most one of ``history`` /
     ``history_delta`` is set: the facade (:meth:`DetectionService.swap`)
     chooses the delta form when every shard is known to hold the delta's
     base version, and falls back to the full snapshot otherwise.

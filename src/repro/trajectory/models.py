@@ -173,4 +173,4 @@ class SDPair(NamedTuple):
     time_slot: int = 0
 
     def as_tuple(self) -> Tuple[int, int, int]:
-        return tuple(self)
+        return self.source, self.destination, self.time_slot
