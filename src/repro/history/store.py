@@ -233,10 +233,7 @@ class HistorySnapshot:
         if not all(groups.values()):
             raise LabelingError("a history group holds at least one "
                                 "trajectory")
-        self._groups = groups
-        self._slots_per_day = slots_per_day
-        self._version = version
-        self._rebuild_indexes()
+        self._set(groups, slots_per_day, version)
 
     @classmethod
     def build(
@@ -249,19 +246,36 @@ class HistorySnapshot:
         return cls(_group_trajectories(trajectories, slots_per_day),
                    slots_per_day, version)
 
-    def _rebuild_indexes(self) -> None:
-        # The slot groups of every SD pair, in group-map order: the order
-        # the pair's history across all slots is read in.
-        pair_slots: Dict[Tuple[int, int], Tuple[SDPair, ...]] = {}
-        for key in self._groups:
-            pair = (key.source, key.destination)
-            pair_slots[pair] = pair_slots.get(pair, ()) + (key,)
+    def _set(
+        self,
+        groups: Dict[SDPair, Tuple[MatchedTrajectory, ...]],
+        slots_per_day: int,
+        version: int,
+        predecessor: Optional["HistorySnapshot"] = None,
+        pair_slots: Optional[Dict[Tuple[int, int], Tuple[SDPair, ...]]] = None,
+    ) -> None:
+        """Every attribute a snapshot has, set in one place: from scratch
+        (the constructor, unpickling), or as the successor of
+        ``predecessor`` with its by-pair index already brought up to date
+        (:meth:`_appended`, which then extends what it carries)."""
+        self._groups = groups
+        self._slots_per_day = slots_per_day
+        self._version = version
+        if pair_slots is None:
+            # The slot groups of every SD pair, in group-map order: the
+            # order the pair's history across all slots is read in.
+            pair_slots = {}
+            for key in groups:
+                pair = (key.source, key.destination)
+                pair_slots[pair] = pair_slots.get(pair, ()) + (key,)
         self._pair_slots = pair_slots
-        # Memoized derived values; see cached_statistics / cached_routes.
-        self._statistics_cache: Dict[Hashable, object] = {}
-        self._routes_cache: Dict[Hashable, object] = {}
-        # [computed, extended] memo values, shared with every successor.
-        self._derived = [0, 0]
+        # Memoized derived values (see cached_statistics / cached_routes),
+        # and how many were [computed, extended] — one tally for a lineage.
+        self._statistics_cache: Dict[Hashable, object] = (
+            {} if predecessor is None else dict(predecessor._statistics_cache))
+        self._routes_cache: Dict[Hashable, object] = (
+            {} if predecessor is None else dict(predecessor._routes_cache))
+        self._derived = [0, 0] if predecessor is None else predecessor._derived
         self._segments: Optional[FrozenSet[int]] = None
         # Producer-side provenance: the delta that minted this snapshot
         # from its predecessor (set by ``extended``). Like the memo caches
@@ -464,16 +478,11 @@ class HistorySnapshot:
                 pair_slots[pair] = pair_slots.get(pair, ()) + (key,)
             groups[key] = before + trajectories
             run = (pair_slots[pair].index(key), len(before), trajectories)
-            grown[key] = [run]
+            grown[key.as_tuple()] = [run]
             grown.setdefault(pair + (None,), []).append(run)
         snapshot = HistorySnapshot.__new__(HistorySnapshot)
-        snapshot._groups = groups
-        snapshot._slots_per_day = self._slots_per_day
-        snapshot._version = version
-        snapshot._pair_slots = pair_slots
-        snapshot._statistics_cache = dict(self._statistics_cache)
-        snapshot._routes_cache = dict(self._routes_cache)
-        snapshot._derived = self._derived
+        snapshot._set(groups, self._slots_per_day, version,
+                      predecessor=self, pair_slots=pair_slots)
         for key, runs in grown.items():
             statistics = self._statistics_cache.get(key)
             if statistics is not None:
@@ -485,9 +494,8 @@ class HistorySnapshot:
             if tally is not None:
                 snapshot._routes_cache[key] = tally.extended(runs)
                 self._derived[1] += 1
-        snapshot._segments = (None if self._segments is None
-                              else self._segments | _segments_of(appended))
-        snapshot._origin_delta = None
+        if self._segments is not None:
+            snapshot._segments = self._segments | _segments_of(appended)
         return snapshot
 
     # -------------------------------------------------------- serialization
@@ -501,10 +509,7 @@ class HistorySnapshot:
         }
 
     def __setstate__(self, state: dict) -> None:
-        self._version = state["version"]
-        self._slots_per_day = state["slots_per_day"]
-        self._groups = state["groups"]
-        self._rebuild_indexes()
+        self._set(state["groups"], state["slots_per_day"], state["version"])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"HistorySnapshot(version={self._version}, "

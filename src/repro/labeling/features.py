@@ -248,13 +248,9 @@ class PreprocessingPipeline:
         pipeline's current one.
         """
         snapshot = history if history is not None else self._snapshot
-        group = snapshot.group(source, destination, self._slot_of(start_time_s))
-        if len(group) < self._config.min_slot_group_size:
-            # Sparse time slot: the per-hour statistics would be meaningless
-            # (a single historical trip would define "the" normal route), so
-            # fall back to the SD pair's full history across all time slots.
-            group = snapshot.group(source, destination)
-        return group
+        return snapshot.group(*snapshot.resolved_key(
+            source, destination, self._slot_of(start_time_s),
+            self._config.min_slot_group_size))
 
     def _memo_entry(self, trajectory: MatchedTrajectory,
                     history: Optional[HistorySnapshot]):

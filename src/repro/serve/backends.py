@@ -713,12 +713,14 @@ class InProcessBackend(ServiceBackend):
         # shard on the same object, exactly like at construction.
         # A delta-form update is applied once, to the snapshot that one
         # pipeline serves, for the same reason; a base-version mismatch is
-        # rejected before any engine has repinned. The successor's maps and
-        # memo are the backend's own; the appended trajectories are the
-        # caller's objects, shared the way successive versions of the
-        # caller's history share them — a snapshot never mutates a
-        # trajectory, and a second copy of each would be the only thing a
-        # clone of the delta bought.
+        # rejected before any engine has repinned. Either form keeps the
+        # one promise made here — serving shares no group map and no memo
+        # with the caller: the successor's are the backend's own. The
+        # appended trajectories are the caller's objects, shared the way
+        # successive versions of the caller's history share them; no
+        # history copies or mutates a trajectory, so a clone of the delta
+        # would buy a second copy of each and nothing else (the full form's
+        # copies are a by-product of stripping the memo by pickle).
         self.drain()
         if update.history is not None:
             update = update._replace(history=clone_snapshot(update.history))

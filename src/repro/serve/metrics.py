@@ -38,6 +38,8 @@ class ShardStats:
     #: with a full-snapshot swap): derived from a whole SD-pair group on a
     #: miss, or extended across a refresh by what the refresh appended. A
     #: delta swap into a warm shard should add only to the second.
+    #: In-process shards serve one shared pipeline, so each reports that
+    #: one lineage — do not sum them; see ``ServiceMetrics.history_derived``.
     history_computed: int = 0
     history_extended: int = 0
     #: Reservoir sample of shard queue-wait seconds (facade enqueue →
@@ -284,6 +286,19 @@ class ServiceMetrics:
         return hits / total if total else 0.0
 
     @property
+    def history_derived(self) -> Dict[str, int]:
+        """History memo values ``computed`` from a whole group and
+        ``extended`` across a refresh, each lineage counted once: worker
+        processes own a pipeline each, in-process shards share one (and
+        all report its counts)."""
+        shards = self.shards
+        if shards and shards[0].backend == "inprocess":
+            shards = shards[:1]
+        return {
+            "computed": sum(shard.history_computed for shard in shards),
+            "extended": sum(shard.history_extended for shard in shards)}
+
+    @property
     def rejection_rate(self) -> float:
         total = self.accepted_ingests + self.rejected_ingests
         return self.rejected_ingests / total if total else 0.0
@@ -394,6 +409,11 @@ def metrics_to_registry(metrics: ServiceMetrics, registry=None):
     }
     for name, (value, help_text) in service_counters.items():
         registry.counter(name, help=help_text).inc(value)
+    for how, count in metrics.history_derived.items():
+        registry.counter("repro_history_derived_total", {"how": how},
+                         help="Per-group statistics and route tallies "
+                              "computed from a whole group, or extended by "
+                              "what a refresh appended").inc(count)
     registry.gauge("repro_service_model_version",
                    help="Model version the shards serve").set(
         metrics.model_version)
@@ -438,13 +458,6 @@ def metrics_to_registry(metrics: ServiceMetrics, registry=None):
         registry.gauge("repro_shard_history_version", labels,
                        help="History snapshot version this shard serves").set(
             shard.history_version)
-        for how, count in (("computed", shard.history_computed),
-                           ("extended", shard.history_extended)):
-            registry.counter("repro_history_derived_total",
-                             {**labels, "how": how},
-                             help="Per-group statistics and route tallies "
-                                  "computed from a whole group, or extended "
-                                  "by what a refresh appended").inc(count)
 
     for bus in metrics.bus:
         labels = {"shard": str(bus.shard_id)}

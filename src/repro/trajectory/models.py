@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from ..exceptions import EmptyTrajectoryError, TrajectoryError
 
@@ -160,12 +160,15 @@ class Subtrajectory:
         return frozenset(self.segments)
 
 
-class SDPair(NamedTuple):
+@dataclass(frozen=True)
+class SDPair:
     """A (source segment, destination segment) pair plus an optional time slot.
 
-    A tuple, so a map keyed by ``SDPair`` answers the plain
-    ``(source, destination, time_slot)`` a per-trip lookup already holds —
-    no key object is built to ask for a group.
+    Hashes and compares as the plain ``(source, destination, time_slot)``
+    tuple, so a map keyed by ``SDPair`` answers the tuple a per-trip lookup
+    already holds — no key object is built to ask for a group. Still a
+    dataclass: a pickled history (every embedded-history checkpoint) names
+    its groups by the state dict of one.
     """
 
     source: int
@@ -174,3 +177,13 @@ class SDPair(NamedTuple):
 
     def as_tuple(self) -> Tuple[int, int, int]:
         return self.source, self.destination, self.time_slot
+
+    def __hash__(self) -> int:
+        return hash((self.source, self.destination, self.time_slot))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, SDPair):
+            other = other.as_tuple()
+        elif not isinstance(other, tuple):
+            return NotImplemented
+        return (self.source, self.destination, self.time_slot) == other

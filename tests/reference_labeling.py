@@ -11,6 +11,20 @@ from __future__ import annotations
 from collections import Counter
 
 
+def reference_group(groups, source, destination, time_slot, min_size):
+    """The trajectories a trip of ``(source, destination)`` starting in
+    ``time_slot`` is judged against, read off a snapshot's group map: its
+    own slot group when that holds at least ``min_size`` of them, else the
+    pair's trajectories of every slot, in map order."""
+    own = [trajectory for key, group in groups.items() for trajectory in group
+           if (key.source, key.destination, key.time_slot)
+           == (source, destination, time_slot)]
+    if len(own) >= min_size:
+        return own
+    return [trajectory for key, group in groups.items() for trajectory in group
+            if (key.source, key.destination) == (source, destination)]
+
+
 def reference_normal_routes(group, delta):
     """Routes travelled by more than ``delta`` of the group, most travelled
     first and equally travelled ones in the order the group has them; the

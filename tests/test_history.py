@@ -11,6 +11,8 @@ feature resolution can be pinned to any snapshot.
 
 from __future__ import annotations
 
+import base64
+import copyreg
 import pickle
 
 import pytest
@@ -22,7 +24,7 @@ from repro.history import (HistorySnapshot, RouteHistoryStore, clone_snapshot,
 from repro.labeling import PreprocessingPipeline, TransitionStatistics
 from repro.labeling.normal_routes import RouteTally, normal_transitions
 from repro.serve import clone_model
-from repro.trajectory import MatchedTrajectory
+from repro.trajectory import MatchedTrajectory, SDPair
 
 from reference_labeling import reference_normal_routes
 
@@ -211,6 +213,49 @@ def test_clone_snapshot_shares_no_memo(seed_trajectories):
     assert clone is not snapshot
     assert clone.cached_routes(("k",), lambda: "independent") == "independent"
     assert snapshot.cached_routes(("k",), lambda: None) == "original"
+
+
+#: ``pickle.dumps(snapshot, protocol=2)`` of the four-trip, version-3
+#: snapshot below, written by the commit before PR 24 (``74f5fbf``): the
+#: layout every embedded-history checkpoint (formats 2 and 3) holds its
+#: history in — each group keyed by ``SDPair`` as NEWOBJ + a state dict.
+PICKLED_BEFORE_PR24 = (
+    "gAJjcmVwcm8uaGlzdG9yeS5zdG9yZQpIaXN0b3J5U25hcHNob3QKcQApgXEBfXECKFgH"
+    "AAAAdmVyc2lvbnEDSwNYDQAAAHNsb3RzX3Blcl9kYXlxBEsYWAYAAABncm91cHNxBX1x"
+    "BihjcmVwcm8udHJhamVjdG9yeS5tb2RlbHMKU0RQYWlyCnEHKYFxCH1xCShYBgAAAHNv"
+    "dXJjZXEKSwFYCwAAAGRlc3RpbmF0aW9ucQtLA1gJAAAAdGltZV9zbG90cQxLAHViY3Jl"
+    "cHJvLnRyYWplY3RvcnkubW9kZWxzCk1hdGNoZWRUcmFqZWN0b3J5CnENKYFxDn1xDyhY"
+    "DQAAAHRyYWplY3RvcnlfaWRxEEsBWAgAAABzZWdtZW50c3ERXXESKEsBSwJLA2VYDAAA"
+    "AHN0YXJ0X3RpbWVfc3ETRwAAAAAAAAAAWAYAAABsYWJlbHNxFE5YDgAAAHRyYXZlbF90"
+    "aW1lc19zcRVOdWJoDSmBcRZ9cRcoaBBLA2gRXXEYKEsBSwJLA2VoE0dAJAAAAAAAAGgU"
+    "TmgVTnVihnEZaAcpgXEafXEbKGgKSwFoC0sDaAxLBXViaA0pgXEcfXEdKGgQSwJoEV1x"
+    "HihLAUsESwNlaBNHQNGUAAAAAABoFE5oFU51YoVxH2gHKYFxIH1xIShoCksHaAtLCGgM"
+    "SwB1YmgNKYFxIn1xIyhoEEsEaBFdcSQoSwdLCGVoE0cAAAAAAAAAAGgUTmgVTnVihXEl"
+    "dXViLg==")
+
+
+def test_a_history_pickled_before_pr24_still_loads():
+    """A checkpoint outlives the code that wrote it: the group map's keys
+    keep the pickled form they had (``SDPair`` as a dataclass, not a
+    tuple), so an old payload loads and a new one is readable by the
+    readers old payloads are."""
+    trips = [make(1, [1, 2, 3]), make(2, [1, 4, 3], start=5 * 3600.0),
+             make(3, [1, 2, 3], start=10.0), make(4, [7, 8])]
+    built = HistorySnapshot.build(trips, slots_per_day=24, version=3)
+    loaded = pickle.loads(base64.b64decode(PICKLED_BEFORE_PR24))
+    assert isinstance(loaded, HistorySnapshot) and loaded.version == 3
+    assert list(loaded.groups().items()) == list(built.groups().items())
+    # ... and answers the plain tuple a per-trip lookup asks with.
+    assert loaded.group(1, 3, 0) == [trips[0], trips[2]]
+    assert loaded.resolved_key(1, 3, 0, 2) == (1, 3, 0)
+    assert loaded.resolved_key(1, 3, 5, 2) == (1, 3, None)
+    key = next(iter(built.groups()))
+    assert key == (1, 3, 0) and hash(key) == hash((1, 3, 0))
+    assert key.__reduce_ex__(2)[:3] == (
+        copyreg.__newobj__, (SDPair,), dict(source=1, destination=3,
+                                            time_slot=0))
+    assert pickle.loads(pickle.dumps(built, protocol=2)).groups() \
+        == loaded.groups()
 
 
 def test_snapshot_from_bytes_rejects_foreign_payloads():

@@ -320,8 +320,62 @@ def test_delta_swap_into_a_warm_shard_derives_nothing_again(
         after = service.metrics().shards[0]
         assert after.history_computed == warm.history_computed + len(crossed)
         assert after.history_extended == len(held)
-        assert (f'repro_history_derived_total{{how="extended",shard="0"}} '
+        assert (f'repro_history_derived_total{{how="extended"}} '
                 f'{len(held)}') in service.metrics_text()
+
+
+def test_in_process_shards_report_their_one_history_lineage_once(
+        trained_model):
+    """In-process shards serve one shared pipeline: every shard reports
+    that lineage's counts, and the service-level series counts it once."""
+    model = clone_model(trained_model)
+    first_of_pair = {}
+    for trip in model.pipeline.history.trajectories():
+        first_of_pair.setdefault(trip.sd_pair, trip)
+    fleet = list(first_of_pair.values())
+    held = resolved_keys(model.pipeline, model.pipeline.history, fleet)
+    with DetectionService(model, num_shards=2, backend="inprocess") as service:
+        serve_fleet(service, fleet)
+        metrics = service.metrics()
+        assert all(shard.points_processed for shard in metrics.shards)
+        assert [shard.history_computed for shard in metrics.shards] \
+            == [len(held)] * 2
+        assert metrics.history_derived == {"computed": len(held),
+                                           "extended": 0}
+        assert (f'repro_history_derived_total{{how="computed"}} '
+                f'{len(held)}\n') in service.metrics_text()
+
+
+def test_an_in_process_delta_swap_shares_trajectories_and_nothing_else(
+        trained_model, extension_parts):
+    """What an in-process shard shares with the publisher, under either
+    swap form: no group map and no memo. A delta swap does share the
+    appended trajectory objects — values no history ever mutates or
+    copies, the publisher's own store included."""
+    first, second, _ = extension_parts
+    model = clone_model(trained_model)
+    pipeline = model.pipeline
+    with DetectionService(model, num_shards=2, backend="inprocess") as service:
+        published = pipeline.extend_history(first)
+        service.swap(history=pipeline)
+        assert service.metrics().delta_swaps == 1
+        engines = [core.engine for core in service._backend._cores]
+        serving = engines[0].history_snapshot
+        assert all(engine.history_snapshot is serving for engine in engines)
+        assert serving is not published
+        assert serving.groups() is not published.groups()
+        assert list(serving.groups().items()) \
+            == list(published.groups().items())
+        served = {id(trip) for trip in serving.trajectories()}
+        assert all(id(trip) in served for trip in first)
+        # The publisher deriving, or moving on, is not seen by serving.
+        before = serving.derivations
+        for trip in first:
+            pipeline.normal_routes_for(trip)
+        pipeline.extend_history(second)
+        assert serving.derivations == before
+        assert serving is engines[1].history_snapshot
+        assert len(serving) == len(published)
 
 
 def test_fine_tune_on_a_warm_trainer_derives_only_what_it_never_held(

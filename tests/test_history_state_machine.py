@@ -32,7 +32,7 @@ reference shares nothing but the group.
 
 Seeded mutants it kills (each applied, run under ``--hypothesis-seed`` 1, 2
 and 3, seen to fail, restored). In ``HistorySnapshot._appended``:
-``grown[key] = [run]`` left out, so a dense slot's own entry is carried as
+``grown[key.as_tuple()] = [run]`` left out, so a dense slot's own entry is carried as
 it was while the slot grew (the pair-wide entry is still extended) — 3 of 3
 seeds; ``len(before)`` replaced by ``0`` as a run's first index, which ranks
 an appended trip before the slot's first — 3 of 3. In ``merge_deltas``:
@@ -62,7 +62,7 @@ from repro.labeling.normal_routes import normal_transitions
 from repro.roadnet import RoadNetwork
 from repro.trajectory import MatchedTrajectory
 
-from reference_labeling import (reference_normal_routes,
+from reference_labeling import (reference_group, reference_normal_routes,
                                 reference_transition_counts)
 
 CONFIG = LabelingConfig(alpha=0.4, delta=0.3, min_slot_group_size=3)
@@ -197,8 +197,12 @@ class HistoryMachine(RuleBasedStateMachine):
                 assert statistics == fresh.statistics_for(query)
                 assert routes == fresh.normal_routes_for(query)
                 assert transitions == fresh.normal_transitions_for(query)
-                group = party.sd_group(query.source, query.destination,
-                                       query.start_time_s) or [query]
+                group = reference_group(
+                    snapshot.groups(), query.source, query.destination, slot,
+                    CONFIG.min_slot_group_size) or [query]
+                assert group == (party.sd_group(
+                    query.source, query.destination, query.start_time_s)
+                    or [query])
                 assert statistics.group_size == len(group)
                 assert statistics.counts == reference_transition_counts(group)
                 assert routes == reference_normal_routes(group, CONFIG.delta)
