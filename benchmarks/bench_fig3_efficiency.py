@@ -25,19 +25,3 @@ def test_ctss_is_slowest_of_the_family(fig3):
     """CTSS (quadratic Fréchet) should be slower than the lightweight DBTOD."""
     for city, by_method in fig3.per_point_ms.items():
         assert by_method["CTSS"] > by_method["DBTOD"]
-
-
-def test_bench_fig3_single_point(benchmark, fig3):
-    """Time a single incremental RSRNet step (the per-point inner loop)."""
-    import numpy as np
-    from repro.core import RSRNet
-    from repro.config import RSRNetConfig
-
-    net = RSRNet(vocabulary_size=200,
-                 config=RSRNetConfig(embedding_dim=64, hidden_dim=64, nrf_dim=32))
-    state = net.begin_sequence()
-
-    def step():
-        net.step(state, 10, 0)
-
-    benchmark(step)

@@ -12,14 +12,16 @@ from ..exceptions import ModelError
 def sigmoid(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Numerically stable logistic sigmoid of any array-like, as float64.
 
-    Branch-free: with ``e = exp(-|x|)`` (never overflows) the result is
-    ``1 / (1 + e)`` where ``x >= 0`` and ``e / (1 + e)`` elsewhere. ``out``
-    may be ``x`` itself, which is how the recurrent cells activate their gate
-    buffers in place.
+    Branch-free, six array passes: with ``e = exp(-|x|)`` (never overflows;
+    ``copysign(x, -1)`` is ``-|x|`` in one pass) the result is
+    ``max(e, x >= 0) / (e + 1)`` — the numerator is 1 where ``x >= 0``
+    because ``e <= 1`` there, and ``e`` elsewhere; ``maximum`` keeps a NaN.
+    ``out`` may be ``x`` itself, which is how the recurrent cells activate
+    their gate buffers in place.
     """
     x = np.asarray(x, dtype=np.float64)
-    e = np.exp(-np.abs(x))
-    return np.divide(np.where(x >= 0, 1.0, e), 1.0 + e, out=out)
+    e = np.exp(np.copysign(x, -1.0))
+    return np.divide(np.maximum(e, x >= 0), e + 1.0, out=out)
 
 
 def tanh(x: np.ndarray) -> np.ndarray:

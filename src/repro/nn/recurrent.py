@@ -5,7 +5,7 @@ backpropagate through time without an autograd engine.
 
 The LSTM cell exposes three execution modes over one gate kernel
 (:meth:`LSTMCell._step`: pre-activations summed into a fresh gate buffer,
-activated in place):
+``tanh`` of the candidate taken out, then one sigmoid over the whole buffer):
 
 * **Sequential** (:meth:`LSTMCell.forward` / :meth:`LSTMCell.backward`) — one
   step for one stream, keeping the cache needed for backpropagation through
@@ -68,24 +68,22 @@ class LSTMCell(Module):
         """The one gate kernel behind every forward mode.
 
         ``input_term`` is ``x @ W_in`` with any leading batch dimensions.
-        The pre-activations are summed in a fresh gate buffer and activated
-        in place — one sigmoid over the contiguous ``[input | forget]``
-        block, ``tanh`` on the candidate, one sigmoid on the output gate.
-        Returns ``(h, c, tanh_c, gate_views)``; the training modes keep the
-        views of the gate buffer as their BPTT cache, inference drops them.
+        The pre-activations are summed in a fresh gate buffer; ``tanh`` of
+        the candidate block goes into its own array, then one sigmoid
+        activates the whole buffer in place (the candidate block's sigmoid
+        is never read). Returns ``(h, c, tanh_c, gates)``, the gates being
+        three views of the buffer and the candidate array; the training
+        modes keep them as their BPTT cache, inference drops them.
         """
         h_dim = self.hidden_dim
         gates = h_prev @ self.weight_hidden.value
         np.add(input_term, gates, out=gates)
         gates += self.bias.value
-        input_forget = gates[..., :2 * h_dim]
-        candidate = gates[..., 2 * h_dim:3 * h_dim]
+        candidate = np.tanh(gates[..., 2 * h_dim:3 * h_dim])
+        sigmoid(gates, out=gates)
+        input_gate = gates[..., :h_dim]
+        forget_gate = gates[..., h_dim:2 * h_dim]
         output_gate = gates[..., 3 * h_dim:]
-        sigmoid(input_forget, out=input_forget)
-        np.tanh(candidate, out=candidate)
-        sigmoid(output_gate, out=output_gate)
-        input_gate = input_forget[..., :h_dim]
-        forget_gate = input_forget[..., h_dim:]
         c = forget_gate * c_prev
         c += input_gate * candidate
         tanh_c = np.tanh(c)
@@ -379,9 +377,9 @@ class GRUCell(Module):
         h_dim = self.hidden_dim
         projected_input = x @ self.weight_input.value + self.bias.value
         projected_hidden = h_prev @ self.weight_hidden.value
-        update_gate = sigmoid(projected_input[:h_dim] + projected_hidden[:h_dim])
-        reset_gate = sigmoid(projected_input[h_dim:2 * h_dim]
-                             + projected_hidden[h_dim:2 * h_dim])
+        update_reset = sigmoid(projected_input[:2 * h_dim]
+                               + projected_hidden[:2 * h_dim])
+        update_gate, reset_gate = update_reset[:h_dim], update_reset[h_dim:]
         candidate = tanh(projected_input[2 * h_dim:]
                          + reset_gate * projected_hidden[2 * h_dim:])
         h = (1.0 - update_gate) * h_prev + update_gate * candidate

@@ -382,6 +382,83 @@ def test_lstm_forward_single_stream_bit_equal_to_reference():
             assert_bit_equal(actual, parameter.grad)
 
 
+@pytest.mark.parametrize("steps", [0, 1, 2, 7])
+def test_lstm_infer_bit_equal_to_a_loop_of_reference_steps(steps):
+    """The path ``OnlineDetector.detect`` runs: 1-D states, one projection
+    matrix, every row through the reference step."""
+    cell, x, _, _ = _lstm_case(max(steps, 1))
+    lstm = LSTM(cell.input_dim, cell.hidden_dim)
+    lstm.cell = cell
+    projections = cell.project_input(x[:steps])
+    h = c = np.zeros(cell.hidden_dim)
+    expected = np.empty((steps, cell.hidden_dim))
+    for t in range(steps):
+        step = reference_lstm_step(cell, projections[t], h, c)
+        h, c = step["h"], step["c"]
+        expected[t] = h
+    assert_bit_equal(lstm.infer(projections), expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(batch=st.one_of(st.none(), st.integers(1, 64)),
+       hidden_dim=st.integers(1, 9), seed=st.integers(0, 2 ** 32 - 1),
+       exact=st.booleans())
+def test_lstm_step_bit_equal_to_reference_on_sigmoid_edges(
+        batch, hidden_dim, seed, exact):
+    """Every gate block's pre-activations carry the sigmoid's edge values;
+    with ``exact`` the recurrent term and bias are zero, so they reach the
+    activations unchanged (bar the sign of a zero)."""
+    rng = np.random.default_rng(seed)
+    cell = LSTMCell(3, hidden_dim, rng)
+    cell.weight_hidden.value *= 6.0
+    cell.bias.value += rng.normal(scale=2.0, size=4 * hidden_dim)
+    if exact:
+        cell.weight_hidden.value[:] = 0.0
+        cell.bias.value[:] = 0.0
+    lead = () if batch is None else (batch,)
+    input_term = rng.normal(scale=20.0, size=lead + (4, hidden_dim))
+    blocks = input_term.reshape(-1, 4, hidden_dim)
+    for gate in range(4):
+        block = blocks[:, gate]  # a view: writes land in input_term
+        planted = rng.permutation(SIGMOID_EDGE_VALUES)[:block.size]
+        cells = rng.choice(block.size, len(planted), replace=False)
+        block[np.unravel_index(cells, block.shape)] = planted
+    input_term = input_term.reshape(lead + (4 * hidden_dim,))
+    h_prev = rng.normal(size=lead + (hidden_dim,))
+    c_prev = rng.normal(scale=2.0, size=lead + (hidden_dim,))
+
+    expected = reference_lstm_step(cell, input_term, h_prev, c_prev)
+    h, c, tanh_c, gates = cell._step(input_term, h_prev, c_prev)
+    assert_bit_equal(h, expected["h"])
+    assert_bit_equal(c, expected["c"])
+    assert_bit_equal(tanh_c, expected["tanh_c"])
+    for name, gate in zip(CACHED_GATES, gates):
+        assert_bit_equal(gate, expected[name])
+
+
+def test_gru_step_bit_equal_to_two_sigmoid_calls():
+    """One sigmoid over the contiguous ``[update | reset]`` block is the two
+    per-gate calls it replaced, bit for bit."""
+    rng = np.random.default_rng(5)
+    cell = GRU(4, 6, rng=rng).cell
+    cell.weight_hidden.value *= 6.0
+    cell.bias.value += rng.normal(scale=2.0, size=18)
+    x = rng.normal(scale=3.0, size=4)
+    h_prev = rng.normal(size=6)
+    projected_input = x @ cell.weight_input.value + cell.bias.value
+    projected_hidden = h_prev @ cell.weight_hidden.value
+    update_gate = reference_sigmoid(projected_input[:6] + projected_hidden[:6])
+    reset_gate = reference_sigmoid(projected_input[6:12]
+                                   + projected_hidden[6:12])
+    candidate = np.tanh(projected_input[12:]
+                        + reset_gate * projected_hidden[12:])
+    h, cache = cell.forward(x, h_prev)
+    assert_bit_equal(h, (1.0 - update_gate) * h_prev + update_gate * candidate)
+    assert_bit_equal(cache["update_gate"], update_gate)
+    assert_bit_equal(cache["reset_gate"], reset_gate)
+    assert_bit_equal(cache["candidate"], candidate)
+
+
 def test_lstm_forward_batch_rejects_wrong_shapes():
     cell = LSTMCell(3, 4)
     with pytest.raises(ModelError):
