@@ -3,7 +3,7 @@
 :class:`OnlineDetector` replays one completed trip: the RSRNet recurrence
 over every point but the destination, one :func:`~repro.core.decision.label_route`
 pass, delayed labeling. The labeling decision itself lives in
-:mod:`repro.core.decision` (its names are re-exported here); the per-point
+:mod:`repro.core.decision`; the per-point
 online form of the same algorithm is :class:`~repro.core.stream.StreamEngine`.
 """
 
@@ -20,13 +20,11 @@ from ..trajectory.models import MatchedTrajectory, Subtrajectory
 from ..trajectory.ops import split_by_labels, subtrajectory_spans
 from ..labeling.features import PreprocessingPipeline
 from .asdnet import ASDNet
-from .decision import (apply_rnel, label_route, rnel_from_degrees,
-                       rnel_from_degrees_batch)
+from .decision import label_route
 from .rsrnet import RSRNet
 
 __all__ = ["DetectionResult", "OnlineDetector", "apply_delayed_labeling",
-           "apply_rnel", "finish_labels", "rnel_from_degrees",
-           "rnel_from_degrees_batch"]
+           "finish_labels"]
 
 
 @dataclass

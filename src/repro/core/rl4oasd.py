@@ -153,7 +153,7 @@ class RL4OASDModel:
         ``history`` (a :class:`~repro.history.HistorySnapshot` or a
         :class:`~repro.history.RouteHistoryStore`). This is how "a service
         freshly built from snapshot S" is expressed — the differential
-        anchor for :meth:`DetectionService.swap_history`.
+        anchor for :meth:`DetectionService.swap`.
         """
         return RL4OASDModel(
             rsrnet=self.rsrnet,
@@ -574,7 +574,7 @@ class RL4OASDTrainer:
         version, copy-on-write, so the normal-route statistics shift with
         the new traffic — and both networks take additional gradient steps
         on them. Publish the refreshed history to running services via
-        :meth:`DetectionService.swap_history` (or attach the service to an
+        :meth:`DetectionService.swap` (or attach the service to an
         :class:`~repro.core.online.OnlineLearner`, which pushes weights and
         history together after every fine-tuning round). ``batch_size``
         overrides the configured batch size for this call only (``None``

@@ -3,9 +3,8 @@
 from .metrics import MetricsReport, evaluate_labelings, span_jaccard
 from .grouping import group_by_length, LENGTH_BOUNDARIES
 from .timing import (LatencyReport, ThroughputReport, TimingReport,
-                     TrainingThroughputReport, measure_async_throughput,
-                     measure_detector, measure_throughput,
-                     measure_training_throughput)
+                     TrainingThroughputReport, measure_detector,
+                     measure_throughput, measure_training_throughput)
 from .runner import EvaluationRun, evaluate_detector
 
 __all__ = [
@@ -19,7 +18,6 @@ __all__ = [
     "measure_detector",
     "ThroughputReport",
     "measure_throughput",
-    "measure_async_throughput",
     "TrainingThroughputReport",
     "measure_training_throughput",
     "EvaluationRun",

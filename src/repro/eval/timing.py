@@ -153,33 +153,6 @@ def measure_throughput(
     return report, value
 
 
-def measure_async_throughput(
-    run: Callable[[], "Coroutine"],
-    total_points: int,
-    name: str = "detector",
-    num_trajectories: int = 0,
-) -> Tuple[ThroughputReport, object]:
-    """:func:`measure_throughput` for coroutine workloads.
-
-    ``run()`` must *return a coroutine* (e.g. ``lambda:
-    serve_fleet_async(service, fleet)``); it is driven to completion on a
-    fresh event loop and the wall clock covers the whole ``asyncio.run``,
-    so the asyncio drivers are measured on exactly the footing their
-    synchronous wrappers pay. Returns ``(report, coroutine's result)``.
-    """
-    import asyncio
-
-    if total_points < 1:
-        raise EvaluationError("throughput needs at least one point")
-    started = time.perf_counter()
-    value = asyncio.run(run())
-    elapsed = time.perf_counter() - started
-    report = ThroughputReport(name=name, total_points=total_points,
-                              total_seconds=elapsed,
-                              num_trajectories=num_trajectories)
-    return report, value
-
-
 @dataclass
 class LatencyReport:
     """Distribution of per-point latency of a streaming pipeline stage.

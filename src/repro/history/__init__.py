@@ -16,7 +16,7 @@ trajectory history every RL4OASD label is anchored in:
   bit-identically without ever shipping the corpus.
 * :func:`snapshot_to_bytes` / :func:`snapshot_from_bytes` /
   :func:`clone_snapshot` (and the ``delta_*`` twins of the first two) —
-  the serialization the serving layer's ``swap_history`` broadcast rides on.
+  the serialization the serving layer's history ``swap`` broadcast rides on.
 * :class:`HistoryArchive` — durable content-addressed persistence:
   per-group blobs shared across versions plus one provenance-stamped
   manifest per version (``save`` / ``load`` / ``gc``).

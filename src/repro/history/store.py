@@ -89,7 +89,7 @@ class HistoryDelta:
     (:func:`merge_deltas`). ``slots_per_day`` rides along for validation:
     a delta is only meaningful against a snapshot with the same slotting.
     Instances are immutable and picklable; this is the payload a
-    delta-aware ``swap_history`` broadcasts instead of the whole snapshot.
+    delta-aware history ``swap`` broadcasts instead of the whole snapshot.
     """
 
     __slots__ = ("base_version", "new_version", "slots_per_day", "appended")
@@ -602,7 +602,7 @@ class RouteHistoryStore:
 
         Used when a consumer-side store (a stream engine's pipeline) is
         handed a snapshot minted elsewhere — e.g. broadcast by
-        :meth:`DetectionService.swap_history`. The snapshot keeps its own
+        :meth:`DetectionService.swap`. The snapshot keeps its own
         version; later :meth:`extend` calls continue counting from it.
         """
         if not isinstance(snapshot, HistorySnapshot):
@@ -658,7 +658,7 @@ class RouteHistoryStore:
 def snapshot_to_bytes(snapshot: HistorySnapshot) -> bytes:
     """Serialize a snapshot (memo caches stripped) to a byte blob.
 
-    This is the payload :meth:`DetectionService.swap_history` broadcasts to
+    This is the payload :meth:`DetectionService.swap` broadcasts to
     worker shards, and the clone mechanism that keeps in-process shards from
     sharing one mutable memo.
     """

@@ -23,12 +23,10 @@ Every fix is matched in one place, the gateway's own
 committed segments (``docs/architecture.md``, "why there is one placement").
 """
 
-from .gateway import (GpsGateway, SessionResult, serve_raw_fleet,
-                      serve_raw_fleet_async)
+from .gateway import GpsGateway, SessionResult, serve_raw_fleet
 
 __all__ = [
     "GpsGateway",
     "SessionResult",
     "serve_raw_fleet",
-    "serve_raw_fleet_async",
 ]

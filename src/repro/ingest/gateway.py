@@ -53,7 +53,6 @@ workloads through a service — it is what the differential tests and
 
 from __future__ import annotations
 
-import asyncio
 import bisect
 import time
 from collections import deque
@@ -626,19 +625,18 @@ class GpsGateway:
         return [_session_result(session.key, result, match)]
 
 
-async def serve_raw_fleet_async(
+def serve_raw_fleet(
     gateway: GpsGateway,
     raw_trajectories: Sequence[RawTrajectory],
     concurrency: int = 64,
-    poll_wait_s: float = 0.0005,
 ) -> List[List[DetectionResult]]:
-    """Replay raw GPS trajectories through a gateway as one asyncio driver.
+    """Replay raw GPS trajectories through a gateway as one fleet driver.
 
-    The raw-input twin of :func:`~repro.serve.service.serve_fleet_async`:
-    up to ``concurrency`` vehicles in flight, one fix per active vehicle
-    per round, one service pump per round, every finished vehicle closed
-    through :meth:`GpsGateway.end`, one yield to the event loop per round.
-    With ``async_sessions`` the close paths return nothing — finished
+    The raw-input twin of :func:`~repro.serve.service.serve_fleet`: up to
+    ``concurrency`` vehicles in flight, one fix per active vehicle per
+    round, one service pump per round, every finished vehicle closed
+    through :meth:`GpsGateway.end`. Works with either value of
+    ``async_sessions``: with it the close paths return nothing — finished
     sessions are collected off the results bus (:meth:`GpsGateway.
     poll_sessions`) as they complete and, after the replay, sorted back
     into each vehicle's session order, so the returned lists are identical
@@ -695,11 +693,10 @@ async def serve_raw_fleet_async(
             route(gateway.end(vehicle))
         if async_mode:
             route(gateway.poll_sessions())
-        await asyncio.sleep(0)
     if async_mode:
         while gateway.pending_sessions:
             if gateway.pump() == 0:
-                await asyncio.sleep(poll_wait_s)
+                time.sleep(0.0005)
             route(gateway.poll_sessions())
         for sessions in sessions_of:
             # Bus completion order is per-shard, not per-vehicle; session
@@ -707,18 +704,3 @@ async def serve_raw_fleet_async(
             sessions.sort(key=lambda session: session.session_key[1])
     return [[session.result for session in sessions]
             for sessions in sessions_of]
-
-
-def serve_raw_fleet(
-    gateway: GpsGateway,
-    raw_trajectories: Sequence[RawTrajectory],
-    concurrency: int = 64,
-) -> List[List[DetectionResult]]:
-    """Synchronous :func:`serve_raw_fleet_async` — one ``asyncio.run`` deep.
-
-    Same rounds, same sessions, same labels (pinned by the differential
-    suites), for callers without an event loop. Works with either value of
-    ``async_sessions``.
-    """
-    return asyncio.run(serve_raw_fleet_async(gateway, raw_trajectories,
-                                             concurrency=concurrency))

@@ -207,7 +207,7 @@ class PreprocessingPipeline:
         a group the new trajectories join is extended by them; everything
         else is shared with the previous snapshot.
         Returns the new snapshot (publish it to running services with
-        :meth:`DetectionService.swap_history`).
+        :meth:`DetectionService.swap`).
         """
         self._store.extend(trajectories)
         return self._repin()

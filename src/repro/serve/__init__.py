@@ -6,9 +6,8 @@ deployable detector:
 * :class:`~repro.serve.service.DetectionService` — shard N concurrent
   vehicle streams across worker engines (in-process or one OS process per
   shard), with bounded ingest queues, an explicit backpressure signal, and
-  atomic control-plane hot-swap (``swap`` / ``swap_model`` /
-  ``swap_history``: weights, the versioned normal-route history, or both)
-  that never drops an in-flight stream.
+  atomic control-plane hot-swap (``swap``: weights, the versioned
+  normal-route history, or both) that never drops an in-flight stream.
 * :func:`~repro.serve.service.serve_fleet` — replay a trajectory workload
   through a service (the benchmark/differential-test driver).
 * :mod:`~repro.serve.checkpoint` — model persistence:
@@ -27,15 +26,13 @@ from .checkpoint import (CHECKPOINT_VERSION, clone_model, load_model,
 from .metrics import (BusStats, GatewayStats, ServiceMetrics, ShardStats,
                       metrics_to_registry)
 from .resultbus import BusCollector, ResultEnvelope, ShardResultBus
-from .service import (DetectionService, IngestStatus, serve_fleet,
-                      serve_fleet_async)
+from .service import DetectionService, IngestStatus, serve_fleet
 from .sharding import shard_of
 
 __all__ = [
     "DetectionService",
     "IngestStatus",
     "serve_fleet",
-    "serve_fleet_async",
     "ResultEnvelope",
     "ShardResultBus",
     "BusCollector",

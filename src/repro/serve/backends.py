@@ -172,9 +172,9 @@ class IngestEvent(NamedTuple):
 
     vehicle_id: Hashable
     segment: int
-    destination: Optional[int]
-    start_time_s: float
-    trajectory_id: Optional[int]
+    destination: Optional[int] = None
+    start_time_s: float = 0.0
+    trajectory_id: Optional[int] = None
     #: Sampled trace context riding this event (``None`` almost always).
     #: Stamped where the event is created; the shard observes the
     #: ``shard_queue`` stage when it dequeues the event.

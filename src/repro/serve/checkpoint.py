@@ -41,14 +41,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 #: Bump when the payload layout changes incompatibly.
 #: v2: the pipeline pins a versioned HistorySnapshot; ``history_version``
 #: is persisted explicitly and checked on load.
-#: v3: optional ``history_storage="archived"`` — the history corpus lives
+#: v3: ``history_storage`` — ``"archived"`` when the history corpus lives
 #: in a content-addressed :class:`~repro.history.HistoryArchive` and the
-#: checkpoint references it by version instead of embedding it; the v3
-#: reader still accepts v2 payloads (absent key == "embedded").
+#: checkpoint references it by version instead of embedding it. Only this
+#: version is read.
 CHECKPOINT_VERSION = 3
-
-#: Payload versions :func:`load_model` / :func:`model_from_bytes` accept.
-_READABLE_VERSIONS = (2, 3)
 
 _MAGIC = "repro-rl4oasd-checkpoint"
 
@@ -108,11 +105,10 @@ def _restore(payload: dict, archive=None) -> "RL4OASDModel":
     if not isinstance(payload, dict) or payload.get("magic") != _MAGIC:
         raise CheckpointError("not an RL4OASD checkpoint")
     version = payload.get("version")
-    if version not in _READABLE_VERSIONS:
+    if version != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"checkpoint version {version!r} is not supported "
-            f"(this build reads versions "
-            f"{', '.join(map(str, _READABLE_VERSIONS))})")
+            f"(this build reads version {CHECKPOINT_VERSION})")
     rsrnet = RSRNet(vocabulary_size=payload["vocabulary_size"],
                     config=payload["rsrnet_config"])
     rsrnet.load_state_dict(payload["rsrnet_state"])
@@ -120,8 +116,7 @@ def _restore(payload: dict, archive=None) -> "RL4OASDModel":
                     config=payload["asdnet_config"])
     asdnet.load_state_dict(payload["asdnet_state"])
     pipeline = payload["pipeline"]
-    # v2 payloads predate the key: their history is always embedded.
-    storage = payload.get("history_storage", "embedded")
+    storage = payload["history_storage"]
     if storage == "archived":
         if archive is None:
             raise CheckpointError(
@@ -196,7 +191,7 @@ def save_model(model: "RL4OASDModel", path: Union[str, Path],
 def load_model(path: Union[str, Path], archive=None) -> "RL4OASDModel":
     """Load a model checkpoint previously written by :func:`save_model`.
 
-    Reads both embedded (v2 and v3) and archived (v3) checkpoints;
+    Reads embedded and archived checkpoints of the current format;
     ``archive`` is required for — and only read by — the archived form.
     """
     path = Path(path)

@@ -18,14 +18,15 @@ single ingest facade:
   after :meth:`pump` (or a moment later, for the process backend whose
   workers run on their own clock). On either backend the queue is all the
   lead a producer can build: a shard steps a round before it buffers the
-  next. :meth:`ingest_blocking` wraps that loop.
+  next. :meth:`ingest_blocking`, :meth:`ingest_many` and
+  :meth:`finalize_async` run that retry loop for the caller — one loop.
 * **Snapshot isolation + hot-swap.** The service serves a *snapshot* of the
   model taken at construction (a deep clone in process memory, or a pickled
   blob shipped to worker processes). Callers keep fine-tuning their own
   model freely; :meth:`swap` pushes one atomic control-plane update — new
-  weights (:meth:`swap_model`), a new versioned normal-route history
-  snapshot (:meth:`swap_history`), or both — to every shard at a
-  deterministic boundary, without dropping a single in-flight stream. Each
+  weights, a new versioned normal-route history snapshot, or both — to
+  every shard at a deterministic boundary, without dropping a single
+  in-flight stream. Each
   point accepted before the swap is labeled by the old weights against the
   old history; streams opened after a history refresh label exactly like a
   service freshly built from the new snapshot, while streams in flight keep
@@ -41,24 +42,21 @@ single ingest facade:
   :class:`~repro.core.detector.DetectionResult` (sequence-numbered,
   at-least-once) and :meth:`poll_results` drains whole batches of finished
   work — no per-result round trip. This is what lets one driver multiplex
-  thousands of sessions: :func:`serve_fleet_async` ingests per-round
-  batches through :meth:`ingest_many` and collects completions off the bus.
+  thousands of sessions: :func:`serve_fleet` ingests per-round batches
+  through :meth:`ingest_many` and collects completions off the bus.
 
 :func:`serve_fleet` replays a trajectory workload through a service the way
 :func:`~repro.core.stream.replay_fleet` replays it through one engine —
-including the retry-on-backpressure discipline — and is what the throughput
-benchmark and the differential tests drive. It is a thin synchronous
-wrapper around :func:`serve_fleet_async` and label-identical to the
+including the retry-on-backpressure discipline — and is what the
+differential tests drive; it is label-identical to the
 round-trip-per-call driver it replaced.
 """
 
 from __future__ import annotations
 
-import asyncio
 import enum
 import time
-from typing import (Dict, Hashable, Iterator, List, Optional, Sequence,
-                    Tuple, Union)
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 from ..config import ObsConfig
 from ..core.detector import DetectionResult
@@ -274,20 +272,23 @@ class DetectionService:
                         **kwargs) -> int:
         """Ingest one point, riding out backpressure; returns retries used.
 
-        Between attempts the service is pumped (which is what relieves an
-        in-process queue) and, when pumping made no progress — the process
-        backend drains on its own clock — the caller sleeps briefly.
+        ``kwargs`` are :meth:`ingest`'s opening fields. The point is
+        validated once and queued as a batch of one through the retry loop
+        of :meth:`ingest_many` (:meth:`_deliver`).
         """
-        retries = 0
-        while not self.ingest(vehicle_id, segment, **kwargs).accepted:
-            retries += 1
-            if retries > max_retries:
-                raise ServiceError(
-                    f"shard queue for vehicle {vehicle_id!r} stayed full "
-                    f"after {max_retries} retries")
-            if self.pump() == 0:
-                time.sleep(retry_wait_s)
-        return retries
+        self._require_open_service()
+        event, opening = self._admit(
+            IngestEvent(vehicle_id, segment, **kwargs), ())
+
+        def delivered(shard: int, columns: tuple) -> None:
+            self._accepted += 1
+            if opening:
+                self._open[vehicle_id] = shard
+
+        return self._deliver(
+            {self.shard_for(vehicle_id): _pack_events((event,))},
+            self._backend.ingest_batch, delivered, max_retries, retry_wait_s,
+            "an ingest")
 
     def ingest_many(
         self,
@@ -307,8 +308,8 @@ class DetectionService:
         shard's group is queued as **one** batched command — on the process
         backend that is one IPC put per shard instead of one per point, which
         is what lets multi-shard ingest keep up with a fast producer (the
-        raw-GPS gateway). A full shard queue is retried with the
-        :meth:`ingest_blocking` discipline, each shard getting its own
+        raw-GPS gateway). A full shard queue is ridden out by
+        :meth:`_deliver`, each shard getting its own
         ``max_retries`` budget; a shard's batch is all-or-nothing, so no
         partial delivery can reorder a stream. If a shard exhausts its
         budget a ``ServiceError`` is raised, but batches already queued to
@@ -319,37 +320,10 @@ class DetectionService:
         if not requests:
             return 0
         by_shard, openers = self._plan_ingest(requests)
-        return self._deliver_blocking(
+        return self._deliver(
             by_shard, self._backend.ingest_batch,
             self._ingest_delivered(openers), max_retries, retry_wait_s,
             "a batched ingest")
-
-    async def ingest_many_async(
-        self,
-        requests: Sequence[IngestEvent],
-        max_retries: int = 10000,
-        retry_wait_s: float = 0.0005,
-    ) -> int:
-        """:meth:`ingest_many` for asyncio drivers.
-
-        Identical semantics — same validation, same per-shard all-or-nothing
-        batches, same retry budget (they share the delivery loop) — but the
-        backpressure wait is an ``await asyncio.sleep``, so a slow shard
-        stalls only this coroutine, not the whole event loop.
-        """
-        self._require_open_service()
-        if not requests:
-            return 0
-        by_shard, openers = self._plan_ingest(requests)
-        batches = self._deliver_batches(
-            by_shard, self._backend.ingest_batch,
-            self._ingest_delivered(openers), max_retries, "a batched ingest")
-        total_retries = 0
-        for _ in batches:
-            total_retries += 1
-            if self.pump() == 0:
-                await asyncio.sleep(retry_wait_s)
-        return total_retries
 
     def _plan_ingest(
         self, requests: Sequence[IngestEvent]
@@ -387,42 +361,33 @@ class DetectionService:
                 self._open[vehicle_id] = shard
         return delivered
 
-    def _deliver_batches(self, by_shard: Dict[int, List], send, delivered,
-                         max_retries: int, what: str) -> Iterator[None]:
-        """Drive per-shard all-or-nothing delivery; yields once per refusal.
+    def _deliver(self, by_shard: Dict[int, object], send, delivered,
+                 max_retries: int, retry_wait_s: float, what: str) -> int:
+        """Send each shard's batch all-or-nothing, riding out backpressure.
 
-        The retry *policy* (count the rejection, give up past the budget,
-        then pump-and-maybe-sleep before the next attempt) is shared by the
-        synchronous and asyncio callers — the caller's ``for`` body supplies
-        the wait primitive, so the two paths cannot drift apart. A shard's
-        batch is delivered exactly once; ``delivered`` runs immediately
-        after each delivery, before any later shard can fail.
+        The one retry loop of the facade. A refusal is counted
+        (``rejected_ingests``); past ``max_retries`` refusals of one shard
+        a ``ServiceError`` is raised, otherwise the service is pumped (which
+        is what relieves an in-process queue) and, when pumping made no
+        progress — the process backend drains on its own clock — the caller
+        sleeps ``retry_wait_s``. A shard's batch is delivered exactly once;
+        ``delivered`` runs right after each delivery, before any later
+        shard can fail. Returns the refusals ridden out.
         """
+        rejected_before = self._rejected
         for shard, batch in by_shard.items():
-            retries = 0
+            refusals = 0
             while not send(shard, batch):
                 self._rejected += 1
-                retries += 1
-                if retries > max_retries:
+                refusals += 1
+                if refusals > max_retries:
                     raise ServiceError(
                         f"shard {shard} queue stayed full after "
                         f"{max_retries} retries of {what}")
-                yield
+                if self.pump() == 0:
+                    time.sleep(retry_wait_s)
             delivered(shard, batch)
-
-    def _deliver_blocking(self, by_shard: Dict[int, List], send, delivered,
-                          max_retries: int, retry_wait_s: float,
-                          what: str) -> int:
-        """:meth:`_deliver_batches` for a caller that may block: after each
-        refusal pump, and sleep when pumping made no progress (the process
-        backend drains on its own clock). Returns retries used."""
-        retries = 0
-        for _ in self._deliver_batches(by_shard, send, delivered,
-                                       max_retries, what):
-            retries += 1
-            if self.pump() == 0:
-                time.sleep(retry_wait_s)
-        return retries
+        return self._rejected - rejected_before
 
     def _admit(self, request: IngestEvent, opening) -> Tuple[IngestEvent, bool]:
         """Validate one point and normalize it to its queued event.
@@ -495,16 +460,9 @@ class DetectionService:
         failing vehicles individually after fixing the cause.
         """
         self._require_open_service()
-        if len(set(vehicle_ids)) != len(vehicle_ids):
-            raise ServiceError("finalize_many got duplicate vehicle ids")
-        unknown = [v for v in vehicle_ids if v not in self._open]
-        if unknown:
-            raise ServiceError(f"no active stream for vehicles {unknown!r}")
-        by_shard: Dict[int, List[Hashable]] = {}
-        for vehicle_id in vehicle_ids:
-            by_shard.setdefault(self._open[vehicle_id], []).append(vehicle_id)
         results: Dict[Hashable, DetectionResult] = {}
-        for shard, vehicles in by_shard.items():
+        for shard, vehicles in self._plan_close(
+                vehicle_ids, "finalize_many").items():
             for vehicle_id, result in zip(
                     vehicles, self._backend.finalize(shard, vehicles)):
                 results[vehicle_id] = result
@@ -529,21 +487,11 @@ class DetectionService:
         destination the trip never reached — arrives as one ``"error"``
         envelope carrying the exception. The vehicles move from *open* to
         *pending* immediately (:attr:`results_pending`); a full shard queue
-        is ridden out with the :meth:`ingest_blocking` retry discipline.
+        is ridden out by :meth:`_deliver`, as for :meth:`ingest_many`.
         Returns retries used.
         """
         self._require_open_service()
-        vehicle_ids = list(vehicle_ids)
-        if not vehicle_ids:
-            return 0
-        if len(set(vehicle_ids)) != len(vehicle_ids):
-            raise ServiceError("finalize_async got duplicate vehicle ids")
-        unknown = [v for v in vehicle_ids if v not in self._open]
-        if unknown:
-            raise ServiceError(f"no active stream for vehicles {unknown!r}")
-        by_shard: Dict[int, List[Hashable]] = {}
-        for vehicle_id in vehicle_ids:
-            by_shard.setdefault(self._open[vehicle_id], []).append(vehicle_id)
+        by_shard = self._plan_close(vehicle_ids, "finalize_async")
 
         def delivered(shard: int, ids: List[Hashable]) -> None:
             self._async_finalizes += 1
@@ -551,9 +499,27 @@ class DetectionService:
                 del self._open[vehicle_id]
                 self._pending_results[vehicle_id] = shard
 
-        return self._deliver_blocking(
+        return self._deliver(
             by_shard, self._backend.finalize_async, delivered,
             max_retries, retry_wait_s, "an async finalize")
+
+    def _plan_close(self, vehicle_ids: Sequence[Hashable],
+                    verb: str) -> Dict[int, List[Hashable]]:
+        """Validate streams to close and group them per shard, in order.
+
+        Shared by :meth:`finalize_many` and :meth:`finalize_async`, whose
+        name ``verb`` puts in the error text: duplicate ids and vehicles
+        without an open stream are refused before anything is sent.
+        """
+        if len(set(vehicle_ids)) != len(vehicle_ids):
+            raise ServiceError(f"{verb} got duplicate vehicle ids")
+        unknown = [v for v in vehicle_ids if v not in self._open]
+        if unknown:
+            raise ServiceError(f"no active stream for vehicles {unknown!r}")
+        by_shard: Dict[int, List[Hashable]] = {}
+        for vehicle_id in vehicle_ids:
+            by_shard.setdefault(self._open[vehicle_id], []).append(vehicle_id)
+        return by_shard
 
     @property
     def results_pending(self) -> int:
@@ -733,34 +699,6 @@ class DetectionService:
                 self._swap_payload_bytes += len(
                     snapshot_to_bytes(history_snapshot))
         return self._model_version, self._history_version
-
-    def swap_model(
-        self, model: Union[RL4OASDModel, WeightsSnapshot]
-    ) -> int:
-        """Push new weights to every shard; returns the new model version.
-
-        Shorthand for ``swap(weights=model)`` — see :meth:`swap` for the
-        atomicity and in-flight-stream guarantees. The history each shard
-        resolves against is untouched; pair with :meth:`swap_history` (or
-        one combined :meth:`swap`) to roll both forward.
-        """
-        return self.swap(weights=model)[0]
-
-    def swap_history(
-        self, history: Union[RL4OASDModel, PreprocessingPipeline,
-                             RouteHistoryStore, HistorySnapshot]
-    ) -> int:
-        """Hot-refresh the normal-route history on every shard, atomically.
-
-        Shorthand for ``swap(history=history)``; returns the new history
-        version. Closes the last "rebuild the world" gap of the serving
-        story: after this call the service labels exactly like a service
-        freshly built from the given snapshot — for every stream *opened
-        after* the refresh — while streams in flight keep the snapshot they
-        opened with and finalize exactly like the pre-refresh service
-        (pinned by ``tests/test_history_refresh.py``).
-        """
-        return self.swap(history=history)[1]
 
     def _coerce_history(
         self, history
@@ -987,29 +925,27 @@ class DetectionService:
             raise ServiceError("the detection service is closed")
 
 
-async def serve_fleet_async(
+def serve_fleet(
     service: DetectionService,
     trajectories: Sequence[MatchedTrajectory],
     concurrency: int = 64,
     max_retries: int = 10000,
-    retry_wait_s: float = 0.0005,
 ) -> List[DetectionResult]:
-    """Replay trajectories through a service as one asyncio fleet driver.
+    """Replay trajectories through a service as one fleet driver.
 
     The service-side twin of :func:`~repro.core.stream.replay_fleet`, built
     on the amortized paths end to end: up to ``concurrency`` trips in
     flight, each round's points (openers included) delivered as **one**
-    :meth:`~DetectionService.ingest_many_async` call — per-shard batches,
-    one queue/IPC message each — finished trips closed fire-and-forget
+    :meth:`~DetectionService.ingest_many` call — per-shard batches, one
+    queue/IPC message each — finished trips closed fire-and-forget
     through :meth:`~DetectionService.finalize_async`, and completions
     collected off the results bus with :meth:`~DetectionService.
     poll_results`, so no finalize ever blocks the ingest loop. Backpressure
     is ridden out with the shared retry discipline; a bounded queue slows
-    the replay down but never loses a stream. Yields to the event loop once
-    per round, so several drivers (or other coroutines) can share a loop.
-    Results arrive in input order and carry the caller's original
-    trajectory objects; a shard-side finalize failure is raised here, as
-    the synchronous driver would have raised it.
+    the replay down but never loses a stream. Results arrive in input
+    order (label-identical to the engine replay) and carry the caller's
+    original trajectory objects; a shard-side finalize failure is raised
+    here.
     """
     if concurrency < 1:
         raise ServiceError("concurrency must be positive")
@@ -1035,19 +971,16 @@ async def serve_fleet_async(
         for vehicle, (index, cursor) in active.items():
             segments = trajectories[index].segments
             if cursor < len(segments):
-                events.append(IngestEvent(vehicle, segments[cursor],
-                                          None, 0.0, None))
+                events.append(IngestEvent(vehicle, segments[cursor]))
                 active[vehicle] = (index, cursor + 1)
             else:
                 finished.append(vehicle)
         if events:
-            await service.ingest_many_async(events, max_retries=max_retries,
-                                            retry_wait_s=retry_wait_s)
+            service.ingest_many(events, max_retries=max_retries)
         if finished:
             for vehicle in finished:
                 del active[vehicle]
-            service.finalize_async(finished, max_retries=max_retries,
-                                   retry_wait_s=retry_wait_s)
+            service.finalize_async(finished, max_retries=max_retries)
             outstanding += len(finished)
         service.pump()
         arrived = service.poll_results()
@@ -1059,27 +992,8 @@ async def serve_fleet_async(
             result.trajectory = trajectories[index]
             results[index] = result
             outstanding -= 1
-        if events or arrived:
-            await asyncio.sleep(0)
-        else:
+        if not (events or arrived):
             # Only waiting on shards (process backend workers finalize on
             # their own clock): idle briefly instead of spinning the poll.
-            await asyncio.sleep(retry_wait_s)
+            time.sleep(0.0005)
     return results  # type: ignore[return-value]
-
-
-def serve_fleet(
-    service: DetectionService,
-    trajectories: Sequence[MatchedTrajectory],
-    concurrency: int = 64,
-    max_retries: int = 10000,
-) -> List[DetectionResult]:
-    """Synchronous :func:`serve_fleet_async` — one ``asyncio.run`` deep.
-
-    Same driver, same batched ingest and bus-collected finalizes, same
-    results (label-identical to the engine replay and in input order);
-    kept for callers without an event loop.
-    """
-    return asyncio.run(serve_fleet_async(
-        service, trajectories, concurrency=concurrency,
-        max_retries=max_retries))

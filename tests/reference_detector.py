@@ -15,7 +15,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.core.detector import apply_delayed_labeling, apply_rnel
+from repro.core.decision import apply_rnel
+from repro.core.detector import apply_delayed_labeling
 from repro.trajectory.models import MatchedTrajectory
 
 

@@ -23,7 +23,7 @@ import numpy as np
 from repro.config import TrainingConfig
 from repro.core import ASDNet, RSRNet, TrainingReport
 from repro.core.asdnet import Episode
-from repro.core.detector import apply_rnel
+from repro.core.decision import apply_rnel
 from repro.core.rewards import episode_return, global_reward, local_reward
 from repro.eval.metrics import evaluate_labelings
 from repro.labeling.features import PreprocessedTrajectory, PreprocessingPipeline

@@ -16,9 +16,8 @@ import pytest
 from repro.config import (ASDNetConfig, LabelingConfig, RSRNetConfig,
                           TrainingConfig)
 from repro.core import OnlineLearner, RL4OASDTrainer, TrainingReport
-from repro.core.decision import choose, sample_labels
-from repro.core.detector import (apply_rnel, rnel_from_degrees,
-                                 rnel_from_degrees_batch)
+from repro.core.decision import (apply_rnel, choose, rnel_from_degrees,
+                                 rnel_from_degrees_batch, sample_labels)
 from repro.exceptions import ConfigurationError, ModelError
 from repro.nn import (LSTM, cosine_similarity, cosine_similarity_rows,
                       cross_entropy_from_logits,

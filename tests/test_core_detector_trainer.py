@@ -6,8 +6,8 @@ import pytest
 
 from repro.config import ASDNetConfig, LabelingConfig, RSRNetConfig, TrainingConfig
 from repro.core import OnlineDetector, OnlineLearner, RL4OASDTrainer
-from repro.core.detector import (apply_delayed_labeling, apply_rnel,
-                                 rnel_from_degrees)
+from repro.core.decision import apply_rnel, rnel_from_degrees
+from repro.core.detector import apply_delayed_labeling
 from repro.eval import evaluate_detector, measure_detector
 from repro.exceptions import ModelError, NotFittedError
 from repro.history import clone_snapshot

@@ -9,7 +9,7 @@ instead of corrupting a shard. Around that: delta algebra (apply, merge,
 chain retention, gapped/out-of-order rejection), the durable
 content-addressed :class:`~repro.history.HistoryArchive` (save → load →
 serve parameter- and label-exact, blob sharing, gc, integrity), checkpoint
-format v3 (archived history + v2 payloads through the v3 reader), the
+format v3 (archived history; older versions refused), the
 learner publishing deltas, the scheduled roll-forward driver, and — by the
 ``derivations`` counters — what a refresh does *not* do: derive again, on a
 warm shard or a warm trainer, anything it already held.
@@ -182,12 +182,12 @@ def test_delta_swap_matches_full_swap_and_fresh_build(
         pipeline.extend_history(second)
 
         # Delta path: the pipeline exposes the store, both extends chain.
-        delta_svc.swap_history(pipeline)
+        delta_svc.swap(history=pipeline)
         assert delta_svc.metrics().delta_swaps == 1
         assert delta_svc.metrics().full_swaps == 0
         # Full path: a cloned bare snapshot has neither store nor origin
         # delta, so the facade must broadcast the whole corpus.
-        full_svc.swap_history(clone_snapshot(pipeline.history))
+        full_svc.swap(history=clone_snapshot(pipeline.history))
         assert full_svc.metrics().full_swaps == 1
         assert full_svc.metrics().delta_swaps == 0
         assert delta_svc.history_version == full_svc.history_version
@@ -234,12 +234,12 @@ def test_swap_falls_back_to_full_on_unknown_base_then_resumes(
         # and without the store there is no chain to merge.
         pipeline.extend_history(first)
         pipeline.extend_history(second)
-        svc.swap_history(clone_snapshot(pipeline.history))
+        svc.swap(history=clone_snapshot(pipeline.history))
         metrics = svc.metrics()
         assert metrics.full_swaps == 1 and metrics.delta_swaps == 0
         # The full swap re-synchronized every shard: deltas resume.
         pipeline.extend_history(third)
-        svc.swap_history(pipeline)
+        svc.swap(history=pipeline)
         metrics = svc.metrics()
         assert metrics.delta_swaps == 1
         assert svc.history_version == pipeline.history.version
@@ -264,7 +264,7 @@ def test_swap_via_store_with_evicted_chain_uses_full_form(
         pipeline.extend_history(first)
         pipeline.extend_history(second)
         pipeline.store._deltas.clear()  # simulate eviction/restart
-        svc.swap_history(pipeline)
+        svc.swap(history=pipeline)
         metrics = svc.metrics()
         assert metrics.full_swaps == 1 and metrics.delta_swaps == 0
     finally:
@@ -548,34 +548,16 @@ def test_checkpoint_v3_archived_history_round_trip(tmp_path, trained_model,
             assert a.labels == b.labels
 
 
-def test_v2_checkpoint_loads_through_v3_reader(tmp_path, trained_model,
-                                               dataset_split):
-    """Migration pin: a pre-delta-plane (v2) checkpoint still loads."""
+@pytest.mark.parametrize("version", [2, 99])
+def test_unreadable_checkpoint_versions_are_rejected(tmp_path, trained_model,
+                                                     version):
+    """Only the current format is read: a pre-delta-plane v2 payload is
+    refused like any unknown version."""
     assert CHECKPOINT_VERSION == 3
-    path = tmp_path / "legacy.ckpt"
+    path = tmp_path / "other.ckpt"
     save_model(trained_model, path)
     payload = pickle.loads(path.read_bytes())
-    payload["version"] = 2
-    del payload["history_storage"]  # the key v2 never wrote
-    legacy = tmp_path / "v2.ckpt"
-    legacy.write_bytes(pickle.dumps(payload))
-
-    model = load_model(legacy)
-    assert model.pipeline.history.version == \
-        trained_model.pipeline.history.version
-    fleet = service_fleet(dataset_split)
-    detector_old = trained_model.detector()
-    detector_new = model.detector()
-    for trajectory in fleet:
-        assert (detector_new.detect(trajectory).labels
-                == detector_old.detect(trajectory).labels)
-
-
-def test_unreadable_checkpoint_versions_are_rejected(tmp_path, trained_model):
-    path = tmp_path / "future.ckpt"
-    save_model(trained_model, path)
-    payload = pickle.loads(path.read_bytes())
-    payload["version"] = 99
+    payload["version"] = version
     path.write_bytes(pickle.dumps(payload))
     with pytest.raises(CheckpointError, match="not supported"):
         load_model(path)

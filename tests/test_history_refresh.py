@@ -1,7 +1,7 @@
 """Differential tests of the atomic fleet-wide history hot-refresh.
 
 The acceptance bar (the tentpole's differential pin): a service whose
-history was refreshed via :meth:`DetectionService.swap_history` to snapshot
+history was refreshed via :meth:`DetectionService.swap` to snapshot
 ``S`` is *label-identical* to a service freshly built from ``S`` — across
 shard counts and both backends — for every stream opened after the refresh,
 while streams in flight across the refresh boundary label exactly like the
@@ -88,7 +88,7 @@ def assert_results_match(reference, result):
                                                 ("process", 2)])
 def test_swap_history_matches_fresh_build_with_streams_in_flight(
         trained_model, drift, backend, num_shards):
-    """Acceptance: after ``swap_history(S)`` the service is label-identical
+    """Acceptance: after ``swap(history=S)`` the service is label-identical
     to a fresh build from S for post-refresh streams, while streams that
     crossed the boundary in flight match the *pre*-refresh build."""
     refreshed, fleet = drift
@@ -118,7 +118,7 @@ def test_swap_history_matches_fresh_build_with_streams_in_flight(
         assert service.history_version == trained_model.pipeline.history.version
         in_flight_ids = open_streams(in_flight, "a", declare=False,
                                      ingest=service.ingest_blocking)
-        new_version = service.swap_history(refreshed)
+        new_version = service.swap(history=refreshed)[1]
         assert new_version == refreshed.version
         after_ids = open_streams(after, "b", declare=True,
                                  ingest=service.ingest_blocking)
@@ -200,7 +200,7 @@ def test_streams_opened_after_refresh_resolve_new_normal_routes(
     refreshed, fleet = drift
     fresh_detector = trained_model.with_history(refreshed).detector()
     with trained_model.detection_service(num_shards=2) as service:
-        service.swap_history(refreshed)
+        service.swap(history=refreshed)
         trajectory = fleet[0]
         for position, segment in enumerate(trajectory.segments):
             if position == 0:
@@ -257,14 +257,14 @@ def test_swap_validation_and_rejection_leaves_service_intact(trained_model,
         with pytest.raises(ServiceError):
             service.swap()  # neither weights nor history
         with pytest.raises(ServiceError):
-            service.swap_history("bogus")
+            service.swap(history="bogus")
         mismatched = HistorySnapshot.build(test[:5], slots_per_day=12)
         with pytest.raises(ServiceError):
-            service.swap_history(mismatched)
+            service.swap(history=mismatched)
         unknown = HistorySnapshot.build(
             [MatchedTrajectory(1, [10 ** 9, 10 ** 9 + 1])], slots_per_day=24)
         with pytest.raises(LabelingError):
-            service.swap_history(unknown)
+            service.swap(history=unknown)
         assert service.history_version == before
         assert service.metrics().history_refreshes == 0
         # The in-flight stream survived every rejected swap.
@@ -273,16 +273,16 @@ def test_swap_validation_and_rejection_leaves_service_intact(trained_model,
 
 def test_swap_history_coerces_model_pipeline_and_store(trained_model,
                                                        dataset_split):
-    """swap_history accepts the snapshot's natural carriers directly."""
+    """swap(history=...) accepts the snapshot's natural carriers directly."""
     train, _, _ = dataset_split
     model = clone_model(trained_model)
     model.pipeline.extend_history(train[:20])
     expected = model.pipeline.history.version
     with trained_model.detection_service(num_shards=1) as service:
-        assert service.swap_history(model) == expected
-        assert service.swap_history(model.pipeline) == expected
-        assert service.swap_history(model.pipeline.store) == expected
-        assert service.swap_history(model.pipeline.history) == expected
+        assert service.swap(history=model)[1] == expected
+        assert service.swap(history=model.pipeline)[1] == expected
+        assert service.swap(history=model.pipeline.store)[1] == expected
+        assert service.swap(history=model.pipeline.history)[1] == expected
         assert service.metrics().history_refreshes == 4
 
 

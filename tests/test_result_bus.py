@@ -253,7 +253,7 @@ def run_async_finalize_trial(service, model, pool, references, rng, base,
         if rng.random() < 0.1:
             service.replay_results()  # at-least-once: must change nothing
         if rng.random() < 0.05:
-            service.swap_model(weights_snapshot(model))  # identical weights
+            service.swap(weights=weights_snapshot(model))  # identical weights
         if rng.random() < 0.3:
             absorb(service.poll_results())
     absorb(service.drain_results())

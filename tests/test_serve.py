@@ -17,8 +17,7 @@ from repro.config import ServeConfig
 from repro.exceptions import (ConfigurationError, LabelingError, ModelError,
                               ServiceError, TrajectoryError)
 from repro.serve import (DetectionService, IngestEvent, IngestStatus,
-                         clone_model, serve_fleet, serve_fleet_async,
-                         shard_of, weights_snapshot)
+                         clone_model, serve_fleet, shard_of, weights_snapshot)
 from repro.trajectory.ops import interleave_streams
 
 
@@ -156,7 +155,7 @@ def test_hot_swap_mid_run_matches_single_engine(trained_model, dataset_split,
             queue_depth=64) as service:
         results = drive(service.ingest_blocking, service.pump,
                         service.finalize_many,
-                        lambda: service.swap_model(snapshot))
+                        lambda: service.swap(weights=snapshot))
         assert service.model_version == 2
     for before, after in zip(reference, results):
         assert_results_match(before, after)
@@ -175,9 +174,9 @@ def test_swap_rejects_mismatched_snapshot(trained_model, dataset_split):
         bad = weights_snapshot(trained_model)
         bad["rsrnet"] = {"nope": np.zeros(3)}
         with pytest.raises(ModelError):
-            service.swap_model(bad)
+            service.swap(weights=bad)
         with pytest.raises(ServiceError):
-            service.swap_model({"rsrnet": bad["rsrnet"]})  # missing asdnet
+            service.swap(weights={"rsrnet": bad["rsrnet"]})  # missing asdnet
         assert service.model_version == 1
         # The in-flight stream survived the rejected swaps.
         assert service.active_vehicles == ["cab"]
@@ -237,6 +236,65 @@ def test_queue_depth_counts_commands_and_a_scrape_is_read_only(trained_model,
         shard = service.metrics().shards[0]
         assert shard.queue_depth == 0
         assert shard.pending_points + shard.points_processed == 10
+
+
+@pytest.mark.parametrize("verb", ["ingest_blocking", "ingest_many",
+                                  "finalize_async"])
+def test_delivery_loop_gives_up_on_a_stalled_queue(trained_model,
+                                                   dataset_split, monkeypatch,
+                                                   verb):
+    """The one retry loop behind ingest_blocking, ingest_many and
+    finalize_async: against a one-command queue that never drains, each
+    raises after exactly ``max_retries + 1`` refusals, queues nothing,
+    counts every refusal and leaves the stream bookkeeping untouched."""
+    _, _, test = dataset_split
+    trajectory = test[0]
+    max_retries = 3
+    with trained_model.detection_service(
+            num_shards=1, backend="inprocess", queue_depth=1) as service:
+        service.ingest_blocking("open", trajectory.segments[0],
+                                destination=trajectory.destination)
+        service.pump()
+        assert service.ingest("filler", trajectory.segments[0]).accepted
+        backend = service._backend
+        offers = []
+
+        def counted(send):
+            def offer(shard, batch):
+                offers.append(send(shard, batch))
+                return offers[-1]
+            return offer
+
+        monkeypatch.setattr(backend, "ingest_batch",
+                            counted(backend.ingest_batch))
+        monkeypatch.setattr(backend, "finalize_async",
+                            counted(backend.finalize_async))
+        monkeypatch.setattr(service, "pump", lambda: 0)  # the shard stalls
+        calls = {
+            "ingest_blocking": lambda: service.ingest_blocking(
+                "cab", trajectory.segments[0], max_retries=max_retries,
+                retry_wait_s=0.0, destination=trajectory.destination),
+            "ingest_many": lambda: service.ingest_many(
+                [IngestEvent("cab", trajectory.segments[0],
+                             trajectory.destination)],
+                max_retries=max_retries, retry_wait_s=0.0),
+            "finalize_async": lambda: service.finalize_async(
+                ["open"], max_retries=max_retries, retry_wait_s=0.0),
+        }
+        before = service.metrics()
+        with pytest.raises(ServiceError, match="stayed full after 3 retries"):
+            calls[verb]()
+        after = service.metrics()
+        assert offers == [False] * (max_retries + 1)
+        assert after.rejected_ingests - before.rejected_ingests == len(offers)
+        assert after.accepted_ingests == before.accepted_ingests
+        assert after.shards[0].queue_depth == 1  # the filler, nothing more
+        assert service.active_vehicles == ["open", "filler"]
+        assert service.results_pending == 0
+        # Once the shard drains again, the same call goes through.
+        monkeypatch.undo()
+        calls[verb]()
+        assert service.results_pending == (verb == "finalize_async")
 
 
 def test_ingest_status_truthiness():
@@ -517,7 +575,7 @@ def test_rejected_swap_keeps_process_protocol_usable(trained_model,
         name = next(iter(bad["rsrnet"]))
         bad["rsrnet"][name] = np.zeros((1, 1))
         with pytest.raises(ModelError):
-            service.swap_model(bad)
+            service.swap(weights=bad)
         assert service.model_version == 1
         # The service (and every shard) still answers requests in order.
         metrics = service.metrics()
@@ -551,7 +609,7 @@ def test_deferred_streams_across_swap_match_single_engine(trained_model,
             for segment in trajectory.segments:
                 service.ingest_blocking(index, segment)
         service.drain()
-        service.swap_model(snapshot)
+        service.swap(weights=snapshot)
         results = service.finalize_many(list(range(len(fleet))))
     for before, after in zip(reference, results):
         assert_results_match(before, after)
@@ -594,11 +652,9 @@ def test_learner_skips_closed_services(dataset, dataset_split):
                                                 (2, "process")])
 def test_async_driver_matches_synchronous_path(trained_model, dataset_split,
                                                num_shards, backend):
-    """Satellite pin: the asyncio fleet driver — batched ingest, bus-closed
-    streams — is label-identical to the synchronous ingest_blocking /
-    finalize_many path, across shard counts and both backends."""
-    import asyncio
-
+    """The fleet driver — batched ingest, bus-closed streams — is
+    label-identical to the per-point ingest_blocking / finalize_many path,
+    across shard counts and both backends."""
     _, development, test = dataset_split
     fleet = (list(test) + list(development))[:16]
     rng = np.random.default_rng(num_shards)
@@ -609,8 +665,7 @@ def test_async_driver_matches_synchronous_path(trained_model, dataset_split,
     with trained_model.detection_service(
             num_shards=num_shards, backend=backend,
             queue_depth=64) as service:
-        results = asyncio.run(serve_fleet_async(service, fleet,
-                                                concurrency=8))
+        results = serve_fleet(service, fleet, concurrency=8)
         metrics = service.metrics()
     for before, after in zip(reference, results):
         assert_results_match(before, after)
@@ -622,18 +677,3 @@ def test_async_driver_matches_synchronous_path(trained_model, dataset_split,
     assert metrics.results_duplicates == 0
     assert metrics.bus_lag == 0
     assert sum(stats.published for stats in metrics.bus) == len(fleet)
-
-
-def test_sync_serve_fleet_is_the_async_driver(trained_model, dataset_split):
-    """serve_fleet is a thin wrapper: same results object for object."""
-    import asyncio
-
-    _, _, test = dataset_split
-    fleet = test[:4]
-    with trained_model.detection_service(num_shards=2) as service:
-        sync_results = serve_fleet(service, fleet, concurrency=4)
-    with trained_model.detection_service(num_shards=2) as service:
-        async_results = asyncio.run(serve_fleet_async(service, fleet,
-                                                      concurrency=4))
-    for before, after in zip(sync_results, async_results):
-        assert_results_match(before, after)

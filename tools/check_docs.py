@@ -47,11 +47,10 @@ PUBLIC_SURFACE = {
     "repro.core.rsrnet": ["RSRNet"],
     "repro.core.stream": ["StreamEngine", "SegmentFeatureCache"],
     "repro.core.online": ["OnlineLearner", "FineTuneRecord"],
-    "repro.core.detector": ["OnlineDetector", "rnel_from_degrees_batch",
-                            "finish_labels"],
+    "repro.core.detector": ["OnlineDetector", "finish_labels"],
     "repro.core.decision": ["label_route", "policy_choices", "choose",
                             "sample_labels", "rnel_from_degrees",
-                            "apply_rnel"],
+                            "rnel_from_degrees_batch", "apply_rnel"],
     "repro.serve": [
         "DetectionService", "IngestStatus", "serve_fleet", "shard_of",
         "ServiceMetrics", "ShardStats", "save_model", "load_model",
