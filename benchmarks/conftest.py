@@ -13,9 +13,7 @@ stdout (visible with ``pytest -s``).
 
 from __future__ import annotations
 
-import json
 import os
-import sys
 from pathlib import Path
 
 import pytest
@@ -49,53 +47,6 @@ def record_result(name: str, text: str) -> Path:
     path.write_text(text + "\n", encoding="utf-8")
     print(f"\n{text}\n[written to {path}]")
     return path
-
-
-def json_safe(value):
-    """Recursively convert a benchmark result into JSON-encodable values.
-
-    Reports and metrics objects are folded through their ``as_dict()``;
-    numpy scalars through ``item()``; anything else unserializable becomes
-    its ``str()`` so a payload never fails to record.
-    """
-    if hasattr(value, "as_dict"):
-        return json_safe(value.as_dict())
-    if isinstance(value, dict):
-        return {str(key): json_safe(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple, set)):
-        return [json_safe(item) for item in value]
-    if isinstance(value, (bool, int, float, str)) or value is None:
-        return value
-    if hasattr(value, "item"):  # numpy scalar
-        return value.item()
-    return str(value)
-
-
-def record_json(name: str, payload, path: Path | None = None) -> Path:
-    """Write a machine-readable benchmark result next to results/*.txt."""
-    path = path if path is not None else RESULTS_DIR / f"{name}.json"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(json_safe(payload), indent=2, sort_keys=True)
-                    + "\n", encoding="utf-8")
-    print(f"[json written to {path}]")
-    return path
-
-
-def maybe_record_json(name: str, payload, argv=None) -> Path | None:
-    """Honor a ``--json [out.json]`` flag on a benchmark's command line.
-
-    Bare ``--json`` writes ``benchmarks/results/<name>.json``; with a
-    following path argument it writes there instead. Returns the written
-    path, or ``None`` when the flag is absent.
-    """
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if "--json" not in argv:
-        return None
-    index = argv.index("--json")
-    explicit = None
-    if index + 1 < len(argv) and not argv[index + 1].startswith("-"):
-        explicit = Path(argv[index + 1])
-    return record_json(name, payload, path=explicit)
 
 
 @pytest.fixture(scope="session")

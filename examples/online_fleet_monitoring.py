@@ -16,8 +16,10 @@ Run with::
     python examples/online_fleet_monitoring.py
 """
 
+import time
+
 from repro.core import replay_fleet
-from repro.eval import evaluate_detector, measure_throughput
+from repro.eval import evaluate_detector
 from repro.experiments.common import (
     ExperimentSettings,
     prepare_city,
@@ -43,10 +45,9 @@ def main() -> None:
     print(f"monitoring {len(split.test)} trips as a fleet "
           f"({CONCURRENCY} concurrent streams) ...")
     engine = model.stream_engine()
-    fleet, fleet_results = measure_throughput(
-        lambda: replay_fleet(engine, split.test, concurrency=CONCURRENCY),
-        total_points, name=f"StreamEngine x{CONCURRENCY}",
-        num_trajectories=len(split.test))
+    started = time.perf_counter()
+    fleet_results = replay_fleet(engine, split.test, concurrency=CONCURRENCY)
+    fleet_seconds = time.perf_counter() - started
 
     alerts = 0
     for trajectory, result in zip(split.test, fleet_results):
@@ -66,13 +67,16 @@ def main() -> None:
           f"({engine.cache.hit_rate:.1%} hit rate)\n")
 
     print("replaying the same trips one stream at a time ...")
-    single, _ = measure_throughput(
-        lambda: [detector.detect(trajectory) for trajectory in split.test],
-        total_points, name="OnlineDetector", num_trajectories=len(split.test))
+    started = time.perf_counter()
+    for trajectory in split.test:
+        detector.detect(trajectory)
+    single_seconds = time.perf_counter() - started
 
-    print(f"  {single.format()}")
-    print(f"  {fleet.format()}")
-    print(f"  fleet speedup: {fleet.speedup_over(single):.2f}x")
+    for name, seconds in (("OnlineDetector", single_seconds),
+                          (f"StreamEngine x{CONCURRENCY}", fleet_seconds)):
+        print(f"  {name}: {total_points} points in {seconds:.3f}s = "
+              f"{total_points / seconds:,.0f} points/sec")
+    print(f"  fleet speedup: {single_seconds / fleet_seconds:.2f}x")
 
 
 if __name__ == "__main__":

@@ -274,22 +274,18 @@ class ObsConfig:
     hot path — no context is ever allocated. ``keep_spans`` retains up to
     ``max_spans`` individual :class:`~repro.obs.Span` records per tracer
     for the JSONL export (stage histograms are always recorded for traced
-    fixes, spans are the optional detail). ``queue_wait_cap`` bounds the
-    always-on shard queue-wait reservoir (one sample per delivered ingest
-    command, mirroring the matcher's commit-lag reservoir).
+    fixes, spans are the optional detail).
     """
 
     trace_sample_rate: float = 0.0
     trace_seed: int = 0x0B5
     keep_spans: bool = True
     max_spans: int = 10_000
-    queue_wait_cap: int = 4096
 
     def validate(self) -> "ObsConfig":
         _require(0.0 <= self.trace_sample_rate <= 1.0,
                  "trace_sample_rate must be in [0, 1]")
         _require(self.max_spans >= 0, "max_spans must be >= 0")
-        _require(self.queue_wait_cap >= 1, "queue_wait_cap must be >= 1")
         return self
 
 

@@ -9,8 +9,7 @@ online form of the same algorithm is :class:`~repro.core.stream.StreamEngine`.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -32,16 +31,14 @@ class DetectionResult:
     """Outcome of detecting one trajectory.
 
     ``labels`` holds the per-segment 0/1 decisions, ``subtrajectories`` the
-    maximal anomalous spans, ``per_point_seconds`` the wall-clock cost of each
-    online step (used by the efficiency experiments), and ``is_anomalous``
-    says whether anything anomalous was found at all (the NORMAL signal of
-    Algorithm 1 corresponds to ``is_anomalous == False``).
+    maximal anomalous spans, and ``is_anomalous`` says whether anything
+    anomalous was found at all (the NORMAL signal of Algorithm 1 corresponds
+    to ``is_anomalous == False``).
     """
 
     trajectory: MatchedTrajectory
     labels: List[int]
     subtrajectories: List[Subtrajectory]
-    per_point_seconds: List[float] = field(default_factory=list)
 
     @property
     def is_anomalous(self) -> bool:
@@ -50,10 +47,6 @@ class DetectionResult:
     @property
     def spans(self) -> List[Tuple[int, int]]:
         return subtrajectory_spans(self.labels)
-
-    @property
-    def total_seconds(self) -> float:
-        return float(sum(self.per_point_seconds))
 
 
 def apply_delayed_labeling(labels: Sequence[int], window: int) -> List[int]:
@@ -137,46 +130,31 @@ class OnlineDetector:
         self._rng = None if greedy else np.random.default_rng(seed)
 
     # ------------------------------------------------------------ detection
-    def detect(self, trajectory: MatchedTrajectory,
-               record_timing: bool = False) -> DetectionResult:
-        """Label every segment of ``trajectory``.
-
-        With ``record_timing`` the result carries one entry per point that
-        sum to the call's measured time: an equal share of the recurrence
-        for each point it stepped (all but the destination) plus an equal
-        share of everything else.
-        """
-        started = time.perf_counter()
+    def detect(self, trajectory: MatchedTrajectory) -> DetectionResult:
+        """Label every segment of ``trajectory``."""
         segments = trajectory.segments
         n = len(segments)
         if n == 0:
             raise ModelError("cannot detect on an empty trajectory")
         allowed = self._pipeline.normal_transitions_for(trajectory)
         tokens = self._pipeline.vocabulary.tokens(segments)
-        hidden, stepped = (), 0.0
+        hidden = ()
         if n > 2:
             # Nothing reads the destination's hidden state (nor, on a route
             # without interior points, anyone's).
-            stepping = time.perf_counter()
             hidden = self._rsrnet.hidden_states(tokens[:-1])
-            stepped = time.perf_counter() - stepping
         degrees = (self._pipeline.rnel_degrees(tokens)
                    if self._use_rnel else None)
         labels = finish_labels(
             label_route(segments, hidden, allowed, degrees, self._rsrnet,
                         self._asdnet, self._rng),
             self._delay_window)
-        result = DetectionResult(
+        return DetectionResult(
             trajectory=trajectory,
             labels=labels,
             subtrajectories=split_by_labels(trajectory, labels),
         )
-        if record_timing:
-            share = (time.perf_counter() - started - stepped) / n
-            step = stepped / max(n - 1, 1)
-            result.per_point_seconds = [share + step] * (n - 1) + [share]
-        return result
 
-    def detect_many(self, trajectories: Sequence[MatchedTrajectory],
-                    record_timing: bool = False) -> List[DetectionResult]:
-        return [self.detect(trajectory, record_timing) for trajectory in trajectories]
+    def detect_many(self, trajectories: Sequence[MatchedTrajectory]
+                    ) -> List[DetectionResult]:
+        return [self.detect(trajectory) for trajectory in trajectories]

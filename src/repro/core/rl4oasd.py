@@ -27,8 +27,8 @@ step (:meth:`~repro.core.rsrnet.RSRNet.train_step_batch`) per batch. At
 REINFORCE update and one RSRNet gradient step per trajectory, in sample
 order — and ``tests/reference_trainer.py``, which spells Algorithm 2 out over
 the scalar forms of both networks, pins it there; larger batch sizes are the
-standard minibatch variant and several times faster — see
-``benchmarks/bench_train_throughput.py``.
+standard minibatch variant and several times faster (``benchmarks/perf``
+records fine-tuning cost as ``core.fine_tune_points_per_s``).
 """
 
 from __future__ import annotations

@@ -58,7 +58,6 @@ A stream whose destination is *not* declared up front always runs deferred.
 
 from __future__ import annotations
 
-import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import (Callable, Dict, FrozenSet, Hashable, Iterable, List,
@@ -158,7 +157,6 @@ class _StreamState:
     # Deferred streams only: ``h_i`` of every stepped point, consumed by
     # the finalize labeling pass.
     hidden_states: List[np.ndarray] = field(default_factory=list)
-    per_point_seconds: List[float] = field(default_factory=list)
     rng: Optional[np.random.Generator] = None
     # Sampled trace contexts riding this stream: (segment index, context)
     # pairs awaiting their tick, lazily allocated so untraced streams pay
@@ -188,7 +186,6 @@ class StreamEngine:
         delay_window: int = 8,
         greedy: bool = True,
         seed: int = 0,
-        record_timing: bool = False,
     ):
         # With greedy=False every stream gets its own Generator seeded with
         # `seed`, so each trip samples exactly like a fresh
@@ -204,7 +201,6 @@ class StreamEngine:
         self._delay_window = delay_window if use_delayed_labeling else None
         self._greedy = greedy
         self._seed = seed
-        self._record_timing = record_timing
         self._cache = SegmentFeatureCache(len(pipeline.vocabulary),
                                           4 * rsrnet.config.hidden_dim)
         self._streams: "OrderedDict[Hashable, _StreamState]" = OrderedDict()
@@ -307,7 +303,6 @@ class StreamEngine:
             if stream.deferred and stream.stepped:
                 stream.stepped = 0
                 stream.hidden_states.clear()
-                stream.per_point_seconds.clear()
                 self._hidden_pool[stream.slot] = 0.0
                 self._cell_pool[stream.slot] = 0.0
                 self._ready[stream.vehicle_id] = stream
@@ -503,7 +498,6 @@ class StreamEngine:
         ready = self._ready
         if not ready:
             return 0
-        started = time.perf_counter() if self._record_timing else 0.0
         in_degrees, out_degrees = self._pipeline.token_degrees()
         work: List[Tuple[_StreamState, int]] = []
         stepping: List[_StreamState] = []
@@ -557,13 +551,9 @@ class StreamEngine:
             for row, choice in zip(undecided, choices):
                 labels[row] = choose(choice, work[row][0].rng)
 
-        share = ((time.perf_counter() - started) / len(slots)
-                 if self._record_timing else 0.0)
         for label, (stream, index) in zip(labels, work):
             stream.labels.append(label)
             stream.stepped = index + 1
-            if self._record_timing:
-                stream.per_point_seconds.append(share)
             if stream.traces:
                 self._observe_tick(stream, index)
             if index + 2 >= len(stream.segments):
@@ -573,8 +563,6 @@ class StreamEngine:
             # array for as long as this one stream stays open.
             stream.hidden_states.append(new_hidden[row].copy())
             stream.stepped += 1
-            if self._record_timing:
-                stream.per_point_seconds.append(share)
             waiting = len(stream.segments) - stream.stepped
             if waiting == 0 or (waiting == 1 and stream.finalizing):
                 del ready[stream.vehicle_id]
@@ -607,7 +595,7 @@ class StreamEngine:
         online stream gets its forced last label, the deferred one its
         whole route in one vectorised pass.
 
-        Labels, spans and timing match :class:`OnlineDetector` exactly; the
+        Labels and spans match :class:`OnlineDetector` exactly; the
         result's ``trajectory`` is reconstructed from the ingested points, so
         it carries no ground-truth labels or travel times (the engine never
         saw them — :func:`replay_fleet` reattaches the caller's originals).
@@ -693,7 +681,6 @@ class StreamEngine:
         :func:`label_route` over the hidden states its ticks stored — the
         decisions :meth:`tick` would have made one point at a time.
         """
-        started = time.perf_counter() if self._record_timing else 0.0
         count = len(stream.segments)
         labeled = len(stream.labels)
         if stream.deferred:
@@ -705,12 +692,6 @@ class StreamEngine:
                 self._rsrnet, self._asdnet, stream.rng)
         else:
             stream.labels.append(0)
-        if self._record_timing:
-            seconds = stream.per_point_seconds
-            # A destination was never stepped: it has no entry yet.
-            seconds += [0.0] * (count - len(seconds))
-            share = (time.perf_counter() - started) / (count - labeled)
-            seconds[labeled:] = [value + share for value in seconds[labeled:]]
         if stream.traces:
             self._observe_tick(stream, count - 1)
         self.points_processed += count - labeled
@@ -727,7 +708,6 @@ class StreamEngine:
             trajectory=trajectory,
             labels=labels,
             subtrajectories=split_by_labels(trajectory, labels),
-            per_point_seconds=stream.per_point_seconds,
         )
 
     def _stream(self, vehicle_id: Hashable) -> _StreamState:

@@ -2,9 +2,7 @@
 
 from .metrics import MetricsReport, evaluate_labelings, span_jaccard
 from .grouping import group_by_length, LENGTH_BOUNDARIES
-from .timing import (LatencyReport, ThroughputReport, TimingReport,
-                     TrainingThroughputReport, measure_detector,
-                     measure_throughput, measure_training_throughput)
+from .timing import LatencyReport, TimingReport, measure_detector
 from .runner import EvaluationRun, evaluate_detector
 
 __all__ = [
@@ -16,10 +14,6 @@ __all__ = [
     "TimingReport",
     "LatencyReport",
     "measure_detector",
-    "ThroughputReport",
-    "measure_throughput",
-    "TrainingThroughputReport",
-    "measure_training_throughput",
     "EvaluationRun",
     "evaluate_detector",
 ]

@@ -16,8 +16,8 @@ to the bucketed representation.
 * :class:`MetricsRegistry` — a named, labeled collection of the above with
   get-or-create accessors and a ``merge`` that combines registries from
   other processes.
-* :class:`Reservoir` — the seeded Algorithm-R sample reservoir shared by
-  the commit-lag and queue-wait samplers.
+* :class:`Reservoir` — the seeded Algorithm-R sample reservoir behind the
+  matcher's commit-lag sampler.
 
 All classes are plain-attribute objects: picklable, no locks (each shard
 writes only its own registry; merging happens on the facade thread).

@@ -13,8 +13,8 @@ deployable detector:
 * :mod:`~repro.serve.checkpoint` — model persistence:
   :meth:`RL4OASDModel.save` / :meth:`RL4OASDModel.load` delegate here, and
   the multi-process backend ships its pickled model snapshots through it.
-* :mod:`~repro.serve.metrics` — per-shard throughput, queue depth and cache
-  hit rate, convertible to :class:`~repro.eval.timing.ThroughputReport`.
+* :mod:`~repro.serve.metrics` — per-shard points, busy time, queue depth
+  and cache hit rate, and their Prometheus exposition.
 * :mod:`~repro.serve.sharding` — stable vehicle-to-shard assignment.
 """
 

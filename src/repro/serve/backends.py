@@ -38,7 +38,7 @@ the order they were queued::
 
     kind            carries                                     reply
     --------------  ------------------------------------------  ---------------
-    ingest_batch    vehicle_ids, segments, extras, sent_at      -
+    ingest_batch    vehicle_ids, segments, extras               -
     finalize_async  vehicle ids                                 - (results bus)
     bus_ack         a sequence watermark                        -
     sync                                                        synced
@@ -65,8 +65,7 @@ is no single-event command. An ``ingest_batch`` travels as columns — two
 flat lists plus a sparse ``{index: (destination, start_time_s,
 trajectory_id, trace)}`` for the few events that open a stream or carry a
 trace (:func:`append_event`; :class:`IngestEvent` stays the type callers
-hand the facade) — stamped with the time it was offered, from which the
-core samples the enqueue→dequeue wait.
+hand the facade).
 
 **Scheduling: a round at a time.** The core takes one command at a time and
 never stacks a stream's next point on one that has not been stepped. Before
@@ -149,7 +148,7 @@ from ..exceptions import ServiceError
 from ..history import (HistoryDelta, HistorySnapshot,
                        apply_delta as apply_history_delta,
                        clone_snapshot)
-from ..obs.registry import MetricsRegistry, Reservoir
+from ..obs.registry import MetricsRegistry
 from ..obs.trace import TraceContext, Tracer, timestamp as obs_timestamp
 from .checkpoint import WeightsSnapshot, model_from_bytes
 from .metrics import BusStats, ShardStats
@@ -286,10 +285,7 @@ class ServiceBackend:
         worst-case buffering proportional. ``False`` means the shard queue
         is full and *nothing* was queued.
         """
-        # The trailing timestamp is the queue-wait mark: perf_counter is
-        # CLOCK_MONOTONIC on Linux, comparable across this process and a
-        # worker, and the core subtracts it at receipt.
-        return self._offer(shard, ("ingest_batch", *columns, obs_timestamp()))
+        return self._offer(shard, ("ingest_batch", *columns))
 
     def pump(self) -> int:
         """Advance queued work opportunistically; returns points labeled.
@@ -467,8 +463,6 @@ class ShardCore:
                               max_spans=options.get("max_spans", 10_000))
         engine.tracer = self._tracer
         self.bus.tracer = self._tracer
-        # The seeded enqueue→dequeue wait sampler of the shard's queue.
-        self._queue_wait = Reservoir(options.get("queue_wait_cap", 4096))
 
     # ------------------------------------------------------------ scheduling
     def idle(self) -> bool:
@@ -506,8 +500,7 @@ class ShardCore:
 
     # ------------------------------------------------------- fire and forget
     def _ingest_batch(self, command: tuple, received: float) -> None:
-        _, vehicle_ids, segments, extras, sent = command
-        self._queue_wait.add(received - sent)
+        _, vehicle_ids, segments, extras = command
         # Tick until none of these streams has a step waiting, so that the
         # points about to be buffered stack on nothing un-stepped.
         engine = self.engine
@@ -635,7 +628,6 @@ class ShardCore:
                 history_refreshes=engine.history_refreshes,
                 history_computed=derivations["computed"],
                 history_extended=derivations["extended"],
-                queue_wait_samples=list(self._queue_wait.samples),
             )
         return "error", ServiceError(f"unknown command {kind!r}")
 

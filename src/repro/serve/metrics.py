@@ -2,18 +2,14 @@
 
 Every shard reports one :class:`ShardStats` (points labeled, batched ticks,
 busy wall clock, queue depth, cache hit rate, streams, weight swaps);
-:class:`ServiceMetrics` rolls the fleet view together and converts it into
-the :class:`~repro.eval.timing.ThroughputReport` currency the rest of the
-evaluation stack already speaks, so service throughput composes directly
-with the existing detector/engine benchmarks.
+:class:`ServiceMetrics` rolls the fleet view together, and
+:func:`metrics_to_registry` expresses it as the Prometheus exposition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
-
-from ..eval.timing import ThroughputReport
 
 
 @dataclass
@@ -42,10 +38,6 @@ class ShardStats:
     #: one lineage — do not sum them; see ``ServiceMetrics.history_derived``.
     history_computed: int = 0
     history_extended: int = 0
-    #: Reservoir sample of shard queue-wait seconds (facade enqueue →
-    #: worker dequeue, one sample per delivered ingest command) — the
-    #: number that explains the 1-shard service-vs-engine overhead gap.
-    queue_wait_samples: List[float] = field(default_factory=list)
 
     @property
     def cache_hit_rate(self) -> float:
@@ -56,38 +48,6 @@ class ShardStats:
     def mean_tick_batch(self) -> float:
         """Average streams advanced per batched tick (the batching win)."""
         return self.points_processed / self.ticks if self.ticks else 0.0
-
-    def throughput_report(self, name: Optional[str] = None) -> ThroughputReport:
-        """This shard's labeled points over its busy wall clock."""
-        return ThroughputReport(
-            name=name or f"shard[{self.shard_id}]",
-            total_points=self.points_processed,
-            total_seconds=self.busy_seconds,
-            num_trajectories=self.streams_finalized,
-        )
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "shard_id": self.shard_id,
-            "backend": self.backend,
-            "points_processed": self.points_processed,
-            "ticks": self.ticks,
-            "mean_tick_batch": self.mean_tick_batch,
-            "busy_seconds": self.busy_seconds,
-            "queue_depth": self.queue_depth,
-            "pending_points": self.pending_points,
-            "streams_open": self.streams_open,
-            "streams_finalized": self.streams_finalized,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "cache_hit_rate": self.cache_hit_rate,
-            "swaps": self.swaps,
-            "history_version": self.history_version,
-            "history_refreshes": self.history_refreshes,
-            "history_computed": self.history_computed,
-            "history_extended": self.history_extended,
-            "queue_wait_samples": len(self.queue_wait_samples),
-        }
 
 
 @dataclass
@@ -116,18 +76,6 @@ class BusStats:
     def lag(self) -> int:
         """Published envelopes not yet acknowledged by the facade."""
         return self.depth + self.unacked
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "shard_id": self.shard_id,
-            "published": self.published,
-            "delivered": self.delivered,
-            "redelivered": self.redelivered,
-            "acked_seq": self.acked_seq,
-            "depth": self.depth,
-            "unacked": self.unacked,
-            "lag": self.lag,
-        }
 
 
 @dataclass
@@ -184,36 +132,6 @@ class GatewayStats:
     @property
     def forced_commit_rate(self) -> float:
         return self.forced_commits / self.commits if self.commits else 0.0
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "raw_points": self.raw_points,
-            "matched_points": self.matched_points,
-            "segments_emitted": self.segments_emitted,
-            "late_dropped": self.late_dropped,
-            "duplicates_dropped": self.duplicates_dropped,
-            "unmatched_dropped": self.unmatched_dropped,
-            "dropped_points": self.dropped_points,
-            "drop_rate": self.drop_rate,
-            "sessions_opened": self.sessions_opened,
-            "sessions_closed": self.sessions_closed,
-            "sessions_dropped": self.sessions_dropped,
-            "sessions_broken": self.sessions_broken,
-            "gap_splits": self.gap_splits,
-            "session_timeouts": self.session_timeouts,
-            "vehicles_evicted": self.vehicles_evicted,
-            "commits": self.commits,
-            "forced_commits": self.forced_commits,
-            "forced_commit_rate": self.forced_commit_rate,
-            "max_commit_lag": self.max_commit_lag,
-            "mean_commit_lag": self.mean_commit_lag,
-            "batched_flushes": self.batched_flushes,
-            "reorder_buffered": self.reorder_buffered,
-            "distance_cache_pairs": self.distance_cache_pairs,
-            "distance_cache_hits": self.distance_cache_hits,
-            "distance_cache_misses": self.distance_cache_misses,
-            "distance_cache_evictions": self.distance_cache_evictions,
-        }
 
     def format(self) -> str:
         return (
@@ -311,20 +229,6 @@ class ServiceMetrics:
     @property
     def bus_redelivered(self) -> int:
         return sum(stats.redelivered for stats in self.bus)
-
-    def throughput_report(self, name: str = "DetectionService",
-                          total_seconds: Optional[float] = None
-                          ) -> ThroughputReport:
-        """The fleet's aggregate throughput as one standard report.
-
-        Per-shard busy clocks overlap (shards run concurrently), so the
-        combined elapsed time is the slowest shard's — or, better, the true
-        end-to-end wall clock when the caller measured one and passes it as
-        ``total_seconds``.
-        """
-        reports = [shard.throughput_report() for shard in self.shards]
-        return ThroughputReport.combined(name, reports,
-                                         total_seconds=total_seconds)
 
     def format(self) -> str:
         """A compact multi-line dashboard of the fleet (for logs/benchmarks)."""

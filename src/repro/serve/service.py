@@ -148,7 +148,7 @@ class DetectionService:
         # has no tracer and the ingest hot path pays a single `is None`
         # check. With one, the facade tracer *originates* sampled trace
         # contexts (shard tracers only observe) and the shard workers get
-        # the span/reservoir sizing via a plain picklable dict.
+        # the span sizing via a plain picklable dict.
         self._obs = obs.validate() if obs is not None else None
         if self._obs is not None:
             self._tracer: Optional[Tracer] = Tracer(
@@ -158,8 +158,7 @@ class DetectionService:
                 keep_spans=self._obs.keep_spans,
                 max_spans=self._obs.max_spans)
             obs_options = {"keep_spans": self._obs.keep_spans,
-                           "max_spans": self._obs.max_spans,
-                           "queue_wait_cap": self._obs.queue_wait_cap}
+                           "max_spans": self._obs.max_spans}
         else:
             self._tracer = None
             obs_options = None
@@ -846,17 +845,6 @@ class DetectionService:
                                                  {"stage": stage})
         return LatencyReport.from_histogram(f"{stage} latency", histogram,
                                             unit="s")
-
-    def queue_wait_latency(self):
-        """Enqueue→dequeue wait of the shard queues, from the per-shard
-        seeded reservoirs (the queue-side mirror of the matcher's
-        commit-lag sampler)."""
-        from ..eval.timing import LatencyReport
-
-        samples: List[float] = []
-        for shard in self._backend.stats():
-            samples.extend(shard.queue_wait_samples)
-        return LatencyReport("shard queue wait", samples, unit="s")
 
     def drain_spans(self) -> List[Span]:
         """Every recorded trace span (facade + shards), drained.

@@ -222,8 +222,7 @@ def test_shard_core_makes_one_engine_call_per_command(trained_model,
          for vehicle, t in enumerate(trips)],
     ]
     for events in rounds:
-        assert core.handle(("ingest_batch", *_pack_events(events),
-                            time.perf_counter()))
+        assert core.handle(("ingest_batch", *_pack_events(events)))
     assert calls == [len(trips)] * len(rounds)
     assert [engine.pending_points(v) + len(engine._streams[v].labels)
             for v in range(len(trips))] == [3] * len(trips)

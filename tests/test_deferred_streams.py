@@ -239,16 +239,14 @@ def test_load_weights_restarts_half_stepped_streams(trained_model,
                for before, after in zip(stale, expected)) >= 1, \
         "the perturbed weights must visibly change the labels"
 
-    engine = clone_model(trained_model).stream_engine(use_rnel=False,
-                                                      record_timing=True)
+    engine = clone_model(trained_model).stream_engine(use_rnel=False)
     half_stepped_fleet(engine, fleet)
     engine.load_weights(snapshot["rsrnet"], snapshot["asdnet"])
     assert all(stream.stepped == 0 and not stream.hidden_states
                for stream in engine._streams.values())
     results = finish_fleet(engine, fleet)
-    for trajectory, before, after in zip(fleet, expected, results):
+    for before, after in zip(expected, results):
         assert after.labels == before.labels
-        assert len(after.per_point_seconds) == len(trajectory)
 
 
 @pytest.fixture(scope="module")

@@ -10,9 +10,9 @@ Three layers:
   ``parse_prometheus`` inverse, and the stdlib scrape endpoint.
 * **Pipeline wiring** — a traced gateway→service→bus run covers all seven
   ``STAGES`` on both backends, spans keep
-  pipeline order per trace, rate 0 records nothing and allocates nothing
-  on the hot path, and the text exposition always agrees with the
-  ``ServiceMetrics``/``GatewayStats`` dashboards.
+  pipeline order per trace, tracing never changes a label, rate 0 records
+  nothing and allocates nothing on the hot path, and the text exposition
+  always agrees with the ``ServiceMetrics``/``GatewayStats`` dashboards.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from repro.obs import (Counter, Gauge, Histogram, MetricsRegistry,
                        STAGES, TraceContext, Tracer, default_latency_buckets,
                        parse_prometheus, render_prometheus, timestamp,
                        write_spans_jsonl)
+from repro.serve import serve_fleet
 
 BUCKETS = (0.001, 0.01, 0.1, 1.0)
 samples_strategy = st.lists(
@@ -376,8 +377,6 @@ def test_obs_config_validation():
     assert ObsConfig().validate().trace_sample_rate == 0.0
     with pytest.raises(ConfigurationError):
         ObsConfig(trace_sample_rate=2.0).validate()
-    with pytest.raises(ConfigurationError):
-        ObsConfig(queue_wait_cap=0).validate()
 
 
 # -------------------------------------------------------- pipeline wiring
@@ -483,12 +482,10 @@ def test_traced_gateway_run_covers_all_seven_stages(trained_model, dataset,
         for stage in STAGES:
             report = service.stage_latency(stage)
             assert report.count > 0
+            assert report.as_dict()["count"] == report.count
             assert 0.0 <= report.p50 <= report.p95 <= report.p99
             assert report.unit == "s"
             assert "latency" in report.format()
-        wait = service.queue_wait_latency()
-        assert wait.count > 0
-        assert wait.as_dict()["count"] == wait.count
 
         assert_exposition_agrees_with_dashboards(
             gateway.metrics_text(), service, gateway)
@@ -497,9 +494,33 @@ def test_traced_gateway_run_covers_all_seven_stages(trained_model, dataset,
 
 
 @pytest.mark.fleet
+@pytest.mark.parametrize("backend, rates", [("inprocess", (0.05, 1.0)),
+                                            ("process", (1.0,))],
+                         ids=["inprocess", "process"])
+def test_tracing_never_changes_labels(trained_model, dataset_split, backend,
+                                      rates):
+    """Tracing only observes: one fleet through a 2-shard service gives the
+    same labels untraced as traced at each sample rate."""
+    _, _, test = dataset_split
+
+    def run(obs):
+        with trained_model.detection_service(num_shards=2, backend=backend,
+                                             obs=obs) as service:
+            results = serve_fleet(service, test, concurrency=8)
+            sampled = service.tracer.sampled if obs is not None else 0
+        return [result.labels for result in results], sampled
+
+    untraced, _ = run(None)
+    for rate in rates:
+        labels, sampled = run(ObsConfig(trace_sample_rate=rate))
+        assert sampled > 0
+        assert labels == untraced
+
+
+@pytest.mark.fleet
 def test_rate_zero_service_records_no_traces(trained_model, dataset_split):
-    """ObsConfig defaults (rate 0): queue-wait reservoir still fills, but
-    no stage histogram and no span ever materialises."""
+    """ObsConfig defaults (rate 0): no stage histogram and no span ever
+    materialises."""
     _, _, test = dataset_split
     with trained_model.detection_service(num_shards=2,
                                          obs=ObsConfig()) as service:
@@ -518,7 +539,6 @@ def test_rate_zero_service_records_no_traces(trained_model, dataset_split):
             assert registry.get(STAGE_LATENCY_METRIC, {"stage": stage}) \
                 is None
         assert service.drain_spans() == []
-        assert service.queue_wait_latency().count > 0
 
 
 @pytest.mark.fleet

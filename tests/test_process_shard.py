@@ -19,6 +19,7 @@ identity (which ``test_serve.py`` and ``test_result_bus.py`` pin):
 
 from __future__ import annotations
 
+import dataclasses
 import queue
 import time
 
@@ -103,8 +104,7 @@ class Harness:
         return self.widths[before:]
 
     def ingest_batch(self, events):
-        return self.handle("ingest_batch", *_pack_events(events),
-                           time.perf_counter())
+        return self.handle("ingest_batch", *_pack_events(events))
 
     def request(self, *command):
         self.handle(*command)
@@ -462,7 +462,7 @@ def run_script(transport, model, trips):
     def snapshot():
         backend.drain()
         (shard,), (bus,) = backend.stats(), backend.bus_stats()
-        counters = shard.as_dict()
+        counters = dataclasses.asdict(shard)
         assert counters.pop("backend") == transport
         del counters["busy_seconds"]  # the one timing among them
         snapshots.append((counters, bus))

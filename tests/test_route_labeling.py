@@ -10,8 +10,6 @@ the change is counted: nobody steps a destination.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -280,7 +278,7 @@ def test_caught_up_online_stream_finalizes_without_a_tick(trained_model,
     _, _, test = dataset_split
     model = clone_model(trained_model)
     trajectory = max(with_history(model, test), key=len)
-    engine = model.stream_engine(record_timing=True)
+    engine = model.stream_engine()
     engine.tracer = Tracer()
     caught_up_stream(engine, trajectory, trace_destination=True)
     n = len(trajectory)
@@ -295,8 +293,6 @@ def test_caught_up_online_stream_finalizes_without_a_tick(trained_model,
     assert [(span.stage, span.trace_id) for span in engine.tracer.spans
             if span.stage == "engine_tick"] == [("engine_tick", 7)]
     assert result.labels == reference_labels(model, trajectory)
-    assert len(result.per_point_seconds) == n
-    assert all(value >= 0.0 for value in result.per_point_seconds)
 
 
 @pytest.mark.parametrize("declare", [True, False])
@@ -342,19 +338,3 @@ def test_swap_before_finalize_cannot_touch_the_destination(trained_model,
     # The deferred stream re-steps points 0 … n-2 under the new weights.
     assert engine.ticks - ticks == (len(trajectory) - 1 if deferred else 0)
 
-
-# ------------------------------------------------------------------- timing
-@pytest.mark.parametrize("length", [1, 2, 3, None])
-def test_detect_timing_sums_to_the_call(trained_model, dataset_split, length):
-    _, _, test = dataset_split
-    route = cut(max(test, key=len), length)
-    detector = trained_model.detector()
-    started = time.perf_counter()
-    result = detector.detect(route, record_timing=True)
-    elapsed = time.perf_counter() - started
-    assert len(result.per_point_seconds) == len(route)
-    assert all(value >= 0.0 for value in result.per_point_seconds)
-    assert 0.0 < result.total_seconds <= elapsed
-    # The destination carries its share of the passes, never a step.
-    assert result.per_point_seconds[-1] <= result.per_point_seconds[0]
-    assert detector.detect(route).per_point_seconds == []

@@ -467,13 +467,8 @@ def test_metrics_roll_up_across_shards(trained_model, dataset_split):
     assert 0.0 < metrics.cache_hit_rate <= 1.0
     assert all(s.mean_tick_batch >= 1.0 for s in metrics.shards
                if s.points_processed)
-    report = metrics.throughput_report(total_seconds=1.0)
-    assert report.total_points == total_points
-    assert report.num_trajectories == len(fleet)
     assert "DetectionService" in metrics.format()
     assert "shard[0]" in metrics.format()
-    per_shard = [s.throughput_report() for s in metrics.shards]
-    assert sum(r.total_points for r in per_shard) == total_points
 
 
 # ----------------------------------------------------------------- sharding

@@ -152,38 +152,6 @@ def test_cache_is_shared_across_the_fleet(trained_model, dataset_split):
     assert len(engine.cache) == 0
 
 
-# ------------------------------------------------------------------ timing
-def test_timing_invariants_batched_path(trained_model, dataset_split):
-    _, _, test = dataset_split
-    engine = trained_model.stream_engine(record_timing=True)
-    results = replay_fleet(engine, test[:6], concurrency=3)
-    for trajectory, result in zip(test[:6], results):
-        assert len(result.per_point_seconds) == len(trajectory)
-        assert all(value >= 0.0 for value in result.per_point_seconds)
-        assert result.total_seconds == pytest.approx(
-            sum(result.per_point_seconds))
-        assert result.total_seconds >= 0.0
-
-
-def test_timing_invariants_single_stream_path(trained_model, dataset_split):
-    _, _, test = dataset_split
-    detector = trained_model.detector()
-    for trajectory in test[:6]:
-        result = detector.detect(trajectory, record_timing=True)
-        assert len(result.per_point_seconds) == len(trajectory)
-        assert all(value >= 0.0 for value in result.per_point_seconds)
-        assert result.total_seconds == pytest.approx(
-            sum(result.per_point_seconds))
-
-
-def test_timing_off_by_default(trained_model, dataset_split):
-    _, _, test = dataset_split
-    engine = trained_model.stream_engine()
-    (result,) = replay_fleet(engine, test[:1], concurrency=1)
-    assert result.per_point_seconds == []
-    assert result.total_seconds == 0.0
-
-
 # ------------------------------------------------------------- error paths
 def test_finalize_unknown_vehicle_raises(trained_model):
     engine = trained_model.stream_engine()

@@ -13,8 +13,10 @@ Four checks, no third-party dependencies beyond the library's own:
    every keyword it passes to ``StreamEngine(...)``,
    ``StreamEngine.from_model(...)``, ``model.stream_engine(...)`` or — as an
    engine override — to ``detection_service(...)`` / ``DetectionService(...)``
-   is a parameter of ``StreamEngine.__init__``, so an example naming a
-   deleted option fails although it still compiles.
+   is a parameter of ``StreamEngine.__init__``, and every keyword it passes
+   to ``detect(...)`` / ``detect_many(...)`` is a parameter of
+   ``OnlineDetector``'s method of that name, so an example naming a deleted
+   option fails although it still compiles.
 
 Run locally with::
 
@@ -74,8 +76,7 @@ PUBLIC_SURFACE = {
     "repro.trajectory": ["interleave_raw_streams", "RawTrajectory", "GPSPoint"],
     "repro.eval": [
         "evaluate_labelings", "evaluate_detector", "measure_detector",
-        "measure_throughput", "measure_training_throughput",
-        "ThroughputReport", "TrainingThroughputReport", "LatencyReport",
+        "LatencyReport",
     ],
     "repro.nn": [
         "LSTM", "LSTMCell", "sequence_cross_entropy_from_logits",
@@ -151,7 +152,7 @@ def _parameters(function) -> set:
 
 def check_config_keywords() -> list:
     import repro.config
-    from repro.core import RL4OASDModel, StreamEngine
+    from repro.core import OnlineDetector, RL4OASDModel, StreamEngine
     from repro.serve import DetectionService
 
     fields = {name: {field.name for field in dataclasses.fields(cls)}
@@ -166,6 +167,8 @@ def check_config_keywords() -> list:
         fields[function.__name__] = _parameters(function) | engine
     fields["DetectionService"] = _parameters(DetectionService.__init__) | engine
     fields["detection_service"] |= fields["DetectionService"]
+    for function in (OnlineDetector.detect, OnlineDetector.detect_many):
+        fields[function.__name__] = _parameters(function)
     errors = []
     for doc, index, source in python_fences():
         try:
@@ -214,7 +217,7 @@ def main() -> int:
         print(f"\n{len(errors)} documentation problem(s) in: {checked}")
         return 1
     print(f"docs OK: links, python fences, public imports and config / "
-          f"engine keywords verified ({checked})")
+          f"engine / detect keywords verified ({checked})")
     return 0
 
 
