@@ -20,12 +20,3 @@ def test_graceful_degradation(table6):
     f1 = table6.f1_by_drop_rate
     assert f1[0.8] > 0.5 * f1[0.0]
 
-
-def test_bench_table6_drop(benchmark, table6):
-    """Time the per-SD-pair history dropping operation."""
-    from repro.datagen import tiny_dataset
-    from repro.trajectory.sdpairs import SDPairIndex
-
-    dataset = tiny_dataset(seed=5)
-    index = SDPairIndex(dataset.trajectories)
-    benchmark(index.drop_fraction, 0.5)

@@ -15,8 +15,8 @@ Run with::
 from repro.core import OnlineLearner
 from repro.datagen import DriftSchedule
 from repro.eval import evaluate_detector
-from repro.experiments.common import ExperimentSettings, prepare_city
-from repro.experiments.fig6 import _split_by_part, _train_on_part
+from repro.experiments.common import (ExperimentSettings, part_trainer,
+                                     prepare_city, split_by_part)
 
 
 def main() -> None:
@@ -26,13 +26,13 @@ def main() -> None:
                           drifting_pair_fraction=1.0)
     print("generating a drifting city (route popularity swaps between parts) ...")
     split = prepare_city("chengdu", settings, drift=drift)
-    train_parts, test_parts = _split_by_part(split, n_parts)
+    train_parts, test_parts = split_by_part(split, n_parts)
 
     print("training the frozen model on Part 1 (RL4OASD-P1) ...")
-    frozen_detector = _train_on_part(split, train_parts[0], settings).train().detector()
+    frozen_detector = part_trainer(split, train_parts[0], settings).train().detector()
 
     print("training the adaptive model (RL4OASD-FT) ...")
-    learner = OnlineLearner(_train_on_part(split, train_parts[0], settings))
+    learner = OnlineLearner(part_trainer(split, train_parts[0], settings))
     learner.initial_fit()
 
     for part in range(n_parts):

@@ -41,12 +41,9 @@ from .config import (
     LabelingConfig,
     MapMatchingConfig,
     ObsConfig,
-    RL4OASDConfig,
     RoadNetworkConfig,
     RSRNetConfig,
-    ServeConfig,
     TrainingConfig,
-    small_config,
 )
 from .exceptions import ReproError
 
@@ -55,7 +52,6 @@ __version__ = "1.0.0"
 __all__ = [
     "__version__",
     "ReproError",
-    "RL4OASDConfig",
     "RoadNetworkConfig",
     "MapMatchingConfig",
     "DataGenConfig",
@@ -64,8 +60,6 @@ __all__ = [
     "RSRNetConfig",
     "ASDNetConfig",
     "TrainingConfig",
-    "ServeConfig",
     "GatewayConfig",
     "ObsConfig",
-    "small_config",
 ]

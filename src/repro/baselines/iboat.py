@@ -52,7 +52,7 @@ class IBOATDetector:
 
     def _references(self, trajectory: MatchedTrajectory) -> List[Tuple[int, ...]]:
         """Historical routes of the trajectory's SD pair."""
-        group = self._pipeline.sd_index.group_for(trajectory)
+        group = self._pipeline.history.group_for(trajectory)
         if not group:
             return [trajectory.route_key()]
         return [t.route_key() for t in group]

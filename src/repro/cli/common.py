@@ -11,23 +11,21 @@ soak harness keeps saturated for millions of fixes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 import numpy as np
 
-from ..core import OnlineLearner, RL4OASDTrainer
+from ..core import OnlineLearner
 from ..datagen import DriftSchedule, sample_gps_trace
-from ..exceptions import ReproError
-from ..experiments.common import CitySplit, ExperimentSettings, prepare_city
+from ..experiments.common import (CitySplit, ExperimentSettings, part_trainer,
+                                  prepare_city, split_by_part)
 from ..trajectory.models import MatchedTrajectory, RawTrajectory
 
 __all__ = [
     "Fleet",
     "WorkloadStream",
     "build_fleet",
-    "part_trainer",
     "smoke_settings",
-    "split_by_part",
 ]
 
 
@@ -37,51 +35,6 @@ def smoke_settings(**overrides) -> ExperimentSettings:
                     pretrain_epochs=2)
     defaults.update(overrides)
     return ExperimentSettings(**defaults)
-
-
-def split_by_part(split: CitySplit, n_parts: int
-                  ) -> Tuple[List[List[MatchedTrajectory]],
-                             List[List[MatchedTrajectory]]]:
-    """Partition a split's trajectories by the part of day they start in.
-
-    The public twin of the Figure-6 harness's partitioner: trajectories
-    land in part ``floor((start_time_s % 86400) / (86400 / n_parts))``.
-    Returns ``(train_parts, test_parts)`` with the development set folded
-    into the test side.
-    """
-    if n_parts < 1:
-        raise ReproError("n_parts must be >= 1")
-
-    def part_of(trajectory: MatchedTrajectory) -> int:
-        return min(int((trajectory.start_time_s % 86400)
-                       / (86400 / n_parts)), n_parts - 1)
-
-    train_parts: List[List[MatchedTrajectory]] = [[] for _ in range(n_parts)]
-    test_parts: List[List[MatchedTrajectory]] = [[] for _ in range(n_parts)]
-    for trajectory in split.train:
-        train_parts[part_of(trajectory)].append(trajectory)
-    for trajectory in split.test + split.development:
-        test_parts[part_of(trajectory)].append(trajectory)
-    return train_parts, test_parts
-
-
-def part_trainer(split: CitySplit, train_part: List[MatchedTrajectory],
-                 settings: ExperimentSettings) -> RL4OASDTrainer:
-    """An RL4OASD trainer whose history is one part of the day."""
-    return RL4OASDTrainer(
-        network=split.dataset.network,
-        historical=train_part,
-        labeling_config=settings.labeling_config(),
-        rsrnet_config=settings.rsrnet_config(),
-        asdnet_config=settings.asdnet_config(),
-        training_config=settings.training_config(
-            pretrain_trajectories=min(settings.pretrain_trajectories,
-                                      len(train_part)),
-            joint_trajectories=min(settings.joint_trajectories,
-                                   len(train_part)),
-        ),
-        development_set=split.development,
-    )
 
 
 @dataclass

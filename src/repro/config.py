@@ -13,7 +13,7 @@ The defaults follow Section V-A of the paper:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from .exceptions import ConfigurationError
@@ -98,7 +98,6 @@ class DataGenConfig:
     gps_noise_m: float = 8.0
     min_route_length: int = 6
     max_route_length: int = 70
-    time_slot_hours: int = 1
     seed: int = 11
 
     def validate(self) -> "DataGenConfig":
@@ -125,7 +124,6 @@ class EmbeddingConfig:
     negative_samples: int = 4
     epochs: int = 2
     learning_rate: float = 0.025
-    use_traffic_context: bool = True
     seed: int = 13
 
     def validate(self) -> "EmbeddingConfig":
@@ -180,9 +178,6 @@ class ASDNetConfig:
     label_embedding_dim: int = 128
     learning_rate: float = 0.001
     grad_clip: float = 5.0
-    entropy_bonus: float = 0.0
-    use_baseline: bool = True
-    baseline_momentum: float = 0.9
     seed: int = 19
 
     def validate(self) -> "ASDNetConfig":
@@ -236,35 +231,6 @@ class TrainingConfig:
 
 
 @dataclass(frozen=True)
-class ServeConfig:
-    """Parameters of the sharded detection service (:mod:`repro.serve`).
-
-    ``backend`` selects how shards execute: ``"inprocess"`` runs every shard
-    engine in the calling process (deterministic, no IPC — the test and
-    debugging backend), ``"process"`` runs one OS process per shard fed
-    through bounded queues (the throughput backend). ``queue_depth`` bounds
-    the per-shard ingest queue; a full queue surfaces as backpressure
-    (``IngestStatus.RETRY_LATER``) instead of unbounded buffering.
-    ``start_method`` picks the multiprocessing start method (``None`` keeps
-    the platform default, e.g. ``fork`` on Linux).
-    """
-
-    num_shards: int = 2
-    backend: str = "inprocess"
-    queue_depth: int = 256
-    start_method: Optional[str] = None
-
-    def validate(self) -> "ServeConfig":
-        _require(self.num_shards >= 1, "num_shards must be >= 1")
-        _require(self.backend in ("inprocess", "process"),
-                 "backend must be 'inprocess' or 'process'")
-        _require(self.queue_depth >= 1, "queue_depth must be >= 1")
-        _require(self.start_method in (None, "fork", "spawn", "forkserver"),
-                 "start_method must be None, 'fork', 'spawn' or 'forkserver'")
-        return self
-
-
-@dataclass(frozen=True)
 class ObsConfig:
     """Parameters of the observability plane (:mod:`repro.obs`).
 
@@ -278,7 +244,6 @@ class ObsConfig:
     """
 
     trace_sample_rate: float = 0.0
-    trace_seed: int = 0x0B5
     keep_spans: bool = True
     max_spans: int = 10_000
 
@@ -350,71 +315,3 @@ class GatewayConfig:
         _require(self.retry_wait_s >= 0, "retry_wait_s must be >= 0")
         return self
 
-
-@dataclass(frozen=True)
-class RL4OASDConfig:
-    """Top-level configuration bundling every component."""
-
-    road_network: RoadNetworkConfig = field(default_factory=RoadNetworkConfig)
-    map_matching: MapMatchingConfig = field(default_factory=MapMatchingConfig)
-    data_gen: DataGenConfig = field(default_factory=DataGenConfig)
-    embedding: EmbeddingConfig = field(default_factory=EmbeddingConfig)
-    labeling: LabelingConfig = field(default_factory=LabelingConfig)
-    rsrnet: RSRNetConfig = field(default_factory=RSRNetConfig)
-    asdnet: ASDNetConfig = field(default_factory=ASDNetConfig)
-    training: TrainingConfig = field(default_factory=TrainingConfig)
-    serve: ServeConfig = field(default_factory=ServeConfig)
-    gateway: GatewayConfig = field(default_factory=GatewayConfig)
-    obs: ObsConfig = field(default_factory=ObsConfig)
-
-    def validate(self) -> "RL4OASDConfig":
-        self.road_network.validate()
-        self.map_matching.validate()
-        self.data_gen.validate()
-        self.embedding.validate()
-        self.labeling.validate()
-        self.rsrnet.validate()
-        self.asdnet.validate()
-        self.training.validate()
-        self.serve.validate()
-        self.gateway.validate()
-        self.obs.validate()
-        return self
-
-    def with_overrides(self, **sections) -> "RL4OASDConfig":
-        """Return a copy with whole sections replaced.
-
-        Example::
-
-            config.with_overrides(labeling=LabelingConfig(alpha=0.6))
-        """
-        return replace(self, **sections)
-
-
-def small_config(seed: int = 0) -> RL4OASDConfig:
-    """A configuration small enough for unit tests and quick examples.
-
-    The schedule and model sizes are scaled down aggressively; the defaults of
-    :class:`RL4OASDConfig` mirror the paper's setting instead.
-    """
-    return RL4OASDConfig(
-        road_network=RoadNetworkConfig(grid_rows=10, grid_cols=10, seed=seed),
-        data_gen=DataGenConfig(
-            n_sd_pairs=12,
-            trajectories_per_pair=30,
-            seed=seed + 1,
-        ),
-        embedding=EmbeddingConfig(
-            dimension=16, walks_per_node=2, walk_length=10, epochs=1,
-            seed=seed + 2,
-        ),
-        rsrnet=RSRNetConfig(embedding_dim=16, hidden_dim=16, nrf_dim=8,
-                            seed=seed + 3),
-        asdnet=ASDNetConfig(label_embedding_dim=8, seed=seed + 4),
-        training=TrainingConfig(
-            pretrain_trajectories=30,
-            joint_trajectories=120,
-            joint_epochs=2,
-            seed=seed + 5,
-        ),
-    ).validate()

@@ -21,6 +21,9 @@ from ..nn.losses import softmax
 from ..nn.module import Module
 from ..nn.optim import Adam, clip_gradients
 
+#: Momentum of the moving-average REINFORCE baseline.
+_BASELINE_MOMENTUM = 0.9
+
 
 @dataclass
 class EpisodeStep:
@@ -225,7 +228,7 @@ class ASDNet(Module):
 
     # -------------------------------------------------------------- learning
     def reinforce_update(self, episode: Episode, episode_return: float,
-                         use_baseline: Optional[bool] = None) -> float:
+                         use_baseline: bool = True) -> float:
         """One REINFORCE (policy-gradient) update for a finished episode.
 
         Gradients are ``-R_n * d log pi(a_i | s_i) / d theta`` summed over the
@@ -238,33 +241,22 @@ class ASDNet(Module):
         """
         if not episode.steps:
             return 0.0
-        if use_baseline is None:
-            use_baseline = self._config.use_baseline
         advantage = episode_return
         if use_baseline:
             if self._return_baseline is None:
                 self._return_baseline = episode_return
             advantage = episode_return - self._return_baseline
-            momentum = self._config.baseline_momentum
-            self._return_baseline = (momentum * self._return_baseline
-                                     + (1.0 - momentum) * episode_return)
+            self._return_baseline = (
+                _BASELINE_MOMENTUM * self._return_baseline
+                + (1.0 - _BASELINE_MOMENTUM) * episode_return)
         self.zero_grad()
         total_log_prob = 0.0
-        entropy_bonus = self._config.entropy_bonus
         for step in episode.steps:
             probabilities = step.probabilities
             grad_logits = probabilities.copy()
             grad_logits[step.action] -= 1.0
             # d(-log pi)/dlogits = probs - onehot; multiply by the advantage.
             grad_logits *= advantage
-            if entropy_bonus > 0:
-                # Encourage exploration by additionally ascending the entropy.
-                entropy_grad = probabilities * (
-                    np.log(probabilities + 1e-12)
-                    + 1.0
-                    - np.sum(probabilities * np.log(probabilities + 1e-12))
-                )
-                grad_logits += entropy_bonus * entropy_grad
             grad_state = self.policy.backward(grad_logits, step.linear_cache)
             grad_label_vector = grad_state[self.representation_dim:]
             self.label_embedding.backward(grad_label_vector[None, :], step.label_cache)
@@ -277,7 +269,7 @@ class ASDNet(Module):
         self,
         episode: BatchedEpisode,
         episode_returns: Sequence[float],
-        use_baseline: Optional[bool] = None,
+        use_baseline: bool = True,
     ) -> float:
         """One REINFORCE update for a whole batch of finished episodes.
 
@@ -300,8 +292,6 @@ class ASDNet(Module):
         """
         if len(episode) == 0:
             return 0.0
-        if use_baseline is None:
-            use_baseline = self._config.use_baseline
         episode_returns = np.asarray(episode_returns, dtype=np.float64)
         if episode_returns.shape != (episode.num_episodes,):
             raise ModelError("need one return per episode in the batch")
@@ -320,9 +310,9 @@ class ASDNet(Module):
                 if self._return_baseline is None:
                     self._return_baseline = value
                 advantage = value - self._return_baseline
-                momentum = self._config.baseline_momentum
-                self._return_baseline = (momentum * self._return_baseline
-                                         + (1.0 - momentum) * value)
+                self._return_baseline = (
+                    _BASELINE_MOMENTUM * self._return_baseline
+                    + (1.0 - _BASELINE_MOMENTUM) * value)
             advantages[index] = advantage
 
         self.zero_grad()
@@ -331,13 +321,6 @@ class ASDNet(Module):
         grad_logits = probabilities.copy()
         grad_logits[np.arange(total), actions] -= 1.0
         grad_logits *= advantages[episode_idx][:, None]
-        entropy_bonus = self._config.entropy_bonus
-        if entropy_bonus > 0:
-            log_probs = np.log(probabilities + 1e-12)
-            entropy_grad = probabilities * (
-                log_probs + 1.0
-                - np.sum(probabilities * log_probs, axis=1, keepdims=True))
-            grad_logits += entropy_bonus * entropy_grad
         grad_logits /= contributing
         grad_states = self.policy.backward(grad_logits, {"x": states})
         self.label_embedding.backward(

@@ -3,12 +3,12 @@
 A point's label is decided by the first rule that applies: source and
 destination are normal by definition; Road Network Enhanced Labeling (RNEL)
 fixes the label where the road network leaves no choice; otherwise ASDNet's
-policy chooses, greedily or by sampling, given ``z_i`` and the previous
-label. :class:`~repro.core.stream.StreamEngine` takes the decision one point
-per stream and tick (:func:`rnel_from_degrees`, :func:`policy_choices`,
-:func:`choose`); :func:`label_route` takes it for a whole route at once and
-serves :class:`~repro.core.detector.OnlineDetector` and the engine's
-deferred streams; the training episode of
+policy chooses given ``z_i`` and the previous label — greedily in
+detection, by sampling in training. :class:`~repro.core.stream.StreamEngine`
+takes the decision one point per stream and tick (:func:`rnel_from_degrees`,
+:func:`policy_choices`); :func:`label_route` takes it for a whole route at
+once and serves :class:`~repro.core.detector.OnlineDetector` and the
+engine's deferred streams; the training episode of
 :class:`~repro.core.rl4oasd.RL4OASDTrainer` takes it one time step per batch
 of trajectories (:func:`rnel_from_degrees_batch`, :func:`policy_choices`,
 :func:`sample_labels`). There is no other softmax, argmax or sampling rule
@@ -86,11 +86,10 @@ def policy_choices(asdnet: ASDNet, z: np.ndarray,
                    previous_labels: Sequence[int], greedy: bool):
     """What decides the label of each MDP state ``[z ; previous label]``.
 
-    The one policy decision rule of detection: row-wise softmax, then — with
-    ``greedy`` — argmax over the probabilities (ties to label 0). Otherwise
-    the rows are the action distributions themselves, for
-    :func:`sample_labels` (or :func:`choose`, one row at a time with the
-    generator of the stream that owns the row) to sample from.
+    The one policy decision rule: row-wise softmax, then — with ``greedy``,
+    as detection decides — argmax over the probabilities (ties to label 0).
+    Otherwise the rows are the action distributions themselves, for the
+    training episode's :func:`sample_labels` to sample from.
     """
     probabilities = softmax(asdnet.policy_logits_batch(z, previous_labels),
                             axis=1)
@@ -103,7 +102,7 @@ def sample_labels(probabilities: np.ndarray,
                   rng: np.random.Generator) -> np.ndarray:
     """Labels sampled from the action distributions in ``probabilities``.
 
-    The one sampling rule of detection and training: one uniform per row
+    The one sampling rule of training: one uniform per row
     (``(k, 2)``, as :func:`policy_choices` returns them), drawn in row order,
     and the row's label is 1 exactly when its uniform reaches ``p[0]``. A row
     that is not finite raises :class:`~repro.exceptions.ModelError` before
@@ -116,14 +115,6 @@ def sample_labels(probabilities: np.ndarray,
             >= probabilities[:, 0]).astype(np.int64)
 
 
-def choose(choice, rng: Optional[np.random.Generator]) -> int:
-    """The label one row of :func:`policy_choices` yields (``rng`` is
-    ``None`` exactly when the rows were computed greedy)."""
-    if rng is None:
-        return choice
-    return int(sample_labels(choice[None, :], rng)[0])
-
-
 def label_route(
     segments: Sequence[int],
     hidden: Sequence[np.ndarray],
@@ -131,7 +122,6 @@ def label_route(
     degrees: Optional[Sequence[Tuple[int, int]]],
     rsrnet: RSRNet,
     asdnet: ASDNet,
-    rng: Optional[np.random.Generator] = None,
 ) -> List[int]:
     """Algorithm 1's labels of one complete route, in one pass.
 
@@ -142,8 +132,8 @@ def label_route(
     turns RNEL off). Only the previous label chains one point to the next,
     and it has two values: the policy runs once over every interior point
     under both, and a scalar scan then walks the route picking, per point,
-    the RNEL rule or the policy's choice for the label that actually
-    preceded it — greedy, or sampled from ``rng`` in point order.
+    the RNEL rule or the policy's greedy choice for the label that actually
+    preceded it.
     """
     count = len(segments)
     interior = count - 2
@@ -155,14 +145,14 @@ def label_route(
                         rsrnet.nrf_embedding.vectors(nrf)], axis=1)
     # Row ``p * interior + i - 1``: point ``i`` after label ``p``.
     choices = policy_choices(asdnet, np.concatenate([z, z]),
-                             [0] * interior + [1] * interior, rng is None)
+                             [0] * interior + [1] * interior, greedy=True)
     labels = [0]
     previous = 0
     for index in range(interior):
         label = (None if degrees is None
                  else rnel_from_degrees(*degrees[index], previous))
         if label is None:
-            label = choose(choices[previous * interior + index], rng)
+            label = choices[previous * interior + index]
         labels.append(label)
         previous = label
     labels.append(0)

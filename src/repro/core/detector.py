@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..exceptions import ModelError
 from ..trajectory.models import MatchedTrajectory, Subtrajectory
 from ..trajectory.ops import split_by_labels, subtrajectory_spans
@@ -119,15 +117,12 @@ class OnlineDetector:
         use_rnel: bool = True,
         use_delayed_labeling: bool = True,
         delay_window: int = 8,
-        greedy: bool = True,
-        seed: int = 0,
     ):
         self._rsrnet = rsrnet
         self._asdnet = asdnet
         self._pipeline = pipeline
         self._use_rnel = use_rnel
         self._delay_window = delay_window if use_delayed_labeling else None
-        self._rng = None if greedy else np.random.default_rng(seed)
 
     # ------------------------------------------------------------ detection
     def detect(self, trajectory: MatchedTrajectory) -> DetectionResult:
@@ -147,7 +142,7 @@ class OnlineDetector:
                    if self._use_rnel else None)
         labels = finish_labels(
             label_route(segments, hidden, allowed, degrees, self._rsrnet,
-                        self._asdnet, self._rng),
+                        self._asdnet),
             self._delay_window)
         return DetectionResult(
             trajectory=trajectory,

@@ -150,11 +150,11 @@ class OnlineLearner:
         if first_error is not None:
             raise first_error
 
-    def detector(self, greedy: bool = True, seed: int = 0) -> OnlineDetector:
+    def detector(self) -> OnlineDetector:
         """A detector using the current (possibly fine-tuned) model."""
         if self._model is None:
             raise ModelError("call initial_fit() before requesting a detector")
-        return self._model.detector(greedy=greedy, seed=seed)
+        return self._model.detector()
 
     def training_time_by_part(self) -> Dict[int, float]:
         """Seconds spent fine-tuning per part (Figure 6d)."""

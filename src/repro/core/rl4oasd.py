@@ -41,14 +41,7 @@ from typing import (Dict, Iterator, List, Optional, Sequence, Tuple,
 
 import numpy as np
 
-from ..config import (
-    ASDNetConfig,
-    LabelingConfig,
-    RL4OASDConfig,
-    RSRNetConfig,
-    ServeConfig,
-    TrainingConfig,
-)
+from ..config import ASDNetConfig, LabelingConfig, RSRNetConfig, TrainingConfig
 from ..exceptions import ModelError, NotFittedError
 from ..labeling.features import PreprocessedTrajectory, PreprocessingPipeline
 from ..nn.functional import cosine_similarity_rows
@@ -132,7 +125,7 @@ class RL4OASDModel:
     training_config: TrainingConfig
     report: TrainingReport
 
-    def detector(self, greedy: bool = True, seed: int = 0) -> OnlineDetector:
+    def detector(self) -> OnlineDetector:
         """An online detector using this model (Algorithm 1)."""
         return OnlineDetector(
             rsrnet=self.rsrnet,
@@ -141,8 +134,6 @@ class RL4OASDModel:
             use_rnel=self.training_config.use_rnel,
             use_delayed_labeling=self.training_config.use_delayed_labeling,
             delay_window=self.training_config.delayed_labeling_window,
-            greedy=greedy,
-            seed=seed,
         )
 
     def with_history(self, history) -> "RL4OASDModel":
@@ -173,28 +164,16 @@ class RL4OASDModel:
 
         return StreamEngine.from_model(self, **overrides)
 
-    def detection_service(self, serve_config: Optional[ServeConfig] = None,
-                          **overrides) -> "DetectionService":
+    def detection_service(self, **options) -> "DetectionService":
         """A sharded detection service serving a snapshot of this model.
 
         Keyword arguments are those of
         :class:`~repro.serve.service.DetectionService` (``num_shards``,
         ``backend``, ``queue_depth``, ``start_method``, plus stream-engine
-        overrides); a :class:`~repro.config.ServeConfig` supplies the
-        defaults and explicit keywords win over it.
+        overrides).
         """
         from ..serve.service import DetectionService
 
-        options = {}
-        if serve_config is not None:
-            serve_config.validate()
-            options.update(
-                num_shards=serve_config.num_shards,
-                backend=serve_config.backend,
-                queue_depth=serve_config.queue_depth,
-                start_method=serve_config.start_method,
-            )
-        options.update(overrides)
         return DetectionService(self, **options)
 
     # ----------------------------------------------------------- persistence
@@ -430,7 +409,6 @@ class RL4OASDTrainer:
             use_rnel=config.use_rnel,
             use_delayed_labeling=config.use_delayed_labeling,
             delay_window=config.delayed_labeling_window,
-            greedy=True,
         )
         results = replay_fleet(engine, reference,
                                concurrency=self.VALIDATION_CONCURRENCY)
@@ -559,9 +537,7 @@ class RL4OASDTrainer:
             returns = global_values
 
         self._asdnet.reinforce_update_batch(
-            episode, returns,
-            use_baseline=None if forced_labels is None else False,
-        )
+            episode, returns, use_baseline=forced_labels is None)
         return labels, returns, cache
 
     # ------------------------------------------------------- online updates

@@ -73,7 +73,7 @@ from ..trajectory.models import MatchedTrajectory
 from ..trajectory.ops import split_by_labels
 from ..trajectory.sdpairs import check_start_time
 from .asdnet import ASDNet
-from .decision import choose, label_route, policy_choices, rnel_from_degrees
+from .decision import label_route, policy_choices, rnel_from_degrees
 from .detector import DetectionResult, finish_labels
 from .rsrnet import RSRNet
 
@@ -157,7 +157,6 @@ class _StreamState:
     # Deferred streams only: ``h_i`` of every stepped point, consumed by
     # the finalize labeling pass.
     hidden_states: List[np.ndarray] = field(default_factory=list)
-    rng: Optional[np.random.Generator] = None
     # Sampled trace contexts riding this stream: (segment index, context)
     # pairs awaiting their tick, lazily allocated so untraced streams pay
     # one falsy attribute check per tick and nothing else.
@@ -184,23 +183,13 @@ class StreamEngine:
         use_rnel: bool = True,
         use_delayed_labeling: bool = True,
         delay_window: int = 8,
-        greedy: bool = True,
-        seed: int = 0,
     ):
-        # With greedy=False every stream gets its own Generator seeded with
-        # `seed`, so each trip samples exactly like a fresh
-        # OnlineDetector(greedy=False, seed=seed) would — that is the
-        # equivalence contract the differential tests pin down. It also means
-        # same-route streams draw identical tapes; they are reproducible
-        # replicas, not independent samples.
         self._rsrnet = rsrnet
         self._asdnet = asdnet
         self._pipeline = pipeline
         self._token_of = pipeline.vocabulary.token
         self._use_rnel = use_rnel
         self._delay_window = delay_window if use_delayed_labeling else None
-        self._greedy = greedy
-        self._seed = seed
         self._cache = SegmentFeatureCache(len(pipeline.vocabulary),
                                           4 * rsrnet.config.hidden_dim)
         self._streams: "OrderedDict[Hashable, _StreamState]" = OrderedDict()
@@ -464,8 +453,6 @@ class StreamEngine:
             # stream runs deferred.
             deferred=normal_transitions is None,
         )
-        if not self._greedy:
-            stream.rng = np.random.default_rng(self._seed)
         self._streams[vehicle_id] = stream
         return stream
 
@@ -545,11 +532,12 @@ class StreamEngine:
 
         undecided = [row for row, label in enumerate(labels) if label is None]
         if undecided:
+            # Detection takes the policy's argmax: the rows are the labels.
             choices = policy_choices(
                 self._asdnet, z[undecided],
-                [work[row][0].labels[-1] for row in undecided], self._greedy)
-            for row, choice in zip(undecided, choices):
-                labels[row] = choose(choice, work[row][0].rng)
+                [work[row][0].labels[-1] for row in undecided], True)
+            for row, label in zip(undecided, choices):
+                labels[row] = label
 
         for label, (stream, index) in zip(labels, work):
             stream.labels.append(label)
@@ -689,16 +677,30 @@ class StreamEngine:
                 stream.normal_transitions,
                 (self._pipeline.rnel_degrees(stream.tokens)
                  if self._use_rnel else None),
-                self._rsrnet, self._asdnet, stream.rng)
+                self._rsrnet, self._asdnet)
         else:
             stream.labels.append(0)
         if stream.traces:
             self._observe_tick(stream, count - 1)
         self.points_processed += count - labeled
 
-    def _complete(self, stream: _StreamState) -> DetectionResult:
+    def discard(self, vehicle_ids: Iterable[Hashable]) -> None:
+        """Drop streams unlabeled, freeing their slots (ids without a
+        stream are skipped). For a close that failed where its caller has
+        already let the vehicles go: a stream left open would take the next
+        trip under the same id as its continuation."""
+        for vehicle_id in vehicle_ids:
+            stream = self._streams.get(vehicle_id)
+            if stream is not None:
+                self._release(stream)
+
+    def _release(self, stream: _StreamState) -> None:
         del self._streams[stream.vehicle_id]
+        self._ready.pop(stream.vehicle_id, None)
         self._free_slots.append(stream.slot)
+
+    def _complete(self, stream: _StreamState) -> DetectionResult:
+        self._release(stream)
         self.streams_finalized += 1
         labels = finish_labels(stream.labels, self._delay_window)
         trajectory = MatchedTrajectory(

@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from ..exceptions import DataGenerationError
 from ..roadnet.graph import RoadNetwork
 from ..trajectory.models import MatchedTrajectory, RawTrajectory
-from ..trajectory.sdpairs import SDPairIndex
 
 
 @dataclass
@@ -56,17 +55,12 @@ class TrajectoryDataset:
     trajectories: List[MatchedTrajectory]
     raw_trajectories: List[RawTrajectory] = field(default_factory=list)
     sampling_rate_s: Tuple[float, float] = (2.0, 4.0)
-    slots_per_day: int = 24
 
     def __post_init__(self) -> None:
         if not self.trajectories:
             raise DataGenerationError("a dataset needs at least one trajectory")
 
     # ------------------------------------------------------------------ views
-    def sd_index(self) -> SDPairIndex:
-        """Index of the dataset's trajectories by SD pair and time slot."""
-        return SDPairIndex(self.trajectories, self.slots_per_day)
-
     def train_test_split(
         self, train_size: int, seed: int = 0
     ) -> Tuple[List[MatchedTrajectory], List[MatchedTrajectory]]:
@@ -85,43 +79,6 @@ class TrajectoryDataset:
 
     def normal_trajectories(self) -> List[MatchedTrajectory]:
         return [t for t in self.trajectories if not t.is_anomalous]
-
-    def by_length_group(
-        self, boundaries: Sequence[int] = (15, 30, 45)
-    ) -> Dict[str, List[MatchedTrajectory]]:
-        """Partition trajectories into length groups G1..G4 as in Table III."""
-        groups: Dict[str, List[MatchedTrajectory]] = {
-            f"G{i + 1}": [] for i in range(len(boundaries) + 1)
-        }
-        for trajectory in self.trajectories:
-            length = len(trajectory)
-            group_index = len(boundaries)
-            for i, boundary in enumerate(boundaries):
-                if length < boundary:
-                    group_index = i
-                    break
-            groups[f"G{group_index + 1}"].append(trajectory)
-        return groups
-
-    def filter_by_part(self, part: int, n_parts: int) -> "TrajectoryDataset":
-        """Trajectories whose start time falls in the given part of the day."""
-        if n_parts < 1 or not (0 <= part < n_parts):
-            raise DataGenerationError("invalid part specification")
-        part_length = 24 * 3600 / n_parts
-        low, high = part * part_length, (part + 1) * part_length
-        selected = [
-            t for t in self.trajectories
-            if low <= (t.start_time_s % (24 * 3600)) < high
-        ]
-        if not selected:
-            raise DataGenerationError(f"no trajectories in part {part}")
-        return TrajectoryDataset(
-            name=f"{self.name}-part{part}",
-            network=self.network,
-            trajectories=selected,
-            sampling_rate_s=self.sampling_rate_s,
-            slots_per_day=self.slots_per_day,
-        )
 
     # ------------------------------------------------------------- statistics
     def statistics(self) -> DatasetStatistics:

@@ -170,7 +170,6 @@ class TrajectoryGenerator:
             trajectories=trajectories,
             raw_trajectories=raw_trajectories,
             sampling_rate_s=config.sampling_period_s,
-            slots_per_day=24 // max(1, config.time_slot_hours),
         )
 
     # ------------------------------------------------------------- internals

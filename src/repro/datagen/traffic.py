@@ -78,13 +78,6 @@ class DriftSchedule:
         seconds = time_of_day_s % SECONDS_PER_DAY
         return min(int(seconds // part_length), self.n_parts - 1)
 
-    def part_bounds_s(self, part: int) -> tuple:
-        """Start and end time (seconds of day) of a part."""
-        if not (0 <= part < self.n_parts):
-            raise DataGenerationError(f"part {part} out of range")
-        part_length = SECONDS_PER_DAY / self.n_parts
-        return part * part_length, (part + 1) * part_length
-
     def route_weights(
         self,
         base_weights: Sequence[float],

@@ -43,8 +43,8 @@ class ToastEmbedder:
     """Pre-trains road-segment embeddings that fuse structure and traffic context.
 
     The embedding of a segment is the concatenation of its skip-gram vector
-    (structure learned from random walks) and a linear projection of its
-    traffic-context features, truncated or padded to the requested dimension.
+    (structure learned from random walks) and an 8-wide linear projection of
+    its traffic-context features, truncated to the requested dimension.
     The output initialises RSRNet's embedding layer.
     """
 
@@ -68,8 +68,7 @@ class ToastEmbedder:
         """Train the embeddings (random walks → skip-gram → context fusion)."""
         config = self._config
         rng = np.random.default_rng(config.seed)
-        structural_dim = (config.dimension if not config.use_traffic_context
-                          else max(2, config.dimension - 8))
+        structural_dim = max(2, config.dimension - 8)
         walks = generate_random_walks(
             self._network,
             walks_per_node=config.walks_per_node,
@@ -86,20 +85,12 @@ class ToastEmbedder:
             rng=rng,
         )
         structural = self._model.embedding_matrix(self._segment_ids)
-        if config.use_traffic_context:
-            context = traffic_context_features(self._network, self._segment_ids)
-            projection = rng.normal(0.0, 0.3, size=(context.shape[1], 8))
-            context_part = context @ projection
-            matrix = np.concatenate([structural, context_part], axis=1)
-        else:
-            matrix = structural
-        # Pad or truncate to the exact requested dimension.
-        if matrix.shape[1] < config.dimension:
-            pad = np.zeros((matrix.shape[0], config.dimension - matrix.shape[1]))
-            matrix = np.concatenate([matrix, pad], axis=1)
-        elif matrix.shape[1] > config.dimension:
-            matrix = matrix[:, : config.dimension]
-        self._matrix = matrix
+        context = traffic_context_features(self._network, self._segment_ids)
+        projection = rng.normal(0.0, 0.3, size=(context.shape[1], 8))
+        matrix = np.concatenate([structural, context @ projection], axis=1)
+        # Wider than requested only below dimension 10 (the structural
+        # part is at least 2 wide).
+        self._matrix = matrix[:, :config.dimension]
         return self
 
     @property

@@ -177,6 +177,50 @@ def train_rl4oasd(
     return model, trainer
 
 
+def split_by_part(split: CitySplit, n_parts: int
+                  ) -> Tuple[List[List[MatchedTrajectory]],
+                             List[List[MatchedTrajectory]]]:
+    """Partition a split's trajectories by the part of day they start in.
+
+    Trajectories land in part ``floor((start_time_s % 86400) / (86400 /
+    n_parts))``. Returns ``(train_parts, test_parts)`` with the
+    development set folded into the test side.
+    """
+    if n_parts < 1:
+        raise ReproError("n_parts must be >= 1")
+
+    def part_of(trajectory: MatchedTrajectory) -> int:
+        return min(int((trajectory.start_time_s % 86400)
+                       / (86400 / n_parts)), n_parts - 1)
+
+    train_parts: List[List[MatchedTrajectory]] = [[] for _ in range(n_parts)]
+    test_parts: List[List[MatchedTrajectory]] = [[] for _ in range(n_parts)]
+    for trajectory in split.train:
+        train_parts[part_of(trajectory)].append(trajectory)
+    for trajectory in split.test + split.development:
+        test_parts[part_of(trajectory)].append(trajectory)
+    return train_parts, test_parts
+
+
+def part_trainer(split: CitySplit, train_part: List[MatchedTrajectory],
+                 settings: ExperimentSettings) -> RL4OASDTrainer:
+    """An RL4OASD trainer whose history is one part of the day."""
+    return RL4OASDTrainer(
+        network=split.dataset.network,
+        historical=train_part,
+        labeling_config=settings.labeling_config(),
+        rsrnet_config=settings.rsrnet_config(),
+        asdnet_config=settings.asdnet_config(),
+        training_config=settings.training_config(
+            pretrain_trajectories=min(settings.pretrain_trajectories,
+                                      len(train_part)),
+            joint_trajectories=min(settings.joint_trajectories,
+                                   len(train_part)),
+        ),
+        development_set=split.development,
+    )
+
+
 def build_baselines(
     split: CitySplit,
     pipeline: PreprocessingPipeline,

@@ -16,10 +16,11 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..core import OnlineLearner, RL4OASDTrainer
+from ..core import OnlineLearner
 from ..datagen import DriftSchedule
 from ..eval import evaluate_detector
-from .common import CitySplit, ExperimentSettings, format_table, prepare_city
+from .common import (ExperimentSettings, format_table, part_trainer,
+                     prepare_city, split_by_part)
 
 
 @dataclass
@@ -62,39 +63,6 @@ class Fig6Result:
         return "\n\n".join([block_a, block_b, block_c])
 
 
-def _split_by_part(split: CitySplit, n_parts: int):
-    """Partition a split's trajectories by the part of day they start in."""
-    def part_of(trajectory):
-        return min(int((trajectory.start_time_s % 86400)
-                       / (86400 / n_parts)), n_parts - 1)
-
-    train_parts = [[] for _ in range(n_parts)]
-    test_parts = [[] for _ in range(n_parts)]
-    for trajectory in split.train:
-        train_parts[part_of(trajectory)].append(trajectory)
-    for trajectory in split.test + split.development:
-        test_parts[part_of(trajectory)].append(trajectory)
-    return train_parts, test_parts
-
-
-def _train_on_part(split: CitySplit, train_part, settings: ExperimentSettings):
-    """An RL4OASD trainer whose history is only one part of the day."""
-    trainer = RL4OASDTrainer(
-        network=split.dataset.network,
-        historical=train_part,
-        labeling_config=settings.labeling_config(),
-        rsrnet_config=settings.rsrnet_config(),
-        asdnet_config=settings.asdnet_config(),
-        training_config=settings.training_config(
-            pretrain_trajectories=min(settings.pretrain_trajectories,
-                                      len(train_part)),
-            joint_trajectories=min(settings.joint_trajectories, len(train_part)),
-        ),
-        development_set=split.development,
-    )
-    return trainer
-
-
 def run_fig6(
     settings: Optional[ExperimentSettings] = None,
     city: str = "chengdu",
@@ -114,7 +82,7 @@ def run_fig6(
         drift = DriftSchedule(n_parts=max(2, xi), rotation_per_part=1,
                               drifting_pair_fraction=0.6)
         split = prepare_city(city, settings, drift=drift)
-        train_parts, test_parts = _split_by_part(split, xi)
+        train_parts, test_parts = split_by_part(split, xi)
         empty = [part + 1 for part, trips in enumerate(train_parts)
                  if not trips]
         if empty:
@@ -124,7 +92,7 @@ def run_fig6(
                            f"{', '.join(map(str, empty))} of {xi} "
                            f"({len(split.train)} training trajectories)")
             continue
-        trainer = _train_on_part(split, train_parts[0], settings)
+        trainer = part_trainer(split, train_parts[0], settings)
         learner = OnlineLearner(trainer, fine_tune_epochs=fine_tune_epochs)
         learner.initial_fit()
 
@@ -143,11 +111,11 @@ def run_fig6(
 
         if xi == xi_for_parts:
             # Re-run part by part, also scoring the frozen Part-1 model.
-            frozen_trainer = _train_on_part(split, train_parts[0], settings)
+            frozen_trainer = part_trainer(split, train_parts[0], settings)
             frozen_model = frozen_trainer.train()
             frozen_detector = frozen_model.detector()
 
-            ft_trainer = _train_on_part(split, train_parts[0], settings)
+            ft_trainer = part_trainer(split, train_parts[0], settings)
             ft_learner = OnlineLearner(ft_trainer, fine_tune_epochs=fine_tune_epochs)
             ft_learner.initial_fit()
             for part in range(xi):

@@ -14,8 +14,8 @@ from typing import Dict, List, Optional
 from ..core import OnlineLearner
 from ..datagen import DriftSchedule
 from ..eval.metrics import evaluate_labelings
-from .common import ExperimentSettings, format_table, prepare_city
-from .fig6 import _split_by_part, _train_on_part
+from .common import (ExperimentSettings, format_table, part_trainer,
+                     prepare_city, split_by_part)
 
 
 @dataclass
@@ -58,12 +58,12 @@ def run_fig7(settings: Optional[ExperimentSettings] = None,
     drift = DriftSchedule(n_parts=n_parts, rotation_per_part=1,
                           drifting_pair_fraction=1.0)
     split = prepare_city(city, settings, drift=drift)
-    train_parts, test_parts = _split_by_part(split, n_parts)
+    train_parts, test_parts = split_by_part(split, n_parts)
 
-    frozen_trainer = _train_on_part(split, train_parts[0], settings)
+    frozen_trainer = part_trainer(split, train_parts[0], settings)
     frozen_detector = frozen_trainer.train().detector()
 
-    ft_trainer = _train_on_part(split, train_parts[0], settings)
+    ft_trainer = part_trainer(split, train_parts[0], settings)
     learner = OnlineLearner(ft_trainer)
     learner.initial_fit()
 

@@ -8,10 +8,10 @@ module makes that evolution a first-class, hot-swappable artifact instead of
 frozen state buried inside a preprocessing pipeline:
 
 * :class:`HistorySnapshot` — one immutable, versioned view of the history.
-  A snapshot exposes the same read API as
-  :class:`~repro.trajectory.sdpairs.SDPairIndex` (``group`` / ``group_for``
-  / ``groups`` / ``pair_sizes`` / ``__len__``) plus memoized derived-value
-  caches (transition statistics, route tallies) keyed by the group they
+  A snapshot is the one grouping of trajectories by SD pair and time slot
+  (``group`` / ``group_for`` / ``groups`` / ``sd_pairs`` / ``pair_sizes`` /
+  ``__len__``) plus memoized derived-value caches (transition statistics,
+  route tallies) keyed by the group they
   summarise, pure functions of the snapshot and therefore safe to share
   between every reader pinned to the same version. Serializing a snapshot
   strips those caches — a receiver recomputes identical values lazily.
@@ -324,9 +324,9 @@ class HistorySnapshot:
     def group_for(self, trajectory: MatchedTrajectory) -> List[MatchedTrajectory]:
         """The historical group a trajectory belongs to.
 
-        Mirrors :meth:`SDPairIndex.group_for` exactly (fall back to all time
-        slots only when the trajectory's own slot has no history), so
-        baselines that consulted the index keep their behaviour.
+        Falls back to all time slots only when the trajectory's own slot
+        has no history — how sparse SD pairs are handled in the cold-start
+        study.
         """
         slot = time_slot_of(trajectory.start_time_s, self._slots_per_day)
         group = self.group(trajectory.source, trajectory.destination, slot)

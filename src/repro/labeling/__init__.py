@@ -3,7 +3,7 @@
 This package implements Section IV-B of the paper:
 
 * trajectories are grouped by SD pair and time slot (done by
-  :class:`~repro.trajectory.sdpairs.SDPairIndex`),
+  :class:`~repro.history.HistorySnapshot`),
 * per-group *transition fractions* measure how often each transition between
   adjacent road segments is travelled (:mod:`~repro.labeling.transitions`),
 * *noisy labels* threshold those fractions at ``alpha``

@@ -174,12 +174,6 @@ class PreprocessingPipeline:
         """The store producing this pipeline's snapshots (version counter)."""
         return self._store
 
-    @property
-    def sd_index(self) -> HistorySnapshot:
-        """The pinned snapshot — exposes the historical ``SDPairIndex`` read
-        API (``group`` / ``group_for`` / ``__len__`` / ...)."""
-        return self._snapshot
-
     # ------------------------------------------------------------- refresh
     def load_history(self, snapshot: HistorySnapshot) -> HistorySnapshot:
         """Atomically repin this pipeline to ``snapshot``.

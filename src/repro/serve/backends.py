@@ -523,6 +523,9 @@ class ShardCore:
         try:
             results = engine.finalize_many(vehicle_ids)
         except BaseException as error:
+            # The facade let these vehicles go when it queued the close, so
+            # the close must not leave their streams open here.
+            engine.discard(vehicle_ids)
             bus.publish("error", tuple(vehicle_ids), error)
         else:
             traced = engine.pop_finalize_traced()
@@ -792,13 +795,11 @@ class ProcessBackend(ServiceBackend):
     def __init__(self, blob: bytes, num_shards: int, queue_depth: int,
                  engine_overrides: Optional[dict] = None,
                  start_method: Optional[str] = None,
-                 request_timeout_s: float = _REQUEST_TIMEOUT_S,
                  obs_options: Optional[dict] = None):
         import multiprocessing
 
         super().__init__(num_shards)
         context = multiprocessing.get_context(start_method)
-        self._request_timeout_s = request_timeout_s
         self._shards = [
             _ProcessShard(shard_id, context, blob, dict(engine_overrides or {}),
                           queue_depth, obs_options)
@@ -857,19 +858,19 @@ class ProcessBackend(ServiceBackend):
 
     def _reply(self, shard: "_ProcessShard", what: str) -> tuple:
         """Wait for a shard's next ``(kind, payload)`` reply."""
-        deadline = time.monotonic() + self._request_timeout_s
+        deadline = time.monotonic() + _REQUEST_TIMEOUT_S
         while True:
             try:
                 return shard.results.get(timeout=_WAIT_SLICE_S)
             except queue_module.Empty:
                 self._attend(shard, deadline,
-                             f"{what} within {self._request_timeout_s:.0f}s")
+                             f"{what} within {_REQUEST_TIMEOUT_S:.0f}s")
 
     def _request(self, shard: int, command: tuple, expect: str):
         if self._closed:
             raise ServiceError("the detection service is closed")
         state = self._shards[shard]
-        self._put(state, command, self._request_timeout_s)
+        self._put(state, command, _REQUEST_TIMEOUT_S)
         reply = self._reply(state, f"answer a {command[0]!r} request")
         return self._payload(shard, command, reply, expect)
 
@@ -907,7 +908,7 @@ class ProcessBackend(ServiceBackend):
         sent = []
         for shard in self._shards:
             try:
-                self._put(shard, ("swap", blob), self._request_timeout_s)
+                self._put(shard, ("swap", blob), _REQUEST_TIMEOUT_S)
             except ServiceError as error:  # dead or wedged: nothing to await
                 first_error = first_error or error
             else:

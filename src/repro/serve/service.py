@@ -153,8 +153,7 @@ class DetectionService:
         if self._obs is not None:
             self._tracer: Optional[Tracer] = Tracer(
                 MetricsRegistry(),
-                sample_rate=self._obs.trace_sample_rate,
-                seed=self._obs.trace_seed, site="facade",
+                sample_rate=self._obs.trace_sample_rate, site="facade",
                 keep_spans=self._obs.keep_spans,
                 max_spans=self._obs.max_spans)
             obs_options = {"keep_spans": self._obs.keep_spans,
@@ -484,10 +483,12 @@ class DetectionService:
         :meth:`drain_results`. Validation (duplicates, unknown vehicles)
         happens here, synchronously; a shard-side failure — say a declared
         destination the trip never reached — arrives as one ``"error"``
-        envelope carrying the exception. The vehicles move from *open* to
-        *pending* immediately (:attr:`results_pending`); a full shard queue
-        is ridden out by :meth:`_deliver`, as for :meth:`ingest_many`.
-        Returns retries used.
+        envelope carrying the exception, and the shard drops that batch's
+        streams: unlike :meth:`finalize_many`, an async close always
+        closes, so a later trip under the same id opens a fresh stream.
+        The vehicles move from *open* to *pending* immediately
+        (:attr:`results_pending`); a full shard queue is ridden out by
+        :meth:`_deliver`, as for :meth:`ingest_many`. Returns retries used.
         """
         self._require_open_service()
         by_shard = self._plan_close(vehicle_ids, "finalize_async")

@@ -22,7 +22,7 @@ from .ops import (
     subtrajectory_spans,
     transitions_of,
 )
-from .sdpairs import SDPairIndex, group_by_sd_pair, time_slot_of
+from .sdpairs import time_slot_of
 from .similarity import (
     discrete_frechet,
     edit_distance_routes,
@@ -36,8 +36,6 @@ __all__ = [
     "MatchedTrajectory",
     "Subtrajectory",
     "SDPair",
-    "SDPairIndex",
-    "group_by_sd_pair",
     "time_slot_of",
     "route_of",
     "transitions_of",

@@ -1,8 +1,8 @@
 """Algorithm 1 as a scalar per-point loop — the tests' independent reference.
 
 This is the detector as it ran before the route pass: one ``RSRNet.step``,
-one ``apply_rnel`` and one ``ASDNet.greedy_action`` / ``sample_action`` per
-point (the destination included), nothing batched, nothing shared with
+one ``apply_rnel`` and one ``ASDNet.greedy_action`` per point (the
+destination included), nothing batched, nothing shared with
 :mod:`repro.core.decision`. ``OnlineDetector`` and the engine's deferred
 finalize now run the same :func:`~repro.core.decision.label_route`, so
 comparing them with each other proves nothing; this loop and the engine's
@@ -12,8 +12,6 @@ per-point ``tick`` path are the two anchors they are pinned against.
 from __future__ import annotations
 
 from typing import List, Optional
-
-import numpy as np
 
 from repro.core.decision import apply_rnel
 from repro.core.detector import apply_delayed_labeling
@@ -25,9 +23,8 @@ def reference_labels(
     trajectory: MatchedTrajectory,
     use_rnel: bool = True,
     delay_window: Optional[int] = 8,
-    rng: Optional[np.random.Generator] = None,
 ) -> List[int]:
-    """Labels of ``trajectory`` under ``model`` (greedy unless ``rng``)."""
+    """Labels of ``trajectory`` under ``model``."""
     rsrnet, asdnet, pipeline = model.rsrnet, model.asdnet, model.pipeline
     segments = trajectory.segments
     n = len(segments)
@@ -46,10 +43,7 @@ def reference_labels(
                 label = apply_rnel(pipeline.network, segments[i - 1], segment,
                                    labels[-1])
             if label is None:
-                if rng is None:
-                    label = asdnet.greedy_action(z, labels[-1])
-                else:
-                    label, _ = asdnet.sample_action(z, labels[-1], rng=rng)
+                label = asdnet.greedy_action(z, labels[-1])
         labels.append(label)
     if delay_window is not None:
         labels = apply_delayed_labeling(labels, delay_window)

@@ -176,6 +176,5 @@ class ReferenceTrainer:
         value = episode_return(local_rewards, global_value)
         # The forced-label warm start is weighted behaviour cloning: no baseline.
         self.asdnet.reinforce_update(
-            episode, value,
-            use_baseline=None if forced_labels is None else False)
+            episode, value, use_baseline=forced_labels is None)
         return labels, value

@@ -16,7 +16,7 @@ import pytest
 from repro.config import (ASDNetConfig, LabelingConfig, RSRNetConfig,
                           TrainingConfig)
 from repro.core import OnlineLearner, RL4OASDTrainer, TrainingReport
-from repro.core.decision import (apply_rnel, choose, rnel_from_degrees,
+from repro.core.decision import (apply_rnel, rnel_from_degrees,
                                  rnel_from_degrees_batch, sample_labels)
 from repro.exceptions import ConfigurationError, ModelError
 from repro.nn import (LSTM, cosine_similarity, cosine_similarity_rows,
@@ -272,13 +272,6 @@ def test_sample_labels_contract(rng):
     uniforms = np.random.default_rng(4).random(9)
     assert labels.tolist() == (uniforms >= probabilities[:, 0]).tolist()
 
-    # ``choose`` is the sampler's one-row form: same labels, same stream.
-    single = _CountingGenerator(4)
-    assert [choose(row, single) for row in probabilities] == labels.tolist()
-    assert single.uniforms == 9
-    assert single.bit_generator.state == counting.bit_generator.state
-    assert choose(1, None) == 1  # greedy rows are the labels themselves
-
     # A diverged policy raises instead of passing as a label, undrawn.
     for bad in (np.nan, np.inf):
         broken = probabilities.copy()
@@ -287,7 +280,7 @@ def test_sample_labels_contract(rng):
         with pytest.raises(ModelError):
             sample_labels(broken, untouched)
         with pytest.raises(ModelError):
-            choose(broken[5], untouched)
+            sample_labels(broken[5:6], untouched)
         assert untouched.uniforms == 0
 
 
@@ -398,7 +391,7 @@ def test_fine_tune_rejects_invalid_batch_size(dataset, dataset_split):
         trainer.fine_tune(train[60:70], batch_size=0)
     # Rejected before anything moved: a retry must not double the history.
     assert trainer.pipeline.history.version == history.version
-    assert len(trainer.pipeline.sd_index) == len(history) == 60
+    assert len(trainer.pipeline.history) == len(history) == 60
 
 
 # ----------------------------------------------------- reporting paths

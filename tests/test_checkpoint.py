@@ -121,7 +121,7 @@ def test_round_trip_preserves_history_version(trained_model, checkpoint_path,
     loaded = load_model(checkpoint_path)
     assert (loaded.pipeline.history.version
             == trained_model.pipeline.history.version)
-    assert len(loaded.pipeline.sd_index) == len(trained_model.pipeline.sd_index)
+    assert len(loaded.pipeline.history) == len(trained_model.pipeline.history)
 
 
 def test_round_trip_with_refreshed_history_is_label_identical(trained_model,
@@ -137,7 +137,7 @@ def test_round_trip_with_refreshed_history_is_label_identical(trained_model,
     path = model.save(tmp_path / "refreshed.ckpt")
     loaded = load_model(path)
     assert loaded.pipeline.history.version == 2
-    assert len(loaded.pipeline.sd_index) == len(model.pipeline.sd_index)
+    assert len(loaded.pipeline.history) == len(model.pipeline.history)
     detector, loaded_detector = model.detector(), loaded.detector()
     for trajectory in test[:8]:
         assert (loaded_detector.detect(trajectory).labels

@@ -8,41 +8,28 @@ from repro.config import (
     EmbeddingConfig,
     LabelingConfig,
     MapMatchingConfig,
-    RL4OASDConfig,
     RoadNetworkConfig,
     RSRNetConfig,
     TrainingConfig,
-    small_config,
 )
 from repro.exceptions import ConfigurationError
 
 
-def test_default_config_is_valid():
-    config = RL4OASDConfig()
-    assert config.validate() is config
-
-
 def test_paper_defaults():
     """The defaults mirror the paper's setting (Section V-A)."""
-    config = RL4OASDConfig()
-    assert config.labeling.alpha == 0.5
-    assert config.labeling.delta == 0.4
-    assert config.training.delayed_labeling_window == 8
-    assert config.labeling.time_slots_per_day == 24
-    assert config.rsrnet.embedding_dim == 128
-    assert config.rsrnet.hidden_dim == 128
-    assert config.rsrnet.learning_rate == pytest.approx(0.01)
-    assert config.asdnet.learning_rate == pytest.approx(0.001)
-    assert config.training.pretrain_trajectories == 200
-    assert config.training.joint_trajectories == 10000
-    assert config.training.joint_epochs == 5
-
-
-def test_small_config_is_valid_and_small():
-    config = small_config()
-    assert config.validate() is config
-    assert config.rsrnet.hidden_dim < 128
-    assert config.training.joint_trajectories < 10000
+    labeling, training = LabelingConfig(), TrainingConfig()
+    rsrnet, asdnet = RSRNetConfig(), ASDNetConfig()
+    assert labeling.alpha == 0.5
+    assert labeling.delta == 0.4
+    assert training.delayed_labeling_window == 8
+    assert labeling.time_slots_per_day == 24
+    assert rsrnet.embedding_dim == 128
+    assert rsrnet.hidden_dim == 128
+    assert rsrnet.learning_rate == pytest.approx(0.01)
+    assert asdnet.learning_rate == pytest.approx(0.001)
+    assert training.pretrain_trajectories == 200
+    assert training.joint_trajectories == 10000
+    assert training.joint_epochs == 5
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -142,14 +129,6 @@ def test_training_config_rejects_bad_values(kwargs):
 def test_embedding_config_rejects_bad_values():
     with pytest.raises(ConfigurationError):
         EmbeddingConfig(dimension=1).validate()
-
-
-def test_with_overrides_replaces_sections():
-    config = RL4OASDConfig()
-    new = config.with_overrides(labeling=LabelingConfig(alpha=0.3))
-    assert new.labeling.alpha == 0.3
-    assert config.labeling.alpha == 0.5
-    assert new.rsrnet is config.rsrnet
 
 
 def test_configs_are_frozen():

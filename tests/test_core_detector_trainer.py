@@ -122,7 +122,7 @@ def test_detector_output_structure(trained_model, dataset_split):
 
 def test_detector_is_deterministic_in_greedy_mode(trained_model, dataset_split):
     _, _, test = dataset_split
-    detector = trained_model.detector(greedy=True)
+    detector = trained_model.detector()
     first = detector.detect(test[1]).labels
     second = detector.detect(test[1]).labels
     assert first == second
@@ -265,9 +265,9 @@ def test_fine_tune_extends_history(dataset, dataset_split):
         development_set=development[:10],
     )
     trainer.train()
-    before = len(trainer.pipeline.sd_index)
+    before = len(trainer.pipeline.history)
     trainer.fine_tune(train[120:140], epochs=1)
-    assert len(trainer.pipeline.sd_index) == before + 20
+    assert len(trainer.pipeline.history) == before + 20
     trainer.fine_tune([])  # no-op
 
 
@@ -309,8 +309,8 @@ class _StubModel:
     def __init__(self, name):
         self.name = name
 
-    def detector(self, greedy=True, seed=0):
-        return ("detector", self.name, greedy, seed)
+    def detector(self):
+        return ("detector", self.name)
 
 
 class _StubTrainer:
@@ -335,5 +335,4 @@ def test_online_learner_serves_the_stored_model():
     not from whatever the wrapped trainer currently holds."""
     learner = OnlineLearner(_StubTrainer())
     learner.initial_fit()
-    assert learner.detector(greedy=False, seed=3) == \
-        ("detector", "initial", False, 3)
+    assert learner.detector() == ("detector", "initial")

@@ -37,7 +37,7 @@ def test_drift_schedule_parts_and_rotation():
     schedule = DriftSchedule(n_parts=4, rotation_per_part=1)
     assert schedule.part_of(0.0) == 0
     assert schedule.part_of(23 * 3600.0) == 3
-    assert schedule.part_bounds_s(1) == (6 * 3600.0, 12 * 3600.0)
+    assert schedule.part_of(6 * 3600.0) == 1
     weights = [0.55, 0.45]
     assert schedule.route_weights(weights, 0) == [0.55, 0.45]
     assert schedule.route_weights(weights, 1) == [0.45, 0.55]
@@ -163,17 +163,3 @@ def test_train_test_split_validation():
     with pytest.raises(DataGenerationError):
         dataset.train_test_split(train_size=len(dataset))
 
-
-def test_by_length_group_partition():
-    dataset = tiny_dataset(seed=11)
-    groups = dataset.by_length_group()
-    assert sum(len(g) for g in groups.values()) == len(dataset)
-
-
-def test_filter_by_part():
-    dataset = tiny_dataset(seed=11)
-    part0 = dataset.filter_by_part(0, 2)
-    part1 = dataset.filter_by_part(1, 2)
-    assert len(part0) + len(part1) == len(dataset)
-    with pytest.raises(DataGenerationError):
-        dataset.filter_by_part(5, 2)

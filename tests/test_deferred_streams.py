@@ -49,7 +49,7 @@ def quiesce(engine):
 
 def drive_mixed_fleet(engine, fleet, declared, seed, ticks):
     """Random interleaving of the fleet's points, ``ticks[i]`` ticks after
-    the i-th event (cycled); returns the streams' rngs and the results."""
+    the i-th event (cycled); returns the results."""
     rng = np.random.default_rng(seed)
     for event, (index, position, segment) in enumerate(
             interleave_streams(fleet, rng)):
@@ -59,10 +59,9 @@ def drive_mixed_fleet(engine, fleet, declared, seed, ticks):
             engine.ingest(index, segment)
         for _ in range(ticks[event % len(ticks)]):
             engine.tick()
-    rngs = [engine._streams[index].rng for index in range(len(fleet))]
     order = [int(index) for index in rng.permutation(len(fleet))]
     results = dict(zip(order, engine.finalize_many(order)))
-    return rngs, [results[index] for index in range(len(fleet))]
+    return [results[index] for index in range(len(fleet))]
 
 
 fleet_plans = st.tuples(
@@ -85,7 +84,7 @@ def test_mixed_fleets_match_detector(trained_model, dataset_split, plan):
     declared = [declare for _, declare in picks]
     detector = trained_model.detector()
     engine = trained_model.stream_engine()
-    _, results = drive_mixed_fleet(engine, fleet, declared, seed, ticks)
+    results = drive_mixed_fleet(engine, fleet, declared, seed, ticks)
     for trajectory, result in zip(fleet, results):
         reference = detector.detect(trajectory)
         assert result.labels == reference.labels
@@ -95,38 +94,17 @@ def test_mixed_fleets_match_detector(trained_model, dataset_split, plan):
     assert not engine._ready
 
 
-@FLEETS
-@given(plan=fleet_plans, sampler_seed=st.integers(0, 1000))
-def test_mixed_fleets_sample_the_detectors_tape(trained_model, dataset_split,
-                                                plan, sampler_seed):
-    """``greedy=False``: every trip draws exactly the samples a fresh
-    stochastic detector would — same labels, same generator state after."""
-    _, development, test = dataset_split
-    pool = list(test) + list(development)
-    picks, seed, ticks = plan
-    fleet = [pool[pick % len(pool)] for pick, _ in picks]
-    declared = [declare for _, declare in picks]
-    engine = trained_model.stream_engine(greedy=False, seed=sampler_seed)
-    rngs, results = drive_mixed_fleet(engine, fleet, declared, seed, ticks)
-    for trajectory, rng, result in zip(fleet, rngs, results):
-        detector = trained_model.detector(greedy=False, seed=sampler_seed)
-        assert result.labels == detector.detect(trajectory).labels
-        assert (rng.bit_generator.state
-                == detector._rng.bit_generator.state)
-
-
 @pytest.mark.parametrize("length", [1, 2, 3])
-@pytest.mark.parametrize("greedy", [True, False])
-def test_shortest_routes(trained_model, dataset_split, length, greedy):
+def test_shortest_routes(trained_model, dataset_split, length):
     """No interior point, or exactly one: the endpoint rule alone decides
     (almost) everything and the policy batch is empty or two rows."""
     _, _, test = dataset_split
     for number, source in enumerate(test[:6]):
         route = MatchedTrajectory(number, list(source.segments[:length]),
                                   start_time_s=source.start_time_s)
-        reference = trained_model.detector(greedy=greedy, seed=3).detect(route)
+        reference = trained_model.detector().detect(route)
         for ticking in (False, True):
-            engine = trained_model.stream_engine(greedy=greedy, seed=3)
+            engine = trained_model.stream_engine()
             open_stream(engine, "cab", route, declare=False)
             feed(engine, "cab", route, 1, None)
             if ticking:

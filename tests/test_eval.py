@@ -129,6 +129,14 @@ def test_group_by_length_partitions_everything():
     assert [t.trajectory_id for t in groups["G1"]] == [0, 4]
 
 
+def test_group_by_length_partitions_a_dataset():
+    from repro.datagen import tiny_dataset
+
+    dataset = tiny_dataset(seed=11)
+    groups = group_by_length(dataset.trajectories)
+    assert sum(len(g) for g in groups.values()) == len(dataset)
+
+
 # -------------------------------------------------------------------- runner
 def test_evaluate_detector_oracle_and_constant():
     test_set = [make(0, 8, [0, 1, 1, 0, 0, 0, 0, 0]),

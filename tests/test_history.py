@@ -264,7 +264,7 @@ def test_snapshot_from_bytes_rejects_foreign_payloads():
 
 
 # ----------------------------------------------------------- read interface
-def test_snapshot_mirrors_sd_index_reads(seed_trajectories):
+def test_snapshot_read_interface(seed_trajectories):
     snapshot = HistorySnapshot.build(seed_trajectories)
     assert len(snapshot.group(1, 10)) == 7
     assert snapshot.group(1, 10, time_slot=0)  # all start at t=0 -> slot 0
@@ -288,11 +288,11 @@ def test_pipeline_is_a_view_over_the_store(dataset, dataset_split):
                                      LabelingConfig(alpha=0.35, delta=0.25))
     assert pipeline.history.version == 1
     assert pipeline.store.current() is pipeline.history
-    assert len(pipeline.sd_index) == 100
+    assert len(pipeline.history) == 100
     snapshot = pipeline.extend_history(train[100:120])
     assert snapshot.version == 2
     assert pipeline.history is snapshot
-    assert len(pipeline.sd_index) == 120
+    assert len(pipeline.history) == 120
 
 
 def test_pipeline_with_history_shares_vocabulary(dataset, dataset_split):

@@ -26,6 +26,7 @@ import numpy as np
 import pytest
 
 from repro.config import GatewayConfig
+from repro.core import replay_fleet
 from repro.datagen import sample_gps_trace
 from repro.exceptions import GatewayError, ModelError, ServiceError
 from repro.ingest import GpsGateway
@@ -354,6 +355,39 @@ def test_error_envelope_carries_shard_failure(trained_model, dataset_split,
         assert envelopes[0].key == ("cab",)
         assert isinstance(envelopes[0].payload, ModelError)
         assert service.results_pending == 0
+
+
+@pytest.mark.parametrize("backend", ["inprocess", "process"])
+def test_failed_async_finalize_still_closes_the_streams(
+        trained_model, dataset_split, backend):
+    """An async close that fails shard-side (declared destination not yet
+    reached) drops the stream there too, so the next trip under the same
+    vehicle id opens afresh instead of extending the stale stream."""
+    _, _, test = dataset_split
+    trajectory = next(t for t in test
+                      if len(t) >= 3 and t.segments[1] != t.destination)
+    with trained_model.detection_service(
+            num_shards=1, backend=backend) as service:
+        service.ingest_blocking("cab", trajectory.segments[0],
+                                destination=trajectory.destination)
+        service.ingest_blocking("cab", trajectory.segments[1])
+        service.finalize_async(["cab"])
+        envelopes = service.drain_results()
+        assert [e.kind for e in envelopes] == ["error"]
+        assert isinstance(envelopes[0].payload, ModelError)
+        assert service.metrics().streams_open == 0
+        service.ingest_many([IngestEvent(
+            "cab", segment,
+            trajectory.destination if position == 0 else None,
+            trajectory.start_time_s if position == 0 else 0.0,
+            trajectory.trajectory_id if position == 0 else None)
+            for position, segment in enumerate(trajectory.segments)])
+        service.finalize_async(["cab"])
+        envelopes = service.drain_results()
+    assert [e.kind for e in envelopes] == ["result"]
+    single = replay_fleet(clone_model(trained_model).stream_engine(),
+                          [trajectory])[0]
+    assert envelopes[0].payload.labels == single.labels
 
 
 def test_finalize_async_validates_synchronously(trained_model, dataset_split):

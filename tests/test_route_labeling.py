@@ -3,9 +3,8 @@
 ``OnlineDetector.detect`` and the engine's deferred finalize both run
 :func:`repro.core.decision.label_route`, so they can no longer vouch for each
 other. ``tests/reference_detector.py`` keeps Algorithm 1 as the scalar
-per-point loop it used to be; everything here is pinned against that — labels
-and, when sampling, the generator's final state — and the cost contract of
-the change is counted: nobody steps a destination.
+per-point loop it used to be; everything here is pinned against that, and
+the cost contract of the change is counted: nobody steps a destination.
 """
 
 from __future__ import annotations
@@ -43,10 +42,9 @@ def cut(trajectory, length):
                              start_time_s=trajectory.start_time_s)
 
 
-def options(use_rnel, window, seed):
+def options(use_rnel, window):
     return dict(use_rnel=use_rnel, use_delayed_labeling=window is not None,
-                delay_window=8 if window is None else window,
-                greedy=seed is None, seed=seed or 0)
+                delay_window=8 if window is None else window)
 
 
 route_plans = st.tuples(
@@ -55,7 +53,6 @@ route_plans = st.tuples(
     st.sampled_from([1, 2, 3, 4, None, None]),  # cut to this length
     st.booleans(),                              # RNEL
     st.sampled_from([None, 0, 2, 8]),           # delayed-labeling window
-    st.one_of(st.none(), st.integers(0, 1000)),  # sampler seed, None: greedy
 )
 
 
@@ -63,36 +60,29 @@ route_plans = st.tuples(
 @ROUTES
 @given(plan=route_plans)
 def test_detect_matches_the_scalar_reference(models, dataset_split, plan):
-    """Lengths 1, 2, 3 and long; RNEL and delayed labeling on and off; greedy
-    and sampled — same labels, and the sampler ends in the reference's
-    generator state (it drew the same tape, in point order)."""
+    """Lengths 1, 2, 3 and long; RNEL and delayed labeling on and off —
+    same labels."""
     _, development, test = dataset_split
     pool = list(test) + list(development)
-    which, pick, length, use_rnel, window, seed = plan
+    which, pick, length, use_rnel, window = plan
     model = models[which]
     route = cut(pool[pick % len(pool)], length)
-    rng = None if seed is None else np.random.default_rng(seed)
-    expected = reference_labels(model, route, use_rnel, window, rng)
+    expected = reference_labels(model, route, use_rnel, window)
 
     detector = OnlineDetector(model.rsrnet, model.asdnet, model.pipeline,
-                              **options(use_rnel, window, seed))
+                              **options(use_rnel, window))
     assert detector.detect(route).labels == expected
-    if rng is not None:
-        assert detector._rng.bit_generator.state == rng.bit_generator.state
 
     # The engine reaches the same labels both ways: per point through its
     # ticks (destination declared) and through the route pass (deferred).
     for declare in (True, False):
-        engine = model.stream_engine(**options(use_rnel, window, seed))
+        engine = model.stream_engine(**options(use_rnel, window))
         open_stream(engine, "cab", route, declare)
         engine.tick()
         for segment in route.segments[1:]:
             engine.ingest("cab", segment)
             engine.tick()
-        drawn = engine._streams["cab"].rng
         assert engine.finalize("cab").labels == expected
-        if rng is not None:
-            assert drawn.bit_generator.state == rng.bit_generator.state
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -145,9 +135,8 @@ def test_one_sided_rnel_rules_match_the_reference(trained_model,
 
 
 @pytest.mark.parametrize("use_rnel", [True, False])
-@pytest.mark.parametrize("seed", [None, 4])
 def test_label_route_reads_only_the_interior_states(models, dataset_split,
-                                                    use_rnel, seed):
+                                                    use_rnel):
     """``label_route`` itself, fed the way each caller feeds it: the
     detector's ``n - 1`` rows, a fully stepped stream's ``n``, an array or a
     list of per-point vectors — and garbage where nobody may look."""
@@ -165,13 +154,9 @@ def test_label_route_reads_only_the_interior_states(models, dataset_split,
         poisoned = hidden.copy()
         poisoned[0] = poisoned[-1] = np.nan
         for states in (hidden, hidden[:n - 1], list(hidden), poisoned):
-            rng = None if seed is None else np.random.default_rng(seed)
-            expected_rng = (None if seed is None
-                            else np.random.default_rng(seed))
             assert label_route(segments, states, allowed, degrees,
-                               model.rsrnet, model.asdnet, rng) == \
-                reference_labels(model, trajectory, use_rnel, None,
-                                 expected_rng)
+                               model.rsrnet, model.asdnet) == \
+                reference_labels(model, trajectory, use_rnel, None)
 
 
 def test_hidden_states_match_the_step_loop(trained_model, dataset_split):

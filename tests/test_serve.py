@@ -13,9 +13,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.config import ServeConfig
-from repro.exceptions import (ConfigurationError, LabelingError, ModelError,
-                              ServiceError, TrajectoryError)
+from repro.exceptions import (LabelingError, ModelError, ServiceError,
+                              TrajectoryError)
 from repro.serve import (DetectionService, IngestEvent, IngestStatus,
                          clone_model, serve_fleet, shard_of, weights_snapshot)
 from repro.trajectory.ops import interleave_streams
@@ -412,20 +411,6 @@ def test_service_validates_construction(trained_model):
         DetectionService(trained_model, queue_depth=0)
     with pytest.raises(ServiceError):
         DetectionService(trained_model, backend="quantum")
-
-
-def test_serve_config_supplies_defaults(trained_model):
-    config = ServeConfig(num_shards=3, backend="inprocess", queue_depth=7)
-    with trained_model.detection_service(serve_config=config) as service:
-        assert service.num_shards == 3
-        assert service.backend_name == "inprocess"
-    with trained_model.detection_service(serve_config=config,
-                                         num_shards=2) as service:
-        assert service.num_shards == 2  # explicit keyword wins
-    with pytest.raises(ConfigurationError):
-        ServeConfig(backend="quantum").validate()
-    with pytest.raises(ConfigurationError):
-        ServeConfig(num_shards=0).validate()
 
 
 def test_serve_fleet_validates_concurrency(trained_model, dataset_split):

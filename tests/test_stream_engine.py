@@ -115,17 +115,6 @@ def test_deferred_mode_without_destination(trained_model, dataset_split):
                              engine.finalize(index))
 
 
-def test_sampling_mode_matches_fresh_detector(trained_model, dataset_split):
-    """Non-greedy engine == a fresh stochastic detector per trajectory."""
-    _, _, test = dataset_split
-    engine = trained_model.stream_engine(greedy=False, seed=11)
-    results = replay_fleet(engine, test[:8], concurrency=4)
-    for trajectory, result in zip(test[:8], results):
-        reference = trained_model.detector(greedy=False, seed=11).detect(
-            trajectory)
-        assert_results_match(reference, result)
-
-
 def test_cache_eviction_does_not_change_labels(trained_model, dataset_split):
     """Projections read from the shared table yield identical labels (the
     table evicts nothing: a row is computed once and kept)."""

@@ -3,12 +3,11 @@
 import pytest
 
 from repro.exceptions import TrajectoryError
+from repro.history import HistorySnapshot
 from repro.trajectory import (
     MatchedTrajectory,
-    SDPairIndex,
     discrete_frechet,
     edit_distance_routes,
-    group_by_sd_pair,
     jaccard_similarity,
     lcss_similarity,
     time_slot_of,
@@ -44,14 +43,14 @@ def test_time_slot_rejects_bad_slots():
 
 
 # ------------------------------------------------------------------ grouping
-def test_group_by_sd_pair_groups_by_endpoints_and_slot():
+def test_snapshot_groups_by_endpoints_and_slot():
     trajectories = [
         make(1, [1, 2, 3], start=0.0),
         make(2, [1, 5, 3], start=100.0),
         make(3, [1, 2, 3], start=3600.0 * 5),
         make(4, [9, 2, 3], start=0.0),
     ]
-    groups = group_by_sd_pair(trajectories)
+    groups = HistorySnapshot.build(trajectories).groups()
     sizes = sorted(len(g) for g in groups.values())
     assert sizes == [1, 1, 2]
 
@@ -59,31 +58,12 @@ def test_group_by_sd_pair_groups_by_endpoints_and_slot():
 def test_sd_pair_index_queries():
     trajectories = [make(i, [1, 2, 3], start=i * 10.0) for i in range(5)]
     trajectories += [make(10 + i, [4, 2, 6], start=i * 10.0) for i in range(3)]
-    index = SDPairIndex(trajectories)
+    index = HistorySnapshot.build(trajectories)
     assert len(index) == 8
     assert index.sd_pairs() == [(1, 3), (4, 6)]
     assert len(index.group(1, 3)) == 5
     assert index.pair_sizes()[(4, 6)] == 3
     assert len(index.group_for(trajectories[0])) == 5
-
-
-def test_sd_pair_index_filter_pairs():
-    trajectories = [make(i, [1, 2, 3]) for i in range(5)]
-    trajectories += [make(10, [4, 2, 6])]
-    filtered = SDPairIndex(trajectories).filter_pairs(min_trajectories=3)
-    assert filtered.sd_pairs() == [(1, 3)]
-
-
-def test_sd_pair_index_drop_fraction_keeps_at_least_one():
-    trajectories = [make(i, [1, 2, 3]) for i in range(10)]
-    dropped = SDPairIndex(trajectories).drop_fraction(0.8, seed=0)
-    assert 1 <= len(dropped.group(1, 3)) <= 3
-
-
-def test_drop_fraction_rejects_bad_rate():
-    index = SDPairIndex([make(1, [1, 2, 3])])
-    with pytest.raises(TrajectoryError):
-        index.drop_fraction(1.0)
 
 
 # ---------------------------------------------------------------- similarity

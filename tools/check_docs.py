@@ -13,10 +13,12 @@ Four checks, no third-party dependencies beyond the library's own:
    every keyword it passes to ``StreamEngine(...)``,
    ``StreamEngine.from_model(...)``, ``model.stream_engine(...)`` or — as an
    engine override — to ``detection_service(...)`` / ``DetectionService(...)``
-   is a parameter of ``StreamEngine.__init__``, and every keyword it passes
-   to ``detect(...)`` / ``detect_many(...)`` is a parameter of
-   ``OnlineDetector``'s method of that name, so an example naming a deleted
-   option fails although it still compiles.
+   is a parameter of ``StreamEngine.__init__``, every keyword it passes to
+   ``detect(...)`` / ``detect_many(...)`` is a parameter of
+   ``OnlineDetector``'s method of that name, and every keyword it passes to
+   ``detector(...)`` is a parameter of ``RL4OASDModel.detector`` or
+   ``OnlineLearner.detector``, so an example naming a deleted option fails
+   although it still compiles.
 
 Run locally with::
 
@@ -50,7 +52,7 @@ PUBLIC_SURFACE = {
     "repro.core.stream": ["StreamEngine", "SegmentFeatureCache"],
     "repro.core.online": ["OnlineLearner", "FineTuneRecord"],
     "repro.core.detector": ["OnlineDetector", "finish_labels"],
-    "repro.core.decision": ["label_route", "policy_choices", "choose",
+    "repro.core.decision": ["label_route", "policy_choices",
                             "sample_labels", "rnel_from_degrees",
                             "rnel_from_degrees_batch", "apply_rnel"],
     "repro.serve": [
@@ -152,7 +154,8 @@ def _parameters(function) -> set:
 
 def check_config_keywords() -> list:
     import repro.config
-    from repro.core import OnlineDetector, RL4OASDModel, StreamEngine
+    from repro.core import (OnlineDetector, OnlineLearner, RL4OASDModel,
+                            StreamEngine)
     from repro.serve import DetectionService
 
     fields = {name: {field.name for field in dataclasses.fields(cls)}
@@ -169,6 +172,8 @@ def check_config_keywords() -> list:
     fields["detection_service"] |= fields["DetectionService"]
     for function in (OnlineDetector.detect, OnlineDetector.detect_many):
         fields[function.__name__] = _parameters(function)
+    fields["detector"] = (_parameters(RL4OASDModel.detector)
+                          | _parameters(OnlineLearner.detector))
     errors = []
     for doc, index, source in python_fences():
         try:
@@ -217,7 +222,7 @@ def main() -> int:
         print(f"\n{len(errors)} documentation problem(s) in: {checked}")
         return 1
     print(f"docs OK: links, python fences, public imports and config / "
-          f"engine / detect keywords verified ({checked})")
+          f"engine / detect / detector keywords verified ({checked})")
     return 0
 
 
