@@ -18,7 +18,10 @@ compares four members of the family:
 All four share one numpy implementation (:class:`SequenceAutoencoder`) built
 on the GRU of :mod:`repro.nn`; per-segment anomaly scores are the per-step
 negative log-likelihoods, which is how the paper adapts these trajectory-level
-detectors to the subtrajectory task.
+detectors to the subtrajectory task. Training backpropagates the loss through
+every decoder step into the decoder's initial state (the gradient
+:meth:`~repro.nn.recurrent.GRU.backward` returns beside the input gradient),
+and from there through the latent into the encoder.
 """
 
 from __future__ import annotations
@@ -144,13 +147,10 @@ class SequenceAutoencoder(Module):
         loss, grad_logits = cross_entropy_from_logits(
             decode_cache["logits"], decode_cache["tokens"])
         grad_hidden = self.output.backward(grad_logits, decode_cache["output_cache"])
-        grad_decoder_inputs = self.decoder.backward(
+        # h0 = tanh(latent_to_hidden(z)): grad_h0 carries the loss into z.
+        grad_decoder_inputs, grad_h0 = self.decoder.backward(
             grad_hidden, decode_cache["decoder_caches"])
         self.embedding.backward(grad_decoder_inputs, decode_cache["embed_cache"])
-        # Gradient w.r.t. the decoder's initial hidden state flows through the
-        # first GRU step's h_prev; recover it from the first cache.
-        first_cache = decode_cache["decoder_caches"][0]
-        grad_h0 = self._initial_hidden_grad(grad_hidden, decode_cache)
         grad_init_raw = grad_h0 * (1.0 - np.tanh(decode_cache["initial_hidden_raw"]) ** 2)
         grad_latent = self.latent_to_hidden.backward(
             grad_init_raw, decode_cache["init_cache"])
@@ -174,7 +174,7 @@ class SequenceAutoencoder(Module):
         grad_encoder_hidden = np.zeros((encode_cache["hidden_len"],
                                         self._config.hidden_dim))
         grad_encoder_hidden[-1] = grad_final_hidden
-        grad_encoder_inputs = self.encoder.backward(
+        grad_encoder_inputs, _ = self.encoder.backward(
             grad_encoder_hidden, encode_cache["encoder_caches"])
         self.embedding.backward(grad_encoder_inputs, encode_cache["embed_cache"])
 
@@ -182,20 +182,6 @@ class SequenceAutoencoder(Module):
         self._optimizer.step()
         self._latent_means.append(mean.copy())
         return reconstruction_loss + config.kl_weight * kl
-
-    def _initial_hidden_grad(self, grad_hidden: np.ndarray, decode_cache: dict
-                             ) -> np.ndarray:
-        """Gradient of the loss w.r.t. the decoder's initial hidden state.
-
-        ``GRU.backward`` does not return it directly, so it is recomputed by
-        backpropagating the first step's cell with the accumulated gradient of
-        the first hidden state (a close approximation that avoids rerunning
-        the whole BPTT; the contribution through later steps is captured by
-        the ``(1 - update_gate)`` chain of the first cache).
-        """
-        first_cache = decode_cache["decoder_caches"][0]
-        _, grad_h_prev = self.decoder.cell.backward(grad_hidden[0], first_cache)
-        return grad_h_prev
 
     # ------------------------------------------------------------- mixtures
     def fit_mixture(self, n_components: Optional[int] = None, iterations: int = 20) -> None:

@@ -7,10 +7,10 @@
 * :class:`~repro.core.asdnet.ASDNet` — the Anomalous Subtrajectory Detection
   Network: a single-layer policy over MDP states ``[z_i ; v(label_{i-1})]``
   trained with REINFORCE.
-* :mod:`~repro.core.rewards` — the local (label-continuity) and global
-  (RSRNet-loss) rewards.
 * :class:`~repro.core.rl4oasd.RL4OASDTrainer` — pre-training on noisy labels
-  followed by iterative joint training of the two networks.
+  followed by iterative joint training of the two networks, with the local
+  (label-continuity) and global (RSRNet-loss) rewards computed per batch of
+  episodes.
 * :mod:`~repro.core.decision` — the labeling decision of Algorithm 1 (RNEL
   rules, the policy choice) per point and, as
   :func:`~repro.core.decision.label_route`, for a whole route in one pass.
@@ -24,9 +24,8 @@
   forward pass per tick, label-identical to :class:`OnlineDetector`.
 """
 
-from .rsrnet import RSRNet, RSRNetStepState
+from .rsrnet import RSRNet
 from .asdnet import ASDNet
-from .rewards import global_reward, local_reward
 from .rl4oasd import RL4OASDModel, RL4OASDTrainer, TrainingReport
 from .detector import DetectionResult, OnlineDetector
 from .online import OnlineLearner
@@ -34,10 +33,7 @@ from .stream import SegmentFeatureCache, StreamEngine, replay_fleet
 
 __all__ = [
     "RSRNet",
-    "RSRNetStepState",
     "ASDNet",
-    "local_reward",
-    "global_reward",
     "RL4OASDTrainer",
     "RL4OASDModel",
     "TrainingReport",

@@ -17,34 +17,11 @@ import numpy as np
 from ..config import ASDNetConfig
 from ..exceptions import ModelError
 from ..nn.layers import Embedding, Linear
-from ..nn.losses import softmax
 from ..nn.module import Module
 from ..nn.optim import Adam, clip_gradients
 
 #: Momentum of the moving-average REINFORCE baseline.
 _BASELINE_MOMENTUM = 0.9
-
-
-@dataclass
-class EpisodeStep:
-    """Bookkeeping of one sampled (stochastic) decision of an episode."""
-
-    state: np.ndarray
-    action: int
-    probabilities: np.ndarray
-    label_token: int
-    linear_cache: dict
-    label_cache: dict
-
-
-@dataclass
-class Episode:
-    """All stochastic decisions taken while labeling one trajectory."""
-
-    steps: List[EpisodeStep] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.steps)
 
 
 @dataclass
@@ -55,9 +32,8 @@ class BatchedEpisode:
     appends one record covering every episode that made a stochastic (or
     forced) decision at that step: the representation ``z`` and previous
     label the decision was taken from, the action distribution and the
-    action. Instead of one :class:`EpisodeStep` object per decision, the
-    bookkeeping is flat numpy arrays, so the REINFORCE update can process
-    the entire batch with a handful of matmuls.
+    action. The bookkeeping is flat numpy arrays, so the REINFORCE update
+    can process the entire batch with a handful of matmuls.
     """
 
     num_episodes: int
@@ -112,7 +88,6 @@ class ASDNet(Module):
         self.policy = Linear(representation_dim + config.label_embedding_dim,
                              self.NUM_ACTIONS, rng)
         self._optimizer = Adam(self.parameters(), learning_rate=config.learning_rate)
-        self._rng = np.random.default_rng(config.seed + 1)
         self._return_baseline: Optional[float] = None
 
     @property
@@ -122,70 +97,6 @@ class ASDNet(Module):
     @property
     def state_dim(self) -> int:
         return self.representation_dim + self._config.label_embedding_dim
-
-    # --------------------------------------------------------------- states
-    def _state(self, z: np.ndarray, previous_label: int) -> np.ndarray:
-        if previous_label not in (0, 1):
-            raise ModelError("previous_label must be 0 or 1")
-        z = np.asarray(z, dtype=np.float64).ravel()
-        if z.shape[0] != self.representation_dim:
-            raise ModelError(
-                f"representation must have dim {self.representation_dim}, "
-                f"got {z.shape[0]}")
-        return np.concatenate([z, self.label_embedding.vector(previous_label)])
-
-    def build_state(self, z: np.ndarray, previous_label: int
-                    ) -> Tuple[np.ndarray, dict]:
-        """Construct the MDP state ``[z_i ; v(e_{i-1}.l)]`` (training form:
-        also returns the label embedding's backward cache)."""
-        state = self._state(z, previous_label)
-        _, label_cache = self.label_embedding([previous_label])
-        return state, label_cache
-
-    # --------------------------------------------------------------- actions
-    def action_probabilities(self, state: np.ndarray) -> Tuple[np.ndarray, dict]:
-        logits, cache = self.policy(state)
-        return softmax(logits), cache
-
-    def sample_action(
-        self, z: np.ndarray, previous_label: int,
-        rng: Optional[np.random.Generator] = None,
-    ) -> Tuple[int, EpisodeStep]:
-        """Sample an action from the stochastic policy; returns bookkeeping too."""
-        rng = rng or self._rng
-        state, label_cache = self.build_state(z, previous_label)
-        probabilities, linear_cache = self.action_probabilities(state)
-        action = int(rng.choice(self.NUM_ACTIONS, p=probabilities))
-        step = EpisodeStep(
-            state=state, action=action, probabilities=probabilities,
-            label_token=previous_label, linear_cache=linear_cache,
-            label_cache=label_cache,
-        )
-        return action, step
-
-    def evaluate_action(self, z: np.ndarray, previous_label: int,
-                        action: int) -> EpisodeStep:
-        """Bookkeeping for a *forced* action (used to warm-start the policy).
-
-        During pre-training the paper specifies the actions as the noisy
-        labels; this method records the state, the forced action and the
-        policy's probabilities so the same REINFORCE update can be applied.
-        """
-        if action not in (0, 1):
-            raise ModelError("action must be 0 or 1")
-        state, label_cache = self.build_state(z, previous_label)
-        probabilities, linear_cache = self.action_probabilities(state)
-        return EpisodeStep(
-            state=state, action=action, probabilities=probabilities,
-            label_token=previous_label, linear_cache=linear_cache,
-            label_cache=label_cache,
-        )
-
-    def greedy_action(self, z: np.ndarray, previous_label: int) -> int:
-        """The most probable action (used at detection time; no caches)."""
-        probabilities, _ = self.action_probabilities(
-            self._state(z, previous_label))
-        return int(np.argmax(probabilities))
 
     def build_states_batch(self, z: np.ndarray,
                            previous_labels: Sequence[int]) -> np.ndarray:
@@ -213,58 +124,13 @@ class ASDNet(Module):
                             previous_labels: Sequence[int]) -> np.ndarray:
         """Policy logits for a batch of MDP states, shape ``(B, 2)``.
 
-        The batched counterpart of :meth:`greedy_action`, read through
-        :func:`repro.core.decision.policy_choices` by detection and by the
-        training episode alike; no backward caches are built.
+        Read through :func:`repro.core.decision.policy_choices` by detection
+        and by the training episode alike; no backward caches are built.
         """
         logits, _ = self.policy(self.build_states_batch(z, previous_labels))
         return logits
 
-    def action_probability(self, z: np.ndarray, previous_label: int) -> np.ndarray:
-        """Action distribution for one state (used by tests and diagnostics)."""
-        state, _ = self.build_state(z, previous_label)
-        probabilities, _ = self.action_probabilities(state)
-        return probabilities
-
     # -------------------------------------------------------------- learning
-    def reinforce_update(self, episode: Episode, episode_return: float,
-                         use_baseline: bool = True) -> float:
-        """One REINFORCE (policy-gradient) update for a finished episode.
-
-        Gradients are ``-R_n * d log pi(a_i | s_i) / d theta`` summed over the
-        episode's stochastic steps (Equation 4); the optimizer minimises, so
-        the negative sign turns gradient ascent into descent. A moving-average
-        baseline is subtracted from the return by default (standard variance
-        reduction; disable it for the forced-action warm start, which behaves
-        like weighted behaviour cloning). Returns the mean log-probability of
-        the taken actions (a diagnostic of policy confidence).
-        """
-        if not episode.steps:
-            return 0.0
-        advantage = episode_return
-        if use_baseline:
-            if self._return_baseline is None:
-                self._return_baseline = episode_return
-            advantage = episode_return - self._return_baseline
-            self._return_baseline = (
-                _BASELINE_MOMENTUM * self._return_baseline
-                + (1.0 - _BASELINE_MOMENTUM) * episode_return)
-        self.zero_grad()
-        total_log_prob = 0.0
-        for step in episode.steps:
-            probabilities = step.probabilities
-            grad_logits = probabilities.copy()
-            grad_logits[step.action] -= 1.0
-            # d(-log pi)/dlogits = probs - onehot; multiply by the advantage.
-            grad_logits *= advantage
-            grad_state = self.policy.backward(grad_logits, step.linear_cache)
-            grad_label_vector = grad_state[self.representation_dim:]
-            self.label_embedding.backward(grad_label_vector[None, :], step.label_cache)
-            total_log_prob += float(np.log(probabilities[step.action] + 1e-12))
-        clip_gradients(self.parameters(), self._config.grad_clip)
-        self._optimizer.step()
-        return total_log_prob / len(episode.steps)
-
     def reinforce_update_batch(
         self,
         episode: BatchedEpisode,
@@ -273,21 +139,25 @@ class ASDNet(Module):
     ) -> float:
         """One REINFORCE update for a whole batch of finished episodes.
 
-        ``episode_returns`` holds ``R_n`` of each episode in the batch. The
-        moving-average baseline is advanced once per non-empty episode in
-        batch order — the same sequence of baseline states the scalar
-        :meth:`reinforce_update` would traverse — but the gradients of all
-        episodes are accumulated into a *single* clipped Adam step, scaled
-        by the *mean* over the batch's non-empty episodes so the gradient
-        magnitude (and hence how often clipping saturates) stays
-        batch-size-invariant, mirroring how
+        Gradients are ``-A_n * d log pi(a_i | s_i) / d theta`` summed over
+        each episode's recorded decisions (Equation 4); the optimizer
+        minimises, so the negative sign turns gradient ascent into descent.
+        ``episode_returns`` holds ``R_n`` of each episode in the batch, and
+        the advantage ``A_n`` is ``R_n`` less a moving-average baseline
+        (standard variance reduction), advanced once per non-empty episode
+        in batch order; ``use_baseline=False`` — the forced-action warm
+        start, which behaves like weighted behaviour cloning — takes
+        ``A_n = R_n``. The gradients of all episodes are accumulated into a
+        *single* clipped Adam step, scaled by the *mean* over the batch's
+        non-empty episodes so the gradient magnitude (and hence how often
+        clipping saturates) stays batch-size-invariant, mirroring how
         :meth:`~repro.core.rsrnet.RSRNet.train_step_batch` averages its
-        per-sequence losses. At batch size 1 the mean is over one episode
-        and the update is numerically the scalar one; at larger batch
-        sizes it is the standard minibatch variant (one optimizer step per
-        batch instead of per episode). The MDP states ``[z ; v(previous
-        label)]`` are rebuilt here from what the episode recorded — the
-        label embedding has not moved since the decisions were taken.
+        per-sequence losses. At batch size 1 that is the paper's update of
+        one episode; at larger batch sizes it is the standard minibatch
+        variant (one optimizer step per batch instead of per episode). The
+        MDP states ``[z ; v(previous label)]`` are rebuilt here from what the
+        episode recorded — the label embedding has not moved since the
+        decisions were taken.
         Returns the mean log-probability of the taken actions.
         """
         if len(episode) == 0:

@@ -23,17 +23,25 @@ import numpy as np
 
 from ..exceptions import ModelError
 from ..nn.losses import softmax
-from ..roadnet.graph import RoadNetwork
 from .asdnet import ASDNet
 from .rsrnet import RSRNet
 
 
 def rnel_from_degrees(out_degree: int, in_degree: int,
                       previous_label: int) -> Optional[int]:
-    """The RNEL rules given precomputed degrees (see :func:`apply_rnel`).
+    """Road Network Enhanced Labeling: the deterministic label of point
+    ``i`` when a rule applies, ``None`` when the policy must decide.
 
-    Split out so callers that cache road-segment degrees (the fleet stream
-    engine) can apply the same rules without re-querying the road network.
+    ``out_degree`` is ``e_{i-1}.out`` and ``in_degree`` is ``e_i.in``; the
+    three rules follow the paper:
+
+    1. ``e_{i-1}.out == 1`` and ``e_i.in == 1`` → copy the previous label;
+    2. ``e_{i-1}.out == 1``, ``e_i.in > 1`` and previous label 0 → label 0;
+    3. ``e_{i-1}.out > 1``, ``e_i.in == 1`` and previous label 1 → label 1.
+
+    Callers pass degrees they cache per road segment
+    (:meth:`~repro.labeling.features.PreprocessingPipeline.token_degrees`),
+    so no decision queries the road network.
     """
     if out_degree == 1 and in_degree == 1:
         return previous_label
@@ -64,22 +72,6 @@ def rnel_from_degrees_batch(out_degrees: np.ndarray, in_degrees: np.ndarray,
     decided[single_out & (in_degrees > 1) & (previous_labels == 0)] = 0
     decided[(out_degrees > 1) & single_in & (previous_labels == 1)] = 1
     return decided
-
-
-def apply_rnel(network: RoadNetwork, previous_segment: int, current_segment: int,
-               previous_label: int) -> Optional[int]:
-    """Road Network Enhanced Labeling: deterministic label when a rule applies.
-
-    Returns the deterministic label, or ``None`` when the RL policy must
-    decide. The three rules follow the paper:
-
-    1. ``e_{i-1}.out == 1`` and ``e_i.in == 1`` → copy the previous label;
-    2. ``e_{i-1}.out == 1``, ``e_i.in > 1`` and previous label 0 → label 0;
-    3. ``e_{i-1}.out > 1``, ``e_i.in == 1`` and previous label 1 → label 1.
-    """
-    return rnel_from_degrees(network.out_degree(previous_segment),
-                             network.in_degree(current_segment),
-                             previous_label)
 
 
 def policy_choices(asdnet: ASDNet, z: np.ndarray,

@@ -25,8 +25,9 @@ masked), one batch-accumulated REINFORCE update
 step (:meth:`~repro.core.rsrnet.RSRNet.train_step_batch`) per batch. At
 ``batch_size=1`` (the default) that *is* the paper's loop — one episode, one
 REINFORCE update and one RSRNet gradient step per trajectory, in sample
-order — and ``tests/reference_trainer.py``, which spells Algorithm 2 out over
-the scalar forms of both networks, pins it there; larger batch sizes are the
+order — and ``tests/reference_trainer.py``, which spells Algorithm 2 out as a
+per-trajectory loop over the test suite's own scalar forms of both networks
+(``tests/reference_networks.py``), pins it there; larger batch sizes are the
 standard minibatch variant and several times faster (``benchmarks/perf``
 records fine-tuning cost as ``core.fine_tune_points_per_s``).
 """
@@ -556,19 +557,23 @@ class RL4OASDTrainer:
         overrides the configured batch size for this call only (``None``
         keeps it) — the knob :class:`~repro.core.online.OnlineLearner` uses
         to keep per-part fine-tuning fast without touching how the model
-        was trained initially.
+        was trained initially. A ``batch_size`` or ``epochs`` below 1
+        raises :class:`~repro.exceptions.ModelError` before the history is
+        extended.
         """
         config = self._training_config
         if batch_size is None:
             batch_size = config.batch_size
         elif batch_size < 1:
             raise ModelError("batch_size must be >= 1")
+        if epochs < 1:
+            raise ModelError("epochs must be >= 1")
         if not new_trajectories:
             return
         self._historical.extend(new_trajectories)
         self._pipeline.extend_history(new_trajectories)
         items = list(new_trajectories)
-        for _ in range(max(1, epochs)):
+        for _ in range(epochs):
             for chunk in self._training_chunks(items, batch_size):
                 preprocessed = [self._pipeline.preprocess(t) for t in chunk]
                 prep = self._prepare_batch(

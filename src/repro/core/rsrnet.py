@@ -9,31 +9,27 @@ traffic-context-feature (TCF) embeddings and ``x^n_i`` is the embedded normal
 route feature (NRF). A linear classifier over ``z_i`` predicts the segment's
 normal/anomalous label and is trained with cross-entropy against noisy labels
 (pre-training) or the labels refined by ASDNet (joint training).
+
+The network has two forms: the padded-batch training form
+(:meth:`RSRNet.forward_batch_train`, :meth:`RSRNet.train_step_batch`), whose
+batch of one is the paper's per-trajectory step, and the inference form —
+:meth:`RSRNet.hidden_states` over one route, :meth:`RSRNet.step_batch` one
+segment per stream.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..config import RSRNetConfig
 from ..exceptions import ModelError
 from ..nn.layers import Embedding, Linear
-from ..nn.losses import (cross_entropy_from_logits,
-                         sequence_cross_entropy_from_logits, softmax)
+from ..nn.losses import sequence_cross_entropy_from_logits
 from ..nn.module import Module
 from ..nn.optim import Adam, clip_gradients
 from ..nn.recurrent import LSTM
-
-
-@dataclass
-class RSRNetStepState:
-    """Recurrent state carried across segments during online (incremental) use."""
-
-    hidden: np.ndarray
-    cell: np.ndarray
 
 
 class RSRNet(Module):
@@ -76,70 +72,6 @@ class RSRNet(Module):
     def representation_dim(self) -> int:
         """Dimension of the per-segment representation ``z_i``."""
         return self._config.hidden_dim + self._config.nrf_dim
-
-    # --------------------------------------------------------------- forward
-    def forward(
-        self, tokens: Sequence[int], nrf: Sequence[int]
-    ) -> Tuple[np.ndarray, np.ndarray, dict]:
-        """Whole-sequence forward pass.
-
-        Returns ``(z, logits, cache)`` where ``z`` has shape
-        ``(n, hidden_dim + nrf_dim)`` and ``logits`` has shape ``(n, 2)``.
-        """
-        if len(tokens) != len(nrf):
-            raise ModelError("tokens and normal route features must align")
-        if not tokens:
-            raise ModelError("cannot run RSRNet on an empty trajectory")
-        embedded, embed_cache = self.segment_embedding(list(tokens))
-        hidden, lstm_caches = self.lstm.forward(embedded)
-        nrf_embedded, nrf_cache = self.nrf_embedding(list(nrf))
-        z = np.concatenate([hidden, nrf_embedded], axis=1)
-        logits, classifier_cache = self.classifier(z)
-        cache = {
-            "embed_cache": embed_cache,
-            "lstm_caches": lstm_caches,
-            "nrf_cache": nrf_cache,
-            "classifier_cache": classifier_cache,
-            "z": z,
-        }
-        return z, logits, cache
-
-    def representations(self, tokens: Sequence[int], nrf: Sequence[int]) -> np.ndarray:
-        """The per-segment representations ``z_i`` only (no gradients kept)."""
-        z, _, _ = self.forward(tokens, nrf)
-        return z
-
-    def predict_proba(self, tokens: Sequence[int], nrf: Sequence[int]) -> np.ndarray:
-        """Per-segment probabilities of the anomalous class (shape ``(n,)``)."""
-        _, logits, _ = self.forward(tokens, nrf)
-        return softmax(logits, axis=1)[:, 1]
-
-    def loss(self, tokens: Sequence[int], nrf: Sequence[int],
-             labels: Sequence[int]) -> float:
-        """Cross-entropy loss of the classifier against ``labels`` (no update)."""
-        _, logits, _ = self.forward(tokens, nrf)
-        loss, _ = cross_entropy_from_logits(logits, list(labels))
-        return loss
-
-    # -------------------------------------------------------------- training
-    def train_step(self, tokens: Sequence[int], nrf: Sequence[int],
-                   labels: Sequence[int]) -> float:
-        """One gradient step against ``labels``; returns the loss value."""
-        if len(labels) != len(tokens):
-            raise ModelError("labels must align with tokens")
-        self.zero_grad()
-        _, logits, cache = self.forward(tokens, nrf)
-        loss, grad_logits = cross_entropy_from_logits(logits, list(labels))
-        grad_z = self.classifier.backward(grad_logits, cache["classifier_cache"])
-        hidden_dim = self._config.hidden_dim
-        grad_hidden = grad_z[:, :hidden_dim]
-        grad_nrf = grad_z[:, hidden_dim:]
-        self.nrf_embedding.backward(grad_nrf, cache["nrf_cache"])
-        grad_embedded = self.lstm.backward(grad_hidden, cache["lstm_caches"])
-        self.segment_embedding.backward(grad_embedded, cache["embed_cache"])
-        clip_gradients(self.parameters(), self._config.grad_clip)
-        self._optimizer.step()
-        return loss
 
     # ----------------------------------------------------- batched training
     def forward_batch_train(
@@ -190,9 +122,9 @@ class RSRNet(Module):
                         lengths: Sequence[int]) -> np.ndarray:
         """Per-sequence mean cross-entropy of padded batch logits (no update).
 
-        Each entry equals :meth:`loss` of that sequence alone; used by the
-        batched trainer to derive the per-episode global reward without an
-        extra forward pass.
+        Each entry is the mean cross-entropy of that sequence alone, over its
+        true length; used by the batched trainer to derive the per-episode
+        global reward without an extra forward pass.
         """
         losses, _ = sequence_cross_entropy_from_logits(logits, labels, lengths)
         return losses
@@ -207,8 +139,8 @@ class RSRNet(Module):
         ``labels`` has shape ``(B, T)`` (padding ignored) and ``cache`` comes
         from :meth:`forward_batch_train` run with the *current* weights. The
         minimised objective is the batch mean of the per-sequence mean
-        cross-entropies, which at batch size 1 is exactly the sequential
-        :meth:`train_step` objective. Returns the per-sequence losses.
+        cross-entropies, which at batch size 1 is the paper's per-trajectory
+        objective. Returns the per-sequence losses.
         """
         lengths = cache["lengths"]
         losses, grad_logits = sequence_cross_entropy_from_logits(
@@ -229,29 +161,7 @@ class RSRNet(Module):
         self._optimizer.step()
         return losses
 
-    # --------------------------------------------------------- online (step)
-    def begin_sequence(self) -> RSRNetStepState:
-        """Fresh recurrent state for incremental (online) processing."""
-        return RSRNetStepState(
-            hidden=np.zeros(self._config.hidden_dim),
-            cell=np.zeros(self._config.hidden_dim),
-        )
-
-    def step(self, state: RSRNetStepState, token: int, nrf: int
-             ) -> Tuple[np.ndarray, RSRNetStepState]:
-        """Process one newly generated road segment; returns ``(z_i, new_state)``.
-
-        The scalar O(1)-per-point form of Algorithm 1's representation step;
-        the tests keep it as the independent reference of the route-level
-        (:meth:`hidden_states`) and batched (:meth:`step_batch`) forms.
-        """
-        if nrf not in (0, 1):
-            raise ModelError("normal route feature must be 0 or 1")
-        hidden, cell = self.lstm.cell.forward_batch(
-            self.input_projection(token), state.hidden, state.cell)
-        z = np.concatenate([hidden, self.nrf_embedding.vector(nrf)])
-        return z, RSRNetStepState(hidden=hidden, cell=cell)
-
+    # ------------------------------------------------------------- inference
     def hidden_states(self, tokens: Sequence[int]) -> np.ndarray:
         """``h_i`` of every segment of one route, shape ``(len(tokens), H)``.
 
@@ -284,8 +194,8 @@ class RSRNet(Module):
         ``input_projections`` holds :meth:`input_projection` of each stream's
         new segment (``(B, 4 * hidden_dim)``) and ``nrf`` the per-stream
         normal route features. Returns ``(z, new_hidden, new_cell)`` with
-        ``z`` of shape ``(B, hidden_dim + nrf_dim)``. This is the batched
-        counterpart of :meth:`step` used by the fleet stream engine.
+        ``z`` of shape ``(B, hidden_dim + nrf_dim)``: the fleet stream
+        engine's one recurrent step per tick.
         """
         nrf = np.asarray(nrf, dtype=np.int64)
         if nrf.size and (nrf.min() < 0 or nrf.max() > 1):
@@ -295,8 +205,3 @@ class RSRNet(Module):
         nrf_vectors = self.nrf_embedding.vectors(nrf)
         z = np.concatenate([new_hidden, nrf_vectors], axis=1)
         return z, new_hidden, new_cell
-
-    def classify_representation(self, z: np.ndarray) -> np.ndarray:
-        """Class probabilities for one representation vector ``z_i``."""
-        logits, _ = self.classifier(z)
-        return softmax(logits)

@@ -122,25 +122,6 @@ def normal_transitions(normal_routes: Sequence[Sequence[int]]) -> Set[Tuple[int,
     return transitions
 
 
-def normal_route_feature_step(
-    previous_segment: int,
-    current_segment: int,
-    normal_routes: Sequence[Sequence[int]],
-    is_source: bool = False,
-    is_destination: bool = False,
-) -> int:
-    """The NRF of a single newly observed segment (online variant).
-
-    ``previous_segment`` is ignored when ``is_source`` is true (the padded
-    transition ``<*, e1>`` is always normal); the destination is normal by
-    definition as well.
-    """
-    if is_source or is_destination:
-        return 0
-    allowed = normal_transitions(normal_routes)
-    return 0 if (previous_segment, current_segment) in allowed else 1
-
-
 def normal_route_features(
     segments: Sequence[int],
     normal_routes: Sequence[Sequence[int]],

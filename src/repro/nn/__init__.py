@@ -16,14 +16,12 @@ from .module import Module, Parameter
 from .layers import Embedding, Linear
 from .recurrent import GRUCell, LSTM, LSTMCell, GRU
 from .losses import (
-    binary_cross_entropy,
     cross_entropy_from_logits,
     sequence_cross_entropy_from_logits,
     softmax,
     log_softmax,
 )
-from .functional import (cosine_similarity, cosine_similarity_rows, one_hot,
-                         sigmoid, tanh)
+from .functional import cosine_similarity_rows, sigmoid, tanh
 from .optim import SGD, Adam, clip_gradients
 
 __all__ = [
@@ -39,10 +37,7 @@ __all__ = [
     "log_softmax",
     "cross_entropy_from_logits",
     "sequence_cross_entropy_from_logits",
-    "binary_cross_entropy",
-    "cosine_similarity",
     "cosine_similarity_rows",
-    "one_hot",
     "sigmoid",
     "tanh",
     "SGD",

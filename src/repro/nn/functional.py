@@ -28,34 +28,11 @@ def tanh(x: np.ndarray) -> np.ndarray:
     return np.tanh(x)
 
 
-def one_hot(index: int, size: int) -> np.ndarray:
-    """A one-hot vector of length ``size`` with a 1 at ``index``."""
-    if not (0 <= index < size):
-        raise ModelError(f"one-hot index {index} out of range for size {size}")
-    vector = np.zeros(size, dtype=np.float64)
-    vector[index] = 1.0
-    return vector
-
-
-def cosine_similarity(a: np.ndarray, b: np.ndarray, eps: float = 1e-12) -> float:
-    """Cosine similarity of two vectors, 0 when either is (near) zero."""
-    a = np.asarray(a, dtype=np.float64).ravel()
-    b = np.asarray(b, dtype=np.float64).ravel()
-    if a.shape != b.shape:
-        raise ModelError("cosine_similarity requires vectors of equal length")
-    norm_a = np.linalg.norm(a)
-    norm_b = np.linalg.norm(b)
-    if norm_a < eps or norm_b < eps:
-        return 0.0
-    return float(np.dot(a, b) / (norm_a * norm_b))
-
-
 def cosine_similarity_rows(a: np.ndarray, b: np.ndarray,
                            eps: float = 1e-12) -> np.ndarray:
     """Row-wise cosine similarity of two ``(N, D)`` arrays, shape ``(N,)``.
 
-    Rows where either vector is (near) zero get similarity 0, matching
-    :func:`cosine_similarity` applied row by row.
+    Rows where either vector is (near) zero get similarity 0.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)

@@ -62,8 +62,7 @@ def sequence_cross_entropy_from_logits(
     ``(per_sequence_losses, grad_logits)`` where ``per_sequence_losses`` has
     shape ``(B,)`` (each entry equal to :func:`cross_entropy_from_logits` of
     that sequence alone) and ``grad_logits`` is the gradient of the
-    *batch-mean* of the per-sequence losses, zero at padded positions — the
-    batched counterpart of the gradient used by the sequential training loop.
+    *batch-mean* of the per-sequence losses, zero at padded positions.
     """
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim != 3:
@@ -92,15 +91,3 @@ def sequence_cross_entropy_from_logits(
     grad *= mask[:, :, None]
     grad /= lengths[:, None, None] * batch
     return per_sequence, grad
-
-
-def binary_cross_entropy(probabilities: np.ndarray,
-                         targets: Sequence[float],
-                         eps: float = 1e-12) -> float:
-    """Mean binary cross-entropy between probabilities and 0/1 targets."""
-    probabilities = np.clip(np.asarray(probabilities, dtype=np.float64), eps, 1 - eps)
-    targets = np.asarray(targets, dtype=np.float64)
-    if probabilities.shape != targets.shape:
-        raise ModelError("probabilities and targets must have the same shape")
-    return float(-(targets * np.log(probabilities)
-                   + (1 - targets) * np.log(1 - probabilities)).mean())

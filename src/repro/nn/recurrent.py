@@ -3,26 +3,24 @@
 Both cells implement explicit forward/backward passes so sequence models can
 backpropagate through time without an autograd engine.
 
-The LSTM cell exposes three execution modes over one gate kernel
+The LSTM cell exposes two execution modes over one gate kernel
 (:meth:`LSTMCell._step`: pre-activations summed into a fresh gate buffer,
 ``tanh`` of the candidate taken out, then one sigmoid over the whole buffer):
 
-* **Sequential** (:meth:`LSTMCell.forward` / :meth:`LSTMCell.backward`) — one
-  step for one stream, keeping the cache needed for backpropagation through
-  time. Used by the per-trajectory training loop.
 * **Inference** (:meth:`LSTMCell.forward_batch`) — one step from *precomputed
   input projections*, for a batch of independent streams or one stream
   without the batch axis, with no backward cache. Used by the fleet stream
   engine (where the projection of a road segment's embedding is shared across
   every vehicle on that segment); :meth:`LSTM.infer` runs it over one whole
   sequence for :class:`~repro.core.detector.OnlineDetector`.
-* **Batched training** (:meth:`LSTMCell.forward_batch_cached` /
+* **Training** (:meth:`LSTMCell.forward_batch_cached` /
   :meth:`LSTMCell.backward_batch`, wrapped by :meth:`LSTM.forward_batch` /
   :meth:`LSTM.backward_batch`) — one step for a batch of sequences *with* the
-  BPTT cache, used by the batched training engine. Ragged batches are padded
-  at the tail; padded positions need no explicit masking here because the
-  loss functions zero their gradients, which keeps every recurrent gradient
-  flowing out of a padded step identically zero.
+  BPTT cache, used by the training engine, whose batch of one is the paper's
+  per-trajectory loop. Ragged batches are padded at the tail; padded
+  positions need no explicit masking here because the loss functions zero
+  their gradients, which keeps every recurrent gradient flowing out of a
+  padded step identically zero.
 """
 
 from __future__ import annotations
@@ -73,7 +71,7 @@ class LSTMCell(Module):
         activates the whole buffer in place (the candidate block's sigmoid
         is never read). Returns ``(h, c, tanh_c, gates)``, the gates being
         three views of the buffer and the candidate array; the training
-        modes keep them as their BPTT cache, inference drops them.
+        mode keeps them as its BPTT cache, inference drops them.
         """
         h_dim = self.hidden_dim
         gates = h_prev @ self.weight_hidden.value
@@ -89,24 +87,6 @@ class LSTMCell(Module):
         tanh_c = np.tanh(c)
         return (output_gate * tanh_c, c, tanh_c,
                 (input_gate, forget_gate, candidate, output_gate))
-
-    def _step_cached(self, x: np.ndarray, h_prev: np.ndarray,
-                     c_prev: np.ndarray) -> Tuple[np.ndarray, np.ndarray, dict]:
-        """:meth:`_step` from raw inputs, keeping what ``backward*`` reads."""
-        h, c, tanh_c, (input_gate, forget_gate, candidate, output_gate) = (
-            self._step(x @ self.weight_input.value, h_prev, c_prev))
-        return h, c, {
-            "x": x, "h_prev": h_prev, "c_prev": c_prev,
-            "input_gate": input_gate, "forget_gate": forget_gate,
-            "cell_candidate": candidate, "output_gate": output_gate,
-            "c": c, "tanh_c": tanh_c,
-        }
-
-    def forward(
-        self, x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, dict]:
-        """One step for one stream. Returns ``(h, c, cache)``."""
-        return self._step_cached(np.asarray(x, dtype=np.float64), h_prev, c_prev)
 
     def project_input(self, x: np.ndarray) -> np.ndarray:
         """The input's contribution ``x @ W_in`` to the gate pre-activations.
@@ -157,11 +137,26 @@ class LSTMCell(Module):
         if x.ndim != 2 or x.shape[1] != self.input_dim:
             raise ModelError(
                 f"inputs must have shape (B, {self.input_dim}), got {x.shape}")
-        return self._step_cached(x, h_prev, c_prev)
+        h, c, tanh_c, (input_gate, forget_gate, candidate, output_gate) = (
+            self._step(x @ self.weight_input.value, h_prev, c_prev))
+        return h, c, {
+            "x": x, "h_prev": h_prev, "c_prev": c_prev,
+            "input_gate": input_gate, "forget_gate": forget_gate,
+            "cell_candidate": candidate, "output_gate": output_gate,
+            "c": c, "tanh_c": tanh_c,
+        }
 
-    def _backward_gates(self, grad_h: np.ndarray, grad_c: np.ndarray,
-                        cache: dict) -> Tuple[np.ndarray, np.ndarray]:
-        """Gradients w.r.t. the gate pre-activations and ``c_prev``."""
+    def backward_batch(
+        self, grad_h: np.ndarray, grad_c: np.ndarray, cache: dict
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One backward step for a batch.
+
+        All gradients have shape ``(B, hidden_dim)`` and the cache must come
+        from :meth:`forward_batch_cached`. Returns
+        ``(grad_x, grad_h_prev, grad_c_prev)``. Rows whose incoming gradients
+        are zero (padded positions of ragged batches) contribute nothing to
+        the parameter gradients.
+        """
         input_gate = cache["input_gate"]
         forget_gate = cache["forget_gate"]
         cell_candidate = cache["cell_candidate"]
@@ -181,40 +176,13 @@ class LSTMCell(Module):
             grad_cell_candidate * (1.0 - cell_candidate ** 2),
             grad_output_gate * output_gate * (1.0 - output_gate),
         ], axis=-1)
-        return d_gates, grad_c_total * forget_gate
-
-    def backward_batch(
-        self, grad_h: np.ndarray, grad_c: np.ndarray, cache: dict
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One backward step for a batch; mirrors :meth:`backward` row-wise.
-
-        All gradients have shape ``(B, hidden_dim)`` and the cache must come
-        from :meth:`forward_batch_cached`. Returns
-        ``(grad_x, grad_h_prev, grad_c_prev)``. Rows whose incoming gradients
-        are zero (padded positions of ragged batches) contribute nothing to
-        the parameter gradients.
-        """
-        d_gates, grad_c_prev = self._backward_gates(grad_h, grad_c, cache)
         self.weight_input.grad += cache["x"].T @ d_gates
         self.weight_hidden.grad += cache["h_prev"].T @ d_gates
         self.bias.grad += d_gates.sum(axis=0)
 
         grad_x = d_gates @ self.weight_input.value.T
         grad_h_prev = d_gates @ self.weight_hidden.value.T
-        return grad_x, grad_h_prev, grad_c_prev
-
-    def backward(
-        self, grad_h: np.ndarray, grad_c: np.ndarray, cache: dict
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One backward step. Returns ``(grad_x, grad_h_prev, grad_c_prev)``."""
-        d_gates, grad_c_prev = self._backward_gates(grad_h, grad_c, cache)
-        self.weight_input.grad += np.outer(cache["x"], d_gates)
-        self.weight_hidden.grad += np.outer(cache["h_prev"], d_gates)
-        self.bias.grad += d_gates
-
-        grad_x = self.weight_input.value @ d_gates
-        grad_h_prev = self.weight_hidden.value @ d_gates
-        return grad_x, grad_h_prev, grad_c_prev
+        return grad_x, grad_h_prev, grad_c_total * forget_gate
 
 
 class LSTM(Module):
@@ -227,31 +195,6 @@ class LSTM(Module):
         self.input_dim = input_dim
         self.hidden_dim = hidden_dim
 
-    def forward(
-        self,
-        inputs: np.ndarray,
-        h0: Optional[np.ndarray] = None,
-        c0: Optional[np.ndarray] = None,
-    ) -> Tuple[np.ndarray, List[dict]]:
-        """Run the LSTM over ``inputs`` of shape ``(T, input_dim)``.
-
-        Returns the hidden states ``(T, hidden_dim)`` and the per-step caches
-        needed by :meth:`backward`.
-        """
-        inputs = np.asarray(inputs, dtype=np.float64)
-        if inputs.ndim != 2 or inputs.shape[1] != self.input_dim:
-            raise ModelError(
-                f"inputs must have shape (T, {self.input_dim}), got {inputs.shape}")
-        h = np.zeros(self.hidden_dim) if h0 is None else np.asarray(h0, dtype=np.float64)
-        c = np.zeros(self.hidden_dim) if c0 is None else np.asarray(c0, dtype=np.float64)
-        hidden_states = np.zeros((len(inputs), self.hidden_dim))
-        caches: List[dict] = []
-        for t, x in enumerate(inputs):
-            h, c, cache = self.cell.forward(x, h, c)
-            hidden_states[t] = h
-            caches.append(cache)
-        return hidden_states, caches
-
     def infer(self, input_projections: np.ndarray) -> np.ndarray:
         """Hidden states of one sequence from its precomputed input projections.
 
@@ -259,7 +202,7 @@ class LSTM(Module):
         sequence, shape ``(T, 4 * hidden_dim)`` — checked once here, then
         ``T`` cache-free gate kernels from the zero state. Returns the hidden
         states ``(T, hidden_dim)``; the inference counterpart of
-        :meth:`forward`.
+        :meth:`forward_batch` for one sequence.
         """
         input_projections = np.asarray(input_projections, dtype=np.float64)
         if (input_projections.ndim != 2
@@ -275,32 +218,9 @@ class LSTM(Module):
             hidden_states[t] = h
         return hidden_states
 
-    def backward(self, grad_hidden: np.ndarray, caches: List[dict]) -> np.ndarray:
-        """Backpropagate gradients of every hidden state through time.
-
-        ``grad_hidden`` has shape ``(T, hidden_dim)``; the return value is the
-        gradient with respect to the inputs, shape ``(T, input_dim)``.
-        """
-        grad_hidden = np.asarray(grad_hidden, dtype=np.float64)
-        if grad_hidden.shape != (len(caches), self.hidden_dim):
-            raise ModelError("grad_hidden shape must match the forward pass")
-        grad_inputs = np.zeros((len(caches), self.input_dim))
-        grad_h_next = np.zeros(self.hidden_dim)
-        grad_c_next = np.zeros(self.hidden_dim)
-        for t in range(len(caches) - 1, -1, -1):
-            grad_h = grad_hidden[t] + grad_h_next
-            grad_x, grad_h_next, grad_c_next = self.cell.backward(
-                grad_h, grad_c_next, caches[t])
-            grad_inputs[t] = grad_x
-        return grad_inputs
-
-    def forward_batch(
-        self,
-        inputs: np.ndarray,
-        h0: Optional[np.ndarray] = None,
-        c0: Optional[np.ndarray] = None,
-    ) -> Tuple[np.ndarray, List[dict]]:
-        """Run the LSTM over a batch of sequences, shape ``(B, T, input_dim)``.
+    def forward_batch(self, inputs: np.ndarray) -> Tuple[np.ndarray, List[dict]]:
+        """Run the LSTM over a batch of sequences, shape ``(B, T, input_dim)``,
+        from the zero state.
 
         Ragged batches must be padded at the tail (any valid values); padded
         steps are rendered inert by zeroing their loss gradients before
@@ -313,10 +233,7 @@ class LSTM(Module):
                 f"inputs must have shape (B, T, {self.input_dim}), "
                 f"got {inputs.shape}")
         batch, steps = inputs.shape[:2]
-        h = (np.zeros((batch, self.hidden_dim)) if h0 is None
-             else np.asarray(h0, dtype=np.float64))
-        c = (np.zeros((batch, self.hidden_dim)) if c0 is None
-             else np.asarray(c0, dtype=np.float64))
+        h = c = np.zeros((batch, self.hidden_dim))
         hidden_states = np.zeros((batch, steps, self.hidden_dim))
         caches: List[dict] = []
         for t in range(steps):
@@ -446,7 +363,15 @@ class GRU(Module):
             caches.append(cache)
         return hidden_states, caches
 
-    def backward(self, grad_hidden: np.ndarray, caches: List[dict]) -> np.ndarray:
+    def backward(self, grad_hidden: np.ndarray, caches: List[dict]
+                 ) -> Tuple[np.ndarray, np.ndarray]:
+        """Backpropagate gradients of every hidden state through time.
+
+        Returns ``(grad_inputs, grad_h0)``: the gradient with respect to the
+        inputs, shape ``(T, input_dim)``, and with respect to the initial
+        hidden state ``h0``, shape ``(hidden_dim,)`` — what a model that
+        computes ``h0`` (the VSAE decoder, from its latent) backpropagates.
+        """
         grad_hidden = np.asarray(grad_hidden, dtype=np.float64)
         if grad_hidden.shape != (len(caches), self.hidden_dim):
             raise ModelError("grad_hidden shape must match the forward pass")
@@ -456,4 +381,4 @@ class GRU(Module):
             grad_x, grad_h_next = self.cell.backward(
                 grad_hidden[t] + grad_h_next, caches[t])
             grad_inputs[t] = grad_x
-        return grad_inputs
+        return grad_inputs, grad_h_next

@@ -1,15 +1,15 @@
 """Algorithm 2 as a scalar per-trajectory loop — the tests' independent reference.
 
-This is the trainer as it ran before Algorithm 2 had one engine: for every
-trajectory one ``RSRNet.forward``, one ``apply_rnel`` and one
-``ASDNet.sample_action`` (``rng.choice``) or ``evaluate_action`` per interior
-point, the rewards of ``repro.core.rewards`` point by point, a second forward
-for the global reward, one ``ASDNet.reinforce_update`` and one
-``RSRNet.train_step`` (a third forward). Model selection scores the
-development set with the scalar detector of ``tests/reference_detector.py``.
-Nothing is batched and nothing is shared with
-``RL4OASDTrainer._run_episode_batch``, the batch forms of the two networks or
-:mod:`repro.core.decision` beyond ``apply_rnel``; ``RL4OASDTrainer`` at
+This is the trainer as it ran before Algorithm 2 had one engine, over the
+scalar network forms of ``tests/reference_networks.py``: for every
+trajectory one whole-trajectory RSRNet forward, one RNEL check and one
+sampled (``rng.choice``) or forced ASDNet decision per interior point, the
+rewards point by point, a second forward for the global reward, one
+REINFORCE update and one RSRNet gradient step (a third forward). Model
+selection scores the development set with the scalar detector of
+``tests/reference_detector.py``. Nothing is batched and nothing is shared
+with ``RL4OASDTrainer._run_episode_batch``, the batch forms of the two
+networks or :mod:`repro.core.decision`; ``RL4OASDTrainer`` at
 ``batch_size=1`` is pinned against it (weights, losses, returns, validation F1
 and the generator's end state) in ``tests/test_batched_training.py``.
 """
@@ -22,14 +22,14 @@ import numpy as np
 
 from repro.config import TrainingConfig
 from repro.core import ASDNet, RSRNet, TrainingReport
-from repro.core.asdnet import Episode
-from repro.core.decision import apply_rnel
-from repro.core.rewards import episode_return, global_reward, local_reward
 from repro.eval.metrics import evaluate_labelings
 from repro.labeling.features import PreprocessedTrajectory, PreprocessingPipeline
 from repro.trajectory.models import MatchedTrajectory
 
 from reference_detector import reference_labels
+from reference_networks import (ReferenceASDNet, ReferenceRSRNet,
+                                episode_return, global_reward, local_reward,
+                                rnel)
 
 
 class ReferenceTrainer:
@@ -52,6 +52,8 @@ class ReferenceTrainer:
         self.rsrnet = RSRNet(len(self.pipeline.vocabulary), rsrnet_config,
                              pretrained_embeddings)
         self.asdnet = ASDNet(self.rsrnet.representation_dim, asdnet_config)
+        self.scalar_rsrnet = ReferenceRSRNet(self.rsrnet)
+        self.scalar_asdnet = ReferenceASDNet(self.asdnet)
         self.report = TrainingReport()
 
     # ------------------------------------------------------------- sampling
@@ -75,7 +77,7 @@ class ReferenceTrainer:
         for _ in range(config.pretrain_epochs):
             for trajectory in sample:
                 preprocessed = self.pipeline.preprocess(trajectory)
-                self.report.pretrain_losses.append(self.rsrnet.train_step(
+                self.report.pretrain_losses.append(self.scalar_rsrnet.train_step(
                     preprocessed.tokens, preprocessed.normal_route_features,
                     self._training_labels(preprocessed)))
             if config.use_asdnet:
@@ -122,7 +124,7 @@ class ReferenceTrainer:
             self.report.episode_returns.append(value)
         else:
             labels = self._training_labels(preprocessed)
-        self.report.joint_losses.append(self.rsrnet.train_step(
+        self.report.joint_losses.append(self.scalar_rsrnet.train_step(
             preprocessed.tokens, preprocessed.normal_route_features, labels))
 
     def _validation_f1(self) -> float:
@@ -148,33 +150,34 @@ class ReferenceTrainer:
         nrf = preprocessed.normal_route_features
         segments = preprocessed.trajectory.segments
         n = len(tokens)
-        z, _, _ = self.rsrnet.forward(tokens, nrf)
+        z, _, _ = self.scalar_rsrnet.forward(tokens, nrf)
         labels: List[int] = [0]
-        episode = Episode()
+        decisions = []
         for i in range(1, n):
             if i == n - 1:
                 labels.append(0)
             elif forced_labels is not None:
-                action = int(forced_labels[i])
-                episode.steps.append(
-                    self.asdnet.evaluate_action(z[i], labels[-1], action))
+                action, decision = self.scalar_asdnet.decide(
+                    z[i], labels[-1], action=int(forced_labels[i]))
+                decisions.append(decision)
                 labels.append(action)
             else:
                 label = None
                 if config.use_rnel:
-                    label = apply_rnel(self.network, segments[i - 1],
-                                       segments[i], labels[-1])
+                    label = rnel(self.network, segments[i - 1], segments[i],
+                                 labels[-1])
                 if label is None:
-                    label, step = self.asdnet.sample_action(z[i], labels[-1],
-                                                            rng=self.rng)
-                    episode.steps.append(step)
+                    label, decision = self.scalar_asdnet.decide(
+                        z[i], labels[-1], rng=self.rng)
+                    decisions.append(decision)
                 labels.append(label)
         local_rewards = [local_reward(z[i - 1], z[i], labels[i - 1], labels[i])
                          for i in range(1, n)] if config.use_local_reward else []
-        global_value = (global_reward(self.rsrnet.loss(tokens, nrf, labels))
-                        if config.use_global_reward else 0.0)
+        global_value = (
+            global_reward(self.scalar_rsrnet.loss(tokens, nrf, labels))
+            if config.use_global_reward else 0.0)
         value = episode_return(local_rewards, global_value)
         # The forced-label warm start is weighted behaviour cloning: no baseline.
-        self.asdnet.reinforce_update(
-            episode, value, use_baseline=forced_labels is None)
+        self.scalar_asdnet.reinforce_update(
+            decisions, value, use_baseline=forced_labels is None)
         return labels, value

@@ -21,6 +21,8 @@ from repro.baselines.vsae import AutoencoderConfig, SequenceAutoencoder, train_a
 from repro.eval import evaluate_detector
 from repro.exceptions import EvaluationError, NotFittedError
 
+from reference_networks import numerical_gradient
+
 
 @pytest.fixture(scope="module")
 def autoencoder(pipeline, dataset_split):
@@ -149,6 +151,29 @@ def test_autoencoder_training_reduces_nll(pipeline, dataset_split):
     for _ in range(25):
         last = model.train_step(tokens)
     assert last < first
+
+
+def test_autoencoder_gradients_match_finite_differences(monkeypatch):
+    """``train_step``'s gradients are the loss's in every parameter — the
+    decoder's initial state carries the loss through the latent into the
+    encoder. Deterministic (no sampled latent) and unclipped, and the
+    optimizer is held still so the gradients can be read."""
+    config = AutoencoderConfig(embedding_dim=5, hidden_dim=4, latent_dim=3,
+                               variational=False, grad_clip=1e9, seed=2)
+    model = SequenceAutoencoder(15, config)
+    monkeypatch.setattr(model._optimizer, "step", lambda: None)
+    tokens = np.random.default_rng(4).integers(0, 15, size=12).tolist()
+    model.train_step(tokens)
+
+    def loss():
+        mean, _, _ = model.encode(tokens)
+        nll, _ = model.decode_nll(tokens, mean)
+        return float(np.mean(nll))
+
+    for name, parameter in model.named_parameters():
+        np.testing.assert_allclose(
+            parameter.grad, numerical_gradient(loss, parameter),
+            rtol=0, atol=1e-8, err_msg=name)
 
 
 def test_autoencoder_mixture_requires_training(pipeline):

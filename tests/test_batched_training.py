@@ -16,22 +16,22 @@ import pytest
 from repro.config import (ASDNetConfig, LabelingConfig, RSRNetConfig,
                           TrainingConfig)
 from repro.core import OnlineLearner, RL4OASDTrainer, TrainingReport
-from repro.core.decision import (apply_rnel, rnel_from_degrees,
-                                 rnel_from_degrees_batch, sample_labels)
+from repro.core.decision import (rnel_from_degrees, rnel_from_degrees_batch,
+                                 sample_labels)
 from repro.exceptions import ConfigurationError, ModelError
-from repro.nn import (LSTM, cosine_similarity, cosine_similarity_rows,
-                      cross_entropy_from_logits,
+from repro.nn import (LSTM, cosine_similarity_rows, cross_entropy_from_logits,
                       sequence_cross_entropy_from_logits)
 from repro.trajectory.models import MatchedTrajectory
 
 from reference_detector import reference_labels
+from reference_networks import lstm_backward, lstm_forward, rnel
 from reference_trainer import ReferenceTrainer
 
 
 # ------------------------------------------------------------ nn primitives
 def test_lstm_batched_backward_matches_sequential(rng):
     """Batched BPTT over a ragged batch accumulates the same gradients as
-    running (and summing) the per-sequence backward passes."""
+    running (and summing) the reference's per-sequence backward passes."""
     lstm = LSTM(input_dim=5, hidden_dim=4, rng=np.random.default_rng(1))
     lengths = [6, 3, 1, 5]
     batch, horizon = len(lengths), max(lengths)
@@ -45,9 +45,10 @@ def test_lstm_batched_backward_matches_sequential(rng):
     sequential_inputs_grad = np.zeros_like(inputs)
     sequential_hidden = []
     for b, n in enumerate(lengths):
-        hidden, caches = lstm.forward(inputs[b, :n])
+        hidden, steps = lstm_forward(lstm.cell, inputs[b, :n])
         sequential_hidden.append(hidden)
-        sequential_inputs_grad[b, :n] = lstm.backward(grad_hidden[b, :n], caches)
+        sequential_inputs_grad[b, :n] = lstm_backward(
+            lstm.cell, grad_hidden[b, :n], steps)
     sequential_grads = [p.grad.copy() for p in lstm.parameters()]
 
     lstm.zero_grad()
@@ -90,8 +91,13 @@ def test_cosine_similarity_rows_matches_scalar(rng):
     b = rng.normal(size=(5, 4))
     a[2] = 0.0  # zero vector -> similarity 0 by convention
     rows = cosine_similarity_rows(a, b)
-    for i in range(5):
-        assert rows[i] == pytest.approx(cosine_similarity(a[i], b[i]))
+    with np.errstate(invalid="ignore"):
+        expected = (np.sum(a * b, axis=1)
+                    / (np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1)))
+    expected[2] = 0.0
+    np.testing.assert_allclose(rows, expected, rtol=1e-12, atol=0)
+    with pytest.raises(ModelError):
+        cosine_similarity_rows(a, b[:, :3])
 
 
 def test_rnel_from_degrees_batch_matches_scalar():
@@ -225,9 +231,9 @@ def test_batch_size_1_matches_reference_where_rnel_fires(line_network):
     routes = [[0, 1, 2]] * 3 + [[0, 3, 4, 2]]
     trips = [MatchedTrajectory(trajectory_id=i, segments=routes[i % 4],
                                start_time_s=600.0 * i) for i in range(28)]
-    assert apply_rnel(line_network, 3, 4, 1) == 1      # copy rule
-    assert apply_rnel(line_network, 4, 2, 0) == 0      # merge rule
-    assert apply_rnel(line_network, 0, 3, 0) is None   # the policy decides
+    assert rnel(line_network, 3, 4, 1) == 1      # copy rule
+    assert rnel(line_network, 4, 2, 0) == 0      # merge rule
+    assert rnel(line_network, 0, 3, 0) is None   # the policy decides
     arguments = dict(
         network=line_network, historical=trips[:20],
         labeling_config=LabelingConfig(alpha=0.35, delta=0.25),
@@ -383,12 +389,14 @@ def test_explicit_fine_tune_batch_size_overrides_configured_size(
     assert batches == [8, 8]
 
 
-def test_fine_tune_rejects_invalid_batch_size(dataset, dataset_split):
+@pytest.mark.parametrize("invalid", [{"batch_size": 0}, {"epochs": 0}],
+                         ids=["batch_size", "epochs"])
+def test_fine_tune_rejects_invalid_batch_size(dataset, dataset_split, invalid):
     train, development, _ = dataset_split
     trainer = _make_trainer(dataset, train[:60], development)
     history = trainer.pipeline.history
     with pytest.raises(ModelError):
-        trainer.fine_tune(train[60:70], batch_size=0)
+        trainer.fine_tune(train[60:70], **invalid)
     # Rejected before anything moved: a retry must not double the history.
     assert trainer.pipeline.history.version == history.version
     assert len(trainer.pipeline.history) == len(history) == 60

@@ -6,7 +6,7 @@ import pytest
 
 from repro.config import ASDNetConfig, LabelingConfig, RSRNetConfig, TrainingConfig
 from repro.core import OnlineDetector, OnlineLearner, RL4OASDTrainer
-from repro.core.decision import apply_rnel, rnel_from_degrees
+from repro.core.decision import rnel_from_degrees
 from repro.core.detector import apply_delayed_labeling
 from repro.eval import evaluate_detector, measure_detector
 from repro.exceptions import ModelError, NotFittedError
@@ -15,19 +15,25 @@ from repro.roadnet import RoadNetwork
 
 
 # ---------------------------------------------------------------------- RNEL
+def rnel_between(network, previous_segment, segment, previous_label):
+    """The RNEL label of ``segment`` after ``previous_segment``."""
+    return rnel_from_degrees(network.out_degree(previous_segment),
+                             network.in_degree(segment), previous_label)
+
+
 def test_rnel_rules(line_network):
     # Segment 1 (n1->n2): its predecessor 0 has out-degree 2, successor chain.
     # Rule 1: single-out + single-in copies the previous label.
     # line_network: segment 3 (n1->n4) out=1 (only 4 follows), segment 4 in=1.
-    assert apply_rnel(line_network, 3, 4, previous_label=0) == 0
-    assert apply_rnel(line_network, 3, 4, previous_label=1) == 1
+    assert rnel_between(line_network, 3, 4, previous_label=0) == 0
+    assert rnel_between(line_network, 3, 4, previous_label=1) == 1
     # Rule 2: single-out, multi-in, previous normal -> normal.
     # segment 4 (n4->n2) out=1 (only 2 follows), segment 2 (n2->n3) in=2.
-    assert apply_rnel(line_network, 4, 2, previous_label=0) == 0
+    assert rnel_between(line_network, 4, 2, previous_label=0) == 0
     # Rule 3 requires multi-out + single-in + previous anomalous.
-    assert apply_rnel(line_network, 0, 3, previous_label=1) == 1
+    assert rnel_between(line_network, 0, 3, previous_label=1) == 1
     # Otherwise (multi-out, single-in but previous normal) the policy decides.
-    assert apply_rnel(line_network, 0, 1, previous_label=0) is None
+    assert rnel_between(line_network, 0, 1, previous_label=0) is None
 
 
 def test_rnel_on_pure_degree_one_chain():
@@ -42,8 +48,8 @@ def test_rnel_on_pure_degree_one_chain():
         assert network.out_degree(previous_segment) == 1
         assert network.in_degree(current_segment) == 1
         for label in (0, 1):
-            assert apply_rnel(network, previous_segment, current_segment,
-                              previous_label=label) == label
+            assert rnel_between(network, previous_segment, current_segment,
+                                previous_label=label) == label
 
 
 def test_rnel_from_degrees_rule_table():
@@ -155,8 +161,7 @@ def test_detector_builds_the_transition_set_once_per_sd_pair(
     slots of a pair share the pair's — never per point, and not per trip
     either."""
     from repro.labeling import normal_routes as routes_module
-    from repro.labeling.normal_routes import (normal_route_feature_step,
-                                              normal_transitions)
+    from repro.labeling.normal_routes import normal_transitions
 
     _, _, test = dataset_split
     trips = sorted(test, key=len)[-4:]
@@ -188,15 +193,10 @@ def test_detector_builds_the_transition_set_once_per_sd_pair(
     assert len(calls) == len(groups)
     assert [detector.detect(trip).labels for trip in trips] == expected
     assert len(calls) == len(groups)  # warm: no rebuild at all
-    # The per-step helper agrees with the memoized set on every transition.
+    # The memoized set is the transition set of the SD pair's normal routes.
     for trip in trips:
-        routes = pipeline.normal_routes_for(trip)
-        allowed = pipeline.normal_transitions_for(trip)
-        assert allowed == frozenset(normal_transitions(routes))
-        segments = trip.segments
-        for previous, current in zip(segments, segments[1:]):
-            assert normal_route_feature_step(previous, current, routes) == (
-                0 if (previous, current) in allowed else 1)
+        assert pipeline.normal_transitions_for(trip) == frozenset(
+            normal_transitions(pipeline.normal_routes_for(trip)))
 
 
 def test_detector_per_point_latency_is_online(trained_model, dataset_split):

@@ -13,7 +13,7 @@ from repro.labeling import (
     noisy_labels,
     normal_route_features,
 )
-from repro.labeling.normal_routes import normal_route_feature_step
+from repro.labeling.normal_routes import normal_transitions
 from repro.trajectory import MatchedTrajectory
 from repro.trajectory.ops import SOURCE_PAD
 
@@ -125,12 +125,11 @@ def test_normal_route_features(figure1_group):
 
 
 def test_normal_route_feature_step(figure1_group):
+    """A point's NRF is whether the transition into it is on a normal route."""
     group, t1, _, _ = figure1_group
-    routes = infer_normal_routes(group, delta=0.3)
-    assert normal_route_feature_step(1, 2, routes) == 0
-    assert normal_route_feature_step(2, 4, routes) == 1
-    assert normal_route_feature_step(2, 4, routes, is_source=True) == 0
-    assert normal_route_feature_step(2, 4, routes, is_destination=True) == 0
+    allowed = normal_transitions(infer_normal_routes(group, delta=0.3))
+    assert (1, 2) in allowed
+    assert (2, 4) not in allowed
 
 
 def test_normal_route_features_validation(figure1_group):

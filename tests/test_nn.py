@@ -12,17 +12,18 @@ from repro.nn import (
     Linear,
     LSTM,
     SGD,
-    binary_cross_entropy,
     clip_gradients,
-    cosine_similarity,
+    cosine_similarity_rows,
     cross_entropy_from_logits,
     log_softmax,
-    one_hot,
     sigmoid,
     softmax,
 )
 from repro.nn.module import Module, Parameter
 from repro.nn.recurrent import LSTMCell
+
+from reference_networks import (numerical_gradient, reference_lstm_step,
+                                reference_sigmoid)
 
 
 # ----------------------------------------------------------------- functional
@@ -39,18 +40,6 @@ def assert_bit_equal(actual, expected):
     assert actual.dtype == expected.dtype == np.float64
     assert actual.shape == expected.shape
     assert actual.tobytes() == expected.tobytes()
-
-
-def reference_sigmoid(x):
-    """The masked two-branch sigmoid the library shipped before the
-    branch-free form; kept as the bit-level oracle for it."""
-    out = np.empty_like(x, dtype=np.float64)
-    positive = x >= 0
-    negative = ~positive
-    out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
-    exp_x = np.exp(x[negative])
-    out[negative] = exp_x / (1.0 + exp_x)
-    return out
 
 
 SIGMOID_EDGE_VALUES = [
@@ -117,19 +106,14 @@ def test_log_softmax_matches_softmax():
     assert np.allclose(np.exp(log_softmax(logits)), softmax(logits))
 
 
-def test_one_hot():
-    vec = one_hot(2, 4)
-    assert vec.tolist() == [0, 0, 1, 0]
-    with pytest.raises(ModelError):
-        one_hot(5, 4)
-
-
 def test_cosine_similarity():
-    assert cosine_similarity(np.ones(4), np.ones(4)) == pytest.approx(1.0)
-    assert cosine_similarity(np.array([1, 0]), np.array([0, 1])) == pytest.approx(0.0)
-    assert cosine_similarity(np.zeros(3), np.ones(3)) == 0.0
+    a = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+    b = np.array([[1.0, 1.0, 1.0, 1.0], [0.0, 1.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0]])
+    assert cosine_similarity_rows(a, b) == pytest.approx([1.0, 0.0, 0.0])
     with pytest.raises(ModelError):
-        cosine_similarity(np.ones(3), np.ones(4))
+        cosine_similarity_rows(np.ones((1, 3)), np.ones((1, 4)))
+    with pytest.raises(ModelError):
+        cosine_similarity_rows(np.ones(3), np.ones(3))
 
 
 def test_cross_entropy_from_logits_values_and_grad():
@@ -146,12 +130,6 @@ def test_cross_entropy_rejects_bad_targets():
         cross_entropy_from_logits(np.zeros((2, 2)), [0])
     with pytest.raises(ModelError):
         cross_entropy_from_logits(np.zeros((2, 2)), [0, 5])
-
-
-def test_binary_cross_entropy():
-    assert binary_cross_entropy(np.array([0.9, 0.1]), np.array([1.0, 0.0])) < 0.2
-    with pytest.raises(ModelError):
-        binary_cross_entropy(np.array([0.5]), np.array([0.5, 0.5]))
 
 
 # -------------------------------------------------------------------- module
@@ -185,22 +163,6 @@ def test_state_dict_round_trip():
 
 
 # ------------------------------------------------------------ gradient checks
-def numerical_gradient(f, parameter, eps=1e-5):
-    grad = np.zeros_like(parameter.value)
-    it = np.nditer(parameter.value, flags=["multi_index"])
-    while not it.finished:
-        index = it.multi_index
-        original = parameter.value[index]
-        parameter.value[index] = original + eps
-        plus = f()
-        parameter.value[index] = original - eps
-        minus = f()
-        parameter.value[index] = original
-        grad[index] = (plus - minus) / (2 * eps)
-        it.iternext()
-    return grad
-
-
 def test_linear_gradient_check():
     rng = np.random.default_rng(1)
     layer = Linear(4, 3, rng=rng)
@@ -234,22 +196,30 @@ def test_embedding_gradient_accumulates_per_token():
 
 
 def test_lstm_gradient_check():
+    """Batched BPTT over a ragged batch — the path training runs — against
+    central differences: every cell parameter and the inputs, and padded
+    rows get a zero input gradient."""
     rng = np.random.default_rng(3)
     lstm = LSTM(3, 4, rng=rng)
-    inputs = rng.normal(size=(5, 3))
-    targets = np.array([0.7, -0.3, 0.2, 0.5])
+    lengths = [5, 2, 4]
+    inputs = rng.normal(size=(3, 5, 3))
+    targets = rng.normal(size=(3, 5, 4))
+    mask = (np.arange(5)[None, :] < np.array(lengths)[:, None])[:, :, None]
 
     def loss_fn():
-        hidden, _ = lstm.forward(inputs)
-        return float(((hidden[-1] - targets) ** 2).sum())
+        hidden, _ = lstm.forward_batch(inputs)
+        return float((((hidden - targets) * mask) ** 2).sum())
 
-    hidden, caches = lstm.forward(inputs)
-    grad_hidden = np.zeros_like(hidden)
-    grad_hidden[-1] = 2.0 * (hidden[-1] - targets)
+    hidden, caches = lstm.forward_batch(inputs)
     lstm.zero_grad()
-    lstm.backward(grad_hidden, caches)
-    numeric = numerical_gradient(loss_fn, lstm.cell.weight_input)
-    assert np.allclose(lstm.cell.weight_input.grad, numeric, atol=1e-4)
+    grad_inputs = lstm.backward_batch(2.0 * (hidden - targets) * mask, caches)
+    for parameter in lstm.parameters():
+        numeric = numerical_gradient(loss_fn, parameter)
+        np.testing.assert_allclose(parameter.grad, numeric, rtol=0, atol=1e-7)
+    numeric_inputs = numerical_gradient(loss_fn, Parameter(inputs))
+    np.testing.assert_allclose(grad_inputs, numeric_inputs, rtol=0, atol=1e-7)
+    for row, n in enumerate(lengths):
+        assert not grad_inputs[row, n:].any()
 
 
 def test_gru_gradient_check():
@@ -270,26 +240,17 @@ def test_gru_gradient_check():
     numeric = numerical_gradient(loss_fn, gru.cell.weight_hidden)
     assert np.allclose(gru.cell.weight_hidden.grad, numeric, atol=1e-4)
 
+    # The initial state's gradient, through every step.
+    h0 = Parameter(rng.normal(size=4))
 
-def reference_lstm_step(cell, input_term, h_prev, c_prev):
-    """The LSTM step as the three forward modes each spelled it out before
-    they shared one kernel: same expression tree, masked sigmoid, every gate
-    a fresh array. Returns everything a forward mode or its cache exposes."""
-    h_dim = cell.hidden_dim
-    gates = (input_term
-             + h_prev @ cell.weight_hidden.value
-             + cell.bias.value)
-    input_gate = reference_sigmoid(gates[..., :h_dim])
-    forget_gate = reference_sigmoid(gates[..., h_dim:2 * h_dim])
-    cell_candidate = np.tanh(gates[..., 2 * h_dim:3 * h_dim])
-    output_gate = reference_sigmoid(gates[..., 3 * h_dim:])
-    c = forget_gate * c_prev + input_gate * cell_candidate
-    tanh_c = np.tanh(c)
-    return {
-        "h": output_gate * tanh_c, "c": c, "tanh_c": tanh_c,
-        "input_gate": input_gate, "forget_gate": forget_gate,
-        "cell_candidate": cell_candidate, "output_gate": output_gate,
-    }
+    def loss_from_h0():
+        hidden, _ = gru.forward(inputs, h0=h0.value)
+        return float(((hidden - targets) ** 2).sum())
+
+    hidden, caches = gru.forward(inputs, h0=h0.value)
+    _, grad_h0 = gru.backward(2.0 * (hidden - targets), caches)
+    np.testing.assert_allclose(grad_h0, numerical_gradient(loss_from_h0, h0),
+                               rtol=0, atol=1e-8)
 
 
 CACHED_GATES = ("input_gate", "forget_gate", "cell_candidate", "output_gate",
@@ -349,37 +310,19 @@ def test_lstm_forward_batch_cached_bit_equal_to_reference(batch):
 
 
 def test_lstm_forward_single_stream_bit_equal_to_reference():
+    """The inference mode without the batch axis is the reference step, and
+    it leaves its inputs untouched."""
     cell, x, h_prev, c_prev = _lstm_case(3)
     for row in range(3):
         expected = reference_lstm_step(
             cell, x[row] @ cell.weight_input.value, h_prev[row], c_prev[row])
-        h, c, cache = cell.forward(x[row], h_prev[row], c_prev[row])
+        before = (h_prev[row].copy(), c_prev[row].copy())
+        h, c = cell.forward_batch(cell.project_input(x[row]),
+                                  h_prev[row], c_prev[row])
         assert_bit_equal(h, expected["h"])
         assert_bit_equal(c, expected["c"])
-        for name in CACHED_GATES:
-            assert_bit_equal(cache[name], expected[name])
-        # The inference mode without the batch axis is the same step, and it
-        # leaves its inputs untouched.
-        before = (h_prev[row].copy(), c_prev[row].copy())
-        h_only, c_only = cell.forward_batch(cell.project_input(x[row]),
-                                            h_prev[row], c_prev[row])
-        assert_bit_equal(h_only, h)
-        assert_bit_equal(c_only, c)
         assert_bit_equal(h_prev[row], before[0])
         assert_bit_equal(c_prev[row], before[1])
-
-        grad_h, grad_c = np.ones_like(h), np.full_like(c, 0.5)
-        cell.zero_grad()
-        from_views = cell.backward(grad_h, grad_c, cache)
-        copied = dict(cache, **{name: expected[name].copy()
-                                for name in CACHED_GATES})
-        grads_from_views = [p.grad.copy() for p in cell.parameters()]
-        cell.zero_grad()
-        from_copies = cell.backward(grad_h, grad_c, copied)
-        for actual, wanted in zip(from_views, from_copies):
-            assert_bit_equal(actual, wanted)
-        for actual, parameter in zip(grads_from_views, cell.parameters()):
-            assert_bit_equal(actual, parameter.grad)
 
 
 @pytest.mark.parametrize("steps", [0, 1, 2, 7])
@@ -474,7 +417,9 @@ def test_lstm_forward_batch_rejects_wrong_shapes():
 def test_lstm_rejects_wrong_shapes():
     lstm = LSTM(3, 4)
     with pytest.raises(ModelError):
-        lstm.forward(np.zeros((5, 2)))
+        lstm.forward_batch(np.zeros((2, 5, 2)))
+    with pytest.raises(ModelError):
+        lstm.forward_batch(np.zeros((5, 3)))
 
 
 # ---------------------------------------------------------------- optimizers

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.detector import apply_delayed_labeling
 from repro.eval.metrics import evaluate_labelings, span_jaccard
-from repro.nn import softmax, log_softmax, sigmoid, cosine_similarity
+from repro.nn import softmax, log_softmax, sigmoid, cosine_similarity_rows
 from repro.trajectory.ops import labels_from_spans, subtrajectory_spans
 from repro.trajectory.similarity import (
     discrete_frechet_points,
@@ -123,5 +123,12 @@ def test_sigmoid_bounded_and_monotone(values):
        st.lists(st.floats(-10, 10), min_size=2, max_size=16))
 def test_cosine_similarity_bounded(a, b):
     n = min(len(a), len(b))
-    value = cosine_similarity(np.array(a[:n]), np.array(b[:n]))
+    a, b = np.array(a[:n]), np.array(b[:n])
+    value = cosine_similarity_rows(a[None, :], b[None, :])[0]
     assert -1.0 - 1e-9 <= value <= 1.0 + 1e-9
+    norms = np.linalg.norm(a) * np.linalg.norm(b)
+    if min(np.linalg.norm(a), np.linalg.norm(b)) < 1e-12:
+        assert value == 0.0
+    else:
+        assert value == pytest.approx(np.dot(a, b) / norms, rel=1e-12,
+                                      abs=1e-15)

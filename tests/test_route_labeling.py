@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reference_detector import reference_labels
+from reference_networks import rsrnet_step
 from test_deferred_streams import feed, open_stream, perturbed_model
 
 from repro.core import OnlineDetector, replay_fleet
@@ -166,11 +167,11 @@ def test_hidden_states_match_the_step_loop(trained_model, dataset_split):
     rsrnet = trained_model.rsrnet
     tokens = trained_model.pipeline.vocabulary.tokens(
         max(test, key=len).segments)
-    state = rsrnet.begin_sequence()
+    h = c = np.zeros(rsrnet.config.hidden_dim)
     stepped = []
     for token in tokens:
-        _, state = rsrnet.step(state, token, 0)
-        stepped.append(state.hidden)
+        _, h, c = rsrnet_step(rsrnet, h, c, token, 0)
+        stepped.append(h)
     np.testing.assert_allclose(rsrnet.hidden_states(tokens),
                                np.array(stepped), rtol=0.0, atol=1e-12)
     assert rsrnet.hidden_states([]).shape == (0, rsrnet.config.hidden_dim)

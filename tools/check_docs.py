@@ -1,6 +1,6 @@
 """Documentation checks run by the CI docs job.
 
-Four checks, no third-party dependencies beyond the library's own:
+Five checks, no third-party dependencies beyond the library's own:
 
 1. **Internal links** — every relative markdown link in ``docs/*.md`` (and
    the README) must point at a file or directory that exists.
@@ -19,6 +19,11 @@ Four checks, no third-party dependencies beyond the library's own:
    ``detector(...)`` is a parameter of ``RL4OASDModel.detector`` or
    ``OnlineLearner.detector``, so an example naming a deleted option fails
    although it still compiles.
+5. **Class attributes** — every backticked ``Class.attr`` in the docs whose
+   ``Class`` is a class a ``PUBLIC_SURFACE`` module exposes names an
+   attribute that class has: a method, property or class attribute, a
+   dataclass or ``NamedTuple`` field, or an instance attribute its methods
+   assign (``self.attr = ...``), so prose naming a deleted method fails.
 
 Run locally with::
 
@@ -29,9 +34,11 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import importlib
 import inspect
 import re
 import sys
+import textwrap
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -39,6 +46,8 @@ DOC_FILES = sorted((REPO / "docs").glob("*.md")) + [REPO / "README.md"]
 
 LINK_PATTERN = re.compile(r"(?<!!)\[[^\]]+\]\(([^)\s]+)\)")
 FENCE_PATTERN = re.compile(r"```python\n(.*?)```", re.DOTALL)
+CODE_SPAN_PATTERN = re.compile(r"`([^`\n]+)`")
+CLASS_ATTRIBUTE_PATTERN = re.compile(r"(?<!\w)([A-Z]\w*)\.([A-Za-z_]\w*)")
 
 #: module -> names the docs promise it exposes
 PUBLIC_SURFACE = {
@@ -54,7 +63,7 @@ PUBLIC_SURFACE = {
     "repro.core.detector": ["OnlineDetector", "finish_labels"],
     "repro.core.decision": ["label_route", "policy_choices",
                             "sample_labels", "rnel_from_degrees",
-                            "rnel_from_degrees_batch", "apply_rnel"],
+                            "rnel_from_degrees_batch"],
     "repro.serve": [
         "DetectionService", "IngestStatus", "serve_fleet", "shard_of",
         "ServiceMetrics", "ShardStats", "save_model", "load_model",
@@ -196,8 +205,6 @@ def check_config_keywords() -> list:
 
 
 def check_imports() -> list:
-    import importlib
-
     errors = []
     for module_name, names in PUBLIC_SURFACE.items():
         try:
@@ -212,17 +219,61 @@ def check_imports() -> list:
     return errors
 
 
+def _attributes(cls) -> set:
+    """Every attribute name an instance of ``cls`` can have."""
+    names = set(dir(cls))
+    for klass in inspect.getmro(cls):
+        if dataclasses.is_dataclass(klass):
+            names.update(field.name for field in dataclasses.fields(klass))
+        names.update(getattr(klass, "_fields", ()))
+        try:
+            tree = ast.parse(textwrap.dedent(inspect.getsource(klass)))
+        except (OSError, TypeError):  # builtins have no source
+            continue
+        names.update(node.attr for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute)
+                     and isinstance(node.ctx, ast.Store)
+                     and isinstance(node.value, ast.Name)
+                     and node.value.id == "self")
+    return names
+
+
+def check_class_attributes() -> list:
+    attributes = {}  # class name -> attributes of every class so named
+    for module_name in PUBLIC_SURFACE:
+        try:
+            module = importlib.import_module(module_name)
+        except Exception:  # noqa: BLE001 - check_imports reports it
+            continue
+        for name, value in vars(module).items():
+            if (not name.startswith("_") and inspect.isclass(value)
+                    and value.__module__.startswith("repro")):
+                attributes.setdefault(name, set()).update(_attributes(value))
+    errors = []
+    for doc in DOC_FILES:
+        text = doc.read_text(encoding="utf-8")
+        for span in CODE_SPAN_PATTERN.finditer(text):
+            for match in CLASS_ATTRIBUTE_PATTERN.finditer(span.group(1)):
+                name, attribute = match.groups()
+                if name in attributes and attribute not in attributes[name]:
+                    errors.append(f"{doc.relative_to(REPO)}: `{span.group(1)}` "
+                                  f"names {name}.{attribute}, which {name} "
+                                  f"does not have")
+    return errors
+
+
 def main() -> int:
     errors = (check_links() + check_python_fences() + check_imports()
-              + check_config_keywords())
+              + check_config_keywords() + check_class_attributes())
     for error in errors:
         print(f"ERROR: {error}")
     checked = ", ".join(str(d.relative_to(REPO)) for d in DOC_FILES)
     if errors:
         print(f"\n{len(errors)} documentation problem(s) in: {checked}")
         return 1
-    print(f"docs OK: links, python fences, public imports and config / "
-          f"engine / detect / detector keywords verified ({checked})")
+    print(f"docs OK: links, python fences, public imports, config / "
+          f"engine / detect / detector keywords and class attributes "
+          f"verified ({checked})")
     return 0
 
 
