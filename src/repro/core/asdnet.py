@@ -117,8 +117,8 @@ class ASDNet(Module):
         if previous_labels.size and (previous_labels.min() < 0
                                      or previous_labels.max() > 1):
             raise ModelError("previous labels must be 0 or 1")
-        label_vectors = self.label_embedding.vectors(previous_labels)
-        return np.concatenate([z, label_vectors], axis=1)
+        return np.concatenate(  # table rows: the labels are checked above
+            [z, self.label_embedding.weight.value[previous_labels]], axis=1)
 
     def policy_logits_batch(self, z: np.ndarray,
                             previous_labels: Sequence[int]) -> np.ndarray:

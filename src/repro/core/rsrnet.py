@@ -202,6 +202,6 @@ class RSRNet(Module):
             raise ModelError("normal route features must be 0 or 1")
         new_hidden, new_cell = self.lstm.cell.forward_batch(
             input_projections, hidden, cell)
-        nrf_vectors = self.nrf_embedding.vectors(nrf)
-        z = np.concatenate([new_hidden, nrf_vectors], axis=1)
+        z = np.concatenate(  # rows of the table: nrf is checked above
+            [new_hidden, self.nrf_embedding.weight.value[nrf]], axis=1)
         return z, new_hidden, new_cell

@@ -133,7 +133,7 @@ class SegmentFeatureCache:
 PLAIN_ROW = (None, 0.0, None, None)
 
 
-@dataclass
+@dataclass(slots=True)
 class _StreamState:
     """Everything the engine tracks for one in-flight vehicle stream."""
 
@@ -142,7 +142,9 @@ class _StreamState:
     start_time_s: float
     destination: Optional[int]
     slot: int
-    history: Optional[HistorySnapshot] = None
+    history: HistorySnapshot
+    normal_transitions: Optional[FrozenSet[Tuple[int, int]]]
+    deferred: bool
     segments: List[int] = field(default_factory=list)
     # The vocabulary token of each segment, translated once at ingest.
     tokens: List[int] = field(default_factory=list)
@@ -151,8 +153,6 @@ class _StreamState:
     # tick that steps it (``stepped == len(labels)``); a deferred stream
     # steps ahead and has no labels until its finalize pass.
     stepped: int = 0
-    normal_transitions: Optional[FrozenSet[Tuple[int, int]]] = None
-    deferred: bool = False
     finalizing: bool = False
     # Deferred streams only: ``h_i`` of every stepped point, consumed by
     # the finalize labeling pass.
@@ -187,7 +187,7 @@ class StreamEngine:
         self._rsrnet = rsrnet
         self._asdnet = asdnet
         self._pipeline = pipeline
-        self._token_of = pipeline.vocabulary.token
+        self._segment_tokens = pipeline.vocabulary.segment_tokens
         self._use_rnel = use_rnel
         self._delay_window = delay_window if use_delayed_labeling else None
         self._cache = SegmentFeatureCache(len(pipeline.vocabulary),
@@ -382,7 +382,7 @@ class StreamEngine:
         raises leaves the rows before it buffered and the rows from it on
         untouched.
         """
-        token_of = self._token_of
+        segment_tokens = self._segment_tokens
         streams = self._streams
         ready = self._ready
         extra_of = (extras or {}).get
@@ -391,16 +391,20 @@ class StreamEngine:
             # The one translation of this segment: every later per-segment
             # lookup goes by token. Unknown segments raise here, at the door
             # (inside tick() one vehicle's bad fix would stall the fleet).
-            token = token_of(segment)
+            try:
+                token = segment_tokens[segment]
+            except KeyError:
+                token = self._pipeline.vocabulary.token(segment)  # raises
             stream = streams.get(vehicle_id)
-            extra = extra_of(row, PLAIN_ROW)
+            extra = extra_of(row)
             if stream is None:
-                stream = self._open(vehicle_id, segment, *extra[:3])
+                stream = self._open(vehicle_id, segment,
+                                    *(extra or PLAIN_ROW)[:3])
             elif stream.finalizing:
                 raise ModelError(
                     f"stream {vehicle_id!r} is finalized; open a new stream")
-            trace = extra[3]
-            if trace is not None:
+            if extra is not None and extra[3] is not None:
+                trace = extra[3]
                 if stream.traces is None:
                     stream.traces = []
                 stream.trace_id = trace.trace_id
@@ -427,32 +431,21 @@ class StreamEngine:
         history = self._pipeline.history
         normal_transitions = None
         if destination is not None:
-            self._token_of(destination)
-            if history.has_pair(first_segment, destination):
-                # Resolving through the pipeline keeps the snapshot's
-                # normal-route cache in exactly the state a reference
-                # detection would leave it.
-                normal_transitions = self._pipeline.normal_transitions_for(
-                    MatchedTrajectory(-1, [first_segment, destination],
-                                      start_time_s=start_time_s),
-                    history=history)
+            if destination not in self._segment_tokens:
+                self._pipeline.vocabulary.token(destination)  # raises
+            # By the SD key, under the memo key a detection of the trip uses:
+            # the snapshot's memo ends as that detection would leave it.
+            normal_transitions = self._pipeline.pair_transitions(
+                first_segment, destination, start_time_s, history)
         if trajectory_id is None:
             trajectory_id = self._next_trajectory_id
         self._next_trajectory_id += 1
-        stream = _StreamState(
-            vehicle_id=vehicle_id,
-            trajectory_id=trajectory_id,
-            start_time_s=start_time_s,
-            destination=destination,
-            slot=self._allocate_slot(),
-            history=history,
-            normal_transitions=normal_transitions,
-            # Without a declared destination, or without history for the SD
-            # pair — where the reference falls back to treating the
-            # trajectory's own route as normal, only known at finalize — the
-            # stream runs deferred.
-            deferred=normal_transitions is None,
-        )
+        # No declared destination, or no history for the SD pair (where the
+        # reference's normal route is the trip's own, known only at
+        # finalize): the stream runs deferred.
+        stream = _StreamState(vehicle_id, trajectory_id, start_time_s,
+                              destination, self._allocate_slot(), history,
+                              normal_transitions, normal_transitions is None)
         self._streams[vehicle_id] = stream
         return stream
 
@@ -486,7 +479,8 @@ class StreamEngine:
         if not ready:
             return 0
         in_degrees, out_degrees = self._pipeline.token_degrees()
-        work: List[Tuple[_StreamState, int]] = []
+        # The streams labeling a point, each at its ``stepped`` index.
+        work: List[_StreamState] = []
         stepping: List[_StreamState] = []
         slots: List[int] = []
         # The token of each row's segment: its row of the projection table.
@@ -500,6 +494,7 @@ class StreamEngine:
                 continue
             index = stream.stepped
             tokens = stream.tokens
+            token = tokens[index]
             if index == 0:
                 # The source is normal by definition (and the destination
                 # never gets here: the finalize pass labels it).
@@ -507,15 +502,15 @@ class StreamEngine:
                 labels.append(0)
             else:
                 segments = stream.segments
-                transition = (segments[index - 1], segments[index])
                 nrf_values.append(
-                    0 if transition in stream.normal_transitions else 1)
+                    0 if (segments[index - 1], segments[index])
+                    in stream.normal_transitions else 1)
                 labels.append(rnel_from_degrees(
-                    out_degrees[tokens[index - 1]], in_degrees[tokens[index]],
+                    out_degrees[tokens[index - 1]], in_degrees[token],
                     stream.labels[-1]) if self._use_rnel else None)
-            work.append((stream, index))
+            work.append(stream)
             slots.append(stream.slot)
-            rows.append(tokens[index])
+            rows.append(token)
         # Step-only rows go last, so row numbers of the labeled rows index
         # ``z`` directly; their NRF is a placeholder nobody reads.
         for stream in stepping:
@@ -523,30 +518,36 @@ class StreamEngine:
             rows.append(stream.tokens[stream.stepped])
             nrf_values.append(0)
 
+        # One index array for the pools' two gathers and two scatters.
+        pool_rows = np.array(slots)
         z, new_hidden, new_cell = self._rsrnet.step_batch(
-            self._hidden_pool[slots], self._cell_pool[slots],
+            self._hidden_pool[pool_rows], self._cell_pool[pool_rows],
             self._cache.gather(rows, self._rsrnet.input_projection),
             nrf_values)
-        self._hidden_pool[slots] = new_hidden
-        self._cell_pool[slots] = new_cell
+        self._hidden_pool[pool_rows] = new_hidden
+        self._cell_pool[pool_rows] = new_cell
 
+        labeled = len(work)
         undecided = [row for row, label in enumerate(labels) if label is None]
         if undecided:
             # Detection takes the policy's argmax: the rows are the labels.
+            # If it decides every labeled row, they are ``z[:labeled]``.
             choices = policy_choices(
-                self._asdnet, z[undecided],
-                [work[row][0].labels[-1] for row in undecided], True)
+                self._asdnet,
+                z[:labeled] if len(undecided) == labeled else z[undecided],
+                [work[row].labels[-1] for row in undecided], True)
             for row, label in zip(undecided, choices):
                 labels[row] = label
 
-        for label, (stream, index) in zip(labels, work):
+        for label, stream in zip(labels, work):
+            index = stream.stepped
             stream.labels.append(label)
             stream.stepped = index + 1
             if stream.traces:
                 self._observe_tick(stream, index)
             if index + 2 >= len(stream.segments):
                 del ready[stream.vehicle_id]
-        for row, stream in enumerate(stepping, start=len(work)):
+        for row, stream in enumerate(stepping, start=labeled):
             # A copy, not a row view: a view would pin the whole batch's
             # array for as long as this one stream stays open.
             stream.hidden_states.append(new_hidden[row].copy())
@@ -554,9 +555,9 @@ class StreamEngine:
             waiting = len(stream.segments) - stream.stepped
             if waiting == 0 or (waiting == 1 and stream.finalizing):
                 del ready[stream.vehicle_id]
-        self.points_processed += len(work)
+        self.points_processed += labeled
         self.ticks += 1
-        return len(work)
+        return labeled
 
     def _observe_tick(self, stream: _StreamState, index: int) -> None:
         """Close the ``engine_tick`` span of a just-labeled traced point."""
@@ -703,9 +704,9 @@ class StreamEngine:
         self._release(stream)
         self.streams_finalized += 1
         labels = finish_labels(stream.labels, self._delay_window)
-        trajectory = MatchedTrajectory(
-            stream.trajectory_id, list(stream.segments),
-            start_time_s=stream.start_time_s)
+        # The released stream's own segment list: nothing appends to it now.
+        trajectory = MatchedTrajectory(stream.trajectory_id, stream.segments,
+                                       stream.start_time_s)
         return DetectionResult(
             trajectory=trajectory,
             labels=labels,

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple,
-                    Union)
+from types import MappingProxyType
+from typing import (Dict, FrozenSet, Iterable, List, Mapping, Optional,
+                    Sequence, Tuple, Union)
 
 import numpy as np
 
@@ -38,6 +39,11 @@ class SegmentVocabulary:
 
     def __len__(self) -> int:
         return len(self._token_to_segment)
+
+    @property
+    def segment_tokens(self) -> Mapping[int, int]:
+        """``segment id -> token``, read-only (:meth:`token` raises)."""
+        return MappingProxyType(self._segment_to_token)
 
     def token(self, segment_id: int) -> int:
         try:
@@ -235,38 +241,34 @@ class PreprocessingPipeline:
 
         Applies the same sparse-slot fallback as preprocessing, but *not* the
         final fallback to the query trajectory itself: an empty result means
-        the pair has no history at all (a caller that only wants *that*, like
-        a stream engine opening a vehicle stream, asks
-        :meth:`HistorySnapshot.has_pair` and copies no group). Pass
-        ``history`` to resolve against a pinned snapshot instead of the
-        pipeline's current one.
+        the pair has no history at all (:meth:`HistorySnapshot.has_pair`
+        tells that without copying a group). Pass ``history`` to resolve
+        against a pinned snapshot instead of the pipeline's current one.
         """
-        snapshot = history if history is not None else self._snapshot
-        return snapshot.group(*snapshot.resolved_key(
-            source, destination, self._slot_of(start_time_s),
-            self._config.min_slot_group_size))
+        snapshot, key = self._memo_entry(source, destination, start_time_s,
+                                         history)
+        return snapshot.group(*key)
 
-    def _memo_entry(self, trajectory: MatchedTrajectory,
+    def _memo_entry(self, source: int, destination: int, start_time_s: float,
                     history: Optional[HistorySnapshot]):
-        """Where the trajectory's derived values are memoized: the snapshot
-        and the key of its historical group
-        (:meth:`HistorySnapshot.resolved_key`, the sparse-slot fallback of
-        :meth:`sd_group`) — found without materialising the group."""
+        """Where what derives from an SD pair's group is memoized: the
+        snapshot and the group's :meth:`HistorySnapshot.resolved_key` (the
+        sparse-slot fallback of :meth:`sd_group`), no group materialised."""
         snapshot = history if history is not None else self._snapshot
         return snapshot, snapshot.resolved_key(
-            trajectory.source, trajectory.destination,
-            self._slot_of(trajectory.start_time_s),
+            source, destination, self._slot_of(start_time_s),
             self._config.min_slot_group_size)
 
-    def _route_tally(self, trajectory: MatchedTrajectory,
-                     history: Optional[HistorySnapshot]
+    def _route_tally(self, source: int, destination: int,
+                     start_time_s: float, history: Optional[HistorySnapshot]
                      ) -> Optional[RouteTally]:
-        """The route tally of the trajectory's group (cached); ``None`` for
-        an SD pair with no history at all (see :meth:`statistics_for`)."""
-        snapshot, key = self._memo_entry(trajectory, history)
+        """The route tally of the pair's group (cached); ``None`` for an SD
+        pair with no history at all (see :meth:`statistics_for`)."""
+        snapshot, key = self._memo_entry(source, destination, start_time_s,
+                                         history)
         return snapshot.cached_routes(
             key, lambda: (RouteTally(snapshot.runs(key))
-                          if snapshot.has_pair(key[0], key[1]) else None))
+                          if snapshot.has_pair(source, destination) else None))
 
     def statistics_for(self, trajectory: MatchedTrajectory,
                        history: Optional[HistorySnapshot] = None
@@ -279,7 +281,9 @@ class PreprocessingPipeline:
         computed on every call and never stored: a stored value would judge
         the pair's next trip against this trip's route.
         """
-        snapshot, key = self._memo_entry(trajectory, history)
+        snapshot, key = self._memo_entry(
+            trajectory.source, trajectory.destination,
+            trajectory.start_time_s, history)
         statistics = snapshot.cached_statistics(
             key, lambda: (TransitionStatistics.from_group(snapshot.group(*key))
                           if snapshot.has_pair(key[0], key[1]) else None))
@@ -291,10 +295,21 @@ class PreprocessingPipeline:
                           history: Optional[HistorySnapshot] = None
                           ) -> List[Tuple[int, ...]]:
         """Inferred normal routes of the trajectory's SD-pair group (cached)."""
-        tally = self._route_tally(trajectory, history)
+        tally = self._route_tally(trajectory.source, trajectory.destination,
+                                  trajectory.start_time_s, history)
         if tally is None:
             return [trajectory.route_key()]  # its own route is the normal one
         return tally.normal_routes(self._config.delta)
+
+    def pair_transitions(self, source: int, destination: int,
+                         start_time_s: float = 0.0,
+                         history: Optional[HistorySnapshot] = None
+                         ) -> Optional[FrozenSet[Tuple[int, int]]]:
+        """:meth:`normal_transitions_for` of a trip from ``source`` to
+        ``destination`` by the SD key alone (what an opening stream knows);
+        ``None`` for a pair with no history: its fallback needs the route."""
+        tally = self._route_tally(source, destination, start_time_s, history)
+        return tally and tally.normal_transitions(self._config.delta)
 
     def normal_transitions_for(self, trajectory: MatchedTrajectory,
                                history: Optional[HistorySnapshot] = None
@@ -307,10 +322,12 @@ class PreprocessingPipeline:
         the tally the routes are read from, so the same refresh brings both
         up to date.
         """
-        tally = self._route_tally(trajectory, history)
-        if tally is None:
+        transitions = self.pair_transitions(
+            trajectory.source, trajectory.destination,
+            trajectory.start_time_s, history)
+        if transitions is None:
             return frozenset(normal_transitions([trajectory.route_key()]))
-        return tally.normal_transitions(self._config.delta)
+        return transitions
 
     # ------------------------------------------------------------ public API
     def preprocess(self, trajectory: MatchedTrajectory,

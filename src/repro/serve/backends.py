@@ -62,10 +62,11 @@ so no engine-side ingest failure is reachable through it.) ``obs`` ships the
 shard's cumulative metrics registry home and drains its trace spans — the
 observability plane of :mod:`repro.obs`. One point is a batch of one: there
 is no single-event command. An ``ingest_batch`` travels as columns — two
-flat lists plus a sparse ``{index: (destination, start_time_s,
+flat lists, which pickle an order of magnitude smaller and faster than a
+list of namedtuples, plus a sparse ``{index: (destination, start_time_s,
 trajectory_id, trace)}`` for the few events that open a stream or carry a
-trace (:func:`append_event`; :class:`IngestEvent` stays the type callers
-hand the facade).
+trace (the facade's ``_plan_ingest`` builds them; :class:`IngestEvent`
+stays the type callers hand the facade).
 
 **Scheduling: a round at a time.** The core takes one command at a time and
 never stacks a stream's next point on one that has not been stepped. Before
@@ -143,7 +144,7 @@ from collections import deque
 from typing import Deque, Hashable, List, NamedTuple, Optional, Sequence
 
 from ..core.detector import DetectionResult
-from ..core.stream import PLAIN_ROW, StreamEngine
+from ..core.stream import StreamEngine
 from ..exceptions import ServiceError
 from ..history import (HistoryDelta, HistorySnapshot,
                        apply_delta as apply_history_delta,
@@ -275,8 +276,8 @@ class ServiceBackend:
     def ingest_batch(self, shard: int, columns: tuple) -> bool:
         """Queue several events to a shard as one command, all-or-nothing.
 
-        ``columns`` is the ``(vehicle_ids, segments, extras)`` triple
-        :func:`append_event` builds. A batch occupies a *single* slot of
+        ``columns`` is the ``(vehicle_ids, segments, extras)`` triple of
+        the module docstring. A batch occupies a *single* slot of
         the shard's bounded queue — on the process backend that is one IPC
         put instead of one per event, which is where the multi-shard ingest
         amortization comes from. The queue-depth bound therefore counts
@@ -401,32 +402,6 @@ class ServiceBackend:
 
 
 # --------------------------------------------------------------- the core
-def append_event(columns: tuple, event: IngestEvent) -> None:
-    """Add one event to the columns of an ``ingest_batch`` command.
-
-    ``columns`` is ``(vehicle_ids, segments, extras)``, started as
-    ``([], [], {})``: two flat lists pickle an order of magnitude smaller
-    and faster than a list of namedtuples, and nearly every event of a
-    running fleet is a bare ``(vehicle, segment)``. The few that open a
-    stream or carry a trace keep their other fields in ``extras``,
-    ``{index: (destination, start_time_s, trajectory_id, trace)}`` — the
-    columns :meth:`StreamEngine.ingest_many` takes.
-    """
-    vehicle_ids, segments, extras = columns
-    if event[2:] != PLAIN_ROW:
-        extras[len(segments)] = event[2:]
-    vehicle_ids.append(event[0])
-    segments.append(event[1])
-
-
-def _pack_events(events: Sequence[IngestEvent]) -> tuple:
-    """``events`` as the columns of one ``ingest_batch`` command."""
-    columns: tuple = ([], [], {})
-    for event in events:
-        append_event(columns, event)
-    return columns
-
-
 class ShardCore:
     """One shard — engine, bus, tracer, counters — and the only
     interpreter of shard commands.

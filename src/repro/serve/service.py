@@ -61,6 +61,7 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
 from ..config import ObsConfig
 from ..core.detector import DetectionResult
 from ..core.rl4oasd import RL4OASDModel
+from ..core.stream import PLAIN_ROW
 from ..exceptions import ServiceError
 from ..history import (HistoryDelta, HistorySnapshot, RouteHistoryStore,
                        delta_to_bytes, merge_deltas, snapshot_to_bytes)
@@ -73,8 +74,7 @@ from ..obs.trace import (STAGES, STAGE_LATENCY_METRIC, Span, Tracer,
 from ..trajectory.models import MatchedTrajectory
 from ..trajectory.sdpairs import check_start_time
 from .backends import (ControlUpdate, IngestEvent, InProcessBackend,
-                       ProcessBackend, ServiceBackend, _pack_events,
-                       append_event)
+                       ProcessBackend, ServiceBackend)
 from .checkpoint import (WeightsSnapshot, clone_model, model_to_bytes,
                          weights_snapshot)
 from .metrics import BusStats, ServiceMetrics, metrics_to_registry
@@ -117,6 +117,7 @@ class DetectionService:
         # architecture/shape checks before a swap is broadcast); the shards
         # serve an isolated snapshot taken right now.
         self._vocabulary = model.pipeline.vocabulary
+        self._segment_tokens = self._vocabulary.segment_tokens
         self._labeling_config = model.pipeline.config
         self._rsrnet_template = model.rsrnet
         self._asdnet_template = model.asdnet
@@ -195,10 +196,6 @@ class DetectionService:
         return self._num_shards
 
     @property
-    def backend_name(self) -> str:
-        return self._backend.name
-
-    @property
     def active_vehicles(self) -> List[Hashable]:
         return list(self._open)
 
@@ -242,7 +239,8 @@ class DetectionService:
     ) -> IngestStatus:
         """Queue one point to the vehicle's shard, without blocking.
 
-        Semantics mirror :meth:`StreamEngine.ingest ` (first ingest opens the
+        Semantics mirror :meth:`StreamEngine.ingest
+        <repro.core.stream.StreamEngine.ingest>` (first ingest opens the
         stream; ``destination`` etc. are only read then), with two serving
         twists: unknown segments — and an opening ``start_time_s`` that is
         not a finite real number — are rejected *here*, synchronously, before
@@ -252,16 +250,14 @@ class DetectionService:
         that vehicle, or the stream would be observed out of order.
         """
         self._require_open_service()
-        event, opening = self._admit(
-            IngestEvent(vehicle_id, segment, destination, start_time_s,
-                        trajectory_id, trace), ())
-        shard = self.shard_for(vehicle_id)
-        if not self._backend.ingest_batch(shard, _pack_events((event,))):
+        by_shard, openers = self._plan_ingest((IngestEvent(
+            vehicle_id, segment, destination, start_time_s, trajectory_id,
+            trace),))
+        (shard, columns), = by_shard.items()
+        if not self._backend.ingest_batch(shard, columns):
             self._rejected += 1
             return IngestStatus.RETRY_LATER
-        self._accepted += 1
-        if opening:
-            self._open[vehicle_id] = shard
+        self._ingest_delivered(openers, batched=False)(shard, columns)
         return IngestStatus.ACCEPTED
 
     def ingest_blocking(self, vehicle_id: Hashable, segment: int,
@@ -275,18 +271,12 @@ class DetectionService:
         of :meth:`ingest_many` (:meth:`_deliver`).
         """
         self._require_open_service()
-        event, opening = self._admit(
-            IngestEvent(vehicle_id, segment, **kwargs), ())
-
-        def delivered(shard: int, columns: tuple) -> None:
-            self._accepted += 1
-            if opening:
-                self._open[vehicle_id] = shard
-
+        by_shard, openers = self._plan_ingest(
+            (IngestEvent(vehicle_id, segment, **kwargs),))
         return self._deliver(
-            {self.shard_for(vehicle_id): _pack_events((event,))},
-            self._backend.ingest_batch, delivered, max_retries, retry_wait_s,
-            "an ingest")
+            by_shard, self._backend.ingest_batch,
+            self._ingest_delivered(openers, batched=False), max_retries,
+            retry_wait_s, "an ingest")
 
     def ingest_many(
         self,
@@ -320,39 +310,59 @@ class DetectionService:
         by_shard, openers = self._plan_ingest(requests)
         return self._deliver(
             by_shard, self._backend.ingest_batch,
-            self._ingest_delivered(openers), max_retries, retry_wait_s,
-            "a batched ingest")
+            self._ingest_delivered(openers, batched=True), max_retries,
+            retry_wait_s, "a batched ingest")
 
     def _plan_ingest(
         self, requests: Sequence[IngestEvent]
     ) -> Tuple[Dict[int, tuple], Dict[int, List[Hashable]]]:
-        """Validate a batch and group it per shard, preserving stream order.
-
-        Each shard's group is built directly as the columns of its
-        ``ingest_batch`` command (:func:`~repro.serve.backends.
-        append_event`), in the one pass that validates the events.
-        """
+        """The one admission of the facade: validate events (raising before
+        anything is queued) and group them per shard, in stream order, as
+        ``ingest_batch`` columns. The next point of an open stream — no
+        trace, no opening fields, no tracer — is admitted inline by a
+        membership test of its segment (the engine translates it); any
+        other event goes through :meth:`_admit`."""
+        segment_tokens = self._segment_tokens
+        sampling = self._tracer is not None
+        shard_of_open = self._open.get
         opening: Dict[Hashable, int] = {}
         by_shard: Dict[int, tuple] = {}
         openers: Dict[int, List[Hashable]] = {}
         for request in requests:
             if request.__class__ is not IngestEvent:
                 request = IngestEvent(*request)
-            event, opens = self._admit(request, opening)
-            shard = self.shard_for(event.vehicle_id)
-            if opens:
-                opening[event.vehicle_id] = shard
-                openers.setdefault(shard, []).append(event.vehicle_id)
+            (vehicle_id, segment, destination, start_time_s, trajectory_id,
+             trace) = request
+            shard = shard_of_open(vehicle_id)
+            if shard is None:
+                shard = opening.get(vehicle_id)
+            extra = None
+            if (shard is not None and destination is None and trace is None
+                    and trajectory_id is None and start_time_s == 0.0
+                    and not sampling):
+                if segment not in segment_tokens:
+                    self._vocabulary.token(segment)  # raises LabelingError
+            else:
+                request = self._admit(request, shard is None)
+                if shard is None:
+                    shard = opening[vehicle_id] = self.shard_for(vehicle_id)
+                    openers.setdefault(shard, []).append(vehicle_id)
+                extra = request[2:]
             columns = by_shard.get(shard)
             if columns is None:
                 columns = by_shard[shard] = ([], [], {})
-            append_event(columns, event)
+            if extra is not None and extra != PLAIN_ROW:
+                columns[2][len(columns[1])] = extra
+            columns[0].append(vehicle_id)
+            columns[1].append(segment)
         return by_shard, openers
 
-    def _ingest_delivered(self, openers: Dict[int, List[Hashable]]):
+    def _ingest_delivered(self, openers: Dict[int, List[Hashable]],
+                          batched: bool):
         def delivered(shard: int, columns: tuple) -> None:
             self._accepted += len(columns[0])
-            self._batched_ingests += 1
+            if batched:
+                self._batched_ingests += 1
             # Track this shard's new streams immediately, so a failure on a
             # *later* shard cannot leave delivered streams untracked.
             for vehicle_id in openers.get(shard, ()):
@@ -387,34 +397,31 @@ class DetectionService:
             delivered(shard, batch)
         return self._rejected - rejected_before
 
-    def _admit(self, request: IngestEvent, opening) -> Tuple[IngestEvent, bool]:
-        """Validate one point and normalize it to its queued event.
-
-        Shared by :meth:`ingest` and :meth:`ingest_many` so the per-point
-        and batched paths cannot drift apart. ``opening`` holds vehicles
-        already opened earlier in the same batched call. Returns the event
-        (opening fields stripped for an already-open stream) and whether it
-        opens a new stream.
-        """
-        self._vocabulary.token(request.segment)  # LabelingError, fail-fast
+    def _admit(self, request: IngestEvent, opens: bool) -> IngestEvent:
+        """Validate one point and normalize it to its queued event: the
+        branch of :meth:`_plan_ingest` for an event that opens a stream
+        (``opens``), carries a trace or opening fields, or meets a sampling
+        tracer. An already-open stream's opening fields are stripped."""
+        if request.segment not in self._segment_tokens:
+            self._vocabulary.token(request.segment)  # raises LabelingError
         trace = request.trace
         if self._tracer is not None and trace is None:
             # Originate a sampled trace here (a gateway-stamped event keeps
             # its own): the shard measures `shard_queue` from this stamp.
             trace = self._tracer.sample(obs_timestamp())
-        if request.vehicle_id in self._open or request.vehicle_id in opening:
+        if not opens:
             if (request.destination is None and request.start_time_s == 0.0
                     and request.trajectory_id is None
                     and request.trace is trace):
-                return request, False  # already normalized — the hot path
+                return request  # already normalized
             return IngestEvent(request.vehicle_id, request.segment,
-                               None, 0.0, None, trace), False
+                               None, 0.0, None, trace)
         if request.destination is not None:
             self._vocabulary.token(request.destination)
         check_start_time(request.start_time_s)  # TrajectoryError, likewise
         if trace is not request.trace:
             request = request._replace(trace=trace)
-        return request, True
+        return request
 
     # ------------------------------------------------------------- progress
     def pump(self) -> int:

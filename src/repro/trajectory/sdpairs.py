@@ -14,12 +14,12 @@ SECONDS_PER_DAY = 24 * 3600
 
 
 def check_start_time(start_time_s) -> None:
-    """Reject a start time from outside (a stream's opening point) that is
+    """Reject an outside start time (a stream's opening) that is a ``bool`` or
     not a finite real number; :func:`time_slot_of` would fail on it untyped."""
     # The builtin check first: the ABC one costs ten times as much, and this
     # runs for every trip a fleet opens.
-    if not ((isinstance(start_time_s, (float, int))
-             or isinstance(start_time_s, Real))
+    if not (isinstance(start_time_s, (float, int, Real))
+            and start_time_s.__class__ is not bool
             and math.isfinite(start_time_s)):
         raise TrajectoryError(
             f"start_time_s must be a finite real number, got {start_time_s!r}")

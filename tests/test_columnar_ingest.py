@@ -17,8 +17,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import LabelingError, ModelError
 from repro.obs.trace import TraceContext, Tracer
-from repro.serve.backends import IngestEvent, ShardCore, _pack_events
+from repro.serve.backends import IngestEvent, ShardCore
 from repro.trajectory.ops import interleave_streams
+
+from ingest_columns import pack_events
 
 FLEETS = settings(max_examples=25, deadline=None)
 
@@ -222,7 +224,7 @@ def test_shard_core_makes_one_engine_call_per_command(trained_model,
          for vehicle, t in enumerate(trips)],
     ]
     for events in rounds:
-        assert core.handle(("ingest_batch", *_pack_events(events)))
+        assert core.handle(("ingest_batch", *pack_events(events)))
     assert calls == [len(trips)] * len(rounds)
     assert [engine.pending_points(v) + len(engine._streams[v].labels)
             for v in range(len(trips))] == [3] * len(trips)

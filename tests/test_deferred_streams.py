@@ -11,20 +11,24 @@ compares against the reference detector or a fresh engine.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import (ASDNetConfig, LabelingConfig, RSRNetConfig,
                           TrainingConfig)
-from repro.core import RL4OASDTrainer
+from repro.core import RL4OASDTrainer, StreamEngine
 from repro.history import clone_snapshot
+from repro.labeling import PreprocessingPipeline
 from repro.labeling.normal_routes import normal_transitions
 from repro.obs.trace import TraceContext, Tracer
 from repro.roadnet.shortest_path import k_shortest_routes
 from repro.serve import clone_model, serve_fleet, weights_snapshot
 from repro.trajectory import MatchedTrajectory
 from repro.trajectory.ops import interleave_streams
+from repro.trajectory.sdpairs import time_slot_of
 
 FLEETS = settings(max_examples=25, deadline=None)
 
@@ -460,6 +464,71 @@ def test_normal_transitions_for_is_memoised_beside_the_routes(
         lonely, history=successor) == fallback
     # Pinned readers of the old snapshot are unaffected.
     assert pipeline.normal_transitions_for(known, history=snapshot) is allowed
+
+
+def memo_pipeline(model, min_slot_group_size):
+    """A fresh pipeline over a memo-free copy of the model's history."""
+    config = dataclasses.replace(model.pipeline.config,
+                                 min_slot_group_size=min_slot_group_size)
+    return PreprocessingPipeline(model.pipeline.network, config=config,
+                                 history=clone_snapshot(model.pipeline.history))
+
+
+@pytest.mark.parametrize("case", ["dense-slot", "pair-wide", "pre-refresh"])
+def test_opening_by_key_leaves_the_memo_as_a_reference_open(
+        trained_model, dataset_split, case):
+    """A stream resolves its SD pair by key when it opens: to the very set a
+    reference resolution of the trip ``[s, d]`` returns, leaving the pinned
+    snapshot's memo as that resolution leaves a twin's."""
+    _, _, test = dataset_split
+    min_size = (1 if case == "dense-slot"
+                else trained_model.pipeline.config.min_slot_group_size)
+    pipeline, twin = (memo_pipeline(trained_model, min_size),
+                      memo_pipeline(trained_model, min_size))
+    snapshot, twin_snapshot = pipeline.history, twin.history
+
+    def resolved_slot(trip):
+        return snapshot.resolved_key(
+            trip.source, trip.destination,
+            time_slot_of(trip.start_time_s, snapshot.slots_per_day),
+            min_size)[2]
+
+    trip = next(t for t in test if snapshot.has_pair(t.source, t.destination)
+                and (resolved_slot(t) is None) == (case != "dense-slot"))
+    reference = MatchedTrajectory(-1, [trip.source, trip.destination],
+                                  start_time_s=trip.start_time_s)
+    engine = StreamEngine(trained_model.rsrnet, trained_model.asdnet,
+                          pipeline)
+
+    def opened_like_the_twin(vehicle, pinned, twin_pinned):
+        engine.ingest(vehicle, trip.source, destination=trip.destination,
+                      start_time_s=trip.start_time_s)
+        stream = engine._streams[vehicle]
+        assert stream.history is pinned
+        expected = twin.normal_transitions_for(reference, history=twin_pinned)
+        assert stream.normal_transitions is pipeline.normal_transitions_for(
+            reference, history=pinned)
+        assert stream.normal_transitions == expected
+        assert pinned.derivations == twin_pinned.derivations
+        assert pinned._routes_cache.keys() == twin_pinned._routes_cache.keys()
+
+    opened_like_the_twin("cab", snapshot, twin_snapshot)
+    assert snapshot.derivations == {"computed": 1, "extended": 0}
+    if case == "pre-refresh":
+        # The stream keeps the snapshot it opened on; the refresh extends
+        # the entry it filled, and a stream opened after it resolves there.
+        successor = snapshot.extended([trip], version=snapshot.version + 1)
+        engine.load_history(successor)
+        twin_successor = twin_snapshot.extended(
+            [trip], version=twin_snapshot.version + 1)
+        twin.load_history(twin_successor)
+        assert engine._streams["cab"].history is snapshot
+        assert engine._streams["cab"].normal_transitions is (
+            pipeline.normal_transitions_for(reference, history=snapshot))
+        opened_like_the_twin("late", successor, twin_successor)
+        assert successor.derivations == {"computed": 1, "extended": 1}
+        assert (engine._streams["late"].normal_transitions
+                is not engine._streams["cab"].normal_transitions)
 
 
 # ------------------------------------- a pair with no history has no memory

@@ -30,8 +30,9 @@ from repro.obs.trace import TraceContext
 from repro.serve import (ControlUpdate, IngestEvent, InProcessBackend,
                          ProcessBackend, clone_model, model_to_bytes,
                          weights_snapshot)
-from repro.serve.backends import ShardCore, _pack_events
+from repro.serve.backends import ShardCore
 
+from ingest_columns import pack_events
 from test_result_bus import stall_worker
 from test_serve import perturbed_snapshot
 
@@ -104,7 +105,7 @@ class Harness:
         return self.widths[before:]
 
     def ingest_batch(self, events):
-        return self.handle("ingest_batch", *_pack_events(events))
+        return self.handle("ingest_batch", *pack_events(events))
 
     def request(self, *command):
         self.handle(*command)
@@ -242,12 +243,16 @@ def test_columns_apply_exactly_like_the_events(trained_model, dataset_split):
     per_vehicle[1][0] = per_vehicle[1][0]._replace(destination=None)
     events = [own[position] for position in range(14)
               for own in per_vehicle if position < len(own)]
-    vehicle_ids, segments, extras = _pack_events(events)
+    vehicle_ids, segments, extras = pack_events(events)
     assert vehicle_ids == [e.vehicle_id for e in events]
     assert segments == [e.segment for e in events]
     # Sparse: the 6 openers plus the one traced mid-stream point.
     assert sorted(extras) == [0, 1, 2, 3, 4, 5, 15]
     assert extras[15] == (None, 0.0, None, TraceContext(1003, 0.0))
+    # The facade's planner builds exactly these columns.
+    with trained_model.detection_service(num_shards=1) as service:
+        assert service._plan_ingest(events) == (
+            {0: (vehicle_ids, segments, extras)}, {0: list(range(6))})
 
     harness = Harness(trained_model)
     harness.ingest_batch(events)
@@ -473,11 +478,11 @@ def run_script(transport, model, trips):
 
     try:
         for batch in rounds[:4]:  # the openers, then mid-stream rounds
-            assert backend.ingest_batch(0, _pack_events(batch))
+            assert backend.ingest_batch(0, pack_events(batch))
         snapshot()
         backend.swap(ControlUpdate(weights=perturbed_snapshot(model)))
         for batch in rounds[4:]:
-            assert backend.ingest_batch(0, _pack_events(batch))
+            assert backend.ingest_batch(0, pack_events(batch))
         assert backend.finalize_async(0, vehicles[1:])
         labels = backend.finalize(0, vehicles[:1])[0].labels
         snapshot()
@@ -526,7 +531,7 @@ def test_failure_below_the_facade_surfaces_once_at_the_next_replied_command(
     events[4] = events[4]._replace(segment=UNKNOWN_SEGMENT)
     backend = one_shard_backend(transport, trained_model, queue_depth=4)
     try:
-        assert backend.ingest_batch(0, _pack_events(events))
+        assert backend.ingest_batch(0, pack_events(events))
         with pytest.raises(LabelingError):
             backend.drain()
         backend.drain()  # once
@@ -541,8 +546,8 @@ def test_failure_below_the_facade_surfaces_once_at_the_next_replied_command(
 def test_inprocess_queue_is_one_fifo_for_ingest_and_finalize_commands(
         trained_model, online_trips):
     backend = InProcessBackend(clone_model(trained_model), 1, queue_depth=2)
-    whole_trip = _pack_events(trip_events(0, online_trips[0]))
-    opener = _pack_events(trip_events(1, online_trips[1])[:1])
+    whole_trip = pack_events(trip_events(0, online_trips[0]))
+    opener = pack_events(trip_events(1, online_trips[1])[:1])
     assert backend.ingest_batch(0, whole_trip)
     assert backend.finalize_async(0, [0])
     # The bound counts commands, whatever their kind, and refuses the third.

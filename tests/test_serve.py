@@ -329,8 +329,75 @@ def test_unknown_segment_rejected_synchronously(trained_model, dataset_split,
     assert result.labels == trained_model.detector().detect(trajectory).labels
 
 
+def opening_event(vehicle, trajectory):
+    return IngestEvent(vehicle, trajectory.segments[0], trajectory.destination,
+                       trajectory.start_time_s, trajectory.trajectory_id)
+
+
+BAD_EVENTS = {
+    # vehicle 0 is open when the bad event arrives; "new" is not.
+    "unknown-segment-open": lambda trip: IngestEvent(0, 10 ** 9),
+    "unknown-segment-opening": lambda trip: IngestEvent(
+        "new", 10 ** 9, trip.destination, trip.start_time_s, None),
+    "unknown-destination": lambda trip: IngestEvent(
+        "new", trip.segments[0], 10 ** 9, trip.start_time_s, None),
+    "non-finite-start": lambda trip: IngestEvent(
+        "new", trip.segments[0], trip.destination, float("inf"), None),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_EVENTS))
+@pytest.mark.parametrize("backend", ["inprocess", "process"])
+def test_batched_admission_matches_single_event_admission(
+        trained_model, dataset_split, backend, bad):
+    """A bad event anywhere in a batch mixing plain points of open streams
+    and openers raises what it raises alone, and nothing of the batch is
+    queued; the batch without it labels like the detector."""
+    _, _, test = dataset_split
+    trips = [trip for trip in test if len(trip) >= 3][:4]
+    bad_event = BAD_EVENTS[bad](trips[3])
+    with trained_model.detection_service(
+            num_shards=2, backend=backend) as service:
+        service.ingest_many([opening_event(0, trips[0]),
+                             opening_event(1, trips[1])])
+        batch = [IngestEvent(0, trips[0].segments[1]),
+                 opening_event(2, trips[2]),
+                 IngestEvent(1, trips[1].segments[1]),
+                 opening_event(3, trips[3])]
+        service.drain()
+
+        def state():
+            metrics = service.metrics()
+            return (service.active_vehicles, metrics.accepted_ingests,
+                    [shard.queue_depth for shard in metrics.shards])
+
+        before = state()
+        with pytest.raises(Exception) as alone:
+            service.ingest(*bad_event)
+        assert isinstance(alone.value, (LabelingError, TrajectoryError))
+        assert state() == before
+        for position in (0, len(batch) // 2, len(batch)):
+            with pytest.raises(type(alone.value)) as batched:
+                service.ingest_many(
+                    batch[:position] + [bad_event] + batch[position:])
+            assert str(batched.value) == str(alone.value)
+            assert state() == before
+        service.ingest_many(batch)
+        sent = [2, 2, 1, 1]
+        for step in range(max(len(trip) for trip in trips)):
+            service.ingest_many([
+                IngestEvent(vehicle, trip.segments[sent[vehicle] + step])
+                for vehicle, trip in enumerate(trips)
+                if sent[vehicle] + step < len(trip)])
+        results = service.finalize_many(list(range(len(trips))))
+    detector = trained_model.detector()
+    assert ([result.labels for result in results]
+            == [detector.detect(trip).labels for trip in trips])
+
+
 @pytest.mark.parametrize("start_time_s",
-                         [float("nan"), float("inf"), "noon", None])
+                         [float("nan"), float("inf"), "noon", None, True,
+                          np.True_])
 def test_bad_start_time_rejected_before_queuing(trained_model, dataset_split,
                                                 start_time_s):
     """An opening ``start_time_s`` that is not a finite real number is
