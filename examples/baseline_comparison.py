@@ -12,12 +12,11 @@ Run with::
 
 from repro.eval import evaluate_detector, measure_detector
 from repro.experiments.common import (
+    DETECTORS,
     ExperimentSettings,
-    build_baselines,
-    build_pipeline,
+    build_detectors,
     format_table,
     prepare_city,
-    train_rl4oasd,
 )
 
 
@@ -25,14 +24,9 @@ def main() -> None:
     settings = ExperimentSettings(scale=0.3, joint_trajectories=150)
     print("generating the Xi'an-like dataset ...")
     split = prepare_city("xian", settings)
-    pipeline = build_pipeline(split, settings)
 
-    print("building and tuning the baselines ...")
-    detectors = build_baselines(split, pipeline, settings)
-
-    print("training RL4OASD ...")
-    model, _ = train_rl4oasd(split, settings)
-    detectors["RL4OASD"] = model.detector()
+    print("building and tuning the baselines, training RL4OASD ...")
+    detectors = build_detectors(split, settings, DETECTORS)
 
     rows = []
     workload = split.test[:40]

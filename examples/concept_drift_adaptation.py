@@ -12,11 +12,14 @@ Run with::
     python examples/concept_drift_adaptation.py
 """
 
+from dataclasses import replace
+
 from repro.core import OnlineLearner
 from repro.datagen import DriftSchedule
 from repro.eval import evaluate_detector
-from repro.experiments.common import (ExperimentSettings, part_trainer,
-                                     prepare_city, split_by_part)
+from repro.experiments.common import (ExperimentSettings, prepare_city,
+                                      rl4oasd_trainer, split_by_part)
+from repro.serve import clone_model
 
 
 def main() -> None:
@@ -28,12 +31,12 @@ def main() -> None:
     split = prepare_city("chengdu", settings, drift=drift)
     train_parts, test_parts = split_by_part(split, n_parts)
 
-    print("training the frozen model on Part 1 (RL4OASD-P1) ...")
-    frozen_detector = part_trainer(split, train_parts[0], settings).train().detector()
-
-    print("training the adaptive model (RL4OASD-FT) ...")
-    learner = OnlineLearner(part_trainer(split, train_parts[0], settings))
+    print("training on Part 1 ...")
+    learner = OnlineLearner(
+        rl4oasd_trainer(replace(split, train=train_parts[0]), settings))
     learner.initial_fit()
+    # RL4OASD-P1 stays frozen at the Part-1 fit; RL4OASD-FT is the learner.
+    frozen_detector = clone_model(learner.model).detector()
 
     for part in range(n_parts):
         if part > 0:

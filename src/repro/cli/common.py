@@ -10,15 +10,15 @@ soak harness keeps saturated for millions of fixes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List
 
 import numpy as np
 
 from ..core import OnlineLearner
 from ..datagen import DriftSchedule, sample_gps_trace
-from ..experiments.common import (CitySplit, ExperimentSettings, part_trainer,
-                                  prepare_city, split_by_part)
+from ..experiments.common import (CitySplit, ExperimentSettings, prepare_city,
+                                  rl4oasd_trainer, split_by_part)
 from ..trajectory.models import MatchedTrajectory, RawTrajectory
 
 __all__ = [
@@ -70,7 +70,7 @@ def build_fleet(city: str = "chengdu",
     train_parts, test_parts = split_by_part(split, drift_parts)
     train_parts = [part if part else list(split.train)
                    for part in train_parts]
-    trainer = part_trainer(split, train_parts[0], settings)
+    trainer = rl4oasd_trainer(replace(split, train=train_parts[0]), settings)
     learner = OnlineLearner(trainer, fine_tune_epochs=fine_tune_epochs)
     learner.initial_fit()
     return Fleet(split=split, train_parts=train_parts, test_parts=test_parts,

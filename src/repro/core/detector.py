@@ -124,6 +124,11 @@ class OnlineDetector:
         self._use_rnel = use_rnel
         self._delay_window = delay_window if use_delayed_labeling else None
 
+    @property
+    def pipeline(self) -> PreprocessingPipeline:
+        """The preprocessing pipeline (history, vocabulary) detection reads."""
+        return self._pipeline
+
     # ------------------------------------------------------------ detection
     def detect(self, trajectory: MatchedTrajectory) -> DetectionResult:
         """Label every segment of ``trajectory``."""

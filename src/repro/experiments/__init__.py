@@ -1,11 +1,12 @@
 """Experiment harnesses regenerating every table and figure of the paper.
 
-Each module exposes a ``run_*`` function returning a structured result and a
-``format_*`` helper producing the printable table. The benchmark suite under
-``benchmarks/`` is a thin wrapper around these functions, and the examples
-call into them as well.
+Each module exposes a ``run_*`` function returning a structured result
+whose ``format()`` renders the printable table. ``benchmarks/quality/run.py``
+is the one driver: it runs every artefact at fixed settings, writes the
+renderings to ``benchmarks/quality/results/`` and checks the claims each
+artefact carries. The examples call into these functions as well.
 
-Experiment index (see DESIGN.md for the full mapping):
+Experiment index:
 
 ========  =========================================  =======================
 Artefact  Contents                                    Module
@@ -24,11 +25,12 @@ Figure 7  concept-drift case study                    :mod:`.fig7`
 ========  =========================================  =======================
 """
 
-from .common import ExperimentSettings, prepare_city, train_rl4oasd, build_baselines
+from .common import (ExperimentSettings, build_detectors, prepare_city,
+                     train_rl4oasd)
 
 __all__ = [
     "ExperimentSettings",
     "prepare_city",
     "train_rl4oasd",
-    "build_baselines",
+    "build_detectors",
 ]

@@ -10,7 +10,7 @@ as the paper tunes them for DiDi data (their best values were 0.5 / 0.4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -38,6 +38,10 @@ from ..baselines import (
     VSAEScorer,
 )
 from ..baselines.vsae import AutoencoderConfig, train_autoencoder
+
+#: The methods of Table III (and Figures 3-4), in the paper's order.
+DETECTORS = ("IBOAT", "DBTOD", "GM-VSAE", "SD-VSAE", "SAE", "VSAE", "CTSS",
+             "RL4OASD")
 
 
 @dataclass
@@ -132,6 +136,14 @@ def prepare_city(
                             include_raw=include_raw, drift=drift)
     else:
         raise ReproError(f"unknown city {city!r}; use 'chengdu' or 'xian'")
+    return split_dataset(dataset, settings)
+
+
+def split_dataset(dataset: TrajectoryDataset,
+                  settings: ExperimentSettings) -> CitySplit:
+    """Split a dataset 75 / 25 into train and the rest; the rest's first
+    ``settings.dev_size`` trips are the development set (half of it when
+    that would leave no test trip)."""
     train_size = int(len(dataset) * 0.75)
     train, rest = dataset.train_test_split(train_size=train_size,
                                            seed=settings.seed)
@@ -145,13 +157,33 @@ def prepare_city(
 
 
 def build_pipeline(split: CitySplit,
-                   settings: Optional[ExperimentSettings] = None,
-                   **labeling_overrides) -> PreprocessingPipeline:
+                   settings: ExperimentSettings) -> PreprocessingPipeline:
     """The preprocessing pipeline over a split's training history."""
+    return PreprocessingPipeline(split.dataset.network, split.train,
+                                 settings.labeling_config())
+
+
+def rl4oasd_trainer(
+    split: CitySplit,
+    settings: Optional[ExperimentSettings] = None,
+    training_overrides: Optional[dict] = None,
+    labeling_overrides: Optional[dict] = None,
+    pretrained_embeddings: Optional[np.ndarray] = None,
+) -> RL4OASDTrainer:
+    """An untrained RL4OASD trainer over ``split.train`` with the experiment
+    settings (hand it to an :class:`~repro.core.OnlineLearner`, or see
+    :func:`train_rl4oasd`)."""
     settings = settings or ExperimentSettings()
-    return PreprocessingPipeline(
-        split.dataset.network, split.train,
-        settings.labeling_config(**labeling_overrides))
+    return RL4OASDTrainer(
+        network=split.dataset.network,
+        historical=split.train,
+        labeling_config=settings.labeling_config(**(labeling_overrides or {})),
+        rsrnet_config=settings.rsrnet_config(),
+        asdnet_config=settings.asdnet_config(),
+        training_config=settings.training_config(**(training_overrides or {})),
+        pretrained_embeddings=pretrained_embeddings,
+        development_set=split.development,
+    )
 
 
 def train_rl4oasd(
@@ -162,17 +194,8 @@ def train_rl4oasd(
     pretrained_embeddings: Optional[np.ndarray] = None,
 ) -> Tuple[RL4OASDModel, RL4OASDTrainer]:
     """Train RL4OASD on a city split with the experiment settings."""
-    settings = settings or ExperimentSettings()
-    trainer = RL4OASDTrainer(
-        network=split.dataset.network,
-        historical=split.train,
-        labeling_config=settings.labeling_config(**(labeling_overrides or {})),
-        rsrnet_config=settings.rsrnet_config(),
-        asdnet_config=settings.asdnet_config(),
-        training_config=settings.training_config(**(training_overrides or {})),
-        pretrained_embeddings=pretrained_embeddings,
-        development_set=split.development,
-    )
+    trainer = rl4oasd_trainer(split, settings, training_overrides,
+                              labeling_overrides, pretrained_embeddings)
     model = trainer.train()
     return model, trainer
 
@@ -202,74 +225,67 @@ def split_by_part(split: CitySplit, n_parts: int
     return train_parts, test_parts
 
 
-def part_trainer(split: CitySplit, train_part: List[MatchedTrajectory],
-                 settings: ExperimentSettings) -> RL4OASDTrainer:
-    """An RL4OASD trainer whose history is one part of the day."""
-    return RL4OASDTrainer(
-        network=split.dataset.network,
-        historical=train_part,
-        labeling_config=settings.labeling_config(),
-        rsrnet_config=settings.rsrnet_config(),
-        asdnet_config=settings.asdnet_config(),
-        training_config=settings.training_config(
-            pretrain_trajectories=min(settings.pretrain_trajectories,
-                                      len(train_part)),
-            joint_trajectories=min(settings.joint_trajectories,
-                                   len(train_part)),
-        ),
-        development_set=split.development,
-    )
+def build_detectors(split: CitySplit, settings: ExperimentSettings,
+                    names: Sequence[str]) -> Dict[str, object]:
+    """Build, tune or train the named detectors of Table III on a split.
 
-
-def build_baselines(
-    split: CitySplit,
-    pipeline: PreprocessingPipeline,
-    settings: Optional[ExperimentSettings] = None,
-    include: Optional[Sequence[str]] = None,
-) -> Dict[str, object]:
-    """Build and tune every baseline detector of Table III.
-
-    Returns a mapping from the paper's baseline names to detectors exposing
-    ``detect(trajectory)``. ``include`` restricts the set (useful for the
-    timing figures where only a subset matters).
+    ``names`` are the paper's method names (:data:`DETECTORS`, plus the
+    heuristic ``"TransitionFrequency"``); the result maps each to a
+    detector exposing ``detect(trajectory)``, in the order given. The
+    thresholded baselines are tuned on the development set, the VSAE
+    family shares one autoencoder, and ``"RL4OASD"`` is
+    :func:`train_rl4oasd`'s model.
     """
-    settings = settings or ExperimentSettings()
-    wanted = set(include) if include else None
+    pipeline = build_pipeline(split, settings)
+    autoencoder = None
+    autoencoder_scorers = {"GM-VSAE": GMVSAEScorer, "SD-VSAE": SDVSAEScorer,
+                           "SAE": SAEScorer, "VSAE": VSAEScorer}
 
-    def _wanted(name: str) -> bool:
-        return wanted is None or name in wanted
+    def thresholded(scorer) -> ThresholdedDetector:
+        return ThresholdedDetector(scorer).tune(split.development)
 
     detectors: Dict[str, object] = {}
-    if _wanted("IBOAT"):
-        detectors["IBOAT"] = IBOATDetector(pipeline)
-    if _wanted("DBTOD"):
-        detectors["DBTOD"] = ThresholdedDetector(
-            DBTODScorer(split.dataset.network, split.train)).tune(split.development)
-    if _wanted("CTSS"):
-        detectors["CTSS"] = ThresholdedDetector(
-            CTSSScorer(pipeline)).tune(split.development)
-
-    autoencoder_names = {"GM-VSAE", "SD-VSAE", "SAE", "VSAE"}
-    if wanted is None or (wanted & autoencoder_names):
-        autoencoder = train_autoencoder(
-            pipeline.vocabulary, split.train,
-            AutoencoderConfig(epochs=settings.autoencoder_epochs,
-                              seed=settings.seed + 11),
-            max_trajectories=settings.autoencoder_max_trajectories,
-        )
-        scorers = {
-            "GM-VSAE": GMVSAEScorer(autoencoder, pipeline.vocabulary),
-            "SD-VSAE": SDVSAEScorer(autoencoder, pipeline.vocabulary),
-            "SAE": SAEScorer(autoencoder, pipeline.vocabulary),
-            "VSAE": VSAEScorer(autoencoder, pipeline.vocabulary),
-        }
-        for name, scorer in scorers.items():
-            if _wanted(name):
-                detectors[name] = ThresholdedDetector(scorer).tune(split.development)
-    if _wanted("TransitionFrequency"):
-        detectors["TransitionFrequency"] = ThresholdedDetector(
-            TransitionFrequencyScorer(pipeline)).tune(split.development)
+    for name in names:
+        if name == "IBOAT":
+            detectors[name] = IBOATDetector(pipeline)
+        elif name == "DBTOD":
+            detectors[name] = thresholded(
+                DBTODScorer(split.dataset.network, split.train))
+        elif name == "CTSS":
+            detectors[name] = thresholded(CTSSScorer(pipeline))
+        elif name == "TransitionFrequency":
+            detectors[name] = thresholded(TransitionFrequencyScorer(pipeline))
+        elif name == "RL4OASD":
+            detectors[name] = train_rl4oasd(split, settings)[0].detector()
+        elif name in autoencoder_scorers:
+            if autoencoder is None:
+                autoencoder = train_autoencoder(
+                    pipeline.vocabulary, split.train,
+                    AutoencoderConfig(epochs=settings.autoencoder_epochs,
+                                      seed=settings.seed + 11),
+                    max_trajectories=settings.autoencoder_max_trajectories,
+                )
+            detectors[name] = thresholded(
+                autoencoder_scorers[name](autoencoder, pipeline.vocabulary))
+        else:
+            raise ReproError(f"unknown detector {name!r}")
     return detectors
+
+
+def warm_start_agreement(detector,
+                         trajectories: Sequence[MatchedTrajectory]) -> float:
+    """The share of points on which an RL4OASD ``detector`` labels
+    ``trajectories`` like its own pipeline's noisy labels
+    (``labels_from_fractions`` at α) — the warm start RSRNet and ASDNet
+    are pre-trained on. 1.0 means the trained stack adds nothing to the α
+    threshold on this data."""
+    agree = total = 0
+    for trajectory in trajectories:
+        noisy = detector.pipeline.preprocess(trajectory).noisy_labels
+        labels = detector.detect(trajectory).labels
+        agree += sum(int(a == b) for a, b in zip(labels, noisy))
+        total += len(noisy)
+    return agree / total
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]],

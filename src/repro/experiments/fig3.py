@@ -5,18 +5,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from ..eval import TimingReport, measure_detector
+from ..eval import measure_detector
 from .common import (
+    DETECTORS,
     ExperimentSettings,
-    build_baselines,
-    build_pipeline,
+    build_detectors,
     format_table,
     prepare_city,
-    train_rl4oasd,
 )
-
-FIG3_DETECTORS = ("IBOAT", "DBTOD", "GM-VSAE", "SD-VSAE", "SAE", "VSAE",
-                  "CTSS", "RL4OASD")
 
 
 @dataclass
@@ -38,7 +34,6 @@ class Fig3Result:
 def run_fig3(
     settings: Optional[ExperimentSettings] = None,
     cities: Sequence[str] = ("chengdu", "xian"),
-    detectors: Sequence[str] = FIG3_DETECTORS,
     max_trajectories: int = 60,
 ) -> Fig3Result:
     """Measure the per-point latency of every detector on both cities."""
@@ -46,21 +41,12 @@ def run_fig3(
     per_point: Dict[str, Dict[str, float]] = {}
     for city in cities:
         split = prepare_city(city, settings)
-        pipeline = build_pipeline(split, settings)
-        built = build_baselines(
-            split, pipeline, settings,
-            include=[name for name in detectors if name != "RL4OASD"])
-        if "RL4OASD" in detectors:
-            model, _ = train_rl4oasd(split, settings)
-            built["RL4OASD"] = model.detector()
+        built = build_detectors(split, settings, DETECTORS)
         workload = split.test[:max_trajectories]
-        city_results: Dict[str, float] = {}
-        for name in detectors:
-            if name not in built:
-                continue
-            report = measure_detector(built[name], workload, name=name)
-            city_results[name] = report.mean_per_point_ms
-        per_point[split.dataset.name] = city_results
+        per_point[split.dataset.name] = {
+            name: measure_detector(detector, workload,
+                                   name=name).mean_per_point_ms
+            for name, detector in built.items()}
     return Fig3Result(per_point_ms=per_point)
 
 

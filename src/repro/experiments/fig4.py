@@ -7,14 +7,12 @@ from typing import Dict, List, Optional, Sequence
 
 from ..eval import group_by_length, measure_detector
 from .common import (
+    DETECTORS,
     ExperimentSettings,
-    build_baselines,
-    build_pipeline,
+    build_detectors,
     format_table,
     prepare_city,
-    train_rl4oasd,
 )
-from .fig3 import FIG3_DETECTORS
 
 
 @dataclass
@@ -38,7 +36,6 @@ class Fig4Result:
 def run_fig4(
     settings: Optional[ExperimentSettings] = None,
     cities: Sequence[str] = ("chengdu",),
-    detectors: Sequence[str] = FIG3_DETECTORS,
     max_per_group: int = 25,
 ) -> Fig4Result:
     """Measure per-trajectory latency for every length group."""
@@ -46,27 +43,15 @@ def run_fig4(
     results: Dict[str, Dict[str, Dict[str, float]]] = {}
     for city in cities:
         split = prepare_city(city, settings)
-        pipeline = build_pipeline(split, settings)
-        built = build_baselines(
-            split, pipeline, settings,
-            include=[name for name in detectors if name != "RL4OASD"])
-        if "RL4OASD" in detectors:
-            model, _ = train_rl4oasd(split, settings)
-            built["RL4OASD"] = model.detector()
-        groups = group_by_length(split.test)
-        by_method: Dict[str, Dict[str, float]] = {}
-        for name in detectors:
-            if name not in built:
-                continue
-            by_group: Dict[str, float] = {}
-            for group, members in groups.items():
-                if not members:
-                    continue
-                report = measure_detector(built[name], members[:max_per_group],
-                                          name=name)
-                by_group[group] = report.mean_per_trajectory_ms
-            by_method[name] = by_group
-        results[split.dataset.name] = by_method
+        built = build_detectors(split, settings, DETECTORS)
+        groups = {group: members[:max_per_group]
+                  for group, members in group_by_length(split.test).items()
+                  if members}
+        results[split.dataset.name] = {
+            name: {group: measure_detector(detector, members,
+                                           name=name).mean_per_trajectory_ms
+                   for group, members in groups.items()}
+            for name, detector in built.items()}
     return Fig4Result(per_trajectory_ms=results)
 
 

@@ -6,14 +6,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..eval.metrics import evaluate_labelings
-from .common import (
-    ExperimentSettings,
-    build_baselines,
-    build_pipeline,
-    format_table,
-    prepare_city,
-    train_rl4oasd,
-)
+from .common import (ExperimentSettings, build_detectors, format_table,
+                     prepare_city)
 
 
 @dataclass
@@ -49,10 +43,7 @@ def run_fig5(settings: Optional[ExperimentSettings] = None,
     """Reproduce the detour case study: per-trajectory labels of both methods."""
     settings = settings or ExperimentSettings()
     split = prepare_city(city, settings)
-    pipeline = build_pipeline(split, settings)
-    baselines = build_baselines(split, pipeline, settings, include=["CTSS"])
-    model, _ = train_rl4oasd(split, settings)
-    detectors = {"CTSS": baselines["CTSS"], "RL4OASD": model.detector()}
+    detectors = build_detectors(split, settings, ("CTSS", "RL4OASD"))
 
     cases: List[Fig5Case] = []
     anomalous = [t for t in split.test if t.is_anomalous]

@@ -7,11 +7,15 @@ Two sub-experiments, following Section V-G:
   time (Figures 6a/6b);
 * fix ``xi`` and compare RL4OASD-P1 (trained on Part 1 only) against
   RL4OASD-FT (fine-tuned part by part) on every part (Figures 6c/6d).
+
+Both come from one pass per ``xi``: at ``xi == xi_for_parts`` the frozen
+P1 model is a clone of the FT chain's initial fit, so nothing is trained
+twice.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -19,8 +23,9 @@ import numpy as np
 from ..core import OnlineLearner
 from ..datagen import DriftSchedule
 from ..eval import evaluate_detector
-from .common import (ExperimentSettings, format_table, part_trainer,
-                     prepare_city, split_by_part)
+from ..serve import clone_model
+from .common import (ExperimentSettings, format_table, prepare_city,
+                     rl4oasd_trainer, split_by_part)
 
 
 @dataclass
@@ -92,46 +97,33 @@ def run_fig6(
                            f"{', '.join(map(str, empty))} of {xi} "
                            f"({len(split.train)} training trajectories)")
             continue
-        trainer = part_trainer(split, train_parts[0], settings)
+        trainer = rl4oasd_trainer(replace(split, train=train_parts[0]),
+                                  settings)
         learner = OnlineLearner(trainer, fine_tune_epochs=fine_tune_epochs)
         learner.initial_fit()
+        frozen = (clone_model(learner.model).detector()
+                  if xi == xi_for_parts else None)
 
         f1_scores: List[float] = []
         times: List[float] = []
         for part in range(xi):
+            seconds = 0.0
             if part > 0:
-                record = learner.observe_part(part, train_parts[part])
-                times.append(record.seconds)
-            if test_parts[part]:
-                run = evaluate_detector(learner.detector(), test_parts[part],
-                                        name="RL4OASD-FT")
-                f1_scores.append(run.overall.f1)
+                seconds = learner.observe_part(part, train_parts[part]).seconds
+                times.append(seconds)
+            if not test_parts[part]:
+                continue
+            f1_ft = evaluate_detector(learner.detector(), test_parts[part],
+                                      name="RL4OASD-FT").overall.f1
+            f1_scores.append(f1_ft)
+            if frozen is not None:
+                f1_p1 = evaluate_detector(frozen, test_parts[part],
+                                          name="RL4OASD-P1").overall.f1
+                parts_result.append(DriftPartResult(
+                    part=part, f1_p1=f1_p1, f1_ft=f1_ft,
+                    fine_tune_seconds=seconds))
         f1_by_xi[xi] = float(np.mean(f1_scores)) if f1_scores else float("nan")
         time_by_xi[xi] = float(np.mean(times)) if times else 0.0
-
-        if xi == xi_for_parts:
-            # Re-run part by part, also scoring the frozen Part-1 model.
-            frozen_trainer = part_trainer(split, train_parts[0], settings)
-            frozen_model = frozen_trainer.train()
-            frozen_detector = frozen_model.detector()
-
-            ft_trainer = part_trainer(split, train_parts[0], settings)
-            ft_learner = OnlineLearner(ft_trainer, fine_tune_epochs=fine_tune_epochs)
-            ft_learner.initial_fit()
-            for part in range(xi):
-                seconds = 0.0
-                if part > 0:
-                    record = ft_learner.observe_part(part, train_parts[part])
-                    seconds = record.seconds
-                if not test_parts[part]:
-                    continue
-                run_p1 = evaluate_detector(frozen_detector, test_parts[part],
-                                           name="RL4OASD-P1")
-                run_ft = evaluate_detector(ft_learner.detector(), test_parts[part],
-                                           name="RL4OASD-FT")
-                parts_result.append(DriftPartResult(
-                    part=part, f1_p1=run_p1.overall.f1, f1_ft=run_ft.overall.f1,
-                    fine_tune_seconds=seconds))
 
     return Fig6Result(f1_by_xi=f1_by_xi, training_time_by_xi=time_by_xi,
                       parts=parts_result, xi_for_parts=xi_for_parts,

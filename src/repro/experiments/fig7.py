@@ -8,14 +8,15 @@ popular route as a detour (a false positive), while the fine-tuned model
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from dataclasses import dataclass, replace
+from typing import List, Optional
 
 from ..core import OnlineLearner
 from ..datagen import DriftSchedule
 from ..eval.metrics import evaluate_labelings
-from .common import (ExperimentSettings, format_table, part_trainer,
-                     prepare_city, split_by_part)
+from ..serve import clone_model
+from .common import (ExperimentSettings, format_table, prepare_city,
+                     rl4oasd_trainer, split_by_part)
 
 
 @dataclass
@@ -36,11 +37,15 @@ class Fig7Result:
     def format(self) -> str:
         rows: List[List[object]] = []
         for case in self.cases:
+            # Without a ground-truth span F1 is undefined (recall is 0/0).
+            scored = any(case.ground_truth)
             rows.append([
                 f"Part {case.part + 1}", str(case.sd_pair),
                 "".join(map(str, case.ground_truth)),
-                "".join(map(str, case.p1_labels)), case.p1_f1,
-                "".join(map(str, case.ft_labels)), case.ft_f1,
+                "".join(map(str, case.p1_labels)),
+                case.p1_f1 if scored else "n/a",
+                "".join(map(str, case.ft_labels)),
+                case.ft_f1 if scored else "n/a",
             ])
         return format_table(
             ["Part", "SD pair", "Ground truth", "P1 labels", "P1 F1",
@@ -60,12 +65,11 @@ def run_fig7(settings: Optional[ExperimentSettings] = None,
     split = prepare_city(city, settings, drift=drift)
     train_parts, test_parts = split_by_part(split, n_parts)
 
-    frozen_trainer = part_trainer(split, train_parts[0], settings)
-    frozen_detector = frozen_trainer.train().detector()
-
-    ft_trainer = part_trainer(split, train_parts[0], settings)
-    learner = OnlineLearner(ft_trainer)
+    learner = OnlineLearner(
+        rl4oasd_trainer(replace(split, train=train_parts[0]), settings))
     learner.initial_fit()
+    # RL4OASD-P1 is the learner's Part-1 model, frozen before fine-tuning.
+    frozen_detector = clone_model(learner.model).detector()
 
     cases: List[Fig7Case] = []
     for part in range(n_parts):

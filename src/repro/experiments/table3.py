@@ -7,33 +7,33 @@ and overall — the same layout as Table III of the paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from ..eval import EvaluationRun, evaluate_detector
 from .common import (
+    DETECTORS,
     ExperimentSettings,
-    build_baselines,
-    build_pipeline,
+    build_detectors,
     format_table,
     prepare_city,
-    train_rl4oasd,
+    warm_start_agreement,
 )
-
-#: Baselines reported in Table III, in the paper's order.
-TABLE3_BASELINES = ("IBOAT", "DBTOD", "GM-VSAE", "SD-VSAE", "SAE", "VSAE", "CTSS")
 
 
 @dataclass
 class Table3Result:
     runs: Dict[str, Dict[str, EvaluationRun]]
+    #: Per city, the share of RL4OASD's test labels equal to its warm start.
+    warm_start_agreement: Dict[str, float]
 
     def format(self) -> str:
         blocks = []
         for city, runs in self.runs.items():
             groups = sorted({g for run in runs.values() for g in run.by_group})
             headers = ["Method"] + [f"{g} F1" for g in groups] + [
-                f"{g} TF1" for g in groups] + ["Overall F1", "Overall TF1"]
+                f"{g} TF1" for g in groups] + ["Overall F1", "Overall TF1",
+                                               "Warm-start agreement"]
             rows: List[List[object]] = []
             for name, run in runs.items():
                 row: List[object] = [name]
@@ -41,7 +41,9 @@ class Table3Result:
                         for g in groups]
                 row += [run.by_group[g].t_f1 if g in run.by_group else float("nan")
                         for g in groups]
-                row += [run.overall.f1, run.overall.t_f1]
+                row += [run.overall.f1, run.overall.t_f1,
+                        self.warm_start_agreement[city]
+                        if name == "RL4OASD" else "-"]
                 rows.append(row)
             blocks.append(format_table(
                 headers, rows,
@@ -59,25 +61,20 @@ class Table3Result:
 def run_table3(
     settings: Optional[ExperimentSettings] = None,
     cities: Sequence[str] = ("chengdu", "xian"),
-    baselines: Sequence[str] = TABLE3_BASELINES,
 ) -> Table3Result:
     """Run the full effectiveness comparison."""
     settings = settings or ExperimentSettings()
     runs: Dict[str, Dict[str, EvaluationRun]] = {}
+    agreement: Dict[str, float] = {}
     for city in cities:
         split = prepare_city(city, settings)
-        pipeline = build_pipeline(split, settings)
-        detectors = dict(build_baselines(split, pipeline, settings,
-                                         include=baselines))
-        model, _ = train_rl4oasd(split, settings)
-        detectors["RL4OASD"] = model.detector()
-        city_runs: Dict[str, EvaluationRun] = {}
-        ordered = [name for name in baselines if name in detectors] + ["RL4OASD"]
-        for name in ordered:
-            city_runs[name] = evaluate_detector(detectors[name], split.test,
-                                                name=name)
-        runs[split.dataset.name] = city_runs
-    return Table3Result(runs=runs)
+        built = build_detectors(split, settings, DETECTORS)
+        runs[split.dataset.name] = {
+            name: evaluate_detector(detector, split.test, name=name)
+            for name, detector in built.items()}
+        agreement[split.dataset.name] = warm_start_agreement(
+            built["RL4OASD"], split.test)
+    return Table3Result(runs=runs, warm_start_agreement=agreement)
 
 
 if __name__ == "__main__":

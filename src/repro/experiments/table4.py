@@ -5,14 +5,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from ..config import EmbeddingConfig
+from ..embeddings import ToastEmbedder
 from ..eval import evaluate_detector
-from ..baselines import ThresholdedDetector, TransitionFrequencyScorer
 from .common import (
     ExperimentSettings,
-    build_pipeline,
+    build_detectors,
     format_table,
     prepare_city,
     train_rl4oasd,
+    warm_start_agreement,
 )
 
 #: Ablation rows of Table IV mapped to the trainer's switches.
@@ -31,12 +33,17 @@ ABLATIONS: Dict[str, dict] = {
 @dataclass
 class Table4Result:
     f1_by_variant: Dict[str, float]
+    #: Per trained variant, the share of its test labels equal to its warm
+    #: start (the heuristic "only transition frequency" row has none).
+    warm_start_agreement: Dict[str, float]
 
     def format(self) -> str:
         rows: List[List[object]] = [
-            [name, value] for name, value in self.f1_by_variant.items()
+            [name, value, self.warm_start_agreement.get(name, "-")]
+            for name, value in self.f1_by_variant.items()
         ]
-        return format_table(["Effectiveness", "F1-score"], rows,
+        return format_table(["Effectiveness", "F1-score",
+                             "Warm-start agreement"], rows,
                             title="Table IV — ablation study")
 
 
@@ -46,37 +53,33 @@ def run_table4(settings: Optional[ExperimentSettings] = None,
     settings = settings or ExperimentSettings()
     split = prepare_city(city, settings)
     results: Dict[str, float] = {}
+    agreement: Dict[str, float] = {}
 
-    # Pre-trained road-segment embeddings for the full model; the
-    # "w/o road segment embeddings" row keeps random initialisation.
-    from ..embeddings import ToastEmbedder
-    from ..config import EmbeddingConfig
-
-    embedder = ToastEmbedder(
+    # Pre-trained road-segment embeddings; the trainer ignores them under
+    # "w/o road segment embeddings" (random initialisation).
+    embedding_matrix = ToastEmbedder(
         split.dataset.network,
         EmbeddingConfig(dimension=settings.embedding_dim, walks_per_node=2,
                         walk_length=12, epochs=1, seed=settings.seed),
-    ).fit()
-    embedding_matrix = embedder.embedding_matrix()
+    ).fit().embedding_matrix()
 
     for variant, overrides in ABLATIONS.items():
-        embeddings = embedding_matrix
-        if not overrides.get("use_pretrained_embeddings", True):
-            embeddings = None
         model, _ = train_rl4oasd(split, settings,
                                  training_overrides=overrides,
-                                 pretrained_embeddings=embeddings)
-        run = evaluate_detector(model.detector(), split.test, name=variant)
+                                 pretrained_embeddings=embedding_matrix)
+        detector = model.detector()
+        run = evaluate_detector(detector, split.test, name=variant)
         results[variant] = run.overall.f1
+        agreement[variant] = warm_start_agreement(detector, split.test)
 
     # The "only transition frequency" row is the heuristic baseline.
-    pipeline = build_pipeline(split, settings)
-    frequency_only = ThresholdedDetector(
-        TransitionFrequencyScorer(pipeline)).tune(split.development)
-    run = evaluate_detector(frequency_only, split.test,
+    frequency_only = build_detectors(split, settings,
+                                     ["TransitionFrequency"])
+    run = evaluate_detector(frequency_only["TransitionFrequency"], split.test,
                             name="only transition frequency")
     results["only transition frequency"] = run.overall.f1
-    return Table4Result(f1_by_variant=results)
+    return Table4Result(f1_by_variant=results,
+                        warm_start_agreement=agreement)
 
 
 if __name__ == "__main__":

@@ -11,15 +11,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..config import DataGenConfig, RoadNetworkConfig
 from ..datagen import TrajectoryGenerator
 from ..eval import evaluate_detector
 from ..mapmatching import HMMMapMatcher
 from ..roadnet import build_grid_city
-from .common import ExperimentSettings, format_table, train_rl4oasd
-from .common import CitySplit
+from .common import (ExperimentSettings, build_pipeline, format_table,
+                     split_dataset, train_rl4oasd)
 
 
 @dataclass
@@ -84,29 +84,14 @@ def run_table5(
         per_trajectory = (time.perf_counter() - started) / max(1, len(raw_sample))
         map_matching_seconds = per_trajectory * len(dataset)
 
-        train_size = int(len(dataset) * 0.75)
-        train, rest = dataset.train_test_split(train_size, seed=settings.seed)
-        dev, test = rest[: settings.dev_size], rest[settings.dev_size:]
-        if not test:
-            dev, test = rest[: len(rest) // 2], rest[len(rest) // 2:]
-        split = CitySplit(dataset=dataset, train=train, development=dev, test=test)
+        split = split_dataset(dataset, settings)
 
         started = time.perf_counter()
-        pipeline = None
-        from ..labeling import PreprocessingPipeline
-
-        pipeline = PreprocessingPipeline(network, train, settings.labeling_config())
-        pipeline.preprocess_many(train)
+        build_pipeline(split, settings).preprocess_many(split.train)
         noisy_labeling_seconds = time.perf_counter() - started
 
         started = time.perf_counter()
-        model, trainer = train_rl4oasd(
-            split, settings,
-            training_overrides={
-                "pretrain_trajectories": min(settings.pretrain_trajectories, size),
-                "joint_trajectories": min(settings.joint_trajectories, size),
-            },
-        )
+        model, _ = train_rl4oasd(split, settings)
         training_seconds = time.perf_counter() - started
 
         run = evaluate_detector(model.detector(), split.test, name="RL4OASD")

@@ -2,19 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..eval import evaluate_detector
-from .common import (
-    CitySplit,
-    ExperimentSettings,
-    format_table,
-    prepare_city,
-    train_rl4oasd,
-)
+from .common import (ExperimentSettings, format_table, prepare_city,
+                     train_rl4oasd)
 
 
 @dataclass
@@ -51,18 +46,9 @@ def run_table6(
                 keep = max(1, int(round(len(group) * (1.0 - rate))))
                 indices = rng.permutation(len(group))[:keep]
                 train.extend(group[i] for i in indices)
-        split = CitySplit(dataset=base_split.dataset, train=train,
-                          development=base_split.development,
-                          test=base_split.test)
-        model, _ = train_rl4oasd(
-            split, settings,
-            training_overrides={
-                "pretrain_trajectories": min(settings.pretrain_trajectories,
-                                             len(train)),
-                "joint_trajectories": min(settings.joint_trajectories, len(train)),
-            },
-        )
-        run = evaluate_detector(model.detector(), split.test, name="RL4OASD")
+        model, _ = train_rl4oasd(replace(base_split, train=train), settings)
+        run = evaluate_detector(model.detector(), base_split.test,
+                                name="RL4OASD")
         results[rate] = run.overall.f1
     return Table6Result(f1_by_drop_rate=results)
 
