@@ -21,7 +21,7 @@ from .decision import label_route
 from .rsrnet import RSRNet
 
 __all__ = ["DetectionResult", "OnlineDetector", "apply_delayed_labeling",
-           "finish_labels"]
+           "finish_labels", "route_result"]
 
 
 @dataclass
@@ -45,6 +45,20 @@ class DetectionResult:
     @property
     def spans(self) -> List[Tuple[int, int]]:
         return subtrajectory_spans(self.labels)
+
+
+def route_result(trajectory_id: int, segments: List[int], start_time_s: float,
+                 labels: List[int]) -> DetectionResult:
+    """The result of a stream labeled online: its route and its labels.
+
+    An engine sees raw points only, so the trajectory it reports carries
+    no ground truth; everything else in the result follows from the route
+    and the labels. The engine's finalize and the facade's read of a
+    process shard's results bus both build the result here.
+    """
+    trajectory = MatchedTrajectory(trajectory_id, segments, start_time_s)
+    return DetectionResult(trajectory, labels,
+                           split_by_labels(trajectory, labels))
 
 
 def apply_delayed_labeling(labels: Sequence[int], window: int) -> List[int]:

@@ -70,11 +70,10 @@ from ..history import HistorySnapshot
 from ..labeling.features import PreprocessingPipeline
 from ..obs.trace import TraceContext, timestamp as obs_timestamp
 from ..trajectory.models import MatchedTrajectory
-from ..trajectory.ops import split_by_labels
 from ..trajectory.sdpairs import check_start_time
 from .asdnet import ASDNet
 from .decision import label_route, policy_choices, rnel_from_degrees
-from .detector import DetectionResult, finish_labels
+from .detector import DetectionResult, finish_labels, route_result
 from .rsrnet import RSRNet
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -703,15 +702,10 @@ class StreamEngine:
     def _complete(self, stream: _StreamState) -> DetectionResult:
         self._release(stream)
         self.streams_finalized += 1
-        labels = finish_labels(stream.labels, self._delay_window)
         # The released stream's own segment list: nothing appends to it now.
-        trajectory = MatchedTrajectory(stream.trajectory_id, stream.segments,
-                                       stream.start_time_s)
-        return DetectionResult(
-            trajectory=trajectory,
-            labels=labels,
-            subtrajectories=split_by_labels(trajectory, labels),
-        )
+        return route_result(stream.trajectory_id, stream.segments,
+                            stream.start_time_s,
+                            finish_labels(stream.labels, self._delay_window))
 
     def _stream(self, vehicle_id: Hashable) -> _StreamState:
         try:

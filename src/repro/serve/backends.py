@@ -75,7 +75,11 @@ it applies an ``ingest_batch`` touching a stream with a step waiting
 one fleet-wide tick for a lockstep round, whether the round came as one
 batch or as one batch per vehicle. On an empty queue
 (:meth:`ShardCore.idle`) it ticks if anything waits; a worker process then
-blocks on its queue, an in-process ``pump`` returns. What a
+blocks on its queue, an in-process ``pump`` returns. A worker tells an
+empty queue from the queue's count (the one ``ShardStats.queue_depth``
+reads) and takes a counted command with a plain blocking ``get``: a
+command counted but still in flight is waited for, not ticked past, which
+moves no label. What a
 ``finalize_async`` publishes to the results bus leaves for the facade
 before the next command is taken. So the points a shard holds un-ticked
 are at most one steppable point per stream,
@@ -92,12 +96,18 @@ clock and *publishes* each :class:`~repro.core.detector.DetectionResult`
 (or, on failure, one error envelope) to its :class:`~repro.serve.resultbus.
 ShardResultBus`, and the core hands what was published to the transport
 (``send_bus``) before it takes the next command. The in-process transport
-appends it straight to the facade-side ``arrived`` buffer that
+appends its envelopes straight to the facade-side ``arrived`` buffer that
 ``take_results`` hands out from. The process transport ships it over a
 dedicated per-shard one-way pipe, one message per batch (never the reply
 queue, whose one-reply-per-request pairing must stay undisturbed), which
 the worker writes synchronously from its only thread — a queue's feeder
 thread would share the worker's core and interpreter lock with the engine.
+A message is one frame of :func:`~repro.serve.resultbus.pack_frame`, a
+plain pickle in which a result is its route and its labels (seq, vehicle
+id, trajectory id, segments, start time, labels, trace) and an error
+envelope is itself; the facade's :func:`~repro.serve.resultbus.
+unpack_frame` rebuilds each :class:`~repro.core.detector.DetectionResult`
+with :func:`~repro.core.detector.route_result`, as the engine built it.
 A full pipe (64 KiB) therefore blocks the worker, and only the facade can
 unblock it: it reads the pipe into ``arrived`` wherever it waits on a
 worker — ``take_results``, ``pump`` (which every retry loop of the service
@@ -153,7 +163,7 @@ from ..obs.registry import MetricsRegistry
 from ..obs.trace import TraceContext, Tracer, timestamp as obs_timestamp
 from .checkpoint import WeightsSnapshot, model_from_bytes
 from .metrics import BusStats, ShardStats
-from .resultbus import ResultEnvelope, ShardResultBus
+from .resultbus import ResultEnvelope, ShardResultBus, pack_frame, unpack_frame
 
 #: Seconds the service waits for a worker reply before declaring it dead.
 _REQUEST_TIMEOUT_S = 120.0
@@ -409,11 +419,12 @@ class ShardCore:
     ``handle`` and ``idle`` are its two moves (a command was taken / the
     queue is empty), which is all a test needs to drive the scheduling rule
     of the module docstring without a transport. ``reply`` and ``send_bus``
-    are the two ways out: a worker's reply queue ``put`` and bus pipe
-    ``send`` (called from its one thread and therefore allowed to block on
-    a full pipe), or an in-process list's ``append`` and the ``arrived``
-    buffer's ``extend``. ``backend`` names the transport in
-    :class:`ShardStats`; ``queued()`` reads its queue's length for them.
+    are the two ways out: a worker's reply queue ``put`` and the bus pipe
+    ``send_bytes`` of a packed frame (called from its one thread and
+    therefore allowed to block on a full pipe), or an in-process list's
+    ``append`` and the ``arrived`` buffer's ``extend``. ``backend`` names
+    the transport in :class:`ShardStats`; ``queued()`` reads its queue's
+    length for them.
     """
 
     def __init__(self, shard_id: int, engine: StreamEngine, backend: str,
@@ -717,15 +728,14 @@ def _shard_worker(shard_id: int, blob: bytes, engine_overrides: dict,
     engine = model_from_bytes(blob).stream_engine(**engine_overrides)
     core = ShardCore(shard_id, engine, ProcessBackend.name,
                      lambda: _safe_qsize(commands), results.put,
-                     bus_writer.send, obs_options)
+                     lambda batch: bus_writer.send_bytes(pack_frame(batch)),
+                     obs_options)
     while True:
-        try:
-            command = commands.get_nowait()
-        except queue_module.Empty:
-            if core.idle():
-                continue
-            command = commands.get()
-        if not core.handle(command):
+        # The count, not a non-blocking get: that would build a selector
+        # per command only to learn what the count already says.
+        if not _safe_qsize(commands) and core.idle():
+            continue
+        if not core.handle(commands.get()):
             return
 
 
@@ -775,12 +785,18 @@ class ProcessBackend(ServiceBackend):
 
         super().__init__(num_shards)
         context = multiprocessing.get_context(start_method)
-        self._shards = [
-            _ProcessShard(shard_id, context, blob, dict(engine_overrides or {}),
-                          queue_depth, obs_options)
-            for shard_id in range(num_shards)
-        ]
+        self._shards: List[_ProcessShard] = []
         self._closed = False
+        try:
+            for shard_id in range(num_shards):
+                self._shards.append(_ProcessShard(
+                    shard_id, context, blob, dict(engine_overrides or {}),
+                    queue_depth, obs_options))
+        except BaseException:
+            # The workers already started each hold a model: stop them
+            # rather than leave them to this process's exit.
+            self.close()
+            raise
 
     # ------------------------------------------------- waiting on a worker
     def _read_bus(self, shard: int) -> None:
@@ -793,7 +809,7 @@ class ProcessBackend(ServiceBackend):
         bus, arrived = self._shards[shard].bus, self._arrived[shard]
         try:
             while bus.poll():
-                arrived.extend(bus.recv())
+                arrived.extend(unpack_frame(shard, bus.recv_bytes()))
         except (EOFError, OSError):
             pass  # worker gone or pipe closed: the liveness checks say so
 

@@ -36,13 +36,25 @@ Two envelope kinds flow over the bus:
   tuple of vehicle ids of the failed batch, the payload the exception. The
   facade raises it at the caller's next poll instead of silently losing
   the streams.
+
+A batch that crosses a process boundary travels as one **frame**
+(:func:`pack_frame` / :func:`unpack_frame`): a plain pickle of a list in
+which a ``"result"`` envelope is the tuple ``(seq, vehicle_id,
+trajectory_id, segments, start_time_s, labels, trace)`` — a stream's result
+is its route and its labels, so the rest of the
+:class:`~repro.core.detector.DetectionResult` is rebuilt on arrival by
+:func:`~repro.core.detector.route_result`, the constructor the engine's own
+finalize calls — and an ``"error"`` envelope is itself. The shard id is not
+on the wire: the reader knows which shard's pipe it read.
 """
 
 from __future__ import annotations
 
+import pickle
 from collections import deque
 from typing import Deque, List, NamedTuple, Optional
 
+from ..core.detector import route_result
 from ..obs.trace import TraceContext, timestamp as obs_timestamp
 from .metrics import BusStats
 
@@ -59,6 +71,42 @@ class ResultEnvelope(NamedTuple):
     #: almost always). Stamped at publish, re-stamped at take, observed as
     #: ``bus_publish`` / ``bus_drain`` at those boundaries.
     trace: Optional[TraceContext] = None
+
+
+def pack_frame(batch: List[ResultEnvelope]) -> bytes:
+    """One taken batch as the bytes of one bus message (module docstring).
+
+    A ``"result"`` payload is what :func:`~repro.core.detector.route_result`
+    builds — everything an engine's finalize returns — so its route and
+    labels are all the frame carries of it.
+    """
+    frame: list = []
+    for envelope in batch:
+        if envelope.kind == "result":
+            result = envelope.payload
+            trajectory = result.trajectory
+            frame.append((envelope.seq, envelope.key,
+                          trajectory.trajectory_id, trajectory.segments,
+                          trajectory.start_time_s, result.labels,
+                          envelope.trace))
+        else:
+            frame.append(envelope)
+    return pickle.dumps(frame, pickle.HIGHEST_PROTOCOL)
+
+
+def unpack_frame(shard_id: int, data: bytes) -> List[ResultEnvelope]:
+    """The envelopes of one frame read from shard ``shard_id``'s pipe."""
+    envelopes: List[ResultEnvelope] = []
+    for item in pickle.loads(data):
+        if isinstance(item, ResultEnvelope):
+            envelopes.append(item)
+            continue
+        seq, key, trajectory_id, segments, start_time_s, labels, trace = item
+        envelopes.append(ResultEnvelope(
+            shard_id, seq, "result", key,
+            route_result(trajectory_id, segments, start_time_s, labels),
+            trace))
+    return envelopes
 
 
 class ShardResultBus:

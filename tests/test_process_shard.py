@@ -10,7 +10,8 @@ identity (which ``test_serve.py`` and ``test_result_bus.py`` pin):
 * the results bus is a pipe the worker writes synchronously, so a facade
   that does not poll must still never wedge it;
 * ``ingest_batch`` travels as columns and applies exactly like the events;
-* a dead worker surfaces at the data plane at once;
+* a dead worker surfaces at the data plane at once, and a shard that fails
+  to start stops the workers started before it;
 * both transports carry the same commands to the same ``ShardCore``: one
   scripted sequence yields the same envelopes and the same ``ShardStats``
   through either, a stashed failure surfaces once through either, and the
@@ -25,11 +26,11 @@ import time
 
 import pytest
 
-from repro.exceptions import LabelingError, ServiceError
+from repro.exceptions import LabelingError, ModelError, ServiceError
 from repro.obs.trace import TraceContext
 from repro.serve import (ControlUpdate, IngestEvent, InProcessBackend,
-                         ProcessBackend, clone_model, model_to_bytes,
-                         weights_snapshot)
+                         ProcessBackend, backends, clone_model,
+                         model_to_bytes, weights_snapshot)
 from repro.serve.backends import ShardCore
 
 from ingest_columns import pack_events
@@ -443,6 +444,25 @@ def test_dead_worker_surfaces_at_the_data_plane_at_once(
             service.metrics()
 
 
+def test_a_shard_that_fails_to_start_stops_the_ones_started(trained_model,
+                                                            monkeypatch):
+    started = []
+
+    def start_shard(shard_id, *args):
+        if shard_id == 1:
+            raise OSError("no process for shard 1")
+        started.append(start_shard.real(shard_id, *args))
+        return started[-1]
+
+    start_shard.real = backends._ProcessShard
+    monkeypatch.setattr(backends, "_ProcessShard", start_shard)
+    with pytest.raises(OSError, match="no process for shard 1"):
+        ProcessBackend(model_to_bytes(trained_model), 3, queue_depth=4)
+    (shard,) = started
+    assert not shard.process.is_alive()
+    assert shard.process.exitcode == 0  # it took the stop, not a kill
+
+
 # ------------------------------------------- one interpreter, two transports
 TRANSPORTS = ["inprocess", "process"]
 
@@ -453,9 +473,15 @@ def one_shard_backend(transport, model, queue_depth):
     return ProcessBackend(model_to_bytes(model), 1, queue_depth)
 
 
-def run_script(transport, model, trips):
+def run_script(transport, model, trips, stub):
     """One fixed command sequence against one shard, below the facade:
-    what came over the bus, and the shard's counters at three boundaries."""
+    what came over the bus, and the shard's counters at three boundaries.
+
+    Vehicle ``i`` drives ``trips[i]`` (vehicle 1 traced); vehicle
+    ``"stub"`` drives the first two points of ``stub`` toward its declared
+    destination and is closed alone, so its close fails shard-side and the
+    bus carries one ``"error"`` envelope after the results.
+    """
     events = [trip_events(vehicle, trip, trace_at=2 if vehicle == 1 else None)
               for vehicle, trip in enumerate(trips)]
     rounds = [[own[index] for own in events if index < len(own)]
@@ -473,7 +499,12 @@ def run_script(transport, model, trips):
         snapshots.append((counters, bus))
 
     def take():
-        return [(e.kind, e.key, e.seq, tuple(e.payload.labels))
+        """Whole envelopes: a result by value (route, labels, spans), an
+        exception by type and arguments, a trace by its id."""
+        return [(e.shard_id, e.kind, e.key, e.seq,
+                 e.payload if e.kind == "result"
+                 else (type(e.payload), e.payload.args),
+                 None if e.trace is None else e.trace.trace_id)
                 for e in backend.take_results()]
 
     try:
@@ -483,14 +514,17 @@ def run_script(transport, model, trips):
         backend.swap(ControlUpdate(weights=perturbed_snapshot(model)))
         for batch in rounds[4:]:
             assert backend.ingest_batch(0, pack_events(batch))
+        assert backend.ingest_batch(0, pack_events(trip_events("stub",
+                                                               stub)[:2]))
         assert backend.finalize_async(0, vehicles[1:])
+        assert backend.finalize_async(0, ["stub"])
         labels = backend.finalize(0, vehicles[:1])[0].labels
         snapshot()
         first = take()
         assert backend.replay_results() == len(first)  # nothing acked yet
         backend.drain()
         again = take()
-        backend.ack_results(0, again[-1][2])
+        backend.ack_results(0, again[-1][3])
         snapshot()
         _, spans = backend.obs_snapshot()[0]
     finally:
@@ -500,16 +534,30 @@ def run_script(transport, model, trips):
 
 
 @pytest.mark.fleet
-def test_one_script_reads_the_same_through_either_transport(trained_model,
-                                                            online_trips):
-    trips = sorted(online_trips[:6], key=len)
+def test_one_script_reads_the_same_through_either_transport(
+        trained_model, dataset_split, online_trips):
+    detector = trained_model.detector()
+    trips = sorted(online_trips[:6], key=len) + [next(
+        trip for trip in online_trips[6:]
+        if detector.detect(trip).subtrajectories)]
     assert len(trips[0]) > 4
-    inproc, process = (run_script(transport, trained_model, trips)
+    _, _, test = dataset_split
+    stub = next(t for t in test
+                if len(t) >= 3 and t.segments[1] != t.destination)
+    inproc, process = (run_script(transport, trained_model, trips, stub)
                        for transport in TRANSPORTS)
     assert inproc == process
     first, again, _, snapshots, stages = inproc
-    assert [(kind, key, seq) for kind, key, seq, _ in first] == [
-        ("result", vehicle, vehicle) for vehicle in range(1, len(trips))]
+    assert [(kind, key, seq) for _, kind, key, seq, _, _ in first] == [
+        ("result", vehicle, vehicle) for vehicle in range(1, len(trips))] + [
+        ("error", ("stub",), len(trips))]
+    # Every frame form crossed: a traced result, an anomalous span, an
+    # error envelope carrying an exception.
+    results = [payload for _, kind, _, _, payload, _ in first
+               if kind == "result"]
+    assert [trace for *_, trace in first] == [1001] + [None] * (len(trips) - 1)
+    assert results[-1].subtrajectories
+    assert first[-1][4][0] is ModelError
     assert again == first  # the replay redelivers the unacked window
     (_, _), (closed, _), (_, bus) = snapshots
     assert closed["queue_depth"] == 0 and closed["swaps"] == 1
