@@ -29,7 +29,8 @@ from .asdnet import ASDNet
 from .rl4oasd import RL4OASDModel, RL4OASDTrainer, TrainingReport
 from .detector import DetectionResult, OnlineDetector
 from .online import OnlineLearner
-from .stream import SegmentFeatureCache, StreamEngine, replay_fleet
+from .stream import (PrefixStates, SegmentFeatureCache, StreamEngine,
+                     replay_fleet)
 
 __all__ = [
     "RSRNet",
@@ -40,6 +41,7 @@ __all__ = [
     "OnlineDetector",
     "DetectionResult",
     "OnlineLearner",
+    "PrefixStates",
     "SegmentFeatureCache",
     "StreamEngine",
     "replay_fleet",

@@ -1,16 +1,18 @@
 """The online detection algorithm (Algorithm 1) with RNEL and DL enhancements.
 
 :class:`OnlineDetector` replays one completed trip: the RSRNet recurrence
-over every point but the destination, one :func:`~repro.core.decision.label_route`
-pass, delayed labeling. The labeling decision itself lives in
-:mod:`repro.core.decision`; the per-point
-online form of the same algorithm is :class:`~repro.core.stream.StreamEngine`.
+over every point but the destination (stored per route prefix), one
+:func:`~repro.core.decision.label_route` pass, delayed labeling. The labeling
+decision itself lives in :mod:`repro.core.decision`; the per-point online
+form of the same algorithm is :class:`~repro.core.stream.StreamEngine`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, TYPE_CHECKING
+
+import numpy as np
 
 from ..exceptions import ModelError
 from ..trajectory.models import MatchedTrajectory, Subtrajectory
@@ -19,6 +21,9 @@ from ..labeling.features import PreprocessingPipeline
 from .asdnet import ASDNet
 from .decision import label_route
 from .rsrnet import RSRNet
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from .stream import PrefixStates
 
 __all__ = ["DetectionResult", "OnlineDetector", "apply_delayed_labeling",
            "finish_labels", "route_result"]
@@ -114,13 +119,15 @@ def finish_labels(labels: List[int], delay_window: Optional[int]) -> List[int]:
 class OnlineDetector:
     """Algorithm 1 over one completed trip: a one-stream view of the route pass.
 
-    ``z_i = [h_i ; x^n_i]``, so the LSTM recurrence needs only the segment
-    sequence: :meth:`detect` runs it over points ``0 … n-2`` from one input
-    projection for the whole route, labels the route with one
-    :func:`label_route` (RNEL where it is deterministic, ASDNet's policy
-    otherwise) and applies delayed labeling. The per-point online form of
-    the same decisions is :meth:`StreamEngine.tick
-    <repro.core.stream.StreamEngine.tick>`.
+    ``z_i = [h_i ; x^n_i]`` and ``h_i`` depends only on the prefix ``0 … i``:
+    :meth:`detect` follows its :class:`~repro.core.stream.PrefixStates` over
+    points ``0 … n-2`` and continues from the first unseen prefix with one
+    input projection and :meth:`~repro.nn.recurrent.LSTM.infer`, storing each
+    new state — every state comes from the same 1-D chain, bit-identical to
+    a recurrence from zero. One :func:`label_route` (RNEL where it is
+    deterministic, ASDNet's policy otherwise) and delayed labeling follow.
+    The per-point online form of the same decisions is
+    :meth:`StreamEngine.tick <repro.core.stream.StreamEngine.tick>`.
     """
 
     def __init__(
@@ -137,11 +144,18 @@ class OnlineDetector:
         self._pipeline = pipeline
         self._use_rnel = use_rnel
         self._delay_window = delay_window if use_delayed_labeling else None
+        from .stream import PrefixStates  # stream.py imports this module
+        self._states = PrefixStates(rsrnet.config.hidden_dim,
+                                    rsrnet.weights_version)
 
     @property
     def pipeline(self) -> PreprocessingPipeline:
         """The preprocessing pipeline (history, vocabulary) detection reads."""
         return self._pipeline
+
+    @property
+    def states(self) -> "PrefixStates":
+        return self._states
 
     # ------------------------------------------------------------ detection
     def detect(self, trajectory: MatchedTrajectory) -> DetectionResult:
@@ -156,7 +170,7 @@ class OnlineDetector:
         if n > 2:
             # Nothing reads the destination's hidden state (nor, on a route
             # without interior points, anyone's).
-            hidden = self._rsrnet.hidden_states(tokens[:-1])
+            hidden = self._hidden_states(tokens[:-1])
         degrees = (self._pipeline.rnel_degrees(tokens)
                    if self._use_rnel else None)
         labels = finish_labels(
@@ -168,6 +182,30 @@ class OnlineDetector:
             labels=labels,
             subtrajectories=split_by_labels(trajectory, labels),
         )
+
+    def _hidden_states(self, tokens: List[int]) -> np.ndarray:
+        """``h_i`` of every prefix of ``tokens`` (at least two of them)."""
+        states, rsrnet = self._states, self._rsrnet
+        if (states.version != rsrnet.weights_version
+                or not states.fits(len(tokens))):
+            states.compact((), rsrnet.weights_version)
+        rows = states.walk(tokens)
+        known, first = len(rows), len(states)
+        states.hits += known
+        if known < len(tokens):
+            parent = rows[-1] if rows else 0
+            # Two rows at least through the matmul: a one-row product takes
+            # the matrix-vector kernel, which rounds otherwise.
+            start = min(known, len(tokens) - 2)
+            projections = rsrnet.lstm.cell.project_input(
+                rsrnet.segment_embedding.vectors(tokens[start:]))
+            states.append(list(zip(
+                [parent, *range(first, first + len(tokens) - known - 1)],
+                tokens[known:])), *rsrnet.lstm.infer(
+                    projections[known - start:], states.hidden[parent],
+                    states.cell[parent]))
+            rows.extend(range(first, len(states)))
+        return states.hidden[rows]
 
     def detect_many(self, trajectories: Sequence[MatchedTrajectory]
                     ) -> List[DetectionResult]:

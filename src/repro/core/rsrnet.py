@@ -13,13 +13,17 @@ normal/anomalous label and is trained with cross-entropy against noisy labels
 The network has two forms: the padded-batch training form
 (:meth:`RSRNet.forward_batch_train`, :meth:`RSRNet.train_step_batch`), whose
 batch of one is the paper's per-trajectory step, and the inference form —
-:meth:`RSRNet.hidden_states` over one route, :meth:`RSRNet.step_batch` one
-segment per stream.
+:meth:`~repro.nn.recurrent.LSTM.infer` over one route's projections,
+:meth:`RSRNet.step_batch` one segment per stream.
+Inference callers keep ``h_i`` per route prefix
+(:class:`~repro.core.stream.PrefixStates`); the two mutators,
+:meth:`RSRNet.train_step_batch` and :meth:`RSRNet.load_state_dict`, bump the
+:attr:`RSRNet.weights_version` such tables check.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -62,6 +66,9 @@ class RSRNet(Module):
         self.classifier = Linear(config.hidden_dim + config.nrf_dim,
                                  self.NUM_CLASSES, rng)
         self._optimizer = Adam(self.parameters(), learning_rate=config.learning_rate)
+        #: Bumped by every weight change; tables derived from the weights
+        #: compare it with the version they were filled under.
+        self.weights_version = 0
 
     # ------------------------------------------------------------ properties
     @property
@@ -159,20 +166,14 @@ class RSRNet(Module):
         self.segment_embedding.backward(grad_embedded, cache["embed_cache"])
         clip_gradients(self.parameters(), self._config.grad_clip)
         self._optimizer.step()
+        self.weights_version += 1
         return losses
 
+    def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
+        super().load_state_dict(state)
+        self.weights_version += 1
+
     # ------------------------------------------------------------- inference
-    def hidden_states(self, tokens: Sequence[int]) -> np.ndarray:
-        """``h_i`` of every segment of one route, shape ``(len(tokens), H)``.
-
-        One embedding gather and one input-projection matmul for the whole
-        route, then the LSTM recurrence from the zero state
-        (:meth:`~repro.nn.recurrent.LSTM.infer`). ``h_i`` depends only on the
-        segments up to ``i``, so a caller passes exactly the prefix it needs.
-        """
-        return self.lstm.infer(self.lstm.cell.project_input(
-            self.segment_embedding.vectors(tokens)))
-
     def input_projection(self, token: int) -> np.ndarray:
         """The LSTM input projection of one segment token, shape ``(4 * H,)``.
 

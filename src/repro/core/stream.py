@@ -8,15 +8,20 @@ model, one point per stream and tick:
 
 * **Batching tick.** Every stream buffers its newest GPS-matched segment;
   :meth:`StreamEngine.tick` gathers the pending next point of every active
-  stream and pushes them through a *single* vectorized RSRNet + ASDNet
-  forward pass (:meth:`RSRNet.step_batch` / :meth:`ASDNet.policy_logits_batch`),
-  so the two LSTM matmuls and the policy matmul run once per tick instead of
+  stream, computes the LSTM states it lacks in *one* batched cell step and
+  runs *one* ASDNet policy pass, so the matmuls run once per tick instead of
   once per vehicle.
+* **Prefix states.** ``h_i`` is a pure function of the weights and the
+  route's prefix ``0 … i``, and an SD pair's trips drive a few routes, so
+  the engine keeps one :class:`PrefixStates` table for the fleet: a tick
+  looks every point up by ``(row of the state before, token)`` and computes
+  only the misses, each once. A weight change (``rsrnet.weights_version``)
+  or the row bound compacts the table to the rows live streams hold.
 * **Per-stream state.** Each stream keeps exactly what Algorithm 1 needs
-  incrementally: the LSTM hidden/cell state, the labels emitted so far (for
-  RNEL and the policy's previous-label input), and the SD pair's normal-route
-  transition set. Delayed labeling runs at :meth:`finalize`, through the
-  detector's own :func:`~repro.core.detector.finish_labels`.
+  incrementally: its row of the prefix-state table, the labels emitted so
+  far (for RNEL and the policy's previous-label input), and the SD pair's
+  normal-route transition set. Delayed labeling runs at :meth:`finalize`,
+  through the detector's own :func:`~repro.core.detector.finish_labels`.
 * **Work-proportional ticks.** The engine keeps the set of streams that have
   a point to step; a tick walks only that set, so an idle tick costs O(1)
   however many streams are open.
@@ -26,8 +31,8 @@ model, one point per stream and tick:
   road segment after that is a table row by token: the LSTM input projection
   ``x_e @ W_in``, a function of the weights only, in a dense matrix sized by
   the vocabulary whose rows are computed on first touch and shared across
-  the fleet (:class:`SegmentFeatureCache`; a tick gathers its batch with one
-  fancy index), RNEL's in/out degrees in the pipeline's per-token lists.
+  the fleet (:class:`SegmentFeatureCache`, read on prefix-state misses only),
+  RNEL's in/out degrees in the pipeline's per-token lists.
 
 **Label equivalence.** The engine is differential-tested to produce labels
 identical to :class:`OnlineDetector`; both take every decision through
@@ -46,7 +51,7 @@ identical to :class:`OnlineDetector`; both take every decision through
    ``z_i = [h_i ; x^n_i]`` the LSTM state ``h_i`` depends only on the road
    segments seen so far, so the *recurrence* of a deferred stream runs
    eagerly: its points ride the same batched ticks as everyone else's (LSTM
-   step only) and each ``h_i`` is kept beside its buffered point. The
+   step only) and the row of each ``h_i`` is kept beside its point. The
    *labeling* waits for :meth:`finalize`, when the full route — hence the
    normal routes, the NRFs and which point is the destination — is known,
    and is then one :func:`~repro.core.decision.label_route` over the stored
@@ -60,8 +65,8 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import (Callable, Dict, FrozenSet, Hashable, Iterable, List,
-                    Mapping, Optional, Sequence, Set, Tuple, TYPE_CHECKING)
+from typing import (Dict, FrozenSet, Hashable, Iterable, List, Mapping,
+                    Optional, Sequence, Set, Tuple, TYPE_CHECKING)
 
 import numpy as np
 
@@ -86,14 +91,17 @@ class SegmentFeatureCache:
     A dense ``(len(vocabulary), 4H)`` matrix — :attr:`nbytes` whatever the
     traffic, allocated zeroed so that a row no stream has crossed is never
     resident — filled on first touch: a row is computed the first time a
-    tick steps its token and serves every stream until :meth:`clear` (the
-    weights changed). ``hits`` and ``misses`` count one lookup per LSTM row
-    stepped, a miss being a row computed; ``len()`` is the rows filled.
+    state computed into :class:`PrefixStates` needs its token and serves
+    until ``rsrnet.weights_version`` moves or :meth:`clear`. ``hits`` and
+    ``misses`` count one lookup per state computed, a miss being a row
+    computed; ``len()`` is the rows filled.
     """
 
-    def __init__(self, tokens: int, width: int):
-        self._projections = np.zeros((tokens, width))
+    def __init__(self, rsrnet: RSRNet, tokens: int):
+        self._rsrnet = rsrnet
+        self._projections = np.zeros((tokens, 4 * rsrnet.config.hidden_dim))
         self._filled: Set[int] = set()
+        self._version = rsrnet.weights_version
         self.hits = 0
         self.misses = 0
 
@@ -109,15 +117,15 @@ class SegmentFeatureCache:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
-    def gather(self, tokens: List[int],
-               project: Callable[[int], np.ndarray]) -> np.ndarray:
-        """The rows of ``tokens`` as one ``(len(tokens), 4H)`` matrix,
-        ``project(token)`` filling those not computed yet."""
+    def gather(self, tokens: List[int]) -> np.ndarray:
+        """The rows of ``tokens`` as one ``(len(tokens), 4H)`` matrix."""
+        if self._version != self._rsrnet.weights_version:
+            self.clear()
         filled = self._filled
         missing = (() if filled.issuperset(tokens)  # the common case
                    else set(tokens).difference(filled))
         for token in missing:
-            self._projections[token] = project(token)
+            self._projections[token] = self._rsrnet.input_projection(token)
         filled.update(missing)
         self.misses += len(missing)
         self.hits += len(tokens) - len(missing)
@@ -125,6 +133,82 @@ class SegmentFeatureCache:
 
     def clear(self) -> None:
         self._filled.clear()
+        self._version = self._rsrnet.weights_version
+
+
+#: Rows a :class:`PrefixStates` table holds before it compacts: a row is the
+#: ``h`` and ``c`` of one prefix, ``16 * H`` bytes, so at the default
+#: ``H = 128`` a table stays under 32 MiB.
+_MAX_PREFIX_ROWS = 16384
+
+
+class PrefixStates:
+    """RSRNet's LSTM state after every route prefix seen, one row per prefix.
+
+    ``h_i`` is a pure function of the weights and the tokens ``0 … i``, and
+    an SD pair's trips drive a few routes. Row 0 of the growable ``hidden``
+    / ``cell`` pair is the zero state; :attr:`edges` maps ``(parent row,
+    token)`` to the row of that prefix one token longer. ``hits`` count the
+    recurrent steps served from the table, ``misses`` the states computed.
+    Owners :meth:`compact` on a weight change (``version``: the weights the
+    rows hold) and before the rows would pass :data:`_MAX_PREFIX_ROWS`.
+    """
+
+    def __init__(self, hidden_dim: int, version: int):
+        self.hidden = np.zeros((64, hidden_dim))
+        self.cell = np.zeros((64, hidden_dim))
+        self.edges: Dict[Tuple[int, int], int] = {}
+        self.version = version
+        self.hits = 0
+        self.misses = 0
+        self._rows = 1
+
+    def __len__(self) -> int:
+        return self._rows
+
+    def fits(self, rows: int) -> bool:
+        """Whether ``rows`` more rows stay within :data:`_MAX_PREFIX_ROWS`."""
+        return self._rows + rows <= _MAX_PREFIX_ROWS
+
+    def walk(self, tokens: Sequence[int]) -> List[int]:
+        """The rows of the longest stored prefix of ``tokens``, in order."""
+        edges = self.edges
+        rows: List[int] = []
+        row = 0
+        for token in tokens:
+            row = edges.get((row, token))
+            if row is None:
+                break
+            rows.append(row)
+        return rows
+
+    def append(self, keys: Sequence[Tuple[int, int]], hidden: np.ndarray,
+               cell: np.ndarray) -> None:
+        """Store the states of the prefixes ``keys`` (``(parent row, token)``
+        pairs, parents stored first) in the next rows."""
+        first, end = self._rows, self._rows + len(keys)
+        if end > len(self.hidden):  # zeroed: rows not yet used take no RAM
+            size = (max(end, 2 * len(self.hidden)), self.hidden.shape[1])
+            for name in ("hidden", "cell"):
+                grown = np.zeros(size)
+                grown[:first] = getattr(self, name)[:first]
+                setattr(self, name, grown)
+        self.hidden[first:end] = hidden
+        self.cell[first:end] = cell
+        self.edges.update(zip(keys, range(first, end)))
+        self._rows = end
+        self.misses += len(keys)
+
+    def compact(self, keep: Iterable[int], version: int) -> Dict[int, int]:
+        """Keep the zero row and the rows ``keep``, renumbered in order, for
+        the weights ``version``; drop every edge. Returns old row → new row."""
+        kept = [0] + sorted(set(keep).difference((0,)))
+        self.hidden[:len(kept)] = self.hidden[kept]
+        self.cell[:len(kept)] = self.cell[kept]
+        self._rows = len(kept)
+        self.edges.clear()
+        self.version = version
+        return dict(zip(kept, range(len(kept))))
 
 
 #: ``(destination, start_time_s, trajectory_id, trace)`` of a plain row of
@@ -140,7 +224,6 @@ class _StreamState:
     trajectory_id: int
     start_time_s: float
     destination: Optional[int]
-    slot: int
     history: HistorySnapshot
     normal_transitions: Optional[FrozenSet[Tuple[int, int]]]
     deferred: bool
@@ -152,10 +235,12 @@ class _StreamState:
     # tick that steps it (``stepped == len(labels)``); a deferred stream
     # steps ahead and has no labels until its finalize pass.
     stepped: int = 0
+    # The engine's PrefixStates row of the state after the stepped points.
+    row: int = 0
     finalizing: bool = False
-    # Deferred streams only: ``h_i`` of every stepped point, consumed by
-    # the finalize labeling pass.
-    hidden_states: List[np.ndarray] = field(default_factory=list)
+    # Deferred streams only: the row of ``h_i`` of every stepped point,
+    # consumed by the finalize labeling pass.
+    hidden_rows: List[int] = field(default_factory=list)
     # Sampled trace contexts riding this stream: (segment index, context)
     # pairs awaiting their tick, lazily allocated so untraced streams pay
     # one falsy attribute check per tick and nothing else.
@@ -189,8 +274,9 @@ class StreamEngine:
         self._segment_tokens = pipeline.vocabulary.segment_tokens
         self._use_rnel = use_rnel
         self._delay_window = delay_window if use_delayed_labeling else None
-        self._cache = SegmentFeatureCache(len(pipeline.vocabulary),
-                                          4 * rsrnet.config.hidden_dim)
+        self._cache = SegmentFeatureCache(rsrnet, len(pipeline.vocabulary))
+        self._states = PrefixStates(rsrnet.config.hidden_dim,
+                                    rsrnet.weights_version)
         self._streams: "OrderedDict[Hashable, _StreamState]" = OrderedDict()
         # The streams with a point to step right now, so a tick costs
         # O(rows) and an idle tick O(1). Nobody steps a destination: the
@@ -203,14 +289,6 @@ class StreamEngine:
         # _begin_finalize, invalidate_cache and the end of a tick.
         self._ready: Dict[Hashable, _StreamState] = {}
         self._next_trajectory_id = 0
-        self._hidden_dim = rsrnet.config.hidden_dim
-        # Recurrent state lives in slot-indexed pools so a tick gathers and
-        # writes back the whole batch with two fancy-indexing operations
-        # instead of stacking per-stream vectors.
-        self._capacity = 64
-        self._hidden_pool = np.zeros((self._capacity, self._hidden_dim))
-        self._cell_pool = np.zeros((self._capacity, self._hidden_dim))
-        self._free_slots = list(range(self._capacity))
         # Lifetime counters surfaced by the serving layer's shard metrics.
         self.points_processed = 0
         self.ticks = 0
@@ -240,6 +318,10 @@ class StreamEngine:
     @property
     def cache(self) -> SegmentFeatureCache:
         return self._cache
+
+    @property
+    def states(self) -> PrefixStates:
+        return self._states
 
     @property
     def history_version(self) -> int:
@@ -281,26 +363,40 @@ class StreamEngine:
         return not self._ready.keys().isdisjoint(vehicle_ids)
 
     def invalidate_cache(self) -> None:
-        """Drop everything derived from the weights (call after fine-tuning
-        the model in place): the filled rows of the projection table and the
-        hidden states deferred streams computed ahead of their labeling."""
+        """Drop everything derived from the weights: the projection table,
+        the prefix states no stream holds, and the hidden states deferred
+        streams computed ahead of their labeling. The first :meth:`tick` or
+        :meth:`finalize_many` after a weight change does this unasked."""
         self._cache.clear()
         # A deferred stream is labeled wholly by the weights serving at its
         # finalize, so its recurrence starts over under the new ones.
         for stream in self._streams.values():
             if stream.deferred and stream.stepped:
                 stream.stepped = 0
-                stream.hidden_states.clear()
-                self._hidden_pool[stream.slot] = 0.0
-                self._cell_pool[stream.slot] = 0.0
+                stream.row = 0
+                stream.hidden_rows.clear()
                 self._ready[stream.vehicle_id] = stream
+        self._compact()
+
+    def _compact(self) -> None:
+        """Compact the prefix states to the rows live streams hold."""
+        streams = self._streams.values()
+        mapping = self._states.compact(
+            [row for stream in streams for row in (stream.row,
+                                                   *stream.hidden_rows)],
+            self._rsrnet.weights_version)
+        for stream in streams:
+            stream.row = mapping[stream.row]
+            if stream.hidden_rows:
+                stream.hidden_rows = [mapping[row]
+                                      for row in stream.hidden_rows]
 
     def load_weights(self, rsrnet_state: Dict[str, np.ndarray],
                      asdnet_state: Dict[str, np.ndarray]) -> None:
         """Hot-swap the model weights under the engine's active streams.
 
         Loads ``state_dict`` snapshots into both networks and invalidates the
-        projection table (its filled rows embed the old weights). Online
+        tables derived from the weights (:meth:`invalidate_cache`). Online
         streams keep their recurrent state, emitted labels and buffered
         points, so in-flight trips keep running: points labeled before the
         swap keep their old-model labels, later points are labeled by the
@@ -422,7 +518,7 @@ class StreamEngine:
         trajectory_id: Optional[int],
     ) -> _StreamState:
         # The opening fields are outside input: everything that can reject
-        # them runs before the stream takes a slot of the state pool.
+        # them runs before the stream is registered.
         check_start_time(start_time_s)
         # Pin the history at open: a hot refresh (load_history) must not
         # change this trip's labels mid-stream, so every later resolution
@@ -443,24 +539,10 @@ class StreamEngine:
         # reference's normal route is the trip's own, known only at
         # finalize): the stream runs deferred.
         stream = _StreamState(vehicle_id, trajectory_id, start_time_s,
-                              destination, self._allocate_slot(), history,
-                              normal_transitions, normal_transitions is None)
+                              destination, history, normal_transitions,
+                              normal_transitions is None)
         self._streams[vehicle_id] = stream
         return stream
-
-    def _allocate_slot(self) -> int:
-        if not self._free_slots:
-            grown = self._capacity * 2
-            self._hidden_pool = np.vstack(
-                [self._hidden_pool, np.zeros((self._capacity, self._hidden_dim))])
-            self._cell_pool = np.vstack(
-                [self._cell_pool, np.zeros((self._capacity, self._hidden_dim))])
-            self._free_slots.extend(range(self._capacity, grown))
-            self._capacity = grown
-        slot = self._free_slots.pop()
-        self._hidden_pool[slot] = 0.0
-        self._cell_pool[slot] = 0.0
-        return slot
 
     # ------------------------------------------------------------------ tick
     def tick(self) -> int:
@@ -477,13 +559,17 @@ class StreamEngine:
         ready = self._ready
         if not ready:
             return 0
+        states = self._states
+        if states.version != self._rsrnet.weights_version:
+            self.invalidate_cache()
+        if not states.fits(len(ready)):
+            self._compact()  # room for every row this tick may compute
         in_degrees, out_degrees = self._pipeline.token_degrees()
         # The streams labeling a point, each at its ``stepped`` index.
         work: List[_StreamState] = []
         stepping: List[_StreamState] = []
-        slots: List[int] = []
-        # The token of each row's segment: its row of the projection table.
-        rows: List[int] = []
+        # ``(row of the state before, token)`` of each point: its prefix.
+        keys: List[Tuple[int, int]] = []
         nrf_values: List[int] = []
         # The forced/RNEL label of each point, or ``None`` for the policy.
         labels: List[Optional[int]] = []
@@ -508,48 +594,53 @@ class StreamEngine:
                     out_degrees[tokens[index - 1]], in_degrees[token],
                     stream.labels[-1]) if self._use_rnel else None)
             work.append(stream)
-            slots.append(stream.slot)
-            rows.append(token)
-        # Step-only rows go last, so row numbers of the labeled rows index
-        # ``z`` directly; their NRF is a placeholder nobody reads.
+            keys.append((stream.row, token))
+        # Step-only rows go last, so a labeled row's number indexes
+        # ``labels`` and ``rows`` alike.
         for stream in stepping:
-            slots.append(stream.slot)
-            rows.append(stream.tokens[stream.stepped])
-            nrf_values.append(0)
+            keys.append((stream.row, stream.tokens[stream.stepped]))
 
-        # One index array for the pools' two gathers and two scatters.
-        pool_rows = np.array(slots)
-        z, new_hidden, new_cell = self._rsrnet.step_batch(
-            self._hidden_pool[pool_rows], self._cell_pool[pool_rows],
-            self._cache.gather(rows, self._rsrnet.input_projection),
-            nrf_values)
-        self._hidden_pool[pool_rows] = new_hidden
-        self._cell_pool[pool_rows] = new_cell
+        edges = states.edges
+        rows = [edges.get(key) for key in keys]
+        missing = ()
+        if None in rows:
+            # One batched step over the prefixes no stream reached before,
+            # each computed once however many streams share it this tick.
+            missing = list(dict.fromkeys(
+                key for key, row in zip(keys, rows) if row is None))
+            parents = [parent for parent, _ in missing]
+            states.append(missing, *self._rsrnet.lstm.cell.forward_batch(
+                self._cache.gather([token for _, token in missing]),
+                states.hidden[parents], states.cell[parents]))
+            rows = [edges[key] for key in keys]
+        states.hits += len(keys) - len(missing)
 
         labeled = len(work)
         undecided = [row for row, label in enumerate(labels) if label is None]
         if undecided:
             # Detection takes the policy's argmax: the rows are the labels.
-            # If it decides every labeled row, they are ``z[:labeled]``.
             choices = policy_choices(
                 self._asdnet,
-                z[:labeled] if len(undecided) == labeled else z[undecided],
+                np.concatenate(  # z_i = [h_i ; x^n_i], NRF rows by table
+                    [states.hidden[[rows[row] for row in undecided]],
+                     self._rsrnet.nrf_embedding.weight.value[
+                         [nrf_values[row] for row in undecided]]], axis=1),
                 [work[row].labels[-1] for row in undecided], True)
             for row, label in zip(undecided, choices):
                 labels[row] = label
 
-        for label, stream in zip(labels, work):
+        for label, stream, row in zip(labels, work, rows):
             index = stream.stepped
             stream.labels.append(label)
             stream.stepped = index + 1
+            stream.row = row
             if stream.traces:
                 self._observe_tick(stream, index)
             if index + 2 >= len(stream.segments):
                 del ready[stream.vehicle_id]
-        for row, stream in enumerate(stepping, start=labeled):
-            # A copy, not a row view: a view would pin the whole batch's
-            # array for as long as this one stream stays open.
-            stream.hidden_states.append(new_hidden[row].copy())
+        for stream, row in zip(stepping, rows[labeled:]):
+            stream.hidden_rows.append(row)
+            stream.row = row
             stream.stepped += 1
             waiting = len(stream.segments) - stream.stepped
             if waiting == 0 or (waiting == 1 and stream.finalizing):
@@ -603,6 +694,8 @@ class StreamEngine:
         started = obs_timestamp() if traced else 0.0
         for stream in streams:
             self._check_finalizable(stream)
+        if self._states.version != self._rsrnet.weights_version:
+            self.invalidate_cache()  # no stale state labels a deferred stream
         for stream in streams:
             self._begin_finalize(stream)
         while any(stream.stepped < len(stream.segments) - 1
@@ -673,7 +766,7 @@ class StreamEngine:
         labeled = len(stream.labels)
         if stream.deferred:
             stream.labels = label_route(
-                stream.segments, stream.hidden_states,
+                stream.segments, self._states.hidden[stream.hidden_rows],
                 stream.normal_transitions,
                 (self._pipeline.rnel_degrees(stream.tokens)
                  if self._use_rnel else None),
@@ -685,8 +778,7 @@ class StreamEngine:
         self.points_processed += count - labeled
 
     def discard(self, vehicle_ids: Iterable[Hashable]) -> None:
-        """Drop streams unlabeled, freeing their slots (ids without a
-        stream are skipped). For a close that failed where its caller has
+        """Drop streams unlabeled (ids without a stream are skipped). For a close that failed where its caller has
         already let the vehicles go: a stream left open would take the next
         trip under the same id as its continuation."""
         for vehicle_id in vehicle_ids:
@@ -697,7 +789,6 @@ class StreamEngine:
     def _release(self, stream: _StreamState) -> None:
         del self._streams[stream.vehicle_id]
         self._ready.pop(stream.vehicle_id, None)
-        self._free_slots.append(stream.slot)
 
     def _complete(self, stream: _StreamState) -> DetectionResult:
         self._release(stream)
@@ -723,7 +814,7 @@ def replay_fleet(
 
     Up to ``concurrency`` trips are in flight at once; each round ingests one
     point per active vehicle and runs one batched :meth:`StreamEngine.tick`.
-    Finished trips are finalized (freeing their slot) and their results are
+    Finished trips are finalized and their results are
     returned in the input order. Each result carries the *original*
     trajectory object (the engine itself only ever sees raw points, so
     :meth:`StreamEngine.finalize` has to reconstruct one without ground-truth

@@ -14,7 +14,9 @@ class Parameter:
 
     def __init__(self, value: np.ndarray, name: str = "parameter"):
         self.value = np.asarray(value, dtype=np.float64)
-        self.grad = np.zeros_like(self.value)
+        # Not zeros_like, which writes its zeros: a calloc-backed buffer
+        # takes no RAM in a model that never trains.
+        self.grad = np.zeros(self.value.shape)
         self.name = name
 
     @property
@@ -105,7 +107,7 @@ class Module:
         self.validate_state_dict(state)
         for name, parameter in self.named_parameters():
             parameter.value = np.asarray(state[name], dtype=np.float64).copy()
-            parameter.grad = np.zeros_like(parameter.value)
+            parameter.grad = np.zeros(parameter.value.shape)
 
 
 def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,

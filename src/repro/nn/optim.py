@@ -73,8 +73,9 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self._step = 0
-        self._m = [np.zeros_like(p.value) for p in self._parameters]
-        self._v = [np.zeros_like(p.value) for p in self._parameters]
+        # Calloc-backed (see Parameter.grad): no RAM until the first step.
+        self._m = [np.zeros(p.value.shape) for p in self._parameters]
+        self._v = [np.zeros(p.value.shape) for p in self._parameters]
 
     def step(self) -> None:
         self._step += 1

@@ -12,7 +12,8 @@ The LSTM cell exposes two execution modes over one gate kernel
   without the batch axis, with no backward cache. Used by the fleet stream
   engine (where the projection of a road segment's embedding is shared across
   every vehicle on that segment); :meth:`LSTM.infer` runs it over one whole
-  sequence for :class:`~repro.core.detector.OnlineDetector`.
+  sequence, or the rest of one from a stored state, for
+  :class:`~repro.core.detector.OnlineDetector`.
 * **Training** (:meth:`LSTMCell.forward_batch_cached` /
   :meth:`LSTMCell.backward_batch`, wrapped by :meth:`LSTM.forward_batch` /
   :meth:`LSTM.backward_batch`) — one step for a batch of sequences *with* the
@@ -195,13 +196,16 @@ class LSTM(Module):
         self.input_dim = input_dim
         self.hidden_dim = hidden_dim
 
-    def infer(self, input_projections: np.ndarray) -> np.ndarray:
-        """Hidden states of one sequence from its precomputed input projections.
+    def infer(self, input_projections: np.ndarray, h=None, c=None
+              ) -> Tuple[np.ndarray, np.ndarray]:
+        """Hidden and cell states of one sequence from its precomputed input
+        projections.
 
         ``input_projections`` is :meth:`LSTMCell.project_input` of the whole
         sequence, shape ``(T, 4 * hidden_dim)`` — checked once here, then
-        ``T`` cache-free gate kernels from the zero state. Returns the hidden
-        states ``(T, hidden_dim)``; the inference counterpart of
+        ``T`` cache-free gate kernels from ``(h, c)`` (default: the zero
+        state). Returns the hidden and the cell states, each
+        ``(T, hidden_dim)``; the inference counterpart of
         :meth:`forward_batch` for one sequence.
         """
         input_projections = np.asarray(input_projections, dtype=np.float64)
@@ -211,12 +215,15 @@ class LSTM(Module):
                 f"input projections must have shape (T, {4 * self.hidden_dim}), "
                 f"got {input_projections.shape}")
         step = self.cell._step
-        h = c = np.zeros(self.hidden_dim)
+        if h is None:
+            h = c = np.zeros(self.hidden_dim)
         hidden_states = np.empty((len(input_projections), self.hidden_dim))
+        cell_states = np.empty_like(hidden_states)
         for t, projection in enumerate(input_projections):
             h, c = step(projection, h, c)[:2]
             hidden_states[t] = h
-        return hidden_states
+            cell_states[t] = c
+        return hidden_states, cell_states
 
     def forward_batch(self, inputs: np.ndarray) -> Tuple[np.ndarray, List[dict]]:
         """Run the LSTM over a batch of sequences, shape ``(B, T, input_dim)``,

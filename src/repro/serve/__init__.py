@@ -14,7 +14,7 @@ deployable detector:
   :meth:`RL4OASDModel.save` / :meth:`RL4OASDModel.load` delegate here, and
   the multi-process backend ships its pickled model snapshots through it.
 * :mod:`~repro.serve.metrics` — per-shard points, busy time, queue depth
-  and cache hit rate, and their Prometheus exposition.
+  and prefix-state hit rate, and their Prometheus exposition.
 * :mod:`~repro.serve.sharding` — stable vehicle-to-shard assignment.
 """
 

@@ -610,8 +610,8 @@ class ShardCore:
                 pending_points=engine.total_pending_points(),
                 streams_open=len(engine.active_vehicles),
                 streams_finalized=engine.streams_finalized,
-                cache_hits=engine.cache.hits,
-                cache_misses=engine.cache.misses,
+                cache_hits=engine.states.hits,
+                cache_misses=engine.states.misses,
                 swaps=self._swaps,
                 history_version=engine.history_version,
                 history_refreshes=engine.history_refreshes,

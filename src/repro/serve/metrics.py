@@ -1,7 +1,7 @@
 """Observability of the sharded detection service.
 
 Every shard reports one :class:`ShardStats` (points labeled, batched ticks,
-busy wall clock, queue depth, cache hit rate, streams, weight swaps);
+busy wall clock, queue depth, prefix-state hit rate, streams, weight swaps);
 :class:`ServiceMetrics` rolls the fleet view together, and
 :func:`metrics_to_registry` expresses it as the Prometheus exposition.
 """
@@ -237,7 +237,7 @@ class ServiceMetrics:
             f"{self.total_points} points labeled, "
             f"{self.streams_finalized} trips finalized "
             f"({self.streams_open} in flight), "
-            f"cache hit rate {self.cache_hit_rate:.1%}, "
+            f"prefix-state hit rate {self.cache_hit_rate:.1%}, "
             f"backpressure rejections {self.rejected_ingests} "
             f"({self.rejection_rate:.1%}), "
             f"{self.batched_ingests} batched ingests, "
@@ -253,7 +253,8 @@ class ServiceMetrics:
                 f"{shard.points_processed} pts in {shard.ticks} ticks "
                 f"(avg batch {shard.mean_tick_batch:.1f}), "
                 f"queue {shard.queue_depth}, pending {shard.pending_points}, "
-                f"cache {shard.cache_hit_rate:.1%}, swaps {shard.swaps}, "
+                f"prefix states {shard.cache_hit_rate:.1%}, "
+                f"swaps {shard.swaps}, "
                 f"history v{shard.history_version}")
         if self.bus:
             lines.append(
@@ -343,10 +344,12 @@ def metrics_to_registry(metrics: ServiceMetrics, registry=None):
                          help="Streams closed by this shard").inc(
             shard.streams_finalized)
         registry.counter("repro_shard_cache_hits_total", labels,
-                         help="Segment-feature cache hits").inc(
+                         help="Recurrent steps served from the prefix-state "
+                              "table").inc(
             shard.cache_hits)
         registry.counter("repro_shard_cache_misses_total", labels,
-                         help="Segment-feature cache misses").inc(
+                         help="Recurrent steps computed into the "
+                              "prefix-state table").inc(
             shard.cache_misses)
         registry.counter("repro_shard_swaps_total", labels,
                          help="Control-plane swaps applied").inc(shard.swaps)

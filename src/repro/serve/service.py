@@ -33,7 +33,7 @@ single ingest facade:
   the snapshot they opened with until finalize.
 * **Metrics.** :meth:`metrics` returns the fleet dashboard
   (:class:`~repro.serve.metrics.ServiceMetrics`): per-shard throughput,
-  queue depth, cache hit rate, swap counts.
+  queue depth, prefix-state hit rate, swap counts.
 
 * **Async result plane.** Beyond the synchronous request/reply calls, the
   service runs a push-based results bus (:mod:`repro.serve.resultbus`):

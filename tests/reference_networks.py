@@ -133,6 +133,17 @@ def rsrnet_step(rsrnet, h: np.ndarray, c: np.ndarray, token: int, nrf: int
     return z, step["h"], step["c"]
 
 
+def hidden_states(rsrnet, tokens: Sequence[int]) -> np.ndarray:
+    """``h_i`` of every segment of one route, shape ``(len(tokens), H)``:
+    one input-projection matmul for the route, then the library's
+    :meth:`~repro.nn.recurrent.LSTM.infer` from the zero state — the route
+    pass ``OnlineDetector`` ran before it kept prefix states, and the one
+    helper here that runs the library's kernel: it is the bit-level oracle
+    of the states the detector stores."""
+    return rsrnet.lstm.infer(rsrnet.lstm.cell.project_input(
+        rsrnet.segment_embedding.vectors(tokens)))[0]
+
+
 class ReferenceRSRNet:
     """Whole-trajectory forward, loss and gradient step of ``rsrnet``."""
 

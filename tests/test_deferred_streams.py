@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 from repro.config import (ASDNetConfig, LabelingConfig, RSRNetConfig,
                           TrainingConfig)
 from repro.core import RL4OASDTrainer, StreamEngine
+from repro.core import stream as stream_module
 from repro.history import clone_snapshot
 from repro.labeling import PreprocessingPipeline
 from repro.labeling.normal_routes import normal_transitions
@@ -224,7 +225,7 @@ def test_load_weights_restarts_half_stepped_streams(trained_model,
     engine = clone_model(trained_model).stream_engine(use_rnel=False)
     half_stepped_fleet(engine, fleet)
     engine.load_weights(snapshot["rsrnet"], snapshot["asdnet"])
-    assert all(stream.stepped == 0 and not stream.hidden_states
+    assert all(stream.stepped == 0 and not stream.hidden_rows
                for stream in engine._streams.values())
     results = finish_fleet(engine, fleet)
     for before, after in zip(expected, results):
@@ -310,26 +311,28 @@ def test_load_history_mid_stream_keeps_the_pinned_snapshot(trained_model,
                 == new.detect(trajectory).labels)
 
 
-def test_slot_pool_growth_keeps_stored_states(trained_model, dataset_split):
-    """Growing the recurrent-state pools past 64 slots reallocates them
-    under streams that are mid-recurrence."""
+def test_table_growth_and_compaction_keep_stored_states(
+        trained_model, dataset_split, monkeypatch):
+    """The prefix-state table grows past its first 64 rows, then compacts on
+    every tick, under streams that are mid-recurrence."""
     _, development, test = dataset_split
     pool = list(test) + list(development)
     fleet = [pool[index % len(pool)] for index in range(80)]
     detector = trained_model.detector()
     engine = trained_model.stream_engine()
-    for index, trajectory in enumerate(fleet[:64]):
-        open_stream(engine, index, trajectory, declare=index % 3 == 0)
-        feed(engine, index, trajectory, 1, len(trajectory) // 2)
-    quiesce(engine)
-    assert engine._capacity == 64
-    for index, trajectory in enumerate(fleet[64:], start=64):
-        open_stream(engine, index, trajectory, declare=index % 3 == 0)
-        feed(engine, index, trajectory, 1, len(trajectory) // 2)
-    assert engine._capacity == 128
     for index, trajectory in enumerate(fleet):
-        feed(engine, index, trajectory, len(trajectory) // 2, None)
+        open_stream(engine, index, trajectory, declare=index % 3 == 0)
+        feed(engine, index, trajectory, 1, len(trajectory) - 3)
+    quiesce(engine)
+    assert len(engine.states.hidden) > 64
+    monkeypatch.setattr(stream_module, "_MAX_PREFIX_ROWS", 1)
+    compact, compactions = engine.states.compact, []
+    monkeypatch.setattr(engine.states, "compact", lambda *args: (
+        compactions.append(args) or compact(*args)))
+    for index, trajectory in enumerate(fleet):
+        feed(engine, index, trajectory, len(trajectory) - 3, None)
         engine.tick()
+    assert len(compactions) == len(fleet)
     results = engine.finalize_many(list(range(len(fleet))))
     for trajectory, result in zip(fleet, results):
         assert result.labels == detector.detect(trajectory).labels

@@ -88,13 +88,17 @@ class Harness:
         model = clone_model(model)
         self.engine = model.stream_engine()
         self.widths = []
-        step_batch = model.rsrnet.step_batch
+        tick, states = self.engine.tick, self.engine.states
 
-        def recording_step(hidden, *args):
-            self.widths.append(len(hidden))
-            return step_batch(hidden, *args)
+        def recording_tick():
+            # A tick's width is its LSTM rows: one prefix-state lookup each.
+            before = states.hits + states.misses
+            labeled = tick()
+            if states.hits + states.misses > before:
+                self.widths.append(states.hits + states.misses - before)
+            return labeled
 
-        model.rsrnet.step_batch = recording_step
+        self.engine.tick = recording_tick
         self.sent, self.replies = [], []
         self.worker = ShardCore(0, self.engine, "harness", queue.Queue().qsize,
                                 self.replies.append, self.sent.append)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reference_detector import reference_labels
-from reference_networks import rsrnet_step
+from reference_networks import hidden_states, rsrnet_step
 from test_deferred_streams import feed, open_stream, perturbed_model
 
 from repro.core import OnlineDetector, replay_fleet
@@ -147,7 +147,8 @@ def test_label_route_reads_only_the_interior_states(models, dataset_split,
     for trajectory in sorted(test, key=len)[-4:] + [cut(test[0], 3)]:
         segments = trajectory.segments
         n = len(segments)
-        hidden = model.rsrnet.hidden_states(pipeline.vocabulary.tokens(segments))
+        hidden = hidden_states(model.rsrnet,
+                               pipeline.vocabulary.tokens(segments))
         degrees = ([(network.out_degree(a), network.in_degree(b))
                     for a, b in zip(segments, segments[1:-1])]
                    if use_rnel else None)
@@ -172,13 +173,13 @@ def test_hidden_states_match_the_step_loop(trained_model, dataset_split):
     for token in tokens:
         _, h, c = rsrnet_step(rsrnet, h, c, token, 0)
         stepped.append(h)
-    np.testing.assert_allclose(rsrnet.hidden_states(tokens),
+    np.testing.assert_allclose(hidden_states(rsrnet, tokens),
                                np.array(stepped), rtol=0.0, atol=1e-12)
-    assert rsrnet.hidden_states([]).shape == (0, rsrnet.config.hidden_dim)
+    assert hidden_states(rsrnet, []).shape == (0, rsrnet.config.hidden_dim)
     with pytest.raises(ModelError):
         rsrnet.lstm.infer(np.zeros((3, 5)))
     with pytest.raises(ModelError):
-        rsrnet.hidden_states([len(trained_model.pipeline.vocabulary)])
+        hidden_states(rsrnet, [len(trained_model.pipeline.vocabulary)])
 
 
 # ------------------------------------------------------------ cost contract
@@ -233,7 +234,12 @@ def test_lockstep_fleet_steps_every_point_but_the_destinations(
     engine = model.stream_engine()
     lstm_rows, _ = count_work(monkeypatch, model)
     results = replay_fleet(engine, fleet, concurrency=5)
-    assert sum(lstm_rows) == sum(len(t) - 1 for t in fleet)
+    # Every point but the destination is one prefix-state lookup; the gate
+    # kernel computes each distinct prefix once.
+    assert (engine.states.hits + engine.states.misses
+            == sum(len(t) - 1 for t in fleet))
+    assert sum(lstm_rows) == engine.states.misses == len(
+        {tuple(t.segments[:k]) for t in fleet for k in range(1, len(t))})
     assert engine.points_processed == sum(len(t) for t in fleet)
     for trajectory, result in zip(fleet, results):
         assert result.labels == reference_labels(model, trajectory)

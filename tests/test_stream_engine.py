@@ -17,6 +17,7 @@ from test_deferred_streams import (feed, open_stream, perturbed_model,
 
 from repro.exceptions import LabelingError, ModelError, TrajectoryError
 from repro.serve import clone_model
+from repro.trajectory import MatchedTrajectory
 from repro.trajectory.ops import interleave_streams
 
 
@@ -124,21 +125,32 @@ def test_cache_eviction_does_not_change_labels(trained_model, dataset_split):
     results = replay_fleet(engine, test[:10], concurrency=5)
     for trajectory, result in zip(test[:10], results):
         assert_results_match(detector.detect(trajectory), result)
-    # One lookup per LSTM row: every point but each trip's destination.
+    # One prefix-state lookup per LSTM row: every point but each trip's
+    # destination; one projection lookup per state computed.
     rows = sum(len(t) - 1 for t in test[:10])
-    assert engine.cache.hits + engine.cache.misses == rows
+    assert engine.states.hits + engine.states.misses == rows
+    assert engine.cache.hits + engine.cache.misses == engine.states.misses
 
 
 def test_cache_is_shared_across_the_fleet(trained_model, dataset_split):
     _, _, test = dataset_split
     engine = trained_model.stream_engine()
-    fleet = [test[0]] * 4  # identical trips: all but the first ride the cache
-    replay_fleet(engine, fleet, concurrency=4)
-    assert engine.cache.misses <= len(set(test[0].segments))
+    trip = test[0]
+    # Identical trips share every prefix state; the same road reached by
+    # another prefix (the trip cut at its source) shares the projections.
+    shifted = MatchedTrajectory(10 ** 6, trip.segments[1:],
+                                start_time_s=trip.start_time_s)
+    replay_fleet(engine, [trip] * 4, concurrency=4)
+    assert engine.states.misses == len(trip) - 1
+    assert engine.states.hits == 3 * (len(trip) - 1)
+    assert engine.cache.hits == 0
+    replay_fleet(engine, [shifted] * 2, concurrency=2)
+    assert engine.cache.misses <= len(set(trip.segments))
     assert engine.cache.hits > 0
     assert 0.0 < engine.cache.hit_rate <= 1.0
     engine.invalidate_cache()
     assert len(engine.cache) == 0
+    assert len(engine.states) == 1 and not engine.states.edges
 
 
 # ------------------------------------------------------------- error paths
@@ -274,12 +286,11 @@ def test_rejected_open_takes_no_slot(trained_model, dataset_split,
                                      start_time_s):
     """Opening fields are outside input: a start time that is not a finite
     real number is refused with a typed error, and a refused open — for
-    this or an unknown destination — leaves no stream and leaks no slot of
-    the state pool."""
+    this or an unknown destination — leaves no stream and computes no
+    state."""
     _, _, test = dataset_split
     trajectory = test[0]
     engine = trained_model.stream_engine()
-    free = len(engine._free_slots)
     for _ in range(3):
         with pytest.raises(TrajectoryError):
             engine.ingest("cab", trajectory.segments[0],
@@ -291,12 +302,12 @@ def test_rejected_open_takes_no_slot(trained_model, dataset_split,
         with pytest.raises(LabelingError):
             engine.ingest("cab", trajectory.segments[0], destination=10 ** 9)
         assert engine.active_vehicles == []
-        assert len(engine._free_slots) == free
+        assert len(engine.states) == 1 and not engine.step_waiting()
     # The same vehicle id opens normally afterwards.
     results = replay_fleet(engine, [trajectory], concurrency=1)
     assert_results_match(trained_model.detector().detect(trajectory),
                          results[0])
-    assert len(engine._free_slots) == free
+    assert engine.active_vehicles == []
 
 
 # ------------------------------------------------------- small unit pieces
@@ -317,8 +328,10 @@ def test_table_rows_fill_once_per_token_per_weight_version(trained_model,
     replay_fleet(engine, test[:10], concurrency=5)
     distinct = len(stepped_segments(test[:10]))
     assert engine.cache.misses == len(engine.cache) == distinct
+    prefixes = engine.states.misses
     replay_fleet(engine, test[:10], concurrency=3)  # all hits
     assert engine.cache.misses == len(engine.cache) == distinct
+    assert engine.states.misses == prefixes
     # A new weight version empties the table; the same traffic fills the
     # same rows again, once each.
     engine.load_weights(trained_model.rsrnet.state_dict(),
@@ -327,8 +340,12 @@ def test_table_rows_fill_once_per_token_per_weight_version(trained_model,
     replay_fleet(engine, test[:10], concurrency=5)
     assert len(engine.cache) == distinct
     assert engine.cache.misses == 2 * distinct
+    # Every LSTM row is one prefix-state lookup, every state computed one
+    # projection lookup.
     rows = 3 * sum(len(t) - 1 for t in test[:10])
-    assert engine.cache.hits + engine.cache.misses == rows
+    assert engine.states.hits + engine.states.misses == rows
+    assert engine.states.misses == 2 * prefixes
+    assert engine.cache.hits + engine.cache.misses == engine.states.misses
     # Fixed-size whatever the traffic.
     assert engine.cache.nbytes == table_bytes
 
