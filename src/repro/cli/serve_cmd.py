@@ -16,31 +16,7 @@ __all__ = ["register", "run"]
 
 
 def run(args) -> int:
-    options = SoakOptions(
-        fixes=args.fixes,
-        duration_s=args.duration,
-        city=args.city,
-        smoke=args.smoke,
-        shards=args.shards,
-        backend=args.backend,
-        queue_depth=args.queue_depth,
-        concurrency=args.concurrency,
-        ingest_batch=args.ingest_batch,
-        drift_parts=args.drift_parts,
-        fine_tune_trips=args.fine_tune_trips,
-        trace_sample_rate=args.trace_sample_rate,
-        scrape_interval_s=args.scrape_interval,
-        windows=args.windows,
-        flatness=args.flatness,
-        port=args.port,
-        record=args.record,
-        rules_file=args.rules,
-        quiet=args.quiet,
-        roll_forward_s=args.roll_forward,
-        roll_window_s=args.roll_window,
-        roll_archive=args.roll_archive,
-    )
-    harness = SoakHarness(options)
+    harness = SoakHarness(SoakOptions.from_args(args))
     try:
         report = harness.run()
     except KeyboardInterrupt:

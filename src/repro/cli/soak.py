@@ -78,6 +78,34 @@ class SoakOptions:
     roll_window_s: float = 600.0
     roll_archive: Optional[str] = None
 
+    @classmethod
+    def from_args(cls, args) -> "SoakOptions":
+        """The options :func:`add_soak_arguments` parsed into ``args``."""
+        return cls(
+            fixes=args.fixes,
+            duration_s=args.duration,
+            city=args.city,
+            smoke=args.smoke,
+            shards=args.shards,
+            backend=args.backend,
+            queue_depth=args.queue_depth,
+            concurrency=args.concurrency,
+            ingest_batch=args.ingest_batch,
+            drift_parts=args.drift_parts,
+            fine_tune_trips=args.fine_tune_trips,
+            trace_sample_rate=args.trace_sample_rate,
+            scrape_interval_s=args.scrape_interval,
+            windows=args.windows,
+            flatness=args.flatness,
+            port=args.port,
+            record=args.record,
+            rules_file=args.rules,
+            quiet=args.quiet,
+            roll_forward_s=args.roll_forward,
+            roll_window_s=args.roll_window,
+            roll_archive=args.roll_archive,
+        )
+
 
 class SoakHarness:
     """One soak run: build, drive, scrape, judge. ``run()`` returns the
@@ -323,40 +351,15 @@ class SoakHarness:
 
 
 def run(args) -> int:
-    options = SoakOptions(
-        fixes=args.fixes,
-        duration_s=args.duration,
-        city=args.city,
-        smoke=args.smoke,
-        shards=args.shards,
-        backend=args.backend,
-        queue_depth=args.queue_depth,
-        concurrency=args.concurrency,
-        ingest_batch=args.ingest_batch,
-        drift_parts=args.drift_parts,
-        fine_tune_trips=args.fine_tune_trips,
-        trace_sample_rate=args.trace_sample_rate,
-        scrape_interval_s=args.scrape_interval,
-        windows=args.windows,
-        flatness=args.flatness,
-        port=args.port,
-        record=args.record,
-        rules_file=args.rules,
-        quiet=args.quiet,
-        roll_forward_s=args.roll_forward,
-        roll_window_s=args.roll_window,
-        roll_archive=args.roll_archive,
-    )
-    if args.smoke:
-        if args.fixes == 1_000_000:
-            options.fixes = SMOKE_FIXES
-        options.smoke = True
+    options = SoakOptions.from_args(args)
+    if args.smoke and args.fixes == 1_000_000:
+        options.fixes = SMOKE_FIXES
     report = SoakHarness(options).run()
     return 0 if report.passed else 1
 
 
-def add_soak_arguments(parser, fixes_default: Optional[int] = 1_000_000,
-                       smoke: bool = True) -> None:
+def add_soak_arguments(parser,
+                       fixes_default: Optional[int] = 1_000_000) -> None:
     """The knobs ``soak`` and ``serve`` share."""
     parser.add_argument("--fixes", type=int, default=fixes_default,
                         help="raw GPS fixes to push (admission-budgeted); "
@@ -366,10 +369,9 @@ def add_soak_arguments(parser, fixes_default: Optional[int] = 1_000_000,
                              "seconds (combines with --fixes)")
     parser.add_argument("--city", default="chengdu",
                         choices=("chengdu", "xian"))
-    if smoke:
-        parser.add_argument("--smoke", action="store_true",
-                            help=f"CI preset: ~{SMOKE_FIXES:,} fixes, "
-                                 "seconds-scale training")
+    parser.add_argument("--smoke", action="store_true",
+                        help=f"CI preset: ~{SMOKE_FIXES:,} fixes, "
+                             "seconds-scale training")
     parser.add_argument("--shards", type=int, default=2)
     parser.add_argument("--backend", default="process",
                         choices=("process", "inprocess"))

@@ -170,8 +170,7 @@ class RL4OASDModel:
 
         Keyword arguments are those of
         :class:`~repro.serve.service.DetectionService` (``num_shards``,
-        ``backend``, ``queue_depth``, ``start_method``, plus stream-engine
-        overrides).
+        ``backend``, ``queue_depth``, ``start_method``, ``obs``).
         """
         from ..serve.service import DetectionService
 

@@ -56,7 +56,7 @@ from __future__ import annotations
 import bisect
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import (Deque, Dict, Hashable, List, NamedTuple, Optional,
                     Sequence, Tuple)
 
@@ -422,27 +422,20 @@ class GpsGateway:
     # -------------------------------------------------------------- metrics
     def stats(self) -> GatewayStats:
         """A point-in-time snapshot of the gateway's input funnel."""
-        stats = GatewayStats(**{
-            name: getattr(self._stats, name)
-            for name in ("raw_points", "matched_points", "segments_emitted",
-                         "late_dropped", "duplicates_dropped",
-                         "unmatched_dropped", "sessions_opened",
-                         "sessions_closed", "sessions_dropped",
-                         "sessions_broken", "gap_splits", "session_timeouts",
-                         "vehicles_evicted", "batched_flushes")})
         matcher = self._matcher
-        stats.commits = matcher.commits
-        stats.forced_commits = matcher.forced_commits
-        stats.max_commit_lag = matcher.max_commit_lag
-        stats.mean_commit_lag = matcher.mean_commit_lag
         cache = matcher.matcher.distance_cache
-        stats.distance_cache_pairs = len(cache)
-        stats.distance_cache_hits = cache.hits
-        stats.distance_cache_misses = cache.misses
-        stats.distance_cache_evictions = cache.evictions
-        stats.reorder_buffered = sum(len(state.buffer)
-                                     for state in self._vehicles.values())
-        return stats
+        return replace(
+            self._stats,
+            commits=matcher.commits,
+            forced_commits=matcher.forced_commits,
+            max_commit_lag=matcher.max_commit_lag,
+            mean_commit_lag=matcher.mean_commit_lag,
+            reorder_buffered=sum(len(state.buffer)
+                                 for state in self._vehicles.values()),
+            distance_cache_pairs=len(cache),
+            distance_cache_hits=cache.hits,
+            distance_cache_misses=cache.misses,
+            distance_cache_evictions=cache.evictions)
 
     def metrics(self) -> ServiceMetrics:
         """The service's fleet dashboard with this gateway's funnel attached."""

@@ -638,15 +638,13 @@ class InProcessBackend(ServiceBackend):
     name = "inprocess"
 
     def __init__(self, model, num_shards: int, queue_depth: int,
-                 engine_overrides: Optional[dict] = None,
                  obs_options: Optional[dict] = None):
         super().__init__(num_shards)
-        overrides = dict(engine_overrides or {})
         self._queue_depth = queue_depth
         self._replies: List[tuple] = []
         self._queues: List[Deque[tuple]] = [deque() for _ in range(num_shards)]
         self._cores = [
-            ShardCore(shard_id, model.stream_engine(**overrides), self.name,
+            ShardCore(shard_id, model.stream_engine(), self.name,
                       queue.__len__, self._replies.append,
                       self._arrived[shard_id].extend, obs_options)
             for shard_id, queue in enumerate(self._queues)]
@@ -720,12 +718,11 @@ class InProcessBackend(ServiceBackend):
 
 
 # ------------------------------------------------------------ multi-process
-def _shard_worker(shard_id: int, blob: bytes, engine_overrides: dict,
-                  commands, results, bus_writer,
+def _shard_worker(shard_id: int, blob: bytes, commands, results, bus_writer,
                   obs_options: Optional[dict] = None) -> None:
     """Worker process main: rebuild the model from its pickled snapshot and
     run its :class:`ShardCore` until ``stop``, one command at a time."""
-    engine = model_from_bytes(blob).stream_engine(**engine_overrides)
+    engine = model_from_bytes(blob).stream_engine()
     core = ShardCore(shard_id, engine, ProcessBackend.name,
                      lambda: _safe_qsize(commands), results.put,
                      lambda batch: bus_writer.send_bytes(pack_frame(batch)),
@@ -749,8 +746,7 @@ def _safe_qsize(q) -> int:
 class _ProcessShard:
     """The facade's end of one shard worker: its process and channels."""
 
-    def __init__(self, shard_id: int, context, blob: bytes,
-                 engine_overrides: dict, queue_depth: int,
+    def __init__(self, shard_id: int, context, blob: bytes, queue_depth: int,
                  obs_options: Optional[dict] = None):
         self.shard_id = shard_id
         self.commands = context.Queue(maxsize=queue_depth)
@@ -762,8 +758,8 @@ class _ProcessShard:
         self.bus, bus_writer = context.Pipe(duplex=False)
         self.process = context.Process(
             target=_shard_worker,
-            args=(shard_id, blob, engine_overrides, self.commands,
-                  self.results, bus_writer, obs_options),
+            args=(shard_id, blob, self.commands, self.results, bus_writer,
+                  obs_options),
             daemon=True,
             name=f"repro-serve-shard-{shard_id}",
         )
@@ -778,7 +774,6 @@ class ProcessBackend(ServiceBackend):
     name = "process"
 
     def __init__(self, blob: bytes, num_shards: int, queue_depth: int,
-                 engine_overrides: Optional[dict] = None,
                  start_method: Optional[str] = None,
                  obs_options: Optional[dict] = None):
         import multiprocessing
@@ -790,8 +785,7 @@ class ProcessBackend(ServiceBackend):
         try:
             for shard_id in range(num_shards):
                 self._shards.append(_ProcessShard(
-                    shard_id, context, blob, dict(engine_overrides or {}),
-                    queue_depth, obs_options))
+                    shard_id, context, blob, queue_depth, obs_options))
         except BaseException:
             # The workers already started each hold a model: stop them
             # rather than leave them to this process's exit.

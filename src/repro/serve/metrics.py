@@ -4,31 +4,79 @@ Every shard reports one :class:`ShardStats` (points labeled, batched ticks,
 busy wall clock, queue depth, prefix-state hit rate, streams, weight swaps);
 :class:`ServiceMetrics` rolls the fleet view together, and
 :func:`metrics_to_registry` expresses it as the Prometheus exposition.
+
+Each exported field declares its own exposition: :func:`counter` and
+:func:`gauge` are ``dataclasses.field`` with the metric kind and help text,
+and the metric is named ``repro_<scope>_<field>`` (plus ``_total`` for a
+counter) after its class's ``metric_scope``. Adding a fleet metric is one
+such field plus the code that fills it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass, field, fields
+from functools import lru_cache
+from typing import ClassVar, Dict, List, Optional, Tuple
+
+
+def counter(help: str, name: Optional[str] = None,
+            label: Optional[Tuple[str, str]] = None, default=0):
+    """A stats field exported as a counter.
+
+    ``name`` replaces the derived metric name; ``label`` is one fixed
+    ``(key, value)`` pair on the field's sample, so fields sharing a
+    ``name`` form one labelled family.
+    """
+    return field(default=default, metadata={
+        "kind": "counter", "help": help, "name": name,
+        "labels": (label,) if label else ()})
+
+
+def gauge(help: str):
+    """A stats field exported as a gauge (named without ``_total``)."""
+    return field(default=0, metadata={
+        "kind": "gauge", "help": help, "name": None, "labels": ()})
+
+
+@lru_cache(maxsize=None)
+def exported_fields(stats_type) -> Tuple[tuple, ...]:
+    """``(attribute, kind, metric name, fixed labels, help)`` for each field
+    of ``stats_type`` declared with :func:`counter` or :func:`gauge`."""
+    exported = []
+    for spec in fields(stats_type):
+        kind = spec.metadata.get("kind")
+        if kind is not None:
+            name = spec.metadata["name"] or (
+                f"repro_{stats_type.metric_scope}_{spec.name}"
+                + ("_total" if kind == "counter" else ""))
+            exported.append((spec.name, kind, name, spec.metadata["labels"],
+                             spec.metadata["help"]))
+    return tuple(exported)
 
 
 @dataclass
 class ShardStats:
     """A point-in-time snapshot of one worker shard."""
 
+    metric_scope: ClassVar[str] = "shard"
+
     shard_id: int
     backend: str
-    points_processed: int = 0
-    ticks: int = 0
-    busy_seconds: float = 0.0
-    queue_depth: int = 0
-    pending_points: int = 0
-    streams_open: int = 0
-    streams_finalized: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    swaps: int = 0
-    history_version: int = 0
+    points_processed: int = counter("Points labeled by this shard")
+    ticks: int = counter("Batched ticks run by this shard")
+    busy_seconds: float = counter("Wall clock this shard spent working",
+                                  default=0.0)
+    queue_depth: int = gauge("Commands waiting in the shard queue")
+    pending_points: int = gauge("Points ingested but not yet labeled")
+    streams_open: int = gauge("Streams currently in flight")
+    streams_finalized: int = counter("Streams closed by this shard")
+    cache_hits: int = counter(
+        "Recurrent steps served from the prefix-state table")
+    cache_misses: int = counter(
+        "Recurrent steps computed into the prefix-state table")
+    swaps: int = counter("Control-plane swaps applied")
+    history_version: int = gauge(
+        "History snapshot version this shard serves")
     history_refreshes: int = 0
     #: Memo values of the history lineage this shard serves (it restarts
     #: with a full-snapshot swap): derived from a whole SD-pair group on a
@@ -64,18 +112,30 @@ class BusStats:
     it 0.
     """
 
+    metric_scope: ClassVar[str] = "bus"
+
     shard_id: int
-    published: int = 0
-    delivered: int = 0
-    redelivered: int = 0
-    acked_seq: int = 0
-    depth: int = 0
-    unacked: int = 0
+    published: int = counter("Envelopes published on the shard bus")
+    delivered: int = counter("Envelopes taken toward the facade")
+    redelivered: int = counter("Envelopes re-queued by a replay")
+    acked_seq: int = gauge("Highest acknowledged sequence number")
+    depth: int = gauge("Published, not yet taken")
+    unacked: int = gauge("Taken, not yet acknowledged")
 
     @property
     def lag(self) -> int:
         """Published envelopes not yet acknowledged by the facade."""
         return self.depth + self.unacked
+
+
+def _dropped(reason: str):
+    return counter("Fixes dropped at the gateway",
+                   "repro_gateway_dropped_points_total", ("reason", reason))
+
+
+def _session(event: str):
+    return counter("Session lifecycle events",
+                   "repro_gateway_sessions_total", ("event", event))
 
 
 @dataclass
@@ -96,29 +156,35 @@ class GatewayStats:
     recency contract); these four numbers are how an operator checks that.
     """
 
-    raw_points: int = 0
-    matched_points: int = 0
-    segments_emitted: int = 0
-    late_dropped: int = 0
-    duplicates_dropped: int = 0
-    unmatched_dropped: int = 0
-    sessions_opened: int = 0
-    sessions_closed: int = 0
-    sessions_dropped: int = 0
-    sessions_broken: int = 0
-    gap_splits: int = 0
-    session_timeouts: int = 0
-    vehicles_evicted: int = 0
-    commits: int = 0
-    forced_commits: int = 0
+    metric_scope: ClassVar[str] = "gateway"
+
+    raw_points: int = counter("Raw GPS fixes pushed into the gateway")
+    matched_points: int = counter("Fixes matched to a road segment")
+    segments_emitted: int = counter("Segments forwarded into the service")
+    late_dropped: int = _dropped("late")
+    duplicates_dropped: int = _dropped("duplicate")
+    unmatched_dropped: int = _dropped("unmatchable")
+    sessions_opened: int = _session("opened")
+    sessions_closed: int = _session("closed")
+    sessions_dropped: int = _session("dropped")
+    sessions_broken: int = _session("broken")
+    gap_splits: int = _session("gap_split")
+    session_timeouts: int = _session("timeout")
+    vehicles_evicted: int = _session("evicted")
+    commits: int = counter("Online match commits")
+    forced_commits: int = counter("Window-forced match commits")
     max_commit_lag: int = 0
     mean_commit_lag: float = 0.0
-    batched_flushes: int = 0
-    reorder_buffered: int = 0
-    distance_cache_pairs: int = 0
-    distance_cache_hits: int = 0
-    distance_cache_misses: int = 0
-    distance_cache_evictions: int = 0
+    batched_flushes: int = counter("Batched ingest flushes")
+    reorder_buffered: int = gauge("Fixes held in reorder buffers")
+    distance_cache_pairs: int = gauge(
+        "Segment pairs held by the matcher's distance cache")
+    distance_cache_hits: int = counter(
+        "Segment pairs served from the matcher's distance cache")
+    distance_cache_misses: int = counter(
+        "Segment pairs routed into the matcher's distance cache")
+    distance_cache_evictions: int = counter(
+        "Segment pairs evicted from the matcher's distance cache")
 
     @property
     def dropped_points(self) -> int:
@@ -154,31 +220,46 @@ class GatewayStats:
 
 @dataclass
 class ServiceMetrics:
-    """The fleet view: all shard snapshots plus service-level counters."""
+    """The fleet view: all shard snapshots plus service-level counters.
+
+    :class:`~repro.serve.service.DetectionService` counts into one of these
+    as it runs; :meth:`~repro.serve.service.DetectionService.metrics`
+    copies it with the shard, bus and result fields filled in.
+    """
+
+    metric_scope: ClassVar[str] = "service"
 
     shards: List[ShardStats] = field(default_factory=list)
-    accepted_ingests: int = 0
-    rejected_ingests: int = 0
-    batched_ingests: int = 0
-    async_finalizes: int = 0
-    model_version: int = 0
-    history_version: int = 0
-    history_refreshes: int = 0
+    accepted_ingests: int = counter("Ingest events accepted")
+    rejected_ingests: int = counter("Ingest events rejected (backpressure)")
+    batched_ingests: int = counter("Batched ingest commands delivered")
+    async_finalizes: int = counter("Streams closed through the data plane")
+    model_version: int = gauge("Model version the shards serve")
+    history_version: int = gauge("History snapshot version the shards serve")
+    history_refreshes: int = counter("Fleet-wide history hot-refreshes")
     #: History refreshes that rode the delta control plane (only the
     #: appended trajectories on the wire) vs. full-snapshot broadcasts,
     #: plus the serialized history payload bytes across both forms — the
     #: numbers that certify delta swaps are actually cheap.
-    delta_swaps: int = 0
-    full_swaps: int = 0
-    swap_payload_bytes: int = 0
+    delta_swaps: int = counter(
+        "History refreshes broadcast as version-keyed deltas",
+        "repro_history_delta_swaps_total")
+    full_swaps: int = counter("History refreshes broadcast as full snapshots",
+                              "repro_history_full_swaps_total")
+    swap_payload_bytes: int = counter(
+        "Serialized history payload bytes across all swaps",
+        "repro_history_swap_bytes_total")
     gateway: Optional[GatewayStats] = None
     bus: List[BusStats] = field(default_factory=list)
-    results_delivered: int = 0
-    results_duplicates: int = 0
-    results_pending: int = 0
+    results_delivered: int = counter("Envelopes accepted at the facade")
+    results_duplicates: int = counter(
+        "Redelivered envelopes dropped by the watermark")
+    results_pending: int = gauge("Async closes still in flight")
     #: Sequence-number gaps observed by the facade's :class:`BusCollector`
     #: — the at-least-once certificate. Zero means no result was ever lost.
-    results_gaps: int = 0
+    results_gaps: int = counter(
+        "Sequence gaps seen by the facade collector (0 = no loss)",
+        "repro_bus_gaps_total")
 
     @property
     def num_shards(self) -> int:
@@ -283,155 +364,24 @@ def metrics_to_registry(metrics: ServiceMetrics, registry=None):
     from ..obs.registry import MetricsRegistry
 
     registry = registry if registry is not None else MetricsRegistry()
-    service_counters = {
-        "repro_service_accepted_ingests_total":
-            (metrics.accepted_ingests, "Ingest events accepted"),
-        "repro_service_rejected_ingests_total":
-            (metrics.rejected_ingests, "Ingest events rejected (backpressure)"),
-        "repro_service_batched_ingests_total":
-            (metrics.batched_ingests, "Batched ingest commands delivered"),
-        "repro_service_async_finalizes_total":
-            (metrics.async_finalizes, "Streams closed through the data plane"),
-        "repro_service_history_refreshes_total":
-            (metrics.history_refreshes, "Fleet-wide history hot-refreshes"),
-        "repro_history_delta_swaps_total":
-            (metrics.delta_swaps,
-             "History refreshes broadcast as version-keyed deltas"),
-        "repro_history_full_swaps_total":
-            (metrics.full_swaps,
-             "History refreshes broadcast as full snapshots"),
-        "repro_history_swap_bytes_total":
-            (metrics.swap_payload_bytes,
-             "Serialized history payload bytes across all swaps"),
-        "repro_service_results_delivered_total":
-            (metrics.results_delivered, "Envelopes accepted at the facade"),
-        "repro_service_results_duplicates_total":
-            (metrics.results_duplicates,
-             "Redelivered envelopes dropped by the watermark"),
-        "repro_bus_gaps_total":
-            (metrics.results_gaps,
-             "Sequence gaps seen by the facade collector (0 = no loss)"),
-    }
-    for name, (value, help_text) in service_counters.items():
-        registry.counter(name, help=help_text).inc(value)
+    _export(registry, metrics)
     for how, count in metrics.history_derived.items():
         registry.counter("repro_history_derived_total", {"how": how},
                          help="Per-group statistics and route tallies "
                               "computed from a whole group, or extended by "
                               "what a refresh appended").inc(count)
-    registry.gauge("repro_service_model_version",
-                   help="Model version the shards serve").set(
-        metrics.model_version)
-    registry.gauge("repro_service_history_version",
-                   help="History snapshot version the shards serve").set(
-        metrics.history_version)
-    registry.gauge("repro_service_results_pending",
-                   help="Async closes still in flight").set(
-        metrics.results_pending)
-
-    for shard in metrics.shards:
-        labels = {"shard": str(shard.shard_id)}
-        registry.counter("repro_shard_points_processed_total", labels,
-                         help="Points labeled by this shard").inc(
-            shard.points_processed)
-        registry.counter("repro_shard_ticks_total", labels,
-                         help="Batched ticks run by this shard").inc(
-            shard.ticks)
-        registry.counter("repro_shard_busy_seconds_total", labels,
-                         help="Wall clock this shard spent working").inc(
-            shard.busy_seconds)
-        registry.counter("repro_shard_streams_finalized_total", labels,
-                         help="Streams closed by this shard").inc(
-            shard.streams_finalized)
-        registry.counter("repro_shard_cache_hits_total", labels,
-                         help="Recurrent steps served from the prefix-state "
-                              "table").inc(
-            shard.cache_hits)
-        registry.counter("repro_shard_cache_misses_total", labels,
-                         help="Recurrent steps computed into the "
-                              "prefix-state table").inc(
-            shard.cache_misses)
-        registry.counter("repro_shard_swaps_total", labels,
-                         help="Control-plane swaps applied").inc(shard.swaps)
-        registry.gauge("repro_shard_queue_depth", labels,
-                       help="Commands waiting in the shard queue").set(
-            shard.queue_depth)
-        registry.gauge("repro_shard_pending_points", labels,
-                       help="Points ingested but not yet labeled").set(
-            shard.pending_points)
-        registry.gauge("repro_shard_streams_open", labels,
-                       help="Streams currently in flight").set(
-            shard.streams_open)
-        registry.gauge("repro_shard_history_version", labels,
-                       help="History snapshot version this shard serves").set(
-            shard.history_version)
-
-    for bus in metrics.bus:
-        labels = {"shard": str(bus.shard_id)}
-        registry.counter("repro_bus_published_total", labels,
-                         help="Envelopes published on the shard bus").inc(
-            bus.published)
-        registry.counter("repro_bus_delivered_total", labels,
-                         help="Envelopes taken toward the facade").inc(
-            bus.delivered)
-        registry.counter("repro_bus_redelivered_total", labels,
-                         help="Envelopes re-queued by a replay").inc(
-            bus.redelivered)
-        registry.gauge("repro_bus_acked_seq", labels,
-                       help="Highest acknowledged sequence number").set(
-            bus.acked_seq)
-        registry.gauge("repro_bus_depth", labels,
-                       help="Published, not yet taken").set(bus.depth)
-        registry.gauge("repro_bus_unacked", labels,
-                       help="Taken, not yet acknowledged").set(bus.unacked)
-
-    gateway = metrics.gateway
-    if gateway is not None:
-        registry.counter("repro_gateway_raw_points_total",
-                         help="Raw GPS fixes pushed into the gateway").inc(
-            gateway.raw_points)
-        registry.counter("repro_gateway_matched_points_total",
-                         help="Fixes matched to a road segment").inc(
-            gateway.matched_points)
-        registry.counter("repro_gateway_segments_emitted_total",
-                         help="Segments forwarded into the service").inc(
-            gateway.segments_emitted)
-        for reason, count in (("late", gateway.late_dropped),
-                              ("duplicate", gateway.duplicates_dropped),
-                              ("unmatchable", gateway.unmatched_dropped)):
-            registry.counter("repro_gateway_dropped_points_total",
-                             {"reason": reason},
-                             help="Fixes dropped at the gateway").inc(count)
-        for event, count in (("opened", gateway.sessions_opened),
-                             ("closed", gateway.sessions_closed),
-                             ("dropped", gateway.sessions_dropped),
-                             ("broken", gateway.sessions_broken),
-                             ("gap_split", gateway.gap_splits),
-                             ("timeout", gateway.session_timeouts),
-                             ("evicted", gateway.vehicles_evicted)):
-            registry.counter("repro_gateway_sessions_total", {"event": event},
-                             help="Session lifecycle events").inc(count)
-        registry.counter("repro_gateway_commits_total",
-                         help="Online match commits").inc(gateway.commits)
-        registry.counter("repro_gateway_forced_commits_total",
-                         help="Window-forced match commits").inc(
-            gateway.forced_commits)
-        registry.counter("repro_gateway_batched_flushes_total",
-                         help="Batched ingest flushes").inc(
-            gateway.batched_flushes)
-        registry.gauge("repro_gateway_reorder_buffered",
-                       help="Fixes held in reorder buffers").set(
-            gateway.reorder_buffered)
-        registry.gauge("repro_gateway_distance_cache_pairs",
-                       help="Segment pairs held by the matcher's distance "
-                            "cache").set(gateway.distance_cache_pairs)
-        for name, count, what in (
-                ("hits", gateway.distance_cache_hits, "served from"),
-                ("misses", gateway.distance_cache_misses, "routed into"),
-                ("evictions", gateway.distance_cache_evictions,
-                 "evicted from")):
-            registry.counter(
-                f"repro_gateway_distance_cache_{name}_total",
-                help=f"Segment pairs {what} the matcher's distance cache"
-            ).inc(count)
+    for stats in (*metrics.shards, *metrics.bus):
+        _export(registry, stats, (("shard", str(stats.shard_id)),))
+    if metrics.gateway is not None:
+        _export(registry, metrics.gateway)
     return registry
+
+
+def _export(registry, stats, labels: Tuple[Tuple[str, str], ...] = ()):
+    """Write every declared field of one stats object into ``registry``."""
+    for attr, kind, name, fixed, help_text in exported_fields(type(stats)):
+        metric = getattr(registry, kind)(name, labels + fixed, help=help_text)
+        if kind == "counter":
+            metric.inc(getattr(stats, attr))
+        else:
+            metric.set(getattr(stats, attr))

@@ -54,6 +54,7 @@ round-trip-per-call driver it replaced.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import time
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
@@ -107,7 +108,6 @@ class DetectionService:
         queue_depth: int = 256,
         start_method: Optional[str] = None,
         obs: Optional[ObsConfig] = None,
-        **engine_overrides,
     ):
         if num_shards < 1:
             raise ServiceError("num_shards must be >= 1")
@@ -125,24 +125,17 @@ class DetectionService:
         self._open: Dict[Hashable, int] = {}
         self._pending_results: Dict[Hashable, int] = {}  # vehicle -> shard
         self._collector = BusCollector(num_shards)
-        self._accepted = 0
-        self._rejected = 0
-        self._batched_ingests = 0
-        self._async_finalizes = 0
-        self._model_version = 1
-        self._history_version = model.pipeline.history.version
-        self._history_refreshes = 0
+        # The facade's own counters; metrics() adds the shard and bus views.
+        self._stats = ServiceMetrics(
+            model_version=1, history_version=model.pipeline.history.version)
         # Delta control plane state: the last history version each shard
-        # acknowledged (all shards start on the construction snapshot), the
-        # swap-form counters, and the segments already proven to be in the
-        # serving vocabulary — the vocabulary is immutable for the service's
-        # lifetime, so a segment validated once never needs re-checking and
-        # a delta swap validates only the segments the delta introduces.
+        # acknowledged (all shards start on the construction snapshot) and
+        # the segments already proven to be in the serving vocabulary — the
+        # vocabulary is immutable for the service's lifetime, so a segment
+        # validated once never needs re-checking and a delta swap validates
+        # only the segments the delta introduces.
         self._shard_history_acks: List[Optional[int]] = (
-            [self._history_version] * num_shards)
-        self._delta_swaps = 0
-        self._full_swaps = 0
-        self._swap_payload_bytes = 0
+            [self._stats.history_version] * num_shards)
         self._validated_segments: set = set()
         self._closed = False
         # Observability is strictly opt-in: with no ObsConfig the facade
@@ -166,13 +159,12 @@ class DetectionService:
         self._metrics_servers: List[MetricsServer] = []
         if backend == "inprocess":
             self._backend: ServiceBackend = InProcessBackend(
-                clone_model(model), num_shards, queue_depth, engine_overrides,
+                clone_model(model), num_shards, queue_depth,
                 obs_options=obs_options)
         elif backend == "process":
             self._backend = ProcessBackend(
                 model_to_bytes(model), num_shards, queue_depth,
-                engine_overrides, start_method=start_method,
-                obs_options=obs_options)
+                start_method=start_method, obs_options=obs_options)
         else:
             raise ServiceError(
                 f"unknown backend {backend!r}; use 'inprocess' or 'process'")
@@ -202,7 +194,7 @@ class DetectionService:
     @property
     def model_version(self) -> int:
         """Bumped by every successful swap carrying weights."""
-        return self._model_version
+        return self._stats.model_version
 
     @property
     def history_version(self) -> int:
@@ -214,7 +206,7 @@ class DetectionService:
         pinned by the model at construction and updated by every successful
         swap carrying history.
         """
-        return self._history_version
+        return self._stats.history_version
 
     @property
     def closed(self) -> bool:
@@ -255,7 +247,7 @@ class DetectionService:
             trace),))
         (shard, columns), = by_shard.items()
         if not self._backend.ingest_batch(shard, columns):
-            self._rejected += 1
+            self._stats.rejected_ingests += 1
             return IngestStatus.RETRY_LATER
         self._ingest_delivered(openers, batched=False)(shard, columns)
         return IngestStatus.ACCEPTED
@@ -360,9 +352,9 @@ class DetectionService:
     def _ingest_delivered(self, openers: Dict[int, List[Hashable]],
                           batched: bool):
         def delivered(shard: int, columns: tuple) -> None:
-            self._accepted += len(columns[0])
+            self._stats.accepted_ingests += len(columns[0])
             if batched:
-                self._batched_ingests += 1
+                self._stats.batched_ingests += 1
             # Track this shard's new streams immediately, so a failure on a
             # *later* shard cannot leave delivered streams untracked.
             for vehicle_id in openers.get(shard, ()):
@@ -382,11 +374,12 @@ class DetectionService:
         ``delivered`` runs right after each delivery, before any later
         shard can fail. Returns the refusals ridden out.
         """
-        rejected_before = self._rejected
+        stats = self._stats
+        rejected_before = stats.rejected_ingests
         for shard, batch in by_shard.items():
             refusals = 0
             while not send(shard, batch):
-                self._rejected += 1
+                stats.rejected_ingests += 1
                 refusals += 1
                 if refusals > max_retries:
                     raise ServiceError(
@@ -395,7 +388,7 @@ class DetectionService:
                 if self.pump() == 0:
                     time.sleep(retry_wait_s)
             delivered(shard, batch)
-        return self._rejected - rejected_before
+        return stats.rejected_ingests - rejected_before
 
     def _admit(self, request: IngestEvent, opens: bool) -> IngestEvent:
         """Validate one point and normalize it to its queued event: the
@@ -501,7 +494,7 @@ class DetectionService:
         by_shard = self._plan_close(vehicle_ids, "finalize_async")
 
         def delivered(shard: int, ids: List[Hashable]) -> None:
-            self._async_finalizes += 1
+            self._stats.async_finalizes += 1
             for vehicle_id in ids:
                 del self._open[vehicle_id]
                 self._pending_results[vehicle_id] = shard
@@ -691,21 +684,22 @@ class DetectionService:
                 # must stay off.
                 self._shard_history_acks = [None] * self._num_shards
             raise
+        stats = self._stats
         if snapshot is not None:
-            self._model_version += 1
+            stats.model_version += 1
         if history_snapshot is not None:
-            self._history_version = history_snapshot.version
-            self._history_refreshes += 1
+            stats.history_version = history_snapshot.version
+            stats.history_refreshes += 1
             self._shard_history_acks = (
                 [history_snapshot.version] * self._num_shards)
             if delta is not None:
-                self._delta_swaps += 1
-                self._swap_payload_bytes += len(delta_to_bytes(delta))
+                stats.delta_swaps += 1
+                stats.swap_payload_bytes += len(delta_to_bytes(delta))
             else:
-                self._full_swaps += 1
-                self._swap_payload_bytes += len(
+                stats.full_swaps += 1
+                stats.swap_payload_bytes += len(
                     snapshot_to_bytes(history_snapshot))
-        return self._model_version, self._history_version
+        return stats.model_version, stats.history_version
 
     def _coerce_history(
         self, history
@@ -789,24 +783,14 @@ class DetectionService:
     def metrics(self) -> ServiceMetrics:
         """A point-in-time fleet dashboard (see :class:`ServiceMetrics`)."""
         self._require_open_service()
-        return ServiceMetrics(
+        return dataclasses.replace(
+            self._stats,
             shards=self._backend.stats(),
-            accepted_ingests=self._accepted,
-            rejected_ingests=self._rejected,
-            batched_ingests=self._batched_ingests,
-            async_finalizes=self._async_finalizes,
-            model_version=self._model_version,
-            history_version=self._history_version,
-            history_refreshes=self._history_refreshes,
-            delta_swaps=self._delta_swaps,
-            full_swaps=self._full_swaps,
-            swap_payload_bytes=self._swap_payload_bytes,
             bus=self._backend.bus_stats(),
             results_delivered=self._collector.accepted,
             results_duplicates=self._collector.duplicates,
             results_pending=len(self._pending_results),
-            results_gaps=self._collector.gaps,
-        )
+            results_gaps=self._collector.gaps)
 
     # -------------------------------------------------------- observability
     @property

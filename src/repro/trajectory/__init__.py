@@ -15,7 +15,6 @@ from .models import (
     Subtrajectory,
 )
 from .ops import (
-    interleave_raw_streams,
     interleave_streams,
     route_of,
     split_by_labels,
@@ -41,7 +40,6 @@ __all__ = [
     "transitions_of",
     "subtrajectory_spans",
     "split_by_labels",
-    "interleave_raw_streams",
     "interleave_streams",
     "discrete_frechet",
     "edit_distance_routes",

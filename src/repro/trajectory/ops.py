@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Iterable, List, Sequence, Tuple
 
 from ..exceptions import TrajectoryError
-from .models import GPSPoint, MatchedTrajectory, RawTrajectory, Subtrajectory
+from .models import MatchedTrajectory, Subtrajectory
 
 SOURCE_PAD = -1
 """Sentinel used to pad the initial transition ``<*, e1>`` (Step-3 of the paper)."""
@@ -104,33 +104,4 @@ def interleave_streams(
             yield index, position, trajectories[index].segments[position]
             cursors[index] += 1
             if cursors[index] == len(trajectories[index].segments):
-                pending.remove(index)
-
-
-def interleave_raw_streams(
-    raw_trajectories: Sequence["RawTrajectory"],
-    rng=None,
-) -> Iterable[Tuple[int, int, "GPSPoint"]]:
-    """Merge raw trajectories into one fleet-arrival stream of GPS fixes.
-
-    The raw-point twin of :func:`interleave_streams`: yields
-    ``(trajectory_index, position, point)`` tuples simulating many vehicles
-    reporting fixes concurrently — round-robin lockstep without ``rng``, a
-    uniformly random unfinished stream per event with one. Every
-    trajectory's own fixes are always emitted in order (each vehicle's GPS
-    clock is monotone; cross-vehicle order is what varies). Drives the
-    ingest gateway's differential tests the way :func:`interleave_streams`
-    drives the detection service's.
-    """
-    cursors = [0] * len(raw_trajectories)
-    pending = [index for index, trajectory in enumerate(raw_trajectories)
-               if len(trajectory.points) > 0]
-    while pending:
-        chosen = list(pending) if rng is None else \
-            [pending[int(rng.integers(len(pending)))]]
-        for index in chosen:
-            position = cursors[index]
-            yield index, position, raw_trajectories[index].points[position]
-            cursors[index] += 1
-            if cursors[index] == len(raw_trajectories[index].points):
                 pending.remove(index)

@@ -1,5 +1,7 @@
 """The ``repro`` CLI: parsing and the soak harness end to end."""
 
+from dataclasses import fields, replace
+
 import pytest
 
 from repro import __version__
@@ -30,6 +32,28 @@ class TestParser:
         args = parser.parse_args(["soak", "--fixes", "1000000"])
         assert args.fixes == 1_000_000
         assert args.func is not None
+
+    def test_serve_and_soak_build_the_same_options(self):
+        """One argv through both commands: every parsed option lands in
+        ``SoakOptions``, and only ``--fixes``' default differs."""
+        argv = ["--duration", "30", "--city", "xian", "--smoke",
+                "--shards", "3", "--backend", "inprocess",
+                "--queue-depth", "64", "--concurrency", "8",
+                "--ingest-batch", "4", "--drift-parts", "3",
+                "--fine-tune-trips", "5", "--trace-sample-rate", "0.5",
+                "--scrape-interval", "0.25", "--windows", "4",
+                "--flatness", "0.5", "--port", "9999",
+                "--record", "series.jsonl", "--rules", "rules.json",
+                "--quiet", "--roll-forward", "60", "--roll-window", "120",
+                "--roll-archive", "archive"]
+        parser = build_parser()
+        serve = SoakOptions.from_args(parser.parse_args(["serve", *argv]))
+        soak = SoakOptions.from_args(parser.parse_args(["soak", *argv]))
+        assert (serve.fixes, soak.fixes) == (None, 1_000_000)
+        assert replace(serve, fixes=soak.fixes) == soak
+        assert {f.name for f in fields(SoakOptions)
+                if getattr(soak, f.name) == f.default} \
+            == {"fixes", "rss_growth", "min_samples"}
 
 
 @pytest.fixture(scope="module")

@@ -7,7 +7,10 @@ Three layers:
   backend's ship-registries-home design rests on), the seeded reservoir
   matches inline Algorithm-R, and everything survives a pickle round trip.
 * **Exposition** — ``render_prometheus`` golden output, the
-  ``parse_prometheus`` inverse, and the stdlib scrape endpoint.
+  ``parse_prometheus`` inverse, the stdlib scrape endpoint, and the fleet
+  mapping: a fully populated :class:`ServiceMetrics` renders byte for byte
+  as ``tests/golden/fleet_metrics.prom``, and no two declared stats fields
+  share a ``(name, labels)`` sample.
 * **Pipeline wiring** — a traced gateway→service→bus run covers all seven
   ``STAGES`` on both backends, spans keep
   pipeline order per trace, tracing never changes a label, rate 0 records
@@ -22,7 +25,10 @@ import pickle
 import random
 import tracemalloc
 import urllib.request
+import zlib
 from collections import defaultdict
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +45,9 @@ from repro.obs import (Counter, Gauge, Histogram, MetricsRegistry,
                        parse_prometheus, render_prometheus, timestamp,
                        write_spans_jsonl)
 from repro.serve import serve_fleet
+from repro.serve.metrics import (BusStats, GatewayStats, ServiceMetrics,
+                                 ShardStats, exported_fields,
+                                 metrics_to_registry)
 
 BUCKETS = (0.001, 0.01, 0.1, 1.0)
 samples_strategy = st.lists(
@@ -251,6 +260,53 @@ def test_render_prometheus_golden():
         "# HELP requests_total Requests served\n"
         "# TYPE requests_total counter\n"
         "requests_total 3\n")
+
+
+FLEET_GOLDEN = Path(__file__).parent / "golden" / "fleet_metrics.prom"
+
+
+def populated(cls, offset, **required):
+    """``cls`` with every numeric field set to a value of its own:
+    ``offset`` plus a hash of the field's name below 100 000, so a new
+    field moves no other value (float fields sit a quarter over)."""
+    values = {f.name: offset + zlib.crc32(f.name.encode()) % 100_000
+              + (0.25 if isinstance(f.default, float) else 0)
+              for f in fields(cls) if isinstance(f.default, (int, float))}
+    assert len(set(values.values())) == len(values)
+    return cls(**required, **values)
+
+
+def full_fleet_metrics():
+    """Two shards, two buses and a gateway, no two numbers alike."""
+    return populated(
+        ServiceMetrics, 100_000,
+        shards=[populated(ShardStats, 200_000 + 100_000 * k, shard_id=k,
+                          backend="process") for k in range(2)],
+        bus=[populated(BusStats, 400_000 + 100_000 * k, shard_id=k)
+             for k in range(2)],
+        gateway=populated(GatewayStats, 600_000))
+
+
+def test_fleet_exposition_matches_the_golden_text():
+    """The whole fleet mapping — names, labels, ``# HELP``/``# TYPE``
+    text and values — pinned byte for byte."""
+    text = render_prometheus(metrics_to_registry(full_fleet_metrics()))
+    assert text == FLEET_GOLDEN.read_text()
+
+
+def test_declared_stats_fields_map_to_distinct_samples():
+    """No two declared fields share a ``(name, labels)`` sample: a
+    copy-pasted declaration would silently add two counters together."""
+    classes = (ServiceMetrics, ShardStats, BusStats, GatewayStats)
+    keys = [(name, labels) for cls in classes
+            for _, _, name, labels, _ in exported_fields(cls)]
+    assert len(set(keys)) == len(keys)
+    assert "repro_history_derived_total" not in {name for name, _ in keys}
+    # ...so the walk writes one sample per declared field of each object.
+    metrics = full_fleet_metrics()
+    objects = [metrics, *metrics.shards, *metrics.bus, metrics.gateway]
+    assert len(metrics_to_registry(metrics)) == len(metrics.history_derived) \
+        + sum(len(exported_fields(type(stats))) for stats in objects)
 
 
 def test_parse_prometheus_inverts_the_rendering():

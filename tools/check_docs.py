@@ -84,7 +84,7 @@ PUBLIC_SURFACE = {
         "HMMMapMatcher", "OnlineMapMatcher", "OnlineMatchResult",
         "SegmentPairDistanceCache",
     ],
-    "repro.trajectory": ["interleave_raw_streams", "RawTrajectory", "GPSPoint"],
+    "repro.trajectory": ["RawTrajectory", "GPSPoint"],
     "repro.eval": [
         "evaluate_labelings", "evaluate_detector", "measure_detector",
         "LatencyReport",
@@ -174,11 +174,13 @@ def check_config_keywords() -> list:
     # their own parameters plus the engine's.
     engine = _parameters(StreamEngine.__init__)
     fields["StreamEngine"] = engine
-    for function in (StreamEngine.from_model, RL4OASDModel.stream_engine,
-                     RL4OASDModel.detection_service):
+    for function in (StreamEngine.from_model, RL4OASDModel.stream_engine):
         fields[function.__name__] = _parameters(function) | engine
-    fields["DetectionService"] = _parameters(DetectionService.__init__) | engine
-    fields["detection_service"] |= fields["DetectionService"]
+    # detection_service forwards **options to DetectionService.
+    fields["DetectionService"] = _parameters(DetectionService.__init__)
+    fields["detection_service"] = (
+        _parameters(RL4OASDModel.detection_service)
+        | fields["DetectionService"])
     for function in (OnlineDetector.detect, OnlineDetector.detect_many):
         fields[function.__name__] = _parameters(function)
     fields["detector"] = (_parameters(RL4OASDModel.detector)
