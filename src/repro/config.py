@@ -63,7 +63,8 @@ class MapMatchingConfig:
     popped off its frontier without reaching the target. The factor is part
     of the result — it decides which candidate pairs count as unreachable —
     so it is documented here rather than "corrected"; values below 1 would
-    make every pair unreachable and are rejected.
+    make every pair unreachable and are rejected. A Viterbi column runs one
+    search per predecessor segment (per-pair answers; counts per pair).
     """
 
     gps_sigma_m: float = 12.0

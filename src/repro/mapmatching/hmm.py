@@ -90,6 +90,10 @@ class SegmentPairDistanceCache:
             self.hits += 1
         return distance
 
+    def __contains__(self, key: Tuple[int, int]) -> bool:
+        """Whether the pair is held: uncounted, and never a touch."""
+        return key[0] in self._rows.get(key[1], ())
+
     def store(self, key: Tuple[int, int], distance: float) -> None:
         from_segment, to_segment = key
         row = self.row(to_segment)
@@ -133,9 +137,9 @@ class MatchResult:
 class HMMMapMatcher:
     """Hidden-Markov-model map matcher over a road network.
 
-    The matcher caches a spatial index of the network and a small LRU-style
-    cache of network distances between segment pairs, since consecutive GPS
-    points of many trajectories repeat the same segment pairs.
+    The matcher caches a spatial index of the network and an approximate
+    LRU of segment-pair network distances (``distance_cache_size``, 65 536
+    by default): consecutive GPS points of many trips repeat the same pairs.
     """
 
     def __init__(self, network: RoadNetwork,
@@ -236,7 +240,9 @@ class HMMMapMatcher:
         reaches it. Network distances come from one
         :class:`SegmentPairDistanceCache` row per candidate (read under the
         cache's recency contract: a hit on a cache under half its bound
-        mutates nothing), misses filled by the bounded Dijkstra. The
+        mutates nothing); a predecessor's first miss runs one bounded search
+        to every candidate whose row lacks it, which its later misses read —
+        per-pair answers, stores and counts, one search per predecessor. The
         emission is :func:`gaussian_emission_log_prob`'s expression on
         hoisted constants — same operations in the same order, so scores
         are bit-identical to the model functions'; ``candidates`` come from
@@ -250,6 +256,8 @@ class HMMMapMatcher:
         scores: List[float] = []
         backpointers: List[int] = []
         misses = 0
+        #: from_segment -> {to_segment: metres}, its one search this column.
+        searched: Dict[int, Dict[int, float]] = {}
         for to_segment, distance in candidates:
             z = distance / sigma
             emission = -0.5 * z * z - log_sigma - _LOG_SQRT_2PI
@@ -259,7 +267,19 @@ class HMMMapMatcher:
                 try:
                     network = row[from_segment]
                 except KeyError:
-                    network = self._route_distance(from_segment, to_segment)
+                    answers = searched.get(from_segment)
+                    if answers is None:
+                        answers = searched[from_segment] = self._search(
+                            from_segment,
+                            [segment for segment, _ in candidates
+                             if segment != from_segment
+                             and (from_segment, segment) not in cache])
+                        answers[from_segment] = 0.0
+                    network = answers.get(to_segment)
+                    if network is None:  # its row was evicted mid-column
+                        network = self._search(
+                            from_segment, (to_segment,))[to_segment]
+                    cache.store((from_segment, to_segment), network)
                     misses += 1
                 total = (previous_scores[index]
                          + (-abs(straight_m - network) / beta - log_beta)
@@ -280,31 +300,34 @@ class HMMMapMatcher:
 
     def _route_distance(self, from_segment: int, to_segment: int) -> float:
         """Cache-miss path: route one pair and store the result."""
-        distance = (0.0 if from_segment == to_segment
-                    else self._bounded_dijkstra(from_segment, to_segment))
+        distance = self._search(from_segment, (to_segment,))[to_segment]
         self._distance_cache.store((from_segment, to_segment), distance)
         return distance
 
-    def _bounded_dijkstra(self, source: int, target: int) -> float:
-        """Shortest network distance, ``inf`` once ``8 * routing_max_hops``
-        segments have been popped off the frontier without reaching
-        ``target``. The factor 8 is part of the result (it decides which
-        pairs are unreachable, hence which lattices break) — do not "fix"
-        it to match the field's name."""
+    def _search(self, source: int, targets: Sequence[int]) -> Dict[int, float]:
+        """Shortest network distance to each target, ``inf`` for one not
+        popped within ``8 * routing_max_hops`` pops; stops once all have.
+        Pops do not depend on the targets, so each answer is a lone search's.
+        The factor 8 is part of the result (it decides which pairs are
+        unreachable, hence which lattices break) — do not "fix" it to match
+        the field's name."""
         network, successors = self._network, self._successors
-        max_hops = self._config.routing_max_hops
+        budget = 8 * self._config.routing_max_hops
+        answers = dict.fromkeys(targets, float("inf"))
+        pending = set(answers)
         best: Dict[int, float] = {source: 0.0}
         frontier: List[Tuple[float, int]] = [(0.0, source)]
         visited = set()
-        expansions = 0
-        while frontier and expansions < max_hops * 8:
+        while pending and frontier and len(visited) < budget:
             cost, current = heapq.heappop(frontier)
             if current in visited:
                 continue
             visited.add(current)
-            expansions += 1
-            if current == target:
-                return cost
+            if current in pending:
+                answers[current] = cost
+                pending.discard(current)
+                if not pending:
+                    break
             edges = successors.get(current)
             if edges is None:
                 edges = successors[current] = tuple(
@@ -319,7 +342,7 @@ class HMMMapMatcher:
                 if new_cost < best.get(successor, float("inf")):
                     best[successor] = new_cost
                     heapq.heappush(frontier, (new_cost, successor))
-        return float("inf")
+        return answers
 
     def _viterbi(
         self,
@@ -385,6 +408,6 @@ class HMMMapMatcher:
             except DisconnectedRouteError:
                 return []
             route.extend(bridge[1:])
-        # Remove immediate backtracking artefacts (A -> reverse(A)) introduced
-        # by noisy candidates: keep the route simple where possible.
+        # Nothing is removed: an immediate reversal (A -> reverse(A)) that a
+        # noisy candidate introduces stays in the route, as a real U-turn does.
         return route

@@ -14,6 +14,7 @@ from repro.mapmatching import (
     gaussian_emission_log_prob,
     transition_log_prob,
 )
+from repro.roadnet import RoadNetwork
 from repro.trajectory import jaccard_similarity
 
 import numpy as np
@@ -272,8 +273,9 @@ def reference_bounded_dijkstra(network, max_hops, source, target):
 
 @pytest.mark.parametrize("max_hops", [1, 4, 60])
 def test_network_distance_equals_the_reference_routing(grid_network, max_hops):
-    """Same metres, bit for bit, with the cut-off biting (1, 4) and not (60);
-    the grid's equal-length blocks make equal-cost frontiers the norm."""
+    """Same metres, bit for bit, with the cut-off biting (1, 4) and not (60).
+    The grid's jittered nodes give each road its own length; equal-cost
+    frontiers are the lattice's, in the multi-target test below."""
     matcher = HMMMapMatcher(grid_network,
                             MapMatchingConfig(routing_max_hops=max_hops))
     rng = np.random.default_rng(max_hops)
@@ -288,3 +290,181 @@ def test_network_distance_equals_the_reference_routing(grid_network, max_hops):
     assert (unreachable > 0) == (max_hops < 60)
     with pytest.raises(RoadNetworkError):  # SegmentNotFoundError
         matcher.network_distance(10 ** 6, segment_ids[0])
+
+
+def near_segments(network, source, hops):
+    """Every segment within ``hops`` successor steps of ``source``."""
+    ring, seen = {source}, {source}
+    for _ in range(hops):
+        ring = {successor for segment in ring
+                for successor in network.successor_segments(segment)} - seen
+        seen |= ring
+    return sorted(seen)
+
+
+def lattice_network(side: int = 6) -> RoadNetwork:
+    """``side`` x ``side`` intersections 100 m apart, every street two-way:
+    unlike ``grid_network``, whose jittered nodes give every road its own
+    length, equal-cost routes (and so heap ties) are everywhere."""
+    network = RoadNetwork()
+    for node in range(side * side):
+        row, col = divmod(node, side)
+        network.add_intersection(node, 100.0 * col, 100.0 * row)
+    segment = 0
+    for node in range(side * side):
+        row, col = divmod(node, side)
+        for neighbour in ([node + 1] if col + 1 < side else []) + (
+                [node + side] if row + 1 < side else []):
+            for a, b in ((node, neighbour), (neighbour, node)):
+                network.add_segment(segment, a, b)
+                segment += 1
+    return network
+
+
+@pytest.fixture(scope="module")
+def lattice():
+    return lattice_network()
+
+
+@pytest.mark.parametrize("max_hops", [1, 4, 60])
+@pytest.mark.parametrize("city", ["grid", "lattice"])
+def test_one_search_answers_every_target_as_the_reference_routing(
+        grid_network, lattice, city, max_hops):
+    """``_search(source, targets)[t]`` is the single-target reference's
+    metres for every target, bit for bit: sets of 1-8 mixing neighbours
+    with far segments (cut off at budgets 1 and 4), on the jittered grid and
+    on the exact lattice, where equal-cost targets are the rule."""
+    network = grid_network if city == "grid" else lattice
+    matcher = HMMMapMatcher(network,
+                            MapMatchingConfig(routing_max_hops=max_hops))
+    rng = np.random.default_rng(100 + max_hops)
+    segment_ids = network.segment_ids()
+    cut_off = tied = 0
+    for source in rng.choice(segment_ids, size=120):
+        source = int(source)
+        near = near_segments(network, source, 3)
+        width = int(rng.integers(1, 9))
+        pool = [int(s) for s in rng.choice(near, size=width)] + [
+            int(s) for s in rng.choice(segment_ids, size=width)]
+        targets = [pool[i] for i in rng.permutation(len(pool))[:width]]
+        answers = matcher._search(source, targets)
+        expected = {target: reference_bounded_dijkstra(
+            network, max_hops, source, target) for target in targets}
+        assert answers == expected
+        cut_off += sum(metres == _INF for metres in expected.values())
+        finite = [metres for metres in expected.values() if metres != _INF]
+        tied += len(finite) > len(set(finite))
+    assert (cut_off > 0) == (max_hops < 60)
+    assert (tied > 0) == (city == "lattice")
+
+
+def per_pair_step(network, config, cache, previous_scores, from_segments,
+                  candidates, straight_m):
+    """The column update with one reference routing per missing pair: the
+    candidate's row is read once, every predecessor absent from it is
+    routed alone and stored, then the model functions score the column."""
+    network_m = {}
+    for to_segment, _ in candidates:
+        row = cache.row(to_segment)
+        for from_segment in from_segments:
+            if from_segment in row:
+                cache.hits += 1
+                metres = row[from_segment]
+            else:
+                cache.misses += 1
+                metres = reference_bounded_dijkstra(
+                    network, config.routing_max_hops, from_segment, to_segment)
+                cache.store((from_segment, to_segment), metres)
+            network_m[from_segment, to_segment] = metres
+    return reference_viterbi_step(config, previous_scores, from_segments,
+                                  candidates, straight_m, network_m)
+
+
+def check_step_against_per_pair(network, config, stored, previous_scores,
+                                from_segments, candidates, straight_m):
+    """``viterbi_step`` on a matcher whose cache holds ``stored`` equals
+    :func:`per_pair_step` on a cache filled the same way: scores,
+    backpointers, counts and every row's contents in row order."""
+    from repro.mapmatching import SegmentPairDistanceCache
+
+    matcher = HMMMapMatcher(network, config)
+    replica = SegmentPairDistanceCache(config.distance_cache_size)
+    for cache in (matcher.distance_cache, replica):
+        for key, metres in stored.items():
+            cache.store(key, metres)
+    step = matcher.viterbi_step(previous_scores, from_segments, candidates,
+                                straight_m)
+    assert step == per_pair_step(network, config, replica, previous_scores,
+                                 from_segments, candidates, straight_m)
+    cache = matcher.distance_cache
+    assert (cache.hits, cache.misses, cache.evictions) == (
+        replica.hits, replica.misses, replica.evictions)
+    assert list(cache._rows.items()) == list(replica._rows.items())
+    return matcher
+
+
+def test_a_row_evicted_mid_column_is_routed_alone(grid_network):
+    """``(f, t2)`` is cached when ``f``'s search starts, so ``t2`` is not
+    one of its targets; ``t1``'s store then evicts ``t2``'s row (bound 1)
+    and ``(f, t2)`` misses with no answer in hand. It is routed on its own:
+    the mutant answering ``inf`` there fails on the metres and the score."""
+    f = grid_network.segment_ids()[0]
+    t1, t2 = grid_network.successor_segments(f)[:2]
+    metres = reference_bounded_dijkstra(grid_network, 60, f, t2)
+    assert metres < _INF
+    config = MapMatchingConfig(distance_cache_size=1)
+    matcher = check_step_against_per_pair(
+        grid_network, config, {(f, t2): metres}, [-1.0], [f],
+        [(t1, 4.0), (t2, 9.0)], 150.0)
+    cache = matcher.distance_cache
+    assert (cache.hits, cache.misses, cache.evictions) == (0, 2, 2)
+    assert list(cache._rows.items()) == [(t2, {f: metres})]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), city=st.sampled_from(["grid", "lattice"]),
+       size=st.sampled_from([1, 2, 3, 5, 16, 65536]),
+       max_hops=st.sampled_from([1, 4, 60]))
+def test_viterbi_step_equals_the_per_pair_routing(grid_network, lattice, data,
+                                                  city, size, max_hops):
+    """Random columns of width 1-8 over a neighbourhood (repeats,
+    predecessors that are also candidates, pre-cached pairs) on caches from
+    one pair to roomy: the one-search-per-predecessor step leaves exactly
+    the per-pair loop's scores, counts and rows."""
+    network = grid_network if city == "grid" else lattice
+    anchor = data.draw(st.sampled_from(network.segment_ids()))
+    pool = st.sampled_from(near_segments(network, anchor, 3))
+    from_segments = data.draw(st.lists(pool, min_size=1, max_size=8))
+    candidates = [(segment, data.draw(_offset)) for segment in
+                  data.draw(st.lists(pool, min_size=1, max_size=8))]
+    stored = {(f, t): reference_bounded_dijkstra(network, max_hops, f, t)
+              for f, t in data.draw(st.lists(st.tuples(pool, pool),
+                                             max_size=6))}
+    previous_scores = data.draw(st.lists(_previous, min_size=len(
+        from_segments), max_size=len(from_segments)))
+    config = MapMatchingConfig(distance_cache_size=size,
+                               routing_max_hops=max_hops)
+    check_step_against_per_pair(
+        network, config, stored, previous_scores, from_segments, candidates,
+        data.draw(st.sampled_from([0.0, 150.0, 420.5])))
+
+
+def test_a_cold_column_runs_one_search_per_predecessor(grid_network,
+                                                       monkeypatch):
+    """A cold 8 x 8 column misses all 64 pairs but routes 8 times, once per
+    predecessor; per-pair routing would run 64 searches."""
+    segment_ids = grid_network.segment_ids()
+    near = near_segments(grid_network, segment_ids[40], 3)
+    from_segments, to_segments = near[:8], near[8:16]
+    matcher = HMMMapMatcher(grid_network)
+    searches, search = [], matcher._search
+
+    def counted(source, targets):
+        searches.append(source)
+        return search(source, targets)
+
+    monkeypatch.setattr(matcher, "_search", counted)
+    matcher.viterbi_step([0.0] * 8, from_segments,
+                         [(segment, 5.0) for segment in to_segments], 200.0)
+    assert matcher.distance_cache.misses == 64
+    assert searches == from_segments
