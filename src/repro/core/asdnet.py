@@ -10,7 +10,7 @@ network with a softmax output, trained with REINFORCE.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -89,6 +89,9 @@ class ASDNet(Module):
                              self.NUM_ACTIONS, rng)
         self._optimizer = Adam(self.parameters(), learning_rate=config.learning_rate)
         self._return_baseline: Optional[float] = None
+        #: Bumped by every weight change; the decisions detection memoizes
+        #: per prefix row compare it with the version they were made under.
+        self.weights_version = 0
 
     @property
     def config(self) -> ASDNetConfig:
@@ -198,5 +201,10 @@ class ASDNet(Module):
             {"tokens": previous_labels})
         clip_gradients(self.parameters(), self._config.grad_clip)
         self._optimizer.step()
+        self.weights_version += 1
         return float(np.mean(np.log(
             probabilities[np.arange(total), actions] + 1e-12)))
+
+    def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
+        super().load_state_dict(state)
+        self.weights_version += 1

@@ -4,11 +4,17 @@ A point's label is decided by the first rule that applies: source and
 destination are normal by definition; Road Network Enhanced Labeling (RNEL)
 fixes the label where the road network leaves no choice; otherwise ASDNet's
 policy chooses given ``z_i`` and the previous label — greedily in
-detection, by sampling in training. :class:`~repro.core.stream.StreamEngine`
-takes the decision one point per stream and tick (:func:`rnel_from_degrees`,
-:func:`policy_choices`); :func:`label_route` takes it for a whole route at
-once and serves :class:`~repro.core.detector.OnlineDetector` and the
-engine's deferred streams; the training episode of
+detection, by sampling in training. A greedy choice is a pure function of
+the prefix row of ``h_i``, the NRF bit, the previous label and the weights,
+so detection decides each ``(row, NRF bit, previous label)`` once
+(:func:`greedy_choices`) and reads it from the
+:class:`~repro.core.stream.PrefixStates` table afterwards, until the table
+compacts or ``ASDNet.weights_version`` moves.
+:class:`~repro.core.stream.StreamEngine` takes the decision one point per
+stream and tick (:func:`rnel_from_degrees`, :func:`greedy_choices`);
+:func:`label_route` takes it for a whole route at once and serves
+:class:`~repro.core.detector.OnlineDetector` and the engine's deferred
+streams; the training episode of
 :class:`~repro.core.rl4oasd.RL4OASDTrainer` takes it one time step per batch
 of trajectories (:func:`rnel_from_degrees_batch`, :func:`policy_choices`,
 :func:`sample_labels`). There is no other softmax, argmax or sampling rule
@@ -17,7 +23,7 @@ in detection or training.
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Optional, Sequence, Tuple
+from typing import FrozenSet, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 import numpy as np
 
@@ -25,6 +31,12 @@ from ..exceptions import ModelError
 from ..nn.losses import softmax
 from .asdnet import ASDNet
 from .rsrnet import RSRNet
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from .stream import PrefixStates
+
+#: A :attr:`~repro.core.stream.PrefixStates.decisions` slot not decided yet.
+UNDECIDED = 0xFF
 
 
 def rnel_from_degrees(out_degree: int, in_degree: int,
@@ -90,6 +102,40 @@ def policy_choices(asdnet: ASDNet, z: np.ndarray,
     return probabilities
 
 
+def greedy_choices(states: "PrefixStates", rows: Sequence[int],
+                   nrf: Sequence[int], previous_labels: Sequence[int],
+                   rsrnet: RSRNet, asdnet: ASDNet) -> List[int]:
+    """Detection's choice for each key, decided once per key and weights.
+
+    Key ``(rows[k], nrf[k], previous_labels[k])`` is the MDP state
+    ``[h_row ; x^n(nrf) ; v(previous)]`` of a point whose prefix ends at
+    that row of ``states``. A key decided before is read from its slot of
+    ``states.decisions`` (slot ``4 * row + 2 * nrf + previous``); the
+    missing ones, each once, go through one greedy :func:`policy_choices`
+    batch and are stored. The slots are dropped first when
+    ``asdnet.weights_version`` is not the one they were decided under (new
+    RSRNet weights compact the table, which drops them too).
+    """
+    if states.decided_under != asdnet.weights_version:
+        states.drop_decisions(asdnet.weights_version)
+    slots = states.decisions
+    keys = [4 * row + 2 * bit + previous
+            for row, bit, previous in zip(rows, nrf, previous_labels)]
+    choices = [slots[key] for key in keys]
+    if UNDECIDED in choices:
+        missing = list(dict.fromkeys(
+            key for key, choice in zip(keys, choices) if choice == UNDECIDED))
+        z = np.concatenate(  # z_i = [h_i ; x^n_i], NRF rows by table
+            [states.hidden[[key >> 2 for key in missing]],
+             rsrnet.nrf_embedding.weight.value[
+                 [key >> 1 & 1 for key in missing]]], axis=1)
+        for key, label in zip(missing, policy_choices(
+                asdnet, z, [key & 1 for key in missing], greedy=True)):
+            slots[key] = label
+        choices = [slots[key] for key in keys]
+    return choices
+
+
 def sample_labels(probabilities: np.ndarray,
                   rng: np.random.Generator) -> np.ndarray:
     """Labels sampled from the action distributions in ``probabilities``.
@@ -109,7 +155,8 @@ def sample_labels(probabilities: np.ndarray,
 
 def label_route(
     segments: Sequence[int],
-    hidden: Sequence[np.ndarray],
+    rows: Sequence[int],
+    states: "PrefixStates",
     allowed: FrozenSet[Tuple[int, int]],
     degrees: Optional[Sequence[Tuple[int, int]]],
     rsrnet: RSRNet,
@@ -117,27 +164,27 @@ def label_route(
 ) -> List[int]:
     """Algorithm 1's labels of one complete route, in one pass.
 
-    ``hidden[i]`` is RSRNet's ``h_i`` (rows ``1 … n-2`` are read: the
-    endpoints are normal by definition, so nobody needs the destination's),
-    ``allowed`` the SD pair's normal transitions and ``degrees[i-1]`` the
-    RNEL input ``(e_{i-1}.out, e_i.in)`` of interior point ``i`` (``None``
-    turns RNEL off). Only the previous label chains one point to the next,
-    and it has two values: the policy runs once over every interior point
-    under both, and a scalar scan then walks the route picking, per point,
-    the RNEL rule or the policy's greedy choice for the label that actually
-    preceded it.
+    ``rows[i]`` is the row of RSRNet's ``h_i`` in ``states`` (rows ``1 …
+    n-2`` are read: the endpoints are normal by definition, so nobody needs
+    the destination's), ``allowed`` the SD pair's normal transitions and
+    ``degrees[i-1]`` the RNEL input ``(e_{i-1}.out, e_i.in)`` of interior
+    point ``i`` (``None`` turns RNEL off). Only the previous label chains one
+    point to the next, and it has two values: every interior point's choice
+    under both is looked up at once (:func:`greedy_choices`, so a route
+    decided before runs no policy row), and a scalar scan then walks the
+    route picking, per point, the RNEL rule or the choice for the label that
+    actually preceded it.
     """
     count = len(segments)
     interior = count - 2
     if interior < 1:
         return [0] * count
+    rows = rows[1:count - 1]
     nrf = [0 if transition in allowed else 1
            for transition in zip(segments, segments[1:-1])]
-    z = np.concatenate([np.asarray(hidden[1:count - 1]),
-                        rsrnet.nrf_embedding.vectors(nrf)], axis=1)
-    # Row ``p * interior + i - 1``: point ``i`` after label ``p``.
-    choices = policy_choices(asdnet, np.concatenate([z, z]),
-                             [0] * interior + [1] * interior, greedy=True)
+    # Entry ``p * interior + i - 1``: point ``i`` after label ``p``.
+    choices = greedy_choices(states, rows * 2, nrf * 2,
+                             [0] * interior + [1] * interior, rsrnet, asdnet)
     labels = [0]
     previous = 0
     for index in range(interior):

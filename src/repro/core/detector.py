@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, TYPE_CHECKING
 
-import numpy as np
-
 from ..exceptions import ModelError
 from ..trajectory.models import MatchedTrajectory, Subtrajectory
 from ..trajectory.ops import split_by_labels, subtrajectory_spans
@@ -125,7 +123,12 @@ class OnlineDetector:
     input projection and :meth:`~repro.nn.recurrent.LSTM.infer`, storing each
     new state — every state comes from the same 1-D chain, bit-identical to
     a recurrence from zero. One :func:`label_route` (RNEL where it is
-    deterministic, ASDNet's policy otherwise) and delayed labeling follow.
+    deterministic, ASDNet's policy otherwise) and delayed labeling follow;
+    the policy's choices are memoized in the same table per ``(row, NRF
+    bit, previous label)``, so a route detected before runs no LSTM step
+    and no policy row. A new ``rsrnet.weights_version`` or the row bound
+    compacts the table, dropping states and choices; a new
+    ``asdnet.weights_version`` drops the choices.
     The per-point online form of the same decisions is
     :meth:`StreamEngine.tick <repro.core.stream.StreamEngine.tick>`.
     """
@@ -166,16 +169,16 @@ class OnlineDetector:
             raise ModelError("cannot detect on an empty trajectory")
         allowed = self._pipeline.normal_transitions_for(trajectory)
         tokens = self._pipeline.vocabulary.tokens(segments)
-        hidden = ()
+        rows = ()
         if n > 2:
             # Nothing reads the destination's hidden state (nor, on a route
             # without interior points, anyone's).
-            hidden = self._hidden_states(tokens[:-1])
+            rows = self._prefix_rows(tokens[:-1])
         degrees = (self._pipeline.rnel_degrees(tokens)
                    if self._use_rnel else None)
         labels = finish_labels(
-            label_route(segments, hidden, allowed, degrees, self._rsrnet,
-                        self._asdnet),
+            label_route(segments, rows, self._states, allowed, degrees,
+                        self._rsrnet, self._asdnet),
             self._delay_window)
         return DetectionResult(
             trajectory=trajectory,
@@ -183,8 +186,9 @@ class OnlineDetector:
             subtrajectories=split_by_labels(trajectory, labels),
         )
 
-    def _hidden_states(self, tokens: List[int]) -> np.ndarray:
-        """``h_i`` of every prefix of ``tokens`` (at least two of them)."""
+    def _prefix_rows(self, tokens: List[int]) -> List[int]:
+        """The table row of every prefix of ``tokens`` (at least two of
+        them), computing the states of those not stored yet."""
         states, rsrnet = self._states, self._rsrnet
         if (states.version != rsrnet.weights_version
                 or not states.fits(len(tokens))):
@@ -205,7 +209,7 @@ class OnlineDetector:
                     projections[known - start:], states.hidden[parent],
                     states.cell[parent]))
             rows.extend(range(first, len(states)))
-        return states.hidden[rows]
+        return rows
 
     def detect_many(self, trajectories: Sequence[MatchedTrajectory]
                     ) -> List[DetectionResult]:

@@ -9,14 +9,19 @@ model, one point per stream and tick:
 * **Batching tick.** Every stream buffers its newest GPS-matched segment;
   :meth:`StreamEngine.tick` gathers the pending next point of every active
   stream, computes the LSTM states it lacks in *one* batched cell step and
-  runs *one* ASDNet policy pass, so the matmuls run once per tick instead of
-  once per vehicle.
+  runs *one* ASDNet policy pass over the choices it lacks, so the matmuls
+  run once per tick instead of once per vehicle.
 * **Prefix states.** ``h_i`` is a pure function of the weights and the
   route's prefix ``0 … i``, and an SD pair's trips drive a few routes, so
   the engine keeps one :class:`PrefixStates` table for the fleet: a tick
   looks every point up by ``(row of the state before, token)`` and computes
-  only the misses, each once. A weight change (``rsrnet.weights_version``)
-  or the row bound compacts the table to the rows live streams hold.
+  only the misses, each once. The NRF input and the previous label are one
+  bit each, so the policy's greedy choice is memoized beside the row, per
+  ``(row, NRF bit, previous label)``: the policy runs only on keys no
+  earlier tick or finalize decided. A weight change
+  (``rsrnet.weights_version``) or the row bound compacts the table to the
+  rows live streams hold and drops every choice; a new
+  ``asdnet.weights_version`` drops the choices alone.
 * **Per-stream state.** Each stream keeps exactly what Algorithm 1 needs
   incrementally: its row of the prefix-state table, the labels emitted so
   far (for RNEL and the policy's previous-label input), and the SD pair's
@@ -77,7 +82,8 @@ from ..obs.trace import TraceContext, timestamp as obs_timestamp
 from ..trajectory.models import MatchedTrajectory
 from ..trajectory.sdpairs import check_start_time
 from .asdnet import ASDNet
-from .decision import label_route, policy_choices, rnel_from_degrees
+from .decision import (UNDECIDED, greedy_choices, label_route,
+                       rnel_from_degrees)
 from .detector import DetectionResult, finish_labels, route_result
 from .rsrnet import RSRNet
 
@@ -143,7 +149,8 @@ _MAX_PREFIX_ROWS = 16384
 
 
 class PrefixStates:
-    """RSRNet's LSTM state after every route prefix seen, one row per prefix.
+    """RSRNet's LSTM state after every route prefix seen, one row per prefix,
+    and ASDNet's greedy choice beside it.
 
     ``h_i`` is a pure function of the weights and the tokens ``0 … i``, and
     an SD pair's trips drive a few routes. Row 0 of the growable ``hidden``
@@ -152,12 +159,21 @@ class PrefixStates:
     recurrent steps served from the table, ``misses`` the states computed.
     Owners :meth:`compact` on a weight change (``version``: the weights the
     rows hold) and before the rows would pass :data:`_MAX_PREFIX_ROWS`.
+
+    The NRF input and the previous label are one bit each, so the policy's
+    choice at a row is memoized too: :attr:`decisions` holds four slots per
+    row, one per NRF bit and previous label, each ``UNDECIDED`` until
+    :func:`~repro.core.decision.greedy_choices` decides it under the ASDNet
+    weights ``decided_under``. Compaction drops every slot, and so does the
+    first lookup after ``ASDNet.weights_version`` moves.
     """
 
     def __init__(self, hidden_dim: int, version: int):
         self.hidden = np.zeros((64, hidden_dim))
         self.cell = np.zeros((64, hidden_dim))
         self.edges: Dict[Tuple[int, int], int] = {}
+        self.decisions = bytearray([UNDECIDED]) * (4 * 64)
+        self.decided_under: Optional[int] = None
         self.version = version
         self.hits = 0
         self.misses = 0
@@ -193,20 +209,29 @@ class PrefixStates:
                 grown = np.zeros(size)
                 grown[:first] = getattr(self, name)[:first]
                 setattr(self, name, grown)
+            self.decisions.extend(bytearray([UNDECIDED]) * (
+                4 * size[0] - len(self.decisions)))
         self.hidden[first:end] = hidden
         self.cell[first:end] = cell
         self.edges.update(zip(keys, range(first, end)))
         self._rows = end
         self.misses += len(keys)
 
+    def drop_decisions(self, decided_under: Optional[int]) -> None:
+        """Mark every slot undecided, for the ASDNet weights ``decided_under``."""
+        self.decisions[:] = bytearray([UNDECIDED]) * len(self.decisions)
+        self.decided_under = decided_under
+
     def compact(self, keep: Iterable[int], version: int) -> Dict[int, int]:
         """Keep the zero row and the rows ``keep``, renumbered in order, for
-        the weights ``version``; drop every edge. Returns old row → new row."""
+        the weights ``version``; drop every edge and every decision. Returns
+        old row → new row."""
         kept = [0] + sorted(set(keep).difference((0,)))
         self.hidden[:len(kept)] = self.hidden[kept]
         self.cell[:len(kept)] = self.cell[kept]
         self._rows = len(kept)
         self.edges.clear()
+        self.drop_decisions(self.decided_under)
         self.version = version
         return dict(zip(kept, range(len(kept))))
 
@@ -618,14 +643,13 @@ class StreamEngine:
         labeled = len(work)
         undecided = [row for row, label in enumerate(labels) if label is None]
         if undecided:
-            # Detection takes the policy's argmax: the rows are the labels.
-            choices = policy_choices(
-                self._asdnet,
-                np.concatenate(  # z_i = [h_i ; x^n_i], NRF rows by table
-                    [states.hidden[[rows[row] for row in undecided]],
-                     self._rsrnet.nrf_embedding.weight.value[
-                         [nrf_values[row] for row in undecided]]], axis=1),
-                [work[row].labels[-1] for row in undecided], True)
+            # The policy runs only on the (row, NRF, previous label) keys no
+            # earlier tick or finalize decided.
+            choices = greedy_choices(
+                states, [rows[row] for row in undecided],
+                [nrf_values[row] for row in undecided],
+                [work[row].labels[-1] for row in undecided],
+                self._rsrnet, self._asdnet)
             for row, label in zip(undecided, choices):
                 labels[row] = label
 
@@ -766,7 +790,7 @@ class StreamEngine:
         labeled = len(stream.labels)
         if stream.deferred:
             stream.labels = label_route(
-                stream.segments, self._states.hidden[stream.hidden_rows],
+                stream.segments, stream.hidden_rows, self._states,
                 stream.normal_transitions,
                 (self._pipeline.rnel_degrees(stream.tokens)
                  if self._use_rnel else None),

@@ -111,10 +111,6 @@ class SegmentPairDistanceCache:
             self._pairs -= shed
             self.evictions += shed
 
-    def clear(self) -> None:
-        self._rows.clear()
-        self._pairs = 0
-
 
 @dataclass
 class MatchResult:

@@ -294,7 +294,7 @@ def test_distance_cache_rows_evict_least_recently_used_first():
     assert (cache.hits, cache.misses) == (3, 2)
     cache.store((1, 30), 3.5)                # overwriting is not a new pair
     assert len(cache) == 3 and cache.lookup((1, 30)) == 3.5
-    cache.clear()
+    cache = SegmentPairDistanceCache(max_size=4)
     assert len(cache) == 0 and cache.lookup((2, 10)) is None
 
 

@@ -18,13 +18,17 @@ These tests compare the states themselves:
   every tick (a bound of one row);
 * a detector or engine held across an in-place weight change
   (``RSRNet.load_state_dict``, ``RSRNet.train_step_batch``) serves exactly
-  what a fresh one built after the change serves.
+  what a fresh one built after the change serves — and so does one held
+  across a change of ASDNet alone (``ASDNet.load_state_dict``,
+  ``ASDNet.reinforce_update_batch``), which leaves the rows standing but
+  not the policy choices memoized beside them.
 
 Mutants seen red here and green on the label suites (``test_stream_engine``,
 ``test_deferred_streams``, ``test_route_labeling``,
 ``test_stream_engine_state_machine``): edges keyed by the token alone,
 without the parent row; either mutator not bumping ``weights_version``; a
-compaction that does not remap deferred streams' rows.
+compaction that does not remap deferred streams' rows; decision slots that
+ignore ``ASDNet.weights_version``.
 """
 
 from __future__ import annotations
@@ -37,11 +41,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from reference_networks import hidden_states
-from test_deferred_streams import feed, open_stream, perturbed_weights, quiesce
+from test_deferred_streams import (feed, open_stream, perturbed_model,
+                                  perturbed_weights, quiesce)
 from test_nn import assert_bit_equal
 
 from repro.core import replay_fleet
 from repro.core import stream as stream_module
+from repro.core.asdnet import BatchedEpisode
+from repro.core.decision import policy_choices
 from repro.serve import clone_model, weights_snapshot
 from repro.trajectory import MatchedTrajectory
 from repro.trajectory.ops import interleave_streams
@@ -274,3 +281,69 @@ def test_a_held_engine_serves_the_new_weights(trained_model, dataset_split,
               held.finalize_many(list(range(len(trips))))]
     assert labels == [result.labels for result in
                       fresh.finalize_many(list(range(len(trips))))]
+
+
+def change_policy_in_place(model, mutator):
+    """Change ASDNet alone: RSRNet's version, hence every row, stands."""
+    asdnet = model.asdnet
+    version = model.rsrnet.weights_version
+    if mutator == "load_state_dict":
+        asdnet.load_state_dict(perturbed_weights(model, seed=6)["asdnet"])
+    else:
+        # One step rewarding "anomalous" on random states, taken at a rate
+        # that moves the trained policy's labels.
+        asdnet._optimizer.learning_rate = 1.0
+        z = np.random.default_rng(6).normal(
+            size=(64, asdnet.representation_dim))
+        previous = np.zeros(len(z), dtype=np.int64)
+        episode = BatchedEpisode(num_episodes=1)
+        episode.append(previous, z, np.ones(len(z), dtype=np.int64),
+                       policy_choices(asdnet, z, previous, greedy=False),
+                       previous)
+        asdnet.reinforce_update_batch(episode, [1.0], use_baseline=False)
+    assert model.rsrnet.weights_version == version
+
+
+@pytest.mark.parametrize("mutator", ["load_state_dict",
+                                     "reinforce_update_batch"])
+def test_a_held_detector_serves_a_new_policy(trained_model, dataset_split,
+                                             mutator):
+    _, development, test = dataset_split
+    trips = list(test) + list(development)
+    model = perturbed_model(trained_model, seed=0)  # a policy reading z
+    held = model.detector()
+    before = [held.detect(trip).labels for trip in trips]
+    change_policy_in_place(model, mutator)
+    after = [model.detector().detect(trip).labels for trip in trips]
+    assert after != before, "the change must move a label"
+    assert [held.detect(trip).labels for trip in trips] == after
+
+
+@pytest.mark.parametrize("mutator", ["load_state_dict",
+                                     "reinforce_update_batch"])
+def test_a_held_engine_serves_a_new_policy(trained_model, dataset_split,
+                                           mutator):
+    """Online streams opened after the change and deferred streams stepped
+    before it and finalized after it, with no ``invalidate_cache`` call."""
+    _, development, test = dataset_split
+    trips = list(test) + list(development)
+    model = perturbed_model(trained_model, seed=0)  # a policy reading z
+    held = model.stream_engine()
+    before = [result.labels for result in replay_fleet(held, trips)]
+    deferred = [("deferred", index) for index in range(len(trips))]
+    for vehicle, trip in zip(deferred, trips):  # half stepped
+        open_stream(held, vehicle, trip, declare=False)
+        feed(held, vehicle, trip, 1, len(trip) // 2)
+    quiesce(held)
+    change_policy_in_place(model, mutator)
+    fresh = model.stream_engine()
+    after = [result.labels for result in replay_fleet(fresh, trips)]
+    assert after != before, "the change must move a label"
+    assert [result.labels for result in replay_fleet(held, trips)] == after
+    for vehicle, trip in zip(deferred, trips):
+        feed(held, vehicle, trip, len(trip) // 2, None)
+        open_stream(fresh, vehicle, trip, declare=False)
+        feed(fresh, vehicle, trip, 1, None)
+    labels = [[result.labels for result in engine.finalize_many(deferred)]
+              for engine in (held, fresh)]
+    assert labels[0] == labels[1] == after

@@ -19,6 +19,7 @@ from test_deferred_streams import feed, open_stream, perturbed_model
 
 from repro.core import OnlineDetector, replay_fleet
 from repro.core.decision import label_route
+from repro.core.stream import PrefixStates
 from repro.exceptions import ModelError
 from repro.obs.trace import TraceContext, Tracer
 from repro.serve import clone_model, weights_snapshot
@@ -139,26 +140,31 @@ def test_one_sided_rnel_rules_match_the_reference(trained_model,
 def test_label_route_reads_only_the_interior_states(models, dataset_split,
                                                     use_rnel):
     """``label_route`` itself, fed the way each caller feeds it: the
-    detector's ``n - 1`` rows, a fully stepped stream's ``n``, an array or a
-    list of per-point vectors — and garbage where nobody may look."""
+    detector's ``n - 1`` rows and a fully stepped stream's ``n`` — with
+    garbage where nobody may look, and the same labels again once every
+    choice is read from the table's slots."""
     _, _, test = dataset_split
     model = models[1]
     network, pipeline = model.pipeline.network, model.pipeline
     for trajectory in sorted(test, key=len)[-4:] + [cut(test[0], 3)]:
         segments = trajectory.segments
         n = len(segments)
-        hidden = hidden_states(model.rsrnet,
-                               pipeline.vocabulary.tokens(segments))
+        tokens = pipeline.vocabulary.tokens(segments)
+        hidden = hidden_states(model.rsrnet, tokens)
         degrees = ([(network.out_degree(a), network.in_degree(b))
                     for a, b in zip(segments, segments[1:-1])]
                    if use_rnel else None)
         allowed = pipeline.normal_transitions_for(trajectory)
-        poisoned = hidden.copy()
-        poisoned[0] = poisoned[-1] = np.nan
-        for states in (hidden, hidden[:n - 1], list(hidden), poisoned):
-            assert label_route(segments, states, allowed, degrees,
-                               model.rsrnet, model.asdnet) == \
-                reference_labels(model, trajectory, use_rnel, None)
+        expected = reference_labels(model, trajectory, use_rnel, None)
+        for stepped in (n - 1, n):
+            states = PrefixStates(hidden.shape[1],
+                                  model.rsrnet.weights_version)
+            states.append(list(zip(range(n), tokens)), hidden, hidden)
+            states.hidden[1] = states.hidden[n] = np.nan
+            rows = list(range(1, stepped + 1))
+            for _ in range(2):
+                assert label_route(segments, rows, states, allowed, degrees,
+                                   model.rsrnet, model.asdnet) == expected
 
 
 def test_hidden_states_match_the_step_loop(trained_model, dataset_split):
@@ -212,12 +218,17 @@ def test_detect_steps_every_point_but_the_destination(trained_model,
     n = len(route)
     detector = model.detector()
     lstm_rows, policy_rows = count_work(monkeypatch, model)
-    detector.detect(route)
+    labels = detector.detect(route).labels
     if n <= 2:  # no interior point: nobody's hidden state is read
         assert lstm_rows == [] and policy_rows == []
     else:
         assert lstm_rows == [1] * (n - 1)
         assert policy_rows == [2 * (n - 2)]  # no per-point policy call
+    # A route decided before is read from the table: no LSTM, no policy.
+    lstm_rows.clear()
+    policy_rows.clear()
+    assert detector.detect(route).labels == labels
+    assert lstm_rows == [] and policy_rows == []
 
 
 def with_history(model, trips):
@@ -243,6 +254,42 @@ def test_lockstep_fleet_steps_every_point_but_the_destinations(
     assert engine.points_processed == sum(len(t) for t in fleet)
     for trajectory, result in zip(fleet, results):
         assert result.labels == reference_labels(model, trajectory)
+
+
+def test_a_replayed_fleet_runs_no_policy_row(trained_model, dataset_split,
+                                            monkeypatch):
+    """The second replay of the same trips through a held engine finds
+    every choice in the table."""
+    _, _, test = dataset_split
+    model = clone_model(trained_model)
+    fleet = test[:24]
+    engine = model.stream_engine()
+    _, policy_rows = count_work(monkeypatch, model)
+    first = [result.labels for result in replay_fleet(engine, fleet, 5)]
+    assert sum(policy_rows) > 0
+    policy_rows.clear()
+    assert [result.labels for result in replay_fleet(engine, fleet, 5)] \
+        == first
+    assert policy_rows == []
+
+
+def test_a_decided_deferred_route_finalizes_without_the_policy(
+        trained_model, dataset_split, monkeypatch):
+    _, _, test = dataset_split
+    model = clone_model(trained_model)
+    trajectory = max(test, key=len)
+    engine = model.stream_engine()
+    _, policy_rows = count_work(monkeypatch, model)
+    labels = []
+    for _ in range(2):
+        open_stream(engine, "cab", trajectory, declare=False)
+        feed(engine, "cab", trajectory, 1, None)
+        while engine._ready:
+            engine.tick()
+        policy_rows.clear()
+        labels.append(engine.finalize("cab").labels)
+    assert policy_rows == []  # the second finalize
+    assert labels[0] == labels[1] == reference_labels(model, trajectory)
 
 
 def caught_up_stream(engine, trajectory, trace_destination=False):

@@ -61,8 +61,8 @@ PUBLIC_SURFACE = {
     "repro.core.stream": ["StreamEngine", "SegmentFeatureCache"],
     "repro.core.online": ["OnlineLearner", "FineTuneRecord"],
     "repro.core.detector": ["OnlineDetector", "finish_labels"],
-    "repro.core.decision": ["label_route", "policy_choices",
-                            "sample_labels", "rnel_from_degrees",
+    "repro.core.decision": ["label_route", "greedy_choices",
+                            "policy_choices", "sample_labels", "rnel_from_degrees",
                             "rnel_from_degrees_batch"],
     "repro.serve": [
         "DetectionService", "IngestStatus", "serve_fleet", "shard_of",
