@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import List, Sequence
+from typing import List
 
 import numpy as np
 
@@ -43,6 +43,3 @@ class ScoringDetector(abc.ABC):
     @abc.abstractmethod
     def scores(self, trajectory: MatchedTrajectory) -> List[float]:
         """Per-segment anomaly scores (higher means more anomalous)."""
-
-    def score_many(self, trajectories: Sequence[MatchedTrajectory]) -> List[List[float]]:
-        return [self.scores(trajectory) for trajectory in trajectories]

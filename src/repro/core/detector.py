@@ -139,14 +139,13 @@ class OnlineDetector:
         asdnet: ASDNet,
         pipeline: PreprocessingPipeline,
         use_rnel: bool = True,
-        use_delayed_labeling: bool = True,
-        delay_window: int = 8,
+        delay_window: Optional[int] = 8,
     ):
         self._rsrnet = rsrnet
         self._asdnet = asdnet
         self._pipeline = pipeline
         self._use_rnel = use_rnel
-        self._delay_window = delay_window if use_delayed_labeling else None
+        self._delay_window = delay_window
         from .stream import PrefixStates  # stream.py imports this module
         self._states = PrefixStates(rsrnet.config.hidden_dim,
                                     rsrnet.weights_version)
@@ -210,7 +209,3 @@ class OnlineDetector:
                     states.cell[parent]))
             rows.extend(range(first, len(states)))
         return rows
-
-    def detect_many(self, trajectories: Sequence[MatchedTrajectory]
-                    ) -> List[DetectionResult]:
-        return [self.detect(trajectory) for trajectory in trajectories]

@@ -128,13 +128,14 @@ class RL4OASDModel:
 
     def detector(self) -> OnlineDetector:
         """An online detector using this model (Algorithm 1)."""
+        config = self.training_config
         return OnlineDetector(
             rsrnet=self.rsrnet,
             asdnet=self.asdnet,
             pipeline=self.pipeline,
-            use_rnel=self.training_config.use_rnel,
-            use_delayed_labeling=self.training_config.use_delayed_labeling,
-            delay_window=self.training_config.delayed_labeling_window,
+            use_rnel=config.use_rnel,
+            delay_window=(config.delayed_labeling_window
+                          if config.use_delayed_labeling else None),
         )
 
     def with_history(self, history) -> "RL4OASDModel":
@@ -407,8 +408,8 @@ class RL4OASDTrainer:
             asdnet=self._asdnet,
             pipeline=self._pipeline,
             use_rnel=config.use_rnel,
-            use_delayed_labeling=config.use_delayed_labeling,
-            delay_window=config.delayed_labeling_window,
+            delay_window=(config.delayed_labeling_window
+                          if config.use_delayed_labeling else None),
         )
         results = replay_fleet(engine, reference,
                                concurrency=self.VALIDATION_CONCURRENCY)

@@ -290,15 +290,14 @@ class StreamEngine:
         asdnet: ASDNet,
         pipeline: PreprocessingPipeline,
         use_rnel: bool = True,
-        use_delayed_labeling: bool = True,
-        delay_window: int = 8,
+        delay_window: Optional[int] = 8,
     ):
         self._rsrnet = rsrnet
         self._asdnet = asdnet
         self._pipeline = pipeline
         self._segment_tokens = pipeline.vocabulary.segment_tokens
         self._use_rnel = use_rnel
-        self._delay_window = delay_window if use_delayed_labeling else None
+        self._delay_window = delay_window
         self._cache = SegmentFeatureCache(rsrnet, len(pipeline.vocabulary))
         self._states = PrefixStates(rsrnet.config.hidden_dim,
                                     rsrnet.weights_version)
@@ -327,10 +326,11 @@ class StreamEngine:
     @classmethod
     def from_model(cls, model: "RL4OASDModel", **overrides) -> "StreamEngine":
         """An engine configured exactly like ``model.detector()``."""
+        config = model.training_config
         options = dict(
-            use_rnel=model.training_config.use_rnel,
-            use_delayed_labeling=model.training_config.use_delayed_labeling,
-            delay_window=model.training_config.delayed_labeling_window,
+            use_rnel=config.use_rnel,
+            delay_window=(config.delayed_labeling_window
+                          if config.use_delayed_labeling else None),
         )
         options.update(overrides)
         return cls(model.rsrnet, model.asdnet, model.pipeline, **options)

@@ -74,12 +74,6 @@ class TrajectoryDataset:
         test = [self.trajectories[i] for i in order[train_size:]]
         return train, test
 
-    def anomalous_trajectories(self) -> List[MatchedTrajectory]:
-        return [t for t in self.trajectories if t.is_anomalous]
-
-    def normal_trajectories(self) -> List[MatchedTrajectory]:
-        return [t for t in self.trajectories if not t.is_anomalous]
-
     # ------------------------------------------------------------- statistics
     def statistics(self) -> DatasetStatistics:
         """Dataset statistics in the shape of Table II."""

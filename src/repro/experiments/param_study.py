@@ -85,7 +85,7 @@ def run_param_study(
     for delay in delays:
         detector = OnlineDetector(
             rsrnet=model.rsrnet, asdnet=model.asdnet, pipeline=model.pipeline,
-            use_rnel=True, use_delayed_labeling=delay > 0, delay_window=max(delay, 0),
+            use_rnel=True, delay_window=delay if delay > 0 else None,
         )
         run = evaluate_detector(detector, split.test, name=f"D={delay}")
         f1_by_delay[delay] = run.overall.f1

@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from ..exceptions import LabelingError
-from ..trajectory.models import MatchedTrajectory
 from .transitions import TransitionStatistics
 
 
@@ -38,12 +37,3 @@ def labels_from_fractions(fractions: Sequence[float],
     labels[0] = 0
     labels[-1] = 0
     return labels
-
-
-def noisy_labels_for(
-    trajectory: MatchedTrajectory,
-    statistics: TransitionStatistics,
-    alpha: float = 0.5,
-) -> List[int]:
-    """Convenience wrapper taking a :class:`MatchedTrajectory`."""
-    return noisy_labels(trajectory.segments, statistics, alpha)

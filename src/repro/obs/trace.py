@@ -72,10 +72,6 @@ class TraceContext(NamedTuple):
     trace_id: int
     started_t: float
 
-    def restamped(self, now: float) -> "TraceContext":
-        """The same trace, re-clocked at a stage boundary."""
-        return TraceContext(self.trace_id, now)
-
 
 class Span(NamedTuple):
     """One recorded stage traversal (for the JSONL export)."""

@@ -181,16 +181,6 @@ class RoadNetwork:
         """Number of segments that can directly lead into ``segment_id`` (``e.in``)."""
         return len(self._in_segments[self.segment(segment_id).start_node])
 
-    def node_out_segments(self, node_id: int) -> List[int]:
-        if node_id not in self._nodes:
-            raise IntersectionNotFoundError(node_id)
-        return list(self._out_segments[node_id])
-
-    def node_in_segments(self, node_id: int) -> List[int]:
-        if node_id not in self._nodes:
-            raise IntersectionNotFoundError(node_id)
-        return list(self._in_segments[node_id])
-
     def is_route_connected(self, route: Sequence[int]) -> bool:
         """True if consecutive segments of ``route`` share an intersection."""
         for previous_id, current_id in zip(route, route[1:]):

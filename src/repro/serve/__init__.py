@@ -5,8 +5,9 @@ deployable detector:
 
 * :class:`~repro.serve.service.DetectionService` — shard N concurrent
   vehicle streams across worker engines (in-process or one OS process per
-  shard), with bounded ingest queues, an explicit backpressure signal, and
-  atomic control-plane hot-swap (``swap``: weights, the versioned
+  shard), with bounded ingest queues that ``ingest_many`` retries within a
+  ``max_retries`` budget (``0`` probes without blocking), and atomic
+  control-plane hot-swap (``swap``: weights, the versioned
   normal-route history, or both) that never drops an in-flight stream.
 * :func:`~repro.serve.service.serve_fleet` — replay a trajectory workload
   through a service (the benchmark/differential-test driver).
@@ -26,12 +27,11 @@ from .checkpoint import (CHECKPOINT_VERSION, clone_model, load_model,
 from .metrics import (BusStats, GatewayStats, ServiceMetrics, ShardStats,
                       metrics_to_registry)
 from .resultbus import BusCollector, ResultEnvelope, ShardResultBus
-from .service import DetectionService, IngestStatus, serve_fleet
+from .service import DetectionService, serve_fleet
 from .sharding import shard_of
 
 __all__ = [
     "DetectionService",
-    "IngestStatus",
     "serve_fleet",
     "ResultEnvelope",
     "ShardResultBus",

@@ -84,10 +84,10 @@ moves no label. What a
 before the next command is taken. So the points a shard holds un-ticked
 are at most one steppable point per stream,
 the command in hand and ``queue_depth`` queued commands: a producer that
-outruns the engine fills the *queue*, and sees ``RETRY_LATER``, instead of
-growing the engine's per-stream buffers. The rule paces both transports, so
-how many ticks a given ``pump()`` runs is a transport detail; labels never
-depend on it.
+outruns the engine fills the *queue*, and has its batch refused (the
+facade retries it), instead of growing the engine's per-stream buffers.
+The rule paces both transports, so how many ticks a given ``pump()`` runs
+is a transport detail; labels never depend on it.
 
 **Results bus.** On top of the request/reply protocol every shard runs a
 push-based result plane (:mod:`repro.serve.resultbus`): a ``finalize_async``

@@ -192,10 +192,6 @@ class GatewayStats:
                 + self.unmatched_dropped)
 
     @property
-    def drop_rate(self) -> float:
-        return self.dropped_points / self.raw_points if self.raw_points else 0.0
-
-    @property
     def forced_commit_rate(self) -> float:
         return self.forced_commits / self.commits if self.commits else 0.0
 

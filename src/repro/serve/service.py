@@ -12,14 +12,14 @@ single ingest facade:
   (and therefore to :class:`~repro.core.detector.OnlineDetector`) no matter
   the shard count or backend — pinned by ``tests/test_serve.py``.
 * **Backpressure-aware ingest.** Each shard's queue is bounded, in
-  commands; :meth:`DetectionService.ingest` (one point: a batch of one, the
-  command :meth:`ingest_many` sends) never blocks and never drops — a full
-  queue returns :attr:`IngestStatus.RETRY_LATER` and the caller retries
+  commands, and :meth:`DetectionService.ingest_many` is the one way in: it
+  queues one batch per shard and never drops — a full queue is retried
   after :meth:`pump` (or a moment later, for the process backend whose
-  workers run on their own clock). On either backend the queue is all the
-  lead a producer can build: a shard steps a round before it buffers the
-  next. :meth:`ingest_blocking`, :meth:`ingest_many` and
-  :meth:`finalize_async` run that retry loop for the caller — one loop.
+  workers run on their own clock) within a ``max_retries`` budget;
+  ``max_retries=0`` is a non-blocking probe that refuses once. On either
+  backend the queue is all the lead a producer can build: a shard steps a
+  round before it buffers the next. :meth:`ingest_many` and
+  :meth:`finalize_async` share that retry loop.
 * **Snapshot isolation + hot-swap.** The service serves a *snapshot* of the
   model taken at construction (a deep clone in process memory, or a pickled
   blob shipped to worker processes). Callers keep fine-tuning their own
@@ -55,7 +55,6 @@ round-trip-per-call driver it replaced.
 from __future__ import annotations
 
 import dataclasses
-import enum
 import time
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
@@ -81,20 +80,6 @@ from .checkpoint import (WeightsSnapshot, clone_model, model_to_bytes,
 from .metrics import BusStats, ServiceMetrics, metrics_to_registry
 from .resultbus import BusCollector, ResultEnvelope
 from .sharding import shard_of
-
-
-class IngestStatus(enum.Enum):
-    """Outcome of one non-blocking ingest attempt."""
-
-    ACCEPTED = "accepted"
-    RETRY_LATER = "retry_later"
-
-    @property
-    def accepted(self) -> bool:
-        return self is IngestStatus.ACCEPTED
-
-    def __bool__(self) -> bool:
-        return self.accepted
 
 
 class DetectionService:
@@ -220,89 +205,49 @@ class DetectionService:
         return shard_of(vehicle_id, self._num_shards)
 
     # -------------------------------------------------------------- ingest
-    def ingest(
-        self,
-        vehicle_id: Hashable,
-        segment: int,
-        destination: Optional[int] = None,
-        start_time_s: float = 0.0,
-        trajectory_id: Optional[int] = None,
-        trace=None,
-    ) -> IngestStatus:
-        """Queue one point to the vehicle's shard, without blocking.
-
-        Semantics mirror :meth:`StreamEngine.ingest
-        <repro.core.stream.StreamEngine.ingest>` (first ingest opens the
-        stream; ``destination`` etc. are only read then), with two serving
-        twists: unknown segments — and an opening ``start_time_s`` that is
-        not a finite real number — are rejected *here*, synchronously, before
-        anything is queued (``LabelingError`` / ``TrajectoryError``), and a
-        full shard queue returns :attr:`IngestStatus.RETRY_LATER` — the
-        caller must retry the *same* point before sending any later point of
-        that vehicle, or the stream would be observed out of order.
-        """
-        self._require_open_service()
-        by_shard, openers = self._plan_ingest((IngestEvent(
-            vehicle_id, segment, destination, start_time_s, trajectory_id,
-            trace),))
-        (shard, columns), = by_shard.items()
-        if not self._backend.ingest_batch(shard, columns):
-            self._stats.rejected_ingests += 1
-            return IngestStatus.RETRY_LATER
-        self._ingest_delivered(openers, batched=False)(shard, columns)
-        return IngestStatus.ACCEPTED
-
-    def ingest_blocking(self, vehicle_id: Hashable, segment: int,
-                        max_retries: int = 10000,
-                        retry_wait_s: float = 0.0005,
-                        **kwargs) -> int:
-        """Ingest one point, riding out backpressure; returns retries used.
-
-        ``kwargs`` are :meth:`ingest`'s opening fields. The point is
-        validated once and queued as a batch of one through the retry loop
-        of :meth:`ingest_many` (:meth:`_deliver`).
-        """
-        self._require_open_service()
-        by_shard, openers = self._plan_ingest(
-            (IngestEvent(vehicle_id, segment, **kwargs),))
-        return self._deliver(
-            by_shard, self._backend.ingest_batch,
-            self._ingest_delivered(openers, batched=False), max_retries,
-            retry_wait_s, "an ingest")
-
     def ingest_many(
         self,
         requests: Sequence[IngestEvent],
         max_retries: int = 10000,
         retry_wait_s: float = 0.0005,
     ) -> int:
-        """Queue many points as per-shard batches, riding out backpressure.
+        """Queue points as per-shard batches, riding out backpressure.
 
-        ``requests`` are :class:`~repro.serve.backends.IngestEvent` tuples
-        ``(vehicle_id, segment, destination, start_time_s, trajectory_id)``;
-        as with :meth:`ingest`, the opening fields are only read by the first
-        event of a new vehicle stream (later events of the same vehicle —
-        even inside the same call — have them ignored). Events are validated
-        up front (``LabelingError`` / ``TrajectoryError`` before anything is
-        queued), grouped by shard *preserving per-vehicle order*, and each
-        shard's group is queued as **one** batched command — on the process
-        backend that is one IPC put per shard instead of one per point, which
-        is what lets multi-shard ingest keep up with a fast producer (the
-        raw-GPS gateway). A full shard queue is ridden out by
-        :meth:`_deliver`, each shard getting its own
-        ``max_retries`` budget; a shard's batch is all-or-nothing, so no
-        partial delivery can reorder a stream. If a shard exhausts its
-        budget a ``ServiceError`` is raised, but batches already queued to
-        earlier shards *stay delivered* (their streams are tracked) — do
-        not resubmit those events. Returns total retries used.
+        The facade's one admission. ``requests`` are
+        :class:`~repro.serve.backends.IngestEvent` tuples; as in
+        :meth:`StreamEngine.ingest <repro.core.stream.StreamEngine.ingest>`
+        the first event of a vehicle opens its stream and only its opening
+        fields are read (later events of the same vehicle — even inside the
+        same call — have them ignored). Events are validated up front
+        (``LabelingError`` / ``TrajectoryError`` before anything is queued),
+        grouped by shard *preserving per-vehicle order*, and each shard's
+        group is queued as **one** batched command — on the process backend
+        one IPC put per shard instead of one per point, which is what lets
+        multi-shard ingest keep up with a fast producer (the raw-GPS
+        gateway). A full shard queue is ridden out by :meth:`_deliver`, each
+        shard getting its own ``max_retries`` budget; ``max_retries=0`` is
+        the non-blocking probe (a full queue refuses once, nothing is queued
+        or pumped). A shard's batch is all-or-nothing, so no partial
+        delivery can reorder a stream. If a shard exhausts its budget a
+        ``ServiceError`` is raised, but batches already queued to earlier
+        shards *stay delivered* (their streams are tracked) — do not
+        resubmit those events. Returns total retries used.
         """
         self._require_open_service()
         if not requests:
             return 0
         by_shard, openers = self._plan_ingest(requests)
+
+        def delivered(shard: int, columns: tuple) -> None:
+            self._stats.accepted_ingests += len(columns[0])
+            self._stats.batched_ingests += 1
+            # Track this shard's new streams immediately, so a failure on a
+            # *later* shard cannot leave delivered streams untracked.
+            for vehicle_id in openers.get(shard, ()):
+                self._open[vehicle_id] = shard
+
         return self._deliver(
-            by_shard, self._backend.ingest_batch,
-            self._ingest_delivered(openers, batched=True), max_retries,
+            by_shard, self._backend.ingest_batch, delivered, max_retries,
             retry_wait_s, "a batched ingest")
 
     def _plan_ingest(
@@ -348,18 +293,6 @@ class DetectionService:
             columns[0].append(vehicle_id)
             columns[1].append(segment)
         return by_shard, openers
-
-    def _ingest_delivered(self, openers: Dict[int, List[Hashable]],
-                          batched: bool):
-        def delivered(shard: int, columns: tuple) -> None:
-            self._stats.accepted_ingests += len(columns[0])
-            if batched:
-                self._stats.batched_ingests += 1
-            # Track this shard's new streams immediately, so a failure on a
-            # *later* shard cannot leave delivered streams untracked.
-            for vehicle_id in openers.get(shard, ()):
-                self._open[vehicle_id] = shard
-        return delivered
 
     def _deliver(self, by_shard: Dict[int, object], send, delivered,
                  max_retries: int, retry_wait_s: float, what: str) -> int:

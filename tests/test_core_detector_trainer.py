@@ -135,9 +135,13 @@ def test_detector_is_deterministic_in_greedy_mode(trained_model, dataset_split):
 
 
 def test_detector_detect_many(trained_model, dataset_split):
+    """One detector over several trips labels each as a fresh one would:
+    the prefix table the trips share changes no label."""
     _, _, test = dataset_split
-    results = trained_model.detector().detect_many(test[:5])
-    assert len(results) == 5
+    detector = trained_model.detector()
+    results = [detector.detect(trip) for trip in test[:5]]
+    assert [result.labels for result in results] == [
+        trained_model.detector().detect(trip).labels for trip in test[:5]]
 
 
 def test_detector_quality_on_test_set(trained_model, dataset_split):
@@ -173,8 +177,8 @@ def test_detector_builds_the_transition_set_once_per_sd_pair(
     detector = OnlineDetector(
         trained_model.rsrnet, trained_model.asdnet, pipeline,
         use_rnel=config.use_rnel,
-        use_delayed_labeling=config.use_delayed_labeling,
-        delay_window=config.delayed_labeling_window)
+        delay_window=(config.delayed_labeling_window
+                      if config.use_delayed_labeling else None))
     expected = [trained_model.detector().detect(trip).labels
                 for trip in trips]
     calls = []

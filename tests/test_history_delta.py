@@ -29,8 +29,8 @@ from repro.history import (HistoryArchive, HistoryDelta, HistorySnapshot,
                            RollForwardDriver, RouteHistoryStore, apply_delta,
                            clone_snapshot, delta_from_bytes,
                            delta_to_bytes, merge_deltas)
-from repro.serve import (CHECKPOINT_VERSION, DetectionService, clone_model,
-                         load_model, save_model, serve_fleet)
+from repro.serve import (CHECKPOINT_VERSION, DetectionService, IngestEvent,
+                         clone_model, load_model, save_model, serve_fleet)
 from repro.trajectory import MatchedTrajectory
 
 
@@ -172,10 +172,11 @@ def test_delta_swap_matches_full_swap_and_fresh_build(
         # Open streams that stay in flight across the refresh boundary.
         inflight = fleet[0]
         for svc in (delta_svc, full_svc):
-            svc.ingest("inflight", inflight.segments[0],
-                       destination=inflight.destination,
-                       start_time_s=inflight.start_time_s)
-            svc.ingest("inflight", inflight.segments[1])
+            svc.ingest_many([IngestEvent(
+                "inflight", inflight.segments[0],
+                destination=inflight.destination,
+                start_time_s=inflight.start_time_s)])
+            svc.ingest_many([IngestEvent("inflight", inflight.segments[1])])
             svc.pump()
 
         pipeline.extend_history(first)
@@ -198,7 +199,7 @@ def test_delta_swap_matches_full_swap_and_fresh_build(
         # In-flight streams keep their opening snapshot on both paths.
         for svc in (delta_svc, full_svc):
             for segment in inflight.segments[2:]:
-                svc.ingest("inflight", segment)
+                svc.ingest_many([IngestEvent("inflight", segment)])
         inflight_delta = delta_svc.finalize("inflight")
         inflight_full = full_svc.finalize("inflight")
         assert inflight_delta.labels == inflight_full.labels

@@ -19,7 +19,8 @@ import pytest
 
 from repro.exceptions import LabelingError, ModelError, ServiceError
 from repro.history import HistorySnapshot
-from repro.serve import clone_model, serve_fleet, weights_snapshot
+from repro.serve import (IngestEvent, clone_model, serve_fleet,
+                         weights_snapshot)
 from repro.trajectory import MatchedTrajectory
 
 
@@ -58,7 +59,7 @@ def drift(trained_model, dataset_split):
     return refreshed, fleet
 
 
-def open_streams(fleet, prefix, declare, ingest):
+def open_streams(fleet, prefix, declare, ingest_many):
     """Feed every point of every trajectory; returns the stream ids."""
     ids = []
     for index, trajectory in enumerate(fleet):
@@ -66,13 +67,14 @@ def open_streams(fleet, prefix, declare, ingest):
         ids.append(vehicle)
         for position, segment in enumerate(trajectory.segments):
             if position == 0:
-                ingest(vehicle, segment,
-                       destination=(trajectory.destination if declare
-                                    else None),
-                       start_time_s=trajectory.start_time_s,
-                       trajectory_id=trajectory.trajectory_id)
+                ingest_many([IngestEvent(
+                    vehicle, segment,
+                    destination=(trajectory.destination if declare
+                                 else None),
+                    start_time_s=trajectory.start_time_s,
+                    trajectory_id=trajectory.trajectory_id)])
             else:
-                ingest(vehicle, segment)
+                ingest_many([IngestEvent(vehicle, segment)])
     return ids
 
 
@@ -98,7 +100,7 @@ def test_swap_history_matches_fresh_build_with_streams_in_flight(
     with trained_model.detection_service(
             num_shards=num_shards, backend="inprocess") as reference:
         ids = open_streams(in_flight, "a", declare=False,
-                           ingest=reference.ingest_blocking)
+                           ingest_many=reference.ingest_many)
         expected_in_flight = reference.finalize_many(ids)
 
     # Reference B: a service freshly built from snapshot S.
@@ -106,7 +108,7 @@ def test_swap_history_matches_fresh_build_with_streams_in_flight(
     with fresh.detection_service(
             num_shards=num_shards, backend="inprocess") as reference:
         ids = open_streams(after, "b", declare=True,
-                           ingest=reference.ingest_blocking)
+                           ingest_many=reference.ingest_many)
         expected_after = reference.finalize_many(ids)
 
     # The system under test: one service, hot-refreshed mid-run. The
@@ -117,11 +119,11 @@ def test_swap_history_matches_fresh_build_with_streams_in_flight(
             num_shards=num_shards, backend=backend) as service:
         assert service.history_version == trained_model.pipeline.history.version
         in_flight_ids = open_streams(in_flight, "a", declare=False,
-                                     ingest=service.ingest_blocking)
+                                     ingest_many=service.ingest_many)
         new_version = service.swap(history=refreshed)[1]
         assert new_version == refreshed.version
         after_ids = open_streams(after, "b", declare=True,
-                                 ingest=service.ingest_blocking)
+                                 ingest_many=service.ingest_many)
         results_after = service.finalize_many(after_ids)
         results_in_flight = service.finalize_many(in_flight_ids)
         metrics = service.metrics()
@@ -183,8 +185,10 @@ def test_combined_weights_and_history_swap_is_one_atomic_boundary(
 
     with trained_model.detection_service(
             num_shards=2, backend=backend) as service:
-        results = drive(service.ingest_blocking, service.drain,
-                        service.finalize_many,
+        results = drive(
+            lambda vehicle, segment, **opening: service.ingest_many(
+                [IngestEvent(vehicle, segment, **opening)]),
+            service.drain, service.finalize_many,
                         lambda: service.swap(weights=snapshot,
                                              history=refreshed))
         assert service.model_version == 2
@@ -204,11 +208,11 @@ def test_streams_opened_after_refresh_resolve_new_normal_routes(
         trajectory = fleet[0]
         for position, segment in enumerate(trajectory.segments):
             if position == 0:
-                service.ingest_blocking(
+                service.ingest_many([IngestEvent(
                     "cab", segment, destination=trajectory.destination,
-                    start_time_s=trajectory.start_time_s)
+                    start_time_s=trajectory.start_time_s)])
             else:
-                service.ingest_blocking("cab", segment)
+                service.ingest_many([IngestEvent("cab", segment)])
         result = service.finalize("cab")
     assert result.labels == fresh_detector.detect(trajectory).labels
 
@@ -251,8 +255,8 @@ def test_swap_validation_and_rejection_leaves_service_intact(trained_model,
     _, _, test = dataset_split
     trajectory = test[0]
     with trained_model.detection_service(num_shards=2) as service:
-        service.ingest("cab", trajectory.segments[0],
-                       destination=trajectory.destination)
+        service.ingest_many([IngestEvent("cab", trajectory.segments[0],
+                                         destination=trajectory.destination)])
         before = service.history_version
         with pytest.raises(ServiceError):
             service.swap()  # neither weights nor history
@@ -313,14 +317,14 @@ def test_online_learner_publishes_history_with_weights(dataset, dataset_split):
     with learner.attach_service(
             model.detection_service(num_shards=2)) as service:
         trajectory = test[0]
-        service.ingest_blocking("inflight", trajectory.segments[0],
-                                destination=trajectory.destination)
+        service.ingest_many([IngestEvent("inflight", trajectory.segments[0],
+                                         destination=trajectory.destination)])
         learner.observe_part(1, train[80:96])
         assert model.pipeline.history.version == 2  # fine_tune extended it
         assert service.model_version == 2
         assert service.history_version == 2  # published atomically
         for segment in trajectory.segments[1:]:
-            service.ingest_blocking("inflight", segment)
+            service.ingest_many([IngestEvent("inflight", segment)])
         result = service.finalize("inflight")  # survived the combined swap
         assert len(result.labels) == len(trajectory)
         # A post-refresh stream labels like a fresh build from the learner's
@@ -331,9 +335,9 @@ def test_online_learner_publishes_history_with_weights(dataset, dataset_split):
                                     concurrency=1)[0]
         for position, segment in enumerate(test[1].segments):
             if position == 0:
-                service.ingest_blocking("next", segment,
-                                        destination=test[1].destination,
-                                        start_time_s=test[1].start_time_s)
+                service.ingest_many([IngestEvent(
+                    "next", segment, destination=test[1].destination,
+                    start_time_s=test[1].start_time_s)])
             else:
-                service.ingest_blocking("next", segment)
+                service.ingest_many([IngestEvent("next", segment)])
         assert_results_match(reference, service.finalize("next"))

@@ -20,6 +20,7 @@ from repro.datagen import sample_gps_trace
 from repro.exceptions import ConfigurationError, GatewayError, ServiceError
 from repro.ingest import GpsGateway, serve_raw_fleet
 from repro.mapmatching import HMMMapMatcher, OnlineMapMatcher
+from repro.serve import IngestEvent
 from repro.trajectory import GPSPoint, RawTrajectory
 
 
@@ -47,10 +48,10 @@ def offline_reference(model, matcher, raws, **service_kwargs):
             matched = match.matched
             for position, segment in enumerate(matched.segments):
                 if position == 0:
-                    service.ingest_blocking(
-                        index, segment, start_time_s=matched.start_time_s)
+                    service.ingest_many([IngestEvent(
+                        index, segment, start_time_s=matched.start_time_s)])
                 else:
-                    service.ingest_blocking(index, segment)
+                    service.ingest_many([IngestEvent(index, segment)])
             results.append(service.finalize(index))
     return results
 
@@ -328,9 +329,7 @@ def test_gateway_latency_report(trained_model, dataset, dataset_split,
 def test_service_ingest_many_matches_per_point(trained_model, dataset_split,
                                                backend):
     """DetectionService.ingest_many (one batched command per shard) labels
-    exactly like per-point ingest, including streams opened mid-batch."""
-    from repro.serve.backends import IngestEvent
-
+    exactly like the detector, including streams opened mid-batch."""
     _, _, test = dataset_split
     fleet = test[:6]
     detector = trained_model.detector()
@@ -359,8 +358,6 @@ def test_service_ingest_many_rides_out_backpressure(trained_model,
                                                     dataset_split):
     """Tiny queue depth: batched ingest retries (counted as rejections) but
     delivers everything in order."""
-    from repro.serve.backends import IngestEvent
-
     _, _, test = dataset_split
     trajectory = max(test, key=len)
     detector = trained_model.detector()
@@ -383,7 +380,6 @@ def test_service_ingest_many_rides_out_backpressure(trained_model,
 
 def test_service_ingest_many_validates_segments(trained_model, dataset_split):
     from repro.exceptions import LabelingError
-    from repro.serve.backends import IngestEvent
 
     _, _, test = dataset_split
     with trained_model.detection_service(num_shards=1) as service:
@@ -683,7 +679,7 @@ def test_async_sessions_poll_and_drain_explicitly(trained_model, dataset,
             assert session.confidence == session.match.confidence
         # Someone else finalizing through the gateway's service poisons the
         # shared bus; the gateway refuses to guess whose result that is.
-        service.ingest_blocking("interloper", test[0].segments[0])
+        service.ingest_many([IngestEvent("interloper", test[0].segments[0])])
         service.finalize_async(["interloper"])
         service.pump()
         with pytest.raises(GatewayError):

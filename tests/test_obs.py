@@ -44,7 +44,7 @@ from repro.obs import (Counter, Gauge, Histogram, MetricsRegistry,
                        STAGES, TraceContext, Tracer, default_latency_buckets,
                        parse_prometheus, render_prometheus, timestamp,
                        write_spans_jsonl)
-from repro.serve import serve_fleet
+from repro.serve import IngestEvent, serve_fleet
 from repro.serve.metrics import (BusStats, GatewayStats, ServiceMetrics,
                                  ShardStats, exported_fields,
                                  metrics_to_registry)
@@ -583,10 +583,10 @@ def test_rate_zero_service_records_no_traces(trained_model, dataset_split):
         for index, truth in enumerate(test[:4]):
             for position, segment in enumerate(truth.segments):
                 if position == 0:
-                    service.ingest_blocking(index, segment,
-                                            start_time_s=truth.start_time_s)
+                    service.ingest_many([IngestEvent(
+                        index, segment, start_time_s=truth.start_time_s)])
                 else:
-                    service.ingest_blocking(index, segment)
+                    service.ingest_many([IngestEvent(index, segment)])
             service.finalize(index)
         assert service.tracer is not None
         assert service.tracer.sampled == 0
@@ -606,10 +606,10 @@ def test_metrics_text_works_without_obs_config(trained_model, dataset_split):
         truth = test[0]
         for position, segment in enumerate(truth.segments):
             if position == 0:
-                service.ingest_blocking(0, segment,
-                                        start_time_s=truth.start_time_s)
+                service.ingest_many([IngestEvent(
+                    0, segment, start_time_s=truth.start_time_s)])
             else:
-                service.ingest_blocking(0, segment)
+                service.ingest_many([IngestEvent(0, segment)])
         service.finalize(0)
         assert service.tracer is None
         assert_exposition_agrees_with_dashboards(service.metrics_text(),

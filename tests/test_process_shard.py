@@ -6,7 +6,7 @@ identity (which ``test_serve.py`` and ``test_result_bus.py`` pin):
 * the worker steps a round before it buffers the next — driven here against
   the worker's command interpreter directly, no process, no timing;
 * a full command queue is therefore the *only* place a fast producer's lead
-  can pile up (``RETRY_LATER``), never the engine's per-stream buffers;
+  can pile up (a refused batch), never the engine's per-stream buffers;
 * the results bus is a pipe the worker writes synchronously, so a facade
   that does not poll must still never wedge it;
 * ``ingest_batch`` travels as columns and applies exactly like the events;
@@ -414,16 +414,15 @@ def test_unpolled_bus_never_wedges_the_worker(trained_model, online_trips):
 
 
 # ----------------------------------------------------------- a dead worker
-@pytest.mark.parametrize("command", ["ingest", "ingest_many",
-                                     "finalize_async"])
+@pytest.mark.parametrize("command", ["ingest_many", "finalize_async"])
 def test_dead_worker_surfaces_at_the_data_plane_at_once(
         trained_model, online_trips, command):
     events = trip_events("cab", online_trips[0])
     with trained_model.detection_service(
             num_shards=2, backend="process", queue_depth=3) as service:
         shard = service.shard_for("cab")
-        service.ingest_blocking("cab", events[0].segment,
-                                destination=events[0].destination)
+        service.ingest_many([IngestEvent("cab", events[0].segment,
+                                         destination=events[0].destination)])
         service.drain()
         process = service._backend._shards[shard].process
         process.kill()
@@ -434,14 +433,13 @@ def test_dead_worker_surfaces_at_the_data_plane_at_once(
             # The queue of a dead worker takes queue_depth commands, then
             # refuses; a refusal checks the worker instead of retrying.
             for event in events[1:]:
-                if command == "ingest":
-                    service.ingest("cab", event.segment)
-                elif command == "ingest_many":
+                if command == "ingest_many":
                     service.ingest_many([event])
                 else:
                     service.finalize_async(["cab"])
-                    service.ingest("cab", event.segment,
-                                   destination=events[0].destination)
+                    service.ingest_many([IngestEvent(
+                        "cab", event.segment,
+                        destination=events[0].destination)])
         assert time.perf_counter() - started < 1.0
         assert f"shard {shard} worker died" in str(failure.value)
         with pytest.raises(ServiceError, match="worker died"):

@@ -10,8 +10,8 @@ caller, or invert a vehicle's order. The unit fuzz drives the raw
 ``ShardResultBus`` / ``BusCollector`` protocol through hundreds of
 randomized schedules; the service fuzz replays randomized fleets through
 ``finalize_async`` on both backends; around them sit the backpressure
-retry-discipline tests (the ``ingest_blocking`` sleep path, a process-
-backend ``RETRY_LATER`` storm) and a ``slow``-marked gateway→service→bus
+retry-discipline tests (the ``ingest_many`` sleep path, a storm of
+process-backend refusals) and a ``slow``-marked gateway→service→bus
 soak that pins queue depth, bus lag and per-vehicle state as bounded.
 """
 
@@ -344,11 +344,7 @@ def run_async_finalize_trial(service, model, pool, references, rng, base,
             service.ingest_many(events)
         else:
             for event in events:
-                service.ingest_blocking(
-                    event.vehicle_id, event.segment,
-                    destination=event.destination,
-                    start_time_s=event.start_time_s,
-                    trajectory_id=event.trajectory_id)
+                service.ingest_many([event])
         finished = [i for i in chosen
                     if cursors[i] == len(fleet[i].segments)]
         if finished:
@@ -450,9 +446,9 @@ def test_error_envelope_carries_shard_failure(trained_model, dataset_split,
                       if len(t) >= 3 and t.segments[1] != t.destination)
     with trained_model.detection_service(
             num_shards=1, backend=backend) as service:
-        service.ingest_blocking("cab", trajectory.segments[0],
-                                destination=trajectory.destination)
-        service.ingest_blocking("cab", trajectory.segments[1])
+        service.ingest_many([IngestEvent("cab", trajectory.segments[0],
+                                         destination=trajectory.destination)])
+        service.ingest_many([IngestEvent("cab", trajectory.segments[1])])
         service.finalize_async(["cab"])
         envelopes = service.drain_results()
         assert [e.kind for e in envelopes] == ["error"]
@@ -472,9 +468,9 @@ def test_failed_async_finalize_still_closes_the_streams(
                       if len(t) >= 3 and t.segments[1] != t.destination)
     with trained_model.detection_service(
             num_shards=1, backend=backend) as service:
-        service.ingest_blocking("cab", trajectory.segments[0],
-                                destination=trajectory.destination)
-        service.ingest_blocking("cab", trajectory.segments[1])
+        service.ingest_many([IngestEvent("cab", trajectory.segments[0],
+                                         destination=trajectory.destination)])
+        service.ingest_many([IngestEvent("cab", trajectory.segments[1])])
         service.finalize_async(["cab"])
         envelopes = service.drain_results()
         assert [e.kind for e in envelopes] == ["error"]
@@ -500,7 +496,7 @@ def test_finalize_async_validates_synchronously(trained_model, dataset_split):
         assert service.finalize_async([]) == 0
         with pytest.raises(ServiceError):
             service.finalize_async(["ghost"])
-        service.ingest_blocking("cab", test[0].segments[0])
+        service.ingest_many([IngestEvent("cab", test[0].segments[0])])
         with pytest.raises(ServiceError):
             service.finalize_async(["cab", "cab"])
         assert service.poll_results() == []
@@ -512,7 +508,7 @@ def test_finalize_async_validates_synchronously(trained_model, dataset_split):
 # ============================================================ backpressure
 def test_inprocess_retry_sleeps_when_pump_makes_no_progress(
         trained_model, dataset_split, monkeypatch):
-    """The ``ingest_blocking`` sleep path: deferred streams (undeclared
+    """The ``ingest_many`` sleep path: deferred streams (undeclared
     destination) make every pump label nothing, so each of the 100+
     rejections must fall through to the retry sleep — and the retried
     points still lose nothing against a reference engine."""
@@ -546,8 +542,9 @@ def test_inprocess_retry_sleeps_when_pump_makes_no_progress(
                 if cursors[index] < len(trajectory.segments):
                     kwargs = ({"start_time_s": trajectory.start_time_s}
                               if cursors[index] == 0 else {})
-                    service.ingest_blocking(index, trajectory.segments[
-                        cursors[index]], **kwargs)
+                    service.ingest_many([IngestEvent(
+                        index, trajectory.segments[cursors[index]],
+                        **kwargs)])
                     cursors[index] += 1
         metrics = service.metrics()
         results = service.finalize_many(range(len(fleet)))
@@ -568,23 +565,23 @@ def stall_worker(service, shard, seconds):
 @pytest.mark.fleet
 def test_process_backend_rides_out_retry_later_storm(trained_model,
                                                      dataset_split):
-    """A stalled worker turns a bounded command queue into a RETRY_LATER
-    storm; ``ingest_blocking`` rides out well over 100 rejections on one
-    stream and the labels come out untouched."""
+    """A stalled worker turns a bounded command queue into a storm of
+    refusals; ``ingest_many`` rides out well over 100 of them on one stream
+    and the labels come out untouched."""
     _, _, test = dataset_split
     trajectory = max(test, key=len)
     reference = trained_model.detector().detect(trajectory)
     with trained_model.detection_service(
             num_shards=1, backend="process", queue_depth=4) as service:
-        service.ingest_blocking("cab", trajectory.segments[0],
-                                destination=trajectory.destination,
-                                start_time_s=trajectory.start_time_s)
+        service.ingest_many([IngestEvent(
+            "cab", trajectory.segments[0], destination=trajectory.destination,
+            start_time_s=trajectory.start_time_s)])
         service.drain()
         stall_worker(service, 0, 1.0)
         storm = 0
         for segment in trajectory.segments[1:]:
-            storm += service.ingest_blocking("cab", segment,
-                                             retry_wait_s=0.001)
+            storm += service.ingest_many([IngestEvent("cab", segment)],
+                                         retry_wait_s=0.001)
         assert storm >= 100
         metrics = service.metrics()
         assert metrics.rejected_ingests == storm

@@ -44,11 +44,6 @@ def cut(trajectory, length):
                              start_time_s=trajectory.start_time_s)
 
 
-def options(use_rnel, window):
-    return dict(use_rnel=use_rnel, use_delayed_labeling=window is not None,
-                delay_window=8 if window is None else window)
-
-
 route_plans = st.tuples(
     st.integers(0, 2),                          # which model
     st.integers(0, 10_000),                     # which trip
@@ -72,13 +67,13 @@ def test_detect_matches_the_scalar_reference(models, dataset_split, plan):
     expected = reference_labels(model, route, use_rnel, window)
 
     detector = OnlineDetector(model.rsrnet, model.asdnet, model.pipeline,
-                              **options(use_rnel, window))
+                              use_rnel=use_rnel, delay_window=window)
     assert detector.detect(route).labels == expected
 
     # The engine reaches the same labels both ways: per point through its
     # ticks (destination declared) and through the route pass (deferred).
     for declare in (True, False):
-        engine = model.stream_engine(**options(use_rnel, window))
+        engine = model.stream_engine(use_rnel=use_rnel, delay_window=window)
         open_stream(engine, "cab", route, declare)
         engine.tick()
         for segment in route.segments[1:]:

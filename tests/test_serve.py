@@ -15,8 +15,8 @@ import pytest
 
 from repro.exceptions import (LabelingError, ModelError, ServiceError,
                               TrajectoryError)
-from repro.serve import (DetectionService, IngestEvent, IngestStatus,
-                         clone_model, serve_fleet, shard_of, weights_snapshot)
+from repro.serve import (DetectionService, IngestEvent, clone_model,
+                         serve_fleet, shard_of, weights_snapshot)
 from repro.trajectory.ops import interleave_streams
 
 
@@ -26,12 +26,12 @@ def run_randomized_service_fleet(service, trajectories, rng, pump_every=3):
     for index, position, segment in interleave_streams(trajectories, rng):
         trajectory = trajectories[index]
         if position == 0:
-            service.ingest_blocking(index, segment,
-                                    destination=trajectory.destination,
-                                    start_time_s=trajectory.start_time_s,
-                                    trajectory_id=trajectory.trajectory_id)
+            service.ingest_many([IngestEvent(
+                index, segment, destination=trajectory.destination,
+                start_time_s=trajectory.start_time_s,
+                trajectory_id=trajectory.trajectory_id)])
         else:
-            service.ingest_blocking(index, segment)
+            service.ingest_many([IngestEvent(index, segment)])
         events += 1
         if events % pump_every == 0:
             service.pump()
@@ -152,8 +152,10 @@ def test_hot_swap_mid_run_matches_single_engine(trained_model, dataset_split,
     with trained_model.detection_service(
             num_shards=num_shards, backend=backend,
             queue_depth=64) as service:
-        results = drive(service.ingest_blocking, service.pump,
-                        service.finalize_many,
+        results = drive(
+            lambda vehicle, segment, **opening: service.ingest_many(
+                [IngestEvent(vehicle, segment, **opening)]),
+            service.pump, service.finalize_many,
                         lambda: service.swap(weights=snapshot))
         assert service.model_version == 2
     for before, after in zip(reference, results):
@@ -168,8 +170,8 @@ def test_hot_swap_mid_run_matches_single_engine(trained_model, dataset_split,
 def test_swap_rejects_mismatched_snapshot(trained_model, dataset_split):
     _, _, test = dataset_split
     with trained_model.detection_service(num_shards=2) as service:
-        service.ingest("cab", test[0].segments[0],
-                       destination=test[0].destination)
+        service.ingest_many([IngestEvent("cab", test[0].segments[0],
+                                         destination=test[0].destination)])
         bad = weights_snapshot(trained_model)
         bad["rsrnet"] = {"nope": np.zeros(3)}
         with pytest.raises(ModelError):
@@ -184,8 +186,9 @@ def test_swap_rejects_mismatched_snapshot(trained_model, dataset_split):
 # ------------------------------------------------------------ backpressure
 def test_backpressure_bounded_queue_retry_loses_nothing(trained_model,
                                                         dataset_split):
-    """A full shard queue rejects with RETRY_LATER; retrying after a pump
-    delivers every point and the labels still match the reference."""
+    """A full shard queue refuses a point; the retry loop pumps and sends
+    it again, which delivers every point and the labels still match the
+    reference."""
     _, _, test = dataset_split
     trajectory = max(test, key=len)
     detector = trained_model.detector()
@@ -193,16 +196,11 @@ def test_backpressure_bounded_queue_retry_loses_nothing(trained_model,
             num_shards=1, backend="inprocess", queue_depth=2) as service:
         rejected = 0
         for position, segment in enumerate(trajectory.segments):
-            kwargs = ({"destination": trajectory.destination,
-                       "start_time_s": trajectory.start_time_s}
-                      if position == 0 else {})
-            while True:
-                status = service.ingest(trajectory.trajectory_id, segment,
-                                        **kwargs)
-                if status.accepted:
-                    break
-                rejected += 1
-                service.pump()
+            opening = ({"destination": trajectory.destination,
+                        "start_time_s": trajectory.start_time_s}
+                       if position == 0 else {})
+            rejected += service.ingest_many([IngestEvent(
+                trajectory.trajectory_id, segment, **opening)])
         result = service.finalize(trajectory.trajectory_id)
         metrics = service.metrics()
     # Depth 2 must have filled at least once on a longest trajectory.
@@ -237,26 +235,27 @@ def test_queue_depth_counts_commands_and_a_scrape_is_read_only(trained_model,
         assert shard.pending_points + shard.points_processed == 10
 
 
-@pytest.mark.parametrize("verb", ["ingest_blocking", "ingest_many",
-                                  "finalize_async"])
+@pytest.mark.parametrize("verb", ["ingest_many", "finalize_async"])
 def test_delivery_loop_gives_up_on_a_stalled_queue(trained_model,
                                                    dataset_split, monkeypatch,
                                                    verb):
-    """The one retry loop behind ingest_blocking, ingest_many and
-    finalize_async: against a one-command queue that never drains, each
-    raises after exactly ``max_retries + 1`` refusals, queues nothing,
-    counts every refusal and leaves the stream bookkeeping untouched."""
+    """The one retry loop behind ingest_many and finalize_async: against a
+    one-command queue that never drains, each raises after exactly
+    ``max_retries + 1`` refusals and ``max_retries`` pumps, queues nothing,
+    counts every refusal and leaves the stream bookkeeping untouched.
+    ``max_retries=0`` is the non-blocking probe: one refusal, no pump."""
     _, _, test = dataset_split
     trajectory = test[0]
-    max_retries = 3
     with trained_model.detection_service(
             num_shards=1, backend="inprocess", queue_depth=1) as service:
-        service.ingest_blocking("open", trajectory.segments[0],
-                                destination=trajectory.destination)
+        service.ingest_many([IngestEvent("open", trajectory.segments[0],
+                                         destination=trajectory.destination)])
         service.pump()
-        assert service.ingest("filler", trajectory.segments[0]).accepted
+        service.ingest_many([IngestEvent("filler", trajectory.segments[0])],
+                            max_retries=0)
         backend = service._backend
         offers = []
+        pumps = []
 
         def counted(send):
             def offer(shard, batch):
@@ -268,39 +267,36 @@ def test_delivery_loop_gives_up_on_a_stalled_queue(trained_model,
                             counted(backend.ingest_batch))
         monkeypatch.setattr(backend, "finalize_async",
                             counted(backend.finalize_async))
-        monkeypatch.setattr(service, "pump", lambda: 0)  # the shard stalls
+        # The shard stalls: a pump makes no progress.
+        monkeypatch.setattr(service, "pump", lambda: pumps.append(1) or 0)
         calls = {
-            "ingest_blocking": lambda: service.ingest_blocking(
-                "cab", trajectory.segments[0], max_retries=max_retries,
-                retry_wait_s=0.0, destination=trajectory.destination),
-            "ingest_many": lambda: service.ingest_many(
+            "ingest_many": lambda max_retries: service.ingest_many(
                 [IngestEvent("cab", trajectory.segments[0],
                              trajectory.destination)],
                 max_retries=max_retries, retry_wait_s=0.0),
-            "finalize_async": lambda: service.finalize_async(
+            "finalize_async": lambda max_retries: service.finalize_async(
                 ["open"], max_retries=max_retries, retry_wait_s=0.0),
         }
-        before = service.metrics()
-        with pytest.raises(ServiceError, match="stayed full after 3 retries"):
-            calls[verb]()
-        after = service.metrics()
-        assert offers == [False] * (max_retries + 1)
-        assert after.rejected_ingests - before.rejected_ingests == len(offers)
-        assert after.accepted_ingests == before.accepted_ingests
-        assert after.shards[0].queue_depth == 1  # the filler, nothing more
-        assert service.active_vehicles == ["open", "filler"]
-        assert service.results_pending == 0
+        for max_retries in (3, 0):
+            offers.clear()
+            pumps.clear()
+            before = service.metrics()
+            with pytest.raises(ServiceError, match=(
+                    f"stayed full after {max_retries} retries")):
+                calls[verb](max_retries)
+            after = service.metrics()
+            assert offers == [False] * (max_retries + 1)
+            assert len(pumps) == max_retries
+            assert (after.rejected_ingests - before.rejected_ingests
+                    == len(offers))
+            assert after.accepted_ingests == before.accepted_ingests
+            assert after.shards[0].queue_depth == 1  # the filler, no more
+            assert service.active_vehicles == ["open", "filler"]
+            assert service.results_pending == 0
         # Once the shard drains again, the same call goes through.
         monkeypatch.undo()
-        calls[verb]()
+        calls[verb](3)
         assert service.results_pending == (verb == "finalize_async")
-
-
-def test_ingest_status_truthiness():
-    assert IngestStatus.ACCEPTED.accepted
-    assert bool(IngestStatus.ACCEPTED)
-    assert not IngestStatus.RETRY_LATER.accepted
-    assert not bool(IngestStatus.RETRY_LATER)
 
 
 # ------------------------------------------------------------- error paths
@@ -313,18 +309,18 @@ def test_unknown_segment_rejected_synchronously(trained_model, dataset_split,
     trajectory = test[0]
     with trained_model.detection_service(
             num_shards=2, backend=backend) as service:
-        service.ingest("good", trajectory.segments[0],
-                       destination=trajectory.destination)
+        service.ingest_many([IngestEvent("good", trajectory.segments[0],
+                                         destination=trajectory.destination)])
         with pytest.raises(LabelingError):
-            service.ingest("bad", 10 ** 9)
+            service.ingest_many([IngestEvent("bad", 10 ** 9)])
         with pytest.raises(LabelingError):
-            service.ingest("good", 10 ** 9)
+            service.ingest_many([IngestEvent("good", 10 ** 9)])
         with pytest.raises(LabelingError):
-            service.ingest("late", trajectory.segments[0],
-                           destination=10 ** 9)
+            service.ingest_many([IngestEvent("late", trajectory.segments[0],
+                                             destination=10 ** 9)])
         assert service.active_vehicles == ["good"]
         for segment in trajectory.segments[1:]:
-            service.ingest_blocking("good", segment)
+            service.ingest_many([IngestEvent("good", segment)])
         result = service.finalize("good")
     assert result.labels == trained_model.detector().detect(trajectory).labels
 
@@ -373,7 +369,7 @@ def test_batched_admission_matches_single_event_admission(
 
         before = state()
         with pytest.raises(Exception) as alone:
-            service.ingest(*bad_event)
+            service.ingest_many([bad_event])
         assert isinstance(alone.value, (LabelingError, TrajectoryError))
         assert state() == before
         for position in (0, len(batch) // 2, len(batch)):
@@ -412,9 +408,10 @@ def test_bad_start_time_rejected_before_queuing(trained_model, dataset_split,
                 IngestEvent("cab", trajectory.segments[0],
                             trajectory.destination, start_time_s, None)])
         with pytest.raises(TrajectoryError):
-            service.ingest("cab", trajectory.segments[0],
-                           destination=trajectory.destination,
-                           start_time_s=start_time_s)
+            service.ingest_many([IngestEvent(
+                "cab", trajectory.segments[0],
+                destination=trajectory.destination,
+                start_time_s=start_time_s)])
         assert service.active_vehicles == []
         shard = service.metrics().shards[0]
         assert (shard.queue_depth, shard.streams_open,
@@ -448,14 +445,14 @@ def test_destination_mismatch_propagates_from_worker(trained_model,
                       if len(t) >= 4 and t.segments[1] != t.destination)
     with trained_model.detection_service(
             num_shards=2, backend="process") as service:
-        service.ingest_blocking("cab", trajectory.segments[0],
-                                destination=trajectory.destination)
-        service.ingest_blocking("cab", trajectory.segments[1])
+        service.ingest_many([IngestEvent("cab", trajectory.segments[0],
+                                         destination=trajectory.destination)])
+        service.ingest_many([IngestEvent("cab", trajectory.segments[1])])
         with pytest.raises(ModelError):
             service.finalize("cab")
         assert service.active_vehicles == ["cab"]
         for segment in trajectory.segments[2:]:
-            service.ingest_blocking("cab", segment)
+            service.ingest_many([IngestEvent("cab", segment)])
         result = service.finalize("cab")
     assert_results_match(trained_model.detector().detect(trajectory), result)
 
@@ -466,7 +463,7 @@ def test_closed_service_refuses_work(trained_model, dataset_split):
     service.close()
     service.close()  # idempotent
     with pytest.raises(ServiceError):
-        service.ingest("cab", test[0].segments[0])
+        service.ingest_many([IngestEvent("cab", test[0].segments[0])])
     with pytest.raises(ServiceError):
         service.metrics()
 
@@ -591,13 +588,13 @@ def test_online_learner_hot_swaps_attached_services(dataset, dataset_split):
     with learner.attach_service(
             model.detection_service(num_shards=2)) as service:
         trajectory = test[0]
-        service.ingest_blocking("inflight", trajectory.segments[0],
-                                destination=trajectory.destination)
+        service.ingest_many([IngestEvent("inflight", trajectory.segments[0],
+                                         destination=trajectory.destination)])
         assert service.model_version == 1
         learner.observe_part(1, train[80:96])
         assert service.model_version == 2  # swapped automatically
         for segment in trajectory.segments[1:]:
-            service.ingest_blocking("inflight", segment)
+            service.ingest_many([IngestEvent("inflight", segment)])
         result = service.finalize("inflight")  # the stream survived the swap
         assert len(result.labels) == len(trajectory)
         learner.detach_service(service)
@@ -616,8 +613,8 @@ def test_rejected_swap_keeps_process_protocol_usable(trained_model,
     trajectory = test[0]
     with trained_model.detection_service(
             num_shards=2, backend="process") as service:
-        service.ingest_blocking("cab", trajectory.segments[0],
-                                destination=trajectory.destination)
+        service.ingest_many([IngestEvent("cab", trajectory.segments[0],
+                                         destination=trajectory.destination)])
         bad = weights_snapshot(trained_model)
         name = next(iter(bad["rsrnet"]))
         bad["rsrnet"][name] = np.zeros((1, 1))
@@ -628,7 +625,7 @@ def test_rejected_swap_keeps_process_protocol_usable(trained_model,
         metrics = service.metrics()
         assert metrics.num_shards == 2
         for segment in trajectory.segments[1:]:
-            service.ingest_blocking("cab", segment)
+            service.ingest_many([IngestEvent("cab", segment)])
         result = service.finalize("cab")
     assert result.labels == trained_model.detector().detect(trajectory).labels
 
@@ -654,7 +651,7 @@ def test_deferred_streams_across_swap_match_single_engine(trained_model,
     with trained_model.detection_service(num_shards=3) as service:
         for index, trajectory in enumerate(fleet):
             for segment in trajectory.segments:
-                service.ingest_blocking(index, segment)
+                service.ingest_many([IngestEvent(index, segment)])
         service.drain()
         service.swap(weights=snapshot)
         results = service.finalize_many(list(range(len(fleet))))
@@ -700,7 +697,7 @@ def test_learner_skips_closed_services(dataset, dataset_split):
 def test_async_driver_matches_synchronous_path(trained_model, dataset_split,
                                                num_shards, backend):
     """The fleet driver — batched ingest, bus-closed streams — is
-    label-identical to the per-point ingest_blocking / finalize_many path,
+    label-identical to the per-point ingest_many / finalize_many path,
     across shard counts and both backends."""
     _, development, test = dataset_split
     fleet = (list(test) + list(development))[:16]

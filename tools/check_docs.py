@@ -14,11 +14,10 @@ Five checks, no third-party dependencies beyond the library's own:
    ``StreamEngine.from_model(...)``, ``model.stream_engine(...)`` or — as an
    engine override — to ``detection_service(...)`` / ``DetectionService(...)``
    is a parameter of ``StreamEngine.__init__``, every keyword it passes to
-   ``detect(...)`` / ``detect_many(...)`` is a parameter of
-   ``OnlineDetector``'s method of that name, and every keyword it passes to
-   ``detector(...)`` is a parameter of ``RL4OASDModel.detector`` or
-   ``OnlineLearner.detector``, so an example naming a deleted option fails
-   although it still compiles.
+   ``detect(...)`` is a parameter of ``OnlineDetector.detect``, and every
+   keyword it passes to ``detector(...)`` is a parameter of
+   ``RL4OASDModel.detector`` or ``OnlineLearner.detector``, so an example
+   naming a deleted option fails although it still compiles.
 5. **Class attributes** — every backticked ``Class.attr`` in the docs whose
    ``Class`` is a class a ``PUBLIC_SURFACE`` module exposes names an
    attribute that class has: a method, property or class attribute, a
@@ -65,7 +64,7 @@ PUBLIC_SURFACE = {
                             "policy_choices", "sample_labels", "rnel_from_degrees",
                             "rnel_from_degrees_batch"],
     "repro.serve": [
-        "DetectionService", "IngestStatus", "serve_fleet", "shard_of",
+        "DetectionService", "serve_fleet", "shard_of",
         "ServiceMetrics", "ShardStats", "save_model", "load_model",
         "clone_model", "weights_snapshot", "model_to_bytes",
         "model_from_bytes",
@@ -181,8 +180,7 @@ def check_config_keywords() -> list:
     fields["detection_service"] = (
         _parameters(RL4OASDModel.detection_service)
         | fields["DetectionService"])
-    for function in (OnlineDetector.detect, OnlineDetector.detect_many):
-        fields[function.__name__] = _parameters(function)
+    fields["detect"] = _parameters(OnlineDetector.detect)
     fields["detector"] = (_parameters(RL4OASDModel.detector)
                           | _parameters(OnlineLearner.detector))
     errors = []
