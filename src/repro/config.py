@@ -283,7 +283,7 @@ class GatewayConfig:
     unbounded).
 
     ``async_sessions`` completes sessions through the service's results bus
-    instead of a blocking finalize per close: ``push`` / ``end`` /
+    instead of a blocking finalize per close: ``push_point`` / ``end`` /
     ``advance_clock`` return no :class:`~repro.ingest.SessionResult`\\ s —
     finished sessions are collected in batches with
     :meth:`GpsGateway.poll_sessions` / :meth:`GpsGateway.drain_sessions`.

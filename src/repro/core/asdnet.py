@@ -97,10 +97,6 @@ class ASDNet(Module):
     def config(self) -> ASDNetConfig:
         return self._config
 
-    @property
-    def state_dim(self) -> int:
-        return self.representation_dim + self._config.label_embedding_dim
-
     def build_states_batch(self, z: np.ndarray,
                            previous_labels: Sequence[int]) -> np.ndarray:
         """MDP states ``[z_i ; v(label_{i-1})]`` for a batch of decisions.

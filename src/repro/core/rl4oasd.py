@@ -178,30 +178,23 @@ class RL4OASDModel:
         return DetectionService(self, **options)
 
     # ----------------------------------------------------------- persistence
-    def save(self, path: Union[str, Path], archive=None) -> Path:
+    def save(self, path: Union[str, Path]) -> Path:
         """Checkpoint this model to ``path`` (weights + configs + pipeline).
 
         The checkpoint reloads into a model that detects identically
         (:meth:`load`); training-only state (optimizer moments, REINFORCE
-        baseline) is not persisted. With ``archive`` (a
-        :class:`~repro.history.HistoryArchive`) the history corpus is
-        stored there content-addressed and referenced by version instead of
-        embedded in the checkpoint file. See :mod:`repro.serve.checkpoint`.
+        baseline) is not persisted. See :mod:`repro.serve.checkpoint`.
         """
         from ..serve.checkpoint import save_model
 
-        return save_model(self, path, archive=archive)
+        return save_model(self, path)
 
     @classmethod
-    def load(cls, path: Union[str, Path], archive=None) -> "RL4OASDModel":
-        """Load a model previously written by :meth:`save`.
-
-        ``archive`` is required when the checkpoint was saved in archived
-        history mode (and ignored otherwise).
-        """
+    def load(cls, path: Union[str, Path]) -> "RL4OASDModel":
+        """Load a model previously written by :meth:`save`."""
         from ..serve.checkpoint import load_model
 
-        return load_model(path, archive=archive)
+        return load_model(path)
 
 
 class RL4OASDTrainer:

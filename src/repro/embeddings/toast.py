@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -93,10 +93,6 @@ class ToastEmbedder:
         self._matrix = matrix[:, :config.dimension]
         return self
 
-    @property
-    def is_fitted(self) -> bool:
-        return self._matrix is not None
-
     def embedding_matrix(self) -> np.ndarray:
         """The ``(num_segments, dimension)`` embedding table (fit first)."""
         if self._matrix is None:
@@ -111,9 +107,3 @@ class ToastEmbedder:
         except ValueError:
             raise ModelError(f"segment {segment_id} not in the embedder") from None
         return self._matrix[index]
-
-    def random_matrix(self, seed: int = 0) -> np.ndarray:
-        """A randomly initialised table of the same shape (ablation use)."""
-        rng = np.random.default_rng(seed)
-        return rng.normal(0.0, 0.1,
-                          size=(len(self._segment_ids), self._config.dimension))

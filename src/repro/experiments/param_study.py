@@ -11,7 +11,7 @@ detector's post-processing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from ..core import OnlineDetector
 from ..eval import evaluate_detector
@@ -45,9 +45,6 @@ class ParamStudyResult:
 
     def best_delta(self) -> float:
         return max(self.f1_by_delta, key=self.f1_by_delta.get)
-
-    def best_delay(self) -> int:
-        return max(self.f1_by_delay, key=self.f1_by_delay.get)
 
 
 def run_param_study(

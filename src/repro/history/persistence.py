@@ -21,9 +21,9 @@ reclaims blobs no surviving manifest references.
 
 A loaded snapshot is label-exact: same groups in the same order, same
 version, same slotting — the memo caches rebuild lazily, as after any
-deserialization. Checkpoint format v3 (:mod:`repro.serve.checkpoint`)
-references archived history by version instead of embedding the corpus in
-every checkpoint file.
+deserialization. A model checkpoint (:mod:`repro.serve.checkpoint`) embeds
+its own history; an archived version reaches a running service through
+``service.swap(history=archive.load(version))``.
 """
 
 from __future__ import annotations

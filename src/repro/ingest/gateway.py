@@ -62,7 +62,6 @@ from typing import (Deque, Dict, Hashable, List, NamedTuple, Optional,
 
 from ..config import GatewayConfig
 from ..core.detector import DetectionResult
-from ..eval.timing import LatencyReport
 from ..exceptions import (GatewayError, MatchBreakError, UnmatchablePointError)
 from ..mapmatching.hmm import HMMMapMatcher
 from ..mapmatching.online import OnlineMapMatcher, OnlineMatchResult
@@ -195,24 +194,17 @@ class GpsGateway:
         return list(self._vehicles)
 
     # ------------------------------------------------------------------ push
-    def push(self, vehicle_id: Hashable, x: float, y: float, t: float,
-             start_time_s: Optional[float] = None) -> List[SessionResult]:
-        """Feed one raw GPS fix ``(x, y, t)`` of one vehicle.
-
-        ``t`` is the vehicle's own monotone clock (seconds); the optional
-        ``start_time_s`` — read only on the vehicle's very first fix — is
-        the absolute time of day at ``t = 0``, used for the time-slot
-        grouping of every session this vehicle produces. Returns the
-        sessions this fix *completed* (normally none; one when the fix's
-        timestamp revealed a trip gap).
-        """
-        return self.push_point(vehicle_id, GPSPoint(x, y, t),
-                               start_time_s=start_time_s)
-
     def push_point(self, vehicle_id: Hashable, point: GPSPoint,
                    start_time_s: Optional[float] = None
                    ) -> List[SessionResult]:
-        """:meth:`push` for callers that already hold a :class:`GPSPoint`.
+        """Feed one raw GPS fix of one vehicle.
+
+        ``point.t`` is the vehicle's own monotone clock (seconds); the
+        optional ``start_time_s`` — read only on the vehicle's very first
+        fix — is the absolute time of day at ``t = 0``, used for the
+        time-slot grouping of every session this vehicle produces. Returns
+        the sessions this fix *completed* (normally none; one when the
+        fix's timestamp revealed a trip gap).
 
         When a new vehicle would exceed ``config.max_vehicles``, the least
         recently active vehicle is closed first (its finished sessions are
@@ -266,7 +258,7 @@ class GpsGateway:
 
         Returns every session completed by the flush (gap splits included)
         plus the final one. The vehicle is forgotten afterwards; a later
-        :meth:`push` starts from scratch.
+        :meth:`push_point` starts from scratch.
         """
         state = self._vehicles.pop(vehicle_id, None)
         if state is None:
@@ -277,13 +269,6 @@ class GpsGateway:
             results.extend(self._deliver(vehicle_id, state, point))
         if state.session is not None:
             results.extend(self._close_session(state))
-        return results
-
-    def end_all(self) -> List[SessionResult]:
-        """Close every active vehicle (input order); see :meth:`end`."""
-        results: List[SessionResult] = []
-        for vehicle_id in list(self._vehicles):
-            results.extend(self.end(vehicle_id))
         return results
 
     def advance_clock(self, now: float) -> List[SessionResult]:
@@ -358,7 +343,7 @@ class GpsGateway:
         """Bus-closed sessions whose results have not arrived yet.
 
         Always 0 without ``async_sessions``; with it, the number of
-        sessions between their close (``push`` gap split / ``end`` /
+        sessions between their close (``push_point`` gap split / ``end`` /
         ``advance_clock`` / eviction) and the poll that collects them.
         """
         return sum(len(queue) for queue in self._pending_sessions.values())
@@ -442,11 +427,6 @@ class GpsGateway:
         metrics = self._service.metrics()
         metrics.gateway = self.stats()
         return metrics
-
-    def commit_latency(self) -> LatencyReport:
-        """Distribution of per-fix commit lag (in follow-up points)."""
-        return LatencyReport(name="GpsGateway",
-                             samples=list(self._matcher.commit_lag_samples))
 
     def metrics_text(self) -> str:
         """The gateway-enriched dashboard in Prometheus exposition format.
@@ -687,10 +667,7 @@ def serve_raw_fleet(
         if async_mode:
             route(gateway.poll_sessions())
     if async_mode:
-        while gateway.pending_sessions:
-            if gateway.pump() == 0:
-                time.sleep(0.0005)
-            route(gateway.poll_sessions())
+        route(gateway.drain_sessions())
         for sessions in sessions_of:
             # Bus completion order is per-shard, not per-vehicle; session
             # numbers restore close order.

@@ -66,8 +66,3 @@ class TransitionStatistics:
     def fraction_sequence(self, segments: Sequence[int]) -> List[float]:
         """Transition fractions aligned one-to-one with a route's segments."""
         return [self.fraction(t) for t in transitions_of(segments)]
-
-    def most_common(self, k: int = 10) -> List[Tuple[Tuple[int, int], int]]:
-        """The ``k`` most frequently travelled transitions of the group."""
-        ordered = sorted(self.counts.items(), key=lambda item: (-item[1], item[0]))
-        return ordered[:k]

@@ -26,9 +26,6 @@ class Parameter:
     def zero_grad(self) -> None:
         self.grad.fill(0.0)
 
-    def numel(self) -> int:
-        return int(self.value.size)
-
     def __repr__(self) -> str:
         return f"Parameter(name={self.name!r}, shape={self.value.shape})"
 
@@ -67,9 +64,6 @@ class Module:
     def zero_grad(self) -> None:
         for parameter in self.parameters():
             parameter.zero_grad()
-
-    def num_parameters(self) -> int:
-        return sum(parameter.numel() for parameter in self.parameters())
 
     # --------------------------------------------------------- serialization
     def state_dict(self) -> Dict[str, np.ndarray]:

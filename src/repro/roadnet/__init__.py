@@ -7,9 +7,9 @@ road-network-enhanced labeling rules), and the embedding component walks it.
 """
 
 from .graph import Intersection, RoadNetwork, RoadSegment
-from .builders import build_grid_city, build_ring_radial_city
+from .builders import build_grid_city
 from .spatial import SpatialIndex
-from .shortest_path import dijkstra_route, k_shortest_routes, route_length
+from .shortest_path import dijkstra_route, k_shortest_routes
 from .io import load_edge_list, save_edge_list
 
 __all__ = [
@@ -18,10 +18,8 @@ __all__ = [
     "RoadSegment",
     "SpatialIndex",
     "build_grid_city",
-    "build_ring_radial_city",
     "dijkstra_route",
     "k_shortest_routes",
-    "route_length",
     "load_edge_list",
     "save_edge_list",
 ]

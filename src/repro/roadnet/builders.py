@@ -2,8 +2,8 @@
 
 The paper evaluates on the road networks of Chengdu and Xi'an pulled from
 OpenStreetMap (about 5k segments / 13k intersections each). Offline we cannot
-download them, so these builders synthesize city-like directed road networks
-with comparable structure: a dense grid core with some diagonal avenues,
+download them, so :func:`build_grid_city` synthesizes city-like directed road
+networks with comparable structure: a dense grid core with some diagonal avenues,
 randomly removed blocks (so that alternative routes have different lengths),
 heterogeneous speed limits, and two-way streets modelled as opposite directed
 segments.
@@ -11,8 +11,7 @@ segments.
 
 from __future__ import annotations
 
-import math
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -106,61 +105,4 @@ def build_grid_city(config: Optional[RoadNetworkConfig] = None) -> RoadNetwork:
 
     if network.num_segments == 0:
         raise RoadNetworkError("generated city has no segments")
-    return network
-
-
-def build_ring_radial_city(
-    n_rings: int = 5,
-    nodes_per_ring: int = 24,
-    ring_spacing_m: float = 400.0,
-    seed: int = 3,
-) -> RoadNetwork:
-    """Build a ring-and-radial city (a common layout of Chinese cities).
-
-    Intersections sit on concentric rings plus a centre node; segments follow
-    the rings and the radial spokes. Used by tests and as an alternative
-    substrate in the examples.
-    """
-    if n_rings < 1 or nodes_per_ring < 3:
-        raise RoadNetworkError("need at least one ring and three nodes per ring")
-    rng = np.random.default_rng(seed)
-    network = RoadNetwork()
-
-    centre_id = 0
-    network.add_intersection(centre_id, 0.0, 0.0)
-
-    def ring_node(ring: int, position: int) -> int:
-        return 1 + ring * nodes_per_ring + position
-
-    for ring in range(n_rings):
-        radius = (ring + 1) * ring_spacing_m
-        for position in range(nodes_per_ring):
-            angle = 2.0 * math.pi * position / nodes_per_ring
-            network.add_intersection(
-                ring_node(ring, position),
-                radius * math.cos(angle),
-                radius * math.sin(angle),
-            )
-
-    next_segment_id = 0
-    for ring in range(n_rings):
-        for position in range(nodes_per_ring):
-            a = ring_node(ring, position)
-            b = ring_node(ring, (position + 1) % nodes_per_ring)
-            speed = float(rng.uniform(10.0, 16.0))
-            next_segment_id = _add_two_way(network, next_segment_id, a, b, speed, 0)
-
-    # Radial spokes between adjacent rings and from the innermost ring to the
-    # centre, every other position.
-    for position in range(nodes_per_ring):
-        if position % 2 == 0:
-            speed = float(rng.uniform(12.0, 18.0))
-            next_segment_id = _add_two_way(
-                network, next_segment_id, centre_id, ring_node(0, position), speed, 1)
-        for ring in range(n_rings - 1):
-            speed = float(rng.uniform(12.0, 18.0))
-            next_segment_id = _add_two_way(
-                network, next_segment_id,
-                ring_node(ring, position), ring_node(ring + 1, position), speed, 1)
-
     return network

@@ -9,8 +9,8 @@ map matching, data generation and representation learning.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..exceptions import (
     IntersectionNotFoundError,
@@ -59,8 +59,7 @@ class RoadNetwork:
     The class offers the queries the rest of the library depends on:
 
     * node and segment lookup,
-    * successor/predecessor segments (segment-level adjacency used by route
-      planning and the RNEL rules),
+    * successor segments (segment-level adjacency used by route planning),
     * in/out degree of a segment (``e.in`` / ``e.out`` in the paper),
     * geometric helpers (segment midpoint, projection of a point).
     """
@@ -70,7 +69,6 @@ class RoadNetwork:
         self._segments: Dict[int, RoadSegment] = {}
         self._out_segments: Dict[int, List[int]] = {}
         self._in_segments: Dict[int, List[int]] = {}
-        self._segment_by_endpoints: Dict[Tuple[int, int], int] = {}
 
     # ------------------------------------------------------------------ nodes
     def add_intersection(self, node_id: int, x: float, y: float) -> Intersection:
@@ -88,9 +86,6 @@ class RoadNetwork:
             return self._nodes[node_id]
         except KeyError:
             raise IntersectionNotFoundError(node_id) from None
-
-    def has_intersection(self, node_id: int) -> bool:
-        return node_id in self._nodes
 
     @property
     def num_intersections(self) -> int:
@@ -133,7 +128,6 @@ class RoadNetwork:
         self._segments[segment_id] = segment
         self._out_segments[start_node].append(segment_id)
         self._in_segments[end_node].append(segment_id)
-        self._segment_by_endpoints[(start_node, end_node)] = segment_id
         return segment
 
     def segment(self, segment_id: int) -> RoadSegment:
@@ -144,13 +138,6 @@ class RoadNetwork:
 
     def has_segment(self, segment_id: int) -> bool:
         return segment_id in self._segments
-
-    def segment_between(self, start_node: int, end_node: int) -> Optional[RoadSegment]:
-        """Return the segment from ``start_node`` to ``end_node`` if any."""
-        segment_id = self._segment_by_endpoints.get((start_node, end_node))
-        if segment_id is None:
-            return None
-        return self._segments[segment_id]
 
     @property
     def num_segments(self) -> int:
@@ -167,11 +154,6 @@ class RoadNetwork:
         """Segments that can directly follow ``segment_id`` on a route."""
         segment = self.segment(segment_id)
         return list(self._out_segments[segment.end_node])
-
-    def predecessor_segments(self, segment_id: int) -> List[int]:
-        """Segments that can directly precede ``segment_id`` on a route."""
-        segment = self.segment(segment_id)
-        return list(self._in_segments[segment.start_node])
 
     def out_degree(self, segment_id: int) -> int:
         """Number of segments reachable right after ``segment_id`` (``e.out``)."""
@@ -227,35 +209,6 @@ class RoadNetwork:
             start.x + fraction * (end.x - start.x),
             start.y + fraction * (end.y - start.y),
         )
-
-    def bounding_box(self) -> Tuple[float, float, float, float]:
-        """``(min_x, min_y, max_x, max_y)`` over all intersections."""
-        if not self._nodes:
-            raise RoadNetworkError("bounding box of an empty network is undefined")
-        xs = [node.x for node in self._nodes.values()]
-        ys = [node.y for node in self._nodes.values()]
-        return min(xs), min(ys), max(xs), max(ys)
-
-    # ------------------------------------------------------------------ misc
-    def subgraph_segments(self, segment_ids: Iterable[int]) -> "RoadNetwork":
-        """Build a new network containing only the given segments."""
-        subnet = RoadNetwork()
-        wanted = set(segment_ids)
-        for segment_id in wanted:
-            segment = self.segment(segment_id)
-            for node_id in (segment.start_node, segment.end_node):
-                if not subnet.has_intersection(node_id):
-                    node = self._nodes[node_id]
-                    subnet.add_intersection(node_id, node.x, node.y)
-            subnet.add_segment(
-                segment.segment_id,
-                segment.start_node,
-                segment.end_node,
-                segment.length_m,
-                segment.speed_limit_mps,
-                segment.road_type,
-            )
-        return subnet
 
     def __contains__(self, segment_id: int) -> bool:
         return segment_id in self._segments

@@ -2,48 +2,25 @@
 
 Routes are expressed as sequences of segment ids, which is the representation
 every downstream component (trajectory generator, map matcher, baselines)
-consumes. Costs can be either distance or free-flow travel time.
+consumes. A route's cost is its length in metres.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..exceptions import DisconnectedRouteError, RoadNetworkError
-from .graph import RoadNetwork, RoadSegment
-
-CostFunction = Callable[[RoadSegment], float]
-
-
-def distance_cost(segment: RoadSegment) -> float:
-    """Cost of traversing a segment measured as its length in metres."""
-    return segment.length_m
-
-
-def travel_time_cost(segment: RoadSegment) -> float:
-    """Cost of traversing a segment measured as free-flow travel time."""
-    return segment.travel_time_s
-
-
-def route_length(network: RoadNetwork, route: Sequence[int]) -> float:
-    """Total length in metres of a route (sequence of segment ids)."""
-    return sum(network.segment(segment_id).length_m for segment_id in route)
-
-
-def route_travel_time(network: RoadNetwork, route: Sequence[int]) -> float:
-    """Total free-flow travel time in seconds of a route."""
-    return sum(network.segment(segment_id).travel_time_s for segment_id in route)
+from .graph import RoadNetwork
 
 
 def dijkstra_route(
     network: RoadNetwork,
     source_segment: int,
     target_segment: int,
-    cost: CostFunction = distance_cost,
     banned_segments: Optional[set] = None,
 ) -> List[int]:
-    """Cheapest route between two segments (both endpoints included).
+    """Shortest route between two segments (both endpoints included).
 
     The search runs over the segment-level adjacency so the returned route is
     directly usable as a map-matched trajectory. Raises
@@ -74,7 +51,7 @@ def dijkstra_route(
         for successor in network.successor_segments(current):
             if successor in banned or successor in visited:
                 continue
-            new_cost = current_cost + cost(network.segment(successor))
+            new_cost = current_cost + network.segment(successor).length_m
             if new_cost < best_cost.get(successor, float("inf")):
                 best_cost[successor] = new_cost
                 parent[successor] = current
@@ -92,30 +69,13 @@ def dijkstra_route(
     return route
 
 
-def shortest_path_cost(
-    network: RoadNetwork,
-    source_segment: int,
-    target_segment: int,
-    cost: CostFunction = distance_cost,
-) -> float:
-    """Cost of the cheapest route between two segments.
-
-    Unlike :func:`dijkstra_route` the cost excludes the source segment itself,
-    which is the convention the HMM transition model expects (the cost of
-    moving *off* the current segment onto the target one).
-    """
-    route = dijkstra_route(network, source_segment, target_segment, cost)
-    return sum(cost(network.segment(segment_id)) for segment_id in route[1:])
-
-
 def k_shortest_routes(
     network: RoadNetwork,
     source_segment: int,
     target_segment: int,
     k: int,
-    cost: CostFunction = distance_cost,
 ) -> List[List[int]]:
-    """Up to ``k`` loopless cheapest routes (Yen's algorithm on segments).
+    """Up to ``k`` loopless shortest routes (Yen's algorithm on segments).
 
     Used by the trajectory generator to obtain several plausible "normal"
     routes between an SD pair, mirroring how real taxi traffic splits across a
@@ -124,14 +84,14 @@ def k_shortest_routes(
     if k < 1:
         raise RoadNetworkError("k must be at least 1")
     try:
-        first = dijkstra_route(network, source_segment, target_segment, cost)
+        first = dijkstra_route(network, source_segment, target_segment)
     except DisconnectedRouteError:
         return []
     routes = [first]
     candidates: List[Tuple[float, List[int]]] = []
 
     def total_cost(route: Sequence[int]) -> float:
-        return sum(cost(network.segment(segment_id)) for segment_id in route)
+        return sum(network.segment(segment_id).length_m for segment_id in route)
 
     while len(routes) < k:
         previous_route = routes[-1]
@@ -145,7 +105,7 @@ def k_shortest_routes(
             banned.update(root_route[:-1])
             try:
                 spur_route = dijkstra_route(
-                    network, spur_segment, target_segment, cost,
+                    network, spur_segment, target_segment,
                     banned_segments=banned,
                 )
             except DisconnectedRouteError:

@@ -41,11 +41,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 #: Bump when the payload layout changes incompatibly.
 #: v2: the pipeline pins a versioned HistorySnapshot; ``history_version``
 #: is persisted explicitly and checked on load.
-#: v3: ``history_storage`` — ``"archived"`` when the history corpus lives
-#: in a content-addressed :class:`~repro.history.HistoryArchive` and the
-#: checkpoint references it by version instead of embedding it. Only this
+#: v3: the corpus could live in a :class:`~repro.history.HistoryArchive`
+#: instead of the checkpoint. v4: the history is always embedded. Only this
 #: version is read.
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 _MAGIC = "repro-rl4oasd-checkpoint"
 
@@ -65,22 +64,7 @@ def weights_snapshot(model: "RL4OASDModel") -> WeightsSnapshot:
     }
 
 
-def _payload(model: "RL4OASDModel", history_storage: str = "embedded") -> dict:
-    pipeline = model.pipeline
-    history_version = pipeline.history.version
-    if history_storage == "archived":
-        # Replace the corpus with an empty placeholder at the true version;
-        # `_restore` rehydrates through the archive. The placeholder keeps
-        # the pipeline blob structurally complete (vocabulary, config,
-        # SD-index all persist as usual) while shedding its heaviest part.
-        from ..history import HistorySnapshot
-
-        pipeline = pipeline.with_history(HistorySnapshot(
-            {}, pipeline.history.slots_per_day, history_version))
-    elif history_storage != "embedded":
-        raise CheckpointError(
-            f"unknown history_storage {history_storage!r}; "
-            f"use 'embedded' or 'archived'")
+def _payload(model: "RL4OASDModel") -> dict:
     return {
         "magic": _MAGIC,
         "version": CHECKPOINT_VERSION,
@@ -90,14 +74,13 @@ def _payload(model: "RL4OASDModel", history_storage: str = "embedded") -> dict:
         "asdnet_config": model.asdnet.config,
         "vocabulary_size": len(model.pipeline.vocabulary),
         "training_config": model.training_config,
-        "pipeline": pipeline,
-        "history_version": history_version,
-        "history_storage": history_storage,
+        "pipeline": model.pipeline,
+        "history_version": model.pipeline.history.version,
         "report": model.report,
     }
 
 
-def _restore(payload: dict, archive=None) -> "RL4OASDModel":
+def _restore(payload: dict) -> "RL4OASDModel":
     from ..core.asdnet import ASDNet
     from ..core.rl4oasd import RL4OASDModel
     from ..core.rsrnet import RSRNet
@@ -116,18 +99,6 @@ def _restore(payload: dict, archive=None) -> "RL4OASDModel":
                     config=payload["asdnet_config"])
     asdnet.load_state_dict(payload["asdnet_state"])
     pipeline = payload["pipeline"]
-    storage = payload["history_storage"]
-    if storage == "archived":
-        if archive is None:
-            raise CheckpointError(
-                "this checkpoint stores its history in an archive "
-                f"(version {payload['history_version']}); pass archive= "
-                "(a repro.history.HistoryArchive) to load it")
-        pipeline = pipeline.with_history(
-            archive.load(payload["history_version"]))
-    elif storage != "embedded":
-        raise CheckpointError(
-            f"unknown history_storage {storage!r} in checkpoint")
     if pipeline.history.version != payload["history_version"]:
         raise CheckpointError(
             f"checkpoint claims history version {payload['history_version']} "
@@ -164,41 +135,17 @@ def clone_model(model: "RL4OASDModel") -> "RL4OASDModel":
     return model_from_bytes(model_to_bytes(model))
 
 
-def save_model(model: "RL4OASDModel", path: Union[str, Path],
-               archive=None) -> Path:
-    """Write a model checkpoint to ``path``; returns the resolved path.
-
-    With ``archive`` (a :class:`~repro.history.HistoryArchive`) the history
-    corpus is archived there — content-addressed, so consecutive saves of
-    copy-on-write versions share their untouched group blobs — and the
-    checkpoint references it by version (``history_storage="archived"``)
-    instead of embedding it. Loading such a checkpoint needs the same (or a
-    replicated) archive passed to :func:`load_model`.
-    """
+def save_model(model: "RL4OASDModel", path: Union[str, Path]) -> Path:
+    """Write a model checkpoint to ``path``; returns the resolved path."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    if archive is not None:
-        archive.save(model.pipeline.history,
-                     provenance={"source": "checkpoint", "path": str(path)})
-        blob = pickle.dumps(_payload(model, history_storage="archived"),
-                            protocol=pickle.HIGHEST_PROTOCOL)
-    else:
-        blob = model_to_bytes(model)
-    path.write_bytes(blob)
+    path.write_bytes(model_to_bytes(model))
     return path
 
 
-def load_model(path: Union[str, Path], archive=None) -> "RL4OASDModel":
-    """Load a model checkpoint previously written by :func:`save_model`.
-
-    Reads embedded and archived checkpoints of the current format;
-    ``archive`` is required for — and only read by — the archived form.
-    """
+def load_model(path: Union[str, Path]) -> "RL4OASDModel":
+    """Load a model checkpoint previously written by :func:`save_model`."""
     path = Path(path)
     if not path.is_file():
         raise CheckpointError(f"no checkpoint at {path}")
-    try:
-        payload = pickle.loads(path.read_bytes())
-    except Exception as error:
-        raise CheckpointError(f"corrupt checkpoint blob: {error}") from error
-    return _restore(payload, archive=archive)
+    return model_from_bytes(path.read_bytes())

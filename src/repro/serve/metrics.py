@@ -187,11 +187,6 @@ class GatewayStats:
         "Segment pairs evicted from the matcher's distance cache")
 
     @property
-    def dropped_points(self) -> int:
-        return (self.late_dropped + self.duplicates_dropped
-                + self.unmatched_dropped)
-
-    @property
     def forced_commit_rate(self) -> float:
         return self.forced_commits / self.commits if self.commits else 0.0
 

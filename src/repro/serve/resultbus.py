@@ -208,11 +208,6 @@ class ShardResultBus:
         """Envelopes published but not yet taken."""
         return len(self._outbox)
 
-    @property
-    def unacked_count(self) -> int:
-        """Envelopes taken but not yet acknowledged."""
-        return len(self._unacked)
-
     def stats(self) -> BusStats:
         return BusStats(
             shard_id=self.shard_id,

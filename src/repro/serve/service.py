@@ -70,7 +70,7 @@ from ..obs.exposition import (MetricsServer, add_process_metrics,
                               render_prometheus)
 from ..obs.registry import MetricsRegistry
 from ..obs.trace import (STAGES, STAGE_LATENCY_METRIC, Span, Tracer,
-                         timestamp as obs_timestamp, write_spans_jsonl)
+                         timestamp as obs_timestamp)
 from ..trajectory.models import MatchedTrajectory
 from ..trajectory.sdpairs import check_start_time
 from .backends import (ControlUpdate, IngestEvent, InProcessBackend,
@@ -153,19 +153,6 @@ class DetectionService:
         else:
             raise ServiceError(
                 f"unknown backend {backend!r}; use 'inprocess' or 'process'")
-
-    @classmethod
-    def from_checkpoint(cls, path, archive=None, **kwargs) -> "DetectionService":
-        """Build a service straight from a saved model checkpoint.
-
-        ``archive`` is the :class:`~repro.history.HistoryArchive` to
-        rehydrate history from when the checkpoint was saved in archived
-        mode (format v3 with ``history_storage="archived"``); embedded
-        checkpoints ignore it.
-        """
-        from .checkpoint import load_model
-
-        return cls(load_model(path, archive=archive), **kwargs)
 
     # ------------------------------------------------------------ properties
     @property
@@ -775,7 +762,7 @@ class DetectionService:
         """Every recorded trace span (facade + shards), drained.
 
         Each span is returned exactly once across repeated calls; pair
-        with :func:`repro.obs.write_spans_jsonl` or :meth:`export_spans`.
+        with :func:`repro.obs.write_spans_jsonl`.
         """
         self._require_open_service()
         spans = self._span_buffer
@@ -785,10 +772,6 @@ class DetectionService:
         for _, shard_spans in self._backend.obs_snapshot():
             spans.extend(shard_spans)
         return spans
-
-    def export_spans(self, path) -> int:
-        """Drain all spans to a JSONL file; returns the spans written."""
-        return write_spans_jsonl(self.drain_spans(), path)
 
     def metrics_text(self) -> str:
         """The whole dashboard in Prometheus text exposition format.

@@ -16,18 +16,12 @@ from .models import (
 )
 from .ops import (
     interleave_streams,
-    route_of,
     split_by_labels,
     subtrajectory_spans,
     transitions_of,
 )
 from .sdpairs import time_slot_of
-from .similarity import (
-    discrete_frechet,
-    edit_distance_routes,
-    jaccard_similarity,
-    lcss_similarity,
-)
+from .similarity import jaccard_similarity
 
 __all__ = [
     "GPSPoint",
@@ -36,13 +30,9 @@ __all__ = [
     "Subtrajectory",
     "SDPair",
     "time_slot_of",
-    "route_of",
     "transitions_of",
     "subtrajectory_spans",
     "split_by_labels",
     "interleave_streams",
-    "discrete_frechet",
-    "edit_distance_routes",
     "jaccard_similarity",
-    "lcss_similarity",
 ]

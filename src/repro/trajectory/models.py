@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Iterator, List, Optional, Tuple
 
 from ..exceptions import EmptyTrajectoryError, TrajectoryError
 
@@ -119,18 +119,6 @@ class MatchedTrajectory:
             segments=list(self.segments[start:end + 1]),
         )
 
-    def with_labels(self, labels: Sequence[int]) -> "MatchedTrajectory":
-        """A copy of this trajectory carrying the given labels."""
-        return MatchedTrajectory(
-            trajectory_id=self.trajectory_id,
-            segments=list(self.segments),
-            start_time_s=self.start_time_s,
-            labels=list(labels),
-            travel_times_s=(None if self.travel_times_s is None
-                            else list(self.travel_times_s)),
-        )
-
-
 @dataclass
 class Subtrajectory:
     """A contiguous slice of a matched trajectory (``T[i, j]`` in the paper)."""
@@ -156,9 +144,6 @@ class Subtrajectory:
     def span(self) -> Tuple[int, int]:
         return self.start_index, self.end_index
 
-    def segment_set(self) -> frozenset:
-        return frozenset(self.segments)
-
 
 @dataclass(frozen=True)
 class SDPair:
@@ -167,7 +152,7 @@ class SDPair:
     Hashes and compares as the plain ``(source, destination, time_slot)``
     tuple, so a map keyed by ``SDPair`` answers the tuple a per-trip lookup
     already holds — no key object is built to ask for a group. Still a
-    dataclass: a pickled history (every embedded-history checkpoint) names
+    dataclass: a pickled history (every checkpoint) names
     its groups by the state dict of one.
     """
 

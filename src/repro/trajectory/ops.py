@@ -1,4 +1,4 @@
-"""Operations on matched trajectories: transitions, label spans, routes."""
+"""Operations on matched trajectories: transitions, label spans, streams."""
 
 from __future__ import annotations
 
@@ -9,11 +9,6 @@ from .models import MatchedTrajectory, Subtrajectory
 
 SOURCE_PAD = -1
 """Sentinel used to pad the initial transition ``<*, e1>`` (Step-3 of the paper)."""
-
-
-def route_of(trajectory: MatchedTrajectory) -> Tuple[int, ...]:
-    """The route travelled by a trajectory as a hashable tuple of segments."""
-    return trajectory.route_key()
 
 
 def transitions_of(segments: Sequence[int]) -> List[Tuple[int, int]]:
@@ -71,13 +66,6 @@ def labels_from_spans(length: int, spans: Iterable[Tuple[int, int]]) -> List[int
         for index in range(start, end + 1):
             labels[index] = 1
     return labels
-
-
-def anomalous_fraction(labels: Sequence[int]) -> float:
-    """Fraction of segments labeled anomalous."""
-    if not labels:
-        return 0.0
-    return sum(1 for label in labels if label == 1) / len(labels)
 
 
 def interleave_streams(

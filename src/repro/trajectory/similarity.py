@@ -1,43 +1,17 @@
 """Trajectory similarity measures.
 
 The CTSS baseline uses the discrete Fréchet distance between the ongoing
-partial route and a reference normal route; other measures (LCSS, edit
-distance, Jaccard) are provided for completeness and used in tests and the
-heuristic baselines.
+partial route and a reference normal route; the Jaccard similarity of two
+routes' segment sets is the route-overlap measure the tests compare with.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
 from ..exceptions import TrajectoryError
-from ..roadnet.graph import RoadNetwork
-
-Point = Tuple[float, float]
-
-
-def _segment_points(network: RoadNetwork, route: Sequence[int]) -> np.ndarray:
-    """Midpoints of a route's segments as an ``(n, 2)`` array."""
-    if not route:
-        raise TrajectoryError("route must not be empty")
-    return np.array([network.segment_midpoint(s) for s in route], dtype=float)
-
-
-def discrete_frechet(
-    route_a: Sequence[int],
-    route_b: Sequence[int],
-    network: RoadNetwork,
-) -> float:
-    """Discrete Fréchet distance between two routes (in metres).
-
-    Routes are discretised at segment midpoints. Quadratic time and space in
-    the route lengths, as in the CTSS baseline the paper describes.
-    """
-    points_a = _segment_points(network, route_a)
-    points_b = _segment_points(network, route_b)
-    return discrete_frechet_points(points_a, points_b)
 
 
 def discrete_frechet_points(points_a: np.ndarray, points_b: np.ndarray) -> float:
@@ -70,35 +44,3 @@ def jaccard_similarity(route_a: Sequence[int], route_b: Sequence[int]) -> float:
     if not union:
         return 0.0
     return len(set_a & set_b) / len(union)
-
-
-def lcss_similarity(route_a: Sequence[int], route_b: Sequence[int]) -> float:
-    """Longest-common-subsequence similarity normalised by the shorter route."""
-    if not route_a or not route_b:
-        raise TrajectoryError("routes must not be empty")
-    n, m = len(route_a), len(route_b)
-    table = np.zeros((n + 1, m + 1), dtype=np.int32)
-    for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            if route_a[i - 1] == route_b[j - 1]:
-                table[i, j] = table[i - 1, j - 1] + 1
-            else:
-                table[i, j] = max(table[i - 1, j], table[i, j - 1])
-    return float(table[n, m]) / min(n, m)
-
-
-def edit_distance_routes(route_a: Sequence[int], route_b: Sequence[int]) -> int:
-    """Levenshtein edit distance between two routes (segment-level)."""
-    if not route_a:
-        return len(route_b)
-    if not route_b:
-        return len(route_a)
-    n, m = len(route_a), len(route_b)
-    previous = list(range(m + 1))
-    for i in range(1, n + 1):
-        current = [i] + [0] * m
-        for j in range(1, m + 1):
-            substitution = previous[j - 1] + (0 if route_a[i - 1] == route_b[j - 1] else 1)
-            current[j] = min(previous[j] + 1, current[j - 1] + 1, substitution)
-        previous = current
-    return previous[m]

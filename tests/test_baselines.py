@@ -1,5 +1,7 @@
 """Tests of the baseline detectors and the threshold-adaptation protocol."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -53,8 +55,7 @@ def test_tune_threshold_requires_labels(pipeline, dataset_split):
     scorer = TransitionFrequencyScorer(pipeline)
     with pytest.raises(EvaluationError):
         tune_threshold(scorer, [])
-    unlabeled = development[0].with_labels([0] * len(development[0]))
-    unlabeled.labels = None
+    unlabeled = dataclasses.replace(development[0], labels=None)
     with pytest.raises(EvaluationError):
         tune_threshold(scorer, [unlabeled])
 

@@ -13,7 +13,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.core import replay_fleet
+from repro.core import RL4OASDModel, replay_fleet
 from repro.exceptions import CheckpointError, ModelError
 from repro.serve import (CHECKPOINT_VERSION, clone_model, load_model,
                          model_from_bytes, model_to_bytes, save_model,
@@ -62,12 +62,10 @@ def test_round_trip_detections_are_label_identical(trained_model,
 
 def test_service_from_checkpoint_matches(trained_model, checkpoint_path,
                                          dataset_split):
-    from repro.serve import DetectionService
-
     _, _, test = dataset_split
     detector = trained_model.detector()
-    with DetectionService.from_checkpoint(checkpoint_path,
-                                          num_shards=2) as service:
+    with RL4OASDModel.load(checkpoint_path).detection_service(
+            num_shards=2) as service:
         results = serve_fleet(service, test[:8], concurrency=4)
     for trajectory, result in zip(test[:8], results):
         assert result.labels == detector.detect(trajectory).labels

@@ -152,7 +152,8 @@ def _episode(asdnet, z, previous_labels, actions=None, rng=None):
 def test_asdnet_state_and_actions(asdnet, rsrnet):
     z = np.random.default_rng(0).normal(size=(3, rsrnet.representation_dim))
     previous = [0, 1, 0]
-    assert asdnet.build_states_batch(z, previous).shape == (3, asdnet.state_dim)
+    state_dim = rsrnet.representation_dim + asdnet.config.label_embedding_dim
+    assert asdnet.build_states_batch(z, previous).shape == (3, state_dim)
     probabilities = policy_choices(asdnet, z, previous, greedy=False)
     assert probabilities.shape == (3, 2)
     assert probabilities.sum(axis=1) == pytest.approx([1.0, 1.0, 1.0])

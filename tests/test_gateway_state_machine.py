@@ -57,6 +57,7 @@ from repro.mapmatching import (HMMMapMatcher, OnlineMapMatcher,
                                OnlineMatchResult)
 from repro.roadnet import RoadNetwork
 from repro.serve import ResultEnvelope
+from repro.trajectory import GPSPoint
 
 SESSION_GAP_S = 10.0
 VEHICLES = ("a", "b", "c")
@@ -227,8 +228,9 @@ class GatewayMachine(RuleBasedStateMachine):
 
     def push(self, vehicle_id, t):
         expected = self.model_push(vehicle_id, t)
-        self.check_closed(self.gateway.push(vehicle_id, 50.0, 0.0, t),
-                          expected)
+        self.check_closed(
+            self.gateway.push_point(vehicle_id, GPSPoint(50.0, 0.0, t)),
+            expected)
 
     def known(self, pick):
         """A vehicle the model knows, chosen by an arbitrary integer."""

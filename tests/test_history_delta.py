@@ -9,7 +9,7 @@ instead of corrupting a shard. Around that: delta algebra (apply, merge,
 chain retention, gapped/out-of-order rejection), the durable
 content-addressed :class:`~repro.history.HistoryArchive` (save → load →
 serve parameter- and label-exact, blob sharing, gc, integrity), checkpoint
-format v3 (archived history; older versions refused), the
+format v4 (history embedded; older versions refused), the
 learner publishing deltas, the scheduled roll-forward driver, and — by the
 ``derivations`` counters — what a refresh does *not* do: derive again, on a
 warm shard or a warm trainer, anything it already held.
@@ -519,46 +519,24 @@ def test_archive_refuses_forked_version_and_detects_corruption(
 
 
 # --------------------------------------------------------------- checkpoints
-def test_checkpoint_v3_archived_history_round_trip(tmp_path, trained_model,
-                                                   dataset_split):
-    archive = HistoryArchive(tmp_path / "hist")
-    embedded = tmp_path / "embedded.ckpt"
-    archived = tmp_path / "archived.ckpt"
-    save_model(trained_model, embedded)
-    save_model(trained_model, archived, archive=archive)
-    # The archived checkpoint sheds the corpus.
-    assert archived.stat().st_size < embedded.stat().st_size
-    assert trained_model.pipeline.history.version in archive.versions()
-
-    with pytest.raises(CheckpointError, match="pass archive="):
-        load_model(archived)
-
-    via_embedded = load_model(embedded)
-    via_archive = load_model(archived, archive=archive)
-    history_a = via_embedded.pipeline.history
-    history_b = via_archive.pipeline.history
-    assert history_a.version == history_b.version
-    assert list(history_a.groups().items()) == list(history_b.groups().items())
-
-    fleet = service_fleet(dataset_split)
-    with DetectionService.from_checkpoint(archived, archive=archive,
-                                          num_shards=2) as svc, \
-            DetectionService(via_embedded, num_shards=1) as reference:
-        for a, b in zip(serve_fleet(svc, fleet),
-                        serve_fleet(reference, fleet)):
-            assert a.labels == b.labels
-
-
-@pytest.mark.parametrize("version", [2, 99])
+@pytest.mark.parametrize("version", [2, 3, 99])
 def test_unreadable_checkpoint_versions_are_rejected(tmp_path, trained_model,
                                                      version):
-    """Only the current format is read: a pre-delta-plane v2 payload is
-    refused like any unknown version."""
-    assert CHECKPOINT_VERSION == 3
+    """Only the current format is read. A pre-delta-plane v2 payload is
+    refused like any unknown version, and so is a v3 payload whose history
+    lived in an archive: its pipeline carries an empty placeholder snapshot
+    at the true version, which would otherwise load as a history-less
+    model."""
+    assert CHECKPOINT_VERSION == 4
     path = tmp_path / "other.ckpt"
     save_model(trained_model, path)
     payload = pickle.loads(path.read_bytes())
     payload["version"] = version
+    if version == 3:
+        history = payload["pipeline"].history
+        payload["pipeline"] = payload["pipeline"].with_history(
+            HistorySnapshot({}, history.slots_per_day, history.version))
+        payload["history_storage"] = "archived"
     path.write_bytes(pickle.dumps(payload))
     with pytest.raises(CheckpointError, match="not supported"):
         load_model(path)

@@ -17,6 +17,7 @@ import pytest
 
 from repro.config import GatewayConfig
 from repro.datagen import sample_gps_trace
+from repro.eval import LatencyReport
 from repro.exceptions import ConfigurationError, GatewayError, ServiceError
 from repro.ingest import GpsGateway, serve_raw_fleet
 from repro.mapmatching import HMMMapMatcher, OnlineMapMatcher
@@ -97,7 +98,8 @@ def test_gateway_matches_offline_pipeline_on_clean_fleets(
                                  num_shards=num_shards, backend=backend)
     assert_single_sessions_match(reference, outputs)
     assert stats.sessions_closed == len(fleet)
-    assert stats.dropped_points == 0
+    assert (stats.late_dropped, stats.duplicates_dropped,
+            stats.unmatched_dropped) == (0, 0, 0)
     assert stats.sessions_broken == 0
 
 
@@ -318,7 +320,9 @@ def test_gateway_latency_report(trained_model, dataset, dataset_split,
     with trained_model.detection_service(num_shards=1) as service:
         gateway = GpsGateway(service, offline_matcher)
         serve_raw_fleet(gateway, raws, concurrency=3)
-        report = gateway.commit_latency()
+        report = LatencyReport(
+            name="GpsGateway",
+            samples=list(gateway.matcher.commit_lag_samples))
     assert report.count == sum(len(raw.points) for raw in raws)
     assert report.maximum >= report.p95 >= report.p50 >= 0
     assert "commit lag" in report.format()
@@ -498,7 +502,8 @@ def test_max_vehicles_evicts_least_recently_active(trained_model, dataset,
         assert stats.vehicles_evicted == 1
         assert sorted(gateway.active_vehicles) == [1, 2]
         assert len(gateway.matcher.active_sessions) <= 2
-        gateway.end_all()
+        for vehicle in gateway.active_vehicles:
+            gateway.end(vehicle)
     assert [s.result.labels for s in evicted] == \
         [r.labels for r in reference[0]]
     with pytest.raises(ConfigurationError):
@@ -663,11 +668,12 @@ def test_async_sessions_poll_and_drain_explicitly(trained_model, dataset,
                              GatewayConfig(async_sessions=True))
         for vehicle, raw in enumerate(raws):
             for position, point in enumerate(raw.points):
-                assert gateway.push(
-                    vehicle, point.x, point.y, point.t,
+                assert gateway.push_point(
+                    vehicle, point,
                     start_time_s=(raw.start_time_s if position == 0
                                   else None)) == []
-        assert gateway.end_all() == []
+        for vehicle in gateway.active_vehicles:
+            assert gateway.end(vehicle) == []
         assert gateway.pending_sessions == len(raws)
         sessions = gateway.drain_sessions()
         assert gateway.pending_sessions == 0
@@ -684,3 +690,24 @@ def test_async_sessions_poll_and_drain_explicitly(trained_model, dataset,
         service.pump()
         with pytest.raises(GatewayError):
             gateway.poll_sessions()
+
+
+def test_drain_sessions_gives_up_when_results_stop_arriving(
+        trained_model, dataset, dataset_split, offline_matcher, monkeypatch):
+    """A closed session whose result never reaches the bus (a dead worker
+    swallows it) ends the drain with GatewayError after the no-progress
+    deadline instead of spinning forever."""
+    _, _, test = dataset_split
+    raw = clean_raws(dataset, test[:1], seed=11)[0]
+    with trained_model.detection_service(num_shards=1) as service:
+        gateway = GpsGateway(service, offline_matcher,
+                             GatewayConfig(async_sessions=True))
+        gateway.push_point(0, raw.points[0], start_time_s=raw.start_time_s)
+        for point in raw.points[1:]:
+            gateway.push_point(0, point)
+        assert gateway.end(0) == []
+        monkeypatch.setattr(service, "poll_results",
+                            lambda max_items=None: [])
+        with pytest.raises(GatewayError, match="did not arrive"):
+            gateway.drain_sessions(timeout_s=0.05)
+        assert gateway.pending_sessions == 1

@@ -66,13 +66,6 @@ def test_transition_statistics_empty_group_rejected():
         TransitionStatistics.from_group([])
 
 
-def test_most_common(figure1_group):
-    group, _, _, _ = figure1_group
-    stats = TransitionStatistics.from_group(group)
-    top_transition, count = stats.most_common(1)[0]
-    assert count == 10
-
-
 # ------------------------------------------------------------- noisy labels
 def test_noisy_labels_matches_paper_example(figure1_group):
     group, _, _, t3 = figure1_group

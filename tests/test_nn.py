@@ -149,7 +149,7 @@ def test_module_collects_parameters_recursively():
     assert len(parent.parameters()) == 2
     names = dict(parent.named_parameters())
     assert "child.w" in names and "b" in names
-    assert parent.num_parameters() == 7
+    assert sum(p.value.size for p in parent.parameters()) == 7
 
 
 def test_state_dict_round_trip():

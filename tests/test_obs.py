@@ -619,8 +619,8 @@ def test_metrics_text_works_without_obs_config(trained_model, dataset_split):
 @pytest.mark.fleet
 def test_service_scrape_endpoint_and_span_export(trained_model, dataset,
                                                  dataset_split, tmp_path):
-    """start_metrics_server serves a live parseable scrape; export_spans
-    writes the drained spans as valid JSONL."""
+    """start_metrics_server serves a live parseable scrape; the drained
+    spans write out as valid JSONL."""
     _, _, test = dataset_split
     raws = clean_raws(dataset, test[:3], seed=37)
     matcher = HMMMapMatcher(dataset.network)
@@ -637,7 +637,7 @@ def test_service_scrape_endpoint_and_span_export(trained_model, dataset,
         assert stage_counts and all(count > 0 for count in stage_counts)
 
         path = tmp_path / "spans.jsonl"
-        written = service.export_spans(path)
+        written = write_spans_jsonl(service.drain_spans(), path)
         assert written > 0
         rows = [json.loads(line) for line in path.read_text().splitlines()]
         assert len(rows) == written

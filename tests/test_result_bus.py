@@ -100,8 +100,8 @@ def run_bus_protocol_trial(rng, num_shards):
     # Final settlement: recover every lost drain and empty every bus.
     for shard in range(num_shards):
         while (lost_drain[shard] or buses[shard].depth
-               or buses[shard].unacked_count):
-            if buses[shard].unacked_count and not lost_drain[shard]:
+               or buses[shard].stats().unacked):
+            if buses[shard].stats().unacked and not lost_drain[shard]:
                 buses[shard].replay()
             drain(shard, may_lose=False)
 
@@ -138,14 +138,14 @@ def test_bus_protocol_fuzz(seed):
 def test_bus_take_ack_lifecycle():
     bus = ShardResultBus(0)
     assert [bus.publish("result", v, v) for v in "abc"] == [1, 2, 3]
-    assert bus.depth == 3 and bus.unacked_count == 0
+    assert bus.depth == 3 and bus.stats().unacked == 0
     batch = bus.take(2)
     assert [e.seq for e in batch] == [1, 2]
-    assert (bus.depth, bus.unacked_count) == (1, 2)
+    assert (bus.depth, bus.stats().unacked) == (1, 2)
     bus.ack(1)
-    assert bus.unacked_count == 1
+    assert bus.stats().unacked == 1
     bus.ack(2)
-    assert bus.unacked_count == 0
+    assert bus.stats().unacked == 0
     assert [e.seq for e in bus.take()] == [3]
     bus.ack(3)
     stats = bus.stats()
@@ -172,7 +172,7 @@ def test_ack_trims_replayed_outbox_duplicates():
     bus.take()
     bus.replay()  # the whole window is queued for redelivery
     bus.ack(3)    # ...but the subscriber had accepted it all along
-    assert bus.depth == 0 and bus.unacked_count == 0
+    assert bus.depth == 0 and bus.stats().unacked == 0
 
 
 def test_collector_dedups_and_counts_gaps():
@@ -640,9 +640,9 @@ def test_soak_gateway_to_bus_stays_bounded(trained_model, dataset,
                     active[index] = fresh_slot()
                     vehicle, trace, cursor = active[index]
                 point = trace.points[cursor]
-                gateway.push(vehicle, point.x, point.y, point.t,
-                             start_time_s=(trace.start_time_s
-                                           if cursor == 0 else None))
+                gateway.push_point(vehicle, point,
+                                   start_time_s=(trace.start_time_s
+                                                 if cursor == 0 else None))
                 active[index] = (vehicle, trace, cursor + 1)
                 pushed += 1
             gateway.pump()
@@ -658,7 +658,8 @@ def test_soak_gateway_to_bus_stays_bounded(trained_model, dataset,
                 assert len(gateway.active_vehicles) <= config.max_vehicles
                 assert gateway.pending_sessions <= 4 * slots
         full_elapsed = time.perf_counter() - started
-        gateway.end_all()
+        for vehicle in gateway.active_vehicles:
+            gateway.end(vehicle)
         collected += len(gateway.drain_sessions())
         stats = gateway.stats()
         assert service._collector.gaps == 0

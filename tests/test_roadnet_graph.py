@@ -35,11 +35,6 @@ def test_add_and_lookup_segments(line_network):
     assert segment.length_m == pytest.approx(100.0)
 
 
-def test_segment_between(line_network):
-    assert line_network.segment_between(0, 1).segment_id == 0
-    assert line_network.segment_between(3, 0) is None
-
-
 def test_missing_segment_raises(line_network):
     with pytest.raises(SegmentNotFoundError):
         line_network.segment(42)
@@ -66,7 +61,6 @@ def test_duplicate_segment_rejected(line_network):
 
 def test_successor_and_predecessor_segments(line_network):
     assert sorted(line_network.successor_segments(0)) == [1, 3]
-    assert sorted(line_network.predecessor_segments(2)) == [1, 4]
 
 
 def test_degrees(line_network):
@@ -109,24 +103,6 @@ def test_project_point_clamps_to_endpoints(line_network):
 def test_point_along_segment(line_network):
     assert line_network.point_along_segment(0, 0.25) == (25.0, 0.0)
     assert line_network.point_along_segment(0, 2.0) == (100.0, 0.0)
-
-
-def test_bounding_box(line_network):
-    min_x, min_y, max_x, max_y = line_network.bounding_box()
-    assert (min_x, min_y) == (0.0, 0.0)
-    assert (max_x, max_y) == (300.0, 120.0)
-
-
-def test_bounding_box_empty_network():
-    with pytest.raises(RoadNetworkError):
-        RoadNetwork().bounding_box()
-
-
-def test_subgraph_segments(line_network):
-    sub = line_network.subgraph_segments([0, 1])
-    assert sub.num_segments == 2
-    assert sub.num_intersections == 3
-    assert 2 not in sub
 
 
 def test_contains_and_len(line_network):

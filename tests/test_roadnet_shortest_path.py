@@ -3,12 +3,7 @@
 import pytest
 
 from repro.exceptions import DisconnectedRouteError, RoadNetworkError
-from repro.roadnet import RoadNetwork, dijkstra_route, k_shortest_routes, route_length
-from repro.roadnet.shortest_path import (
-    route_travel_time,
-    shortest_path_cost,
-    travel_time_cost,
-)
+from repro.roadnet import RoadNetwork, dijkstra_route, k_shortest_routes
 
 
 def test_dijkstra_prefers_direct_route(line_network):
@@ -40,22 +35,6 @@ def test_dijkstra_disconnected():
         dijkstra_route(network, 0, 1)
 
 
-def test_route_length_and_travel_time(line_network):
-    route = [0, 1, 2]
-    assert route_length(line_network, route) == pytest.approx(300.0)
-    assert route_travel_time(line_network, route) > 0
-
-
-def test_shortest_path_cost_excludes_source(line_network):
-    cost = shortest_path_cost(line_network, 0, 2)
-    assert cost == pytest.approx(200.0)
-
-
-def test_travel_time_cost_function(line_network):
-    segment = line_network.segment(0)
-    assert travel_time_cost(segment) == pytest.approx(segment.travel_time_s)
-
-
 def test_k_shortest_routes_returns_distinct_loopless_routes(line_network):
     routes = k_shortest_routes(line_network, 0, 2, k=3)
     assert routes[0] == [0, 1, 2]
@@ -69,7 +48,8 @@ def test_k_shortest_routes_returns_distinct_loopless_routes(line_network):
 def test_k_shortest_routes_ordered_by_cost(grid_network):
     ids = grid_network.segment_ids()
     routes = k_shortest_routes(grid_network, ids[0], ids[-1], k=3)
-    lengths = [route_length(grid_network, r) for r in routes]
+    lengths = [sum(grid_network.segment(s).length_m for s in route)
+               for route in routes]
     assert lengths == sorted(lengths)
 
 

@@ -12,7 +12,7 @@ from repro.trajectory import (
     subtrajectory_spans,
     transitions_of,
 )
-from repro.trajectory.ops import SOURCE_PAD, anomalous_fraction, labels_from_spans
+from repro.trajectory.ops import SOURCE_PAD, labels_from_spans
 
 
 def make_matched(segments, labels=None, start=0.0):
@@ -72,7 +72,6 @@ def test_subtrajectory_slicing():
     assert sub.segments == [11, 12, 13]
     assert sub.span == (1, 3)
     assert len(sub) == 3
-    assert sub.segment_set() == frozenset({11, 12, 13})
 
 
 def test_subtrajectory_bounds_checked():
@@ -81,13 +80,6 @@ def test_subtrajectory_bounds_checked():
         trajectory.subtrajectory(2, 5)
     with pytest.raises(TrajectoryError):
         Subtrajectory(1, 2, 1, [])
-
-
-def test_with_labels_copies():
-    trajectory = make_matched([1, 2, 3])
-    labeled = trajectory.with_labels([0, 1, 0])
-    assert labeled.labels == [0, 1, 0]
-    assert trajectory.labels is None
 
 
 # -------------------------------------------------------------- operations
@@ -133,8 +125,3 @@ def test_labels_from_spans_round_trip():
 def test_labels_from_spans_rejects_out_of_range():
     with pytest.raises(TrajectoryError):
         labels_from_spans(3, [(1, 5)])
-
-
-def test_anomalous_fraction():
-    assert anomalous_fraction([0, 1, 1, 0]) == pytest.approx(0.5)
-    assert anomalous_fraction([]) == 0.0

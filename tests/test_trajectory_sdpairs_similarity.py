@@ -6,10 +6,7 @@ from repro.exceptions import TrajectoryError
 from repro.history import HistorySnapshot
 from repro.trajectory import (
     MatchedTrajectory,
-    discrete_frechet,
-    edit_distance_routes,
     jaccard_similarity,
-    lcss_similarity,
     time_slot_of,
 )
 from repro.trajectory.similarity import discrete_frechet_points
@@ -73,20 +70,6 @@ def test_jaccard_similarity():
     assert jaccard_similarity([1, 2, 3], [2, 3, 4]) == pytest.approx(0.5)
 
 
-def test_lcss_similarity():
-    assert lcss_similarity([1, 2, 3, 4], [1, 2, 3, 4]) == 1.0
-    assert lcss_similarity([1, 2, 3, 4], [1, 9, 3, 8]) == pytest.approx(0.5)
-    with pytest.raises(TrajectoryError):
-        lcss_similarity([], [1])
-
-
-def test_edit_distance_routes():
-    assert edit_distance_routes([1, 2, 3], [1, 2, 3]) == 0
-    assert edit_distance_routes([1, 2, 3], [1, 5, 3]) == 1
-    assert edit_distance_routes([], [1, 2]) == 2
-    assert edit_distance_routes([1, 2], []) == 2
-
-
 def test_discrete_frechet_points_identity_and_symmetry():
     a = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
     b = np.array([[0.0, 1.0], [1.0, 1.0], [2.0, 1.0]])
@@ -96,12 +79,15 @@ def test_discrete_frechet_points_identity_and_symmetry():
 
 
 def test_discrete_frechet_on_network_routes(line_network):
-    direct = [0, 1, 2]
-    bypass = [0, 3, 4, 2]
-    assert discrete_frechet(direct, direct, line_network) == 0.0
-    assert discrete_frechet(direct, bypass, line_network) > 0.0
+    def points(route):  # routes discretised at segment midpoints, as in CTSS
+        return np.array([line_network.segment_midpoint(s) for s in route])
+
+    direct = points([0, 1, 2])
+    bypass = points([0, 3, 4, 2])
+    assert discrete_frechet_points(direct, direct) == 0.0
+    assert discrete_frechet_points(direct, bypass) > 0.0
 
 
-def test_discrete_frechet_rejects_empty(line_network):
+def test_discrete_frechet_rejects_empty():
     with pytest.raises(TrajectoryError):
-        discrete_frechet([], [0], line_network)
+        discrete_frechet_points(np.empty((0, 2)), np.zeros((1, 2)))

@@ -1,6 +1,6 @@
 """Documentation checks run by the CI docs job.
 
-Five checks, no third-party dependencies beyond the library's own:
+Six checks, no third-party dependencies beyond the library's own:
 
 1. **Internal links** — every relative markdown link in ``docs/*.md`` (and
    the README) must point at a file or directory that exists.
@@ -23,6 +23,10 @@ Five checks, no third-party dependencies beyond the library's own:
    attribute that class has: a method, property or class attribute, a
    dataclass or ``NamedTuple`` field, or an instance attribute its methods
    assign (``self.attr = ...``), so prose naming a deleted method fails.
+6. **Stale ``__all__``** — every name in the ``__all__`` of every ``repro``
+   module is an attribute of that module, so a deleted name left behind
+   fails although ``import`` still works (``from module import *`` would
+   not).
 
 Run locally with::
 
@@ -35,6 +39,7 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import pkgutil
 import re
 import sys
 import textwrap
@@ -262,9 +267,29 @@ def check_class_attributes() -> list:
     return errors
 
 
+def check_dunder_all() -> list:
+    import repro
+
+    errors = []
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name.rsplit(".", 1)[-1] == "__main__":
+            continue  # importing it would run the CLI
+        try:
+            module = importlib.import_module(info.name)
+        except Exception as error:  # noqa: BLE001 - report, don't crash
+            errors.append(f"import {info.name} failed: {error}")
+            continue
+        for name in getattr(module, "__all__", ()):
+            if not hasattr(module, name):
+                errors.append(f"{info.name}.__all__ names {name!r}, which "
+                              f"the module does not define")
+    return errors
+
+
 def main() -> int:
     errors = (check_links() + check_python_fences() + check_imports()
-              + check_config_keywords() + check_class_attributes())
+              + check_config_keywords() + check_class_attributes()
+              + check_dunder_all())
     for error in errors:
         print(f"ERROR: {error}")
     checked = ", ".join(str(d.relative_to(REPO)) for d in DOC_FILES)
@@ -272,8 +297,8 @@ def main() -> int:
         print(f"\n{len(errors)} documentation problem(s) in: {checked}")
         return 1
     print(f"docs OK: links, python fences, public imports, config / "
-          f"engine / detect / detector keywords and class attributes "
-          f"verified ({checked})")
+          f"engine / detect / detector keywords, class attributes and "
+          f"__all__ lists verified ({checked})")
     return 0
 
 
