@@ -6,9 +6,6 @@ import abc
 from dataclasses import dataclass, field
 from typing import List
 
-import numpy as np
-
-from ..exceptions import EvaluationError
 from ..trajectory.models import MatchedTrajectory
 from ..trajectory.ops import subtrajectory_spans
 

@@ -11,14 +11,12 @@ than accumulating from the source.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
-from ..exceptions import EvaluationError
 from ..labeling.features import PreprocessingPipeline
 from ..trajectory.models import MatchedTrajectory
-from ..trajectory.similarity import discrete_frechet_points
 from .base import ScoringDetector
 
 

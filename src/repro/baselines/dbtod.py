@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from ..exceptions import EvaluationError
 from ..roadnet.graph import RoadNetwork

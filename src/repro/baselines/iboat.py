@@ -10,7 +10,7 @@ otherwise the segment is normal and the window grows.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..exceptions import EvaluationError
 from ..labeling.features import PreprocessingPipeline

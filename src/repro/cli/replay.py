@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..config import GatewayConfig
 from ..datagen import sample_gps_trace
 from ..experiments.common import ExperimentSettings, prepare_city, \
     train_rl4oasd
@@ -42,9 +41,7 @@ def run(args) -> int:
     with model.detection_service(num_shards=args.shards,
                                  backend=args.backend,
                                  queue_depth=1024) as service:
-        gateway = GpsGateway(
-            service, HMMMapMatcher(split.dataset.network),
-            GatewayConfig(async_sessions=True))
+        gateway = GpsGateway(service, HMMMapMatcher(split.dataset.network))
         results = serve_raw_fleet(gateway, raws,
                                   concurrency=args.concurrency)
         stats = gateway.stats()

@@ -191,8 +191,7 @@ class SoakHarness:
                          if options.roll_archive else ""))
         gateway = GpsGateway(
             service, HMMMapMatcher(fleet.network),
-            GatewayConfig(async_sessions=True,
-                          ingest_batch=options.ingest_batch))
+            GatewayConfig(ingest_batch=options.ingest_batch))
         cache = RenderCache(gateway.metrics_text)
         cache.refresh()  # seed on the driver thread before serving starts
 

@@ -282,13 +282,11 @@ class GatewayConfig:
     the least recently active vehicle is closed and evicted (0 means
     unbounded).
 
-    ``async_sessions`` completes sessions through the service's results bus
-    instead of a blocking finalize per close: ``push_point`` / ``end`` /
-    ``advance_clock`` return no :class:`~repro.ingest.SessionResult`\\ s —
-    finished sessions are collected in batches with
-    :meth:`GpsGateway.poll_sessions` / :meth:`GpsGateway.drain_sessions`.
-    Same sessions, same labels, different delivery; the default ``False``
-    keeps the original synchronous contract.
+    Every session closes through the service's results bus; a closing call
+    returns the :class:`~repro.ingest.SessionResult`\\ s the bus holds after
+    one pump, and :meth:`GpsGateway.poll_sessions` /
+    :meth:`GpsGateway.drain_sessions` collect the rest. ``max_retries`` /
+    ``retry_wait_s`` bound each close's queueing as they bound ingest.
     """
 
     reorder_window: int = 8
@@ -297,7 +295,6 @@ class GatewayConfig:
     max_vehicles: int = 0
     max_pending_points: int = 64
     ingest_batch: int = 32
-    async_sessions: bool = False
     max_retries: int = 10000
     retry_wait_s: float = 0.0005
 

@@ -18,7 +18,7 @@ trajectories so the learner keeps pace with fleet-scale ingest.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
 
 from ..exceptions import ModelError

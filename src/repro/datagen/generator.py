@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..config import DataGenConfig
-from ..exceptions import DataGenerationError, DisconnectedRouteError
+from ..exceptions import DataGenerationError
 from ..roadnet.graph import RoadNetwork
 from ..trajectory.models import GPSPoint, MatchedTrajectory, RawTrajectory
 from .city import sample_sd_pairs

@@ -10,7 +10,7 @@ whose Jaccard with the ground truth exceeds ``phi`` (0.5 by default).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Set, Tuple
+from typing import List, Sequence, Tuple
 
 from ..exceptions import EvaluationError
 from ..trajectory.ops import subtrajectory_spans

@@ -14,7 +14,9 @@ incremental map matching
   per-vehicle state with least-recently-active eviction, online matching,
   batched service ingest, funnel metrics.
 * :class:`SessionResult` — one finished trip session (detection result plus
-  matching summary and a map-matching confidence score).
+  matching summary and a map-matching confidence score), which comes back
+  over the service's results bus from the call that closed the session or
+  a later poll.
 * :func:`serve_raw_fleet` — replay raw-trajectory workloads through a
   gateway (the differential-test and replay driver).
 

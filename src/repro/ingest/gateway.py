@@ -44,6 +44,13 @@ road. The gateway turns the one into the other, per vehicle, online::
   per-shard batches through :meth:`DetectionService.ingest_many`
   (``ingest_batch`` per flush; 1 flushes every segment as a batch of one),
   amortizing the per-point IPC that otherwise caps multi-shard scaling.
+* **Session closes ride the results bus.** A close flushes the session's
+  segments and queues :meth:`DetectionService.finalize_async` behind them.
+  A call that closed a session pumps the service once and returns what
+  :meth:`poll_sessions` collects — on an in-process service, its own
+  sessions; a process shard's may arrive on a later call or through
+  :meth:`drain_sessions` (``docs/architecture.md``, "why there is one
+  close path"). A call that closed none neither pumps nor polls.
 
 :func:`serve_raw_fleet` replays whole raw-trajectory workloads through a
 gateway the way :func:`~repro.serve.service.serve_fleet` replays matched
@@ -93,13 +100,6 @@ class SessionResult(NamedTuple):
     result: DetectionResult
     match: Optional[OnlineMatchResult]
     confidence: float = 0.0
-
-
-def _session_result(key: Tuple[Hashable, int], result: DetectionResult,
-                    match: Optional[OnlineMatchResult]) -> SessionResult:
-    return SessionResult(
-        vehicle_id=key[0], session_key=key, result=result, match=match,
-        confidence=match.confidence if match is not None else 0.0)
 
 
 @dataclass
@@ -159,7 +159,6 @@ class GpsGateway:
         # without ever re-sending (duplicating) a delivered batch.
         self._pending: Dict[int, List[IngestEvent]] = {}
         self._pending_count = 0
-        self._async = self._config.async_sessions
         # Sessions closed through the bus whose results have not arrived:
         # session key -> FIFO of match summaries (``None`` for a session a
         # lattice break ended), which wait here because the shard holds
@@ -203,20 +202,26 @@ class GpsGateway:
         optional ``start_time_s`` — read only on the vehicle's very first
         fix — is the absolute time of day at ``t = 0``, used for the
         time-slot grouping of every session this vehicle produces. Returns
-        the sessions this fix *completed* (normally none; one when the
-        fix's timestamp revealed a trip gap).
+        nothing unless the fix closed a session (its timestamp revealed a
+        trip gap, it broke the match lattice, or it evicted a vehicle), and
+        then what the results bus holds (module docstring, "session
+        closes").
 
         When a new vehicle would exceed ``config.max_vehicles``, the least
-        recently active vehicle is closed first (its finished sessions are
-        returned alongside any this fix completes) — the bound that keeps
+        recently active vehicle is closed first — the bound that keeps
         the gateway's per-vehicle state, and the online matcher's lattice
         map behind it, from growing with every vehicle ever seen.
         """
+        closed = self._stats.sessions_closed
+        self._push(vehicle_id, point, start_time_s)
+        return self._collect(closed)
+
+    def _push(self, vehicle_id: Hashable, point: GPSPoint,
+              start_time_s: Optional[float]) -> None:
         self._stats.raw_points += 1
-        evicted: List[SessionResult] = []
         state = self._vehicles.get(vehicle_id)
         if state is None:
-            evicted = self._evict_for_capacity()
+            self._evict_for_capacity()
             state = _VehicleState(
                 time_origin=start_time_s if start_time_s is not None else 0.0)
             self._vehicles[vehicle_id] = state
@@ -229,14 +234,14 @@ class GpsGateway:
             buffer.append(point)
         elif t < state.last_released_t:
             self._stats.late_dropped += 1
-            return []
+            return
         else:
             position = bisect.bisect_left(buffer, t,
                                           key=lambda buffered: buffered.t)
             if (t == state.last_released_t
                     or (position < len(buffer) and buffer[position].t == t)):
                 self._stats.duplicates_dropped += 1
-                return []
+                return
             buffer.insert(position, point)
         if self._tracer is not None:
             trace = self._tracer.sample(obs_timestamp())
@@ -244,32 +249,24 @@ class GpsGateway:
                 if state.traces is None:
                     state.traces = {}
                 state.traces[point.t] = trace
-        results = evicted
         window = self._config.reorder_window
         while len(buffer) > window:
             released = buffer.pop(0)
             state.last_released_t = released.t
-            results.extend(self._deliver(vehicle_id, state, released))
-        return results
+            self._deliver(vehicle_id, state, released)
 
     # ------------------------------------------------------------- lifecycle
     def end(self, vehicle_id: Hashable) -> List[SessionResult]:
         """Close one vehicle: flush its reorder buffer, finish its sessions.
 
-        Returns every session completed by the flush (gap splits included)
-        plus the final one. The vehicle is forgotten afterwards; a later
-        :meth:`push_point` starts from scratch.
+        The flush may close sessions at gap splits before the final one;
+        the call returns what the bus has for them (see the module
+        docstring's "session closes"). The vehicle is forgotten afterwards;
+        a later :meth:`push_point` starts from scratch.
         """
-        state = self._vehicles.pop(vehicle_id, None)
-        if state is None:
-            raise GatewayError(f"no active vehicle {vehicle_id!r}")
-        results: List[SessionResult] = []
-        for point in state.buffer:
-            state.last_released_t = point.t
-            results.extend(self._deliver(vehicle_id, state, point))
-        if state.session is not None:
-            results.extend(self._close_session(state))
-        return results
+        closed = self._stats.sessions_closed
+        self._end(vehicle_id)
+        return self._collect(closed)
 
     def advance_clock(self, now: float) -> List[SessionResult]:
         """Close every vehicle idle past the wall-clock timeout.
@@ -286,8 +283,9 @@ class GpsGateway:
         newest known fix — buffered *or* delivered — is older than
         ``config.session_timeout_s`` (``session_gap_s`` when unset) is
         closed exactly as :meth:`end` would close it: the reorder buffer is
-        flushed, the trip session is finished and its detection result
-        returned, and the vehicle (with its matcher state) is forgotten.
+        flushed, the trip session is finished, and the vehicle (with its
+        matcher state) is forgotten; the call returns what the bus has for
+        the closed sessions.
         Without this, a vehicle that simply stops reporting — parked, out of
         coverage, decommissioned — would hold its session, its service
         stream and its matcher lattice open forever, because a session
@@ -301,14 +299,14 @@ class GpsGateway:
         timeout = self._config.session_timeout_s
         if timeout is None:
             timeout = self._config.session_gap_s
-        results: List[SessionResult] = []
+        closed = self._stats.sessions_closed
         for vehicle_id in list(self._vehicles):
             state = self._vehicles[vehicle_id]
             if now - self._last_activity_abs(state) > timeout:
                 if state.session is not None or state.buffer:
                     self._stats.session_timeouts += 1
-                results.extend(self.end(vehicle_id))
-        return results
+                self._end(vehicle_id)
+        return self._collect(closed)
 
     def pump(self) -> int:
         """Advance the service opportunistically (see
@@ -337,28 +335,23 @@ class GpsGateway:
                 raise
         self._stats.batched_flushes += 1
 
-    # -------------------------------------------------------- async sessions
+    # ------------------------------------------------------ session results
     @property
     def pending_sessions(self) -> int:
-        """Bus-closed sessions whose results have not arrived yet.
-
-        Always 0 without ``async_sessions``; with it, the number of
-        sessions between their close (``push_point`` gap split / ``end`` /
-        ``advance_clock`` / eviction) and the poll that collects them.
-        """
+        """Closed sessions whose results no poll has collected yet — the
+        closing call's own or a later one; 0 between the calls of a gateway
+        on an in-process service."""
         return sum(len(queue) for queue in self._pending_sessions.values())
 
     def poll_sessions(self,
                       max_items: Optional[int] = None) -> List[SessionResult]:
         """Collect finished sessions off the results bus, without blocking.
 
-        The ``async_sessions`` counterpart of the :class:`SessionResult`
-        lists the synchronous close paths return: drains the service's
-        results bus once (:meth:`DetectionService.poll_results` — dedup,
-        acks and all) and converts what belongs to this gateway. Sessions
-        arrive in each shard's completion order, not close order.
-        In-process backends only publish while pumped — call :meth:`pump`
-        first (the drivers do).
+        What a closing call returns, and how a caller collects what a
+        process shard publishes later: drains the service's results bus
+        once (:meth:`DetectionService.poll_results` — dedup, acks and all)
+        and converts what belongs to this gateway, in each shard's
+        completion order. In-process backends only publish while pumped.
         """
         completed: List[SessionResult] = []
         for envelope in self._service.poll_results(max_items):
@@ -375,8 +368,9 @@ class GpsGateway:
             match = queue.popleft()
             if not queue:
                 del self._pending_sessions[envelope.key]
-            completed.append(_session_result(envelope.key, envelope.payload,
-                                             match))
+            completed.append(SessionResult(
+                envelope.key[0], envelope.key, envelope.payload, match,
+                match.confidence if match is not None else 0.0))
         return completed
 
     def drain_sessions(self, timeout_s: float = 120.0,
@@ -399,7 +393,7 @@ class GpsGateway:
                 continue
             if time.perf_counter() > deadline:
                 raise GatewayError(
-                    f"{self.pending_sessions} async session result(s) "
+                    f"{self.pending_sessions} session result(s) "
                     f"did not arrive within {timeout_s:.0f}s")
             time.sleep(poll_wait_s)
         return collected
@@ -467,36 +461,52 @@ class GpsGateway:
             return state.time_origin
         return state.time_origin + newest
 
-    def _evict_for_capacity(self) -> List[SessionResult]:
+    def _evict_for_capacity(self) -> None:
         """Make room for one more vehicle under ``config.max_vehicles``.
 
-        Closes (via :meth:`end`) the least recently active vehicle(s) until
-        the bound admits a new one; their finished sessions are returned so
-        no detection result is ever dropped by the bound. Eviction order is
-        by newest-fix time, ties broken by registration order — both
-        deterministic, so a replay reproduces the same evictions.
+        Closes (as :meth:`end` does) the least recently active vehicle(s)
+        until the bound admits a new one, so no detection result is ever
+        dropped by the bound. Eviction order is by newest-fix time, ties
+        broken by registration order — both deterministic, so a replay
+        reproduces the same evictions.
         """
         limit = self._config.max_vehicles
-        if limit <= 0 or len(self._vehicles) < limit:
-            return []
-        results: List[SessionResult] = []
+        if limit <= 0:
+            return
         while len(self._vehicles) >= limit:
             victim = min(self._vehicles,
                          key=lambda v: self._last_activity_abs(
                              self._vehicles[v]))
             self._stats.vehicles_evicted += 1
-            results.extend(self.end(victim))
-        return results
+            self._end(victim)
+
+    def _end(self, vehicle_id: Hashable) -> None:
+        """Forget one vehicle, flushing its buffer and closing its session."""
+        state = self._vehicles.pop(vehicle_id, None)
+        if state is None:
+            raise GatewayError(f"no active vehicle {vehicle_id!r}")
+        for point in state.buffer:
+            state.last_released_t = point.t
+            self._deliver(vehicle_id, state, point)
+        if state.session is not None:
+            self._close_session(state)
+
+    def _collect(self, closed_before: int) -> List[SessionResult]:
+        """Nothing if no session closed since ``closed_before``, else what
+        one pump and one poll bring."""
+        if self._stats.sessions_closed == closed_before:
+            return []
+        self._service.pump()
+        return self.poll_sessions()
 
     def _deliver(self, vehicle_id: Hashable, state: _VehicleState,
-                 point: GPSPoint) -> List[SessionResult]:
+                 point: GPSPoint) -> None:
         """One released (in-order) fix: split sessions, match, forward."""
-        results: List[SessionResult] = []
         session = state.session
         if (session is not None
                 and point.t - session.last_point_t > self._config.session_gap_s):
             self._stats.gap_splits += 1
-            results.extend(self._close_session(state))
+            self._close_session(state)
             session = None
         if session is None:
             session = _SessionState(
@@ -519,13 +529,13 @@ class GpsGateway:
             emitted = self._matcher.push(session.key, point)
         except UnmatchablePointError:
             self._stats.unmatched_dropped += 1
-            return results
+            return
         except MatchBreakError:
             # The lattice cannot continue through this fix: end the session
             # at its committed prefix and restart matching from the fix.
-            results.extend(self._close_session(state, broken=True))
-            results.extend(self._deliver(vehicle_id, state, point))
-            return results
+            self._close_session(state, broken=True)
+            self._deliver(vehicle_id, state, point)
+            return
         self._stats.matched_points += 1
         if trace is not None:
             # The sampled fix's matcher work; the context then rides the
@@ -535,7 +545,6 @@ class GpsGateway:
         for segment in emitted:
             self._forward(session, segment, trace)
             trace = None
-        return results
 
     def _forward(self, session: _SessionState, segment: int,
                  trace: Optional[TraceContext] = None) -> None:
@@ -558,10 +567,9 @@ class GpsGateway:
         self._stats.segments_emitted += 1
 
     def _close_session(self, state: _VehicleState,
-                       broken: bool = False) -> List[SessionResult]:
-        """Finish the vehicle's current session: at most one result (none
-        when not a single fix could be matched, or with ``async_sessions``,
-        where it arrives over the bus)."""
+                       broken: bool = False) -> None:
+        """Finish the vehicle's current session through the results bus
+        (dropped, and counted, when not a single fix could be matched)."""
         session = state.session
         state.session = None
         match: Optional[OnlineMatchResult] = None
@@ -579,23 +587,17 @@ class GpsGateway:
         if not session.opened:
             # Not a single fix of this session could be matched.
             self._stats.sessions_dropped += 1
-            return []
+            return
         self.flush()
-        if self._async:
-            # FIFO per shard: the stream's events were flushed above, so
-            # the queued finalize marker sees the complete session. The
-            # match summary waits here for the bus result.
-            self._service.finalize_async(
-                [session.key],
-                max_retries=self._config.max_retries,
-                retry_wait_s=self._config.retry_wait_s)
-            self._pending_sessions.setdefault(
-                session.key, deque()).append(match)
-            self._stats.sessions_closed += 1
-            return []
-        result = self._service.finalize(session.key)
+        # FIFO per shard: the stream's events were flushed above, so the
+        # queued finalize marker sees the complete session. The match
+        # summary waits here for the bus result.
+        self._service.finalize_async(
+            [session.key],
+            max_retries=self._config.max_retries,
+            retry_wait_s=self._config.retry_wait_s)
+        self._pending_sessions.setdefault(session.key, deque()).append(match)
         self._stats.sessions_closed += 1
-        return [_session_result(session.key, result, match)]
 
 
 def serve_raw_fleet(
@@ -607,20 +609,19 @@ def serve_raw_fleet(
 
     The raw-input twin of :func:`~repro.serve.service.serve_fleet`: up to
     ``concurrency`` vehicles in flight, one fix per active vehicle per
-    round, one service pump per round, every finished vehicle closed
-    through :meth:`GpsGateway.end`. Works with either value of
-    ``async_sessions``: with it the close paths return nothing — finished
-    sessions are collected off the results bus (:meth:`GpsGateway.
-    poll_sessions`) as they complete and, after the replay, sorted back
-    into each vehicle's session order, so the returned lists are identical
-    to the synchronous gateway's. Returns, per input trajectory (in input
+    round, one service pump and one poll per round, every finished
+    vehicle closed through :meth:`GpsGateway.end`. Sessions come back from
+    the closing calls and the polls as each shard completes them
+    (:meth:`GpsGateway.poll_sessions`); after the replay the rest are
+    drained (:meth:`GpsGateway.drain_sessions`) and each vehicle's are
+    sorted back into session order, so the lists do not depend on the
+    backend or the shard count. Returns, per input trajectory (in input
     order), the detection results of its sessions — exactly one for a
     clean, gap-free trace; several when time gaps split the trip; none
     when no fix could be matched.
     """
     if concurrency < 1:
         raise GatewayError("concurrency must be positive")
-    async_mode = gateway.config.async_sessions
     sessions_of: List[List[SessionResult]] = [[] for _ in raw_trajectories]
     backlog = list(enumerate(raw_trajectories))
     backlog.reverse()  # pop() from the end preserves input order
@@ -630,8 +631,8 @@ def serve_raw_fleet(
 
     def route(sessions: List[SessionResult]) -> None:
         # Sessions of an evicted vehicle surface from another vehicle's
-        # push (sync mode) or from a later poll (async mode); the owner map
-        # outlives `active`, so they always land in the right slot.
+        # push or from a later poll; the owner map outlives `active`, so
+        # they always land in the right slot.
         for session in sessions:
             sessions_of[owner[session.vehicle_id]].append(session)
 
@@ -664,13 +665,11 @@ def serve_raw_fleet(
             if vehicle not in gateway.active_vehicles:
                 continue
             route(gateway.end(vehicle))
-        if async_mode:
-            route(gateway.poll_sessions())
-    if async_mode:
-        route(gateway.drain_sessions())
-        for sessions in sessions_of:
-            # Bus completion order is per-shard, not per-vehicle; session
-            # numbers restore close order.
-            sessions.sort(key=lambda session: session.session_key[1])
+        route(gateway.poll_sessions())
+    route(gateway.drain_sessions())
+    for sessions in sessions_of:
+        # Bus completion order is per-shard, not per-vehicle; session
+        # numbers restore close order.
+        sessions.sort(key=lambda session: session.session_key[1])
     return [[session.result for session in sessions]
             for sessions in sessions_of]

@@ -7,8 +7,6 @@ from types import MappingProxyType
 from typing import (Dict, FrozenSet, Iterable, List, Mapping, Optional,
                     Sequence, Tuple, Union)
 
-import numpy as np
-
 from ..config import LabelingConfig
 from ..exceptions import LabelingError
 from ..history import HistorySnapshot, RouteHistoryStore

@@ -25,7 +25,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Dict, Optional, Tuple
 
-from .registry import Counter, Gauge, Histogram, MetricsRegistry
+from .registry import Histogram, MetricsRegistry
 
 __all__ = [
     "MetricsServer",

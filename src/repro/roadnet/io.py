@@ -13,7 +13,6 @@ access.
 
 from __future__ import annotations
 
-import os
 from typing import Union
 
 from ..exceptions import RoadNetworkError

@@ -347,10 +347,12 @@ class ServiceBackend:
         BusCollector`. At most ``max_items`` are handed out; the rest wait
         for the next call.
         """
-        envelopes: List[ResultEnvelope] = []
-        for shard, arrived in enumerate(self._arrived):
+        for shard in range(self.num_shards):
             self._send_ack(shard)  # retry an ack an earlier full queue refused
             self._read_bus(shard)
+        # Read all first: a dead worker's error then loses no envelope.
+        envelopes: List[ResultEnvelope] = []
+        for arrived in self._arrived:
             if max_items is None:
                 envelopes.extend(arrived)
                 arrived.clear()
@@ -736,6 +738,12 @@ def _shard_worker(shard_id: int, blob: bytes, commands, results, bus_writer,
             return
 
 
+def _worker_died(shard_id: int) -> ServiceError:
+    return ServiceError(
+        f"shard {shard_id} worker died; the service must be rebuilt "
+        "(in-flight streams of that shard are lost)")
+
+
 def _safe_qsize(q) -> int:
     try:
         return q.qsize()
@@ -798,20 +806,20 @@ class ProcessBackend(ServiceBackend):
 
         Never waits on an empty pipe. The pipe holds 64 KiB and the worker
         blocks on a full one, so every loop that waits on the worker calls
-        this between attempts.
+        this between attempts. The worker holds the only write end: an end
+        of file before :meth:`close` raises its death, after what it sent.
         """
         bus, arrived = self._shards[shard].bus, self._arrived[shard]
         try:
             while bus.poll():
                 arrived.extend(unpack_frame(shard, bus.recv_bytes()))
         except (EOFError, OSError):
-            pass  # worker gone or pipe closed: the liveness checks say so
+            if not self._closed:
+                raise _worker_died(shard) from None
 
     def _require_alive(self, shard: "_ProcessShard") -> None:
         if not shard.process.is_alive():
-            raise ServiceError(
-                f"shard {shard.shard_id} worker died; the service must be "
-                "rebuilt (in-flight streams of that shard are lost)")
+            raise _worker_died(shard.shard_id)
 
     def _attend(self, shard: "_ProcessShard", deadline: float,
                 what: str) -> None:

@@ -22,6 +22,8 @@ from repro.baselines.iboat import _contains_contiguous
 from repro.baselines.vsae import AutoencoderConfig, SequenceAutoencoder, train_autoencoder
 from repro.eval import evaluate_detector
 from repro.exceptions import EvaluationError, NotFittedError
+from repro.trajectory import MatchedTrajectory
+from repro.trajectory.similarity import discrete_frechet_points
 
 from reference_networks import numerical_gradient
 
@@ -139,6 +141,27 @@ def test_ctss_normal_route_scores_near_zero(pipeline, dataset_split):
     scorer = CTSSScorer(pipeline)
     normal = next(t for t in test if not t.is_anomalous)
     assert max(scorer.scores(normal)) < 500.0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_ctss_prefix_scores_equal_the_frechet_reference(pipeline, seed):
+    """CTSS grows the Fréchet coupling table a row per point; each prefix
+    score must be the whole-polyline distance of ``discrete_frechet_points``
+    from that prefix to the closest prefix of the reference."""
+    rng = np.random.default_rng(seed)
+    segment_ids = pipeline.network.segment_ids()
+    route = [int(s) for s in rng.choice(segment_ids, size=rng.integers(1, 12))]
+    reference = [int(s) for s in
+                 rng.choice(segment_ids, size=rng.integers(1, 12))]
+    scorer = CTSSScorer(pipeline)
+    points = scorer._points(route)
+    reference_points = scorer._points(reference)
+    expected = [min(discrete_frechet_points(points[:i + 1],
+                                            reference_points[:j + 1])
+                    for j in range(len(reference)))
+                for i in range(len(route))]
+    trajectory = MatchedTrajectory(trajectory_id=seed, segments=route)
+    assert scorer._scores_against(trajectory, reference) == expected
 
 
 # ----------------------------------------------------------- autoencoders

@@ -11,21 +11,26 @@ frontier, a duplicate on it or on a held timestamp, and otherwise held until
 more than ``reorder_window`` are — released oldest first, a gap of more than
 ``session_gap_s`` between released fixes starting a new session. A new
 vehicle beyond ``max_vehicles`` first ends the least recently active one
-(ties: the earliest registered), whose sessions surface from that push.
-With ``async_sessions`` no call returns a session: each close joins a FIFO
-the ``poll`` rule must see come back in close order, match summary and all
-— an ended or evicted vehicle that returns restarts its session numbers, so
-one key can be in that FIFO twice.
+(ties: the earliest registered), whose sessions close in that push.
+Every close joins a FIFO of results in flight on the bus, which must come
+back in close order, match summary and all — an ended or evicted vehicle
+that returns restarts its session numbers, so one key can be in that FIFO
+twice. A call that closed a session pumps the service once and returns what
+one poll collects; any other call does neither. The bus is either *prompt*
+(an in-process shard: a pump publishes every queued close, so a closing
+call returns its own sessions) or *lagging* (a process shard: only the
+``deliver`` rule publishes, a few closes at a time, and what it published
+comes back from the next closing call or the ``poll`` rule).
 
 Only the gateway's own machine is under test, so what sits on either side of
 it is a recorder: a matcher that logs the ``(session key, t)`` of every fix
-released to it, and a service that finalizes a session to its key (at once,
-or as a bus envelope at the next poll). Asserted after every rule: the
+released to it, and a service that finalizes a session to its key as a bus
+envelope and counts its pumps and polls. Asserted after every rule: the
 release log (order and session boundaries), the sessions each call
-returned, and the ``raw_points`` / ``late_dropped`` /
-``duplicates_dropped`` / ``gap_splits`` / ``session_timeouts`` /
-``sessions_closed`` / ``vehicles_evicted`` / ``reorder_buffered`` counters
-and ``pending_sessions``.
+returned, the pumps and polls each call made, and the ``raw_points`` /
+``late_dropped`` / ``duplicates_dropped`` / ``gap_splits`` /
+``session_timeouts`` / ``sessions_closed`` / ``vehicles_evicted`` /
+``reorder_buffered`` counters and ``pending_sessions``.
 
 Seeded mutants it kills (each applied, seen to fail, restored). In
 ``push_point``: the in-order fast path taken whenever the buffer is empty —
@@ -40,7 +45,8 @@ instead of returned. In the pending-session FIFO: one slot per key (a close
 overwrites the key's entry instead of queueing behind it), and
 ``queue.pop()`` for ``queue.popleft()`` in ``poll_sessions`` — two in-flight
 closes of one key come back with each other's match summary, which is why
-the recording matcher's summary counts the session's fixes.
+the recording matcher's summary counts the session's fixes. In ``_collect``:
+a pump and poll after every call, and none after a closing push.
 """
 
 from __future__ import annotations
@@ -96,12 +102,18 @@ class RecordingMatcher(OnlineMapMatcher):
 
 
 class RecordingService:
-    """The slice of ``DetectionService`` a gateway calls."""
+    """The slice of ``DetectionService`` a gateway calls: finalizes a session
+    to its key as a bus envelope, published at a pump (``prompt``) or only
+    when :meth:`deliver` says so."""
 
     tracer = None
 
-    def __init__(self):
-        self.published = []  # envelopes of async finalizes not yet polled
+    def __init__(self, prompt):
+        self.prompt = prompt
+        self.queued = []     # envelopes of finalizes not yet published
+        self.published = []  # envelopes the next poll hands out
+        self.seq = 0
+        self.pumps = self.polls = 0
 
     def shard_for(self, key):
         return 0
@@ -109,15 +121,23 @@ class RecordingService:
     def ingest_many(self, events, max_retries, retry_wait_s):
         pass
 
-    def finalize(self, key):
-        return key
-
     def finalize_async(self, keys, max_retries, retry_wait_s):
         for key in keys:
-            self.published.append(
-                ResultEnvelope(0, len(self.published) + 1, "result", key, key))
+            self.seq += 1
+            self.queued.append(ResultEnvelope(0, self.seq, "result", key, key))
+
+    def deliver(self, count):
+        self.published += self.queued[:count]
+        del self.queued[:count]
+
+    def pump(self):
+        self.pumps += 1
+        if self.prompt:
+            self.deliver(len(self.queued))
+        return 0
 
     def poll_results(self, max_items=None):
+        self.polls += 1
         published, self.published = self.published, []
         return published
 
@@ -143,20 +163,20 @@ class GatewayMachine(RuleBasedStateMachine):
 
     @initialize(window=st.sampled_from([0, 1, 3]),
                 max_vehicles=st.sampled_from([0, 2]),
-                async_sessions=st.booleans())
-    def build(self, window, max_vehicles, async_sessions):
+                prompt=st.booleans())
+    def build(self, window, max_vehicles, prompt):
         self.window = window
         self.max_vehicles = max_vehicles
-        self.async_sessions = async_sessions
         self.matcher = RecordingMatcher()
+        self.service = RecordingService(prompt)
         self.gateway = GpsGateway(
-            RecordingService(), self.matcher,
+            self.service, self.matcher,
             GatewayConfig(reorder_window=window, session_gap_s=SESSION_GAP_S,
-                          max_vehicles=max_vehicles,
-                          async_sessions=async_sessions))
+                          max_vehicles=max_vehicles))
         self.vehicles = {}          # id -> ModelVehicle, registration order
         self.expected_released = []
-        self.in_flight = []         # async closes not yet polled, in order
+        self.in_flight = []         # closes not yet collected, in order
+        self.published = 0          # how many of them the bus has published
         self.counts = dict.fromkeys(
             ("raw_points", "late_dropped", "duplicates_dropped", "gap_splits",
              "session_timeouts", "sessions_closed", "vehicles_evicted"), 0)
@@ -219,18 +239,31 @@ class GatewayMachine(RuleBasedStateMachine):
         return [(result.session_key, result.match.points_matched)
                 for result in results]
 
-    def check_closed(self, results, expected):
-        """What a closing call returned: the sessions, or nothing yet."""
-        if self.async_sessions:
-            self.in_flight.extend(expected)
-            expected = []
+    def collected(self):
+        """What one poll collects: every published close, in close order."""
+        collected = self.in_flight[:self.published]
+        del self.in_flight[:self.published]
+        self.published = 0
+        return collected
+
+    def check_closed(self, call, closed):
+        """A call that closed ``closed`` pumps and polls once iff it closed
+        anything, and returns what that poll collects."""
+        calls = (self.service.pumps, self.service.polls)
+        results = call()
+        self.in_flight.extend(closed)
+        if self.service.prompt:
+            self.published = len(self.in_flight)
+        expected = self.collected() if closed else []
         assert self.sessions_of(results) == expected
+        made = 1 if closed else 0
+        assert (self.service.pumps, self.service.polls) == (
+            calls[0] + made, calls[1] + made)
 
     def push(self, vehicle_id, t):
         expected = self.model_push(vehicle_id, t)
-        self.check_closed(
-            self.gateway.push_point(vehicle_id, GPSPoint(50.0, 0.0, t)),
-            expected)
+        self.check_closed(lambda: self.gateway.push_point(
+            vehicle_id, GPSPoint(50.0, 0.0, t)), expected)
 
     def known(self, pick):
         """A vehicle the model knows, chosen by an arbitrary integer."""
@@ -296,7 +329,7 @@ class GatewayMachine(RuleBasedStateMachine):
     def end(self, pick):
         vehicle_id = self.known(pick)
         expected = self.model_end(vehicle_id)
-        self.check_closed(self.gateway.end(vehicle_id), expected)
+        self.check_closed(lambda: self.gateway.end(vehicle_id), expected)
 
     @precondition(lambda self: self.vehicles)
     @rule(pick=st.integers(0, 99),
@@ -311,13 +344,19 @@ class GatewayMachine(RuleBasedStateMachine):
                 if vehicle.session is not None or vehicle.held:
                     self.counts["session_timeouts"] += 1
                 expected.extend(self.model_end(vehicle_id))
-        self.check_closed(self.gateway.advance_clock(now), expected)
+        self.check_closed(lambda: self.gateway.advance_clock(now), expected)
 
-    @precondition(lambda self: self.async_sessions)
+    @precondition(lambda self: len(self.in_flight) > self.published)
+    @rule(count=st.sampled_from([1, 2, 5]))
+    def deliver(self, count):
+        """A lagging bus publishes the oldest few closes."""
+        self.service.deliver(count)
+        self.published = min(len(self.in_flight), self.published + count)
+
     @rule()
     def poll(self):
-        expected, self.in_flight = self.in_flight, []
-        assert self.sessions_of(self.gateway.poll_sessions()) == expected
+        assert self.sessions_of(self.gateway.poll_sessions()) == \
+            self.collected()
 
     # ------------------------------------------------------------ invariants
     @invariant()

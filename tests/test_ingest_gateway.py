@@ -12,6 +12,10 @@ nowhere near a road, and long time gaps splitting a trip into sessions.
 
 from __future__ import annotations
 
+import os
+import signal
+import time
+
 import numpy as np
 import pytest
 
@@ -609,7 +613,7 @@ def test_confidence_is_normalized_against_the_perfect_decode(
     assert empty.confidence == 0.0
 
 
-# ------------------------------------------------------------ async sessions
+# ----------------------------------------------------------- session closes
 FUNNEL = ("raw_points", "matched_points", "segments_emitted",
           "late_dropped", "duplicates_dropped", "unmatched_dropped",
           "sessions_opened", "sessions_closed", "sessions_dropped",
@@ -618,63 +622,70 @@ FUNNEL = ("raw_points", "matched_points", "segments_emitted",
 
 
 @pytest.mark.fleet
-@pytest.mark.parametrize("num_shards,backend", [(1, "inprocess"),
-                                                (2, "process")])
-def test_async_sessions_label_and_funnel_identical(
-        trained_model, dataset, dataset_split, offline_matcher,
-        num_shards, backend):
-    """``GatewayConfig(async_sessions=True)`` — session closes through the
-    results bus instead of a blocking finalize round trip — is label- and
-    funnel-identical to the synchronous close path, across shard counts
-    and backends."""
+def test_session_closes_label_and_funnel_identical_across_backends(
+        trained_model, dataset, dataset_split, offline_matcher):
+    """Sessions close through the results bus on every backend: a 2-shard
+    process service, whose sessions arrive after their closing calls, is
+    label- and funnel-identical to a 1-shard in-process one, whose sessions
+    come back from the closing calls, and neither leaves a result behind."""
     _, development, test = dataset_split
     fleet = (list(test) + list(development))[:8]
-    raws = clean_raws(dataset, fleet, seed=num_shards + 80)
+    raws = clean_raws(dataset, fleet, seed=82)
 
-    def run(**config):
+    def run(num_shards, backend):
         with trained_model.detection_service(
                 num_shards=num_shards, backend=backend) as service:
             gateway = GpsGateway(service, offline_matcher,
-                                 GatewayConfig(ingest_batch=8, **config))
+                                 GatewayConfig(ingest_batch=8))
             outputs = serve_raw_fleet(gateway, raws, concurrency=8)
             return outputs, gateway.stats(), gateway.metrics()
 
-    sync_out, sync_stats, _ = run()
-    async_out, async_stats, async_metrics = run(async_sessions=True)
-    assert ([[result.labels for result in sessions] for sessions in async_out]
+    inproc_out, inproc_stats, inproc_metrics = run(1, "inprocess")
+    process_out, process_stats, process_metrics = run(2, "process")
+    assert ([[result.labels for result in sessions]
+             for sessions in process_out]
             == [[result.labels for result in sessions]
-                for sessions in sync_out])
+                for sessions in inproc_out])
     for name in FUNNEL:
-        assert getattr(sync_stats, name) == getattr(async_stats, name), name
-    assert sync_stats.mean_commit_lag == \
-        pytest.approx(async_stats.mean_commit_lag)
-    assert async_stats.sessions_closed == len(fleet)
-    assert async_metrics.results_pending == 0
-    assert async_metrics.results_duplicates == 0
+        assert getattr(inproc_stats, name) == getattr(process_stats, name), \
+            name
+    assert inproc_stats.mean_commit_lag == \
+        pytest.approx(process_stats.mean_commit_lag)
+    for stats, metrics in ((inproc_stats, inproc_metrics),
+                           (process_stats, process_metrics)):
+        assert stats.sessions_closed == len(fleet)
+        assert metrics.results_pending == 0
+        assert metrics.results_duplicates == 0
 
 
-def test_async_sessions_poll_and_drain_explicitly(trained_model, dataset,
-                                                  dataset_split,
-                                                  offline_matcher):
-    """The poll/drain surface: closes return nothing, sessions stay pending
-    until the bus delivers them, and a stream finalized around the gateway
-    is rejected loudly instead of misattributed."""
+def test_sessions_poll_and_drain_explicitly(trained_model, dataset,
+                                            dataset_split, offline_matcher):
+    """The poll/drain surface on a process shard held still: closes return
+    nothing, sessions stay pending until the bus delivers them, and a
+    stream finalized around the gateway is rejected loudly instead of
+    misattributed."""
     _, _, test = dataset_split
     raws = clean_raws(dataset, test[:2], seed=9)
     reference = offline_reference(trained_model, offline_matcher, raws,
                                   num_shards=1)
-    with trained_model.detection_service(num_shards=1) as service:
-        gateway = GpsGateway(service, offline_matcher,
-                             GatewayConfig(async_sessions=True))
+    with trained_model.detection_service(num_shards=1,
+                                         backend="process") as service:
+        gateway = GpsGateway(service, offline_matcher)
         for vehicle, raw in enumerate(raws):
             for position, point in enumerate(raw.points):
                 assert gateway.push_point(
                     vehicle, point,
                     start_time_s=(raw.start_time_s if position == 0
                                   else None)) == []
-        for vehicle in gateway.active_vehicles:
-            assert gateway.end(vehicle) == []
-        assert gateway.pending_sessions == len(raws)
+        pid = service._backend._shards[0].process.pid
+        os.kill(pid, signal.SIGSTOP)
+        try:
+            for vehicle in gateway.active_vehicles:
+                assert gateway.end(vehicle) == []
+            assert gateway.pending_sessions == len(raws)
+            assert gateway.poll_sessions() == []
+        finally:
+            os.kill(pid, signal.SIGCONT)
         sessions = gateway.drain_sessions()
         assert gateway.pending_sessions == 0
         by_vehicle = {session.session_key[0]: session for session in sessions}
@@ -687,27 +698,29 @@ def test_async_sessions_poll_and_drain_explicitly(trained_model, dataset,
         # shared bus; the gateway refuses to guess whose result that is.
         service.ingest_many([IngestEvent("interloper", test[0].segments[0])])
         service.finalize_async(["interloper"])
-        service.pump()
         with pytest.raises(GatewayError):
-            gateway.poll_sessions()
+            deadline = time.perf_counter() + 60.0
+            while time.perf_counter() < deadline:
+                gateway.pump()
+                gateway.poll_sessions()
+                time.sleep(0.001)
 
 
 def test_drain_sessions_gives_up_when_results_stop_arriving(
         trained_model, dataset, dataset_split, offline_matcher, monkeypatch):
-    """A closed session whose result never reaches the bus (a dead worker
+    """A closed session whose result never reaches the bus (a worker
     swallows it) ends the drain with GatewayError after the no-progress
     deadline instead of spinning forever."""
     _, _, test = dataset_split
     raw = clean_raws(dataset, test[:1], seed=11)[0]
     with trained_model.detection_service(num_shards=1) as service:
-        gateway = GpsGateway(service, offline_matcher,
-                             GatewayConfig(async_sessions=True))
+        gateway = GpsGateway(service, offline_matcher)
         gateway.push_point(0, raw.points[0], start_time_s=raw.start_time_s)
         for point in raw.points[1:]:
             gateway.push_point(0, point)
-        assert gateway.end(0) == []
         monkeypatch.setattr(service, "poll_results",
                             lambda max_items=None: [])
+        assert gateway.end(0) == []
         with pytest.raises(GatewayError, match="did not arrive"):
             gateway.drain_sessions(timeout_s=0.05)
         assert gateway.pending_sessions == 1

@@ -34,7 +34,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.config import GatewayConfig, ObsConfig
+from repro.config import ObsConfig
 from repro.datagen import sample_gps_trace
 from repro.exceptions import ConfigurationError, ServiceError
 from repro.ingest import GpsGateway, serve_raw_fleet
@@ -524,8 +524,7 @@ def test_traced_gateway_run_covers_all_seven_stages(trained_model, dataset,
     with trained_model.detection_service(
             num_shards=2, backend=backend,
             obs=ObsConfig(trace_sample_rate=1.0)) as service:
-        gateway = GpsGateway(service, matcher,
-                             GatewayConfig(async_sessions=True))
+        gateway = GpsGateway(service, matcher)
         outputs = serve_raw_fleet(gateway, raws, concurrency=4)
         assert sum(len(sessions) for sessions in outputs) == len(raws)
 
@@ -626,8 +625,7 @@ def test_service_scrape_endpoint_and_span_export(trained_model, dataset,
     matcher = HMMMapMatcher(dataset.network)
     with trained_model.detection_service(
             num_shards=1, obs=ObsConfig(trace_sample_rate=1.0)) as service:
-        gateway = GpsGateway(service, matcher,
-                             GatewayConfig(async_sessions=True))
+        gateway = GpsGateway(service, matcher)
         serve_raw_fleet(gateway, raws, concurrency=2)
         server = service.start_metrics_server()
         with urllib.request.urlopen(server.url, timeout=5) as response:

@@ -21,7 +21,9 @@ identity (which ``test_serve.py`` and ``test_result_bus.py`` pin):
 from __future__ import annotations
 
 import dataclasses
+import os
 import queue
+import signal
 import time
 
 import pytest
@@ -414,7 +416,8 @@ def test_unpolled_bus_never_wedges_the_worker(trained_model, online_trips):
 
 
 # ----------------------------------------------------------- a dead worker
-@pytest.mark.parametrize("command", ["ingest_many", "finalize_async"])
+@pytest.mark.parametrize("command",
+                         ["ingest_many", "finalize_async", "drain_results"])
 def test_dead_worker_surfaces_at_the_data_plane_at_once(
         trained_model, online_trips, command):
     events = trip_events("cab", online_trips[0])
@@ -425,17 +428,26 @@ def test_dead_worker_surfaces_at_the_data_plane_at_once(
                                          destination=events[0].destination)])
         service.drain()
         process = service._backend._shards[shard].process
+        if command == "drain_results":
+            # Held still, the worker dies with the close queued and its
+            # result unpublished.
+            os.kill(process.pid, signal.SIGSTOP)
+            service.finalize_async(["cab"])
         process.kill()
         process.join(timeout=10.0)
         assert not process.is_alive()
         started = time.perf_counter()
         with pytest.raises(ServiceError) as failure:
+            if command == "drain_results":
+                # Only the bus pipe is read here: its end of file is the
+                # death, not the no-progress deadline.
+                service.drain_results(timeout_s=5.0)
             # The queue of a dead worker takes queue_depth commands, then
             # refuses; a refusal checks the worker instead of retrying.
             for event in events[1:]:
                 if command == "ingest_many":
                     service.ingest_many([event])
-                else:
+                elif command == "finalize_async":
                     service.finalize_async(["cab"])
                     service.ingest_many([IngestEvent(
                         "cab", event.segment,

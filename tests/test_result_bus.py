@@ -595,7 +595,7 @@ def test_process_backend_rides_out_retry_later_storm(trained_model,
 def test_soak_gateway_to_bus_stays_bounded(trained_model, dataset,
                                            dataset_split):
     """Mini-soak: ~50k synthetic GPS fixes through gateway → service → bus
-    with async sessions, vehicle turnover and LRU eviction. Queue depth,
+    with vehicle turnover and LRU eviction. Queue depth,
     bus lag, pending sessions and per-vehicle state must stay bounded, the
     second half must not collapse below half the first half's throughput,
     and not one session may be lost."""
@@ -609,8 +609,8 @@ def test_soak_gateway_to_bus_stays_bounded(trained_model, dataset,
     matcher = HMMMapMatcher(dataset.network)
     target = 50_000
     slots = 24
-    config = GatewayConfig(async_sessions=True, max_vehicles=28,
-                           ingest_batch=32, session_gap_s=1e9)
+    config = GatewayConfig(max_vehicles=28, ingest_batch=32,
+                           session_gap_s=1e9)
     queue_depth = 256
     with trained_model.detection_service(
             num_shards=1, backend="inprocess",
@@ -640,9 +640,10 @@ def test_soak_gateway_to_bus_stays_bounded(trained_model, dataset,
                     active[index] = fresh_slot()
                     vehicle, trace, cursor = active[index]
                 point = trace.points[cursor]
-                gateway.push_point(vehicle, point,
-                                   start_time_s=(trace.start_time_s
-                                                 if cursor == 0 else None))
+                collected += len(gateway.push_point(
+                    vehicle, point,
+                    start_time_s=(trace.start_time_s if cursor == 0
+                                  else None)))
                 active[index] = (vehicle, trace, cursor + 1)
                 pushed += 1
             gateway.pump()
@@ -659,7 +660,7 @@ def test_soak_gateway_to_bus_stays_bounded(trained_model, dataset,
                 assert gateway.pending_sessions <= 4 * slots
         full_elapsed = time.perf_counter() - started
         for vehicle in gateway.active_vehicles:
-            gateway.end(vehicle)
+            collected += len(gateway.end(vehicle))
         collected += len(gateway.drain_sessions())
         stats = gateway.stats()
         assert service._collector.gaps == 0

@@ -1,6 +1,6 @@
 """Documentation checks run by the CI docs job.
 
-Six checks, no third-party dependencies beyond the library's own:
+Seven checks, no third-party dependencies beyond the library's own:
 
 1. **Internal links** — every relative markdown link in ``docs/*.md`` (and
    the README) must point at a file or directory that exists.
@@ -27,6 +27,9 @@ Six checks, no third-party dependencies beyond the library's own:
    module is an attribute of that module, so a deleted name left behind
    fails although ``import`` still works (``from module import *`` would
    not).
+7. **Unused imports** — every name a module-level import binds in
+   ``src/`` (``__future__`` aside) is used in that module: read as a name,
+   listed in its ``__all__``, or named in a quoted annotation.
 
 Run locally with::
 
@@ -286,10 +289,70 @@ def check_dunder_all() -> list:
     return errors
 
 
+def _module_imports(body):
+    """The import statements of a module's top level, including those
+    nested in top-level ``if`` / ``try`` blocks."""
+    for node in body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif isinstance(node, (ast.If, ast.Try)):
+            for block in (node.body, node.orelse,
+                          getattr(node, "finalbody", []),
+                          *(handler.body
+                            for handler in getattr(node, "handlers", []))):
+                yield from _module_imports(block)
+
+
+def _used_names(tree) -> set:
+    names, annotations = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.arg) and node.annotation is not None:
+            annotations.append(node.annotation)
+        elif (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and node.returns is not None):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in node.targets):
+            names.update(item.value for item in ast.walk(node.value)
+                         if isinstance(item, ast.Constant)
+                         and isinstance(item.value, str))
+    for annotation in annotations:
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                try:
+                    quoted = ast.parse(node.value, mode="eval")
+                except SyntaxError:
+                    continue
+                names.update(name.id for name in ast.walk(quoted)
+                             if isinstance(name, ast.Name))
+    return names
+
+
+def check_unused_imports() -> list:
+    errors = []
+    for path in sorted((REPO / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = _used_names(tree)
+        for node in _module_imports(tree.body):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound != "*" and bound not in used:
+                    errors.append(f"{path.relative_to(REPO)}:{node.lineno} "
+                                  f"imports {bound!r} and never uses it")
+    return errors
+
+
 def main() -> int:
     errors = (check_links() + check_python_fences() + check_imports()
               + check_config_keywords() + check_class_attributes()
-              + check_dunder_all())
+              + check_dunder_all() + check_unused_imports())
     for error in errors:
         print(f"ERROR: {error}")
     checked = ", ".join(str(d.relative_to(REPO)) for d in DOC_FILES)
@@ -297,8 +360,8 @@ def main() -> int:
         print(f"\n{len(errors)} documentation problem(s) in: {checked}")
         return 1
     print(f"docs OK: links, python fences, public imports, config / "
-          f"engine / detect / detector keywords, class attributes and "
-          f"__all__ lists verified ({checked})")
+          f"engine / detect / detector keywords, class attributes, "
+          f"__all__ lists and src/ imports verified ({checked})")
     return 0
 
 
