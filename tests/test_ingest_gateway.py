@@ -622,37 +622,40 @@ FUNNEL = ("raw_points", "matched_points", "segments_emitted",
 
 
 @pytest.mark.fleet
-def test_session_closes_label_and_funnel_identical_across_backends(
-        trained_model, dataset, dataset_split, offline_matcher):
-    """Sessions close through the results bus on every backend: a 2-shard
-    process service, whose sessions arrive after their closing calls, is
-    label- and funnel-identical to a 1-shard in-process one, whose sessions
-    come back from the closing calls, and neither leaves a result behind."""
+@pytest.mark.parametrize("num_shards,backend", [(1, "inprocess"),
+                                                (2, "process")])
+def test_async_sessions_label_and_funnel_identical(
+        trained_model, dataset, dataset_split, offline_matcher,
+        num_shards, backend):
+    """Sessions close asynchronously, through the results bus, on every
+    backend: eight vehicles in flight, their sessions collected from the
+    closing calls, the polls and the final drain, are label- and
+    funnel-identical to one vehicle at a time on a 1-shard in-process
+    service, where each session comes back from its own closing call — and
+    neither run leaves a result behind."""
     _, development, test = dataset_split
     fleet = (list(test) + list(development))[:8]
-    raws = clean_raws(dataset, fleet, seed=82)
+    raws = clean_raws(dataset, fleet, seed=num_shards + 80)
 
-    def run(num_shards, backend):
+    def run(num_shards, backend, concurrency):
         with trained_model.detection_service(
                 num_shards=num_shards, backend=backend) as service:
             gateway = GpsGateway(service, offline_matcher,
                                  GatewayConfig(ingest_batch=8))
-            outputs = serve_raw_fleet(gateway, raws, concurrency=8)
+            outputs = serve_raw_fleet(gateway, raws, concurrency=concurrency)
             return outputs, gateway.stats(), gateway.metrics()
 
-    inproc_out, inproc_stats, inproc_metrics = run(1, "inprocess")
-    process_out, process_stats, process_metrics = run(2, "process")
-    assert ([[result.labels for result in sessions]
-             for sessions in process_out]
+    ref_out, ref_stats, ref_metrics = run(1, "inprocess", 1)
+    async_out, async_stats, async_metrics = run(num_shards, backend, 8)
+    assert ([[result.labels for result in sessions] for sessions in async_out]
             == [[result.labels for result in sessions]
-                for sessions in inproc_out])
+                for sessions in ref_out])
     for name in FUNNEL:
-        assert getattr(inproc_stats, name) == getattr(process_stats, name), \
-            name
-    assert inproc_stats.mean_commit_lag == \
-        pytest.approx(process_stats.mean_commit_lag)
-    for stats, metrics in ((inproc_stats, inproc_metrics),
-                           (process_stats, process_metrics)):
+        assert getattr(ref_stats, name) == getattr(async_stats, name), name
+    assert ref_stats.mean_commit_lag == \
+        pytest.approx(async_stats.mean_commit_lag)
+    for stats, metrics in ((ref_stats, ref_metrics),
+                           (async_stats, async_metrics)):
         assert stats.sessions_closed == len(fleet)
         assert metrics.results_pending == 0
         assert metrics.results_duplicates == 0
