@@ -212,7 +212,7 @@ class SoakHarness:
         self.recorder.start()
         try:
             self._drive(fleet, workload, gateway, cache)
-            gateway.drain_sessions(timeout_s=120.0)
+            self.sessions_done += len(gateway.drain_sessions(timeout_s=120.0))
             gateway.pump()
             cache.refresh()
         finally:

@@ -16,7 +16,7 @@ stream and tick (:func:`rnel_from_degrees`, :func:`greedy_choices`);
 :class:`~repro.core.detector.OnlineDetector` and the engine's deferred
 streams; the training episode of
 :class:`~repro.core.rl4oasd.RL4OASDTrainer` takes it one time step per batch
-of trajectories (:func:`rnel_from_degrees_batch`, :func:`policy_choices`,
+of trajectories (:func:`rnel_fixed_batch`, :func:`policy_choices`,
 :func:`sample_labels`). There is no other softmax, argmax or sampling rule
 in detection or training.
 """
@@ -64,26 +64,24 @@ def rnel_from_degrees(out_degree: int, in_degree: int,
     return None
 
 
-def rnel_from_degrees_batch(out_degrees: np.ndarray, in_degrees: np.ndarray,
-                            previous_labels: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`rnel_from_degrees` over aligned arrays.
+def rnel_fixed_batch(out_degrees: np.ndarray,
+                     in_degrees: np.ndarray) -> np.ndarray:
+    """Vectorized :func:`rnel_from_degrees` over aligned degree arrays.
 
-    Returns an int array with the deterministic label where one of the three
-    rules applies and ``-1`` where the policy must decide. Used by the
-    training episode, which resolves the RNEL rules for a whole batch of
-    trajectories in one shot.
+    Returns a bool array of shape ``(2,) + out_degrees.shape``: ``[p]`` is
+    where a rule fixes the label after previous label ``p``. A rule that
+    applies always keeps the previous label (rule 1 copies it, rule 2
+    fires only after 0 and gives 0, rule 3 only after 1 and gives 1), so
+    the masks are the whole decision. The training episode computes them
+    once per batch of trajectories and reads one entry per decision.
     """
     out_degrees = np.asarray(out_degrees, dtype=np.int64)
     in_degrees = np.asarray(in_degrees, dtype=np.int64)
-    previous_labels = np.asarray(previous_labels, dtype=np.int64)
-    decided = np.full(out_degrees.shape, -1, dtype=np.int64)
     single_out = out_degrees == 1
     single_in = in_degrees == 1
     copy_rule = single_out & single_in
-    decided[copy_rule] = previous_labels[copy_rule]
-    decided[single_out & (in_degrees > 1) & (previous_labels == 0)] = 0
-    decided[(out_degrees > 1) & single_in & (previous_labels == 1)] = 1
-    return decided
+    return np.stack([copy_rule | (single_out & (in_degrees > 1)),
+                     copy_rule | ((out_degrees > 1) & single_in)])
 
 
 def policy_choices(asdnet: ASDNet, z: np.ndarray,

@@ -46,10 +46,11 @@ from ..config import ASDNetConfig, LabelingConfig, RSRNetConfig, TrainingConfig
 from ..exceptions import ModelError, NotFittedError
 from ..labeling.features import PreprocessedTrajectory, PreprocessingPipeline
 from ..nn.functional import cosine_similarity_rows
+from ..nn.losses import sequence_cross_entropy_from_logits
 from ..roadnet.graph import RoadNetwork
 from ..trajectory.models import MatchedTrajectory
 from .asdnet import ASDNet, BatchedEpisode
-from .decision import policy_choices, rnel_from_degrees_batch, sample_labels
+from .decision import policy_choices, rnel_fixed_batch, sample_labels
 from .detector import OnlineDetector
 from .rsrnet import RSRNet
 
@@ -347,8 +348,10 @@ class RL4OASDTrainer:
             prep = self._prepare_batch(preprocessed,
                                        with_degrees=config.use_rnel)
             for _ in range(config.joint_epochs):
-                labels, returns, cache = self._run_episode_batch(prep)
-                losses = self._rsrnet.train_step_batch(labels, cache)
+                labels, returns, cache, cross_entropy = (
+                    self._run_episode_batch(prep))
+                losses = self._rsrnet.train_step_batch(labels, cache,
+                                                       cross_entropy)
                 self._report.joint_losses.extend(float(l) for l in losses)
                 self._report.episode_returns.extend(float(r) for r in returns)
             before, processed = processed, processed + len(chunk)
@@ -457,7 +460,8 @@ class RL4OASDTrainer:
         self,
         prep: _EpisodeBatch,
         forced_labels: Optional[Sequence[Sequence[int]]] = None,
-    ) -> Tuple[np.ndarray, np.ndarray, dict]:
+    ) -> Tuple[np.ndarray, np.ndarray, dict,
+               Optional[Tuple[np.ndarray, np.ndarray]]]:
         """Label a batch of trajectories with the current policy; update ASDNet.
 
         Episodes run time-step-synchronously — at step ``t`` every trajectory
@@ -470,10 +474,13 @@ class RL4OASDTrainer:
         start) the policy is updated as if it had chosen those labels.
         Rewards are computed vectorized and ASDNet takes one
         batch-accumulated REINFORCE update. Returns ``(labels, returns,
-        cache)`` where ``labels`` is the padded ``(B, T)`` label matrix,
-        ``returns`` the per-episode returns, and ``cache`` the RSRNet forward
-        cache, reusable by :meth:`~repro.core.rsrnet.RSRNet.train_step_batch`
-        because ASDNet's update leaves RSRNet's weights untouched.
+        cache, cross_entropy)`` where ``labels`` is the padded ``(B, T)``
+        label matrix, ``returns`` the per-episode returns, ``cache`` the
+        RSRNet forward cache and ``cross_entropy`` the ``(losses,
+        grad_logits)`` of ``labels`` the global reward was computed from
+        (``None`` without it): both reusable by
+        :meth:`~repro.core.rsrnet.RSRNet.train_step_batch`, because ASDNet's
+        update leaves RSRNet's weights untouched.
         """
         config = self._training_config
         lengths = prep.lengths
@@ -484,17 +491,16 @@ class RL4OASDTrainer:
         episode = BatchedEpisode(num_episodes=batch)
         forced = (self._pad_labels(forced_labels, horizon)
                   if forced_labels is not None else None)
+        rnel = (rnel_fixed_batch(prep.out_degrees, prep.in_degrees)
+                if forced is None and config.use_rnel else None)
 
         destinations = lengths - 1
         for t in range(1, horizon - 1):
             rows = np.nonzero(t < destinations)[0]
             previous = labels[rows, t - 1]
-            if forced is None and config.use_rnel:
-                decided = rnel_from_degrees_batch(
-                    prep.out_degrees[rows, t], prep.in_degrees[rows, t],
-                    previous)
-                fixed = decided >= 0
-                labels[rows[fixed], t] = decided[fixed]
+            if rnel is not None:  # a fixed label is the previous one
+                fixed = rnel[previous, rows, t]
+                labels[rows[fixed], t] = previous[fixed]
                 rows, previous = rows[~fixed], previous[~fixed]
                 if rows.size == 0:
                     continue
@@ -507,9 +513,11 @@ class RL4OASDTrainer:
                            previous)
             labels[rows, t] = actions
 
+        cross_entropy = None
         if config.use_global_reward:
-            sequence_losses = self._rsrnet.sequence_losses(logits, labels, lengths)
-            global_values = 1.0 / (1.0 + sequence_losses)
+            cross_entropy = sequence_cross_entropy_from_logits(
+                logits, labels, lengths)
+            global_values = 1.0 / (1.0 + cross_entropy[0])
         else:
             global_values = np.zeros(batch)
         if config.use_local_reward and horizon > 1:
@@ -532,7 +540,7 @@ class RL4OASDTrainer:
 
         self._asdnet.reinforce_update_batch(
             episode, returns, use_baseline=forced_labels is None)
-        return labels, returns, cache
+        return labels, returns, cache, cross_entropy
 
     # ------------------------------------------------------- online updates
     def fine_tune(self, new_trajectories: Sequence[MatchedTrajectory],
@@ -572,8 +580,10 @@ class RL4OASDTrainer:
                 prep = self._prepare_batch(
                     preprocessed,
                     with_degrees=config.use_asdnet and config.use_rnel)
+                cross_entropy = None
                 if config.use_asdnet:
-                    labels, returns, cache = self._run_episode_batch(prep)
+                    labels, returns, cache, cross_entropy = (
+                        self._run_episode_batch(prep))
                     self._report.episode_returns.extend(
                         float(r) for r in returns)
                 else:
@@ -582,7 +592,8 @@ class RL4OASDTrainer:
                         prep.horizon)
                     _, _, cache = self._rsrnet.forward_batch_train(
                         prep.tokens, prep.nrf, prep.lengths)
-                losses = self._rsrnet.train_step_batch(labels, cache)
+                losses = self._rsrnet.train_step_batch(labels, cache,
+                                                       cross_entropy)
                 self._report.joint_losses.extend(float(l) for l in losses)
 
     # ----------------------------------------------------------------- misc

@@ -125,21 +125,11 @@ class RSRNet(Module):
         }
         return z, logits, cache
 
-    def sequence_losses(self, logits: np.ndarray, labels: np.ndarray,
-                        lengths: Sequence[int]) -> np.ndarray:
-        """Per-sequence mean cross-entropy of padded batch logits (no update).
-
-        Each entry is the mean cross-entropy of that sequence alone, over its
-        true length; used by the batched trainer to derive the per-episode
-        global reward without an extra forward pass.
-        """
-        losses, _ = sequence_cross_entropy_from_logits(logits, labels, lengths)
-        return losses
-
     def train_step_batch(
         self,
         labels: np.ndarray,
         cache: dict,
+        cross_entropy: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     ) -> np.ndarray:
         """One gradient step against per-sequence ``labels`` over a batch.
 
@@ -147,11 +137,15 @@ class RSRNet(Module):
         from :meth:`forward_batch_train` run with the *current* weights. The
         minimised objective is the batch mean of the per-sequence mean
         cross-entropies, which at batch size 1 is the paper's per-trajectory
-        objective. Returns the per-sequence losses.
+        objective. ``cross_entropy`` is that objective's ``(losses,
+        grad_logits)`` when the caller already holds it for these labels
+        and this cache (the trainer's global reward computes it); ``None``
+        computes it here. Returns the per-sequence losses.
         """
-        lengths = cache["lengths"]
-        losses, grad_logits = sequence_cross_entropy_from_logits(
-            cache["logits"], labels, lengths)
+        if cross_entropy is None:
+            cross_entropy = sequence_cross_entropy_from_logits(
+                cache["logits"], labels, cache["lengths"])
+        losses, grad_logits = cross_entropy
         self.zero_grad()
         batch, steps, classes = grad_logits.shape
         grad_z_flat = self.classifier.backward(

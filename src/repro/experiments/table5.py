@@ -87,7 +87,9 @@ def run_table5(
         split = split_dataset(dataset, settings)
 
         started = time.perf_counter()
-        build_pipeline(split, settings).preprocess_many(split.train)
+        pipeline = build_pipeline(split, settings)
+        for trajectory in split.train:  # the labels resolve on first read
+            pipeline.preprocess(trajectory).noisy_labels
         noisy_labeling_seconds = time.perf_counter() - started
 
         started = time.perf_counter()

@@ -472,12 +472,17 @@ class HistorySnapshot:
         grown: Dict[Hashable, list] = {}
         for key, trajectories in appended.items():
             pair = (key.source, key.destination)
+            slots = pair_slots.get(pair, ())
             before = groups.get(key)
             if before is None:
                 before = ()
-                pair_slots[pair] = pair_slots.get(pair, ()) + (key,)
+                position = len(slots)
+                pair_slots[pair] = slots + (key,)
+            else:  # the slot the pair holds at this key's time slot
+                position = [slot.time_slot for slot in slots].index(
+                    key.time_slot)
             groups[key] = before + trajectories
-            run = (pair_slots[pair].index(key), len(before), trajectories)
+            run = (position, len(before), trajectories)
             grown[key.as_tuple()] = [run]
             grown.setdefault(pair + (None,), []).append(run)
         snapshot = HistorySnapshot.__new__(HistorySnapshot)

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from types import MappingProxyType
 from typing import (Dict, FrozenSet, Iterable, List, Mapping, Optional,
                     Sequence, Tuple, Union)
@@ -63,13 +64,32 @@ class SegmentVocabulary:
 
 @dataclass
 class PreprocessedTrajectory:
-    """Everything the networks need to know about one trajectory."""
+    """Everything the networks need to know about one trajectory.
+
+    Tokens and normal route features are resolved by
+    :meth:`PreprocessingPipeline.preprocess`. The transition fractions and
+    the noisy labels derived from them are resolved on first read, against
+    the snapshot ``preprocess`` resolved the rest against: a reader that
+    never asks for them (the RL path of training reads tokens and NRF only)
+    derives no transition statistics, and a later history refresh does not
+    change what it would read.
+    """
 
     trajectory: MatchedTrajectory
     tokens: List[int]
-    noisy_labels: List[int]
     normal_route_features: List[int]
-    transition_fractions: List[float]
+    pipeline: "PreprocessingPipeline" = field(repr=False)
+    history: HistorySnapshot = field(repr=False)
+
+    @cached_property
+    def transition_fractions(self) -> List[float]:
+        statistics = self.pipeline.statistics_for(self.trajectory, self.history)
+        return statistics.fraction_sequence(self.trajectory.segments)
+
+    @cached_property
+    def noisy_labels(self) -> List[int]:
+        return labels_from_fractions(self.transition_fractions,
+                                     self.pipeline.config.alpha)
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -331,20 +351,17 @@ class PreprocessingPipeline:
     def preprocess(self, trajectory: MatchedTrajectory,
                    history: Optional[HistorySnapshot] = None
                    ) -> PreprocessedTrajectory:
-        """Tokens, noisy labels, NRFs and fractions of one trajectory."""
-        statistics = self.statistics_for(trajectory, history)
-        normal_routes = self.normal_routes_for(trajectory, history)
-        fractions = statistics.fraction_sequence(trajectory.segments)
+        """Tokens and NRFs of one trajectory, and its fractions and noisy
+        labels on first read — all against ``history`` (default: the
+        pipeline's current snapshot, pinned now)."""
+        if history is None:
+            history = self._snapshot
         return PreprocessedTrajectory(
             trajectory=trajectory,
             tokens=self._vocabulary.tokens(trajectory.segments),
-            noisy_labels=labels_from_fractions(fractions, self._config.alpha),
             normal_route_features=normal_route_features(
-                trajectory.segments, normal_routes),
-            transition_fractions=fractions,
+                trajectory.segments,
+                self.normal_routes_for(trajectory, history)),
+            pipeline=self,
+            history=history,
         )
-
-    def preprocess_many(
-        self, trajectories: Sequence[MatchedTrajectory]
-    ) -> List[PreprocessedTrajectory]:
-        return [self.preprocess(trajectory) for trajectory in trajectories]

@@ -4,7 +4,7 @@ The paper implements RSRNet and ASDNet with TensorFlow; no deep-learning
 framework is available offline, so this package implements exactly the layers
 the paper needs — embeddings, linear layers, an LSTM (and a GRU for the
 generative baselines) with full backpropagation-through-time, softmax /
-cross-entropy losses, and SGD / Adam optimizers — on plain numpy arrays.
+cross-entropy losses, and the Adam optimizer — on plain numpy arrays.
 
 The API is intentionally small and explicit: modules own
 :class:`~repro.nn.module.Parameter` objects holding ``value`` and ``grad``
@@ -22,7 +22,7 @@ from .losses import (
     log_softmax,
 )
 from .functional import cosine_similarity_rows, sigmoid, tanh
-from .optim import SGD, Adam, clip_gradients
+from .optim import Adam, clip_gradients
 
 __all__ = [
     "Module",
@@ -40,7 +40,6 @@ __all__ = [
     "cosine_similarity_rows",
     "sigmoid",
     "tanh",
-    "SGD",
     "Adam",
     "clip_gradients",
 ]

@@ -142,6 +142,8 @@ class LSTMCell(Module):
             self._step(x @ self.weight_input.value, h_prev, c_prev))
         return h, c, {
             "x": x, "h_prev": h_prev, "c_prev": c_prev,
+            # The (B, 4H) buffer the three sigmoid gates are views of.
+            "gates": input_gate.base,
             "input_gate": input_gate, "forget_gate": forget_gate,
             "cell_candidate": candidate, "output_gate": output_gate,
             "c": c, "tanh_c": tanh_c,
@@ -158,32 +160,33 @@ class LSTMCell(Module):
         are zero (padded positions of ragged batches) contribute nothing to
         the parameter gradients.
         """
-        input_gate = cache["input_gate"]
-        forget_gate = cache["forget_gate"]
+        gates = cache["gates"]
         cell_candidate = cache["cell_candidate"]
-        output_gate = cache["output_gate"]
         tanh_c = cache["tanh_c"]
+        h_dim = self.hidden_dim
 
-        grad_output_gate = grad_h * tanh_c
-        grad_c_total = grad_c + grad_h * output_gate * (1.0 - tanh_c ** 2)
-        grad_input_gate = grad_c_total * cell_candidate
-        grad_forget_gate = grad_c_total * cache["c_prev"]
-        grad_cell_candidate = grad_c_total * input_gate
-
-        # Back through the gate nonlinearities.
-        d_gates = np.concatenate([
-            grad_input_gate * input_gate * (1.0 - input_gate),
-            grad_forget_gate * forget_gate * (1.0 - forget_gate),
-            grad_cell_candidate * (1.0 - cell_candidate ** 2),
-            grad_output_gate * output_gate * (1.0 - output_gate),
-        ], axis=-1)
+        grad_c_total = grad_c + grad_h * cache["output_gate"] * (1.0 - tanh_c ** 2)
+        # Back through the gate nonlinearities, on one (B, 4H) buffer: each
+        # sigmoid gate's gradient times g * (1 - g) against the cached gate
+        # buffer, then the candidate block overwritten with its tanh's.
+        # Zeros, not empty: that block goes through both products first.
+        d_gates = np.zeros(gates.shape)
+        np.multiply(grad_c_total, cell_candidate, out=d_gates[:, :h_dim])
+        np.multiply(grad_c_total, cache["c_prev"],
+                    out=d_gates[:, h_dim:2 * h_dim])
+        np.multiply(grad_h, tanh_c, out=d_gates[:, 3 * h_dim:])
+        d_gates *= gates
+        d_gates *= 1.0 - gates
+        grad_candidate = d_gates[:, 2 * h_dim:3 * h_dim]
+        np.multiply(grad_c_total, cache["input_gate"], out=grad_candidate)
+        grad_candidate *= 1.0 - cell_candidate ** 2
         self.weight_input.grad += cache["x"].T @ d_gates
         self.weight_hidden.grad += cache["h_prev"].T @ d_gates
         self.bias.grad += d_gates.sum(axis=0)
 
         grad_x = d_gates @ self.weight_input.value.T
         grad_h_prev = d_gates @ self.weight_hidden.value.T
-        return grad_x, grad_h_prev, grad_c_total * forget_gate
+        return grad_x, grad_h_prev, grad_c_total * cache["forget_gate"]
 
 
 class LSTM(Module):

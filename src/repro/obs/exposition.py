@@ -22,7 +22,6 @@ import json
 import os
 import resource
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Dict, Optional, Tuple
 
 from .registry import Histogram, MetricsRegistry
@@ -251,6 +250,10 @@ class MetricsServer:
                  port: int = 0,
                  health: Optional[Callable[[], object]] = None,
                  ready: Optional[Callable[[], bool]] = None):
+        # Imported here, not at module level: http.server loads ssl,
+        # http.client and email, which no process that never serves needs.
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
         server = self
 
         class Handler(BaseHTTPRequestHandler):

@@ -27,7 +27,6 @@ from __future__ import annotations
 import json
 import threading
 import time
-import urllib.request
 from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
                     Tuple)
 
@@ -65,6 +64,8 @@ class WindowRate(NamedTuple):
 
 def fetch_metrics(url: str, timeout_s: float = 10.0) -> str:
     """GET a metrics endpoint and return the exposition text."""
+    import urllib.request  # loads ssl and http.client: only where one scrapes
+
     with urllib.request.urlopen(url, timeout=timeout_s) as response:
         return response.read().decode("utf-8")
 

@@ -7,9 +7,10 @@ primitives (``Embedding`` / ``Linear`` forward and backward,
 ``cross_entropy_from_logits``, ``clip_gradients``) and the parameters of a
 real :class:`~repro.core.rsrnet.RSRNet` / :class:`~repro.core.asdnet.ASDNet`.
 The LSTM step (:func:`reference_lstm_step`) and its backpropagation through
-time are spelled out here, the training forms keep their own Adam state and
-REINFORCE baseline, and nothing is shared with ``LSTMCell._step``, the batch
-forms or :mod:`repro.core.decision` — which is what lets
+time are spelled out here, the training forms keep their own Adam
+(:class:`ReferenceAdam`, one pass per parameter array) and REINFORCE
+baseline, and nothing is shared with ``LSTMCell._step``, the batch forms,
+the flat ``repro.nn.Adam`` or :mod:`repro.core.decision` — which is what lets
 ``reference_detector.py`` and ``reference_trainer.py``, built on it, anchor
 ``OnlineDetector``, ``StreamEngine`` and ``RL4OASDTrainer``. Inputs are
 trusted: nothing here re-checks shapes or label ranges.
@@ -21,7 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.nn import Adam, clip_gradients, cross_entropy_from_logits
+from repro.nn import clip_gradients, cross_entropy_from_logits
 
 #: Momentum of the moving-average REINFORCE baseline (ASDNet's).
 BASELINE_MOMENTUM = 0.9
@@ -121,6 +122,70 @@ def lstm_backward(cell, grad_hidden: np.ndarray,
     return grad_inputs
 
 
+def reference_backward_batch(cell, grad_h, grad_c, cache):
+    """``LSTMCell.backward_batch`` as it was before it built the gate
+    gradients on one buffer: every gate's gradient a fresh array, one
+    ``concatenate``. The bit-level oracle of that kernel."""
+    input_gate = cache["input_gate"]
+    forget_gate = cache["forget_gate"]
+    cell_candidate = cache["cell_candidate"]
+    output_gate = cache["output_gate"]
+    tanh_c = cache["tanh_c"]
+
+    grad_output_gate = grad_h * tanh_c
+    grad_c_total = grad_c + grad_h * output_gate * (1.0 - tanh_c ** 2)
+    grad_input_gate = grad_c_total * cell_candidate
+    grad_forget_gate = grad_c_total * cache["c_prev"]
+    grad_cell_candidate = grad_c_total * input_gate
+
+    d_gates = np.concatenate([
+        grad_input_gate * input_gate * (1.0 - input_gate),
+        grad_forget_gate * forget_gate * (1.0 - forget_gate),
+        grad_cell_candidate * (1.0 - cell_candidate ** 2),
+        grad_output_gate * output_gate * (1.0 - output_gate),
+    ], axis=-1)
+    cell.weight_input.grad += cache["x"].T @ d_gates
+    cell.weight_hidden.grad += cache["h_prev"].T @ d_gates
+    cell.bias.grad += d_gates.sum(axis=0)
+
+    grad_x = d_gates @ cell.weight_input.value.T
+    grad_h_prev = d_gates @ cell.weight_hidden.value.T
+    return grad_x, grad_h_prev, grad_c_total * forget_gate
+
+
+# ---------------------------------------------------------------- optimizer
+class ReferenceAdam:
+    """Adam one parameter array at a time, each update a chain of fresh
+    arrays: ``repro.nn.Adam`` as it was before its moments went flat, and
+    the bit-level oracle of the flat form's parameters and moments."""
+
+    def __init__(self, parameters, learning_rate=1e-3, beta1=0.9,
+                 beta2=0.999, eps=1e-8):
+        self.parameters = list(parameters)
+        self.learning_rate = learning_rate
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
+        self.steps = 0
+        self.m = [np.zeros(p.value.shape) for p in self.parameters]
+        self.v = [np.zeros(p.value.shape) for p in self.parameters]
+
+    def step(self) -> None:
+        self.steps += 1
+        bias_correction1 = 1.0 - self.beta1 ** self.steps
+        bias_correction2 = 1.0 - self.beta2 ** self.steps
+        for parameter, m, v in zip(self.parameters, self.m, self.v):
+            grad = parameter.grad
+            m *= self.beta1
+            m += (1.0 - self.beta1) * grad
+            v *= self.beta2
+            v += (1.0 - self.beta2) * grad * grad
+            m_hat = m / bias_correction1
+            v_hat = v / bias_correction2
+            parameter.value -= (self.learning_rate * m_hat
+                                / (np.sqrt(v_hat) + self.eps))
+
+
 # ------------------------------------------------------------------- RSRNet
 def rsrnet_step(rsrnet, h: np.ndarray, c: np.ndarray, token: int, nrf: int
                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -149,8 +214,8 @@ class ReferenceRSRNet:
 
     def __init__(self, rsrnet):
         self.rsrnet = rsrnet
-        self.optimizer = Adam(rsrnet.parameters(),
-                              learning_rate=rsrnet.config.learning_rate)
+        self.optimizer = ReferenceAdam(
+            rsrnet.parameters(), learning_rate=rsrnet.config.learning_rate)
 
     def forward(self, tokens: Sequence[int], nrf: Sequence[int]):
         """``(z, logits, caches)`` of one trajectory; ``z`` is ``(n, D)``."""
@@ -203,8 +268,8 @@ class ReferenceASDNet:
 
     def __init__(self, asdnet):
         self.asdnet = asdnet
-        self.optimizer = Adam(asdnet.parameters(),
-                              learning_rate=asdnet.config.learning_rate)
+        self.optimizer = ReferenceAdam(
+            asdnet.parameters(), learning_rate=asdnet.config.learning_rate)
         self.baseline: Optional[float] = None
 
     def decide(self, z, previous_label, rng=None, action=None):

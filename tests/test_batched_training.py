@@ -16,7 +16,7 @@ import pytest
 from repro.config import (ASDNetConfig, LabelingConfig, RSRNetConfig,
                           TrainingConfig)
 from repro.core import OnlineLearner, RL4OASDTrainer, TrainingReport
-from repro.core.decision import (rnel_from_degrees, rnel_from_degrees_batch,
+from repro.core.decision import (rnel_from_degrees, rnel_fixed_batch,
                                  sample_labels)
 from repro.exceptions import ConfigurationError, ModelError
 from repro.nn import (LSTM, cosine_similarity_rows, cross_entropy_from_logits,
@@ -108,11 +108,13 @@ def test_rnel_from_degrees_batch_matches_scalar():
                 out_degrees.append(out_degree)
                 in_degrees.append(in_degree)
                 previous.append(label)
-    batched = rnel_from_degrees_batch(out_degrees, in_degrees, previous)
-    for index, decided in enumerate(batched):
+    fixed = rnel_fixed_batch(out_degrees, in_degrees)
+    for index, label in enumerate(previous):
         scalar = rnel_from_degrees(out_degrees[index], in_degrees[index],
-                                   previous[index])
-        assert (scalar if scalar is not None else -1) == decided
+                                   label)
+        # A fixed point keeps its previous label.
+        assert (scalar if scalar is not None else -1) == (
+            label if fixed[label, index] else -1)
 
 
 # ------------------------------------------------- differential equivalence
@@ -306,7 +308,7 @@ def test_episode_draws_one_uniform_per_policy_decided_point(
     prep.in_degrees[:, 3::3] = 1
 
     counting = trainer._rng = _CountingGenerator(9)
-    labels, _, _ = trainer._run_episode_batch(prep)
+    labels = trainer._run_episode_batch(prep)[0]
     decided = 0
     for b, item in enumerate(preprocessed):
         assert labels[b, 0] == 0 and labels[b, len(item) - 1] == 0

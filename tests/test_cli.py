@@ -7,6 +7,7 @@ import pytest
 from repro import __version__
 from repro.cli.main import build_parser, main
 from repro.cli.soak import SoakHarness, SoakOptions
+from repro.ingest import GpsGateway
 from repro.obs.timeseries import load_series
 
 
@@ -122,3 +123,35 @@ def test_soak_outlasts_a_budget_too_small_to_judge():
                                               2 * options.windows + 1)
     assert harness.fixes_pushed > options.fixes
     assert harness.recorder.errors == 0
+
+
+def test_soak_counts_the_sessions_its_final_drain_collects(monkeypatch):
+    """Every session closed is counted once, as a result delivered: also
+    the ones only the final ``drain_sessions`` collects, as a process
+    shard's last closes are. Here the drive loop's polls are held back, so
+    every session of the run arrives at that drain."""
+    drive, poll = SoakHarness._drive, GpsGateway.poll_sessions
+    holding = []
+
+    def held_drive(self, *args):
+        holding.append(True)
+        try:
+            drive(self, *args)
+        finally:
+            holding.clear()
+
+    monkeypatch.setattr(SoakHarness, "_drive", held_drive)
+    monkeypatch.setattr(GpsGateway, "poll_sessions",
+                        lambda self, *args: [] if holding
+                        else poll(self, *args))
+    options = SoakOptions(
+        fixes=2_000, smoke=True, shards=1, backend="inprocess",
+        concurrency=16, drift_parts=1, scrape_interval_s=0.05,
+        min_samples=2, flatness=0.1, quiet=True)
+    harness = SoakHarness(options)
+    harness.run()
+    store = harness.recorder.store
+    closed = store.value("repro_gateway_sessions_total", {"event": "closed"})
+    delivered = store.total("repro_service_results_delivered_total")
+    assert harness.sessions_done > 0
+    assert harness.sessions_done == closed == delivered

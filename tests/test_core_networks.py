@@ -9,6 +9,7 @@ from repro.core import ASDNet, RSRNet
 from repro.core.asdnet import BatchedEpisode
 from repro.core.decision import policy_choices, sample_labels
 from repro.exceptions import ModelError
+from repro.nn import sequence_cross_entropy_from_logits
 
 from reference_networks import greedy_action, numerical_gradient, rsrnet_step
 
@@ -52,7 +53,7 @@ def test_rsrnet_training_reduces_loss(rsrnet):
 
     def loss():
         _, logits, _ = rsrnet.forward_batch_train(tokens, nrf, [6])
-        return rsrnet.sequence_losses(logits, labels, [6])[0]
+        return sequence_cross_entropy_from_logits(logits, labels, [6])[0][0]
 
     first = loss()
     for _ in range(30):
@@ -63,7 +64,7 @@ def test_rsrnet_training_reduces_loss(rsrnet):
 
 def test_rsrnet_train_step_batch_gradients_match_finite_differences():
     """The gradients the training step accumulates on a ragged batch are
-    those of the mean of ``sequence_losses``, in every parameter."""
+    those of the mean of the per-sequence losses, in every parameter."""
     net = RSRNet(vocabulary_size=9,
                  config=RSRNetConfig(embedding_dim=4, hidden_dim=3, nrf_dim=2,
                                      grad_clip=1e6, seed=3))
@@ -80,7 +81,8 @@ def test_rsrnet_train_step_batch_gradients_match_finite_differences():
 
     def mean_loss():
         _, logits, _ = net.forward_batch_train(tokens, nrf, lengths)
-        return float(np.mean(net.sequence_losses(logits, labels, lengths)))
+        return float(np.mean(sequence_cross_entropy_from_logits(
+            logits, labels, lengths)[0]))
 
     for name, parameter in net.named_parameters():
         np.testing.assert_allclose(

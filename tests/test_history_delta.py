@@ -379,8 +379,9 @@ def test_an_in_process_delta_swap_shares_trajectories_and_nothing_else(
         assert len(serving) == len(published)
 
 
-def test_fine_tune_on_a_warm_trainer_derives_only_what_it_never_held(
-        dataset, dataset_split):
+def _warm_trainer(dataset, dataset_split, **training):
+    """A trained trainer that has fine-tuned once, and the 30 trips of its
+    next fine-tune."""
     train, development, _ = dataset_split
     trainer = RL4OASDTrainer(
         dataset.network, train[:120],
@@ -390,24 +391,61 @@ def test_fine_tune_on_a_warm_trainer_derives_only_what_it_never_held(
         asdnet_config=ASDNetConfig(label_embedding_dim=6),
         training_config=TrainingConfig(
             pretrain_trajectories=40, pretrain_epochs=1,
-            joint_trajectories=20, joint_epochs=1, validation_interval=20),
+            joint_trajectories=20, joint_epochs=1, validation_interval=20,
+            **training),
         development_set=development[:10],
     )
     trainer.train()
-    pipeline = trainer.pipeline
     trainer.fine_tune(train[120:150], batch_size=8)
+    return trainer, train[150:180]
+
+
+def test_fine_tune_on_a_warm_trainer_derives_only_what_it_never_held(
+        dataset, dataset_split):
+    """The RL path reads tokens and NRF only: its fine-tune computes route
+    tallies for the groups asked for the first time and extends the held
+    ones its trips joined. It computes no transition statistics, so the
+    statistics memo gains no entry; what it holds (from the noisy-label
+    warm start) is extended by the refresh where a group grew and carried
+    by reference where none did."""
+    trainer, new = _warm_trainer(dataset, dataset_split)
+    pipeline = trainer.pipeline
+    before = pipeline.history
+    held_routes = set(before._routes_cache)
+    held_statistics = set(before._statistics_cache)
+    counts = before.derivations
+    trainer.fine_tune(new, batch_size=8)
+    after = pipeline.history
+    assert after.version == before.version + 1
+    grown = grown_keys(pipeline, new)
+    fresh = resolved_keys(pipeline, after, new) - held_routes
+    assert set(after._routes_cache) == held_routes | fresh
+    assert set(after._statistics_cache) == held_statistics
+    for key in held_statistics - grown:
+        assert after._statistics_cache[key] is before._statistics_cache[key]
+    assert after.derivations == {
+        "computed": counts["computed"] + len(fresh),
+        "extended": counts["extended"] + len(held_routes & grown)
+        + len(held_statistics & grown)}
+    assert fresh and held_routes & grown and held_statistics & grown
+
+
+def test_noisy_label_fine_tune_derives_both_only_where_it_never_held(
+        dataset, dataset_split):
+    """Without ASDNet the fine-tune trains on noisy labels, so it derives
+    both statistics and route tally: each extended for every held group
+    the new trips joined, computed for the groups asked for the first time
+    (a pair or a dense slot nobody preprocessed, a slot that just crossed
+    min_slot_group_size) — and for nothing else."""
+    trainer, new = _warm_trainer(dataset, dataset_split, use_asdnet=False)
+    pipeline = trainer.pipeline
     before = pipeline.history
     held = set(before._routes_cache)
     assert held == set(before._statistics_cache)
     counts = before.derivations
-    new = train[150:180]
     trainer.fine_tune(new, batch_size=8)
     after = pipeline.history
     assert after.version == before.version + 1
-    # Statistics and route tally, each: extended for every held group the
-    # new trips joined, computed for the groups asked for the first time
-    # (a pair or a dense slot nobody preprocessed, a slot that just crossed
-    # min_slot_group_size) — and for nothing else.
     fresh = resolved_keys(pipeline, after, new) - held
     assert after.derivations == {
         "computed": counts["computed"] + 2 * len(fresh),

@@ -21,8 +21,11 @@ Three layers:
 from __future__ import annotations
 
 import json
+import os
 import pickle
 import random
+import subprocess
+import sys
 import tracemalloc
 import urllib.request
 import zlib
@@ -348,6 +351,23 @@ def test_metrics_server_serves_scrapes():
         with pytest.raises(urllib.error.HTTPError):
             urllib.request.urlopen(
                 f"http://127.0.0.1:{server.port}/nope", timeout=5)
+
+
+def test_serving_imports_load_no_http_stack():
+    """``http.server`` and ``urllib.request`` load ``ssl``, ``http.client``
+    and ``email`` (megabytes of RSS in every shard worker): the library
+    imports them where it serves or scrapes, never on import."""
+    import repro
+
+    code = ("import sys, repro.core, repro.serve, repro.ingest; "
+            "print(sorted(m for m in ('ssl', 'http.server', 'urllib.request')"
+            " if m in sys.modules))")
+    source = str(Path(repro.__file__).resolve().parents[1])
+    result = subprocess.run([sys.executable, "-c", code],
+                            env=dict(os.environ, PYTHONPATH=source),
+                            capture_output=True, text=True, timeout=60,
+                            check=True)
+    assert result.stdout.strip() == "[]"
 
 
 # ----------------------------------------------------------------- tracer

@@ -70,7 +70,7 @@ PUBLIC_SURFACE = {
     "repro.core.detector": ["OnlineDetector", "finish_labels"],
     "repro.core.decision": ["label_route", "greedy_choices",
                             "policy_choices", "sample_labels", "rnel_from_degrees",
-                            "rnel_from_degrees_batch"],
+                            "rnel_fixed_batch"],
     "repro.serve": [
         "DetectionService", "serve_fleet", "shard_of",
         "ServiceMetrics", "ShardStats", "save_model", "load_model",
