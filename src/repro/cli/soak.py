@@ -13,8 +13,8 @@ are exactly the numbers the harness certifies.
 Threading: the serving objects' ``metrics_text`` talks to the shard
 backends and must run on the driver thread; the driver refreshes a
 :class:`~repro.obs.RenderCache` between rounds and the HTTP thread serves
-the cached snapshot. ``/healthz`` live-evaluates the same SLO rules over
-whatever the recorder has seen so far.
+the cached snapshot. ``/healthz`` live-evaluates the same SLO rules, but
+the final ones, over whatever the recorder has seen so far.
 """
 
 from __future__ import annotations
@@ -195,10 +195,12 @@ class SoakHarness:
         cache = RenderCache(gateway.metrics_text)
         cache.refresh()  # seed on the driver thread before serving starts
 
+        live_rules = [rule for rule in rules if not rule.final]
+
         def health() -> HealthReport:
             recorder = self.recorder
             store = recorder.store if recorder else SeriesStore()
-            return evaluate_rules(store, rules)
+            return evaluate_rules(store, live_rules)
 
         self.server = MetricsServer(cache, port=options.port, health=health)
         self.recorder = ScrapeRecorder(self.server.url,

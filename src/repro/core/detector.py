@@ -75,7 +75,7 @@ def apply_delayed_labeling(labels: Sequence[int], window: int) -> List[int]:
     if window < 0:
         raise ModelError("the delayed-labeling window must be non-negative")
     labels = list(labels)
-    if window == 0 or len(labels) < 3:
+    if window == 0 or len(labels) < 3 or 1 not in labels:
         return labels
     index = 0
     n = len(labels)

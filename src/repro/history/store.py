@@ -11,10 +11,11 @@ frozen state buried inside a preprocessing pipeline:
   A snapshot is the one grouping of trajectories by SD pair and time slot
   (``group`` / ``group_for`` / ``groups`` / ``sd_pairs`` / ``pair_sizes`` /
   ``__len__``) plus memoized derived-value caches (transition statistics,
-  route tallies) keyed by the group they
-  summarise, pure functions of the snapshot and therefore safe to share
-  between every reader pinned to the same version. Serializing a snapshot
-  strips those caches — a receiver recomputes identical values lazily.
+  route tallies) keyed by the group they summarise, and answers keyed by
+  trip (``trip_memo``), pure functions of the snapshot and therefore safe
+  to share between every reader pinned to the same version. Serializing a
+  snapshot strips those caches — a receiver recomputes identical values
+  lazily.
 * :class:`RouteHistoryStore` — the producer side: holds the *current*
   snapshot and mints new ones with monotonically increasing versions.
   :meth:`RouteHistoryStore.extend` is copy-on-write with structural
@@ -276,6 +277,7 @@ class HistorySnapshot:
         self._routes_cache: Dict[Hashable, object] = (
             {} if predecessor is None else dict(predecessor._routes_cache))
         self._derived = [0, 0] if predecessor is None else predecessor._derived
+        self._trip_memos: Dict[Hashable, dict] = {}  # never carried over
         self._segments: Optional[FrozenSet[int]] = None
         # Producer-side provenance: the delta that minted this snapshot
         # from its predecessor (set by ``extended``). Like the memo caches
@@ -427,6 +429,12 @@ class HistorySnapshot:
         if value is None:
             value = self._computed(self._routes_cache, key, compute)
         return value
+
+    def trip_memo(self, reader: Hashable) -> Dict[Tuple[int, int, int], object]:
+        """One reader's answers by trip key ``(source, destination, time
+        slot)``; ``reader`` names what else they depend on. A successor
+        starts with none, and serializing drops them."""
+        return self._trip_memos.setdefault(reader, {})
 
     def _computed(self, cache: Dict[Hashable, object], key: Hashable,
                   compute: Callable[[], object]):

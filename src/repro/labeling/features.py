@@ -15,8 +15,8 @@ from ..roadnet.graph import RoadNetwork
 from ..trajectory.models import MatchedTrajectory
 from ..trajectory.sdpairs import time_slot_of
 from .noisy import labels_from_fractions
-from .normal_routes import (RouteTally, normal_route_features,
-                            normal_transitions)
+from .normal_routes import (RouteTally, normal_transitions,
+                            transition_features)
 from .transitions import TransitionStatistics
 
 
@@ -56,7 +56,10 @@ class SegmentVocabulary:
         return self._token_to_segment[token]
 
     def tokens(self, segments: Sequence[int]) -> List[int]:
-        return [self.token(segment) for segment in segments]
+        try:
+            return list(map(self._segment_to_token.__getitem__, segments))
+        except KeyError:  # the first unknown segment raises, named
+            return [self.token(segment) for segment in segments]
 
     def ordered_segments(self) -> List[int]:
         return list(self._token_to_segment)
@@ -325,9 +328,22 @@ class PreprocessingPipeline:
                          ) -> Optional[FrozenSet[Tuple[int, int]]]:
         """:meth:`normal_transitions_for` of a trip from ``source`` to
         ``destination`` by the SD key alone (what an opening stream knows);
-        ``None`` for a pair with no history: its fallback needs the route."""
-        tally = self._route_tally(source, destination, start_time_s, history)
-        return tally and tally.normal_transitions(self._config.delta)
+        ``None`` for a pair with no history: its fallback needs the route.
+        One lookup in the snapshot's ``trip_memo``, filled by a key's first
+        trip (pairs with history only)."""
+        snapshot = history if history is not None else self._snapshot
+        config = self._config
+        key = (source, destination,
+               time_slot_of(start_time_s, config.time_slots_per_day))
+        memo = snapshot.trip_memo((config.min_slot_group_size, config.delta))
+        transitions = memo.get(key)
+        if transitions is None:
+            tally = self._route_tally(source, destination, start_time_s,
+                                      snapshot)
+            if tally is None:
+                return None
+            transitions = memo[key] = tally.normal_transitions(config.delta)
+        return transitions
 
     def normal_transitions_for(self, trajectory: MatchedTrajectory,
                                history: Optional[HistorySnapshot] = None
@@ -359,9 +375,9 @@ class PreprocessingPipeline:
         return PreprocessedTrajectory(
             trajectory=trajectory,
             tokens=self._vocabulary.tokens(trajectory.segments),
-            normal_route_features=normal_route_features(
+            normal_route_features=transition_features(
                 trajectory.segments,
-                self.normal_routes_for(trajectory, history)),
+                self.normal_transitions_for(trajectory, history)),
             pipeline=self,
             history=history,
         )

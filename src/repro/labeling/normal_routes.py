@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from typing import (Dict, FrozenSet, Iterable, List, Optional, Sequence, Set,
-                    Tuple)
+from typing import (AbstractSet, Dict, FrozenSet, Iterable, List, Optional,
+                    Sequence, Set, Tuple)
 
 from ..exceptions import LabelingError
 from ..trajectory.models import MatchedTrajectory
@@ -132,19 +132,18 @@ def normal_route_features(
     occurs on one of the inferred normal routes, and 1 otherwise. The source
     and destination segments always get feature 0.
     """
-    if not segments:
-        raise LabelingError("segments must not be empty")
     if not normal_routes:
         raise LabelingError("at least one normal route is required")
-    allowed = normal_transitions(normal_routes)
-    features = []
-    for index, transition in enumerate(transitions_of(segments)):
-        previous, _ = transition
-        if previous == SOURCE_PAD:
-            features.append(0)
-        elif transition in allowed:
-            features.append(0)
-        else:
-            features.append(1)
+    return transition_features(segments, normal_transitions(normal_routes))
+
+
+def transition_features(segments: Sequence[int],
+                        allowed: AbstractSet[Tuple[int, int]]) -> List[int]:
+    """:func:`normal_route_features` given the normal routes' transitions
+    (what ``PreprocessingPipeline.normal_transitions_for`` returns)."""
+    if not segments:
+        raise LabelingError("segments must not be empty")
+    features = [0 if transition[0] == SOURCE_PAD or transition in allowed
+                else 1 for transition in transitions_of(segments)]
     features[-1] = 0
     return features

@@ -14,6 +14,7 @@ Rule syntax (``metric`` may carry a label selector, ``name{k="v"}``)::
     throughput repro_gateway_raw_points_total flatness=0.8 windows=5
     quantile repro_stage_latency_seconds{stage="engine_tick"} q=0.99 max=5.0
     slope repro_process_rss_bytes max_growth=0.25 skip=0.25
+    equal repro_gateway_sessions_total{event="closed"} repro_service_results_delivered_total
 
 * ``throughput`` — per-window counter rates; the **last** window's rate
   must stay within ``flatness`` of the **peak** window's (optionally also
@@ -23,6 +24,9 @@ Rule syntax (``metric`` may carry a label selector, ``name{k="v"}``)::
 * ``slope`` — least-squares growth of a gauge over the run (warmup
   fraction ``skip`` discarded): total fitted growth relative to the mean
   must stay under ``max_growth``. The bounded-memory criterion.
+* ``equal`` — the final label-summed values of two series are equal (a
+  missing one fails): a conservation law, judged on a drained run only
+  (:attr:`SloRule.final`; a live probe skips it).
 
 Window rules *pass vacuously* when the series is too short to evaluate
 them (a liveness probe early in a run should not page); pair every
@@ -109,6 +113,11 @@ def _parse_metric(text: str) -> Tuple[str, Dict[str, str]]:
     return match.group("name"), labels
 
 
+def _final_value(store: SeriesStore, metric: str,
+                 labels: Dict[str, str]) -> Optional[float]:
+    return store.value(metric, labels) if labels else store.total(metric)
+
+
 def _fmt(value: Optional[float]) -> str:
     if value is None:
         return "absent"
@@ -125,6 +134,11 @@ class SloRule:
     metric: str = ""
     labels: Dict[str, str] = field(default_factory=dict)
     params: Dict[str, float] = field(default_factory=dict)
+    other: str = ""  # an ``equal`` rule's second series, as written
+
+    @property
+    def final(self) -> bool:  # judged on a drained run only
+        return self.kind == "equal"
 
     @property
     def spec(self) -> str:
@@ -132,7 +146,7 @@ class SloRule:
         if self.labels:
             inner = ",".join(f'{k}="{v}"' for k, v in sorted(self.labels.items()))
             metric += "{" + inner + "}"
-        parts = [self.kind] + ([metric] if metric else [])
+        parts = [self.kind] + [part for part in (metric, self.other) if part]
         parts += [f"{key}={_fmt(value)}" for key, value in self.params.items()]
         return " ".join(parts)
 
@@ -149,13 +163,18 @@ class SloRule:
                                   f"{store.duration_s:.1f}s")
 
     def _eval_zero(self, store: SeriesStore) -> Tuple[bool, str]:
-        if self.labels:
-            value = store.value(self.metric, self.labels)
-        else:
-            value = store.total(self.metric)
+        value = _final_value(store, self.metric, self.labels)
         if value is None:
             return False, "metric absent from the final scrape"
         return value == 0, f"final value {_fmt(value)}"
+
+    def _eval_equal(self, store: SeriesStore) -> Tuple[bool, str]:
+        series = [(self.metric, self.labels), _parse_metric(self.other)]
+        left, right = (_final_value(store, *each) for each in series)
+        if left is None or right is None:
+            absent = series[left is not None][0]
+            return False, f"{absent} absent from the final scrape"
+        return left == right, f"final values {_fmt(left)} and {_fmt(right)}"
 
     def _eval_ceiling(self, store: SeriesStore) -> Tuple[bool, str]:
         maximum = self.params["max"]
@@ -242,7 +261,7 @@ class SloRule:
 
 
 _RULE_KINDS = {"samples", "zero", "ceiling", "throughput", "quantile",
-               "slope"}
+               "slope", "equal"}
 _NO_METRIC_KINDS = {"samples"}
 _REQUIRED_PARAMS = {"ceiling": ("max",), "quantile": ("max",)}
 
@@ -263,6 +282,12 @@ def parse_rule(line: str) -> SloRule:
             raise ValueError(f"rule {kind!r} needs a metric")
         metric, labels = _parse_metric(rest[0])
         rest = rest[1:]
+    other = ""
+    if kind == "equal":
+        if not rest:
+            raise ValueError("rule 'equal' needs two metrics")
+        _parse_metric(rest[0])  # checked here, kept as written
+        other, rest = rest[0], rest[1:]
     params: Dict[str, float] = {}
     for token in rest:
         key, eq, value = token.partition("=")
@@ -275,7 +300,8 @@ def parse_rule(line: str) -> SloRule:
     for required in _REQUIRED_PARAMS.get(kind, ()):
         if required not in params:
             raise ValueError(f"rule {kind!r} needs {required}=...")
-    return SloRule(kind=kind, metric=metric, labels=labels, params=params)
+    return SloRule(kind=kind, metric=metric, labels=labels, params=params,
+                   other=other)
 
 
 def parse_rules(text: str) -> List[SloRule]:
@@ -323,5 +349,7 @@ def default_soak_rules(
     quantile repro_stage_latency_seconds{{stage="engine_tick"}} q=0.99 max={stage_p99_ceiling_s} windows={windows}
     # Bounded memory: fitted RSS growth after warmup stays small.
     slope repro_process_rss_bytes max_growth={rss_growth} skip=0.25
+    # Every session the gateway closed was delivered at the facade.
+    equal repro_gateway_sessions_total{{event="closed"}} repro_service_results_delivered_total
     """
     return parse_rules(text)

@@ -31,6 +31,8 @@ def subtrajectory_spans(labels: Sequence[int]) -> List[Tuple[int, int]]:
     This converts per-segment anomaly labels into the anomalous subtrajectories
     the evaluation metrics operate on.
     """
+    if labels.count(0) == len(labels):  # a normal trip: nothing to scan
+        return []
     spans: List[Tuple[int, int]] = []
     start = None
     for index, label in enumerate(labels):

@@ -6,6 +6,7 @@ import pytest
 
 from repro import __version__
 from repro.cli.main import build_parser, main
+from repro.cli import soak as soak_module
 from repro.cli.soak import SoakHarness, SoakOptions
 from repro.ingest import GpsGateway
 from repro.obs.timeseries import load_series
@@ -155,3 +156,33 @@ def test_soak_counts_the_sessions_its_final_drain_collects(monkeypatch):
     delivered = store.total("repro_service_results_delivered_total")
     assert harness.sessions_done > 0
     assert harness.sessions_done == closed == delivered
+
+
+def test_live_healthz_skips_the_rules_of_a_drained_run(monkeypatch,
+                                                       tmp_path):
+    """Mid-run, sessions closed and not yet delivered are normal: the
+    session conservation rule is in the final verdict and the sidecar,
+    and the live ``/healthz`` probe leaves it out."""
+    probes = []
+    server = soak_module.MetricsServer
+
+    def capturing_server(*args, health=None, **kwargs):
+        probes.append(health)
+        return server(*args, health=health, **kwargs)
+
+    monkeypatch.setattr(soak_module, "MetricsServer", capturing_server)
+    record = tmp_path / "series.jsonl"
+    options = SoakOptions(
+        fixes=2_000, smoke=True, shards=1, backend="inprocess",
+        concurrency=16, drift_parts=1, scrape_interval_s=0.05,
+        min_samples=2, flatness=0.1, record=str(record), quiet=True)
+    report = SoakHarness(options).run()
+    assert report.passed, report.format()
+    final = [result.rule for result in report.results]
+    live = [result.rule for result in probes[0]().results]
+    conservation = ('equal repro_gateway_sessions_total{event="closed"} '
+                    'repro_service_results_delivered_total')
+    assert conservation in final
+    assert [rule for rule in final if rule != conservation] == live
+    sidecar = record.parent / (record.name + ".rules")
+    assert conservation in sidecar.read_text(encoding="utf-8").splitlines()

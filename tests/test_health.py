@@ -59,6 +59,23 @@ class TestParsing:
         with pytest.raises(ValueError):
             parse_rule(bad)
 
+    def test_parse_equal_rule_with_two_metrics(self):
+        line = ('equal sessions_total{event="closed"} '
+                'results_delivered_total')
+        rule = parse_rule(line)
+        assert (rule.kind, rule.metric, rule.labels) == (
+            "equal", "sessions_total", {"event": "closed"})
+        assert rule.other == "results_delivered_total"
+        assert rule.final and not parse_rule("zero gaps_total").final
+        assert rule.spec == line
+        assert parse_rule(rule.spec) == rule
+        with pytest.raises(ValueError, match="two metrics"):
+            parse_rule('equal sessions_total{event="closed"}')
+        with pytest.raises(ValueError, match="bad parameter"):
+            parse_rule("equal a_total b_total c_total")
+        with pytest.raises(ValueError, match="bad metric"):
+            parse_rule("equal a_total {b}")
+
 
 class TestEvaluation:
     def test_zero_rule(self):
@@ -74,6 +91,48 @@ class TestEvaluation:
                              ("gaps_total", {"shard": "1"}, 1)])])
         assert not evaluate_rules(store,
                                   parse_rules("zero gaps_total")).passed
+
+    def test_equal_rule_compares_final_label_summed_values(self):
+        rules = parse_rules('equal sessions_total{event="closed"} '
+                            'delivered_total')
+
+        def store(closed, delivered):
+            return _store([(0, [("sessions_total", {"event": "closed"}, 0),
+                                ("delivered_total", {"shard": "0"}, 0)]),
+                           (1, [("sessions_total", {"event": "closed"},
+                                 closed),
+                                ("sessions_total", {"event": "opened"}, 99),
+                                ("delivered_total", {"shard": "0"}, 4),
+                                ("delivered_total", {"shard": "1"},
+                                 delivered - 4)])])
+
+        passing = evaluate_rules(store(7, 7), rules)
+        assert passing.passed
+        assert passing.results[0].observed == "final values 7 and 7"
+        failing = evaluate_rules(store(7, 6), rules)
+        assert not failing.passed
+        assert failing.results[0].observed == "final values 7 and 6"
+        # Only the final scrape counts: equal earlier, apart at the end.
+        assert not evaluate_rules(_store([(0, [
+            ("sessions_total", {"event": "closed"}, 3),
+            ("delivered_total", {}, 3)]), (1, [
+                ("sessions_total", {"event": "closed"}, 4),
+                ("delivered_total", {}, 3)])]), rules).passed
+
+    def test_equal_rule_fails_on_a_missing_series(self):
+        rules = parse_rules('equal sessions_total{event="closed"} '
+                            'delivered_total')
+        for samples, absent in (
+                ([("delivered_total", {}, 0)], "sessions_total"),
+                ([("sessions_total", {"event": "opened"}, 0),
+                  ("delivered_total", {}, 0)], "sessions_total"),
+                ([("sessions_total", {"event": "closed"}, 0)],
+                 "delivered_total")):
+            report = evaluate_rules(_store([(0, samples)]), rules)
+            assert not report.passed
+            assert report.results[0].observed == (
+                f"{absent} absent from the final scrape")
+        assert not evaluate_rules(SeriesStore(), rules).passed
 
     def test_ceiling_rule(self):
         rules = parse_rules("ceiling depth max=10")
@@ -157,6 +216,13 @@ class TestDefaults:
         # The ruleset is its own documentation: every spec re-parses.
         for rule in rules:
             parse_rule(rule.spec)
+
+    def test_default_soak_rules_conserve_sessions(self):
+        conservation = [rule for rule in default_soak_rules()
+                        if rule.kind == "equal"]
+        assert [rule.spec for rule in conservation] == [
+            'equal repro_gateway_sessions_total{event="closed"} '
+            'repro_service_results_delivered_total']
 
     def test_empty_recording_never_goes_green(self):
         report = evaluate_rules(SeriesStore(), default_soak_rules())
