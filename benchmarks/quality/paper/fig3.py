@@ -5,14 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from ..eval import measure_detector
-from .common import (
-    DETECTORS,
-    ExperimentSettings,
-    build_detectors,
-    format_table,
-    prepare_city,
-)
+from repro.experiments.common import ExperimentSettings, prepare_city
+
+from .shared import DETECTORS, build_detectors, format_table, measure_detector
 
 
 @dataclass
@@ -48,7 +43,3 @@ def run_fig3(
                                    name=name).mean_per_point_ms
             for name, detector in built.items()}
     return Fig3Result(per_point_ms=per_point)
-
-
-if __name__ == "__main__":
-    print(run_fig3().format())

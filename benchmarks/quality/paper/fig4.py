@@ -5,14 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from ..eval import group_by_length, measure_detector
-from .common import (
-    DETECTORS,
-    ExperimentSettings,
-    build_detectors,
-    format_table,
-    prepare_city,
-)
+from repro.eval import group_by_length
+from repro.experiments.common import ExperimentSettings, prepare_city
+
+from .shared import DETECTORS, build_detectors, format_table, measure_detector
 
 
 @dataclass
@@ -66,7 +62,3 @@ def run_fig4(
                    for group, members in groups.items()}
             for name, detector in built.items()}
     return Fig4Result(per_trajectory_ms=results)
-
-
-if __name__ == "__main__":
-    print(run_fig4().format())

@@ -5,9 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from ..eval.metrics import evaluate_labelings
-from .common import (ExperimentSettings, build_detectors, format_table,
-                     prepare_city)
+from repro.eval.metrics import evaluate_labelings
+from repro.experiments.common import ExperimentSettings, prepare_city
+
+from .shared import build_detectors, format_table
 
 
 @dataclass
@@ -62,7 +63,3 @@ def run_fig5(settings: Optional[ExperimentSettings] = None,
             f1=f1,
         ))
     return Fig5Result(cases=cases)
-
-
-if __name__ == "__main__":
-    print(run_fig5().format())

@@ -20,12 +20,14 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..core import OnlineLearner
-from ..datagen import DriftSchedule
-from ..eval import evaluate_detector
-from ..serve import clone_model
-from .common import (ExperimentSettings, format_table, prepare_city,
-                     rl4oasd_trainer, split_by_part)
+from repro.core import OnlineLearner
+from repro.datagen import DriftSchedule
+from repro.eval import evaluate_detector
+from repro.experiments.common import (ExperimentSettings, prepare_city,
+                                      rl4oasd_trainer, split_by_part)
+from repro.serve import clone_model
+
+from .shared import format_table
 
 
 @dataclass
@@ -128,7 +130,3 @@ def run_fig6(
     return Fig6Result(f1_by_xi=f1_by_xi, training_time_by_xi=time_by_xi,
                       parts=parts_result, xi_for_parts=xi_for_parts,
                       skipped=skipped)
-
-
-if __name__ == "__main__":
-    print(run_fig6().format())

@@ -11,12 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import List, Optional
 
-from ..core import OnlineLearner
-from ..datagen import DriftSchedule
-from ..eval.metrics import evaluate_labelings
-from ..serve import clone_model
-from .common import (ExperimentSettings, format_table, prepare_city,
-                     rl4oasd_trainer, split_by_part)
+from repro.core import OnlineLearner
+from repro.datagen import DriftSchedule
+from repro.eval.metrics import evaluate_labelings
+from repro.experiments.common import (ExperimentSettings, prepare_city,
+                                      rl4oasd_trainer, split_by_part)
+from repro.serve import clone_model
+
+from .shared import format_table
 
 
 @dataclass
@@ -99,7 +101,3 @@ def run_fig7(settings: Optional[ExperimentSettings] = None,
                 ft_f1=ft_report.f1,
             ))
     return Fig7Result(cases=cases)
-
-
-if __name__ == "__main__":
-    print(run_fig7().format())

@@ -13,9 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
-from ..core import OnlineDetector
-from ..eval import evaluate_detector
-from .common import ExperimentSettings, format_table, prepare_city, train_rl4oasd
+from repro.core import OnlineDetector
+from repro.eval import evaluate_detector
+from repro.experiments.common import (ExperimentSettings, prepare_city,
+                                      train_rl4oasd)
+
+from .shared import format_table
 
 
 @dataclass
@@ -89,7 +92,3 @@ def run_param_study(
 
     return ParamStudyResult(f1_by_alpha=f1_by_alpha, f1_by_delta=f1_by_delta,
                             f1_by_delay=f1_by_delay)
-
-
-if __name__ == "__main__":
-    print(run_param_study().format())

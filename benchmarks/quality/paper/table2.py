@@ -5,8 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from ..datagen import DatasetStatistics
-from .common import ExperimentSettings, format_table, prepare_city
+from repro.datagen import DatasetStatistics
+from repro.experiments.common import ExperimentSettings, prepare_city
+
+from .shared import format_table
 
 
 @dataclass
@@ -34,7 +36,3 @@ def run_table2(settings: Optional[ExperimentSettings] = None) -> Table2Result:
         split = prepare_city(city, settings)
         statistics[split.dataset.name] = split.dataset.statistics()
     return Table2Result(statistics=statistics)
-
-
-if __name__ == "__main__":
-    print(run_table2().format())

@@ -10,15 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from ..eval import EvaluationRun, evaluate_detector
-from .common import (
-    DETECTORS,
-    ExperimentSettings,
-    build_detectors,
-    format_table,
-    prepare_city,
-    warm_start_agreement,
-)
+from repro.eval import EvaluationRun, evaluate_detector
+from repro.experiments.common import ExperimentSettings, prepare_city
+
+from .shared import (DETECTORS, build_detectors, format_table,
+                     warm_start_agreement)
 
 
 @dataclass
@@ -75,7 +71,3 @@ def run_table3(
         agreement[split.dataset.name] = warm_start_agreement(
             built["RL4OASD"], split.test)
     return Table3Result(runs=runs, warm_start_agreement=agreement)
-
-
-if __name__ == "__main__":
-    print(run_table3().format())

@@ -5,17 +5,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from ..config import EmbeddingConfig
-from ..embeddings import ToastEmbedder
-from ..eval import evaluate_detector
-from .common import (
-    ExperimentSettings,
-    build_detectors,
-    format_table,
-    prepare_city,
-    train_rl4oasd,
-    warm_start_agreement,
-)
+from repro.config import EmbeddingConfig
+from repro.embeddings import ToastEmbedder
+from repro.eval import evaluate_detector
+from repro.experiments.common import (ExperimentSettings, prepare_city,
+                                      train_rl4oasd)
+
+from .shared import build_detectors, format_table, warm_start_agreement
 
 #: Ablation rows of Table IV mapped to the trainer's switches.
 ABLATIONS: Dict[str, dict] = {
@@ -80,7 +76,3 @@ def run_table4(settings: Optional[ExperimentSettings] = None,
     results["only transition frequency"] = run.overall.f1
     return Table4Result(f1_by_variant=results,
                         warm_start_agreement=agreement)
-
-
-if __name__ == "__main__":
-    print(run_table4().format())

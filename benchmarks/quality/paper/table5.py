@@ -13,13 +13,15 @@ import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from ..config import DataGenConfig, RoadNetworkConfig
-from ..datagen import TrajectoryGenerator
-from ..eval import evaluate_detector
-from ..mapmatching import HMMMapMatcher
-from ..roadnet import build_grid_city
-from .common import (ExperimentSettings, build_pipeline, format_table,
-                     split_dataset, train_rl4oasd)
+from repro.config import DataGenConfig, RoadNetworkConfig
+from repro.datagen import TrajectoryGenerator
+from repro.eval import evaluate_detector
+from repro.experiments.common import (ExperimentSettings, split_dataset,
+                                      train_rl4oasd)
+from repro.mapmatching import HMMMapMatcher
+from repro.roadnet import build_grid_city
+
+from .shared import build_pipeline, format_table
 
 
 @dataclass
@@ -105,7 +107,3 @@ def run_table5(
             f1=run.overall.f1,
         ))
     return Table5Result(rows=rows)
-
-
-if __name__ == "__main__":
-    print(run_table5().format())

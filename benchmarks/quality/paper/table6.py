@@ -7,9 +7,11 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..eval import evaluate_detector
-from .common import (ExperimentSettings, format_table, prepare_city,
-                     train_rl4oasd)
+from repro.eval import evaluate_detector
+from repro.experiments.common import (ExperimentSettings, prepare_city,
+                                      train_rl4oasd)
+
+from .shared import format_table
 
 
 @dataclass
@@ -51,7 +53,3 @@ def run_table6(
                                 name="RL4OASD")
         results[rate] = run.overall.f1
     return Table6Result(f1_by_drop_rate=results)
-
-
-if __name__ == "__main__":
-    print(run_table6().format())

@@ -3,9 +3,9 @@
     python3 benchmarks/quality/run.py                     # all eleven artefacts
     python3 benchmarks/quality/run.py table3_effectiveness fig6_concept_drift
 
-Each artefact runs its :mod:`repro.experiments` harness once at the fixed
-settings below, writes the rendering to ``results/<artefact>.txt`` and
-prints PASS or FAIL for each of its named claims. The exit status is 0 when
+Each artefact runs its harness in ``paper/`` once at the fixed settings
+below, writes the rendering to ``results/<artefact>.txt`` and prints PASS
+or FAIL for each of its named claims. The exit status is 0 when
 every claim of the requested artefacts passes, 1 when one fails and 2 for
 an unknown artefact name.
 """
@@ -17,19 +17,20 @@ from pathlib import Path
 QUALITY_DIR = Path(__file__).resolve().parent
 RESULTS_DIR = QUALITY_DIR / "results"
 sys.path.insert(0, str(QUALITY_DIR.parent.parent / "src"))
+sys.path.insert(0, str(QUALITY_DIR))
 
+from paper.fig3 import run_fig3  # noqa: E402
+from paper.fig4 import run_fig4  # noqa: E402
+from paper.fig5 import run_fig5  # noqa: E402
+from paper.fig6 import run_fig6  # noqa: E402
+from paper.fig7 import run_fig7  # noqa: E402
+from paper.param_study import run_param_study  # noqa: E402
+from paper.table2 import run_table2  # noqa: E402
+from paper.table3 import run_table3  # noqa: E402
+from paper.table4 import run_table4  # noqa: E402
+from paper.table5 import run_table5  # noqa: E402
+from paper.table6 import run_table6  # noqa: E402
 from repro.experiments.common import ExperimentSettings  # noqa: E402
-from repro.experiments.fig3 import run_fig3  # noqa: E402
-from repro.experiments.fig4 import run_fig4  # noqa: E402
-from repro.experiments.fig5 import run_fig5  # noqa: E402
-from repro.experiments.fig6 import run_fig6  # noqa: E402
-from repro.experiments.fig7 import run_fig7  # noqa: E402
-from repro.experiments.param_study import run_param_study  # noqa: E402
-from repro.experiments.table2 import run_table2  # noqa: E402
-from repro.experiments.table3 import run_table3  # noqa: E402
-from repro.experiments.table4 import run_table4  # noqa: E402
-from repro.experiments.table5 import run_table5  # noqa: E402
-from repro.experiments.table6 import run_table6  # noqa: E402
 
 
 def settings(**overrides) -> ExperimentSettings:

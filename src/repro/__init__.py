@@ -20,8 +20,13 @@ The package is organised bottom-up:
 * :mod:`repro.obs` — observability: mergeable metrics, sampled per-fix
   trace spans, Prometheus-style exposition and scrape endpoint
 * :mod:`repro.baselines` — IBOAT, DBTOD, CTSS, SAE/VSAE/GM-VSAE/SD-VSAE, …
-* :mod:`repro.eval` — F1/TF1 metrics, length grouping, timing harnesses
-* :mod:`repro.experiments` — one harness per table/figure of the paper
+* :mod:`repro.eval` — F1/TF1 metrics, length grouping, the stage latency report
+* :mod:`repro.experiments` — the paper's experiment settings: cities,
+  splits and RL4OASD trainers at scaled-down sizes
+
+The harnesses regenerating the paper's tables and figures live outside the
+package, in ``benchmarks/quality/paper/``, run by
+``benchmarks/quality/run.py``.
 
 Quickstart::
 

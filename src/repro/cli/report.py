@@ -49,8 +49,8 @@ def render_dashboard(store: SeriesStore, windows: int = 5) -> str:
         windows_text = " ".join(f"{window.rate:,.0f}/s" for window in rates)
         lines.append(f"  {label}: {_fmt_count(total)} total"
                      + (f"  [{windows_text}]" if windows_text else ""))
-    gaps = store.total("repro_bus_gaps_total")
-    duplicates = store.total("repro_service_results_duplicates_total")
+    gaps = store.value("repro_bus_gaps_total")
+    duplicates = store.value("repro_service_results_duplicates_total")
     if gaps is not None:
         lines.append(f"  bus gaps: {_fmt_count(gaps)}  "
                      f"(duplicates dropped: {_fmt_count(duplicates)})")
@@ -65,7 +65,7 @@ def render_dashboard(store: SeriesStore, windows: int = 5) -> str:
                 for _, _, value in quantiles]
     if any(value is not None for _, _, value in quantiles):
         lines.append("  engine_tick p99 per window: " + " ".join(observed))
-    rss = store.total_series("repro_process_rss_bytes")
+    rss = store.series("repro_process_rss_bytes")
     if rss:
         lines.append(f"  RSS: {rss[0][1] / 1e6:,.0f}MB -> "
                      f"{rss[-1][1] / 1e6:,.0f}MB")

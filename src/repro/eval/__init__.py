@@ -1,8 +1,9 @@
-"""Evaluation: NER-style F1 / TF1 metrics, length grouping, timing harnesses."""
+"""Evaluation: NER-style F1 / TF1 metrics, length grouping, the stage
+latency report."""
 
 from .metrics import MetricsReport, evaluate_labelings, span_jaccard
 from .grouping import group_by_length, LENGTH_BOUNDARIES
-from .timing import LatencyReport, TimingReport, measure_detector
+from .timing import LatencyReport
 from .runner import EvaluationRun, evaluate_detector
 
 __all__ = [
@@ -11,9 +12,7 @@ __all__ = [
     "span_jaccard",
     "group_by_length",
     "LENGTH_BOUNDARIES",
-    "TimingReport",
     "LatencyReport",
-    "measure_detector",
     "EvaluationRun",
     "evaluate_detector",
 ]

@@ -1,70 +1,11 @@
-"""Timing harness for the efficiency experiments (Figures 3 and 4), which
-time a detector's ``detect`` from outside, and the latency report of the
-streaming pipeline stages."""
+"""The latency report of the streaming pipeline stages."""
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
-
-from ..exceptions import EvaluationError
-from ..trajectory.models import MatchedTrajectory
-
-
-@dataclass
-class TimingReport:
-    """Latency statistics of a detector over a workload."""
-
-    detector_name: str
-    per_point_seconds: List[float]
-    per_trajectory_seconds: List[float]
-
-    @property
-    def mean_per_point_ms(self) -> float:
-        if not self.per_point_seconds:
-            return 0.0
-        return float(np.mean(self.per_point_seconds)) * 1000.0
-
-    @property
-    def mean_per_trajectory_ms(self) -> float:
-        if not self.per_trajectory_seconds:
-            return 0.0
-        return float(np.mean(self.per_trajectory_seconds)) * 1000.0
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "detector": self.detector_name,
-            "mean_per_point_ms": self.mean_per_point_ms,
-            "mean_per_trajectory_ms": self.mean_per_trajectory_ms,
-        }
-
-
-def measure_detector(
-    detector,
-    trajectories: Sequence[MatchedTrajectory],
-    name: str = "detector",
-) -> TimingReport:
-    """Time a detector's ``detect`` method over a set of trajectories.
-
-    The per-point latency is the per-trajectory wall clock divided by the
-    trajectory length, matching how the paper reports "average running time
-    per point".
-    """
-    if not trajectories:
-        raise EvaluationError("timing requires at least one trajectory")
-    per_point: List[float] = []
-    per_trajectory: List[float] = []
-    for trajectory in trajectories:
-        started = time.perf_counter()
-        detector.detect(trajectory)
-        elapsed = time.perf_counter() - started
-        per_trajectory.append(elapsed)
-        per_point.append(elapsed / max(1, len(trajectory)))
-    return TimingReport(detector_name=name, per_point_seconds=per_point,
-                        per_trajectory_seconds=per_trajectory)
 
 
 @dataclass

@@ -1,36 +1,15 @@
-"""Experiment harnesses regenerating every table and figure of the paper.
+"""The paper's experiment settings: cities, train / dev / test splits and
+RL4OASD trainers at scaled-down sizes (:mod:`.common`).
 
-Each module exposes a ``run_*`` function returning a structured result
-whose ``format()`` renders the printable table. ``benchmarks/quality/run.py``
-is the one driver: it runs every artefact at fixed settings, writes the
-renderings to ``benchmarks/quality/results/`` and checks the claims each
-artefact carries. The examples call into these functions as well.
-
-Experiment index:
-
-========  =========================================  =======================
-Artefact  Contents                                    Module
-========  =========================================  =======================
-Table II  dataset statistics                          :mod:`.table2`
-Table III effectiveness vs the 7 baselines            :mod:`.table3`
-Table IV  ablation study                              :mod:`.table4`
-Table V   preprocessing & training time vs data size  :mod:`.table5`
-Table VI  cold-start (drop rate) study                :mod:`.table6`
-Figure 3  per-point online detection latency          :mod:`.fig3`
-Figure 4  per-trajectory latency by length group      :mod:`.fig4`
-Figure 5  detour case study                           :mod:`.fig5`
-Figure 6  concept drift (vary xi, P1 vs FT)           :mod:`.fig6`
-Figure 7  concept-drift case study                    :mod:`.fig7`
-(TR)      parameter study for alpha, delta, D         :mod:`.param_study`
-========  =========================================  =======================
+The harnesses that regenerate the paper's tables and figures live outside
+the library, in ``benchmarks/quality/paper/``, driven by
+``benchmarks/quality/run.py``.
 """
 
-from .common import (ExperimentSettings, build_detectors, prepare_city,
-                     train_rl4oasd)
+from .common import ExperimentSettings, prepare_city, train_rl4oasd
 
 __all__ = [
     "ExperimentSettings",
     "prepare_city",
     "train_rl4oasd",
-    "build_detectors",
 ]

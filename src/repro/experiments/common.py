@@ -1,17 +1,20 @@
-"""Shared plumbing of the experiment harnesses.
+"""Cities, splits and trainers at the paper's scaled-down settings.
 
-The settings below are the scaled-down analogue of the paper's setup: the same
-architecture and thresholds relative to the data, but smaller networks and
-training schedules so every experiment runs in seconds-to-minutes on a laptop
-instead of hours on a GPU server. The ``alpha``/``delta`` values are tuned for
-the synthetic datasets by the parameter study (:mod:`.param_study`), exactly
-as the paper tunes them for DiDi data (their best values were 0.5 / 0.4).
+The paper harnesses under ``benchmarks/quality/paper/`` build on these, and
+so do the CLI's ``serve`` / ``replay`` / ``soak`` commands and the perf
+fixture. The settings are the scaled-down analogue of the paper's setup: the
+same architecture and thresholds relative to the data, but smaller networks
+and training schedules so every experiment runs in seconds-to-minutes on a
+laptop instead of hours on a GPU server. The ``alpha``/``delta`` values are
+tuned for the synthetic datasets by the parameter study
+(``benchmarks/quality/paper/param_study.py``), exactly as the paper tunes
+them for DiDi data (their best values were 0.5 / 0.4).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -24,24 +27,7 @@ from ..config import (
 from ..core import RL4OASDModel, RL4OASDTrainer
 from ..datagen import DriftSchedule, TrajectoryDataset, chengdu_like, xian_like
 from ..exceptions import ReproError
-from ..labeling import PreprocessingPipeline
 from ..trajectory.models import MatchedTrajectory
-from ..baselines import (
-    CTSSScorer,
-    DBTODScorer,
-    GMVSAEScorer,
-    IBOATDetector,
-    SAEScorer,
-    SDVSAEScorer,
-    ThresholdedDetector,
-    TransitionFrequencyScorer,
-    VSAEScorer,
-)
-from ..baselines.vsae import AutoencoderConfig, train_autoencoder
-
-#: The methods of Table III (and Figures 3-4), in the paper's order.
-DETECTORS = ("IBOAT", "DBTOD", "GM-VSAE", "SD-VSAE", "SAE", "VSAE", "CTSS",
-             "RL4OASD")
 
 
 @dataclass
@@ -156,13 +142,6 @@ def split_dataset(dataset: TrajectoryDataset,
                      development=development, test=test)
 
 
-def build_pipeline(split: CitySplit,
-                   settings: ExperimentSettings) -> PreprocessingPipeline:
-    """The preprocessing pipeline over a split's training history."""
-    return PreprocessingPipeline(split.dataset.network, split.train,
-                                 settings.labeling_config())
-
-
 def rl4oasd_trainer(
     split: CitySplit,
     settings: Optional[ExperimentSettings] = None,
@@ -223,91 +202,3 @@ def split_by_part(split: CitySplit, n_parts: int
     for trajectory in split.test + split.development:
         test_parts[part_of(trajectory)].append(trajectory)
     return train_parts, test_parts
-
-
-def build_detectors(split: CitySplit, settings: ExperimentSettings,
-                    names: Sequence[str]) -> Dict[str, object]:
-    """Build, tune or train the named detectors of Table III on a split.
-
-    ``names`` are the paper's method names (:data:`DETECTORS`, plus the
-    heuristic ``"TransitionFrequency"``); the result maps each to a
-    detector exposing ``detect(trajectory)``, in the order given. The
-    thresholded baselines are tuned on the development set, the VSAE
-    family shares one autoencoder, and ``"RL4OASD"`` is
-    :func:`train_rl4oasd`'s model.
-    """
-    pipeline = build_pipeline(split, settings)
-    autoencoder = None
-    autoencoder_scorers = {"GM-VSAE": GMVSAEScorer, "SD-VSAE": SDVSAEScorer,
-                           "SAE": SAEScorer, "VSAE": VSAEScorer}
-
-    def thresholded(scorer) -> ThresholdedDetector:
-        return ThresholdedDetector(scorer).tune(split.development)
-
-    detectors: Dict[str, object] = {}
-    for name in names:
-        if name == "IBOAT":
-            detectors[name] = IBOATDetector(pipeline)
-        elif name == "DBTOD":
-            detectors[name] = thresholded(
-                DBTODScorer(split.dataset.network, split.train))
-        elif name == "CTSS":
-            detectors[name] = thresholded(CTSSScorer(pipeline))
-        elif name == "TransitionFrequency":
-            detectors[name] = thresholded(TransitionFrequencyScorer(pipeline))
-        elif name == "RL4OASD":
-            detectors[name] = train_rl4oasd(split, settings)[0].detector()
-        elif name in autoencoder_scorers:
-            if autoencoder is None:
-                autoencoder = train_autoencoder(
-                    pipeline.vocabulary, split.train,
-                    AutoencoderConfig(epochs=settings.autoencoder_epochs,
-                                      seed=settings.seed + 11),
-                    max_trajectories=settings.autoencoder_max_trajectories,
-                )
-            detectors[name] = thresholded(
-                autoencoder_scorers[name](autoencoder, pipeline.vocabulary))
-        else:
-            raise ReproError(f"unknown detector {name!r}")
-    return detectors
-
-
-def warm_start_agreement(detector,
-                         trajectories: Sequence[MatchedTrajectory]) -> float:
-    """The share of points on which an RL4OASD ``detector`` labels
-    ``trajectories`` like its own pipeline's noisy labels
-    (``labels_from_fractions`` at α) — the warm start RSRNet and ASDNet
-    are pre-trained on. 1.0 means the trained stack adds nothing to the α
-    threshold on this data."""
-    agree = total = 0
-    for trajectory in trajectories:
-        noisy = detector.pipeline.preprocess(trajectory).noisy_labels
-        labels = detector.detect(trajectory).labels
-        agree += sum(int(a == b) for a, b in zip(labels, noisy))
-        total += len(noisy)
-    return agree / total
-
-
-def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]],
-                 title: str = "") -> str:
-    """Render a simple aligned text table (used by every experiment printout)."""
-    formatted_rows = [[_format_cell(cell) for cell in row] for row in rows]
-    widths = [
-        max(len(str(headers[column])),
-            max((len(row[column]) for row in formatted_rows), default=0))
-        for column in range(len(headers))
-    ]
-    lines = []
-    if title:
-        lines.append(title)
-    lines.append("  ".join(str(h).ljust(w) for h, w in zip(headers, widths)))
-    lines.append("  ".join("-" * w for w in widths))
-    for row in formatted_rows:
-        lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
-    return "\n".join(lines)
-
-
-def _format_cell(cell: object) -> str:
-    if isinstance(cell, float):
-        return f"{cell:.3f}"
-    return str(cell)

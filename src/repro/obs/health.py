@@ -6,7 +6,9 @@ verdict is computed from scraped metrics alone, never from privileged
 in-process state. The soak harness, the ``/healthz`` endpoint and
 ``repro report`` all evaluate the same rules the same way.
 
-Rule syntax (``metric`` may carry a label selector, ``name{k="v"}``)::
+Rule syntax (``metric`` may carry a label selector, ``name{k="v"}``, which
+matches every series whose labels contain it; every rule but a
+selector-less ``ceiling`` sums the matches)::
 
     samples min=8                       # the series itself is real
     zero repro_bus_gaps_total           # final label-summed value == 0
@@ -113,11 +115,6 @@ def _parse_metric(text: str) -> Tuple[str, Dict[str, str]]:
     return match.group("name"), labels
 
 
-def _final_value(store: SeriesStore, metric: str,
-                 labels: Dict[str, str]) -> Optional[float]:
-    return store.value(metric, labels) if labels else store.total(metric)
-
-
 def _fmt(value: Optional[float]) -> str:
     if value is None:
         return "absent"
@@ -163,14 +160,14 @@ class SloRule:
                                   f"{store.duration_s:.1f}s")
 
     def _eval_zero(self, store: SeriesStore) -> Tuple[bool, str]:
-        value = _final_value(store, self.metric, self.labels)
+        value = store.value(self.metric, self.labels)
         if value is None:
             return False, "metric absent from the final scrape"
         return value == 0, f"final value {_fmt(value)}"
 
     def _eval_equal(self, store: SeriesStore) -> Tuple[bool, str]:
         series = [(self.metric, self.labels), _parse_metric(self.other)]
-        left, right = (_final_value(store, *each) for each in series)
+        left, right = (store.value(*each) for each in series)
         if left is None or right is None:
             absent = series[left is not None][0]
             return False, f"{absent} absent from the final scrape"
@@ -235,10 +232,7 @@ class SloRule:
     def _eval_slope(self, store: SeriesStore) -> Tuple[bool, str]:
         max_growth = self.params.get("max_growth", 0.25)
         skip = self.params.get("skip", 0.25)
-        if self.labels:
-            series = store.series(self.metric, self.labels)
-        else:
-            series = store.total_series(self.metric)
+        series = store.series(self.metric, self.labels)
         series = series[int(len(series) * skip):]
         if len(series) < 3:
             return True, "insufficient samples (vacuous pass)"

@@ -102,14 +102,21 @@ def load_series(path) -> "SeriesStore":
     return store
 
 
+def _selector(labels: Optional[Dict[str, str]]) -> set:
+    """A label selector as the set of ``(label, value)`` pairs a matching
+    series must carry."""
+    return {(str(k), str(v)) for k, v in (labels or {}).items()}
+
+
 class SeriesStore:
     """A recorded scrape series and the window arithmetic over it.
 
-    Counters with labels (per-shard, per-reason) are summed across label
-    sets by the ``total*`` views, so fleet-wide rules read one number no
-    matter the shard count. Windows are consecutive index ranges over the
-    recorded points; each window's end point is the next window's start,
-    so window deltas chain back to the whole-run delta exactly.
+    Every view selects the same way: a label selector matches each series
+    whose labels contain it, and the matches are summed, so fleet-wide
+    rules read one number no matter the shard count. Windows are
+    consecutive index ranges over the recorded points; each window's end
+    point is the next window's start, so window deltas chain back to the
+    whole-run delta exactly.
     """
 
     def __init__(self, points: Sequence[ScrapePoint] = ()):
@@ -130,47 +137,33 @@ class SeriesStore:
     # ------------------------------------------------------------- selectors
     def value(self, name: str, labels: Optional[Dict[str, str]] = None,
               index: int = -1) -> Optional[float]:
-        """One sample's value at one recorded point (``None`` if absent)."""
-        if not self.points:
-            return None
-        key = (name, tuple(sorted((str(k), str(v))
-                                  for k, v in (labels or {}).items())))
-        return self.points[index].samples.get(key)
+        """A metric at one recorded point, summed over every series whose
+        labels contain the selector ``labels`` (all of its series when
+        there is none).
 
-    def total(self, name: str, index: int = -1) -> Optional[float]:
-        """A metric summed across its label sets at one recorded point.
-
-        ``None`` when the metric never appeared in that scrape — distinct
-        from an exposed value of 0.
+        ``None`` when no series matched in that scrape — distinct from an
+        exposed value of 0.
         """
         if not self.points:
             return None
+        wanted = _selector(labels)
         found = None
-        for (sample_name, _), sample_value in self.points[index].samples.items():
-            if sample_name == name:
+        for (sample_name, label_tuple), sample_value in \
+                self.points[index].samples.items():
+            if sample_name == name and wanted <= set(label_tuple):
                 found = (found or 0.0) + sample_value
         return found
 
     def series(self, name: str,
                labels: Optional[Dict[str, str]] = None
                ) -> List[Tuple[float, float]]:
-        """``(time, value)`` pairs of one sample, skipping absent scrapes."""
-        out = []
-        key = (name, tuple(sorted((str(k), str(v))
-                                  for k, v in (labels or {}).items())))
-        for point in self.points:
-            value = point.samples.get(key)
-            if value is not None:
-                out.append((point.time_s, value))
-        return out
-
-    def total_series(self, name: str) -> List[Tuple[float, float]]:
-        """``(time, summed value)`` of a metric across label sets."""
+        """``(time, value)`` of :meth:`value` at every recorded point,
+        skipping the scrapes in which nothing matched."""
         out = []
         for index, point in enumerate(self.points):
-            total = self.total(name, index)
-            if total is not None:
-                out.append((point.time_s, total))
+            value = self.value(name, labels, index)
+            if value is not None:
+                out.append((point.time_s, value))
         return out
 
     def max_over_time(self, name: str) -> Optional[float]:
@@ -203,8 +196,8 @@ class SeriesStore:
     def counter_delta(self, name: str, start: int = 0,
                       end: int = -1) -> Optional[float]:
         """Label-summed counter growth between two recorded points."""
-        first = self.total(name, start)
-        last = self.total(name, end)
+        first = self.value(name, index=start)
+        last = self.value(name, index=end)
         if last is None:
             return None
         return last - (first if first is not None else 0.0)
@@ -235,7 +228,7 @@ class SeriesStore:
         """
         if not self.points:
             return [], 0.0
-        wanted = {(str(k), str(v)) for k, v in (labels or {}).items()}
+        wanted = _selector(labels)
         bucket_name = f"{name}_bucket"
 
         def cumulative(index: int) -> Dict[float, float]:
@@ -247,7 +240,7 @@ class SeriesStore:
                 bound_text = label_map.pop("le", None)
                 if bound_text is None:
                     continue
-                if not wanted.issubset(set(label_map.items())):
+                if not wanted <= set(label_map.items()):
                     continue
                 bound = float("inf") if bound_text == "+Inf" \
                     else float(bound_text)

@@ -2,9 +2,17 @@
 
 Heavier artefacts (the tiny dataset, a preprocessing pipeline, a trained
 model) are session-scoped so the suite stays fast; tests must not mutate them.
+
+The paper harnesses are not part of the library: they live in the
+``paper`` package beside their driver in ``benchmarks/quality/``, which is
+put on the import path here so the tests that cover them import it as
+``paper``.
 """
 
 from __future__ import annotations
+
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +28,9 @@ from repro.core import RL4OASDTrainer
 from repro.datagen import tiny_dataset
 from repro.labeling import PreprocessingPipeline
 from repro.roadnet import RoadNetwork, build_grid_city
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent
+                       / "benchmarks" / "quality"))
 
 
 @pytest.fixture(scope="session")

@@ -1,15 +1,34 @@
 """The ``repro`` CLI: parsing and the soak harness end to end."""
 
+import os
+import subprocess
+import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro import __version__
 from repro.cli.main import build_parser, main
 from repro.cli import soak as soak_module
 from repro.cli.soak import SoakHarness, SoakOptions
 from repro.ingest import GpsGateway
 from repro.obs.timeseries import load_series
+
+
+def test_cli_import_loads_no_baseline_and_no_embedding():
+    """Serving needs neither the paper's comparison methods nor road-segment
+    embeddings, so importing the CLI loads no module of either package."""
+    source = str(Path(repro.__file__).resolve().parent.parent)
+    loaded = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.cli.main; print(*sorted(sys.modules))"],
+        env={**os.environ, "PYTHONPATH": source}, capture_output=True,
+        text=True, check=True).stdout.split()
+    assert "repro.cli.main" in loaded
+    assert [name for name in loaded
+            if name.startswith(("repro.baselines", "repro.embeddings"))] == []
 
 
 class TestParser:
@@ -153,7 +172,7 @@ def test_soak_counts_the_sessions_its_final_drain_collects(monkeypatch):
     harness.run()
     store = harness.recorder.store
     closed = store.value("repro_gateway_sessions_total", {"event": "closed"})
-    delivered = store.total("repro_service_results_delivered_total")
+    delivered = store.value("repro_service_results_delivered_total")
     assert harness.sessions_done > 0
     assert harness.sessions_done == closed == delivered
 

@@ -2,13 +2,13 @@
 
 import pytest
 
+from paper.shared import measure_detector
 from repro.eval import (
     LENGTH_BOUNDARIES,
     MetricsReport,
     evaluate_detector,
     evaluate_labelings,
     group_by_length,
-    measure_detector,
     span_jaccard,
 )
 from repro.eval.grouping import group_of

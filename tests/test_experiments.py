@@ -8,11 +8,11 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from paper.fig7 import Fig7Case, Fig7Result
+from paper.shared import warm_start_agreement
 from repro.core import OnlineLearner
 from repro.experiments.common import (CitySplit, ExperimentSettings,
-                                      rl4oasd_trainer, split_by_part,
-                                      warm_start_agreement)
-from repro.experiments.fig7 import Fig7Case, Fig7Result
+                                      rl4oasd_trainer, split_by_part)
 from repro.serve import clone_model
 
 TINY = ExperimentSettings(embedding_dim=8, hidden_dim=8, nrf_dim=4,

@@ -92,6 +92,36 @@ class TestEvaluation:
         assert not evaluate_rules(store,
                                   parse_rules("zero gaps_total")).passed
 
+    def test_label_selectors_match_supersets_and_sum(self):
+        """A selector matches every series whose labels contain it, and the
+        matches are summed, whatever the rule."""
+        store = _store([(0, [("gaps_total", {"event": "x", "shard": "0"}, 0),
+                             ("gaps_total", {"event": "y", "shard": "0"}, 5)])])
+        report = evaluate_rules(store, parse_rules('zero gaps_total{event="x"}'))
+        assert report.passed
+        assert report.results[0].observed == "final value 0"
+        assert not evaluate_rules(
+            store, parse_rules('zero gaps_total{event="y"}')).passed
+
+        equal = parse_rules('equal sessions_total{event="closed"} '
+                            'delivered_total{kind="trip"}')
+        closed = [("sessions_total", {"event": "closed", "shard": "0"}, 3),
+                  ("sessions_total", {"event": "closed", "shard": "1"}, 4),
+                  ("sessions_total", {"event": "opened", "shard": "0"}, 9),
+                  ("delivered_total", {"kind": "trip", "shard": "0"}, 7)]
+        report = evaluate_rules(_store([(0, closed)]), equal)
+        assert report.passed
+        assert report.results[0].observed == "final values 7 and 7"
+
+        slope = parse_rules('slope rss{pid="1"} max_growth=0.25 skip=0.25')
+        leaking = _store([(i, [("rss", {"pid": "1", "role": "shard"},
+                                100 + 20 * i),
+                               ("rss", {"pid": "2", "role": "shard"}, 100)])
+                          for i in range(12)])
+        report = evaluate_rules(leaking, slope)
+        assert not report.passed
+        assert report.results[0].observed.startswith("fitted growth")
+
     def test_equal_rule_compares_final_label_summed_values(self):
         rules = parse_rules('equal sessions_total{event="closed"} '
                             'delivered_total')

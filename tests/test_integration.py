@@ -71,7 +71,8 @@ def test_pretrained_embeddings_plug_into_training(dataset, dataset_split):
 
 def test_experiment_settings_prepare_city_and_format():
     """The experiment plumbing builds consistent splits and tables."""
-    from repro.experiments.common import ExperimentSettings, format_table, prepare_city
+    from paper.shared import format_table
+    from repro.experiments.common import ExperimentSettings, prepare_city
 
     settings = ExperimentSettings(scale=0.15, dev_size=20)
     split = prepare_city("xian", settings)
@@ -96,7 +97,7 @@ def test_fig6_reports_a_partition_it_cannot_run(dataset, dataset_split,
                                                 monkeypatch):
     """A xi whose partition of the day leaves a training part empty stays in
     the Fig. 6 tables, marked skipped with the reason — it used to vanish."""
-    from repro.experiments import fig6
+    from paper import fig6
     from repro.experiments.common import CitySplit, ExperimentSettings
 
     train, development, test = dataset_split

@@ -13,17 +13,17 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.experiments.fig3 import Fig3Result
-from repro.experiments.fig4 import Fig4Result
-from repro.experiments.fig5 import Fig5Case, Fig5Result
-from repro.experiments.fig6 import DriftPartResult, Fig6Result
-from repro.experiments.fig7 import Fig7Case, Fig7Result
-from repro.experiments.param_study import ParamStudyResult
-from repro.experiments.table2 import Table2Result
-from repro.experiments.table3 import Table3Result
-from repro.experiments.table4 import Table4Result
-from repro.experiments.table5 import Table5Result, Table5Row
-from repro.experiments.table6 import Table6Result
+from paper.fig3 import Fig3Result
+from paper.fig4 import Fig4Result
+from paper.fig5 import Fig5Case, Fig5Result
+from paper.fig6 import DriftPartResult, Fig6Result
+from paper.fig7 import Fig7Case, Fig7Result
+from paper.param_study import ParamStudyResult
+from paper.table2 import Table2Result
+from paper.table3 import Table3Result
+from paper.table4 import Table4Result
+from paper.table5 import Table5Result, Table5Row
+from paper.table6 import Table6Result
 
 DRIVER = Path(__file__).resolve().parent.parent / "benchmarks" / "quality" / "run.py"
 

@@ -25,16 +25,14 @@ class TestSeriesStore:
     def test_value_and_total_distinguish_absent_from_zero(self):
         store = SeriesStore([_point(0, up=0)])
         assert store.value("up") == 0
-        assert store.total("up") == 0
         assert store.value("down") is None
-        assert store.total("down") is None
 
     def test_total_sums_label_sets(self):
         store = SeriesStore([_labeled(0, [
             ("queue", {"shard": "0"}, 3),
             ("queue", {"shard": "1"}, 5),
         ])])
-        assert store.total("queue") == 8
+        assert store.value("queue") == 8
         assert store.value("queue", {"shard": "1"}) == 5
 
     def test_window_bounds_chain(self):
@@ -115,7 +113,7 @@ class TestRecorder:
             store = recorder.stop(final_scrape=True)
         assert len(store) >= 1
         assert recorder.errors == 0
-        assert store.total("ticks_total", index=-1) == 10
+        assert store.value("ticks_total", index=-1) == 10
         loaded = load_series(path)
         assert len(loaded) == len(store)
         assert loaded.points[-1].samples == store.points[-1].samples

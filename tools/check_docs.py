@@ -28,8 +28,9 @@ Seven checks, no third-party dependencies beyond the library's own:
    fails although ``import`` still works (``from module import *`` would
    not).
 7. **Unused imports** — every name a module-level import binds in
-   ``src/`` (``__future__`` aside) is used in that module: read as a name,
-   listed in its ``__all__``, or named in a quoted annotation.
+   ``src/`` or in the paper harnesses under ``benchmarks/quality/``
+   (``__future__`` aside) is used in that module: read as a name, listed
+   in its ``__all__``, or named in a quoted annotation.
 
 Run locally with::
 
@@ -93,8 +94,7 @@ PUBLIC_SURFACE = {
     ],
     "repro.trajectory": ["RawTrajectory", "GPSPoint"],
     "repro.eval": [
-        "evaluate_labelings", "evaluate_detector", "measure_detector",
-        "LatencyReport",
+        "evaluate_labelings", "evaluate_detector", "LatencyReport",
     ],
     "repro.nn": [
         "LSTM", "LSTMCell", "sequence_cross_entropy_from_logits",
@@ -335,7 +335,8 @@ def _used_names(tree) -> set:
 
 def check_unused_imports() -> list:
     errors = []
-    for path in sorted((REPO / "src").rglob("*.py")):
+    for path in sorted([*(REPO / "src").rglob("*.py"),
+                        *(REPO / "benchmarks" / "quality").rglob("*.py")]):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         used = _used_names(tree)
         for node in _module_imports(tree.body):
@@ -361,7 +362,8 @@ def main() -> int:
         return 1
     print(f"docs OK: links, python fences, public imports, config / "
           f"engine / detect / detector keywords, class attributes, "
-          f"__all__ lists and src/ imports verified ({checked})")
+          f"__all__ lists and src/ + benchmarks/quality/ imports verified "
+          f"({checked})")
     return 0
 
 
