@@ -6,8 +6,12 @@ is the one driver: it puts this directory's parent and ``src/`` on the
 import path, runs every artefact at fixed settings, writes the renderings
 to ``benchmarks/quality/results/`` and checks the claims each artefact
 carries. The city, split and trainer plumbing they build on is the
-library's :mod:`repro.experiments.common`; :mod:`.shared` holds what only
-they use.
+library's :mod:`repro.experiments.common`. What only they use lives here
+too: :mod:`.shared` (the methods of Table III, the warm-start control, the
+timing and the table rendering), :mod:`.baselines` (the comparison
+methods), :mod:`.embeddings` (the Toast substitute pre-training Table IV's
+road-segment embeddings) and :mod:`.evaluation` (a detector scored overall
+and per length group).
 
 Experiment index:
 

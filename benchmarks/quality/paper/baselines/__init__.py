@@ -1,21 +1,25 @@
 """Baselines the paper compares against (Section V-A).
 
+They are Table III's comparison methods, not part of the detection system,
+so they live beside the paper harnesses and not in ``repro``; the VSAE
+family's recurrence is the GRU of :mod:`.gru`.
+
 Every baseline follows the same adaptation protocol as the paper: methods that
 natively output an anomaly *score* per point (DBTOD, CTSS, the VSAE family,
 the transition-frequency heuristic) are wrapped by
-:class:`~repro.baselines.adapt.ThresholdedDetector`, whose threshold is tuned
+:class:`~paper.baselines.adapt.ThresholdedDetector`, whose threshold is tuned
 on a small development set; IBOAT labels segments directly.
 
-* :class:`~repro.baselines.iboat.IBOATDetector` — isolation-based online
+* :class:`~paper.baselines.iboat.IBOATDetector` — isolation-based online
   detection with an adaptive window (Chen et al. 2013).
-* :class:`~repro.baselines.dbtod.DBTODScorer` — probabilistic driving-behaviour
+* :class:`~paper.baselines.dbtod.DBTODScorer` — probabilistic driving-behaviour
   model (Wu et al. 2017).
-* :class:`~repro.baselines.ctss.CTSSScorer` — continuous trajectory similarity
+* :class:`~paper.baselines.ctss.CTSSScorer` — continuous trajectory similarity
   (discrete Fréchet) against a reference route (Zhang et al. 2020).
-* :class:`~repro.baselines.vsae.SAEScorer`, :class:`VSAEScorer`,
+* :class:`~paper.baselines.vsae.SAEScorer`, :class:`VSAEScorer`,
   :class:`GMVSAEScorer`, :class:`SDVSAEScorer` — generative sequence
   autoencoders (Liu et al. 2020) and their adaptations.
-* :class:`~repro.baselines.frequency.TransitionFrequencyScorer` — the
+* :class:`~paper.baselines.frequency.TransitionFrequencyScorer` — the
   transition-frequency-only heuristic used in the ablation study.
 """
 

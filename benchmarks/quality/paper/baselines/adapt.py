@@ -12,9 +12,9 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..exceptions import EvaluationError
-from ..trajectory.models import MatchedTrajectory
-from ..eval.metrics import evaluate_labelings
+from repro.exceptions import EvaluationError
+from repro.trajectory.models import MatchedTrajectory
+from repro.eval.metrics import evaluate_labelings
 from .base import BaselineResult, ScoringDetector
 
 

@@ -6,8 +6,8 @@ import abc
 from dataclasses import dataclass, field
 from typing import List
 
-from ..trajectory.models import MatchedTrajectory
-from ..trajectory.ops import subtrajectory_spans
+from repro.trajectory.models import MatchedTrajectory
+from repro.trajectory.ops import subtrajectory_spans
 
 
 @dataclass
@@ -30,7 +30,7 @@ class BaselineResult:
 class ScoringDetector(abc.ABC):
     """A detector that assigns an anomaly score to every segment.
 
-    Scores are adapted into labels by :class:`~repro.baselines.adapt.ThresholdedDetector`,
+    Scores are adapted into labels by :class:`~paper.baselines.adapt.ThresholdedDetector`,
     which mirrors how the paper adapts trajectory-level methods to the
     subtrajectory task (thresholds tuned on a development set).
     """

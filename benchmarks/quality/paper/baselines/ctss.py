@@ -15,9 +15,35 @@ from typing import List, Sequence
 
 import numpy as np
 
-from ..labeling.features import PreprocessingPipeline
-from ..trajectory.models import MatchedTrajectory
+from repro.exceptions import TrajectoryError
+from repro.labeling.features import PreprocessingPipeline
+from repro.trajectory.models import MatchedTrajectory
 from .base import ScoringDetector
+
+
+def discrete_frechet_points(points_a: np.ndarray, points_b: np.ndarray) -> float:
+    """Discrete Fréchet distance between two polylines given as point arrays.
+
+    The whole-table form of the coupling :class:`CTSSScorer` grows a row
+    per point; the tests hold the scorer's prefix scores against it.
+    """
+    n, m = len(points_a), len(points_b)
+    if n == 0 or m == 0:
+        raise TrajectoryError("point sequences must not be empty")
+    # Pairwise Euclidean distances.
+    diff = points_a[:, None, :] - points_b[None, :, :]
+    dist = np.sqrt((diff ** 2).sum(axis=2))
+    coupling = np.full((n, m), np.inf)
+    coupling[0, 0] = dist[0, 0]
+    for j in range(1, m):
+        coupling[0, j] = max(coupling[0, j - 1], dist[0, j])
+    for i in range(1, n):
+        coupling[i, 0] = max(coupling[i - 1, 0], dist[i, 0])
+        for j in range(1, m):
+            best_previous = min(coupling[i - 1, j], coupling[i - 1, j - 1],
+                                coupling[i, j - 1])
+            coupling[i, j] = max(best_previous, dist[i, j])
+    return float(coupling[n - 1, m - 1])
 
 
 class CTSSScorer(ScoringDetector):

@@ -15,9 +15,9 @@ import math
 from collections import Counter, defaultdict
 from typing import Dict, List, Sequence
 
-from ..exceptions import EvaluationError
-from ..roadnet.graph import RoadNetwork
-from ..trajectory.models import MatchedTrajectory
+from repro.exceptions import EvaluationError
+from repro.roadnet.graph import RoadNetwork
+from repro.trajectory.models import MatchedTrajectory
 from .base import ScoringDetector
 
 

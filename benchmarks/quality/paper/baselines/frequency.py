@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from typing import List
 
-from ..labeling.features import PreprocessingPipeline
-from ..trajectory.models import MatchedTrajectory
+from repro.labeling.features import PreprocessingPipeline
+from repro.trajectory.models import MatchedTrajectory
 from .base import ScoringDetector
 
 

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-from ..exceptions import EvaluationError
-from ..labeling.features import PreprocessingPipeline
-from ..trajectory.models import MatchedTrajectory
+from repro.exceptions import EvaluationError
+from repro.labeling.features import PreprocessingPipeline
+from repro.trajectory.models import MatchedTrajectory
 from .base import BaselineResult
 
 
@@ -38,13 +38,11 @@ class IBOATDetector:
     name = "IBOAT"
 
     def __init__(self, pipeline: PreprocessingPipeline,
-                 support_threshold: float = 0.2,
-                 min_window: int = 1):
+                 support_threshold: float = 0.2):
         if not (0.0 < support_threshold < 1.0):
             raise EvaluationError("support_threshold must be in (0, 1)")
         self._pipeline = pipeline
         self._support_threshold = support_threshold
-        self._min_window = max(1, min_window)
 
     @property
     def support_threshold(self) -> float:

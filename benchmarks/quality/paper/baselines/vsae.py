@@ -16,12 +16,12 @@ compares four members of the family:
   component.
 
 All four share one numpy implementation (:class:`SequenceAutoencoder`) built
-on the GRU of :mod:`repro.nn`; per-segment anomaly scores are the per-step
+on the GRU of :mod:`.gru`; per-segment anomaly scores are the per-step
 negative log-likelihoods, which is how the paper adapts these trajectory-level
 detectors to the subtrajectory task. Training backpropagates the loss through
 every decoder step into the decoder's initial state (the gradient
-:meth:`~repro.nn.recurrent.GRU.backward` returns beside the input gradient),
-and from there through the latent into the encoder.
+:meth:`.gru.GRU.backward` returns beside the input gradient), and from there
+through the latent into the encoder.
 """
 
 from __future__ import annotations
@@ -31,15 +31,15 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..exceptions import ModelError, NotFittedError
-from ..labeling.features import SegmentVocabulary
-from ..nn.layers import Embedding, Linear
-from ..nn.losses import cross_entropy_from_logits, log_softmax
-from ..nn.module import Module
-from ..nn.optim import Adam, clip_gradients
-from ..nn.recurrent import GRU
-from ..trajectory.models import MatchedTrajectory
+from repro.exceptions import ModelError, NotFittedError
+from repro.labeling.features import SegmentVocabulary
+from repro.nn.layers import Embedding, Linear
+from repro.nn.losses import cross_entropy_from_logits, log_softmax
+from repro.nn.module import Module
+from repro.nn.optim import Adam, clip_gradients
+from repro.trajectory.models import MatchedTrajectory
 from .base import ScoringDetector
+from .gru import GRU
 
 
 @dataclass

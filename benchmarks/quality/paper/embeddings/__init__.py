@@ -5,11 +5,11 @@ representation model that fuses traffic patterns and travelling semantics.
 Offline we reproduce the role of those embeddings with:
 
 * random walks over the road network's segment-level adjacency
-  (:mod:`~repro.embeddings.walks`),
+  (:mod:`~paper.embeddings.walks`),
 * skip-gram with negative sampling trained on the walks
-  (:mod:`~repro.embeddings.skipgram`), and
+  (:mod:`~paper.embeddings.skipgram`), and
 * fusion with traffic-context features — free-flow speed, travel time, road
-  type, degree — (:mod:`~repro.embeddings.toast`).
+  type, degree — (:mod:`~paper.embeddings.toast`).
 
 The resulting vectors initialise the embedding layer of RSRNet exactly as the
 Toast vectors do in the paper, and can be ablated by switching to random

@@ -6,8 +6,8 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from ..exceptions import ModelError
-from ..nn.functional import sigmoid
+from repro.exceptions import ModelError
+from repro.nn.functional import sigmoid
 
 
 class SkipGramModel:

@@ -6,10 +6,9 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..config import EmbeddingConfig
-from ..exceptions import ModelError
-from ..roadnet.graph import RoadNetwork
-from .skipgram import SkipGramModel, train_skipgram
+from repro.exceptions import ConfigurationError, ModelError
+from repro.roadnet.graph import RoadNetwork
+from .skipgram import train_skipgram
 from .walks import generate_random_walks
 
 
@@ -39,58 +38,57 @@ def traffic_context_features(network: RoadNetwork,
     return (features - mean) / std
 
 
+#: The walk corpus and skip-gram schedule of Table IV's embeddings.
+WALKS_PER_NODE = 2
+WALK_LENGTH = 12
+WINDOW_SIZE = 4
+NEGATIVE_SAMPLES = 4
+EPOCHS = 1
+LEARNING_RATE = 0.025
+
+
 class ToastEmbedder:
     """Pre-trains road-segment embeddings that fuse structure and traffic context.
 
     The embedding of a segment is the concatenation of its skip-gram vector
     (structure learned from random walks) and an 8-wide linear projection of
-    its traffic-context features, truncated to the requested dimension.
-    The output initialises RSRNet's embedding layer.
+    its traffic-context features, truncated to ``dimension``. The output
+    initialises RSRNet's embedding layer; ``seed`` draws the walks, the
+    skip-gram initialisation and the projection.
     """
 
-    def __init__(self, network: RoadNetwork,
-                 config: Optional[EmbeddingConfig] = None):
+    def __init__(self, network: RoadNetwork, dimension: int, seed: int):
+        if dimension < 2:
+            raise ConfigurationError("embedding dimension must be >= 2")
         self._network = network
-        self._config = (config or EmbeddingConfig()).validate()
-        self._model: Optional[SkipGramModel] = None
+        self._dimension = dimension
+        self._seed = seed
         self._segment_ids: List[int] = network.segment_ids()
         self._matrix: Optional[np.ndarray] = None
 
-    @property
-    def config(self) -> EmbeddingConfig:
-        return self._config
-
-    @property
-    def segment_ids(self) -> List[int]:
-        return list(self._segment_ids)
-
     def fit(self) -> "ToastEmbedder":
         """Train the embeddings (random walks → skip-gram → context fusion)."""
-        config = self._config
-        rng = np.random.default_rng(config.seed)
-        structural_dim = max(2, config.dimension - 8)
-        walks = generate_random_walks(
-            self._network,
-            walks_per_node=config.walks_per_node,
-            walk_length=config.walk_length,
-            rng=rng,
-        )
-        self._model = train_skipgram(
+        rng = np.random.default_rng(self._seed)
+        structural_dim = max(2, self._dimension - 8)
+        walks = generate_random_walks(self._network,
+                                      walks_per_node=WALKS_PER_NODE,
+                                      walk_length=WALK_LENGTH, rng=rng)
+        model = train_skipgram(
             walks,
             dimension=structural_dim,
-            window_size=config.window_size,
-            negative_samples=config.negative_samples,
-            epochs=config.epochs,
-            learning_rate=config.learning_rate,
+            window_size=WINDOW_SIZE,
+            negative_samples=NEGATIVE_SAMPLES,
+            epochs=EPOCHS,
+            learning_rate=LEARNING_RATE,
             rng=rng,
         )
-        structural = self._model.embedding_matrix(self._segment_ids)
+        structural = model.embedding_matrix(self._segment_ids)
         context = traffic_context_features(self._network, self._segment_ids)
         projection = rng.normal(0.0, 0.3, size=(context.shape[1], 8))
         matrix = np.concatenate([structural, context @ projection], axis=1)
         # Wider than requested only below dimension 10 (the structural
         # part is at least 2 wide).
-        self._matrix = matrix[:, :config.dimension]
+        self._matrix = matrix[:, :self._dimension]
         return self
 
     def embedding_matrix(self) -> np.ndarray:

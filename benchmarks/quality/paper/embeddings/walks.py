@@ -6,8 +6,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..exceptions import ModelError
-from ..roadnet.graph import RoadNetwork
+from repro.exceptions import ModelError
+from repro.roadnet.graph import RoadNetwork
 
 
 def generate_random_walks(

@@ -1,14 +1,36 @@
-"""End-to-end evaluation of a detector against ground-truth labels."""
+"""End-to-end evaluation of a detector against ground-truth labels, overall
+and per length group (Table III, Figure 4)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
-from ..exceptions import EvaluationError
-from ..trajectory.models import MatchedTrajectory
-from .grouping import LENGTH_BOUNDARIES, group_by_length
-from .metrics import MetricsReport, evaluate_labelings
+from repro.eval.metrics import MetricsReport, evaluate_labelings
+from repro.exceptions import EvaluationError
+from repro.trajectory.models import MatchedTrajectory
+
+LENGTH_BOUNDARIES: Tuple[int, int, int] = (15, 30, 45)
+"""Group boundaries of the paper: G1 < 15 <= G2 < 30 <= G3 < 45 <= G4."""
+
+
+def group_of(length: int) -> str:
+    """The group name (``"G1"``..``"G4"``) of a trajectory length."""
+    for index, boundary in enumerate(LENGTH_BOUNDARIES):
+        if length < boundary:
+            return f"G{index + 1}"
+    return f"G{len(LENGTH_BOUNDARIES) + 1}"
+
+
+def group_by_length(trajectories: Sequence[MatchedTrajectory]
+                    ) -> Dict[str, List[MatchedTrajectory]]:
+    """Partition trajectories into length groups (all groups always present)."""
+    groups: Dict[str, List[MatchedTrajectory]] = {
+        f"G{i + 1}": [] for i in range(len(LENGTH_BOUNDARIES) + 1)
+    }
+    for trajectory in trajectories:
+        groups[group_of(len(trajectory))].append(trajectory)
+    return groups
 
 
 @dataclass
@@ -19,23 +41,11 @@ class EvaluationRun:
     overall: MetricsReport
     by_group: Dict[str, MetricsReport]
 
-    def row(self) -> Dict[str, float]:
-        """A flat summary row (used by the experiment tables)."""
-        row = {"detector": self.detector_name,
-               "overall_f1": self.overall.f1,
-               "overall_tf1": self.overall.t_f1}
-        for group, report in self.by_group.items():
-            row[f"{group}_f1"] = report.f1
-            row[f"{group}_tf1"] = report.t_f1
-        return row
-
 
 def evaluate_detector(
     detector,
     test_trajectories: Sequence[MatchedTrajectory],
     name: str = "detector",
-    phi: float = 0.5,
-    boundaries: Sequence[int] = LENGTH_BOUNDARIES,
 ) -> EvaluationRun:
     """Run ``detector.detect`` on every test trajectory and score the labels.
 
@@ -63,15 +73,13 @@ def evaluate_detector(
     overall = evaluate_labelings(
         [t.labels for t in test_trajectories],
         [predictions[t.trajectory_id] for t in test_trajectories],
-        phi=phi,
     )
     by_group: Dict[str, MetricsReport] = {}
-    for group, members in group_by_length(test_trajectories, boundaries).items():
+    for group, members in group_by_length(test_trajectories).items():
         if not members:
             continue
         by_group[group] = evaluate_labelings(
             [t.labels for t in members],
             [predictions[t.trajectory_id] for t in members],
-            phi=phi,
         )
     return EvaluationRun(detector_name=name, overall=overall, by_group=by_group)

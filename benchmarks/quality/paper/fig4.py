@@ -5,9 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.eval import group_by_length
 from repro.experiments.common import ExperimentSettings, prepare_city
 
+from .evaluation import group_by_length
 from .shared import DETECTORS, build_detectors, format_table, measure_detector
 
 

@@ -22,11 +22,11 @@ import numpy as np
 
 from repro.core import OnlineLearner
 from repro.datagen import DriftSchedule
-from repro.eval import evaluate_detector
 from repro.experiments.common import (ExperimentSettings, prepare_city,
                                       rl4oasd_trainer, split_by_part)
 from repro.serve import clone_model
 
+from .evaluation import evaluate_detector
 from .shared import format_table
 
 

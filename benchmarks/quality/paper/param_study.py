@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
 from repro.core import OnlineDetector
-from repro.eval import evaluate_detector
 from repro.experiments.common import (ExperimentSettings, prepare_city,
                                       train_rl4oasd)
 
+from .evaluation import evaluate_detector
 from .shared import format_table
 
 

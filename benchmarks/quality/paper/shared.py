@@ -10,7 +10,13 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-from repro.baselines import (
+from repro.exceptions import EvaluationError, ReproError
+from repro.experiments.common import (CitySplit, ExperimentSettings,
+                                      train_rl4oasd)
+from repro.labeling import PreprocessingPipeline
+from repro.trajectory.models import MatchedTrajectory
+
+from .baselines import (
     CTSSScorer,
     DBTODScorer,
     GMVSAEScorer,
@@ -21,16 +27,16 @@ from repro.baselines import (
     TransitionFrequencyScorer,
     VSAEScorer,
 )
-from repro.baselines.vsae import AutoencoderConfig, train_autoencoder
-from repro.exceptions import EvaluationError, ReproError
-from repro.experiments.common import (CitySplit, ExperimentSettings,
-                                      train_rl4oasd)
-from repro.labeling import PreprocessingPipeline
-from repro.trajectory.models import MatchedTrajectory
+from .baselines.vsae import AutoencoderConfig, train_autoencoder
 
 #: The methods of Table III (and Figures 3-4), in the paper's order.
 DETECTORS = ("IBOAT", "DBTOD", "GM-VSAE", "SD-VSAE", "SAE", "VSAE", "CTSS",
              "RL4OASD")
+
+#: The VSAE family's shared autoencoder trains one epoch over at most this
+#: many training trajectories.
+AUTOENCODER_EPOCHS = 1
+AUTOENCODER_TRAJECTORIES = 200
 
 
 def build_pipeline(split: CitySplit,
@@ -76,9 +82,9 @@ def build_detectors(split: CitySplit, settings: ExperimentSettings,
             if autoencoder is None:
                 autoencoder = train_autoencoder(
                     pipeline.vocabulary, split.train,
-                    AutoencoderConfig(epochs=settings.autoencoder_epochs,
+                    AutoencoderConfig(epochs=AUTOENCODER_EPOCHS,
                                       seed=settings.seed + 11),
-                    max_trajectories=settings.autoencoder_max_trajectories,
+                    max_trajectories=AUTOENCODER_TRAJECTORIES,
                 )
             detectors[name] = thresholded(
                 autoencoder_scorers[name](autoencoder, pipeline.vocabulary))

@@ -10,9 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.eval import EvaluationRun, evaluate_detector
 from repro.experiments.common import ExperimentSettings, prepare_city
 
+from .evaluation import EvaluationRun, evaluate_detector
 from .shared import (DETECTORS, build_detectors, format_table,
                      warm_start_agreement)
 

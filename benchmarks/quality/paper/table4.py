@@ -5,12 +5,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.config import EmbeddingConfig
-from repro.embeddings import ToastEmbedder
-from repro.eval import evaluate_detector
 from repro.experiments.common import (ExperimentSettings, prepare_city,
                                       train_rl4oasd)
 
+from .embeddings import ToastEmbedder
+from .evaluation import evaluate_detector
 from .shared import build_detectors, format_table, warm_start_agreement
 
 #: Ablation rows of Table IV mapped to the trainer's switches.
@@ -54,9 +53,7 @@ def run_table4(settings: Optional[ExperimentSettings] = None,
     # Pre-trained road-segment embeddings; the trainer ignores them under
     # "w/o road segment embeddings" (random initialisation).
     embedding_matrix = ToastEmbedder(
-        split.dataset.network,
-        EmbeddingConfig(dimension=settings.embedding_dim, walks_per_node=2,
-                        walk_length=12, epochs=1, seed=settings.seed),
+        split.dataset.network, settings.embedding_dim, settings.seed,
     ).fit().embedding_matrix()
 
     for variant, overrides in ABLATIONS.items():

@@ -15,12 +15,12 @@ from typing import List, Optional, Sequence
 
 from repro.config import DataGenConfig, RoadNetworkConfig
 from repro.datagen import TrajectoryGenerator
-from repro.eval import evaluate_detector
 from repro.experiments.common import (ExperimentSettings, split_dataset,
                                       train_rl4oasd)
 from repro.mapmatching import HMMMapMatcher
 from repro.roadnet import build_grid_city
 
+from .evaluation import evaluate_detector
 from .shared import build_pipeline, format_table
 
 

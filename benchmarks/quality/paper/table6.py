@@ -7,10 +7,10 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.eval import evaluate_detector
 from repro.experiments.common import (ExperimentSettings, prepare_city,
                                       train_rl4oasd)
 
+from .evaluation import evaluate_detector
 from .shared import format_table
 
 

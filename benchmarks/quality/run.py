@@ -36,8 +36,7 @@ from repro.experiments.common import ExperimentSettings  # noqa: E402
 def settings(**overrides) -> ExperimentSettings:
     """The experiment settings every artefact starts from."""
     defaults = dict(scale=0.35, dev_size=80, joint_trajectories=200,
-                    joint_epochs=2, pretrain_epochs=5,
-                    autoencoder_max_trajectories=200)
+                    joint_epochs=2, pretrain_epochs=5)
     defaults.update(overrides)
     return ExperimentSettings(**defaults)
 

@@ -19,7 +19,7 @@ Run with::
 import time
 
 from repro.core import replay_fleet
-from repro.eval import evaluate_detector
+from repro.eval import evaluate_labelings
 from repro.experiments.common import (
     ExperimentSettings,
     prepare_city,
@@ -36,9 +36,11 @@ def main() -> None:
     model, _ = train_rl4oasd(split, settings)
     detector = model.detector()
 
-    run = evaluate_detector(detector, split.test, name="RL4OASD")
-    print(f"fleet-wide test F1 = {run.overall.f1:.3f} "
-          f"(TF1 = {run.overall.t_f1:.3f})\n")
+    report = evaluate_labelings(
+        [trajectory.labels for trajectory in split.test],
+        [detector.detect(trajectory).labels for trajectory in split.test])
+    print(f"fleet-wide test F1 = {report.f1:.3f} "
+          f"(TF1 = {report.t_f1:.3f})\n")
 
     total_points = sum(len(trajectory) for trajectory in split.test)
 

@@ -8,7 +8,7 @@ Run with::
 from repro.datagen import tiny_dataset
 from repro.config import ASDNetConfig, LabelingConfig, RSRNetConfig, TrainingConfig
 from repro.core import RL4OASDTrainer
-from repro.eval import evaluate_detector
+from repro.eval import evaluate_labelings
 
 
 def main() -> None:
@@ -38,8 +38,9 @@ def main() -> None:
 
     # 3. Online detection: the detector consumes road segments one at a time.
     detector = model.detector()
-    run = evaluate_detector(detector, test, name="RL4OASD")
-    print(f"test F1 = {run.overall.f1:.3f}, TF1 = {run.overall.t_f1:.3f}")
+    report = evaluate_labelings([t.labels for t in test],
+                                [detector.detect(t).labels for t in test])
+    print(f"test F1 = {report.f1:.3f}, TF1 = {report.t_f1:.3f}")
 
     # 4. Inspect one anomalous trajectory.
     for trajectory in test:

@@ -4,11 +4,10 @@ deep reinforcement learning (reproduction).
 The package is organised bottom-up:
 
 * :mod:`repro.roadnet` — road networks (graphs, builders, spatial index, routing)
-* :mod:`repro.trajectory` — trajectory data model, SD pairs, similarity measures
+* :mod:`repro.trajectory` — trajectory data model, SD pairs, time slots
 * :mod:`repro.mapmatching` — HMM map matching of raw GPS traces
 * :mod:`repro.datagen` — synthetic taxi-trajectory datasets with ground truth
-* :mod:`repro.nn` — numpy neural-network substrate (LSTM, GRU, REINFORCE pieces)
-* :mod:`repro.embeddings` — road-segment representation learning (Toast substitute)
+* :mod:`repro.nn` — numpy neural-network substrate (LSTM, REINFORCE pieces)
 * :mod:`repro.history` — versioned, hot-swappable normal-route history
   (immutable snapshots, copy-on-write refresh)
 * :mod:`repro.labeling` — noisy labels and normal-route features
@@ -19,29 +18,32 @@ The package is organised bottom-up:
   map matching feeding the detection service
 * :mod:`repro.obs` — observability: mergeable metrics, sampled per-fix
   trace spans, Prometheus-style exposition and scrape endpoint
-* :mod:`repro.baselines` — IBOAT, DBTOD, CTSS, SAE/VSAE/GM-VSAE/SD-VSAE, …
-* :mod:`repro.eval` — F1/TF1 metrics, length grouping, the stage latency report
+* :mod:`repro.eval` — F1/TF1 metrics, the stage latency report
 * :mod:`repro.experiments` — the paper's experiment settings: cities,
   splits and RL4OASD trainers at scaled-down sizes
 
 The harnesses regenerating the paper's tables and figures live outside the
 package, in ``benchmarks/quality/paper/``, run by
-``benchmarks/quality/run.py``.
+``benchmarks/quality/run.py``; so do what only they use: the comparison
+methods of Table III (IBOAT, DBTOD, CTSS, the VSAE family), the Toast
+substitute that pre-trains road-segment embeddings, and the per-length-group
+evaluation runner.
 
 Quickstart::
 
     from repro.experiments.common import ExperimentSettings, prepare_city, train_rl4oasd
-    from repro.eval import evaluate_detector
+    from repro.eval import evaluate_labelings
 
     split = prepare_city("chengdu", ExperimentSettings(scale=0.3))
     model, _ = train_rl4oasd(split)
-    print(evaluate_detector(model.detector(), split.test).overall.f1)
+    detector = model.detector()
+    print(evaluate_labelings([t.labels for t in split.test],
+                             [detector.detect(t).labels for t in split.test]).f1)
 """
 
 from .config import (
     ASDNetConfig,
     DataGenConfig,
-    EmbeddingConfig,
     GatewayConfig,
     LabelingConfig,
     MapMatchingConfig,
@@ -60,7 +62,6 @@ __all__ = [
     "RoadNetworkConfig",
     "MapMatchingConfig",
     "DataGenConfig",
-    "EmbeddingConfig",
     "LabelingConfig",
     "RSRNetConfig",
     "ASDNetConfig",

@@ -115,27 +115,6 @@ class DataGenConfig:
 
 
 @dataclass(frozen=True)
-class EmbeddingConfig:
-    """Parameters of the road-segment representation learning (Toast substitute)."""
-
-    dimension: int = 128
-    walks_per_node: int = 4
-    walk_length: int = 20
-    window_size: int = 4
-    negative_samples: int = 4
-    epochs: int = 2
-    learning_rate: float = 0.025
-    seed: int = 13
-
-    def validate(self) -> "EmbeddingConfig":
-        _require(self.dimension >= 2, "embedding dimension must be >= 2")
-        _require(self.walk_length >= 2, "walk_length must be >= 2")
-        _require(self.window_size >= 1, "window_size must be >= 1")
-        _require(self.negative_samples >= 1, "negative_samples must be >= 1")
-        return self
-
-
-@dataclass(frozen=True)
 class LabelingConfig:
     """Parameters of data preprocessing (noisy labels and normal route features)."""
 

@@ -61,8 +61,6 @@ class ExperimentSettings:
     joint_epochs: int = 2
     batch_size: int = 4
     validation_interval: int = 50
-    autoencoder_epochs: int = 1
-    autoencoder_max_trajectories: int = 300
 
     def labeling_config(self, **overrides) -> LabelingConfig:
         base = LabelingConfig(alpha=self.alpha, delta=self.delta)

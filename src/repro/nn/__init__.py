@@ -2,9 +2,9 @@
 
 The paper implements RSRNet and ASDNet with TensorFlow; no deep-learning
 framework is available offline, so this package implements exactly the layers
-the paper needs — embeddings, linear layers, an LSTM (and a GRU for the
-generative baselines) with full backpropagation-through-time, softmax /
-cross-entropy losses, and the Adam optimizer — on plain numpy arrays.
+the paper needs — embeddings, linear layers, an LSTM with full
+backpropagation-through-time, softmax / cross-entropy losses, and the Adam
+optimizer — on plain numpy arrays.
 
 The API is intentionally small and explicit: modules own
 :class:`~repro.nn.module.Parameter` objects holding ``value`` and ``grad``
@@ -14,7 +14,7 @@ consume, and optimizers update the parameters of a module tree in place.
 
 from .module import Module, Parameter
 from .layers import Embedding, Linear
-from .recurrent import GRUCell, LSTM, LSTMCell, GRU
+from .recurrent import LSTM, LSTMCell
 from .losses import (
     cross_entropy_from_logits,
     sequence_cross_entropy_from_logits,
@@ -31,8 +31,6 @@ __all__ = [
     "Embedding",
     "LSTM",
     "LSTMCell",
-    "GRU",
-    "GRUCell",
     "softmax",
     "log_softmax",
     "cross_entropy_from_logits",

@@ -1,7 +1,7 @@
 """Routing over road networks: Dijkstra and Yen-style k-shortest routes.
 
 Routes are expressed as sequences of segment ids, which is the representation
-every downstream component (trajectory generator, map matcher, baselines)
+every downstream component (trajectory generator, map matcher, detector)
 consumes. A route's cost is its length in metres.
 """
 

@@ -21,7 +21,6 @@ from .ops import (
     transitions_of,
 )
 from .sdpairs import time_slot_of
-from .similarity import jaccard_similarity
 
 __all__ = [
     "GPSPoint",
@@ -34,5 +33,4 @@ __all__ = [
     "subtrajectory_spans",
     "split_by_labels",
     "interleave_streams",
-    "jaccard_similarity",
 ]

@@ -247,3 +247,12 @@ class ReferenceOnlineMatcher:
             self.reservoir.add(lag)
         lattice.route.extend(emitted)
         return emitted
+
+
+def jaccard_similarity(route_a, route_b) -> float:
+    """Jaccard similarity of the segment sets of two routes: how much of a
+    matched route overlaps its ground truth."""
+    set_a, set_b = set(route_a), set(route_b)
+    if not set_a and not set_b:
+        return 1.0
+    return len(set_a & set_b) / len(set_a | set_b)

@@ -1,11 +1,12 @@
-"""Tests of the baseline detectors and the threshold-adaptation protocol."""
+"""Tests of the baseline detectors, the VSAE family's GRU and the
+threshold-adaptation protocol."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
-from repro.baselines import (
+from paper.baselines import (
     CTSSScorer,
     DBTODScorer,
     GMVSAEScorer,
@@ -17,15 +18,18 @@ from repro.baselines import (
     VSAEScorer,
     tune_threshold,
 )
-from repro.baselines.adapt import labels_from_scores
-from repro.baselines.iboat import _contains_contiguous
-from repro.baselines.vsae import AutoencoderConfig, SequenceAutoencoder, train_autoencoder
-from repro.eval import evaluate_detector
+from paper.baselines.adapt import labels_from_scores
+from paper.baselines.ctss import discrete_frechet_points
+from paper.baselines.gru import GRU
+from paper.baselines.iboat import _contains_contiguous
+from paper.baselines.vsae import AutoencoderConfig, SequenceAutoencoder, train_autoencoder
+from paper.evaluation import evaluate_detector
 from repro.exceptions import EvaluationError, NotFittedError
+from repro.nn.module import Parameter
 from repro.trajectory import MatchedTrajectory
-from repro.trajectory.similarity import discrete_frechet_points
 
-from reference_networks import numerical_gradient
+from reference_networks import numerical_gradient, reference_sigmoid
+from test_nn import assert_bit_equal
 
 
 @pytest.fixture(scope="module")
@@ -162,6 +166,61 @@ def test_ctss_prefix_scores_equal_the_frechet_reference(pipeline, seed):
                 for i in range(len(route))]
     trajectory = MatchedTrajectory(trajectory_id=seed, segments=route)
     assert scorer._scores_against(trajectory, reference) == expected
+
+
+# -------------------------------------------------------------------- GRU
+def test_gru_gradient_check():
+    rng = np.random.default_rng(4)
+    gru = GRU(3, 4, rng=rng)
+    inputs = rng.normal(size=(4, 3))
+    targets = np.array([0.1, 0.2, -0.4, 0.3])
+
+    def loss_fn():
+        hidden, _ = gru.forward(inputs)
+        return float(((hidden[-1] - targets) ** 2).sum())
+
+    hidden, caches = gru.forward(inputs)
+    grad_hidden = np.zeros_like(hidden)
+    grad_hidden[-1] = 2.0 * (hidden[-1] - targets)
+    gru.zero_grad()
+    gru.backward(grad_hidden, caches)
+    numeric = numerical_gradient(loss_fn, gru.cell.weight_hidden)
+    assert np.allclose(gru.cell.weight_hidden.grad, numeric, atol=1e-4)
+
+    # The initial state's gradient, through every step.
+    h0 = Parameter(rng.normal(size=4))
+
+    def loss_from_h0():
+        hidden, _ = gru.forward(inputs, h0=h0.value)
+        return float(((hidden - targets) ** 2).sum())
+
+    hidden, caches = gru.forward(inputs, h0=h0.value)
+    _, grad_h0 = gru.backward(2.0 * (hidden - targets), caches)
+    np.testing.assert_allclose(grad_h0, numerical_gradient(loss_from_h0, h0),
+                               rtol=0, atol=1e-8)
+
+
+def test_gru_step_bit_equal_to_two_sigmoid_calls():
+    """One sigmoid over the contiguous ``[update | reset]`` block is the two
+    per-gate calls it replaced, bit for bit."""
+    rng = np.random.default_rng(5)
+    cell = GRU(4, 6, rng=rng).cell
+    cell.weight_hidden.value *= 6.0
+    cell.bias.value += rng.normal(scale=2.0, size=18)
+    x = rng.normal(scale=3.0, size=4)
+    h_prev = rng.normal(size=6)
+    projected_input = x @ cell.weight_input.value + cell.bias.value
+    projected_hidden = h_prev @ cell.weight_hidden.value
+    update_gate = reference_sigmoid(projected_input[:6] + projected_hidden[:6])
+    reset_gate = reference_sigmoid(projected_input[6:12]
+                                   + projected_hidden[6:12])
+    candidate = np.tanh(projected_input[12:]
+                        + reset_gate * projected_hidden[12:])
+    h, cache = cell.forward(x, h_prev)
+    assert_bit_equal(h, (1.0 - update_gate) * h_prev + update_gate * candidate)
+    assert_bit_equal(cache["update_gate"], update_gate)
+    assert_bit_equal(cache["reset_gate"], reset_gate)
+    assert_bit_equal(cache["candidate"], candidate)
 
 
 # ----------------------------------------------------------- autoencoders

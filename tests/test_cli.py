@@ -1,5 +1,6 @@
 """The ``repro`` CLI: parsing and the soak harness end to end."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -18,17 +19,25 @@ from repro.obs.timeseries import load_series
 
 
 def test_cli_import_loads_no_baseline_and_no_embedding():
-    """Serving needs neither the paper's comparison methods nor road-segment
-    embeddings, so importing the CLI loads no module of either package."""
+    """The comparison methods and the road-segment embedder live beside the
+    paper harnesses, not in the library: ``repro`` has neither package, and
+    importing every ``repro`` module loads no ``paper`` module."""
+    assert importlib.util.find_spec("repro.baselines") is None
+    assert importlib.util.find_spec("repro.embeddings") is None
     source = str(Path(repro.__file__).resolve().parent.parent)
     loaded = subprocess.run(
         [sys.executable, "-c",
-         "import sys, repro.cli.main; print(*sorted(sys.modules))"],
+         "import importlib, pkgutil, sys, repro\n"
+         "for info in pkgutil.walk_packages(repro.__path__, 'repro.'):\n"
+         "    if not info.name.endswith('__main__'):\n"
+         "        importlib.import_module(info.name)\n"
+         "print(*sorted(sys.modules))"],
         env={**os.environ, "PYTHONPATH": source}, capture_output=True,
         text=True, check=True).stdout.split()
     assert "repro.cli.main" in loaded
+    assert "repro.serve.backends" in loaded
     assert [name for name in loaded
-            if name.startswith(("repro.baselines", "repro.embeddings"))] == []
+            if name == "paper" or name.startswith("paper.")] == []
 
 
 class TestParser:

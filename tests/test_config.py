@@ -5,7 +5,6 @@ import pytest
 from repro.config import (
     ASDNetConfig,
     DataGenConfig,
-    EmbeddingConfig,
     LabelingConfig,
     MapMatchingConfig,
     RoadNetworkConfig,
@@ -124,11 +123,6 @@ def test_asdnet_config_rejects_bad_values(kwargs):
 def test_training_config_rejects_bad_values(kwargs):
     with pytest.raises(ConfigurationError):
         TrainingConfig(**kwargs).validate()
-
-
-def test_embedding_config_rejects_bad_values():
-    with pytest.raises(ConfigurationError):
-        EmbeddingConfig(dimension=1).validate()
 
 
 def test_configs_are_frozen():

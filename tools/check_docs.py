@@ -24,9 +24,10 @@ Seven checks, no third-party dependencies beyond the library's own:
    dataclass or ``NamedTuple`` field, or an instance attribute its methods
    assign (``self.attr = ...``), so prose naming a deleted method fails.
 6. **Stale ``__all__``** — every name in the ``__all__`` of every ``repro``
-   module is an attribute of that module, so a deleted name left behind
-   fails although ``import`` still works (``from module import *`` would
-   not).
+   module, and of every module of the paper harnesses' ``paper`` package
+   (``benchmarks/quality/paper/``), is an attribute of that module, so a
+   deleted name left behind fails although ``import`` still works
+   (``from module import *`` would not).
 7. **Unused imports** — every name a module-level import binds in
    ``src/`` or in the paper harnesses under ``benchmarks/quality/``
    (``__future__`` aside) is used in that module: read as a name, listed
@@ -50,6 +51,7 @@ import textwrap
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
+QUALITY_DIR = REPO / "benchmarks" / "quality"
 DOC_FILES = sorted((REPO / "docs").glob("*.md")) + [REPO / "README.md"]
 
 LINK_PATTERN = re.compile(r"(?<!!)\[[^\]]+\]\(([^)\s]+)\)")
@@ -93,9 +95,7 @@ PUBLIC_SURFACE = {
         "SegmentPairDistanceCache",
     ],
     "repro.trajectory": ["RawTrajectory", "GPSPoint"],
-    "repro.eval": [
-        "evaluate_labelings", "evaluate_detector", "LatencyReport",
-    ],
+    "repro.eval": ["evaluate_labelings", "LatencyReport"],
     "repro.nn": [
         "LSTM", "LSTMCell", "sequence_cross_entropy_from_logits",
         "cosine_similarity_rows", "sigmoid",
@@ -273,8 +273,12 @@ def check_class_attributes() -> list:
 def check_dunder_all() -> list:
     import repro
 
+    sys.path.insert(0, str(QUALITY_DIR))
+    import paper
+
     errors = []
-    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+    for info in [*pkgutil.walk_packages(repro.__path__, "repro."),
+                 *pkgutil.walk_packages(paper.__path__, "paper.")]:
         if info.name.rsplit(".", 1)[-1] == "__main__":
             continue  # importing it would run the CLI
         try:
@@ -336,7 +340,7 @@ def _used_names(tree) -> set:
 def check_unused_imports() -> list:
     errors = []
     for path in sorted([*(REPO / "src").rglob("*.py"),
-                        *(REPO / "benchmarks" / "quality").rglob("*.py")]):
+                        *QUALITY_DIR.rglob("*.py")]):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         used = _used_names(tree)
         for node in _module_imports(tree.body):
