@@ -22,11 +22,18 @@ core runs:
   this is the backend the differential tests drive, and the right choice
   when the caller is itself a batch job.
 * :class:`ProcessBackend` — one OS process per shard, built from a pickled
-  model blob (:func:`~repro.serve.checkpoint.model_to_bytes`) and fed
-  through bounded ``multiprocessing`` queues. Each worker runs its core on
-  its own clock, so shard compute overlaps with the caller's ingest loop
-  and with every other shard — this is where multi-core throughput comes
-  from.
+  model blob (:func:`~repro.serve.checkpoint.model_to_bytes`) and joined to
+  the facade by three one-way pipes, each with a single writer and no
+  feeder thread: commands (the facade writes), replies and the results bus
+  (the worker writes). A command is one length-prefixed plain-pickle frame
+  (:func:`command_frame`), and a semaphore of ``queue_depth`` slots is the
+  bound: the facade takes a slot without waiting — a refused slot is the
+  backpressure — and writes the frame from its own thread into a
+  non-blocking end; the worker's :class:`CommandReader` reads whatever the
+  pipe holds in one go and frees a slot per command it takes. Each worker
+  runs its core on its own clock, so shard compute overlaps with the
+  caller's ingest loop and with every other shard — this is where
+  multi-core throughput comes from.
 
 Label equivalence holds for both: a stream's labels never depend on how
 ticks interleave with arrivals (each stream advances at most one point per
@@ -75,11 +82,13 @@ it applies an ``ingest_batch`` touching a stream with a step waiting
 one fleet-wide tick for a lockstep round, whether the round came as one
 batch or as one batch per vehicle. On an empty queue
 (:meth:`ShardCore.idle`) it ticks if anything waits; a worker process then
-blocks on its queue, an in-process ``pump`` returns. A worker tells an
-empty queue from the queue's count (the one ``ShardStats.queue_depth``
-reads) and takes a counted command with a plain blocking ``get``: a
-command counted but still in flight is waited for, not ticked past, which
-moves no label. What a
+blocks reading its command pipe, an in-process ``pump`` returns. A worker
+tells an empty queue from the count of taken slots (the one
+``ShardStats.queue_depth`` reads: commands written or being written and
+not yet taken, those read ahead included), not from the pipe, and takes a
+counted command with :meth:`CommandReader.take`, which blocks until the
+command's frame is whole: a command counted but still in flight is waited
+for, not ticked past, which moves no label. What a
 ``finalize_async`` publishes to the results bus leaves for the facade
 before the next command is taken. So the points a shard holds un-ticked
 are at most one steppable point per stream,
@@ -99,9 +108,10 @@ ShardResultBus`, and the core hands what was published to the transport
 appends its envelopes straight to the facade-side ``arrived`` buffer that
 ``take_results`` hands out from. The process transport ships it over a
 dedicated per-shard one-way pipe, one message per batch (never the reply
-queue, whose one-reply-per-request pairing must stay undisturbed), which
-the worker writes synchronously from its only thread — a queue's feeder
-thread would share the worker's core and interpreter lock with the engine.
+pipe, whose one-reply-per-request pairing must stay undisturbed), which
+the worker writes synchronously from its only thread, as it writes its
+replies — a feeder thread would share the worker's core and interpreter
+lock with the engine.
 A message is one frame of :func:`~repro.serve.resultbus.pack_frame`, a
 plain pickle in which a result is its route and its labels (seq, vehicle
 id, trajectory id, segments, start time, labels, trace) and an error
@@ -111,8 +121,12 @@ with :func:`~repro.core.detector.route_result`, as the engine built it.
 A full pipe (64 KiB) therefore blocks the worker, and only the facade can
 unblock it: it reads the pipe into ``arrived`` wherever it waits on a
 worker — ``take_results``, ``pump`` (which every retry loop of the service
-calls), the put-and-wait loops of replied commands and ``swap``, and
-``close``. Envelopes stay in the shard's unacked window until the facade
+calls), the wait for a slot, for a reply and between the partial writes of
+a frame the command pipe cannot take whole (a full-history ``swap``, or
+any command behind a full pipe), and ``close``. So the worker can never
+stay blocked on a full bus pipe while the facade waits to write to it: a
+command pipe is written into only by a facade that keeps reading the bus.
+Envelopes stay in the shard's unacked window until the facade
 acknowledges its watermark (``bus_ack``). Because ``finalize_async`` rides
 the same FIFO as ingest, every point queued before it is applied before
 the finalize — the exact boundary the synchronous ``finalize`` observes.
@@ -147,8 +161,10 @@ at once (an ack needs no place in the FIFO).
 
 from __future__ import annotations
 
+import os
 import pickle
-import queue as queue_module
+import select
+import struct
 import time
 from collections import deque
 from typing import Deque, Hashable, List, NamedTuple, Optional, Sequence
@@ -168,8 +184,9 @@ from .resultbus import ResultEnvelope, ShardResultBus, pack_frame, unpack_frame
 #: Seconds the service waits for a worker reply before declaring it dead.
 _REQUEST_TIMEOUT_S = 120.0
 #: Seconds between two looks at a worker the facade is waiting on (its
-#: command queue is full, or its reply is still to come); at each look the
-#: facade reads the shard's bus pipe and checks the worker is alive.
+#: command slots are all taken, its command pipe is full, or its reply is
+#: still to come); at each look the facade reads the shard's bus pipe and
+#: checks the worker is alive.
 _WAIT_SLICE_S = 0.002
 #: ``close``: seconds to get ``stop`` into a full queue, then to see the
 #: worker exit, before it is terminated.
@@ -421,12 +438,12 @@ class ShardCore:
     ``handle`` and ``idle`` are its two moves (a command was taken / the
     queue is empty), which is all a test needs to drive the scheduling rule
     of the module docstring without a transport. ``reply`` and ``send_bus``
-    are the two ways out: a worker's reply queue ``put`` and the bus pipe
-    ``send_bytes`` of a packed frame (called from its one thread and
-    therefore allowed to block on a full pipe), or an in-process list's
-    ``append`` and the ``arrived`` buffer's ``extend``. ``backend`` names
-    the transport in :class:`ShardStats`; ``queued()`` reads its queue's
-    length for them.
+    are the two ways out: a worker's ``send_bytes`` of a pickled reply into
+    its reply pipe and of a packed frame into its bus pipe (called from its
+    one thread and therefore allowed to block on a full pipe), or an
+    in-process list's ``append`` and the ``arrived`` buffer's ``extend``.
+    ``backend`` names the transport in :class:`ShardStats`; ``queued()``
+    reads its queue's length for them.
     """
 
     def __init__(self, shard_id: int, engine: StreamEngine, backend: str,
@@ -581,13 +598,6 @@ class ShardCore:
         if kind == "swap":
             self._quiesce()
             update = command[1]
-            if isinstance(update, bytes):
-                # The process facade pre-pickled the update once for the
-                # whole broadcast (a delta or a full snapshot alike); each
-                # worker unpickles its own copy, which doubles as the
-                # per-shard isolation the in-process backend gets from
-                # clone_snapshot.
-                update = pickle.loads(update)
             apply_update(engine, update)
             if update.weights is not None:
                 self._swaps += 1
@@ -719,22 +729,115 @@ class InProcessBackend(ServiceBackend):
         self._queues = []
 
 
+# ---------------------------------------------------------- the command pipe
+#: A command frame's length prefix: the one ``Connection.recv_bytes`` reads.
+_FRAME_HEADER = struct.Struct("!i")
+#: Bytes one read of a command pipe asks for: a default pipe's capacity.
+_READ_SIZE = 1 << 16
+
+
+def command_frame(command: tuple) -> bytes:
+    """One command as one frame of a shard's command pipe: a length prefix
+    and a plain pickle."""
+    body = pickle.dumps(command, pickle.HIGHEST_PROTOCOL)
+    return _FRAME_HEADER.pack(len(body)) + body
+
+
+def write_frame(fd: int, frame: bytes, attend) -> None:
+    """Write one whole frame into a non-blocking pipe.
+
+    What does not fit is written as the reader empties the pipe; between
+    attempts ``attend()`` runs (and may raise), so the writer keeps serving
+    the reader it waits on. A pipe with no reader raises
+    ``BrokenPipeError``.
+    """
+    view = memoryview(frame)
+    writable = None
+    while True:
+        try:
+            view = view[os.write(fd, view):]
+        except BlockingIOError:
+            pass
+        if not view:
+            return
+        attend()
+        if writable is None:
+            writable = select.poll()
+            writable.register(fd, select.POLLOUT)
+        writable.poll(_WAIT_SLICE_S * 1e3)
+
+
+class CommandReader:
+    """The worker's end of a shard's command pipe and of its slots.
+
+    ``take`` hands out one command at a time. With none read ahead it calls
+    ``read``: one ``os.read`` of whatever the pipe holds, every complete
+    frame decoded into a FIFO, a partial frame kept until its rest
+    arrives. Each command taken frees the slot the facade took for it (one
+    of ``depth``), so ``queued`` counts the commands written, or being
+    written, and not yet taken — those read ahead included.
+    """
+
+    def __init__(self, connection, slots, depth: int):
+        self._connection = connection  # owns the descriptor
+        self._fd = connection.fileno()
+        self._slots = slots
+        self._depth = depth
+        self._ahead: Deque[tuple] = deque()
+        self._partial = bytearray()
+
+    def queued(self) -> int:
+        try:
+            return self._depth - self._slots.get_value()
+        except NotImplementedError:  # pragma: no cover - macOS
+            return len(self._ahead)
+
+    def take(self) -> tuple:
+        """The next command, waited for if none is read ahead."""
+        while not self._ahead:
+            self.read()
+        self._slots.release()
+        return self._ahead.popleft()
+
+    def read(self) -> None:
+        """Read what the pipe holds (waiting for a first byte) and decode
+        every frame it completes."""
+        chunk = os.read(self._fd, _READ_SIZE)
+        if not chunk:
+            raise EOFError("the command pipe has no writer")
+        buffer = self._partial
+        buffer += chunk
+        offset, end = 0, len(buffer)
+        while end - offset >= _FRAME_HEADER.size:
+            (size,) = _FRAME_HEADER.unpack_from(buffer, offset)
+            start = offset + _FRAME_HEADER.size
+            if start + size > end:
+                break  # the rest of this frame is still on its way
+            self._ahead.append(pickle.loads(buffer[start:start + size]))
+            offset = start + size
+        del buffer[:offset]
+
+
 # ------------------------------------------------------------ multi-process
-def _shard_worker(shard_id: int, blob: bytes, commands, results, bus_writer,
+def _shard_worker(shard_id: int, blob: bytes, commands, slots,
+                  queue_depth: int, replies, bus_writer,
                   obs_options: Optional[dict] = None) -> None:
     """Worker process main: rebuild the model from its pickled snapshot and
     run its :class:`ShardCore` until ``stop``, one command at a time."""
     engine = model_from_bytes(blob).stream_engine()
-    core = ShardCore(shard_id, engine, ProcessBackend.name,
-                     lambda: _safe_qsize(commands), results.put,
-                     lambda batch: bus_writer.send_bytes(pack_frame(batch)),
-                     obs_options)
+    reader = CommandReader(commands, slots, queue_depth)
+    core = ShardCore(
+        shard_id, engine, ProcessBackend.name, reader.queued,
+        lambda reply: replies.send_bytes(
+            pickle.dumps(reply, pickle.HIGHEST_PROTOCOL)),
+        lambda batch: bus_writer.send_bytes(pack_frame(batch)),
+        obs_options)
     while True:
-        # The count, not a non-blocking get: that would build a selector
-        # per command only to learn what the count already says.
-        if not _safe_qsize(commands) and core.idle():
+        # The count, not the pipe: a command counted but still on its way
+        # is waited for, not ticked past.
+        if not reader.queued() and core.idle():
             continue
-        if not core.handle(commands.get()):
+        if not core.handle(reader.take()):
             return
 
 
@@ -744,36 +847,35 @@ def _worker_died(shard_id: int) -> ServiceError:
         "(in-flight streams of that shard are lost)")
 
 
-def _safe_qsize(q) -> int:
-    try:
-        return q.qsize()
-    except NotImplementedError:  # pragma: no cover - macOS
-        return 0
-
-
 class _ProcessShard:
-    """The facade's end of one shard worker: its process and channels."""
+    """The facade's end of one shard worker: its process and its three
+    one-way pipes, each with one writer."""
 
     def __init__(self, shard_id: int, context, blob: bytes, queue_depth: int,
                  obs_options: Optional[dict] = None):
         self.shard_id = shard_id
-        self.commands = context.Queue(maxsize=queue_depth)
-        self.results = context.Queue()
-        # The results *bus* channel: a one-way pipe the worker writes
-        # envelope batches into from its only thread. Deliberately separate
-        # from `results`, whose strict one-reply-per-request pairing pushed
-        # publications would desync.
+        # Commands: frames the facade writes from its own thread into a
+        # non-blocking end, one of queue_depth slots taken per command.
+        command_reader, self.commands = context.Pipe(duplex=False)
+        os.set_blocking(self.commands.fileno(), False)
+        self.slots = context.BoundedSemaphore(queue_depth)
+        # Replies and the results *bus*: pipes the worker writes from its
+        # only thread. Separate, because pushed publications would desync
+        # the strict one-reply-per-request pairing of `replies`.
+        self.replies, reply_writer = context.Pipe(duplex=False)
         self.bus, bus_writer = context.Pipe(duplex=False)
         self.process = context.Process(
             target=_shard_worker,
-            args=(shard_id, blob, self.commands, self.results, bus_writer,
-                  obs_options),
+            args=(shard_id, blob, command_reader, self.slots, queue_depth,
+                  reply_writer, bus_writer, obs_options),
             daemon=True,
             name=f"repro-serve-shard-{shard_id}",
         )
         self.process.start()
-        # The worker now holds the only write end: its death reads as EOF.
-        bus_writer.close()
+        # The worker now holds the only read end of its commands and the
+        # only write ends of the rest: its death reads as EPIPE or EOF.
+        for end in (command_reader, reply_writer, bus_writer):
+            end.close()
 
 
 class ProcessBackend(ServiceBackend):
@@ -834,48 +936,66 @@ class ProcessBackend(ServiceBackend):
         if time.monotonic() > deadline:
             raise ServiceError(f"shard {shard.shard_id} did not {what}")
 
-    def _put(self, shard: "_ProcessShard", command: tuple,
-             timeout_s: float) -> None:
-        """Queue one command that must not be refused, riding out a full
-        queue (never a blocking ``put``: see :meth:`_attend`)."""
+    def _write(self, shard: "_ProcessShard", frame: bytes, kind: str,
+               timeout_s: float) -> None:
+        """Write one command frame into the shard's pipe, a slot taken.
+
+        A pipe too full for the whole frame is waited out turn by turn (see
+        :meth:`_attend`). A frame once started is finished, or the worker
+        is ended: a frame cut short at the deadline would leave the pipe
+        unreadable, so whatever follows reads as the worker's death.
+        """
         deadline = time.monotonic() + timeout_s
-        while True:
-            try:
-                shard.commands.put_nowait(command)
-                return
-            except queue_module.Full:
-                self._attend(shard, deadline,
-                             f"take a {command[0]!r} command within "
-                             f"{timeout_s:.0f}s")
-            time.sleep(_WAIT_SLICE_S)
+        try:
+            write_frame(shard.commands.fileno(), frame, lambda: self._attend(
+                shard, deadline,
+                f"read a {kind!r} command within {timeout_s:.0f}s"))
+        except BrokenPipeError:
+            raise _worker_died(shard.shard_id) from None
+        except ServiceError:
+            shard.process.kill()
+            raise
+
+    def _put(self, shard: "_ProcessShard", frame: bytes, kind: str,
+             timeout_s: float) -> None:
+        """Queue one command frame that must not be refused, riding out a
+        full queue (never a blocking wait: see :meth:`_attend`)."""
+        deadline = time.monotonic() + timeout_s
+        while not shard.slots.acquire(timeout=_WAIT_SLICE_S):
+            self._attend(shard, deadline,
+                         f"take a {kind!r} command within {timeout_s:.0f}s")
+        self._write(shard, frame, kind, timeout_s)
 
     def _reply(self, shard: "_ProcessShard", what: str) -> tuple:
-        """Wait for a shard's next ``(kind, payload)`` reply."""
+        """Wait for a shard's next ``(kind, payload)`` reply; the worker
+        holds the only write end, so an end of file is its death."""
         deadline = time.monotonic() + _REQUEST_TIMEOUT_S
-        while True:
-            try:
-                return shard.results.get(timeout=_WAIT_SLICE_S)
-            except queue_module.Empty:
-                self._attend(shard, deadline,
-                             f"{what} within {_REQUEST_TIMEOUT_S:.0f}s")
+        while not shard.replies.poll(_WAIT_SLICE_S):
+            self._attend(shard, deadline,
+                         f"{what} within {_REQUEST_TIMEOUT_S:.0f}s")
+        try:
+            return pickle.loads(shard.replies.recv_bytes())
+        except (EOFError, OSError):
+            raise _worker_died(shard.shard_id) from None
 
     def _request(self, shard: int, command: tuple, expect: str):
         if self._closed:
             raise ServiceError("the detection service is closed")
         state = self._shards[shard]
-        self._put(state, command, _REQUEST_TIMEOUT_S)
+        self._put(state, command_frame(command), command[0],
+                  _REQUEST_TIMEOUT_S)
         reply = self._reply(state, f"answer a {command[0]!r} request")
         return self._payload(shard, command, reply, expect)
 
     def _offer(self, shard: int, command: tuple) -> bool:
-        # A refusal from a dead worker's queue is an error, not
-        # backpressure: nothing will ever drain it.
+        # A refusal from a dead worker's slots is an error, not
+        # backpressure: nothing will ever free one.
         state = self._shards[shard]
-        try:
-            state.commands.put_nowait(command)
-        except queue_module.Full:
+        if not state.slots.acquire(False):
             self._require_alive(state)
             return False
+        self._write(state, command_frame(command), command[0],
+                    _REQUEST_TIMEOUT_S)
         return True
 
     def pump(self) -> int:
@@ -891,17 +1011,18 @@ class ProcessBackend(ServiceBackend):
         # labeled by the old weights/history (the core quiesces before
         # loading). Every shard's reply is consumed before any error is
         # raised — an unread reply would answer that shard's *next* request
-        # and desync the whole protocol. The update is pickled ONCE here
-        # and shipped as bytes: mp.Queue would otherwise re-pickle the
-        # whole payload per shard, which is exactly the O(shards × corpus)
-        # cost that made full-snapshot history refreshes collapse at four
-        # process shards.
-        blob = pickle.dumps(update, protocol=pickle.HIGHEST_PROTOCOL)
+        # and desync the whole protocol. The command is framed ONCE here and
+        # the same bytes go to every shard: a frame per shard would pickle
+        # the whole payload per shard, the O(shards × corpus) cost that made
+        # full-snapshot history refreshes collapse at four process shards.
+        # Each worker unpickles its own copy, the per-shard isolation the
+        # in-process backend gets from clone_snapshot.
+        frame = command_frame(("swap", update))
         first_error: Optional[BaseException] = None
         sent = []
         for shard in self._shards:
             try:
-                self._put(shard, ("swap", blob), _REQUEST_TIMEOUT_S)
+                self._put(shard, frame, "swap", _REQUEST_TIMEOUT_S)
             except ServiceError as error:  # dead or wedged: nothing to await
                 first_error = first_error or error
             else:
@@ -925,9 +1046,10 @@ class ProcessBackend(ServiceBackend):
         if self._closed:
             return
         self._closed = True
+        stop = command_frame(("stop",))
         for shard in self._shards:
             try:
-                self._put(shard, ("stop",), _STOP_TIMEOUT_S)
+                self._put(shard, stop, "stop", _STOP_TIMEOUT_S)
             except ServiceError:  # dead or wedged: terminated below
                 pass
         for shard in self._shards:
@@ -941,5 +1063,5 @@ class ProcessBackend(ServiceBackend):
                 shard.process.terminate()
                 shard.process.join(timeout=_JOIN_TIMEOUT_S)
             shard.commands.close()
-            shard.results.close()
+            shard.replies.close()
             shard.bus.close()

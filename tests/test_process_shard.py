@@ -8,10 +8,14 @@ identity (which ``test_serve.py`` and ``test_result_bus.py`` pin):
 * a full command queue is therefore the *only* place a fast producer's lead
   can pile up (a refused batch), never the engine's per-stream buffers;
 * the results bus is a pipe the worker writes synchronously, so a facade
-  that does not poll must still never wedge it;
+  that does not poll must still never wedge it — not even while it writes
+  a command frame larger than the command pipe;
 * ``ingest_batch`` travels as columns and applies exactly like the events;
-* a dead worker surfaces at the data plane at once, and a shard that fails
-  to start stops the workers started before it;
+* a dead worker surfaces at once — at the data plane, mid-way through a
+  large command frame, and while a reply is awaited — and a shard that
+  fails to start stops the workers started before it;
+* a worker started by ``spawn`` gets its pipe ends and serves the labels
+  a forked one does;
 * both transports carry the same commands to the same ``ShardCore``: one
   scripted sequence yields the same envelopes and the same ``ShardStats``
   through either, a stashed failure surfaces once through either, and the
@@ -21,9 +25,11 @@ identity (which ``test_serve.py`` and ``test_result_bus.py`` pin):
 from __future__ import annotations
 
 import dataclasses
+import fcntl
 import os
 import queue
 import signal
+import threading
 import time
 
 import pytest
@@ -33,7 +39,8 @@ from repro.obs.trace import TraceContext
 from repro.serve import (ControlUpdate, IngestEvent, InProcessBackend,
                          ProcessBackend, backends, clone_model,
                          model_to_bytes, weights_snapshot)
-from repro.serve.backends import ShardCore
+from repro.serve.backends import ShardCore, command_frame
+from repro.serve.resultbus import pack_frame
 
 from ingest_columns import pack_events
 from test_result_bus import stall_worker
@@ -415,6 +422,71 @@ def test_unpolled_bus_never_wedges_the_worker(trained_model, online_trips):
     assert metrics.results_duplicates == 0
 
 
+def pipe_capacity(connection) -> int:
+    return fcntl.fcntl(connection.fileno(), fcntl.F_GETPIPE_SZ)
+
+
+def unpolled_swap_run(model, before, after, backend, swap_weights):
+    """The trips ``before``, a swap of ``swap_weights``, the trips
+    ``after``: every trip ingested whole and closed fire-and-forget, nothing
+    polled before the swap. Returns the swap's seconds, every envelope
+    delivered after it, and the service's last metrics."""
+    with model.detection_service(
+            num_shards=1, backend=backend,
+            queue_depth=4 * (len(before) + len(after))) as service:
+        for vehicle, trip in enumerate(before):
+            assert service.ingest_many(trip_events(vehicle, trip)) == 0
+            assert service.finalize_async([vehicle]) == 0
+        started = time.perf_counter()
+        service.swap(weights=swap_weights)
+        seconds = time.perf_counter() - started
+        for vehicle, trip in enumerate(after, len(before)):
+            assert service.ingest_many(trip_events(vehicle, trip)) == 0
+            assert service.finalize_async([vehicle]) == 0
+        envelopes = service.drain_results()
+        return seconds, envelopes, service.metrics()
+
+
+@pytest.mark.fleet
+def test_a_swap_larger_than_the_command_pipe_crosses_a_full_unpolled_bus(
+        trained_model, online_trips):
+    """The deadlock a blocking command pipe would have. More than a bus
+    pipe's worth of results is published with no poll and no refusal (the
+    queue never fills), so the worker blocks writing them before it reaches
+    the swap queued behind them, whose frame the command pipe cannot hold.
+    The facade reads the bus between partial writes, so the swap goes
+    through well inside the request timeout, and every label equals an
+    in-process run's."""
+    before, after = ([online_trips[index % len(online_trips)]
+                      for index in range(count)] for count in (1000, 300))
+    update = perturbed_snapshot(trained_model)
+    seconds, envelopes, metrics = unpolled_swap_run(
+        trained_model, before, after, "process", update)
+    _, reference, _ = unpolled_swap_run(trained_model, before, after,
+                                        "inprocess", update)
+    assert seconds < backends._REQUEST_TIMEOUT_S / 4
+    assert metrics.results_gaps == 0
+    assert [(e.key, e.payload.labels) for e in envelopes] == [
+        (e.key, e.payload.labels) for e in reference]
+    # The premise: the labels moved with the weights, what went unpolled
+    # overfills the bus pipe, and the swap's frame the command pipe.
+    detector = trained_model.detector()
+    assert any(envelope.payload.labels != detector.detect(trip).labels
+               for envelope, trip in zip(envelopes[len(before):], after))
+    probe = ProcessBackend(model_to_bytes(trained_model), 1, queue_depth=1)
+    try:
+        shard = probe._shards[0]
+        bus_capacity = pipe_capacity(shard.bus)
+        command_capacity = pipe_capacity(shard.commands)
+    finally:
+        probe.close()
+    # One frame per close, as they crossed.
+    assert sum(len(pack_frame([envelope]))
+               for envelope in envelopes[:len(before)]) > bus_capacity
+    assert (len(command_frame(("swap", ControlUpdate(weights=update))))
+            > command_capacity)
+
+
 # ----------------------------------------------------------- a dead worker
 @pytest.mark.parametrize("command",
                          ["ingest_many", "finalize_async", "drain_results"])
@@ -456,6 +528,82 @@ def test_dead_worker_surfaces_at_the_data_plane_at_once(
         assert f"shard {shard} worker died" in str(failure.value)
         with pytest.raises(ServiceError, match="worker died"):
             service.metrics()
+
+
+def kill_later(process, seconds):
+    """SIGKILL ``process`` from a timer thread; returns the timer."""
+    timer = threading.Timer(seconds, process.kill)
+    timer.start()
+    return timer
+
+
+def test_a_worker_killed_while_a_large_frame_is_written_fails_the_swap(
+        trained_model):
+    """Stopped, the worker reads no command, so a swap frame larger than
+    the pipe stays half written until the worker is killed: the swap fails
+    as its death, at once, not after the request timeout."""
+    backend = ProcessBackend(model_to_bytes(trained_model), 1, queue_depth=4)
+    update = ControlUpdate(weights=perturbed_snapshot(trained_model))
+    shard = backend._shards[0]
+    assert (len(command_frame(("swap", update)))
+            > fcntl.fcntl(shard.commands.fileno(), fcntl.F_GETPIPE_SZ))
+    try:
+        os.kill(shard.process.pid, signal.SIGSTOP)
+        timer = kill_later(shard.process, 0.3)
+        started = time.perf_counter()
+        with pytest.raises(ServiceError, match="shard 0 worker died"):
+            backend.swap(update)
+        assert time.perf_counter() - started < 5.0
+        timer.join(timeout=5.0)
+    finally:
+        backend.close()
+
+
+def test_a_frame_cut_short_at_the_deadline_ends_the_worker(trained_model,
+                                                            monkeypatch):
+    """A worker that reads nothing until the deadline leaves the swap frame
+    half written; the pipe behind it would be unreadable, so the worker is
+    ended and the next command reads as its death."""
+    monkeypatch.setattr(backends, "_REQUEST_TIMEOUT_S", 0.3)
+    backend = ProcessBackend(model_to_bytes(trained_model), 1, queue_depth=4)
+    process = backend._shards[0].process
+    try:
+        os.kill(process.pid, signal.SIGSTOP)
+        with pytest.raises(ServiceError, match="did not read a 'swap'"):
+            backend.swap(ControlUpdate(
+                weights=perturbed_snapshot(trained_model)))
+        process.join(timeout=10.0)
+        assert not process.is_alive()
+        with pytest.raises(ServiceError, match="shard 0 worker died"):
+            backend.stats()
+    finally:
+        backend.close()
+
+
+@pytest.mark.parametrize("when", ["before", "awaiting_reply"])
+def test_a_replied_command_to_a_dead_worker_fails_at_once(trained_model,
+                                                          when):
+    """``before``: the write itself meets the closed pipe (EPIPE).
+    ``awaiting_reply``: the command is written to a stopped worker, which
+    dies before it answers; the reply pipe's end of file says so."""
+    backend = ProcessBackend(model_to_bytes(trained_model), 1, queue_depth=4)
+    process = backend._shards[0].process
+    try:
+        if when == "before":
+            process.kill()
+            process.join(timeout=10.0)
+            assert not process.is_alive()
+        else:
+            os.kill(process.pid, signal.SIGSTOP)
+            timer = kill_later(process, 0.3)
+        started = time.perf_counter()
+        with pytest.raises(ServiceError, match="shard 0 worker died"):
+            backend.stats()
+        assert time.perf_counter() - started < 5.0
+        if when != "before":
+            timer.join(timeout=5.0)
+    finally:
+        backend.close()
 
 
 def test_a_shard_that_fails_to_start_stops_the_ones_started(trained_model,
@@ -603,6 +751,29 @@ def test_failure_below_the_facade_surfaces_once_at_the_next_replied_command(
     # The batch's prefix is applied: three points of 0, the opener of 1.
     assert shard.streams_open == 2
     assert shard.points_processed + shard.pending_points == 4
+
+
+@pytest.mark.fleet
+def test_a_spawned_worker_serves_the_labels_a_forked_one_does(
+        trained_model, online_trips):
+    """A spawned worker starts from a fresh interpreter: its pipe ends and
+    its slots cross as arguments, not by inheritance."""
+    trips = online_trips[:8]
+    detector = trained_model.detector()
+    with trained_model.detection_service(
+            num_shards=2, backend="process", queue_depth=4,
+            start_method="spawn") as service:
+        for vehicle, trip in enumerate(trips):
+            service.ingest_many(trip_events(vehicle, trip))
+        service.finalize_async(list(range(len(trips))))
+        envelopes = service.drain_results()
+        metrics = service.metrics()
+    assert sorted((e.key, e.payload.labels) for e in envelopes) == [
+        (vehicle, detector.detect(trip).labels)
+        for vehicle, trip in enumerate(trips)]
+    assert metrics.results_gaps == 0
+    assert sum(shard.streams_finalized for shard in metrics.shards) == len(
+        trips)
 
 
 def test_inprocess_queue_is_one_fifo_for_ingest_and_finalize_commands(
