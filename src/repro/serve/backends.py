@@ -28,12 +28,13 @@ core runs:
   (the worker writes). A command is one length-prefixed plain-pickle frame
   (:func:`command_frame`), and a semaphore of ``queue_depth`` slots is the
   bound: the facade takes a slot without waiting — a refused slot is the
-  backpressure — and writes the frame from its own thread into a
-  non-blocking end; the worker's :class:`CommandReader` reads whatever the
-  pipe holds in one go and frees a slot per command it takes. Each worker
-  runs its core on its own clock, so shard compute overlaps with the
-  caller's ingest loop and with every other shard — this is where
-  multi-core throughput comes from.
+  backpressure, and a caller riding it out waits on the slots
+  (:meth:`~ServiceBackend.wait_for_room`) — and writes the frame from its
+  own thread into a non-blocking end; the worker's :class:`CommandReader`
+  reads whatever the pipe holds in one go and frees a slot per command it
+  takes. Each worker runs its core on its own clock, so shard compute
+  overlaps with the caller's ingest loop and with every other shard —
+  this is where multi-core throughput comes from.
 
 Label equivalence holds for both: a stream's labels never depend on how
 ticks interleave with arrivals (each stream advances at most one point per
@@ -281,6 +282,14 @@ class ServiceBackend:
         """Send one replied command; returns the payload of its ``expect``
         reply, raises the payload of an ``"error"`` one."""
         raise NotImplementedError
+
+    def wait_for_room(self, shard: int, timeout_s: float) -> None:
+        """After a refusal a pump could not relieve: wait up to
+        ``timeout_s`` for room in the shard's queue.
+
+        Where only the caller's pumping frees room this is a plain sleep.
+        """
+        time.sleep(timeout_s)
 
     def _read_bus(self, shard: int) -> None:
         """Move what the shard has published into ``arrived``, without
@@ -859,6 +868,7 @@ class _ProcessShard:
         command_reader, self.commands = context.Pipe(duplex=False)
         os.set_blocking(self.commands.fileno(), False)
         self.slots = context.BoundedSemaphore(queue_depth)
+        self.depth = queue_depth
         # Replies and the results *bus*: pipes the worker writes from its
         # only thread. Separate, because pushed publications would desync
         # the strict one-reply-per-request pairing of `replies`.
@@ -997,6 +1007,21 @@ class ProcessBackend(ServiceBackend):
         self._write(state, command_frame(command), command[0],
                     _REQUEST_TIMEOUT_S)
         return True
+
+    def wait_for_room(self, shard: int, timeout_s: float) -> None:
+        # Woken by the worker, not by a clock, once it has taken half the
+        # queue: the half still queued keeps it busy (a fixed sleep can
+        # outlast the whole queue and idle it), and the half taken is
+        # backlog the results queued behind it no longer wait out (a
+        # producer let in at the first free slot keeps the queue full).
+        state = self._shards[shard]
+        deadline = time.monotonic() + timeout_s
+        taken = 0
+        while taken < max(1, state.depth // 2) and state.slots.acquire(
+                True, max(0.0, deadline - time.monotonic())):
+            taken += 1
+        for _ in range(taken):
+            state.slots.release()
 
     def pump(self) -> int:
         # Workers tick themselves; what a waiting caller owes them is an

@@ -290,9 +290,12 @@ class DetectionService:
         a ``ServiceError`` is raised, otherwise the service is pumped (which
         is what relieves an in-process queue) and, when pumping made no
         progress — the process backend drains on its own clock — the caller
-        sleeps ``retry_wait_s``. A shard's batch is delivered exactly once;
-        ``delivered`` runs right after each delivery, before any later
-        shard can fail. Returns the refusals ridden out.
+        waits up to ``retry_wait_s`` for room
+        (:meth:`~repro.serve.backends.ServiceBackend.wait_for_room`: a
+        process shard wakes it once its worker has taken half the queue).
+        A shard's batch is delivered exactly once; ``delivered`` runs right
+        after each delivery, before any later shard can fail. Returns the
+        refusals ridden out.
         """
         stats = self._stats
         rejected_before = stats.rejected_ingests
@@ -306,7 +309,7 @@ class DetectionService:
                         f"shard {shard} queue stayed full after "
                         f"{max_retries} retries of {what}")
                 if self.pump() == 0:
-                    time.sleep(retry_wait_s)
+                    self._backend.wait_for_room(shard, retry_wait_s)
             delivered(shard, batch)
         return stats.rejected_ingests - rejected_before
 

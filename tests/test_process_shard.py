@@ -6,7 +6,8 @@ identity (which ``test_serve.py`` and ``test_result_bus.py`` pin):
 * the worker steps a round before it buffers the next — driven here against
   the worker's command interpreter directly, no process, no timing;
 * a full command queue is therefore the *only* place a fast producer's lead
-  can pile up (a refused batch), never the engine's per-stream buffers;
+  can pile up (a refused batch), never the engine's per-stream buffers, and
+  a refused producer is woken by the worker taking commands, not a clock;
 * the results bus is a pipe the worker writes synchronously, so a facade
   that does not poll must still never wedge it — not even while it writes
   a command frame larger than the command pipe;
@@ -381,6 +382,26 @@ def test_a_full_queue_is_where_a_fast_producer_waits(trained_model,
     assert metrics.rejected_ingests >= refused > 0
     assert metrics.results_gaps == 0
     assert sorted(e.key for e in envelopes) == list(range(len(trips)))
+
+
+def test_a_refused_producer_is_woken_by_the_worker_not_a_clock(
+        trained_model):
+    """``wait_for_room`` on a full process shard returns once the worker
+    has taken half the queue, not when its timeout runs out, and the retry
+    it precedes is taken."""
+    with trained_model.detection_service(
+            num_shards=1, backend="process", queue_depth=4) as service:
+        backend = service._backend
+        stall_worker(service, 0, 0.3)
+        queued = 0
+        while backend._offer(0, ("bus_ack", 0)):
+            queued += 1
+        started = time.monotonic()
+        backend.wait_for_room(0, 30.0)
+        waited = time.monotonic() - started
+        assert backend._offer(0, ("bus_ack", 0))
+    assert queued == 4
+    assert 0.1 < waited < 10.0
 
 
 # ------------------------------------------------------- the unpolled bus
