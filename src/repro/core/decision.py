@@ -11,19 +11,22 @@ so detection decides each ``(row, NRF bit, previous label)`` once
 :class:`~repro.core.stream.PrefixStates` table afterwards, until the table
 compacts or ``ASDNet.weights_version`` moves.
 :class:`~repro.core.stream.StreamEngine` takes the decision one point per
-stream and tick (:func:`rnel_from_degrees`, :func:`greedy_choices`);
-:func:`label_route` takes it for a whole route at once and serves
+stream and tick: a point whose choice is known is labeled from its slot in
+the tick's gathering pass, the rest through one :func:`greedy_choices`
+batch. :func:`label_route` takes it for a whole route at once and serves
 :class:`~repro.core.detector.OnlineDetector` and the engine's deferred
-streams; the training episode of
-:class:`~repro.core.rl4oasd.RL4OASDTrainer` takes it one time step per batch
-of trajectories (:func:`rnel_fixed_batch`, :func:`policy_choices`,
-:func:`sample_labels`). There is no other softmax, argmax or sampling rule
-in detection or training.
+streams. Detection reads RNEL as the two per-token masks of
+:func:`rnel_masks`; the training episode of
+:class:`~repro.core.rl4oasd.RL4OASDTrainer` takes the decision one time step
+per batch of trajectories, with the same RNEL formula over degree arrays
+(:func:`rnel_fixed_batch`, :func:`policy_choices`, :func:`sample_labels`).
+There is no other softmax, argmax or sampling rule in detection or
+training.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import FrozenSet, List, Sequence, Tuple, TYPE_CHECKING
 
 import numpy as np
 
@@ -39,34 +42,29 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 UNDECIDED = 0xFF
 
 
-def rnel_from_degrees(out_degree: int, in_degree: int,
-                      previous_label: int) -> Optional[int]:
-    """Road Network Enhanced Labeling: the deterministic label of point
-    ``i`` when a rule applies, ``None`` when the policy must decide.
+def rnel_masks(in_degrees: Sequence[int], out_degrees: Sequence[int],
+               enabled: bool = True) -> Tuple[List[int], List[int]]:
+    """Road Network Enhanced Labeling as two per-token bit masks
+    ``(after, into)``, from the per-token degree lists of
+    :meth:`~repro.labeling.features.PreprocessingPipeline.token_degrees`.
 
-    ``out_degree`` is ``e_{i-1}.out`` and ``in_degree`` is ``e_i.in``; the
-    three rules follow the paper:
-
-    1. ``e_{i-1}.out == 1`` and ``e_i.in == 1`` → copy the previous label;
-    2. ``e_{i-1}.out == 1``, ``e_i.in > 1`` and previous label 0 → label 0;
-    3. ``e_{i-1}.out > 1``, ``e_i.in == 1`` and previous label 1 → label 1.
-
-    Callers pass degrees they cache per road segment
-    (:meth:`~repro.labeling.features.PreprocessingPipeline.token_degrees`),
-    so no decision queries the road network.
+    The paper's rules: ``e_{i-1}.out == 1`` and ``e_i.in == 1`` copy the
+    previous label; ``out == 1``, ``in > 1`` and previous 0 give 0;
+    ``out > 1``, ``in == 1`` and previous 1 give 1. So bit ``p`` of
+    ``after[e_{i-1}] & into[e_i]`` is set where they fix the label of point
+    ``i`` after previous label ``p``, to ``p``: after 0 where ``out == 1``
+    and ``in >= 1``, after 1 where ``in == 1`` and ``out >= 1``, as
+    :func:`rnel_fixed_batch` folds them. Not ``enabled`` (RNEL off), no bit
+    of ``after`` is set.
     """
-    if out_degree == 1 and in_degree == 1:
-        return previous_label
-    if out_degree == 1 and in_degree > 1 and previous_label == 0:
-        return 0
-    if out_degree > 1 and in_degree == 1 and previous_label == 1:
-        return 1
-    return None
+    return ([(out == 1) | (out >= 1) << 1 if enabled else 0
+             for out in out_degrees],
+            [(into >= 1) | (into == 1) << 1 for into in in_degrees])
 
 
 def rnel_fixed_batch(out_degrees: np.ndarray,
                      in_degrees: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`rnel_from_degrees` over aligned degree arrays.
+    """RNEL over aligned ``(e_{i-1}.out, e_i.in)`` degree arrays.
 
     Returns a bool array of shape ``(2,) + out_degrees.shape``: ``[p]`` is
     where a rule fixes the label after previous label ``p``. A rule that
@@ -153,25 +151,26 @@ def sample_labels(probabilities: np.ndarray,
 
 def label_route(
     segments: Sequence[int],
+    tokens: Sequence[int],
     rows: Sequence[int],
     states: "PrefixStates",
     allowed: FrozenSet[Tuple[int, int]],
-    degrees: Optional[Sequence[Tuple[int, int]]],
+    rnel: Tuple[List[int], List[int]],
     rsrnet: RSRNet,
     asdnet: ASDNet,
 ) -> List[int]:
     """Algorithm 1's labels of one complete route, in one pass.
 
-    ``rows[i]`` is the row of RSRNet's ``h_i`` in ``states`` (rows ``1 …
-    n-2`` are read: the endpoints are normal by definition, so nobody needs
-    the destination's), ``allowed`` the SD pair's normal transitions and
-    ``degrees[i-1]`` the RNEL input ``(e_{i-1}.out, e_i.in)`` of interior
-    point ``i`` (``None`` turns RNEL off). Only the previous label chains one
-    point to the next, and it has two values: every interior point's choice
-    under both is looked up at once (:func:`greedy_choices`, so a route
-    decided before runs no policy row), and a scalar scan then walks the
-    route picking, per point, the RNEL rule or the choice for the label that
-    actually preceded it.
+    ``tokens`` are the segments' vocabulary tokens, ``rows[i]`` the row of
+    RSRNet's ``h_i`` in ``states`` (rows ``1 … n-2`` are read: the endpoints
+    are normal by definition, so nobody needs the destination's),
+    ``allowed`` the SD pair's normal transitions and ``rnel`` the masks of
+    :func:`rnel_masks`. Only the previous label chains one point to the
+    next, and it has two values: every interior point's choice under both
+    is looked up at once (:func:`greedy_choices`, so a route decided before
+    runs no policy row), and a scalar scan then walks the route picking,
+    per point, the RNEL label or the choice for the label that actually
+    preceded it.
     """
     count = len(segments)
     interior = count - 2
@@ -183,14 +182,14 @@ def label_route(
     # Entry ``p * interior + i - 1``: point ``i`` after label ``p``.
     choices = greedy_choices(states, rows * 2, nrf * 2,
                              [0] * interior + [1] * interior, rsrnet, asdnet)
+    after, into = rnel
+    fixed = [after[before] & into[token]
+             for before, token in zip(tokens, tokens[1:-1])]
     labels = [0]
     previous = 0
     for index in range(interior):
-        label = (None if degrees is None
-                 else rnel_from_degrees(*degrees[index], previous))
-        if label is None:
-            label = choices[previous * interior + index]
-        labels.append(label)
-        previous = label
+        if not fixed[index] >> previous & 1:
+            previous = choices[previous * interior + index]
+        labels.append(previous)
     labels.append(0)
     return labels

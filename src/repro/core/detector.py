@@ -17,7 +17,7 @@ from ..trajectory.models import MatchedTrajectory, Subtrajectory
 from ..trajectory.ops import split_by_labels, subtrajectory_spans
 from ..labeling.features import PreprocessingPipeline
 from .asdnet import ASDNet
-from .decision import label_route
+from .decision import label_route, rnel_masks
 from .rsrnet import RSRNet
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -144,7 +144,7 @@ class OnlineDetector:
         self._rsrnet = rsrnet
         self._asdnet = asdnet
         self._pipeline = pipeline
-        self._use_rnel = use_rnel
+        self._rnel = rnel_masks(*pipeline.token_degrees(), enabled=use_rnel)
         self._delay_window = delay_window
         from .stream import PrefixStates  # stream.py imports this module
         self._states = PrefixStates(rsrnet.config.hidden_dim,
@@ -173,11 +173,9 @@ class OnlineDetector:
             # Nothing reads the destination's hidden state (nor, on a route
             # without interior points, anyone's).
             rows = self._prefix_rows(tokens[:-1])
-        degrees = (self._pipeline.rnel_degrees(tokens)
-                   if self._use_rnel else None)
         labels = finish_labels(
-            label_route(segments, rows, self._states, allowed, degrees,
-                        self._rsrnet, self._asdnet),
+            label_route(segments, tokens, rows, self._states, allowed,
+                        self._rnel, self._rsrnet, self._asdnet),
             self._delay_window)
         return DetectionResult(
             trajectory=trajectory,

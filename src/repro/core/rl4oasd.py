@@ -437,13 +437,16 @@ class RL4OASDTrainer:
         nrf = np.zeros((batch, horizon), dtype=np.int64)
         out_degrees = np.ones((batch, horizon), dtype=np.int64) if with_degrees else None
         in_degrees = np.ones((batch, horizon), dtype=np.int64) if with_degrees else None
+        if with_degrees:  # RNEL's (e_{i-1}.out, e_i.in) at interior points
+            in_table, out_table = map(np.asarray,
+                                      self._pipeline.token_degrees())
         for b, item in enumerate(preprocessed):
             n = len(item)
             tokens[b, :n] = item.tokens
             nrf[b, :n] = item.normal_route_features
             if with_degrees and n > 2:
-                out_degrees[b, 1:n - 1], in_degrees[b, 1:n - 1] = zip(
-                    *self._pipeline.rnel_degrees(item.tokens))
+                out_degrees[b, 1:n - 1] = out_table[tokens[b, :n - 2]]
+                in_degrees[b, 1:n - 1] = in_table[tokens[b, 1:n - 1]]
         return _EpisodeBatch(preprocessed=list(preprocessed), tokens=tokens,
                              nrf=nrf, lengths=lengths,
                              out_degrees=out_degrees, in_degrees=in_degrees)

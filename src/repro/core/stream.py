@@ -7,10 +7,12 @@ Algorithm 1: it multiplexes N concurrent vehicle streams over one RL4OASD
 model, one point per stream and tick:
 
 * **Batching tick.** Every stream buffers its newest GPS-matched segment;
-  :meth:`StreamEngine.tick` gathers the pending next point of every active
-  stream, computes the LSTM states it lacks in *one* batched cell step and
-  runs *one* ASDNet policy pass over the choices it lacks, so the matmuls
-  run once per tick instead of once per vehicle.
+  :meth:`StreamEngine.tick` makes one pass over the pending next point of
+  every active stream. A point whose LSTM state is stored and whose label
+  is fixed or already decided is applied in that pass, with no numpy work;
+  for the rest the tick computes the states it lacks in *one* batched cell
+  step and runs *one* ASDNet policy pass over the choices it lacks, so the
+  matmuls run once per tick instead of once per vehicle.
 * **Prefix states.** ``h_i`` is a pure function of the weights and the
   route's prefix ``0 … i``, and an SD pair's trips drive a few routes, so
   the engine keeps one :class:`PrefixStates` table for the fleet: a tick
@@ -82,8 +84,7 @@ from ..obs.trace import TraceContext, timestamp as obs_timestamp
 from ..trajectory.models import MatchedTrajectory
 from ..trajectory.sdpairs import check_start_time
 from .asdnet import ASDNet
-from .decision import (UNDECIDED, greedy_choices, label_route,
-                       rnel_from_degrees)
+from .decision import UNDECIDED, greedy_choices, label_route, rnel_masks
 from .detector import DetectionResult, finish_labels, route_result
 from .rsrnet import RSRNet
 
@@ -296,7 +297,7 @@ class StreamEngine:
         self._asdnet = asdnet
         self._pipeline = pipeline
         self._segment_tokens = pipeline.vocabulary.segment_tokens
-        self._use_rnel = use_rnel
+        self._rnel = rnel_masks(*pipeline.token_degrees(), enabled=use_rnel)
         self._delay_window = delay_window
         self._cache = SegmentFeatureCache(rsrnet, len(pipeline.vocabulary))
         self._states = PrefixStates(rsrnet.config.hidden_dim,
@@ -580,6 +581,13 @@ class StreamEngine:
         is O(1)). Each stream advances at most one point per tick, so a
         stream's labels never depend on how the fleet's arrivals interleave.
         A trip's destination never rides a tick: :meth:`finalize` labels it.
+
+        A point whose prefix state is stored and whose label is forced,
+        fixed by RNEL or decided in its slot is applied in the pass that
+        gathers it. Only the misses reach the batched cell step and policy
+        pass, in the order the pass met them (online, then step-only), so
+        the rows and slots a tick writes are those of a tick that batched
+        every point.
         """
         ready = self._ready
         if not ready:
@@ -589,43 +597,72 @@ class StreamEngine:
             self.invalidate_cache()
         if not states.fits(len(ready)):
             self._compact()  # room for every row this tick may compute
-        in_degrees, out_degrees = self._pipeline.token_degrees()
-        # The streams labeling a point, each at its ``stepped`` index.
+        if states.decided_under != self._asdnet.weights_version:
+            states.drop_decisions(self._asdnet.weights_version)
+        count = len(ready)
+        edges, slots = states.edges, states.decisions
+        after, into = self._rnel
+        # The misses, online then step-only: a point whose prefix is not in
+        # ``edges``, or whose label is neither fixed nor in its slot. Every
+        # other point is applied on the spot by the pass that reads it.
         work: List[_StreamState] = []
         stepping: List[_StreamState] = []
         # ``(row of the state before, token)`` of each point: its prefix.
         keys: List[Tuple[int, int]] = []
         nrf_values: List[int] = []
-        # The forced/RNEL label of each point, or ``None`` for the policy.
-        labels: List[Optional[int]] = []
+        # The forced/RNEL label of each point, or ``UNDECIDED``.
+        labels: List[int] = []
+        done: List[Hashable] = []  # streams left with nothing to step
+        labeled = 0
         for stream in ready.values():
-            if stream.deferred:
-                stepping.append(stream)
-                continue
             index = stream.stepped
             tokens = stream.tokens
             token = tokens[index]
+            row = edges.get((stream.row, token))
+            if stream.deferred:
+                if row is None:
+                    stepping.append(stream)
+                    continue
+                stream.hidden_rows.append(row)
+                stream.row = row
+                stream.stepped = index = index + 1
+                waiting = len(tokens) - index
+                if waiting == 0 or (waiting == 1 and stream.finalizing):
+                    done.append(stream.vehicle_id)
+                continue
             if index == 0:
                 # The source is normal by definition (and the destination
                 # never gets here: the finalize pass labels it).
-                nrf_values.append(0)
-                labels.append(0)
+                nrf = label = 0
             else:
                 segments = stream.segments
-                nrf_values.append(
-                    0 if (segments[index - 1], segments[index])
-                    in stream.normal_transitions else 1)
-                labels.append(rnel_from_degrees(
-                    out_degrees[tokens[index - 1]], in_degrees[token],
-                    stream.labels[-1]) if self._use_rnel else None)
-            work.append(stream)
-            keys.append((stream.row, token))
+                nrf = (0 if (segments[index - 1], segments[index])
+                       in stream.normal_transitions else 1)
+                label = stream.labels[-1]  # what a fixed label keeps
+                if not (after[tokens[index - 1]] & into[token]) >> label & 1:
+                    label = (UNDECIDED if row is None
+                             else slots[4 * row + 2 * nrf + label])
+            if row is None or label == UNDECIDED:
+                work.append(stream)
+                keys.append((stream.row, token))
+                nrf_values.append(nrf)
+                labels.append(label)
+                continue
+            stream.labels.append(label)
+            stream.stepped = index + 1
+            stream.row = row
+            labeled += 1
+            if stream.traces:
+                self._observe_tick(stream, index)
+            if index + 2 >= len(tokens):
+                done.append(stream.vehicle_id)
+        for vehicle_id in done:
+            del ready[vehicle_id]
         # Step-only rows go last, so a labeled row's number indexes
         # ``labels`` and ``rows`` alike.
         for stream in stepping:
             keys.append((stream.row, stream.tokens[stream.stepped]))
 
-        edges = states.edges
         rows = [edges.get(key) for key in keys]
         missing = ()
         if None in rows:
@@ -638,10 +675,10 @@ class StreamEngine:
                 self._cache.gather([token for _, token in missing]),
                 states.hidden[parents], states.cell[parents]))
             rows = [edges[key] for key in keys]
-        states.hits += len(keys) - len(missing)
+        states.hits += count - len(missing)
 
-        labeled = len(work)
-        undecided = [row for row, label in enumerate(labels) if label is None]
+        undecided = [row for row, label in enumerate(labels)
+                     if label == UNDECIDED]
         if undecided:
             # The policy runs only on the (row, NRF, previous label) keys no
             # earlier tick or finalize decided.
@@ -662,13 +699,14 @@ class StreamEngine:
                 self._observe_tick(stream, index)
             if index + 2 >= len(stream.segments):
                 del ready[stream.vehicle_id]
-        for stream, row in zip(stepping, rows[labeled:]):
+        for stream, row in zip(stepping, rows[len(work):]):
             stream.hidden_rows.append(row)
             stream.row = row
             stream.stepped += 1
             waiting = len(stream.segments) - stream.stepped
             if waiting == 0 or (waiting == 1 and stream.finalizing):
                 del ready[stream.vehicle_id]
+        labeled += len(work)
         self.points_processed += labeled
         self.ticks += 1
         return labeled
@@ -790,10 +828,8 @@ class StreamEngine:
         labeled = len(stream.labels)
         if stream.deferred:
             stream.labels = label_route(
-                stream.segments, stream.hidden_rows, self._states,
-                stream.normal_transitions,
-                (self._pipeline.rnel_degrees(stream.tokens)
-                 if self._use_rnel else None),
+                stream.segments, stream.tokens, stream.hidden_rows,
+                self._states, stream.normal_transitions, self._rnel,
                 self._rsrnet, self._asdnet)
         else:
             stream.labels.append(0)
@@ -802,9 +838,11 @@ class StreamEngine:
         self.points_processed += count - labeled
 
     def discard(self, vehicle_ids: Iterable[Hashable]) -> None:
-        """Drop streams unlabeled (ids without a stream are skipped). For a close that failed where its caller has
-        already let the vehicles go: a stream left open would take the next
-        trip under the same id as its continuation."""
+        """Drop streams unlabeled (ids without a stream are skipped).
+
+        For a close that failed where its caller has already let the
+        vehicles go: a stream left open would take the next trip under the
+        same id as its continuation."""
         for vehicle_id in vehicle_ids:
             stream = self._streams.get(vehicle_id)
             if stream is not None:

@@ -179,13 +179,6 @@ class PreprocessingPipeline:
                 [self._network.out_degree(segment) for segment in ordered])
         return self._degrees
 
-    def rnel_degrees(self, tokens: Sequence[int]) -> List[Tuple[int, int]]:
-        """RNEL's input ``(e_{i-1}.out, e_i.in)`` of every interior point of
-        a route given by its tokens (what ``label_route`` takes)."""
-        in_degrees, out_degrees = self.token_degrees()
-        return [(out_degrees[before], in_degrees[token])
-                for before, token in zip(tokens, tokens[1:-1])]
-
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
         state.pop("_degrees", None)

@@ -310,12 +310,13 @@ class ReferenceASDNet:
 
 
 # ------------------------------------------------- RNEL and the rewards
-def rnel(network, previous_segment: int, segment: int,
-         previous_label: int) -> Optional[int]:
-    """The paper's three Road Network Enhanced Labeling rules; ``None``
-    when the policy decides."""
-    out_degree = network.out_degree(previous_segment)
-    in_degree = network.in_degree(segment)
+def rnel_from_degrees(out_degree: int, in_degree: int,
+                      previous_label: int) -> Optional[int]:
+    """The paper's three Road Network Enhanced Labeling rules over
+    ``out_degree = e_{i-1}.out`` and ``in_degree = e_i.in``; ``None`` when
+    the policy decides. The scalar reading of the rules, against which
+    :func:`repro.core.decision.rnel_masks` and ``rnel_fixed_batch`` are
+    pinned."""
     if out_degree == 1 and in_degree == 1:
         return previous_label
     if out_degree == 1 and in_degree > 1 and previous_label == 0:
@@ -323,6 +324,13 @@ def rnel(network, previous_segment: int, segment: int,
     if out_degree > 1 and in_degree == 1 and previous_label == 1:
         return 1
     return None
+
+
+def rnel(network, previous_segment: int, segment: int,
+         previous_label: int) -> Optional[int]:
+    """:func:`rnel_from_degrees` of ``segment`` after ``previous_segment``."""
+    return rnel_from_degrees(network.out_degree(previous_segment),
+                             network.in_degree(segment), previous_label)
 
 
 def local_reward(z_previous, z_current, label_previous, label_current) -> float:

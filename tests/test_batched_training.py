@@ -16,15 +16,15 @@ import pytest
 from repro.config import (ASDNetConfig, LabelingConfig, RSRNetConfig,
                           TrainingConfig)
 from repro.core import OnlineLearner, RL4OASDTrainer, TrainingReport
-from repro.core.decision import (rnel_from_degrees, rnel_fixed_batch,
-                                 sample_labels)
+from repro.core.decision import rnel_fixed_batch, rnel_masks, sample_labels
 from repro.exceptions import ConfigurationError, ModelError
 from repro.nn import (LSTM, cosine_similarity_rows, cross_entropy_from_logits,
                       sequence_cross_entropy_from_logits)
 from repro.trajectory.models import MatchedTrajectory
 
 from reference_detector import reference_labels
-from reference_networks import lstm_backward, lstm_forward, rnel
+from reference_networks import (lstm_backward, lstm_forward, rnel,
+                                rnel_from_degrees)
 from reference_trainer import ReferenceTrainer
 
 
@@ -115,6 +115,35 @@ def test_rnel_from_degrees_batch_matches_scalar():
         # A fixed point keeps its previous label.
         assert (scalar if scalar is not None else -1) == (
             label if fixed[label, index] else -1)
+
+
+def test_rnel_masks_batch_and_scalar_agree():
+    """Detection's per-token masks, the training episode's batch masks and
+    the scalar rules: one answer for every degree pair up to 4 and either
+    previous label."""
+    degrees = [(out_degree, in_degree) for out_degree in range(5)
+               for in_degree in range(5)]
+    out_degrees = [out_degree for out_degree, _ in degrees]
+    in_degrees = [in_degree for _, in_degree in degrees]
+    # Token k's out-degree and in-degree are the k-th pair's.
+    after, into = rnel_masks(in_degrees, out_degrees)
+    fixed = rnel_fixed_batch(out_degrees, in_degrees)
+    for token, (out_degree, in_degree) in enumerate(degrees):
+        for label in (0, 1):
+            scalar = rnel_from_degrees(out_degree, in_degree, label)
+            mask = (after[token] & into[token]) >> label & 1
+            assert bool(mask) == bool(fixed[label, token]) == (
+                scalar is not None)
+            assert scalar in (None, label)
+    off, _ = rnel_masks(in_degrees, out_degrees, enabled=False)
+    assert not any(off)  # RNEL off: no rule fixes a label
+    # Out and in come from two different tokens: every pairing agrees too.
+    for before, (out_degree, _) in enumerate(degrees):
+        for token, (_, in_degree) in enumerate(degrees):
+            for label in (0, 1):
+                assert bool((after[before] & into[token]) >> label & 1) == (
+                    rnel_from_degrees(out_degree, in_degree, label)
+                    is not None)
 
 
 # ------------------------------------------------- differential equivalence

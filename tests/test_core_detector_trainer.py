@@ -8,11 +8,12 @@ from paper.evaluation import evaluate_detector
 from paper.shared import measure_detector
 from repro.config import ASDNetConfig, LabelingConfig, RSRNetConfig, TrainingConfig
 from repro.core import OnlineDetector, OnlineLearner, RL4OASDTrainer
-from repro.core.decision import rnel_from_degrees
 from repro.core.detector import apply_delayed_labeling
 from repro.exceptions import ModelError, NotFittedError
 from repro.history import clone_snapshot
 from repro.roadnet import RoadNetwork
+
+from reference_networks import rnel_from_degrees
 
 
 # ---------------------------------------------------------------------- RNEL

@@ -18,7 +18,7 @@ from reference_networks import hidden_states, rsrnet_step
 from test_deferred_streams import feed, open_stream, perturbed_model
 
 from repro.core import OnlineDetector, replay_fleet
-from repro.core.decision import label_route
+from repro.core.decision import label_route, rnel_masks
 from repro.core.stream import PrefixStates
 from repro.exceptions import ModelError
 from repro.obs.trace import TraceContext, Tracer
@@ -146,9 +146,10 @@ def test_label_route_reads_only_the_interior_states(models, dataset_split,
         n = len(segments)
         tokens = pipeline.vocabulary.tokens(segments)
         hidden = hidden_states(model.rsrnet, tokens)
-        degrees = ([(network.out_degree(a), network.in_degree(b))
-                    for a, b in zip(segments, segments[1:-1])]
-                   if use_rnel else None)
+        ordered = pipeline.vocabulary.ordered_segments()
+        rnel = rnel_masks([network.in_degree(s) for s in ordered],
+                          [network.out_degree(s) for s in ordered],
+                          enabled=use_rnel)
         allowed = pipeline.normal_transitions_for(trajectory)
         expected = reference_labels(model, trajectory, use_rnel, None)
         for stepped in (n - 1, n):
@@ -158,8 +159,9 @@ def test_label_route_reads_only_the_interior_states(models, dataset_split,
             states.hidden[1] = states.hidden[n] = np.nan
             rows = list(range(1, stepped + 1))
             for _ in range(2):
-                assert label_route(segments, rows, states, allowed, degrees,
-                                   model.rsrnet, model.asdnet) == expected
+                assert label_route(segments, tokens, rows, states, allowed,
+                                   rnel, model.rsrnet,
+                                   model.asdnet) == expected
 
 
 def test_hidden_states_match_the_step_loop(trained_model, dataset_split):

@@ -72,7 +72,7 @@ PUBLIC_SURFACE = {
     "repro.core.online": ["OnlineLearner", "FineTuneRecord"],
     "repro.core.detector": ["OnlineDetector", "finish_labels"],
     "repro.core.decision": ["label_route", "greedy_choices",
-                            "policy_choices", "sample_labels", "rnel_from_degrees",
+                            "policy_choices", "sample_labels", "rnel_masks",
                             "rnel_fixed_batch"],
     "repro.serve": [
         "DetectionService", "serve_fleet", "shard_of",
